@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dyadic import SCALE_BITS, DyadicFraction, beta_for_level
+from .dyadic import HALF, SCALE_BITS, DyadicFraction, beta_for_level
 from .dirichlet import (WEIGHT_BETA_THRESHOLD, H_eval, euler_F, exp_form_F,
                         identity_residual)
 from .errors import LabError
@@ -35,7 +35,7 @@ from .growth import (CampaignConfig, abel_consistency, checkpoint_grid,
 from .iet import IetSpec, apply_T, apply_T_power, apply_T_power_numerators, \
     interval_index
 from .sampler import OmegaAssignment, build_sign_series
-from .sieve import distinct_prime_counts, mobius_sieve
+from .sieve import MAX_LIMIT, _sieve_mu_omega, mobius_sieve
 
 KINDS = ("identity", "iet-test", "growth", "weighted-growth", "exp-form",
          "abel", "h-scan", "campaign")
@@ -105,9 +105,14 @@ def validate(config: ExperimentConfig) -> list[str]:
     b = None
     if config.beta is not None:
         try:
-            b = float(parse_beta(config.beta))
+            beta = parse_beta(config.beta)
         except ValueError as exc:
             v.append(f"beta={config.beta!r}: {exc}")
+        else:
+            b = float(beta)
+            if needs_beta and beta < HALF:
+                v.append(f"beta={config.beta}: sign thresholds require "
+                         "beta >= 1/2")
     if config.kind == "identity":
         for sigma in config.sigmas:
             if sigma <= 1:
@@ -128,6 +133,10 @@ def validate(config: ExperimentConfig) -> list[str]:
         v.append(f"prime_limit={config.prime_limit}: must be >= 2")
     if config.limit < 2:
         v.append(f"limit={config.limit}: must be >= 2")
+    sieve_kinds = ("growth", "weighted-growth", "abel", "campaign")
+    if config.kind in sieve_kinds and config.limit > MAX_LIMIT:
+        v.append(f"limit={config.limit}: the sieve supports at most "
+                 f"{MAX_LIMIT}")
     if config.window is not None and len(config.window) != 2:
         v.append(f"window={config.window}: expected [x_min, x_max]")
     return v
@@ -251,8 +260,10 @@ def _run_iet_test(config: ExperimentConfig, outdir: Path) -> tuple[dict, bool]:
 def _growth_common(config: ExperimentConfig, outdir: Path,
                    weighted: bool) -> tuple[dict, bool]:
     beta = config.beta_value()
-    mobius = mobius_sieve(config.limit)
-    omega_counts = distinct_prime_counts(config.limit) if weighted else None
+    if weighted:
+        mobius, omega_counts = _sieve_mu_omega(config.limit)
+    else:
+        mobius, omega_counts = mobius_sieve(config.limit), None
     grid = checkpoint_grid(config.limit)
     window = tuple(config.window) if config.window else \
         (max(grid[0], config.limit / 100), config.limit)

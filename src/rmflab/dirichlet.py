@@ -10,11 +10,23 @@ additionally require the documented beta threshold.
 With both sides truncated to the same prime set, the zeta identity that
 links 1/zeta**(2**n - 1) to the family of sign products is exact prime by
 prime, so its residual is pure floating-point noise.
+
+The identity residual evaluates 2**n + 2 products whose factors are all
+1 - p**-s or 1 + p**-s.  It computes both log tables once per (P, s) and
+keeps the exact sum of the minus table as a few non-overlapping float
+partials.  A product's log is then one fsum over those partials and the
+plus-minus differences at its plus-signed primes (about 1 in 2**(n+1) of
+them).  Because fsum is correctly rounded (Shewchuk, 1997), that is the
+same float as the fsum over the product's full term vector, so the
+residual is bit for bit what the product-by-product evaluation gives.
+Each product's signs are still derived from its own T**k view of the
+hashed omega, so the check stays independent of the exchange map it tests.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -22,8 +34,8 @@ import numpy as np
 
 from .dyadic import HALF, DyadicFraction, beta_for_level
 from .errors import DomainError, PreconditionError
-from .iet import IetSpec, apply_T_omega
-from .sampler import prime_signs
+from .iet import IetSpec, apply_T_power_numerators
+from .sampler import prime_signs, signs_from_numerators
 
 #: Weighted products need beta above this (so |g(p)| < sqrt(2)).
 WEIGHT_BETA_THRESHOLD = 0.5 + 0.5 / math.sqrt(2.0)
@@ -90,6 +102,41 @@ def zeta_truncated(P: int, s: complex, primes: np.ndarray | None = None
                            value=cmath.exp(-inner.log_value))
 
 
+def _log_factor_tables(primes: np.ndarray, s: complex
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """log(1 - p**-s) and log(1 + p**-s) per prime, complex128.
+
+    Built as 1.0 + c * p**-s with c = -1.0 and c = +1.0, the element
+    operations ``_log_product`` applies, so each term is bitwise the term a
+    product with that sign at p would use.  Both are built in place and the
+    + table reuses the p**-s buffer, so at most two complex tables are alive.
+    """
+    powers = _prime_powers(primes, s)
+    log_minus = np.multiply(-1.0, powers)
+    log_plus = np.multiply(1.0, powers, out=powers)
+    for table in (log_minus, log_plus):
+        np.add(1.0, table, out=table)
+        np.log(table, out=table)
+    return log_minus, log_plus
+
+
+def _exact_partials(values: np.ndarray) -> list[float]:
+    """Non-overlapping floats whose exact sum is the exact sum of ``values``.
+
+    The first entry is ``math.fsum(values)``; each further one is fsum of
+    what the earlier ones leave over.  The exact sum of doubles is a
+    multiple of 2**-1074, so the remainder reaches 0 after a few rounds (two
+    to four for the 78,498 Euler log terms at P = 10**6).  Empty when the
+    exact sum is 0.
+    """
+    partials: list[float] = []
+    while True:
+        r = math.fsum(itertools.chain(values, (-x for x in partials)))
+        if r == 0.0:
+            return partials
+        partials.append(r)
+
+
 def identity_residual(level: int, assignment, P: int, s: complex,
                       strict_domain: bool = True) -> float:
     """|L - R| for the telescoping zeta identity at threshold level n.
@@ -97,21 +144,52 @@ def identity_residual(level: int, assignment, P: int, s: complex,
     L = -(2**n - 1) * log zeta_P(s); R = -log F_{1/2}(s, omega)
     + sum_{k=1..2**n} log F_beta(s, T^k omega), with beta = 1 - 2**-(n+1).
     Both sides run over the same primes p <= P.
+
+    Every factor of the 2**n + 2 products is 1 - p**-s or 1 + p**-s, so the
+    two log tables are computed once and shared.  The exact sum of the
+    log(1 - p**-s) table is kept as a few non-overlapping float partials;
+    a product's log is then the fsum of those partials plus
+    log(1 + p**-s) - log(1 - p**-s) at its plus-signed primes only.  fsum
+    rounds the exact sum correctly, so this is the same float as the fsum
+    over the product's full term vector, and L (from the same partials) is
+    unchanged too.
+
+    The sides stay independent: omega is hashed once, but every view's
+    signs come from applying T**k to all numerators and comparing them with
+    beta, never from the interval index the identity is built on.  A wrong
+    exchange map therefore leaves a residual far above rounding noise.
     """
     s = complex(s)
     if strict_domain and s.real <= 1:
         raise PreconditionError(
             f"identity stated for Re(s) > 1, got Re(s)={s.real}")
+    if s.real <= 0:
+        raise DomainError(f"Re(s)={s.real} <= 0")
     spec = IetSpec(level)
     beta = beta_for_level(level)
     primes = assignment.primes
-    primes = primes[primes <= P]
-    left = -(spec.intervals - 1) * zeta_truncated(P, s, primes).log_value
-    right = -euler_F(HALF, assignment, P, s).log_value
-    parts = [right]
+    primes = primes[: np.searchsorted(primes, P, side="right")]
+    nums = assignment.numerators(primes)
+    log_minus, log_plus = _log_factor_tables(primes, s)
+    base_re = _exact_partials(log_minus.real)
+    base_im = _exact_partials(log_minus.imag)
+
+    def product_log(threshold: DyadicFraction, view_nums: np.ndarray
+                    ) -> complex:
+        plus = np.flatnonzero(
+            signs_from_numerators(threshold, view_nums) == 1)
+        lp, lm = log_plus[plus], log_minus[plus]
+        return complex(
+            math.fsum(itertools.chain(base_re, lp.real, -lm.real)),
+            math.fsum(itertools.chain(base_im, lp.imag, -lm.imag)))
+
+    log_zeta = -complex(base_re[0] if base_re else 0.0,
+                        base_im[0] if base_im else 0.0)
+    left = -(spec.intervals - 1) * log_zeta
+    parts = [-product_log(HALF, nums)]
     for k in range(1, spec.intervals + 1):
-        view = apply_T_omega(spec, assignment, k)
-        parts.append(euler_F(beta, view, P, s).log_value)
+        parts.append(product_log(
+            beta, apply_T_power_numerators(spec, nums, k)))
     right_total = complex(math.fsum(z.real for z in parts),
                           math.fsum(z.imag for z in parts))
     return abs(left - right_total)

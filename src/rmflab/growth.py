@@ -19,7 +19,7 @@ from .dyadic import DyadicFraction
 from .errors import (CoverageError, DomainError, FitError, PreconditionError,
                      RangeError)
 from .sampler import OmegaAssignment, SignSeries, build_sign_series
-from .sieve import distinct_prime_counts, mobius_sieve
+from .sieve import _sieve_mu_omega, mobius_sieve
 from .dirichlet import weight_factor
 
 GRID_STEPS_PER_DECADE = 8
@@ -283,8 +283,10 @@ def _tables_for(limit: int, weighted: bool) -> _Tables:
     key = (limit, weighted)
     if key not in _TABLE_CACHE:
         _TABLE_CACHE.clear()  # keep at most one limit resident
-        mob = mobius_sieve(limit)
-        om = distinct_prime_counts(limit) if weighted else None
+        if weighted:
+            mob, om = _sieve_mu_omega(limit)
+        else:
+            mob, om = mobius_sieve(limit), None
         _TABLE_CACHE[key] = _Tables(mobius=mob, omega_counts=om)
     return _TABLE_CACHE[key]
 

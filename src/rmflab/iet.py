@@ -87,19 +87,21 @@ def apply_T_power(spec: IetSpec, x: DyadicFraction, k: int) -> DyadicFraction:
 
 def apply_T_power_numerators(spec: IetSpec, nums: np.ndarray,
                              k: int) -> np.ndarray:
-    """Vectorized apply_T_power on an array of uint64 numerators."""
+    """Vectorized apply_T_power on an array of uint64 numerators.
+
+    On [1/2, 1), x - 1/2 = j * step + offset with j < 2**n and
+    2**n * step = 2**63, so rotating the interval index j by -k modulo 2**n
+    is subtracting k * step modulo 2**63; the offset bits never move.
+    """
     if k < 0:
         raise DomainError("power must be non-negative")
     nums = np.asarray(nums, dtype=np.uint64)
     half = np.uint64(_HALF_NUM)
-    shift = np.uint64(SCALE_BITS - 1 - spec.level)
-    moving = nums >= half
-    rel = (nums - half) >> shift
-    offset = (nums - half) & np.uint64(spec.step_numerator - 1)
-    rot = (rel - np.uint64(k % spec.intervals)) & np.uint64(spec.intervals - 1)
-    out = nums.copy()
-    out[moving] = (half + (rot << shift) + offset)[moving]
-    return out
+    rotated = nums - half  # wraps below 1/2; those entries are not used
+    rotated -= np.uint64((k % spec.intervals) * spec.step_numerator)
+    rotated &= np.uint64(_HALF_NUM - 1)
+    rotated += half
+    return np.where(nums >= half, rotated, nums)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .dyadic import HALF, DyadicFraction
 from .errors import CoverageError, DomainError, PreconditionError
-from .sieve import SpfTable, primes_up_to
+from .sieve import primes_up_to
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -89,7 +89,12 @@ def prime_signs(beta: DyadicFraction, assignment: OmegaAssignment,
     """Vector of signs at the given primes, int8."""
     if not HALF <= beta:
         raise PreconditionError(f"beta={float(beta)} below 1/2")
-    nums = assignment.numerators(primes)
+    return signs_from_numerators(beta, assignment.numerators(primes))
+
+
+def signs_from_numerators(beta: DyadicFraction,
+                          nums: np.ndarray) -> np.ndarray:
+    """-1 where omega_p < beta else +1, on already hashed numerators; int8."""
     if beta.is_one:
         return np.full(len(nums), -1, dtype=np.int8)
     return np.where(nums < np.uint64(beta.numerator),

@@ -1,10 +1,15 @@
 import csv
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from rmflab.cli import ExperimentConfig, main, parse_beta, run, validate
+from rmflab import ConfigurationError, LabError, PreconditionError
+from rmflab.cli import _RUNNERS, ExperimentConfig, main, parse_beta, run, \
+    validate
+from rmflab.sieve import MAX_LIMIT
 
 
 def read_csv(path):
@@ -120,3 +125,50 @@ def test_shipped_configs_validate():
         payload = json.loads(cfg_file.read_text())
         cfg = ExperimentConfig(**payload)
         assert validate(cfg) == [], cfg_file.name
+
+
+BETA_KINDS = ("growth", "weighted-growth", "exp-form", "abel", "h-scan",
+              "campaign")
+
+
+def pipeline_rejects(config: ExperimentConfig) -> bool:
+    """True iff the experiment, run without validate(), raises a
+    PreconditionError or ConfigurationError."""
+    with tempfile.TemporaryDirectory() as tmp:
+        try:
+            _RUNNERS[config.kind](config, Path(tmp))
+        except (PreconditionError, ConfigurationError):
+            return True
+    return False
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(BETA_KINDS), weighted=st.booleans(),
+       bits=st.integers(0, 6), data=st.data(),
+       limit=st.one_of(st.integers(1000, 3000), st.just(MAX_LIMIT + 1)))
+def test_validate_rejects_what_run_rejects(kind, weighted, bits, data, limit):
+    k = data.draw(st.integers(0, 2**bits), label="k")
+    cfg = ExperimentConfig(kind=kind, beta=f"{k}/{2**bits}", limit=limit,
+                           prime_limit=1000, seeds=[1], weighted=weighted)
+    accepted = validate(cfg) == []
+    assert accepted == (not pipeline_rejects(cfg))
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg.outdir = tmp
+        if accepted:
+            run(cfg)
+        else:
+            with pytest.raises(LabError):
+                run(cfg)
+
+
+def test_validate_names_beta_below_half_and_sieve_limit():
+    for kind in ("growth", "abel", "campaign", "exp-form"):
+        cfg = ExperimentConfig(kind=kind, beta="1/4", seeds=[1])
+        assert any("beta >= 1/2" in v for v in validate(cfg)), kind
+    cfg = ExperimentConfig(kind="growth", beta="3/4", limit=MAX_LIMIT + 1,
+                           seeds=[1])
+    assert any(str(MAX_LIMIT) in v for v in validate(cfg))
+    # the identity experiment never sieves, so its limit is not checked
+    cfg = ExperimentConfig(kind="identity", level=1, limit=MAX_LIMIT + 1,
+                           seeds=[1])
+    assert validate(cfg) == []

@@ -1,14 +1,18 @@
 import cmath
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from rmflab import (DomainError, DyadicFraction, H_eval, OmegaAssignment,
-                    PreconditionError, WEIGHT_BETA_THRESHOLD, euler_F,
-                    exp_form_F, identity_residual, primes_up_to,
-                    weight_factor, weighted_euler_G, zeta_truncated)
+from rmflab import (DomainError, DyadicFraction, H_eval, IetSpec,
+                    OmegaAssignment, PreconditionError, WEIGHT_BETA_THRESHOLD,
+                    apply_T_omega, beta_for_level, euler_F, exp_form_F,
+                    identity_residual, primes_up_to, weight_factor,
+                    weighted_euler_G, zeta_truncated)
+from rmflab import dirichlet
 from rmflab.dyadic import HALF, ONE
 
 B34 = DyadicFraction.from_fraction(3, 2)
@@ -109,6 +113,85 @@ def test_identity_residual_domain():
         identity_residual(1, a, 10**3, 0.9)
     # still computable outside the stated domain when asked to
     assert identity_residual(1, a, 10**3, 0.9, strict_domain=False) < 1e-10
+
+
+def identity_residual_oracle(level, assignment, P, s):
+    """The residual product by product: 2**n + 2 full Euler products."""
+    s = complex(s)
+    spec = IetSpec(level)
+    beta = beta_for_level(level)
+    primes = assignment.primes
+    primes = primes[primes <= P]
+    left = -(spec.intervals - 1) * zeta_truncated(P, s, primes).log_value
+    parts = [-euler_F(HALF, assignment, P, s).log_value]
+    for k in range(1, spec.intervals + 1):
+        view = apply_T_omega(spec, assignment, k)
+        parts.append(euler_F(beta, view, P, s).log_value)
+    right_total = complex(math.fsum(z.real for z in parts),
+                          math.fsum(z.imag for z in parts))
+    return abs(left - right_total)
+
+
+ORACLE_POINTS = (1.5, complex(1.1, 10), complex(2, -3.7), 3.0,
+                 complex(0.7, 2), 0.9)
+
+
+def test_identity_residual_matches_product_oracle_bitwise():
+    checked = nonzero = 0
+    for seed in (1, 7, 42):
+        a = OmegaAssignment(master_seed=seed, prime_limit=10**4)
+        for level in range(1, 7):
+            for P in (10**4, 3000):
+                for s in ORACLE_POINTS:
+                    got = identity_residual(level, a, P, s,
+                                            strict_domain=False)
+                    assert got == identity_residual_oracle(level, a, P, s), \
+                        (seed, level, P, s)
+                    checked += 1
+                    nonzero += got != 0.0
+    # the residuals are rounding noise, but noise that pins the float path
+    assert nonzero > checked // 4
+
+
+def test_identity_residual_oracle_level8_and_fixed_omega():
+    a = OmegaAssignment(master_seed=5, prime_limit=10**4)
+    for s in (1.5, complex(2, -10)):
+        assert identity_residual(8, a, 10**4, s) == \
+            identity_residual_oracle(8, a, 10**4, s)
+    for num in (0, 12345, 2**63 + 2**61 + 99, 2**64 - 1):
+        fixed = FixedOmega(prime_limit=10**3, num=num)
+        for level in (1, 3, 6):
+            for s in (1.5, complex(1.2, -4)):
+                assert identity_residual(level, fixed, 10**3, s) == \
+                    identity_residual_oracle(level, fixed, 10**3, s)
+
+
+def test_identity_residual_detects_a_wrong_exchange_map(monkeypatch):
+    a = OmegaAssignment(master_seed=42, prime_limit=10**4)
+    assert identity_residual(3, a, 10**4, 1.5) < 1e-12
+    exchange = dirichlet.apply_T_power_numerators
+
+    def repeats_previous_power(spec, nums, k):
+        return exchange(spec, nums, k - 1 if k == 5 else k)
+
+    monkeypatch.setattr(dirichlet, "apply_T_power_numerators",
+                        repeats_previous_power)
+    for s in (1.5, complex(2, 10)):
+        assert identity_residual(3, a, 10**4, s) > 1e-6
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False,
+                   min_value=-1e300, max_value=1e300)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(finite, max_size=40))
+def test_exact_partials_sum_exactly(values):
+    partials = dirichlet._exact_partials(np.array(values, dtype=np.float64))
+    assert sum(map(Fraction, partials), Fraction(0)) == \
+        sum(map(Fraction, values), Fraction(0))
+    assert (partials[0] if partials else 0.0) == math.fsum(values)
+    assert all(x != 0.0 for x in partials)
 
 
 def test_local_factor_ratio_oracle():

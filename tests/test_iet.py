@@ -67,6 +67,23 @@ def test_bitwise_periodicity_random_points(rng):
         assert np.array_equal(back, nums)
 
 
+def test_vectorized_power_matches_scalar_closed_form(rng):
+    for n in (1, 2, 6, 13, 40, 62):
+        spec = IetSpec(n)
+        nums = rng.integers(0, 2**64, size=200, dtype=np.uint64)
+        edges = [spec.endpoint(j).numerator + d
+                 for j in (0, 1, spec.intervals - 1) for d in (-1, 0, 1)]
+        nums = np.concatenate([nums, np.array(
+            edges + [0, 2**64 - 1], dtype=np.uint64)])
+        for k in (0, 1, 5, spec.intervals - 1, spec.intervals,
+                  spec.intervals + 3, 3 * spec.intervals + 1):
+            got = apply_T_power_numerators(spec, nums, k)
+            want = [apply_T_power(spec, DyadicFraction(int(x)), k).numerator
+                    for x in nums]
+            assert got.dtype == np.uint64
+            assert got.tolist() == want, (n, k)
+
+
 def test_injectivity_and_inverse(rng):
     spec = IetSpec(6)
     nums = np.unique(rng.integers(0, 2**64, size=10**5, dtype=np.uint64))
