@@ -11,8 +11,7 @@ square-root-cancellation regimes of the partial sums.
 from .dyadic import HALF, ONE, DyadicFraction, beta_for_level
 from .errors import (ConfigurationError, CoverageError, DomainError, FitError,
                      LabError, PreconditionError, RangeError)
-from .sieve import (FactorSummary, SpfTable, build_spf, distinct_prime_counts,
-                    factor_summary, mobius_sieve, primes_up_to)
+from .sieve import distinct_prime_counts, mobius_sieve, primes_up_to
 from .sampler import (OmegaAssignment, SignSeries, build_sign_series,
                       coupling_monotone_check, prime_signs, sign_at_prime,
                       splitmix64)

@@ -19,7 +19,8 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field, asdict
+from collections.abc import Callable
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -29,16 +30,17 @@ from .dyadic import HALF, SCALE_BITS, DyadicFraction, beta_for_level
 from .dirichlet import (WEIGHT_BETA_THRESHOLD, H_eval, euler_F, exp_form_F,
                         identity_residual)
 from .errors import LabError
-from .growth import (CampaignConfig, abel_consistency, checkpoint_grid,
-                     fit_growth_exponent, monte_carlo_campaign, partial_sums,
-                     selberg_delange_ratio, weighted_partial_sums)
-from .iet import IetSpec, apply_T, apply_T_power, apply_T_power_numerators, \
-    interval_index
+from .growth import (MIN_FIT_POINTS, CampaignConfig, abel_consistency,
+                     checkpoint_grid, default_window, fit_growth_exponent,
+                     monte_carlo_campaign, seed_sums, selberg_delange_ratio,
+                     sieve_tables)
+from .iet import IetSpec, apply_T_power_numerators
 from .sampler import OmegaAssignment, build_sign_series
-from .sieve import MAX_LIMIT, _sieve_mu_omega, mobius_sieve
+from .sieve import MAX_LIMIT
 
 KINDS = ("identity", "iet-test", "growth", "weighted-growth", "exp-form",
          "abel", "h-scan", "campaign")
+_FIT_KINDS = ("growth", "weighted-growth", "campaign")  # fit growth exponents
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -88,18 +90,16 @@ class ExperimentConfig:
 
 def validate(config: ExperimentConfig) -> list[str]:
     """Constraint check; empty list means run() would accept the config."""
-    v = []
     if config.kind not in KINDS:
-        v.append(f"kind={config.kind!r}: must be one of {KINDS}")
-        return v
+        return [f"kind={config.kind!r}: must be one of {KINDS}"]
+    v = []
     if not config.seeds:
         v.append("seeds=[]: at least one seed is required")
     if config.kind in ("identity", "iet-test") and config.level is None:
         v.append(f"level=None: kind {config.kind} requires a level n")
     if config.level is not None and not 1 <= config.level <= 62:
         v.append(f"level={config.level}: must be in [1, 62]")
-    needs_beta = config.kind in ("growth", "weighted-growth", "exp-form",
-                                 "abel", "h-scan", "campaign")
+    needs_beta = config.kind not in ("identity", "iet-test")
     if needs_beta and config.beta is None and config.level is None:
         v.append(f"beta=None: kind {config.kind} requires beta (or level)")
     b = None
@@ -113,32 +113,33 @@ def validate(config: ExperimentConfig) -> list[str]:
             if needs_beta and beta < HALF:
                 v.append(f"beta={config.beta}: sign thresholds require "
                          "beta >= 1/2")
-    if config.kind == "identity":
-        for sigma in config.sigmas:
-            if sigma <= 1:
-                v.append(f"sigma={sigma}: the zeta identity is stated for "
-                         "Re(s) > 1")
-    weight_kinds = ("weighted-growth", "h-scan")
-    if (config.kind in weight_kinds or
-            (config.kind == "campaign" and config.weighted)) and b is not None:
-        if not WEIGHT_BETA_THRESHOLD < b < 1:
-            v.append(f"beta={config.beta}: weighted sums require "
-                     f"1/2 + 1/(2*sqrt(2)) ~ {WEIGHT_BETA_THRESHOLD:.6f} "
-                     "< beta < 1")
-    if config.kind in ("exp-form", "h-scan"):
-        for sigma in config.sigmas:
-            if sigma <= 0.5:
-                v.append(f"sigma={sigma}: tail series requires Re(s) > 1/2")
+    sweep = _SWEEPS.get(config.kind)
+    for sigma in config.sigmas if sweep else ():
+        if sigma <= sweep.sigma_floor:
+            v.append(f"sigma={sigma}: {sweep.floor_reason}")
+    weighted = config.kind in ("weighted-growth", "h-scan") or \
+        (config.kind == "campaign" and config.weighted)
+    if weighted and b is not None and not WEIGHT_BETA_THRESHOLD < b < 1:
+        v.append(f"beta={config.beta}: weighted sums require "
+                 f"1/2 + 1/(2*sqrt(2)) ~ {WEIGHT_BETA_THRESHOLD:.6f} "
+                 "< beta < 1")
     if config.prime_limit < 2:
         v.append(f"prime_limit={config.prime_limit}: must be >= 2")
-    if config.limit < 2:
-        v.append(f"limit={config.limit}: must be >= 2")
-    sieve_kinds = ("growth", "weighted-growth", "abel", "campaign")
-    if config.kind in sieve_kinds and config.limit > MAX_LIMIT:
+    min_limit = 10 if config.kind in _FIT_KINDS else 2  # checkpoints from 10
+    if config.limit < min_limit:
+        v.append(f"limit={config.limit}: must be >= {min_limit}")
+    if config.kind in _FIT_KINDS + ("abel",) and config.limit > MAX_LIMIT:
         v.append(f"limit={config.limit}: the sieve supports at most "
                  f"{MAX_LIMIT}")
     if config.window is not None and len(config.window) != 2:
         v.append(f"window={config.window}: expected [x_min, x_max]")
+    elif config.kind in _FIT_KINDS and 10 <= config.limit <= MAX_LIMIT:
+        lo, hi = _fit_window(config)
+        grid = checkpoint_grid(config.limit)
+        inside = int(np.count_nonzero((grid >= lo) & (grid <= hi)))
+        if inside < MIN_FIT_POINTS:
+            v.append(f"window=[{lo}, {hi}]: holds {inside} checkpoints up "
+                     f"to limit {config.limit}; a fit needs {MIN_FIT_POINTS}")
     return v
 
 
@@ -161,19 +162,9 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _jsonable(obj):
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return obj.tolist()  # numpy scalars become bool, int or float
     raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def _finish_run(outdir: Path, config: ExperimentConfig,
@@ -186,7 +177,8 @@ def _finish_run(outdir: Path, config: ExperimentConfig,
         "artifact_version": __version__,
         "config": asdict(config),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "outputs": {p.name: _sha256(p) for p in files},
+        "outputs": {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                    for p in files},
     }
     _write_json(outdir / "manifest.json", manifest)
     return manifest
@@ -196,28 +188,36 @@ def _finish_run(outdir: Path, config: ExperimentConfig,
 # experiment pipelines
 # ---------------------------------------------------------------------------
 
-def _run_identity(config: ExperimentConfig, outdir: Path) -> tuple[dict, bool]:
-    rows = []
-    worst = 0.0
-    for seed in config.seeds:
-        assignment = OmegaAssignment(master_seed=seed,
-                                     prime_limit=config.prime_limit)
-        for sigma in config.sigmas:
-            for t in config.ts:
-                res = identity_residual(config.level, assignment,
-                                        config.prime_limit,
-                                        complex(sigma, t))
-                worst = max(worst, res)
-                rows.append([sigma, t, config.prime_limit, seed, res])
-    _write_csv(outdir / "identity.csv",
-               ["sigma", "t", "P", "seed", "residual"], rows)
-    ok = worst < config.tolerance
-    beta = beta_for_level(config.level)
-    return {"experiment": "identity", "level": config.level,
-            "beta": beta.as_fraction_string(),
-            "beta_form": f"1 - 1/2^{config.level + 1}",
-            "max_residual": worst, "tolerance": config.tolerance,
-            "pass": ok}, ok
+def _level_fields(level: int) -> dict:
+    """The level-n threshold, as identity and iet-test summaries report it."""
+    return {"level": level,
+            "beta": beta_for_level(level).as_fraction_string(),
+            "beta_form": f"1 - 1/2^{level + 1}"}
+
+
+def _fit_window(config: ExperimentConfig) -> tuple[float, float]:
+    return tuple(config.window) if config.window else \
+        default_window(config.limit)
+
+
+def _dynamics_hold(spec: IetSpec, rng: np.random.Generator,
+                   points: int) -> bool:
+    """T fixes [0, 1/2) and moves a_j, the left end of I_{j+1}, to a_{j-1}.
+
+    Checked at 1/16 and at every a_j (j mod 2**n), or, when there are more
+    than ``points`` intervals, at ``points`` random ones plus those of I_1,
+    I_2 and I_{2^n}.
+    """
+    n = spec.intervals
+    j = np.arange(n, dtype=np.uint64) if n <= points else np.concatenate(
+        [np.array([0, 1, n - 1], dtype=np.uint64),
+         rng.integers(0, n, size=points, dtype=np.uint64)])
+    ends = np.uint64(1 << (SCALE_BITS - 1)) + \
+        np.array([j, (j - np.uint64(1)) % np.uint64(n)]) * \
+        np.uint64(spec.step_numerator)
+    x, want = (np.append(np.uint64(1 << 60), e) for e in ends)
+    return bool(np.array_equal(apply_T_power_numerators(spec, x, 1), want)
+                and np.array_equal(apply_T_power_numerators(spec, x, n), x))
 
 
 def _run_iet_test(config: ExperimentConfig, outdir: Path) -> tuple[dict, bool]:
@@ -228,17 +228,7 @@ def _run_iet_test(config: ExperimentConfig, outdir: Path) -> tuple[dict, bool]:
                         dtype=np.uint64)
     back = apply_T_power_numerators(spec, nums, spec.intervals)
     periodic = bool(np.array_equal(back, nums))
-    # index dynamics over one representative per interval
-    dynamics = True
-    for k in range(0, spec.intervals + 1):
-        if k == 0:
-            x = DyadicFraction(1 << 60)  # below 1/2
-        else:
-            x = spec.endpoint(k - 1)
-        ix, tx = interval_index(spec, x), interval_index(spec, apply_T(spec, x))
-        want = 0 if ix == 0 else (spec.intervals if ix == 1 else ix - 1)
-        dynamics &= tx == want
-        dynamics &= apply_T_power(spec, x, spec.intervals) == x
+    dynamics = _dynamics_hold(spec, rng, config.points)
     imgs = apply_T_power_numerators(spec, nums, 1)
     stat = ks_2samp(nums / 2.0**SCALE_BITS, imgs / 2.0**SCALE_BITS).statistic
     crit = math.sqrt(-math.log(1e-3 / 2) / 2) * math.sqrt(2 / config.points)
@@ -248,130 +238,130 @@ def _run_iet_test(config: ExperimentConfig, outdir: Path) -> tuple[dict, bool]:
             ["ks_statistic", float(stat)],
             ["ks_critical_1e-3", float(crit)]]
     _write_csv(outdir / "iet.csv", ["check", "value"], rows)
-    return {"experiment": "iet-test", "level": config.level,
-            "beta": spec.beta.as_fraction_string(),
-            "beta_form": f"1 - 1/2^{config.level + 1}",
+    return {"experiment": "iet-test", **_level_fields(config.level),
             "periodicity": "pass (bitwise)" if periodic else "FAIL",
             "index_dynamics": dynamics,
             "ks_statistic": float(stat), "ks_critical": crit,
             "pass": ok}, ok
 
 
-def _growth_common(config: ExperimentConfig, outdir: Path,
-                   weighted: bool) -> tuple[dict, bool]:
+def _run_growth(config: ExperimentConfig, outdir: Path) -> tuple[dict, bool]:
+    """growth and weighted-growth: checkpoint sums and one fit per seed."""
     beta = config.beta_value()
-    if weighted:
-        mobius, omega_counts = _sieve_mu_omega(config.limit)
-    else:
-        mobius, omega_counts = mobius_sieve(config.limit), None
-    grid = checkpoint_grid(config.limit)
-    window = tuple(config.window) if config.window else \
-        (max(grid[0], config.limit / 100), config.limit)
+    weighted = config.kind == "weighted-growth"
+    window = _fit_window(config)
     rows, fits = [], {}
-    ok = True
     for seed in config.seeds:
-        assignment = OmegaAssignment(master_seed=seed,
-                                     prime_limit=config.limit)
-        series = build_sign_series(beta, assignment, config.limit, mobius)
-        if weighted:
-            sums = weighted_partial_sums(beta, series, omega_counts, grid)
-        else:
-            sums = partial_sums(series, grid)
-        ratios = [""] * len(grid)
+        sums = seed_sums(beta, config.limit, weighted, seed)
+        ratios = [""] * len(sums.checkpoints)
         if not weighted and 0.5 < float(beta) < 1.0:
             stat = selberg_delange_ratio(beta, sums)
             lookup = {int(x): r for x, r in zip(stat.checkpoints,
                                                 stat.ratios)}
-            ratios = [lookup.get(int(x), "") for x in grid]
-        for x, s, rr in zip(grid, sums.sums, ratios):
+            ratios = [lookup.get(int(x), "") for x in sums.checkpoints]
+        for x, s, rr in zip(sums.checkpoints, sums.sums, ratios):
             rows.append([seed, int(x), float(s), rr])
         fit = fit_growth_exponent(sums, window)
         fits[str(seed)] = {"alpha": fit.alpha, "stderr": fit.stderr,
                            "points_used": fit.points_used,
                            "points_dropped": fit.points_dropped}
-    name = "weighted_growth.csv" if weighted else "growth.csv"
-    _write_csv(outdir / name, ["seed", "x", "S", "ratio"], rows)
-    return {"experiment": "weighted-growth" if weighted else "growth",
-            "beta": beta.as_fraction_string(), "limit": config.limit,
-            "window": list(window), "fits": fits, "pass": ok}, ok
+    _write_csv(outdir / f"{config.kind.replace('-', '_')}.csv",
+               ["seed", "x", "S", "ratio"], rows)
+    return {"experiment": config.kind, "beta": beta.as_fraction_string(),
+            "limit": config.limit, "window": list(window), "fits": fits,
+            "pass": True}, True
 
 
-def _run_exp_form(config: ExperimentConfig, outdir: Path) -> tuple[dict, bool]:
+# Per-seed evaluators of the seed x sigma x t sweeps: each takes the config,
+# beta and one seed's omega and returns a map from s to the row's values.
+
+def _identity_at(config, beta, assignment):
+    return lambda s: [identity_residual(config.level, assignment,
+                                        config.prime_limit, s)]
+
+
+def _exp_form_at(config, beta, assignment):
+    def at(s):
+        ps, tail = exp_form_F(beta, assignment, config.prime_limit, s)
+        ev = euler_F(beta, assignment, config.prime_limit, s)
+        return [ps.real, ps.imag, tail.real, tail.imag,
+                abs(np.exp(ps + tail) - ev.value)]
+    return at
+
+
+def _abel_at(config, beta, assignment):
+    mobius, _ = sieve_tables(config.limit, False)
+    series = build_sign_series(beta, assignment, config.limit, mobius)
+    return lambda s: [abel_consistency(series, config.limit, s)]
+
+
+def _h_scan_at(config, beta, assignment):
+    def at(s):
+        h = H_eval(beta, assignment, config.prime_limit, s)
+        return [abs(h.log_value), h.value.real, h.value.imag]
+    return at
+
+
+@dataclass(frozen=True)
+class _Sweep:
+    """One seed x sigma x t experiment; a checked one ends its rows with a
+    residual held to the tolerance, an unchecked one is only recorded."""
+
+    csv: str
+    size: str  # the truncation column: "P" (prime_limit) or "X" (limit)
+    columns: tuple[str, ...]
+    at: Callable
+    sigma_floor: float  # validate() rejects sigma <= sigma_floor
+    floor_reason: str
+    checked: bool = True
+
+
+_SWEEPS = {
+    "identity": _Sweep("identity.csv", "P", ("residual",), _identity_at, 1,
+                       "the zeta identity is stated for Re(s) > 1"),
+    "exp-form": _Sweep("exp_form.csv", "P",
+                       ("prime_sum_re", "prime_sum_im", "A_tail_re",
+                        "A_tail_im", "residual"), _exp_form_at, 0.5,
+                       "tail series requires Re(s) > 1/2"),
+    "abel": _Sweep("abel.csv", "X", ("residual",), _abel_at, 0,
+                   "Abel summation requires Re(s) > 0"),
+    # growth in t is a qualitative observation
+    "h-scan": _Sweep("h_scan.csv", "P", ("log_H_abs", "H_re", "H_im"),
+                     _h_scan_at, 0.5, "tail series requires Re(s) > 1/2",
+                     checked=False),
+}
+
+
+def _run_sweep(config: ExperimentConfig, outdir: Path) -> tuple[dict, bool]:
+    sweep = _SWEEPS[config.kind]
+    size = config.prime_limit if sweep.size == "P" else config.limit
     beta = config.beta_value()
     rows = []
-    worst = 0.0
     for seed in config.seeds:
-        assignment = OmegaAssignment(master_seed=seed,
-                                     prime_limit=config.prime_limit)
+        at = sweep.at(config, beta,
+                      OmegaAssignment(master_seed=seed, prime_limit=size))
         for sigma in config.sigmas:
             for t in config.ts:
-                s = complex(sigma, t)
-                ps, at = exp_form_F(beta, assignment, config.prime_limit, s)
-                ev = euler_F(beta, assignment, config.prime_limit, s)
-                res = abs(np.exp(ps + at) - ev.value)
-                worst = max(worst, res)
-                rows.append([sigma, t, config.prime_limit, seed,
-                             ps.real, ps.imag, at.real, at.imag, res])
-    _write_csv(outdir / "exp_form.csv",
-               ["sigma", "t", "P", "seed", "prime_sum_re", "prime_sum_im",
-                "A_tail_re", "A_tail_im", "residual"], rows)
+                rows.append([sigma, t, size, seed, *at(complex(sigma, t))])
+    _write_csv(outdir / sweep.csv,
+               ["sigma", "t", sweep.size, "seed", *sweep.columns], rows)
+    summary = {"experiment": config.kind,
+               **(_level_fields(config.level) if config.kind == "identity"
+                  else {"beta": beta.as_fraction_string()})}
+    if not sweep.checked:
+        return {**summary, "rows": len(rows), "pass": True}, True
+    worst = max([0.0] + [row[-1] for row in rows])
     ok = worst < config.tolerance
-    return {"experiment": "exp-form", "beta": beta.as_fraction_string(),
-            "max_residual": worst, "tolerance": config.tolerance,
+    return {**summary, "max_residual": worst, "tolerance": config.tolerance,
             "pass": ok}, ok
-
-
-def _run_abel(config: ExperimentConfig, outdir: Path) -> tuple[dict, bool]:
-    beta = config.beta_value()
-    mobius = mobius_sieve(config.limit)
-    rows = []
-    worst = 0.0
-    for seed in config.seeds:
-        assignment = OmegaAssignment(master_seed=seed,
-                                     prime_limit=config.limit)
-        series = build_sign_series(beta, assignment, config.limit, mobius)
-        for sigma in config.sigmas:
-            for t in config.ts:
-                res = abel_consistency(series, config.limit,
-                                       complex(sigma, t))
-                worst = max(worst, res)
-                rows.append([sigma, t, config.limit, seed, res])
-    _write_csv(outdir / "abel.csv",
-               ["sigma", "t", "X", "seed", "residual"], rows)
-    ok = worst < config.tolerance
-    return {"experiment": "abel", "beta": beta.as_fraction_string(),
-            "max_residual": worst, "tolerance": config.tolerance,
-            "pass": ok}, ok
-
-
-def _run_h_scan(config: ExperimentConfig, outdir: Path) -> tuple[dict, bool]:
-    beta = config.beta_value()
-    rows = []
-    for seed in config.seeds:
-        assignment = OmegaAssignment(master_seed=seed,
-                                     prime_limit=config.prime_limit)
-        for sigma in config.sigmas:
-            for t in config.ts:
-                h = H_eval(beta, assignment, config.prime_limit,
-                           complex(sigma, t))
-                rows.append([sigma, t, config.prime_limit, seed,
-                             abs(h.log_value), h.value.real, h.value.imag])
-    _write_csv(outdir / "h_scan.csv",
-               ["sigma", "t", "P", "seed", "log_H_abs", "H_re", "H_im"],
-               rows)
-    # recorded, not asserted: growth in t is a qualitative observation
-    return {"experiment": "h-scan", "beta": beta.as_fraction_string(),
-            "rows": len(rows), "pass": True}, True
 
 
 def _run_campaign(config: ExperimentConfig, outdir: Path) -> tuple[dict, bool]:
     beta = config.beta_value()
-    weighted = config.weighted
-    window = tuple(config.window) if config.window else \
-        (config.limit / 100, config.limit)
     ccfg = CampaignConfig(beta_numerator=beta.numerator, limit=config.limit,
-                          seeds=tuple(config.seeds), window=window,
-                          weighted=weighted)
+                          seeds=tuple(config.seeds),
+                          window=_fit_window(config),
+                          weighted=config.weighted)
     report = monte_carlo_campaign(ccfg)
     rows = [[r.seed, r.alpha, r.stderr, r.points_used, r.points_dropped,
              "" if r.terminal_ratio is None else r.terminal_ratio,
@@ -380,23 +370,13 @@ def _run_campaign(config: ExperimentConfig, outdir: Path) -> tuple[dict, bool]:
     _write_csv(outdir / "campaign.csv",
                ["seed", "alpha", "stderr", "points_used", "points_dropped",
                 "terminal_ratio", "ratio_decade"], rows)
-    summary = report.to_dict()
-    summary["experiment"] = "campaign"
-    summary["beta"] = beta.as_fraction_string()
-    summary["pass"] = True
-    return summary, True
+    return {**report.to_dict(), "experiment": "campaign",
+            "beta": beta.as_fraction_string(), "pass": True}, True
 
 
-_RUNNERS = {
-    "identity": _run_identity,
-    "iet-test": _run_iet_test,
-    "growth": lambda c, o: _growth_common(c, o, weighted=False),
-    "weighted-growth": lambda c, o: _growth_common(c, o, weighted=True),
-    "exp-form": _run_exp_form,
-    "abel": _run_abel,
-    "h-scan": _run_h_scan,
-    "campaign": _run_campaign,
-}
+_RUNNERS = {**dict.fromkeys(_SWEEPS, _run_sweep), "iet-test": _run_iet_test,
+            "growth": _run_growth, "weighted-growth": _run_growth,
+            "campaign": _run_campaign}
 
 
 def run(config: ExperimentConfig) -> dict:
@@ -440,12 +420,10 @@ def _config_from_args(kind: str, args: argparse.Namespace) -> ExperimentConfig:
         base = json.loads(Path(args.config).read_text())
         base.pop("kind", None)
     cfg = ExperimentConfig(kind=kind, **base)
-    for name in ("level", "beta", "prime_limit", "limit", "sigmas", "ts",
-                 "seeds", "window", "tolerance", "points", "weighted",
-                 "outdir"):
-        val = getattr(args, name, None)
+    for f in fields(ExperimentConfig)[1:]:  # every field but kind
+        val = getattr(args, f.name, None)
         if val is not None:
-            setattr(cfg, name, val)
+            setattr(cfg, f.name, val)
     return cfg
 
 

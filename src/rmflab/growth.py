@@ -10,6 +10,7 @@ of ten is itself a checkpoint and log-log fits see evenly spaced abscissae.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, asdict
 
@@ -23,6 +24,7 @@ from .sieve import _sieve_mu_omega, mobius_sieve
 from .dirichlet import weight_factor
 
 GRID_STEPS_PER_DECADE = 8
+MIN_FIT_POINTS = 5  # nonzero checkpoints a growth fit needs
 
 
 def checkpoint_grid(x_max: int, x_min: int = 10) -> np.ndarray:
@@ -31,11 +33,17 @@ def checkpoint_grid(x_max: int, x_min: int = 10) -> np.ndarray:
         raise DomainError(f"x_max={x_max} below x_min={x_min}")
     j0 = math.ceil(GRID_STEPS_PER_DECADE * math.log10(x_min) - 1e-9)
     j1 = math.floor(GRID_STEPS_PER_DECADE * math.log10(x_max) + 1e-9)
-    xs = np.unique(np.round(10.0 ** (np.arange(j0, j1 + 1) /
-                                     GRID_STEPS_PER_DECADE)).astype(np.int64))
+    xs = np.round(10.0 ** (np.arange(j0, j1 + 1) /
+                           GRID_STEPS_PER_DECADE)).astype(np.int64)
+    xs = xs[np.diff(xs, prepend=-1) > 0]  # np.unique would import numpy.ma
     if len(xs) == 0 or xs[-1] != x_max:
         xs = np.append(xs, x_max)
     return xs[xs <= x_max]
+
+
+def default_window(limit: int) -> tuple[float, float]:
+    """The fit window when none is given: the last two decades up to limit."""
+    return (max(10, limit / 100), limit)
 
 
 @dataclass(frozen=True)
@@ -145,9 +153,9 @@ def fit_growth_exponent(sumgrid: SumGrid,
     nonzero = ss != 0.0
     dropped = int(np.count_nonzero(~nonzero))
     xs, ss = xs[nonzero], ss[nonzero]
-    if len(xs) < 5:
-        raise FitError(
-            f"only {len(xs)} nonzero checkpoints in window {window}; need 5")
+    if len(xs) < MIN_FIT_POINTS:
+        raise FitError(f"only {len(xs)} nonzero checkpoints in window "
+                       f"{window}; need {MIN_FIT_POINTS}")
     lx = np.log(xs)
     ly = np.log(np.abs(ss))
     n = len(lx)
@@ -268,40 +276,36 @@ class CampaignReport:
         return asdict(self)
 
 
-@dataclass
-class _Tables:
-    """Sieve outputs shared by every seed of a campaign."""
+@functools.lru_cache(maxsize=1)
+def sieve_tables(limit: int, weighted: bool
+                 ) -> tuple[np.ndarray, np.ndarray | None]:
+    """mu(n), and d(n) when weighted, for 0 <= n <= limit, from one pass.
 
-    mobius: np.ndarray
-    omega_counts: np.ndarray | None
+    The last call is cached: all seeds and runs at one limit sieve once."""
+    if weighted:
+        return _sieve_mu_omega(limit)
+    return mobius_sieve(limit), None
 
 
-_TABLE_CACHE: dict[tuple[int, bool], _Tables] = {}
+def seed_sums(beta: DyadicFraction, limit: int, weighted: bool,
+              seed: int) -> SumGrid:
+    """Sample one seed's omega, build f_beta, and sum it at the checkpoints.
 
-
-def _tables_for(limit: int, weighted: bool) -> _Tables:
-    key = (limit, weighted)
-    if key not in _TABLE_CACHE:
-        _TABLE_CACHE.clear()  # keep at most one limit resident
-        if weighted:
-            mob, om = _sieve_mu_omega(limit)
-        else:
-            mob, om = mobius_sieve(limit), None
-        _TABLE_CACHE[key] = _Tables(mobius=mob, omega_counts=om)
-    return _TABLE_CACHE[key]
+    Weighted sums weigh f_beta(n) by (2*beta-1)**-d(n).
+    """
+    mobius, omega_counts = sieve_tables(limit, weighted)
+    assignment = OmegaAssignment(master_seed=seed, prime_limit=limit)
+    series = build_sign_series(beta, assignment, limit, mobius)
+    grid = checkpoint_grid(limit)
+    if weighted:
+        return weighted_partial_sums(beta, series, omega_counts, grid)
+    return partial_sums(series, grid)
 
 
 def run_seed(config: CampaignConfig, seed: int) -> SeedResult:
     """The full single-seed pipeline: sample, sieve signs, sum, fit."""
     beta = config.beta()
-    tables = _tables_for(config.limit, config.weighted)
-    assignment = OmegaAssignment(master_seed=seed, prime_limit=config.limit)
-    series = build_sign_series(beta, assignment, config.limit, tables.mobius)
-    grid = checkpoint_grid(config.limit)
-    if config.weighted:
-        sums = weighted_partial_sums(beta, series, tables.omega_counts, grid)
-    else:
-        sums = partial_sums(series, grid)
+    sums = seed_sums(beta, config.limit, config.weighted, seed)
     fit = fit_growth_exponent(sums, config.window)
     terminal = ratio_decade = sign_stable = None
     if not config.weighted and 0.5 < float(beta) < 1.0:

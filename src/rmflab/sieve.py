@@ -1,22 +1,19 @@
-"""Integer-arithmetic substrate: primes, smallest prime factors, Mobius values.
+"""Integer-arithmetic substrate: primes, Mobius values, distinct-prime counts.
 
 Everything here is deterministic and exact.  Tables are plain numpy arrays,
 immutable by convention after construction, and safe for concurrent reads.
 
-Memory budget at the supported maximum X = 10**8: the spf table is 4 bytes
-per integer (uint32, ~400 MB).  The Mobius/omega sieve holds mu and d(n)
-(1 byte each) and a transient 8-byte product accumulator, plus one
-2**20-entry block of the leftover-factor test (~10 MB): 10 bytes per
-integer, about 1.0 GB peak at 10**8 (105 MiB traced at 10**7).
+Memory budget at the supported maximum X = 10**8: the Mobius/omega sieve
+holds mu and d(n) (1 byte each) and a transient 8-byte product accumulator,
+plus one 2**20-entry block of the leftover-factor test (~10 MB): 10 bytes
+per integer, about 1.0 GB peak at 10**8 (105 MiB traced at 10**7).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import ConfigurationError, RangeError
+from .errors import ConfigurationError
 
 MAX_LIMIT = 10**8
 _LEFTOVER_BLOCK = 1 << 20
@@ -32,73 +29,6 @@ def primes_up_to(limit: int) -> np.ndarray:
         if is_prime[p]:
             is_prime[p * p:: p] = False
     return np.flatnonzero(is_prime).astype(np.int64)
-
-
-@dataclass(frozen=True)
-class SpfTable:
-    """Smallest-prime-factor table for 2..limit (index 0 and 1 unused)."""
-
-    limit: int
-    spf: np.ndarray  # uint32, length limit+1; spf[n] = smallest prime factor
-
-    def is_prime(self, n: int) -> bool:
-        if not 2 <= n <= self.limit:
-            raise RangeError(f"n={n} outside [2, {self.limit}]")
-        return int(self.spf[n]) == n
-
-    def primes(self) -> np.ndarray:
-        idx = np.arange(self.limit + 1, dtype=np.uint32)
-        hits = np.flatnonzero(self.spf == idx)
-        return hits[hits >= 2].astype(np.int64)
-
-
-@dataclass(frozen=True)
-class FactorSummary:
-    """Distinct-prime decomposition facts for one integer."""
-
-    n: int
-    distinct_primes: tuple[int, ...]
-    is_squarefree: bool
-    d: int  # number of distinct prime divisors
-    mobius: int  # in {-1, 0, +1}
-
-
-def build_spf(limit: int) -> SpfTable:
-    """Sieve the smallest prime factor of every integer in 2..limit."""
-    if not 2 <= limit <= MAX_LIMIT:
-        raise ConfigurationError(
-            f"spf limit {limit} outside supported range [2, {MAX_LIMIT}]")
-    spf = np.zeros(limit + 1, dtype=np.uint32)
-    for p in range(2, int(limit**0.5) + 1):
-        if spf[p] == 0:
-            sl = spf[p:: p]
-            sl[sl == 0] = p
-    rest = np.flatnonzero(spf[2:] == 0) + 2
-    spf[rest] = rest
-    return SpfTable(limit=limit, spf=spf)
-
-
-def factor_summary(n: int, table: SpfTable) -> FactorSummary:
-    """Factor n by repeated division by its smallest prime factor."""
-    if n == 1:
-        return FactorSummary(1, (), True, 0, 1)
-    if not 2 <= n <= table.limit:
-        raise RangeError(f"n={n} outside [2, {table.limit}]")
-    primes = []
-    squarefree = True
-    m = n
-    while m > 1:
-        p = int(table.spf[m])
-        e = 0
-        while m % p == 0:
-            m //= p
-            e += 1
-        if e > 1:
-            squarefree = False
-        primes.append(p)
-    d = len(primes)
-    mobius = 0 if not squarefree else (-1 if d % 2 else 1)
-    return FactorSummary(n, tuple(primes), squarefree, d, mobius)
 
 
 def _sieve_mu_omega(limit: int) -> tuple[np.ndarray, np.ndarray]:

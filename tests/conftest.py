@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from rmflab import OmegaAssignment, build_spf, mobius_sieve
+from oracles import build_spf
+from rmflab import OmegaAssignment, mobius_sieve
 
 
 @pytest.fixture(scope="session")

@@ -3,12 +3,17 @@ import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rmflab import ConfigurationError, LabError, PreconditionError
+import rmflab.cli as cli
+from rmflab import (ConfigurationError, DomainError, FitError, LabError,
+                    PreconditionError)
 from rmflab.cli import _RUNNERS, ExperimentConfig, main, parse_beta, run, \
     validate
+from rmflab.growth import (SumGrid, default_window, fit_growth_exponent,
+                           seed_sums)
 from rmflab.sieve import MAX_LIMIT
 
 
@@ -129,28 +134,71 @@ def test_shipped_configs_validate():
 
 BETA_KINDS = ("growth", "weighted-growth", "exp-form", "abel", "h-scan",
               "campaign")
+FIT_KINDS = ("growth", "weighted-growth", "campaign")
+
+
+def fails_only_on_zero_sums(config: ExperimentConfig) -> bool:
+    """The first seed's fit fails, but would pass if the checkpoint sums that
+    are exactly zero (which the fit drops) were nonzero.
+
+    Such a FitError depends on the sampled signs, not on the config, so
+    validate() cannot foresee it.
+    """
+    weighted = config.kind == "weighted-growth" or \
+        (config.kind == "campaign" and config.weighted)
+    sums = seed_sums(config.beta_value(), config.limit, weighted,
+                     config.seeds[0])
+    window = config.window or default_window(config.limit)
+    try:
+        fit_growth_exponent(sums, window)
+        return False
+    except FitError:
+        pass
+    nonzero = SumGrid(sums.checkpoints, np.where(sums.sums == 0, 1, sums.sums))
+    try:
+        fit_growth_exponent(nonzero, window)
+    except FitError:
+        return False
+    return True
 
 
 def pipeline_rejects(config: ExperimentConfig) -> bool:
-    """True iff the experiment, run without validate(), raises a
-    PreconditionError or ConfigurationError."""
+    """True iff the experiment, run without validate(), raises an error that
+    the config decides: PreconditionError, ConfigurationError, DomainError,
+    or a FitError other than one caused only by zero sums."""
     with tempfile.TemporaryDirectory() as tmp:
         try:
             _RUNNERS[config.kind](config, Path(tmp))
-        except (PreconditionError, ConfigurationError):
+        except (PreconditionError, ConfigurationError, DomainError):
             return True
+        except FitError:
+            return not fails_only_on_zero_sums(config)
     return False
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(kind=st.sampled_from(BETA_KINDS), weighted=st.booleans(),
        bits=st.integers(0, 6), data=st.data(),
-       limit=st.one_of(st.integers(1000, 3000), st.just(MAX_LIMIT + 1)))
-def test_validate_rejects_what_run_rejects(kind, weighted, bits, data, limit):
+       limit=st.one_of(st.integers(2, 60), st.integers(1000, 3000),
+                       st.just(MAX_LIMIT + 1)),
+       window=st.one_of(st.none(), st.lists(st.integers(-100, 3500),
+                                            min_size=2, max_size=2)),
+       sigmas=st.lists(st.sampled_from([-1.0, 0.0, 0.25, 0.5, 0.75, 1.0,
+                                        1.5]), min_size=1, max_size=3))
+def test_validate_rejects_what_run_rejects(kind, weighted, bits, data, limit,
+                                           window, sigmas):
     k = data.draw(st.integers(0, 2**bits), label="k")
     cfg = ExperimentConfig(kind=kind, beta=f"{k}/{2**bits}", limit=limit,
-                           prime_limit=1000, seeds=[1], weighted=weighted)
+                           prime_limit=1000, seeds=[1], weighted=weighted,
+                           window=window, sigmas=sigmas)
     accepted = validate(cfg) == []
+    if accepted and kind in FIT_KINDS and fails_only_on_zero_sums(cfg):
+        # data-dependent: validate() accepts, run() raises FitError
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg.outdir = tmp
+            with pytest.raises(FitError):
+                run(cfg)
+        return
     assert accepted == (not pipeline_rejects(cfg))
     with tempfile.TemporaryDirectory() as tmp:
         cfg.outdir = tmp
@@ -172,3 +220,73 @@ def test_validate_names_beta_below_half_and_sieve_limit():
     cfg = ExperimentConfig(kind="identity", level=1, limit=MAX_LIMIT + 1,
                            seeds=[1])
     assert validate(cfg) == []
+
+
+def test_zero_sums_fit_error_is_data_dependent(tmp_path):
+    # seed 1 at beta 3/4 has S(18) = S(24) = S(32) = 0; the window holds the
+    # five checkpoints 10, 13, 18, 24 and 32, so two nonzero sums are left
+    cfg = ExperimentConfig(kind="growth", beta="3/4", limit=60,
+                           window=[10, 32], seeds=[1],
+                           outdir=str(tmp_path / "r"))
+    assert validate(cfg) == []
+    assert fails_only_on_zero_sums(cfg)
+    with pytest.raises(FitError, match="only 2 nonzero"):
+        run(cfg)
+
+
+@pytest.mark.parametrize("changes, needle", [
+    ({"kind": "growth", "limit": 5}, "limit=5"),
+    ({"kind": "growth", "limit": 20}, "holds 4 checkpoints"),
+    ({"kind": "weighted-growth", "beta": "7/8", "window": [10, 20]},
+     "holds 3 checkpoints"),
+    ({"kind": "campaign", "window": [2000, 10]}, "holds 0 checkpoints"),
+    ({"kind": "abel", "sigmas": [0.0]}, "Re(s) > 0"),
+    ({"kind": "abel", "sigmas": [1.5, -1.0]}, "sigma=-1.0"),
+])
+def test_validate_rejects_fits_and_sigmas_run_would_reject(changes, needle,
+                                                            tmp_path):
+    fields = {"kind": "growth", "beta": "3/4", "limit": 1000, "seeds": [1],
+              **changes, "outdir": str(tmp_path / "r")}
+    cfg = ExperimentConfig(**fields)
+    assert any(needle in v for v in validate(cfg)), validate(cfg)
+    assert pipeline_rejects(cfg)
+    with pytest.raises(LabError):
+        run(cfg)
+    assert not (tmp_path / "r").exists()  # rejected before any output
+
+
+@pytest.mark.parametrize("limit", [500, 1000, 5000])
+def test_growth_and_campaign_record_one_default_window(limit, tmp_path):
+    windows = []
+    for kind in ("growth", "campaign"):
+        out = tmp_path / kind
+        run(ExperimentConfig(kind=kind, beta="3/4", limit=limit, seeds=[1],
+                             outdir=str(out)))
+        summary = json.loads((out / "summary.json").read_text())
+        windows.append(summary.get("window") or summary["config"]["window"])
+    assert windows[0] == windows[1] == list(default_window(limit))
+
+
+@pytest.mark.parametrize("level", [20, 62])
+def test_iet_test_at_high_levels_checks_sampled_intervals(level, tmp_path):
+    code = main(["iet-test", "--level", str(level), "--seeds", "3",
+                 "--points", "20000", "--out", str(tmp_path / "r")])
+    assert code == 0
+    rows = {r["check"]: r["value"]
+            for r in read_csv(tmp_path / "r" / "iet.csv")}
+    assert rows["index_dynamics"] == "1"
+    assert rows["periodicity_bitwise"] == "1"
+
+
+@pytest.mark.parametrize("level", [3, 20])
+def test_iet_test_catches_a_map_applying_T_twice(level, tmp_path,
+                                                  monkeypatch):
+    exact = cli.apply_T_power_numerators
+    monkeypatch.setattr(cli, "apply_T_power_numerators",
+                        lambda spec, nums, k: exact(spec, nums, 2 * k))
+    code = main(["iet-test", "--level", str(level), "--seeds", "3",
+                 "--points", "20000", "--out", str(tmp_path / "r")])
+    assert code == 1
+    rows = {r["check"]: r["value"]
+            for r in read_csv(tmp_path / "r" / "iet.csv")}
+    assert rows["index_dynamics"] == "0"

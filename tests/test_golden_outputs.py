@@ -8,6 +8,12 @@ full size; every other config runs with ``limit`` and ``prime_limit`` capped
 at 10**5 and at most 3 seeds, with the default fit window scaled to the
 capped limit.
 
+``EXTRA_CASES`` cover paths no shipped config reaches: the default fit
+window of growth, weighted growth and both kinds of campaign at limits
+above 1000, an explicit weighted-growth window, the four seed x sigma x t
+sweeps over several seeds, sigmas and negative t, and the iet-test index
+dynamics over every interval and over a random sample of them.
+
 Re-record after a deliberate output change with
 
     PYTHONPATH=src python tests/test_golden_outputs.py --record
@@ -28,6 +34,38 @@ GOLDEN = Path(__file__).resolve().parent / "golden_outputs.json"
 CAP = 10**5
 MAX_SEEDS = 3
 SKIPPED_FILES = {"manifest.json", "config.json"}
+EXTRA_CASES = {
+    "extra_weighted_growth_default_window": {
+        "kind": "weighted-growth", "beta": "7/8", "limit": 30000,
+        "seeds": [1, 2]},
+    "extra_weighted_growth_window": {
+        "kind": "weighted-growth", "beta": "15/16", "limit": 20000,
+        "seeds": [3], "window": [100, 20000]},
+    "extra_growth_default_window": {
+        "kind": "growth", "beta": "3/4", "limit": 50000, "seeds": [4, 5]},
+    "extra_campaign_default_window": {
+        "kind": "campaign", "beta": "1/2", "limit": 50000,
+        "seeds": [1, 2, 3]},
+    "extra_campaign_weighted_default_window": {
+        "kind": "campaign", "beta": "15/16", "limit": 50000,
+        "seeds": [1, 2], "weighted": True},
+    "extra_identity_sweep": {
+        "kind": "identity", "level": 3, "prime_limit": 5000, "seeds": [7, 11],
+        "sigmas": [1.05, 2.5], "ts": [-12.5, 0, 3]},
+    "extra_exp_form_sweep": {
+        "kind": "exp-form", "beta": "7/8", "prime_limit": 5000,
+        "seeds": [4, 9], "sigmas": [0.6, 1.3], "ts": [-8, 0, 25]},
+    "extra_abel_sweep": {
+        "kind": "abel", "beta": "3/4", "limit": 20000, "seeds": [2, 8],
+        "sigmas": [0.25, 1.1], "ts": [-6, 0, 14]},
+    "extra_h_scan_sweep": {
+        "kind": "h-scan", "beta": "15/16", "prime_limit": 5000,
+        "seeds": [3, 10], "sigmas": [0.55, 1.4], "ts": [-40, 0, 7]},
+    "extra_iet_all_intervals": {
+        "kind": "iet-test", "level": 10, "points": 5000, "seeds": [5]},
+    "extra_iet_sampled_intervals": {
+        "kind": "iet-test", "level": 14, "points": 2000, "seeds": [6]},
+}
 
 
 def reduced(payload: dict) -> dict:
@@ -44,8 +82,15 @@ def reduced(payload: dict) -> dict:
     return cfg
 
 
-def output_digests(config_file: Path, outdir: Path) -> dict:
-    cfg = reduced(json.loads(config_file.read_text()))
+def case_config(name: str) -> dict:
+    """The config a gate case runs: a reduced shipped config or an extra."""
+    if name in EXTRA_CASES:
+        return dict(EXTRA_CASES[name])
+    return reduced(json.loads((ROOT / "configs" / f"{name}.json").read_text()))
+
+
+def output_digests(name: str, outdir: Path) -> dict:
+    cfg = case_config(name)
     cfg["outdir"] = str(outdir)
     run(ExperimentConfig(**cfg))
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
@@ -56,13 +101,20 @@ def output_digests(config_file: Path, outdir: Path) -> dict:
 @pytest.mark.parametrize("config_file", CONFIGS, ids=lambda p: p.stem)
 def test_golden_outputs(config_file, tmp_path):
     golden = json.loads(GOLDEN.read_text())
-    assert output_digests(config_file, tmp_path / "run") == \
+    assert output_digests(config_file.stem, tmp_path / "run") == \
         golden[config_file.stem]
+
+
+@pytest.mark.parametrize("name", sorted(EXTRA_CASES))
+def test_golden_extra_outputs(name, tmp_path):
+    golden = json.loads(GOLDEN.read_text())
+    assert output_digests(name, tmp_path / "run") == golden[name]
 
 
 def test_golden_file_covers_every_config():
     golden = json.loads(GOLDEN.read_text())
-    assert sorted(golden) == [p.stem for p in CONFIGS]
+    assert sorted(golden) == sorted([p.stem for p in CONFIGS] +
+                                    list(EXTRA_CASES))
 
 
 if __name__ == "__main__":
@@ -70,7 +122,8 @@ if __name__ == "__main__":
         sys.exit("usage: python tests/test_golden_outputs.py --record")
     import tempfile
     with tempfile.TemporaryDirectory() as tmp:
-        digests = {p.stem: output_digests(p, Path(tmp) / p.stem)
-                   for p in CONFIGS}
+        names = [p.stem for p in CONFIGS] + sorted(EXTRA_CASES)
+        digests = {name: output_digests(name, Path(tmp) / name)
+                   for name in names}
     GOLDEN.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
     print(f"recorded {len(digests)} configs in {GOLDEN}")

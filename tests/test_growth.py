@@ -5,10 +5,11 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from oracles import factor_summary
 from rmflab import (CampaignConfig, DomainError, DyadicFraction, FitError,
                     OmegaAssignment, PreconditionError, abel_consistency,
                     build_sign_series, checkpoint_grid, distinct_prime_counts,
-                    factor_summary, fit_growth_exponent, mobius_sieve,
+                    fit_growth_exponent, mobius_sieve,
                     monte_carlo_campaign, partial_sums, run_seed,
                     selberg_delange_ratio, weighted_partial_sums,
                     weighted_sum_grid)

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import factor_summary
 from rmflab import (CoverageError, DyadicFraction, OmegaAssignment,
                     PreconditionError, build_sign_series,
-                    coupling_monotone_check, factor_summary, mobius_sieve,
-                    prime_signs, sign_at_prime)
+                    coupling_monotone_check, mobius_sieve, prime_signs,
+                    sign_at_prime)
 from rmflab.dyadic import HALF, ONE
 
 

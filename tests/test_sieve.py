@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from rmflab import (ConfigurationError, RangeError, build_spf,
-                    distinct_prime_counts, factor_summary, mobius_sieve,
-                    primes_up_to)
+from oracles import build_spf, factor_summary
+from rmflab import (ConfigurationError, RangeError, distinct_prime_counts,
+                    mobius_sieve, primes_up_to)
 
 
 def eratosthenes_oracle(limit):
