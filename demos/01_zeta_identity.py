@@ -12,8 +12,6 @@ Truncating both sides to the same primes keeps the identity exact, so the
 residual below is nothing but floating-point noise.
 """
 
-import numpy as np
-
 from rmflab import OmegaAssignment, beta_for_level, identity_residual
 
 assignment = OmegaAssignment(master_seed=2024, prime_limit=10**4)

@@ -11,8 +11,6 @@ Selberg-Delange constant carries a factor 1/Gamma(1 - 2 beta), which is
 negative for every beta in (1/2, 1), so R settles below zero.
 """
 
-import numpy as np
-
 from rmflab import (CampaignConfig, DyadicFraction, monte_carlo_campaign)
 from rmflab.dyadic import HALF
 

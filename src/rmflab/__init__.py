@@ -8,24 +8,19 @@ statement.  Growth experiments probe the slow-divergence and
 square-root-cancellation regimes of the partial sums.
 """
 
-from .dyadic import HALF, ONE, DyadicFraction, beta_for_level
+from .dyadic import HALF, DyadicFraction, beta_for_level
 from .errors import (ConfigurationError, CoverageError, DomainError, FitError,
                      LabError, PreconditionError, RangeError)
 from .sieve import distinct_prime_counts, mobius_sieve, primes_up_to
 from .sampler import (OmegaAssignment, SignSeries, build_sign_series,
-                      coupling_monotone_check, prime_signs, sign_at_prime,
-                      splitmix64)
-from .iet import (IetSpec, TransformedOmega, apply_T, apply_T_omega,
-                  apply_T_power, apply_T_power_numerators, interval_index)
-from .dirichlet import (WEIGHT_BETA_THRESHOLD, EulerEvaluation, H_eval,
-                        euler_F, exp_form_F, identity_residual,
-                        weight_factor, weighted_euler_G, zeta_truncated)
-from .growth import (CampaignConfig, CampaignReport, GrowthFit, SeedResult,
-                     SelbergDelangeStat, SumGrid, abel_consistency,
+                      prime_signs)
+from .iet import (IetSpec, apply_T, apply_T_power, apply_T_power_numerators,
+                  interval_index)
+from .dirichlet import (WEIGHT_BETA_THRESHOLD, H_eval, euler_F, exp_form_F,
+                        identity_residual, weight_factor, zeta_truncated)
+from .growth import (CampaignConfig, SumGrid, abel_consistency,
                      checkpoint_grid, fit_growth_exponent,
-                     monte_carlo_campaign, partial_sums,
-                     prime_reciprocal_sign_sum, run_seed,
-                     selberg_delange_ratio, weighted_partial_sums,
-                     weighted_sum_grid)
+                     monte_carlo_campaign, partial_sums, run_seed,
+                     selberg_delange_ratio, weighted_partial_sums)
 
 __version__ = "0.1.0"

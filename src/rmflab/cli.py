@@ -99,6 +99,11 @@ def validate(config: ExperimentConfig) -> list[str]:
         v.append(f"level=None: kind {config.kind} requires a level n")
     if config.level is not None and not 1 <= config.level <= 62:
         v.append(f"level={config.level}: must be in [1, 62]")
+    if config.kind == "iet-test":
+        if config.points < 1:
+            v.append(f"points={config.points}: must be >= 1")
+        if any(seed < 0 for seed in config.seeds):
+            v.append(f"seeds={config.seeds}: iet-test needs seeds >= 0")
     needs_beta = config.kind not in ("identity", "iet-test")
     if needs_beta and config.beta is None and config.level is None:
         v.append(f"beta=None: kind {config.kind} requires beta (or level)")
@@ -255,10 +260,7 @@ def _run_growth(config: ExperimentConfig, outdir: Path) -> tuple[dict, bool]:
         sums = seed_sums(beta, config.limit, weighted, seed)
         ratios = [""] * len(sums.checkpoints)
         if not weighted and 0.5 < float(beta) < 1.0:
-            stat = selberg_delange_ratio(beta, sums)
-            lookup = {int(x): r for x, r in zip(stat.checkpoints,
-                                                stat.ratios)}
-            ratios = [lookup.get(int(x), "") for x in sums.checkpoints]
+            ratios = selberg_delange_ratio(beta, sums).ratios
         for x, s, rr in zip(sums.checkpoints, sums.sums, ratios):
             rows.append([seed, int(x), float(s), rr])
         fit = fit_growth_exponent(sums, window)

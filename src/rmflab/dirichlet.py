@@ -40,13 +40,13 @@ from .sampler import prime_signs, signs_from_numerators
 #: Weighted products need beta above this (so |g(p)| < sqrt(2)).
 WEIGHT_BETA_THRESHOLD = 0.5 + 0.5 / math.sqrt(2.0)
 
+_TAIL_CUTOFF = 1e-18  # where exp_form_F stops the m-series
+
 
 @dataclass(frozen=True)
 class EulerEvaluation:
     """A truncated Euler product at one point, in log and linear form."""
 
-    prime_limit: int
-    point: complex
     log_value: complex
     value: complex
 
@@ -61,18 +61,14 @@ def _prime_powers(primes: np.ndarray, s: complex) -> np.ndarray:
     return np.exp(-s * logs)
 
 
-def _log_product(primes: np.ndarray, coeffs: np.ndarray, s: complex,
-                 P: int) -> EulerEvaluation:
-    """sum of log(1 + c_p * p**-s) over p <= P, principal branch per factor."""
-    if s.real <= 0:
-        raise DomainError(f"Re(s)={s.real} <= 0: factors may vanish")
-    mask = primes <= P
-    pr = primes[mask]
-    cs = np.asarray(coeffs, dtype=np.float64)[mask]
-    terms = np.log(1.0 + cs * _prime_powers(pr, s))
+def _log_product(primes: np.ndarray, coeffs: np.ndarray,
+                 s: complex) -> EulerEvaluation:
+    """sum of log(1 + c_p * p**-s) over the given primes, principal branch
+    per factor.  Callers pass the primes <= P and check Re(s)."""
+    cs = np.asarray(coeffs, dtype=np.float64)
+    terms = np.log(1.0 + cs * _prime_powers(primes, s))
     log_value = _fsum_complex(terms)
-    return EulerEvaluation(prime_limit=P, point=s, log_value=log_value,
-                           value=cmath.exp(log_value))
+    return EulerEvaluation(log_value=log_value, value=cmath.exp(log_value))
 
 
 def euler_F(beta: DyadicFraction, assignment, P: int,
@@ -84,21 +80,22 @@ def euler_F(beta: DyadicFraction, assignment, P: int,
     primes = assignment.primes
     primes = primes[primes <= P]
     signs = prime_signs(beta, assignment, primes)
-    return _log_product(primes, signs, s, P)
+    return _log_product(primes, signs, s)
 
 
 def zeta_truncated(P: int, s: complex, primes: np.ndarray | None = None
                    ) -> EulerEvaluation:
-    """Truncated zeta: product of (1 - p**-s)**-1 over p <= P."""
+    """Truncated zeta: product of (1 - p**-s)**-1 over p <= P.
+
+    ``primes``, when given, must be the primes <= P."""
     s = complex(s)
     if s.real <= 0:
         raise DomainError(f"Re(s)={s.real} <= 0")
     if primes is None:
         from .sieve import primes_up_to
         primes = primes_up_to(P)
-    inner = _log_product(primes, np.full(len(primes), -1.0), s, P)
-    return EulerEvaluation(prime_limit=P, point=s,
-                           log_value=-inner.log_value,
+    inner = _log_product(primes, np.full(len(primes), -1.0), s)
+    return EulerEvaluation(log_value=-inner.log_value,
                            value=cmath.exp(-inner.log_value))
 
 
@@ -195,14 +192,14 @@ def identity_residual(level: int, assignment, P: int, s: complex,
     return abs(left - right_total)
 
 
-def exp_form_F(beta: DyadicFraction, assignment, P: int, s: complex,
-               tail_cutoff: float = 1e-18) -> tuple[complex, complex]:
+def exp_form_F(beta: DyadicFraction, assignment, P: int,
+               s: complex) -> tuple[complex, complex]:
     """Split log F into the prime linear sum and the m >= 2 Taylor tail.
 
     Returns (prime_sum, A_tail) with
     prime_sum = sum f(p) * p**-s and
     A_tail = sum_p sum_{m>=2} (-1)**(m+1) f(p)**m / (m * p**(m s)),
-    the m-series stopped once its largest term drops below ``tail_cutoff``.
+    the m-series stopped once its largest term drops below 1e-18.
     """
     s = complex(s)
     if s.real <= 0.5:
@@ -215,7 +212,7 @@ def exp_form_F(beta: DyadicFraction, assignment, P: int, s: complex,
     tail_terms = []
     zm = z * z
     m = 2
-    while np.max(np.abs(zm)) / m >= tail_cutoff:
+    while np.max(np.abs(zm)) / m >= _TAIL_CUTOFF:
         sign = -1.0 if m % 2 == 0 else 1.0
         tail_terms.append(sign / m * zm)
         zm = zm * z
@@ -230,16 +227,12 @@ def exp_form_F(beta: DyadicFraction, assignment, P: int, s: complex,
 
 def weight_factor(beta: DyadicFraction) -> float:
     """1 / (2*beta - 1), the per-prime magnitude of the weighted signs."""
-    _require_weight_beta(beta)
-    return 1.0 / (2.0 * float(beta) - 1.0)
-
-
-def _require_weight_beta(beta: DyadicFraction) -> None:
     b = float(beta)
     if not (WEIGHT_BETA_THRESHOLD < b < 1.0):
         raise PreconditionError(
             f"beta={b} outside (1/2 + 1/(2*sqrt(2)), 1) ~ "
             f"({WEIGHT_BETA_THRESHOLD:.6f}, 1)")
+    return 1.0 / (2.0 * b - 1.0)
 
 
 def weighted_euler_G(beta: DyadicFraction, assignment, P: int,
@@ -252,7 +245,7 @@ def weighted_euler_G(beta: DyadicFraction, assignment, P: int,
     primes = assignment.primes
     primes = primes[primes <= P]
     signs = prime_signs(beta, assignment, primes).astype(np.float64)
-    return _log_product(primes, w * signs, s, P)
+    return _log_product(primes, w * signs, s)
 
 
 def H_eval(beta: DyadicFraction, assignment, P: int, s: complex
@@ -262,5 +255,4 @@ def H_eval(beta: DyadicFraction, assignment, P: int, s: complex
     primes = assignment.primes
     z = zeta_truncated(P, complex(s), primes[primes <= P])
     log_value = g.log_value + z.log_value
-    return EulerEvaluation(prime_limit=P, point=complex(s),
-                           log_value=log_value, value=cmath.exp(log_value))
+    return EulerEvaluation(log_value=log_value, value=cmath.exp(log_value))

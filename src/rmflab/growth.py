@@ -27,13 +27,13 @@ GRID_STEPS_PER_DECADE = 8
 MIN_FIT_POINTS = 5  # nonzero checkpoints a growth fit needs
 
 
-def checkpoint_grid(x_max: int, x_min: int = 10) -> np.ndarray:
-    """Geometric checkpoints with ratio 10**(1/8), ending exactly at x_max."""
-    if x_max < x_min:
-        raise DomainError(f"x_max={x_max} below x_min={x_min}")
-    j0 = math.ceil(GRID_STEPS_PER_DECADE * math.log10(x_min) - 1e-9)
+def checkpoint_grid(x_max: int) -> np.ndarray:
+    """Geometric checkpoints with ratio 10**(1/8) from 10, ending exactly at
+    x_max."""
+    if x_max < 10:
+        raise DomainError(f"x_max={x_max} below 10")
     j1 = math.floor(GRID_STEPS_PER_DECADE * math.log10(x_max) + 1e-9)
-    xs = np.round(10.0 ** (np.arange(j0, j1 + 1) /
+    xs = np.round(10.0 ** (np.arange(GRID_STEPS_PER_DECADE, j1 + 1) /
                            GRID_STEPS_PER_DECADE)).astype(np.int64)
     xs = xs[np.diff(xs, prepend=-1) > 0]  # np.unique would import numpy.ma
     if len(xs) == 0 or xs[-1] != x_max:
@@ -62,7 +62,6 @@ class GrowthFit:
     stderr: float
     points_used: int
     points_dropped: int
-    window: tuple[float, float]
 
 
 @dataclass(frozen=True)
@@ -79,7 +78,6 @@ class SelbergDelangeStat:
     Gamma(1 - 2*beta) * R estimates lambda(omega) and is positive.
     """
 
-    beta: float
     checkpoints: np.ndarray
     ratios: np.ndarray
     terminal_ratio: float
@@ -92,27 +90,10 @@ def partial_sums(series: SignSeries, grid: np.ndarray) -> SumGrid:
     if grid.max() > series.limit:
         raise RangeError(
             f"grid max {grid.max()} exceeds series limit {series.limit}")
-    return SumGrid(checkpoints=grid, sums=series.prefix[grid].copy())
-
-
-def weighted_sum_grid(weighted_values: np.ndarray,
-                      grid: np.ndarray) -> SumGrid:
-    """Checkpoint sums of an arbitrary weighted value array (index = n).
-
-    Each inter-checkpoint segment is reduced with exact fsum; the running
-    total is the cumulative sum of those segment values.
-    """
-    grid = np.asarray(grid, dtype=np.int64)
-    if grid.max() > len(weighted_values) - 1:
-        raise RangeError("grid exceeds weighted value array")
-    sums = np.empty(len(grid), dtype=np.float64)
-    total = 0.0
-    prev = 0
-    for i, x in enumerate(grid):
-        total = math.fsum([total, math.fsum(weighted_values[prev + 1: x + 1])])
-        sums[i] = total
-        prev = int(x)
-    return SumGrid(checkpoints=grid, sums=sums)
+    # in place: np.cumsum(values, dtype=np.int64) also holds an int64 copy
+    prefix = series.values.astype(np.int64)
+    np.cumsum(prefix, out=prefix)
+    return SumGrid(checkpoints=grid, sums=prefix[grid])
 
 
 def weighted_partial_sums(beta: DyadicFraction, series: SignSeries,
@@ -121,6 +102,8 @@ def weighted_partial_sums(beta: DyadicFraction, series: SignSeries,
     """Sums of (2*beta-1)**-d(n) * f_beta(n) at the checkpoints.
 
     ``omega_counts`` is the distinct-prime-count table d(n) (index = n).
+    Each inter-checkpoint segment is reduced with exact fsum; the running
+    total is the cumulative sum of those segment values.
     """
     w = weight_factor(beta)  # validates the beta threshold
     if float(series.beta) != float(beta):
@@ -135,7 +118,14 @@ def weighted_partial_sums(beta: DyadicFraction, series: SignSeries,
                          dtype=np.float64)
     weighted = series.values[: series.limit + 1] * \
         lut[omega_counts[: series.limit + 1]]
-    return weighted_sum_grid(weighted, grid)
+    sums = np.empty(len(grid), dtype=np.float64)
+    total = 0.0
+    prev = 0
+    for i, x in enumerate(grid):
+        total = math.fsum([total, math.fsum(weighted[prev + 1: x + 1])])
+        sums[i] = total
+        prev = int(x)
+    return SumGrid(checkpoints=grid, sums=sums)
 
 
 def fit_growth_exponent(sumgrid: SumGrid,
@@ -167,7 +157,7 @@ def fit_growth_exponent(sumgrid: SumGrid,
     dof = max(n - 2, 1)
     stderr = float(math.sqrt(float(np.sum(resid ** 2)) / dof / sxx))
     return GrowthFit(alpha=slope, stderr=stderr, points_used=n,
-                     points_dropped=dropped, window=(float(lo), float(hi)))
+                     points_dropped=dropped)
 
 
 def selberg_delange_ratio(beta: DyadicFraction,
@@ -177,14 +167,13 @@ def selberg_delange_ratio(beta: DyadicFraction,
     if not 0.5 < b < 1.0:
         raise DomainError(f"ratio statistic defined for 1/2 < beta < 1, "
                           f"got {b}")
-    keep = sumgrid.checkpoints >= 3
-    xs = sumgrid.checkpoints[keep].astype(np.float64)
-    ss = np.asarray(sumgrid.sums, dtype=np.float64)[keep]
+    xs = sumgrid.checkpoints.astype(np.float64)
+    ss = np.asarray(sumgrid.sums, dtype=np.float64)
     ratios = ss * np.log(xs) ** (2.0 * b) / xs
     x_max = xs[-1]
     final_decade = xs >= x_max / 10.0
     sign_stable = bool(np.all(ratios[final_decade] > 0.0))
-    return SelbergDelangeStat(beta=b, checkpoints=xs.astype(np.int64),
+    return SelbergDelangeStat(checkpoints=sumgrid.checkpoints,
                               ratios=ratios,
                               terminal_ratio=float(ratios[-1]),
                               sign_stable=sign_stable)
@@ -207,22 +196,12 @@ def abel_consistency(series: SignSeries, X: int, s: complex) -> float:
     f = series.values[1: X + 1].astype(np.float64)
     lhs = f * npow
     lhs_sum = complex(math.fsum(lhs.real), math.fsum(lhs.imag))
-    S = series.prefix[1: X + 1].astype(np.float64)  # S(1)..S(X)
+    S = np.cumsum(series.values[1: X + 1],
+                  dtype=np.int64).astype(np.float64)  # S(1)..S(X)
     boundary = S[-1] * npow[-1]
     steps = S[:-1] * (npow[:-1] - np.exp(-s * np.log(n[1:])))
     rhs = boundary + complex(math.fsum(steps.real), math.fsum(steps.imag))
     return abs(lhs_sum - rhs)
-
-
-def prime_reciprocal_sign_sum(beta: DyadicFraction,
-                              assignment: OmegaAssignment,
-                              P: int) -> float:
-    """sum of f_beta(p)/p over p <= P (the divergence ingredient at s = 1)."""
-    from .sampler import prime_signs
-    primes = assignment.primes
-    primes = primes[primes <= P]
-    signs = prime_signs(beta, assignment, primes).astype(np.float64)
-    return math.fsum(signs / primes)
 
 
 # ---------------------------------------------------------------------------
@@ -323,12 +302,23 @@ def run_seed(config: CampaignConfig, seed: int) -> SeedResult:
                       sign_stable=sign_stable)
 
 
+def _quantile(xs: list[float], q: float) -> float:
+    """np.quantile(xs, q) of sorted xs, bit for bit (linear method), without
+    the numpy.ma import that np.quantile's first call makes (~15 ms)."""
+    v = (len(xs) - 1) * q
+    i = math.floor(v)
+    a, b = xs[i], xs[min(i + 1, len(xs) - 1)]
+    g = v - i
+    return b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g
+
+
 def monte_carlo_campaign(config: CampaignConfig) -> CampaignReport:
     """Run every seed and aggregate quantiles; deterministic in the seeds."""
+    import statistics  # only campaigns need it; np.median imports numpy.ma
     if len(config.seeds) < 1:
         raise PreconditionError("campaign needs at least one seed")
     results = [run_seed(config, seed) for seed in config.seeds]
-    alphas = np.array([r.alpha for r in results])
+    alphas = sorted(r.alpha for r in results)
     frac_pos = frac_band = None
     terminals = [r.terminal_ratio for r in results
                  if r.terminal_ratio is not None]
@@ -340,9 +330,9 @@ def monte_carlo_campaign(config: CampaignConfig) -> CampaignReport:
             if decades else None
     return CampaignReport(
         config=config, per_seed=tuple(results),
-        alpha_median=float(np.median(alphas)),
-        alpha_q10=float(np.quantile(alphas, 0.10)),
-        alpha_q90=float(np.quantile(alphas, 0.90)),
+        alpha_median=statistics.median(alphas),
+        alpha_q10=_quantile(alphas, 0.10),
+        alpha_q90=_quantile(alphas, 0.90),
         frac_ratio_positive=frac_pos,
         frac_ratio_decade_in_band=frac_band,
     )

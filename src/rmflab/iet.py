@@ -102,36 +102,3 @@ def apply_T_power_numerators(spec: IetSpec, nums: np.ndarray,
     rotated &= np.uint64(_HALF_NUM - 1)
     rotated += half
     return np.where(nums >= half, rotated, nums)
-
-
-@dataclass(frozen=True)
-class TransformedOmega:
-    """Lazy componentwise view (T^k omega)_p over an omega assignment.
-
-    Exposes the same ``numerators``/``omega_at``/``primes`` surface as
-    OmegaAssignment, so samplers and Euler products accept either.
-    """
-
-    base: object  # OmegaAssignment or another TransformedOmega
-    spec: IetSpec
-    power: int
-
-    @property
-    def primes(self) -> np.ndarray:
-        return self.base.primes
-
-    @property
-    def prime_limit(self) -> int:
-        return self.base.prime_limit
-
-    def numerators(self, primes: np.ndarray | None = None) -> np.ndarray:
-        return apply_T_power_numerators(
-            self.spec, self.base.numerators(primes), self.power)
-
-    def omega_at(self, p: int) -> DyadicFraction:
-        return apply_T_power(self.spec, self.base.omega_at(p), self.power)
-
-
-def apply_T_omega(spec: IetSpec, assignment, k: int) -> TransformedOmega:
-    """The view T^k acting coordinatewise on a full omega assignment."""
-    return TransformedOmega(base=assignment, spec=spec, power=k)

@@ -71,18 +71,6 @@ class OmegaAssignment:
                                 _GOLDEN * ranks)
         return seeded
 
-    def omega_at(self, p: int) -> DyadicFraction:
-        """The coordinate omega_p as an exact dyadic fraction."""
-        num = self.numerators(np.array([p], dtype=np.int64))[0]
-        return DyadicFraction(int(num))
-
-
-def sign_at_prime(beta: DyadicFraction, omega_p: DyadicFraction) -> int:
-    """-1 if omega_p < beta else +1 (exact threshold comparison)."""
-    if not HALF <= beta:
-        raise PreconditionError(f"beta={float(beta)} below 1/2")
-    return -1 if omega_p.numerator < beta.numerator else 1
-
 
 def prime_signs(beta: DyadicFraction, assignment: OmegaAssignment,
                 primes: np.ndarray | None = None) -> np.ndarray:
@@ -103,17 +91,11 @@ def signs_from_numerators(beta: DyadicFraction,
 
 @dataclass(frozen=True)
 class SignSeries:
-    """f_beta(n) for n <= limit plus exact integer prefix sums."""
+    """f_beta(n) for n <= limit."""
 
     beta: DyadicFraction
     limit: int
     values: np.ndarray  # int8, index 0..limit, values[0] = 0, values[1] = 1
-    prefix: np.ndarray  # int64, prefix[n] = sum_{m<=n} values[m]
-
-    def partial_sum(self, x: int) -> int:
-        if not 1 <= x <= self.limit:
-            raise CoverageError(f"x={x} outside [1, {self.limit}]")
-        return int(self.prefix[x])
 
 
 def build_sign_series(beta: DyadicFraction, assignment: OmegaAssignment,
@@ -139,17 +121,4 @@ def build_sign_series(beta: DyadicFraction, assignment: OmegaAssignment,
     values[0] = 0
     if limit >= 1:
         values[1] = 1
-    prefix = np.cumsum(values, dtype=np.int64)
-    return SignSeries(beta=beta, limit=limit, values=values, prefix=prefix)
-
-
-def coupling_monotone_check(beta1: DyadicFraction, beta2: DyadicFraction,
-                            assignment: OmegaAssignment, limit: int) -> bool:
-    """True iff a -1 at beta1 forces a -1 at beta2 at every prime <= limit."""
-    if not (HALF <= beta1 <= beta2):
-        raise PreconditionError("need 1/2 <= beta1 <= beta2 <= 1")
-    primes = assignment.primes
-    primes = primes[primes <= limit]
-    s1 = prime_signs(beta1, assignment, primes)
-    s2 = prime_signs(beta2, assignment, primes)
-    return bool(np.all((s1 != -1) | (s2 == -1)))
+    return SignSeries(beta=beta, limit=limit, values=values)

@@ -1,7 +1,6 @@
-"""Test-only oracles: a smallest-prime-factor table and trial factorization.
-
-They check the production sieve (``rmflab.sieve``) by an independent route
-and are not part of the package.
+"""Test-only oracles: a smallest-prime-factor table and trial factorization
+check the sieve by an independent route; ``TransformedOmega`` feeds the
+product-by-product identity oracle.  None of it is part of the package.
 """
 
 from dataclasses import dataclass
@@ -9,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from rmflab.errors import ConfigurationError, RangeError
+from rmflab.iet import IetSpec, apply_T_power_numerators
 from rmflab.sieve import MAX_LIMIT
 
 
@@ -77,3 +77,21 @@ def factor_summary(n: int, table: SpfTable) -> FactorSummary:
     d = len(primes)
     mobius = 0 if not squarefree else (-1 if d % 2 else 1)
     return FactorSummary(n, tuple(primes), squarefree, d, mobius)
+
+
+@dataclass(frozen=True)
+class TransformedOmega:
+    """The view (T^k omega)_p of an omega assignment, with its ``primes``
+    and ``numerators``, so samplers and Euler products accept either."""
+
+    base: object  # OmegaAssignment or another TransformedOmega
+    spec: IetSpec
+    power: int
+
+    @property
+    def primes(self) -> np.ndarray:
+        return self.base.primes
+
+    def numerators(self, primes: np.ndarray | None = None) -> np.ndarray:
+        return apply_T_power_numerators(
+            self.spec, self.base.numerators(primes), self.power)

@@ -1,5 +1,7 @@
 import csv
 import json
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -242,6 +244,9 @@ def test_zero_sums_fit_error_is_data_dependent(tmp_path):
     ({"kind": "campaign", "window": [2000, 10]}, "holds 0 checkpoints"),
     ({"kind": "abel", "sigmas": [0.0]}, "Re(s) > 0"),
     ({"kind": "abel", "sigmas": [1.5, -1.0]}, "sigma=-1.0"),
+    ({"kind": "iet-test", "level": 3, "points": 0}, "points=0"),
+    ({"kind": "iet-test", "level": 3, "points": -5}, "points=-5"),
+    ({"kind": "iet-test", "level": 3, "seeds": [-1]}, "seeds=[-1]"),
 ])
 def test_validate_rejects_fits_and_sigmas_run_would_reject(changes, needle,
                                                             tmp_path):
@@ -249,7 +254,12 @@ def test_validate_rejects_fits_and_sigmas_run_would_reject(changes, needle,
               **changes, "outdir": str(tmp_path / "r")}
     cfg = ExperimentConfig(**fields)
     assert any(needle in v for v in validate(cfg)), validate(cfg)
-    assert pipeline_rejects(cfg)
+    if cfg.kind == "iet-test":
+        # the KS bound divides by points; numpy rejects the size and the seed
+        with pytest.raises((ZeroDivisionError, ValueError)):
+            _RUNNERS[cfg.kind](cfg, tmp_path)
+    else:
+        assert pipeline_rejects(cfg)
     with pytest.raises(LabError):
         run(cfg)
     assert not (tmp_path / "r").exists()  # rejected before any output
@@ -290,3 +300,17 @@ def test_iet_test_catches_a_map_applying_T_twice(level, tmp_path,
     rows = {r["check"]: r["value"]
             for r in read_csv(tmp_path / "r" / "iet.csv")}
     assert rows["index_dynamics"] == "0"
+
+
+def test_campaign_does_not_import_numpy_ma(tmp_path):
+    # importing numpy.ma (on the first np.median, np.quantile or np.unique
+    # call) costs every campaign process ~15 ms
+    src = str(Path(cli.__file__).parents[1])
+    probe = (f"import sys; sys.path.insert(0, {src!r}); "
+             "from rmflab.cli import ExperimentConfig, run; "
+             "run(ExperimentConfig(kind='campaign', beta='3/4', limit=10**4, "
+             f"seeds=[1, 2], outdir={str(tmp_path)!r})); "
+             "print('numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout == "False\n"

@@ -1,4 +1,5 @@
-"""Every demo compiles, and every name it imports from rmflab exists.
+"""Every demo compiles, every name it imports from rmflab exists, and
+every name rmflab exports has a user.
 
 The demos are not run (the growth demos take minutes); their syntax trees
 are walked instead, so a renamed or moved public name fails here.
@@ -7,11 +8,16 @@ are walked instead, so a renamed or moved public name fails here.
 import ast
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+import rmflab
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+PACKAGE = ROOT / "src" / "rmflab"
 
 
 def rmflab_imports(tree: ast.AST):
@@ -44,3 +50,19 @@ def test_demo_compiles_and_its_rmflab_names_exist(demo):
             assert hasattr(mod, name) or \
                 importlib.util.find_spec(f"{module}.{name}") is not None, \
                 f"{demo.name}: {module} has no {name}"
+
+
+def test_every_export_is_used_outside_its_module():
+    """An exported name is an exception class, or another rmflab module, a
+    demo or a benchmark script refers to it; API nothing runs is not kept."""
+    users = [*PACKAGE.glob("*.py"), *DEMOS, *ROOT.glob("benchmarks/*.py")]
+    unused = []
+    for node in ast.parse((PACKAGE / "__init__.py").read_text()).body:
+        for alias in getattr(node, "names", []):
+            obj = getattr(rmflab, alias.name)
+            word = re.compile(rf"\b{alias.name}\b")
+            if not (isinstance(obj, type) and issubclass(obj, Exception)) \
+                    and not any(word.search(path.read_text()) for path in users
+                                if path.stem not in (node.module, "__init__")):
+                unused.append(alias.name)
+    assert unused == []

@@ -7,13 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import TransformedOmega
 from rmflab import (DomainError, DyadicFraction, H_eval, IetSpec,
                     OmegaAssignment, PreconditionError, WEIGHT_BETA_THRESHOLD,
-                    apply_T_omega, beta_for_level, euler_F, exp_form_F,
-                    identity_residual, primes_up_to, weight_factor,
-                    weighted_euler_G, zeta_truncated)
+                    beta_for_level, euler_F, exp_form_F, identity_residual,
+                    prime_signs, primes_up_to, weight_factor, zeta_truncated)
 from rmflab import dirichlet
+from rmflab.dirichlet import weighted_euler_G
 from rmflab.dyadic import HALF, ONE
+from rmflab.sampler import signs_from_numerators
 
 B34 = DyadicFraction.from_fraction(3, 2)
 B78 = DyadicFraction.from_fraction(7, 3)
@@ -125,7 +127,7 @@ def identity_residual_oracle(level, assignment, P, s):
     left = -(spec.intervals - 1) * zeta_truncated(P, s, primes).log_value
     parts = [-euler_F(HALF, assignment, P, s).log_value]
     for k in range(1, spec.intervals + 1):
-        view = apply_T_omega(spec, assignment, k)
+        view = TransformedOmega(assignment, spec, k)
         parts.append(euler_F(beta, view, P, s).log_value)
     right_total = complex(math.fsum(z.real for z in parts),
                           math.fsum(z.imag for z in parts))
@@ -197,19 +199,19 @@ def test_exact_partials_sum_exactly(values):
 def test_local_factor_ratio_oracle():
     """Consecutive-threshold Euler factors: ratio is (p^s+1)/(p^s-1)
     exactly when omega sits in the interval where the two signs differ."""
-    from rmflab import IetSpec, sign_at_prime
     spec = IetSpec(2)
     s = 1.7 + 0.4j
     for p in primes_up_to(73)[:20]:
         ps = complex(p) ** s
         for k in range(spec.intervals):
             lo, hi = spec.endpoint(k), spec.endpoint(k + 1)
-            for omega in (DyadicFraction(0), lo, hi,
-                          DyadicFraction(hi.numerator - 1)):
-                e_lo = sign_at_prime(lo, omega)
-                e_hi = sign_at_prime(hi, omega)
-                ratio = (1 + e_lo / ps) / (1 + e_hi / ps)
-                in_gap = lo <= omega < hi
+            # omega = 1 is a threshold, never a sample point
+            nums = [0, lo.numerator, min(hi.numerator, 2**64 - 1)]
+            signs = [signs_from_numerators(b, np.array(nums, dtype=np.uint64))
+                     for b in (lo, hi)]
+            for num, e_lo, e_hi in zip(nums, *signs):
+                ratio = (1 + int(e_lo) / ps) / (1 + int(e_hi) / ps)
+                in_gap = lo.numerator <= num < hi.numerator
                 want = (ps + 1) / (ps - 1) if in_gap else 1.0
                 assert abs(ratio - want) < 1e-12
 
@@ -245,14 +247,12 @@ def test_exp_form_domain():
 
 def test_prime_sum_ensemble_mean_at_s1():
     # E f(p) = 1 - 2 beta: ensemble mean of sum f(p)/p tracks -(1/2) sum 1/p
-    from rmflab import prime_reciprocal_sign_sum
     P = 10**5
     a0 = OmegaAssignment(master_seed=0, prime_limit=P)
     target = -0.5 * float(np.sum(1.0 / a0.primes))
-    vals = [prime_reciprocal_sign_sum(
-        B34, OmegaAssignment(master_seed=s, prime_limit=P), P)
-        for s in range(100)]
-    vals = np.array(vals)
+    vals = np.array([math.fsum(prime_signs(
+        B34, OmegaAssignment(master_seed=s, prime_limit=P)) / a0.primes)
+        for s in range(100)])
     se = vals.std(ddof=1) / math.sqrt(len(vals))
     assert abs(vals.mean() - target) <= 4 * se
 
@@ -275,7 +275,6 @@ def test_weighted_G_degenerate_direct_product():
 
 
 def test_weighted_G_mean_minus_one(assignment_1e6):
-    from rmflab import prime_signs
     signs = prime_signs(B78, assignment_1e6).astype(float)
     g = signs * (4 / 3)
     n = len(g)

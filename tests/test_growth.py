@@ -1,23 +1,27 @@
 import json
 import math
-from dataclasses import asdict
+import statistics
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import factor_summary
 from rmflab import (CampaignConfig, DomainError, DyadicFraction, FitError,
-                    OmegaAssignment, PreconditionError, abel_consistency,
-                    build_sign_series, checkpoint_grid, distinct_prime_counts,
-                    fit_growth_exponent, mobius_sieve,
-                    monte_carlo_campaign, partial_sums, run_seed,
-                    selberg_delange_ratio, weighted_partial_sums,
-                    weighted_sum_grid)
+                    PreconditionError, abel_consistency, build_sign_series,
+                    checkpoint_grid, distinct_prime_counts,
+                    fit_growth_exponent, monte_carlo_campaign, partial_sums,
+                    run_seed, selberg_delange_ratio, weighted_partial_sums)
 from rmflab.dyadic import HALF, ONE
-from rmflab.growth import SumGrid
+from rmflab.growth import SumGrid, _quantile
 
 B34 = DyadicFraction.from_fraction(3, 2)
 B78 = DyadicFraction.from_fraction(7, 3)
+
+
+def grid_from(x_min, x_max):
+    xs = checkpoint_grid(x_max)
+    return xs[xs >= x_min]
 
 
 def test_checkpoint_grid_hits_powers_of_ten():
@@ -77,17 +81,18 @@ def test_weighted_sums_threshold(mu_1e6, assignment_1e5):
 
 
 def test_unit_weight_reduces_to_plain_sums(mu_1e6, assignment_1e5):
-    # injecting weight == 1 must reproduce the exact integer sums
-    series = build_sign_series(B34, assignment_1e5, 10**5, mu_1e6)
+    # with d(n) = 0 everywhere every weight is 1, which must reproduce the
+    # exact integer sums
+    series = build_sign_series(B78, assignment_1e5, 10**5, mu_1e6)
     grid = checkpoint_grid(10**5)
-    unit = series.values.astype(np.float64)
-    wsums = weighted_sum_grid(unit, grid)
+    no_factors = np.zeros(10**5 + 1, dtype=np.int8)
+    wsums = weighted_partial_sums(B78, series, no_factors, grid)
     plain = partial_sums(series, grid)
     assert np.array_equal(wsums.sums, plain.sums.astype(np.float64))
 
 
 def test_fit_exact_power_law():
-    xs = checkpoint_grid(10**7, 10**3).astype(float)
+    xs = grid_from(10**3, 10**7).astype(float)
     fit = fit_growth_exponent(SumGrid(xs.astype(np.int64), xs**0.5),
                               (10**3, 10**7))
     assert abs(fit.alpha - 0.5) < 1e-12
@@ -95,7 +100,7 @@ def test_fit_exact_power_law():
 
 
 def test_fit_log_corrected_law():
-    xs = checkpoint_grid(10**7, 10**5).astype(float)
+    xs = grid_from(10**5, 10**7).astype(float)
     sums = xs / np.log(xs) ** 1.5
     fit = fit_growth_exponent(SumGrid(xs.astype(np.int64), sums),
                               (10**5, 10**7))
@@ -103,7 +108,7 @@ def test_fit_log_corrected_law():
 
 
 def test_fit_constant_is_flat():
-    xs = checkpoint_grid(10**6, 10**2).astype(np.int64)
+    xs = grid_from(10**2, 10**6)
     fit = fit_growth_exponent(SumGrid(xs, np.full(len(xs), 7.0)),
                               (10**2, 10**6))
     assert abs(fit.alpha) < 1e-12
@@ -116,7 +121,7 @@ def test_fit_insufficient_points():
 
 
 def test_selberg_delange_exact_inversion():
-    xs = checkpoint_grid(10**6, 10**2)
+    xs = grid_from(10**2, 10**6)
     c = 0.37
     sums = c * xs / np.log(xs.astype(float)) ** 1.5
     stat = selberg_delange_ratio(B34, SumGrid(xs, sums))
@@ -152,7 +157,7 @@ def test_abel_brute_force_small(mu_1e6, assignment_1e5):
     s = 1.5 + 2j
     X = 100
     lhs = sum(int(series.values[n]) * n ** -s for n in range(1, X + 1))
-    S = lambda m: int(series.prefix[m])
+    S = lambda m: int(np.sum(series.values[1: m + 1]))
     rhs = S(X) * X ** -s + sum(
         S(m) * (m ** -s - (m + 1) ** -s) for m in range(1, X))
     assert abs(lhs - rhs) < 1e-12
@@ -181,3 +186,12 @@ def test_campaign_requires_seeds():
                          seeds=(), window=(10**2, 10**4))
     with pytest.raises(PreconditionError):
         monte_carlo_campaign(cfg)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=60))
+def test_campaign_quantiles_match_numpy(alphas):
+    xs = sorted(alphas)
+    for q in (0.10, 0.90):
+        assert _quantile(xs, q) == np.quantile(alphas, q)
+    assert statistics.median(xs) == np.median(alphas)

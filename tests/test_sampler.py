@@ -5,27 +5,25 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import factor_summary
-from rmflab import (CoverageError, DyadicFraction, OmegaAssignment,
-                    PreconditionError, build_sign_series,
-                    coupling_monotone_check, mobius_sieve, prime_signs,
-                    sign_at_prime)
+from rmflab import (CoverageError, DomainError, DyadicFraction,
+                    OmegaAssignment, PreconditionError, build_sign_series,
+                    mobius_sieve, partial_sums, prime_signs)
 from rmflab.dyadic import HALF, ONE
+from rmflab.sampler import signs_from_numerators
 
 
 def test_omega_deterministic():
     a1 = OmegaAssignment(master_seed=7, prime_limit=10**4)
     a2 = OmegaAssignment(master_seed=7, prime_limit=10**4)
-    for p in (2, 3, 97, 9973):
-        assert a1.omega_at(p) == a2.omega_at(p)
+    some = np.array([2, 3, 97, 9973])
+    assert np.array_equal(a1.numerators(some), a2.numerators(some))
     assert np.array_equal(a1.numerators(), a2.numerators())
 
 
 def test_omega_rejects_non_primes(assignment_1e5):
-    from rmflab import DomainError
-    with pytest.raises(DomainError):
-        assignment_1e5.omega_at(4)
-    with pytest.raises(DomainError):
-        assignment_1e5.omega_at(10**5 + 7)
+    for bad in ([4], [2, 3, 4], [10**5 + 7]):
+        with pytest.raises(DomainError):
+            assignment_1e5.numerators(np.array(bad))
 
 
 def test_omega_empirical_mean(assignment_1e5):
@@ -43,14 +41,16 @@ def test_distinct_seeds_differ_almost_everywhere():
     assert frac_diff > 0.99
 
 
-def test_sign_at_prime_cases():
-    quarter = DyadicFraction.from_fraction(1, 2)
-    assert sign_at_prime(HALF, quarter) == -1  # 0.25 < 0.5
-    assert sign_at_prime(HALF, HALF) == 1  # right-open convention
-    for num in (0, 2**63, 2**64 - 1):
-        assert sign_at_prime(ONE, DyadicFraction(num)) == -1
+def test_sign_at_prime_cases(assignment_1e5):
+    # right-open convention: -1 on [0, beta), +1 on [beta, 1)
+    for beta in (HALF, DyadicFraction.from_fraction(3, 2)):
+        b = beta.numerator
+        nums = np.array([0, b - 1, b, b + 1], dtype=np.uint64)
+        assert signs_from_numerators(beta, nums).tolist() == [-1, -1, 1, 1]
+    ends = np.array([0, 2**63, 2**64 - 1], dtype=np.uint64)
+    assert signs_from_numerators(ONE, ends).tolist() == [-1, -1, -1]
     with pytest.raises(PreconditionError):
-        sign_at_prime(DyadicFraction.from_fraction(1, 3), quarter)
+        prime_signs(DyadicFraction.from_fraction(1, 3), assignment_1e5)
 
 
 def test_prime_sign_frequency(assignment_1e6):
@@ -76,7 +76,7 @@ def test_prime_sign_mean_beta34(assignment_1e6):
 def test_beta_one_series_is_mobius(mu_1e6, assignment_1e6):
     series = build_sign_series(ONE, assignment_1e6, 10**6, mu_1e6)
     assert np.array_equal(series.values[1:], mu_1e6[1: 10**6 + 1])
-    assert series.partial_sum(10) == -1  # Mertens(10)
+    assert partial_sums(series, np.array([10])).sums[0] == -1  # Mertens(10)
 
 
 def test_series_multiplicativity_at_30(mu_1e6, assignment_1e5):
@@ -99,8 +99,9 @@ def test_series_support_matches_squarefree(mu_1e6, assignment_1e5, spf_1e5):
 def test_series_prefix_property(mu_1e6, assignment_1e5):
     beta = DyadicFraction.from_fraction(3, 2)
     s = build_sign_series(beta, assignment_1e5, 10**5, mu_1e6)
-    assert np.array_equal(np.diff(s.prefix), s.values[1:])
-    assert s.prefix[1] == 1
+    sums = partial_sums(s, np.arange(1, 10**5 + 1)).sums
+    assert np.array_equal(np.diff(sums), s.values[2:])
+    assert sums[0] == 1
 
 
 def test_series_coverage_error(mu_1e6):
@@ -122,18 +123,24 @@ def test_series_multiplicative_on_coprime_pairs(a, b):
 
 
 def test_coupling_monotone(assignment_1e5):
+    # the signs at beta1 < beta2 differ exactly where beta1 <= omega < beta2
+    nums = assignment_1e5.numerators()
     b12 = HALF
     b34 = DyadicFraction.from_fraction(3, 2)
     b78 = DyadicFraction.from_fraction(7, 3)
-    assert coupling_monotone_check(b12, b34, assignment_1e5, 10**5)
-    assert coupling_monotone_check(b34, b78, assignment_1e5, 10**5)
-    assert coupling_monotone_check(b34, b34, assignment_1e5, 10**5)
-    with pytest.raises(PreconditionError):
-        coupling_monotone_check(b34, b12, assignment_1e5, 10**5)
+    for lo, hi in ((b12, b34), (b34, b78), (b12, b78)):
+        differ = prime_signs(lo, assignment_1e5) != \
+            prime_signs(hi, assignment_1e5)
+        between = (nums >= np.uint64(lo.numerator)) & \
+            (nums < np.uint64(hi.numerator))
+        assert np.array_equal(differ, between)
+        assert differ.any()
 
 
 def test_coupling_monotone_all_dyadic_level4_pairs(assignment_1e5):
+    # a -1 at beta1 forces a -1 at every beta2 >= beta1
     betas = [DyadicFraction.from_fraction(k, 4) for k in range(8, 17)]
-    for i, b1 in enumerate(betas):
-        for b2 in betas[i:]:
-            assert coupling_monotone_check(b1, b2, assignment_1e5, 10**5)
+    signs = [prime_signs(b, assignment_1e5) for b in betas]
+    for i, s1 in enumerate(signs):
+        for s2 in signs[i:]:
+            assert np.all((s1 != -1) | (s2 == -1))
