@@ -312,9 +312,13 @@ def _quantile(xs: list[float], q: float) -> float:
     return b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g
 
 
+def _median(xs: list[float]) -> float:
+    """np.median(xs) of sorted xs, bit for bit, without numpy.ma."""
+    return (xs[(len(xs) - 1) // 2] + xs[len(xs) // 2]) / 2
+
+
 def monte_carlo_campaign(config: CampaignConfig) -> CampaignReport:
     """Run every seed and aggregate quantiles; deterministic in the seeds."""
-    import statistics  # only campaigns need it; np.median imports numpy.ma
     if len(config.seeds) < 1:
         raise PreconditionError("campaign needs at least one seed")
     results = [run_seed(config, seed) for seed in config.seeds]
@@ -330,7 +334,7 @@ def monte_carlo_campaign(config: CampaignConfig) -> CampaignReport:
             if decades else None
     return CampaignReport(
         config=config, per_seed=tuple(results),
-        alpha_median=statistics.median(alphas),
+        alpha_median=_median(alphas),
         alpha_q10=_quantile(alphas, 0.10),
         alpha_q90=_quantile(alphas, 0.90),
         frac_ratio_positive=frac_pos,

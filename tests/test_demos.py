@@ -52,17 +52,31 @@ def test_demo_compiles_and_its_rmflab_names_exist(demo):
                 f"{demo.name}: {module} has no {name}"
 
 
+def referenced_names(path: Path) -> set[str]:
+    """Names the code refers to, and its ``"module.function"`` strings (the
+    benchmark's span names); comments and docstrings do not count."""
+    nodes = list(ast.walk(ast.parse(path.read_text())))
+    return ({n.id for n in nodes if isinstance(n, ast.Name)}
+            | {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+            | {n.name for n in nodes if isinstance(n, ast.alias)}
+            | {n.value for n in nodes if isinstance(n, ast.Constant)
+               and isinstance(n.value, str)
+               and re.fullmatch(r"\w+\.\w+", n.value)})
+
+
 def test_every_export_is_used_outside_its_module():
     """An exported name is an exception class, or another rmflab module, a
     demo or a benchmark script refers to it; API nothing runs is not kept."""
     users = [*PACKAGE.glob("*.py"), *DEMOS, *ROOT.glob("benchmarks/*.py")]
+    refs = {path.stem: referenced_names(path) for path in users
+            if path.stem != "__init__"}
     unused = []
     for node in ast.parse((PACKAGE / "__init__.py").read_text()).body:
         for alias in getattr(node, "names", []):
             obj = getattr(rmflab, alias.name)
-            word = re.compile(rf"\b{alias.name}\b")
             if not (isinstance(obj, type) and issubclass(obj, Exception)) \
-                    and not any(word.search(path.read_text()) for path in users
-                                if path.stem not in (node.module, "__init__")):
+                    and not any({alias.name, f"{node.module}.{alias.name}"}
+                                & names for stem, names in refs.items()
+                                if stem != node.module):
                 unused.append(alias.name)
     assert unused == []

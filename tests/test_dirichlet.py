@@ -205,8 +205,9 @@ def test_local_factor_ratio_oracle():
         ps = complex(p) ** s
         for k in range(spec.intervals):
             lo, hi = spec.endpoint(k), spec.endpoint(k + 1)
-            # omega = 1 is a threshold, never a sample point
-            nums = [0, lo.numerator, min(hi.numerator, 2**64 - 1)]
+            # omega = 0, lo, hi - 1 and hi; uint64 cannot hold hi = 1
+            nums = [0, lo.numerator, hi.numerator - 1] + \
+                ([hi.numerator] if hi.numerator < 2**64 else [])
             signs = [signs_from_numerators(b, np.array(nums, dtype=np.uint64))
                      for b in (lo, hi)]
             for num, e_lo, e_hi in zip(nums, *signs):
