@@ -99,11 +99,10 @@ def validate(config: ExperimentConfig) -> list[str]:
         v.append(f"level=None: kind {config.kind} requires a level n")
     if config.level is not None and not 1 <= config.level <= 62:
         v.append(f"level={config.level}: must be in [1, 62]")
-    if config.kind == "iet-test":
-        if config.points < 1:
-            v.append(f"points={config.points}: must be >= 1")
-        if any(seed < 0 for seed in config.seeds):
-            v.append(f"seeds={config.seeds}: iet-test needs seeds >= 0")
+    if any(not 0 <= seed < 2**64 for seed in config.seeds):
+        v.append(f"seeds={config.seeds}: every seed must be in [0, 2**64)")
+    if config.kind == "iet-test" and config.points < 1:
+        v.append(f"points={config.points}: must be >= 1")
     needs_beta = config.kind not in ("identity", "iet-test")
     if needs_beta and config.beta is None and config.level is None:
         v.append(f"beta=None: kind {config.kind} requires beta (or level)")

@@ -1,8 +1,9 @@
 """Partial-sum experiments: growth exponents, ratio statistics, ensembles.
 
 Partial sums of the sign series are exact 64-bit integers.  Weighted sums
-carry bounded floating weights (below (2*beta-1)**-9 ~ 13.3 at beta = 7/8
-for X <= 10**8) and are accumulated segment by segment with exact fsum.
+carry float weights (2*beta-1)**-d(n), at most (2*beta-1)**-8 ~ 9.99 at
+beta = 7/8 for X <= 10**8.  Both come from one kernel of exact signed counts
+per (checkpoint segment, d(n)); ``weighted_partial_sums`` rounds them once.
 
 Checkpoints live on a geometric grid with ratio 10**(1/8), so every power
 of ten is itself a checkpoint and log-log fits see evenly spaced abscissae.
@@ -13,6 +14,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, asdict
+from fractions import Fraction
 
 import numpy as np
 
@@ -84,47 +86,67 @@ class SelbergDelangeStat:
     sign_stable: bool  # R > 0 at every checkpoint in the final decade
 
 
-def partial_sums(series: SignSeries, grid: np.ndarray) -> SumGrid:
-    """Exact integer prefix sums at the grid checkpoints."""
-    grid = np.asarray(grid, dtype=np.int64)
-    if grid.max() > series.limit:
-        raise RangeError(
-            f"grid max {grid.max()} exceeds series limit {series.limit}")
-    # in place: np.cumsum(values, dtype=np.int64) also holds an int64 copy
-    prefix = series.values.astype(np.int64)
-    np.cumsum(prefix, out=prefix)
-    return SumGrid(checkpoints=grid, sums=prefix[grid])
+# Integers per bincount: it copies its int8 input to intp, 8 MiB per block.
+_BLOCK = 2**20
 
 
-def weighted_partial_sums(beta: DyadicFraction, series: SignSeries,
-                          omega_counts: np.ndarray,
-                          grid: np.ndarray) -> SumGrid:
-    """Sums of (2*beta-1)**-d(n) * f_beta(n) at the checkpoints.
+def _segment_counts(series: SignSeries, grid: np.ndarray,
+                    omega_counts: np.ndarray | None = None,
+                    kinds: int = 1) -> np.ndarray:
+    """C[i, k], the exact sum of f(n) over grid[i-1] < n <= grid[i] with
+    d(n) = k (grid[-1] read as 0; without a d(n) table every k is 0).
 
-    ``omega_counts`` is the distinct-prime-count table d(n) (index = n).
-    Each inter-checkpoint segment is reduced with exact fsum; the running
-    total is the cumulative sum of those segment values.
+    Each block of at most _BLOCK integers in a segment is reduced by one
+    bincount of the int8 code f(n) + 1 + 3*d(n), so no full-length table is
+    made.  ``grid`` must ascend (repeats allowed) within [0, series.limit].
     """
-    w = weight_factor(beta)  # validates the beta threshold
-    if float(series.beta) != float(beta):
-        raise PreconditionError("series was built with a different beta")
+    if np.any(np.diff(grid, prepend=0) < 0) or np.any(grid > series.limit):
+        raise RangeError(f"grid must ascend within [0, {series.limit}]")
+    counts = np.zeros((len(grid), kinds), dtype=np.int64)
+    prev = 0
+    for i, x in enumerate(grid.tolist()):
+        for lo in range(prev + 1, x + 1, _BLOCK):
+            hi = min(lo + _BLOCK, x + 1)
+            code = series.values[lo:hi] + np.int8(1)
+            if omega_counts is not None:
+                code += 3 * omega_counts[lo:hi]
+            tally = np.bincount(code, minlength=3 * kinds)
+            counts[i] += tally[2::3] - tally[0::3]
+        prev = x
+    return counts
+
+
+def partial_sums(series: SignSeries, grid: np.ndarray) -> SumGrid:
+    """Exact integer sums S(x) = sum_{n <= x} f(n) at the grid checkpoints."""
+    grid = np.asarray(grid, dtype=np.int64)
+    sums = np.cumsum(_segment_counts(series, grid)[:, 0])
+    return SumGrid(checkpoints=grid, sums=sums)
+
+
+def weighted_partial_sums(series: SignSeries, omega_counts: np.ndarray,
+                          grid: np.ndarray) -> SumGrid:
+    """Sums of (2*beta-1)**-d(n) * f_beta(n) at the checkpoints, with the
+    series' beta; ``omega_counts`` is the table d(n) (index = n).
+
+    Each segment is the exact sum of its signed counts times the float
+    weights, rounded once, and joins the running total through fsum: the
+    float that exact fsum over the segment's terms gives.
+    """
+    w = weight_factor(series.beta)  # validates the beta threshold
     if len(omega_counts) < series.limit + 1:
         raise CoverageError("omega table shorter than series limit")
     grid = np.asarray(grid, dtype=np.int64)
-    if grid.max() > series.limit:
-        raise RangeError("grid exceeds series limit")
-    # d(n) <= 9 for n <= 10**8, so a lookup table beats a float power
-    lut = w ** np.arange(int(omega_counts[: series.limit + 1].max()) + 1,
-                         dtype=np.float64)
-    weighted = series.values[: series.limit + 1] * \
-        lut[omega_counts[: series.limit + 1]]
+    # d(n) <= 8 for n <= 10**8 (2*3*5*...*23 = 223,092,870): a few weights
+    kinds = int(omega_counts[: series.limit + 1].max()) + 1
+    weights = [Fraction(x) for x in
+               (w ** np.arange(kinds, dtype=np.float64)).tolist()]
     sums = np.empty(len(grid), dtype=np.float64)
     total = 0.0
-    prev = 0
-    for i, x in enumerate(grid):
-        total = math.fsum([total, math.fsum(weighted[prev + 1: x + 1])])
+    for i, row in enumerate(
+            _segment_counts(series, grid, omega_counts, kinds).tolist()):
+        segment = float(sum(c * wk for c, wk in zip(row, weights)))
+        total = math.fsum([total, segment])
         sums[i] = total
-        prev = int(x)
     return SumGrid(checkpoints=grid, sums=sums)
 
 
@@ -277,7 +299,7 @@ def seed_sums(beta: DyadicFraction, limit: int, weighted: bool,
     series = build_sign_series(beta, assignment, limit, mobius)
     grid = checkpoint_grid(limit)
     if weighted:
-        return weighted_partial_sums(beta, series, omega_counts, grid)
+        return weighted_partial_sums(series, omega_counts, grid)
     return partial_sums(series, grid)
 
 

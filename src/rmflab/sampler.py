@@ -43,6 +43,10 @@ class OmegaAssignment:
     _primes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # the hash reads the seed as a uint64; wrapping it would alias seeds
+        if not 0 <= self.master_seed < 2**64:
+            raise DomainError(
+                f"master_seed={self.master_seed} outside [0, 2**64)")
         object.__setattr__(self, "_primes", primes_up_to(self.prime_limit))
 
     @property
@@ -67,8 +71,7 @@ class OmegaAssignment:
                     f"not a covered prime: {primes[bad][:5].tolist()}")
             ranks = ranks.astype(np.uint64)
         with np.errstate(over="ignore"):
-            seeded = splitmix64(np.uint64(self.master_seed & (2**64 - 1)) +
-                                _GOLDEN * ranks)
+            seeded = splitmix64(np.uint64(self.master_seed) + _GOLDEN * ranks)
         return seeded
 
 

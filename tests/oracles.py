@@ -1,8 +1,11 @@
 """Test-only oracles: a smallest-prime-factor table and trial factorization
 check the sieve by an independent route; ``TransformedOmega`` feeds the
-product-by-product identity oracle.  None of it is part of the package.
+product-by-product identity oracle; ``fsum_weighted_sums`` is the term by
+term reference for the weighted checkpoint sums.  None of it is part of the
+package.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,3 +98,19 @@ class TransformedOmega:
     def numerators(self, primes: np.ndarray | None = None) -> np.ndarray:
         return apply_T_power_numerators(
             self.spec, self.base.numerators(primes), self.power)
+
+
+def fsum_weighted_sums(values: np.ndarray, omega_counts: np.ndarray,
+                       w: float, grid: np.ndarray) -> np.ndarray:
+    """Sums of values[n] * w**d(n) at the checkpoints, one exact fsum over
+    each segment's float terms, chained with fsum; ``grid`` ascends."""
+    lut = w ** np.arange(int(omega_counts.max()) + 1, dtype=np.float64)
+    weighted = values * lut[omega_counts]
+    sums = np.empty(len(grid), dtype=np.float64)
+    total = 0.0
+    prev = 0
+    for i, x in enumerate(grid):
+        total = math.fsum([total, math.fsum(weighted[prev + 1: x + 1])])
+        sums[i] = total
+        prev = int(x)
+    return sums

@@ -247,6 +247,9 @@ def test_zero_sums_fit_error_is_data_dependent(tmp_path):
     ({"kind": "iet-test", "level": 3, "points": 0}, "points=0"),
     ({"kind": "iet-test", "level": 3, "points": -5}, "points=-5"),
     ({"kind": "iet-test", "level": 3, "seeds": [-1]}, "seeds=[-1]"),
+    # the omega hash reads seeds as uint64: -1 would alias 2**64 - 1
+    ({"kind": "campaign", "seeds": [-1, 2**64 - 1]}, "seeds=[-1, "),
+    ({"kind": "growth", "seeds": [2**64]}, f"seeds=[{2**64}]"),
 ])
 def test_validate_rejects_fits_and_sigmas_run_would_reject(changes, needle,
                                                             tmp_path):

@@ -1,21 +1,26 @@
+import functools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import factor_summary
+from oracles import factor_summary, fsum_weighted_sums
 from rmflab import (CampaignConfig, DomainError, DyadicFraction, FitError,
-                    PreconditionError, abel_consistency, build_sign_series,
-                    checkpoint_grid, distinct_prime_counts,
-                    fit_growth_exponent, monte_carlo_campaign, partial_sums,
+                    OmegaAssignment, PreconditionError, RangeError,
+                    abel_consistency, build_sign_series, checkpoint_grid,
+                    distinct_prime_counts, fit_growth_exponent,
+                    mobius_sieve, monte_carlo_campaign, partial_sums,
                     run_seed, selberg_delange_ratio, weighted_partial_sums)
+from rmflab.dirichlet import weight_factor
 from rmflab.dyadic import HALF, ONE
-from rmflab.growth import SumGrid, _median, _quantile
+from rmflab.growth import SumGrid, _median, _quantile, sieve_tables
 
 B34 = DyadicFraction.from_fraction(3, 2)
 B78 = DyadicFraction.from_fraction(7, 3)
+B1516 = DyadicFraction.from_fraction(15, 4)
 
 
 def grid_from(x_min, x_max):
@@ -60,7 +65,7 @@ def test_weighted_sums_brute_force(mu_1e6, spf_1e5, assignment_1e5):
     om = distinct_prime_counts(10**5)
     series = build_sign_series(B78, assignment_1e5, 10**5, mu_1e6)
     grid = np.array([10, 100])
-    sums = weighted_partial_sums(B78, series, om, grid)
+    sums = weighted_partial_sums(series, om, grid)
     for i, x in enumerate(grid):
         brute = math.fsum(
             (4 / 3) ** factor_summary(n, spf_1e5).d * int(series.values[n])
@@ -76,7 +81,7 @@ def test_weighted_sums_threshold(mu_1e6, assignment_1e5):
     om = distinct_prime_counts(10**5)
     series = build_sign_series(B34, assignment_1e5, 10**5, mu_1e6)
     with pytest.raises(PreconditionError):
-        weighted_partial_sums(B34, series, om, np.array([10]))
+        weighted_partial_sums(series, om, np.array([10]))
 
 
 def test_unit_weight_reduces_to_plain_sums(mu_1e6, assignment_1e5):
@@ -85,9 +90,75 @@ def test_unit_weight_reduces_to_plain_sums(mu_1e6, assignment_1e5):
     series = build_sign_series(B78, assignment_1e5, 10**5, mu_1e6)
     grid = checkpoint_grid(10**5)
     no_factors = np.zeros(10**5 + 1, dtype=np.int8)
-    wsums = weighted_partial_sums(B78, series, no_factors, grid)
+    wsums = weighted_partial_sums(series, no_factors, grid)
     plain = partial_sums(series, grid)
     assert np.array_equal(wsums.sums, plain.sums.astype(np.float64))
+
+
+@functools.lru_cache(maxsize=None)
+def series_1e5(seed, beta_numerator):
+    """f_beta at X = 10**5 for one seed, with the d(n) table."""
+    series = build_sign_series(
+        DyadicFraction(beta_numerator),
+        OmegaAssignment(master_seed=seed, prime_limit=10**5), 10**5,
+        mobius_sieve(10**5))
+    return series, distinct_prime_counts(10**5)
+
+
+def assert_sums_match_references(seed, beta, grid):
+    """Weighted sums equal the term-by-term fsum oracle bit for bit, and
+    plain sums equal the full int64 prefix, on an ascending grid."""
+    series, om = series_1e5(seed, beta.numerator)
+    want = fsum_weighted_sums(series.values, om, weight_factor(beta), grid)
+    got = weighted_partial_sums(series, om, grid)
+    assert got.sums.tobytes() == want.tobytes()
+    plain = partial_sums(series, grid)
+    assert plain.sums.dtype == np.int64
+    assert np.array_equal(plain.sums,
+                          np.cumsum(series.values, dtype=np.int64)[grid])
+
+
+@pytest.mark.parametrize("beta", [B78, B1516])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_sums_match_references_on_checkpoints(seed, beta):
+    assert_sums_match_references(seed, beta, checkpoint_grid(10**5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.sampled_from([1, 2, 3]), beta=st.sampled_from([B78, B1516]),
+       xs=st.lists(st.integers(1, 10**5), min_size=1, max_size=30),
+       repeats=st.integers(1, 5))
+def test_sums_match_references_on_drawn_grids(seed, beta, xs, repeats):
+    # a leading 1 and at least one repeated checkpoint (an empty segment)
+    grid = np.array([1] + sorted(xs + xs[:repeats]), dtype=np.int64)
+    assert_sums_match_references(seed, beta, grid)
+
+
+@pytest.mark.parametrize("grid", [[10, 100, 50], [10, 10**5 + 1], [-1, 10]])
+def test_sums_reject_grids_out_of_order_or_range(grid):
+    series, om = series_1e5(1, B78.numerator)
+    with pytest.raises(RangeError):
+        partial_sums(series, np.array(grid))
+    with pytest.raises(RangeError):
+        weighted_partial_sums(series, om, np.array(grid))
+
+
+def test_sum_layer_peak_memory_at_1e7():
+    # a full-length int64 prefix or float64 weighted array would be 76 MiB
+    limit = 10**7
+    mobius, om = sieve_tables(limit, True)
+    series = build_sign_series(
+        B78, OmegaAssignment(master_seed=1, prime_limit=limit), limit, mobius)
+    grid = checkpoint_grid(limit)
+    for call in (lambda: partial_sums(series, grid),
+                 lambda: weighted_partial_sums(series, om, grid)):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, peak / 2**20
 
 
 def test_fit_exact_power_law():
