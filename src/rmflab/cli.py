@@ -29,7 +29,7 @@ from . import __version__
 from .dyadic import HALF, SCALE_BITS, DyadicFraction, beta_for_level
 from .dirichlet import (WEIGHT_BETA_THRESHOLD, H_eval, euler_F, exp_form_F,
                         identity_residual)
-from .errors import LabError
+from .errors import DomainError, LabError
 from .growth import (MIN_FIT_POINTS, CampaignConfig, abel_consistency,
                      checkpoint_grid, default_window, fit_growth_exponent,
                      monte_carlo_campaign, seed_sums, selberg_delange_ratio,
@@ -121,6 +121,8 @@ def validate(config: ExperimentConfig) -> list[str]:
     for sigma in config.sigmas if sweep else ():
         if sigma <= sweep.sigma_floor:
             v.append(f"sigma={sigma}: {sweep.floor_reason}")
+    if sweep and not all(map(math.isfinite, config.sigmas + config.ts)):
+        v.append(f"sigmas={config.sigmas}, ts={config.ts}: must be finite")
     weighted = config.kind in ("weighted-growth", "h-scan") or \
         (config.kind == "campaign" and config.weighted)
     if weighted and b is not None and not WEIGHT_BETA_THRESHOLD < b < 1:
@@ -337,6 +339,8 @@ def _run_sweep(config: ExperimentConfig, outdir: Path) -> tuple[dict, bool]:
     sweep = _SWEEPS[config.kind]
     size = config.prime_limit if sweep.size == "P" else config.limit
     beta = config.beta_value()
+    if not all(map(math.isfinite, config.sigmas + config.ts)):
+        raise DomainError(f"non-finite s: {config.sigmas + config.ts}")
     rows = []
     for seed in config.seeds:
         at = sweep.at(config, beta,

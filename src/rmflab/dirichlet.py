@@ -160,8 +160,8 @@ def identity_residual(level: int, assignment, P: int, s: complex,
     if strict_domain and s.real <= 1:
         raise PreconditionError(
             f"identity stated for Re(s) > 1, got Re(s)={s.real}")
-    if s.real <= 0:
-        raise DomainError(f"Re(s)={s.real} <= 0")
+    if not (s.real > 0 and cmath.isfinite(s)):  # a NaN fsum never reaches 0
+        raise DomainError(f"s={s}: needs Re(s) > 0 and finite")
     spec = IetSpec(level)
     beta = beta_for_level(level)
     primes = assignment.primes

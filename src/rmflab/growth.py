@@ -14,7 +14,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, asdict
-from fractions import Fraction
 
 import numpy as np
 
@@ -129,8 +128,8 @@ def weighted_partial_sums(series: SignSeries, omega_counts: np.ndarray,
     series' beta; ``omega_counts`` is the table d(n) (index = n).
 
     Each segment is the exact sum of its signed counts times the float
-    weights, rounded once, and joins the running total through fsum: the
-    float that exact fsum over the segment's terms gives.
+    weights, rounded once by an int / int division, and joins the running
+    total through fsum: the float that exact fsum over its terms gives.
     """
     w = weight_factor(series.beta)  # validates the beta threshold
     if len(omega_counts) < series.limit + 1:
@@ -138,13 +137,14 @@ def weighted_partial_sums(series: SignSeries, omega_counts: np.ndarray,
     grid = np.asarray(grid, dtype=np.int64)
     # d(n) <= 8 for n <= 10**8 (2*3*5*...*23 = 223,092,870): a few weights
     kinds = int(omega_counts[: series.limit + 1].max()) + 1
-    weights = [Fraction(x) for x in
-               (w ** np.arange(kinds, dtype=np.float64)).tolist()]
+    ratios = [x.as_integer_ratio() for x in (w ** np.arange(kinds)).tolist()]
+    den = max(d for _, d in ratios)  # w**k = weights[k] / den exactly
+    weights = [n * (den // d) for n, d in ratios]
     sums = np.empty(len(grid), dtype=np.float64)
     total = 0.0
     for i, row in enumerate(
             _segment_counts(series, grid, omega_counts, kinds).tolist()):
-        segment = float(sum(c * wk for c, wk in zip(row, weights)))
+        segment = sum(c * wk for c, wk in zip(row, weights)) / den
         total = math.fsum([total, segment])
         sums[i] = total
     return SumGrid(checkpoints=grid, sums=sums)

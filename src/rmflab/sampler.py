@@ -19,7 +19,7 @@ import numpy as np
 
 from .dyadic import HALF, DyadicFraction
 from .errors import CoverageError, DomainError, PreconditionError
-from .sieve import primes_up_to
+from .sieve import _multiples, primes_up_to
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -54,22 +54,18 @@ class OmegaAssignment:
         return self._primes
 
     def numerators(self, primes: np.ndarray | None = None) -> np.ndarray:
-        """uint64 numerators of omega_p for the given primes (default: all).
+        """uint64 numerators of omega_p for a prefix of ``.primes`` (default:
+        all of them).
 
         Each prime's value comes from an independent counter position
         (its rank), so streams never overlap within one seed.
         """
         if primes is None:
-            ranks = np.arange(len(self._primes), dtype=np.uint64)
-        else:
-            primes = np.asarray(primes, dtype=np.int64)
-            ranks = np.searchsorted(self._primes, primes)
-            bad = (ranks >= len(self._primes)) | (self._primes[np.minimum(
-                ranks, len(self._primes) - 1)] != primes)
-            if np.any(bad):
-                raise DomainError(
-                    f"not a covered prime: {primes[bad][:5].tolist()}")
-            ranks = ranks.astype(np.uint64)
+            primes = self._primes
+        elif not np.array_equal(primes, self._primes[: len(primes)]):
+            raise DomainError(f"not a prefix of the covered primes: "
+                              f"{np.asarray(primes)[:5].tolist()}")
+        ranks = np.arange(len(primes), dtype=np.uint64)
         with np.errstate(over="ignore"):
             seeded = splitmix64(np.uint64(self.master_seed) + _GOLDEN * ranks)
         return seeded
@@ -119,9 +115,6 @@ def build_sign_series(beta: DyadicFraction, assignment: OmegaAssignment,
     primes = primes[primes <= limit]
     signs = prime_signs(beta, assignment, primes)
     values = mobius[: limit + 1].astype(np.int8, copy=True)
-    for p in primes[signs == 1].tolist():
-        values[p:: p] = -values[p:: p]
-    values[0] = 0
-    if limit >= 1:
-        values[1] = 1
+    for sel in _multiples(primes[signs == 1], limit):
+        values[sel] *= np.int8(-1)
     return SignSeries(beta=beta, limit=limit, values=values)

@@ -15,6 +15,12 @@ from rmflab.iet import IetSpec, apply_T_power_numerators
 from rmflab.sieve import MAX_LIMIT
 
 
+# p*p - 1, p*p and p*p + 1 move isqrt(limit), and with it whether a prime
+# is sieved as a stride or among the cofactor batches of the larger primes
+ISQRT_EDGE_LIMITS = [p * p + e for p in (2, 3, 5, 7, 11, 97, 313)
+                     for e in (-1, 0, 1)] + [10**5]
+
+
 @dataclass(frozen=True)
 class SpfTable:
     """Smallest-prime-factor table for 2..limit (index 0 and 1 unused)."""

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import subprocess
 import sys
 import tempfile
@@ -186,7 +187,8 @@ def pipeline_rejects(config: ExperimentConfig) -> bool:
        window=st.one_of(st.none(), st.lists(st.integers(-100, 3500),
                                             min_size=2, max_size=2)),
        sigmas=st.lists(st.sampled_from([-1.0, 0.0, 0.25, 0.5, 0.75, 1.0,
-                                        1.5]), min_size=1, max_size=3))
+                                        1.5, math.nan, math.inf]),
+                       min_size=1, max_size=3))
 def test_validate_rejects_what_run_rejects(kind, weighted, bits, data, limit,
                                            window, sigmas):
     k = data.draw(st.integers(0, 2**bits), label="k")
@@ -250,6 +252,10 @@ def test_zero_sums_fit_error_is_data_dependent(tmp_path):
     # the omega hash reads seeds as uint64: -1 would alias 2**64 - 1
     ({"kind": "campaign", "seeds": [-1, 2**64 - 1]}, "seeds=[-1, "),
     ({"kind": "growth", "seeds": [2**64]}, f"seeds=[{2**64}]"),
+    # NaN passes every "<= floor" test; the identity's exact fsum never ends
+    ({"kind": "identity", "level": 1, "sigmas": [math.nan]}, "sigmas=[nan]"),
+    ({"kind": "exp-form", "ts": [math.inf]}, "ts=[inf]"),
+    ({"kind": "abel", "ts": [math.nan]}, "ts=[nan]"),
 ])
 def test_validate_rejects_fits_and_sigmas_run_would_reject(changes, needle,
                                                             tmp_path):
@@ -317,3 +323,13 @@ def test_campaign_does_not_import_numpy_ma(tmp_path):
     out = subprocess.run([sys.executable, "-c", probe], check=True,
                          capture_output=True, text=True, timeout=120)
     assert out.stdout == "False\n"
+
+
+def test_cli_import_leaves_out_fractions_and_decimal():
+    # fractions imports decimal; together they cost every process 2-3 ms
+    src = str(Path(cli.__file__).parents[1])
+    probe = (f"import sys; sys.path.insert(0, {src!r}); import rmflab.cli; "
+             "print('fractions' in sys.modules, 'decimal' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout == "False False\n"

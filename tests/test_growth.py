@@ -17,6 +17,7 @@ from rmflab import (CampaignConfig, DomainError, DyadicFraction, FitError,
 from rmflab.dirichlet import weight_factor
 from rmflab.dyadic import HALF, ONE
 from rmflab.growth import SumGrid, _median, _quantile, sieve_tables
+from rmflab.sieve import _sieve_mu_omega
 
 B34 = DyadicFraction.from_fraction(3, 2)
 B78 = DyadicFraction.from_fraction(7, 3)
@@ -159,6 +160,18 @@ def test_sum_layer_peak_memory_at_1e7():
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20, peak / 2**20
+
+
+def test_sieve_peak_memory_at_1e7():
+    # mu, d(n) and the prime sieve take 1 byte per integer and the primes 8
+    # bytes each; the product-accumulator sieve peaked at 105 MiB
+    tracemalloc.start()
+    try:
+        _sieve_mu_omega(10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**20, peak / 2**20
 
 
 def test_fit_exact_power_law():

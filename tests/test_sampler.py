@@ -1,10 +1,11 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import factor_summary
+from oracles import ISQRT_EDGE_LIMITS
 from rmflab import (CoverageError, DomainError, DyadicFraction,
                     OmegaAssignment, PreconditionError, build_sign_series,
                     mobius_sieve, partial_sums, prime_signs)
@@ -15,13 +16,15 @@ from rmflab.sampler import signs_from_numerators
 def test_omega_deterministic():
     a1 = OmegaAssignment(master_seed=7, prime_limit=10**4)
     a2 = OmegaAssignment(master_seed=7, prime_limit=10**4)
-    some = np.array([2, 3, 97, 9973])
+    some = a1.primes[:100]
     assert np.array_equal(a1.numerators(some), a2.numerators(some))
+    assert np.array_equal(a1.numerators(some), a1.numerators()[:100])
     assert np.array_equal(a1.numerators(), a2.numerators())
 
 
 def test_omega_rejects_non_primes(assignment_1e5):
-    for bad in ([4], [2, 3, 4], [10**5 + 7]):
+    # only a prefix of the covered primes is hashed, by rank
+    for bad in ([4], [2, 3, 4], [10**5 + 7], [3], [2, 5]):
         with pytest.raises(DomainError):
             assignment_1e5.numerators(np.array(bad))
 
@@ -88,12 +91,37 @@ def test_series_multiplicativity_at_30(mu_1e6, assignment_1e5):
     assert v[1] == 1
 
 
-def test_series_support_matches_squarefree(mu_1e6, assignment_1e5, spf_1e5):
+def test_series_support_matches_squarefree(mu_1e6, assignment_1e5,
+                                           factors_1e5):
     beta = DyadicFraction.from_fraction(7, 3)
     s = build_sign_series(beta, assignment_1e5, 10**5, mu_1e6)
     for n in range(1, 10**5 + 1):
-        expected_zero = not factor_summary(n, spf_1e5).is_squarefree
+        expected_zero = not factors_1e5[n].is_squarefree
         assert (s.values[n] == 0) == expected_zero
+
+
+@pytest.fixture(scope="module")
+def sign_products(assignment_1e5, factors_1e5):
+    """beta numerator -> f(n) for n <= 10**5: the product of the signs of the
+    primes of each squarefree n, and 0 elsewhere (index 0 holds 0)."""
+    @functools.cache
+    def products(beta_numerator):
+        signs = prime_signs(DyadicFraction(beta_numerator), assignment_1e5)
+        sign = dict(zip(assignment_1e5.primes.tolist(), signs.tolist()))
+        return [0] + [math.prod(sign[p] for p in f.distinct_primes)
+                      if f.is_squarefree else 0 for f in factors_1e5[1:]]
+    return products
+
+
+@pytest.mark.parametrize("beta", [HALF, DyadicFraction.from_fraction(3, 2),
+                                  DyadicFraction.from_fraction(7, 3)])
+@pytest.mark.parametrize("limit", ISQRT_EDGE_LIMITS)
+def test_series_is_the_product_of_prime_signs(limit, beta, assignment_1e5,
+                                              factors_1e5, sign_products):
+    mobius = np.array([0] + [f.mobius for f in factors_1e5[1: limit + 1]],
+                      dtype=np.int8)
+    s = build_sign_series(beta, assignment_1e5, limit, mobius)
+    assert s.values.tolist() == sign_products(beta.numerator)[: limit + 1]
 
 
 def test_series_prefix_property(mu_1e6, assignment_1e5):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import build_spf, factor_summary
+from oracles import ISQRT_EDGE_LIMITS, build_spf, factor_summary
 from rmflab import (ConfigurationError, RangeError, distinct_prime_counts,
                     mobius_sieve, primes_up_to)
 
@@ -89,14 +89,20 @@ def test_mobius_first_ten():
         [1, -1, -1, 0, -1, 1, -1, 0, 0, 1]
 
 
-def test_mobius_agrees_with_factor_summary(spf_1e5):
+def test_mobius_agrees_with_factor_summary(factors_1e5):
     mu = mobius_sieve(10**5)
     want = np.array([mu_by_trial_division(n) for n in range(1, 1001)])
     assert np.array_equal(mu[1:1001], want)
     # exhaustive against the spf-based factorization
-    fs = np.array([factor_summary(n, spf_1e5).mobius
-                   for n in range(1, 10**5 + 1)], dtype=np.int8)
+    fs = np.array([f.mobius for f in factors_1e5[1:]], dtype=np.int8)
     assert np.array_equal(mu[1:], fs)
+
+
+@pytest.mark.parametrize("limit", ISQRT_EDGE_LIMITS)
+def test_sieve_matches_factorization_at_isqrt_edges(limit, factors_1e5):
+    facts = factors_1e5[1: limit + 1]
+    assert mobius_sieve(limit).tolist() == [0] + [f.mobius for f in facts]
+    assert distinct_prime_counts(limit).tolist() == [0] + [f.d for f in facts]
 
 
 def test_squarefree_density_1e6(mu_1e6):
