@@ -131,6 +131,9 @@ def validate(config: ExperimentConfig) -> list[str]:
                  "< beta < 1")
     if config.prime_limit < 2:
         v.append(f"prime_limit={config.prime_limit}: must be >= 2")
+    if sweep and sweep.size == "P" and config.prime_limit > MAX_LIMIT:
+        v.append(f"prime_limit={config.prime_limit}: the prime sieve "
+                 f"supports at most {MAX_LIMIT}")
     min_limit = 10 if config.kind in _FIT_KINDS else 2  # checkpoints from 10
     if config.limit < min_limit:
         v.append(f"limit={config.limit}: must be >= {min_limit}")

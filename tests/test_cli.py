@@ -224,6 +224,11 @@ def test_validate_names_beta_below_half_and_sieve_limit():
     cfg = ExperimentConfig(kind="identity", level=1, limit=MAX_LIMIT + 1,
                            seeds=[1])
     assert validate(cfg) == []
+    # kinds truncated at X ignore prime_limit, so it is not checked there
+    for kind in ("growth", "abel", "campaign"):
+        cfg = ExperimentConfig(kind=kind, beta="3/4", seeds=[1],
+                               prime_limit=MAX_LIMIT + 1)
+        assert validate(cfg) == [], kind
 
 
 def test_zero_sums_fit_error_is_data_dependent(tmp_path):
@@ -256,6 +261,12 @@ def test_zero_sums_fit_error_is_data_dependent(tmp_path):
     ({"kind": "identity", "level": 1, "sigmas": [math.nan]}, "sigmas=[nan]"),
     ({"kind": "exp-form", "ts": [math.inf]}, "ts=[inf]"),
     ({"kind": "abel", "ts": [math.nan]}, "ts=[nan]"),
+    # truncations at P would ask the prime sieve for a 10**11-byte table
+    ({"kind": "identity", "level": 1, "prime_limit": 10**11},
+     f"prime_limit={10**11}"),
+    ({"kind": "h-scan", "beta": "15/16", "prime_limit": 10**11},
+     f"prime_limit={10**11}"),
+    ({"kind": "exp-form", "prime_limit": 10**11}, f"prime_limit={10**11}"),
 ])
 def test_validate_rejects_fits_and_sigmas_run_would_reject(changes, needle,
                                                             tmp_path):

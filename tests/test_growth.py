@@ -17,7 +17,7 @@ from rmflab import (CampaignConfig, DomainError, DyadicFraction, FitError,
 from rmflab.dirichlet import weight_factor
 from rmflab.dyadic import HALF, ONE
 from rmflab.growth import SumGrid, _median, _quantile, sieve_tables
-from rmflab.sieve import _sieve_mu_omega
+from rmflab.sieve import _prime_table, _sieve_mu_omega
 
 B34 = DyadicFraction.from_fraction(3, 2)
 B78 = DyadicFraction.from_fraction(7, 3)
@@ -164,7 +164,9 @@ def test_sum_layer_peak_memory_at_1e7():
 
 def test_sieve_peak_memory_at_1e7():
     # mu, d(n) and the prime sieve take 1 byte per integer and the primes 8
-    # bytes each; the product-accumulator sieve peaked at 105 MiB
+    # bytes each; the product-accumulator sieve peaked at 105 MiB.  A cold
+    # pass: an earlier test may have left the primes <= 10**7 cached
+    _prime_table.cache_clear()
     tracemalloc.start()
     try:
         _sieve_mu_omega(10**7)

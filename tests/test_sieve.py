@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from oracles import ISQRT_EDGE_LIMITS, build_spf, factor_summary
-from rmflab import (ConfigurationError, RangeError, distinct_prime_counts,
-                    mobius_sieve, primes_up_to)
+from rmflab import (ConfigurationError, OmegaAssignment, RangeError,
+                    distinct_prime_counts, mobius_sieve, primes_up_to)
+from rmflab import sieve
 
 
 def eratosthenes_oracle(limit):
@@ -82,6 +83,43 @@ def test_factor_summary_invariants(spf_1e5):
         assert f.mobius == (0 if not f.is_squarefree else (-1) ** f.d)
     with pytest.raises(RangeError):
         factor_summary(10**5 + 1, spf_1e5)
+
+
+def test_prime_table_is_read_only():
+    with pytest.raises(ValueError):
+        primes_up_to(100)[0] = 4
+    with pytest.raises(ValueError):
+        OmegaAssignment(master_seed=1, prime_limit=10**4).primes[-1] = 4
+
+
+def test_prime_table_is_shared_at_one_limit(monkeypatch):
+    seen = []
+    walk = sieve._multiples
+
+    def recording_walk(primes, limit):
+        seen.append(primes)
+        return walk(primes, limit)
+
+    monkeypatch.setattr(sieve, "_multiples", recording_walk)
+    sieve._sieve_mu_omega(10**4)
+    a = OmegaAssignment(master_seed=1, prime_limit=10**4).primes
+    b = OmegaAssignment(master_seed=2, prime_limit=10**4).primes
+    assert np.shares_memory(a, b)
+    assert np.shares_memory(seen[0], a)
+
+
+def test_prime_table_follows_the_limit(spf_1e5):
+    # one cached table: each new limit must replace it, never reuse it
+    every = spf_1e5.primes()
+    for limit in (10**4, 100, 10**4, 1):
+        primes = primes_up_to(limit)
+        assert primes.tolist() == every[every <= limit].tolist(), limit
+        assert primes.dtype == np.int64 and not primes.flags.writeable
+
+
+def test_prime_table_rejects_limits_above_max():
+    with pytest.raises(ConfigurationError, match=str(sieve.MAX_LIMIT)):
+        primes_up_to(sieve.MAX_LIMIT + 1)
 
 
 def test_mobius_first_ten():
