@@ -31,9 +31,9 @@ from .dirichlet import (WEIGHT_BETA_THRESHOLD, H_eval, euler_F, exp_form_F,
                         identity_residual)
 from .errors import DomainError, LabError
 from .growth import (MIN_FIT_POINTS, CampaignConfig, abel_consistency,
-                     checkpoint_grid, default_window, fit_growth_exponent,
-                     monte_carlo_campaign, seed_sums, selberg_delange_ratio,
-                     sieve_tables)
+                     checkpoint_grid, coupled_sums, default_window,
+                     fit_growth_exponent, monte_carlo_campaign,
+                     selberg_delange_ratio, sieve_tables)
 from .iet import IetSpec, apply_T_power_numerators
 from .sampler import OmegaAssignment, build_sign_series
 from .sieve import MAX_LIMIT
@@ -260,8 +260,8 @@ def _run_growth(config: ExperimentConfig, outdir: Path) -> tuple[dict, bool]:
     weighted = config.kind == "weighted-growth"
     window = _fit_window(config)
     rows, fits = [], {}
-    for seed in config.seeds:
-        sums = seed_sums(beta, config.limit, weighted, seed)
+    for seed, sums in zip(config.seeds, coupled_sums(
+            beta, config.limit, weighted, config.seeds)):
         ratios = [""] * len(sums.checkpoints)
         if not weighted and 0.5 < float(beta) < 1.0:
             ratios = selberg_delange_ratio(beta, sums).ratios

@@ -3,7 +3,14 @@
 Partial sums of the sign series are exact 64-bit integers.  Weighted sums
 carry float weights (2*beta-1)**-d(n), at most (2*beta-1)**-8 ~ 9.99 at
 beta = 7/8 for X <= 10**8.  Both come from one kernel of exact signed counts
-per (checkpoint segment, d(n)); ``weighted_partial_sums`` rounds them once.
+per (checkpoint segment, d(n)); weighted sums round them once.
+
+Campaigns and the growth experiments take their seeds LANES (8) at a time
+(``coupled_sums``): one walk over the prime multiples writes a uint8 word
+per integer whose bit k is seed k's flip parity, and one bincount per block
+counts every lane.  At X = 10**7 a 4-seed lane pass at beta = 1/2 peaks at
+about 22 MiB traced, mostly the omega hash's temporaries (the per-seed path
+peaked at 25 MiB for each seed), and a test holds it below 24 MiB.
 
 Checkpoints live on a geometric grid with ratio 10**(1/8), so every power
 of ten is itself a checkpoint and log-log fits see evenly spaced abscissae.
@@ -13,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -20,7 +28,7 @@ import numpy as np
 from .dyadic import DyadicFraction
 from .errors import (CoverageError, DomainError, FitError, PreconditionError,
                      RangeError)
-from .sampler import OmegaAssignment, SignSeries, build_sign_series
+from .sampler import LANES, SignSeries, _lane_flips
 from .sieve import _sieve_mu_omega, mobius_sieve
 from .dirichlet import weight_factor
 
@@ -85,69 +93,100 @@ class SelbergDelangeStat:
     sign_stable: bool  # R > 0 at every checkpoint in the final decade
 
 
-# Integers per bincount: it copies its int8 input to intp, 8 MiB per block.
+# Integers per bincount: it copies its int16 input to intp, 8 MiB per block.
 _BLOCK = 2**20
 
+# word pattern x lane -> +-1: lane k of pattern w reads (-1)**(bit k of w)
+_LANE_SIGNS = 1 - 2 * (np.arange(1 << LANES)[:, None] >> np.arange(LANES) & 1)
 
-def _segment_counts(series: SignSeries, grid: np.ndarray,
+
+def _segment_counts(mobius: np.ndarray, grid: np.ndarray,
                     omega_counts: np.ndarray | None = None,
-                    kinds: int = 1) -> np.ndarray:
-    """C[i, k], the exact sum of f(n) over grid[i-1] < n <= grid[i] with
-    d(n) = k (grid[-1] read as 0; without a d(n) table every k is 0).
+                    flips: np.ndarray | None = None,
+                    lanes: int = 0) -> np.ndarray:
+    """C[lane, i, k], the exact sum of the lane's f(n) over
+    grid[i-1] < n <= grid[i] with d(n) = k (grid[-1] read as 0; without a
+    d(n) table every k is 0).
 
-    Each block of at most _BLOCK integers in a segment is reduced by one
-    bincount of the int8 code f(n) + 1 + 3*d(n), so no full-length table is
-    made.  ``grid`` must ascend (repeats allowed) within [0, series.limit].
+    Lane k's f(n) is mobius[n] * (-1)**(bit k of flips[n]); with no flip
+    words (lanes = 0) the one lane is ``mobius`` itself.  Each block of at
+    most _BLOCK integers in a segment is reduced by one bincount of the
+    int16 code ((mobius[n] + 1) + 3*d(n)) << lanes | flips[n], built in
+    place, so no full-length table is made; a fixed sign table decodes the
+    counts of every word pattern into every lane's.  ``grid`` must ascend
+    (repeats allowed) within [0, len(mobius) - 1].
     """
-    if np.any(np.diff(grid, prepend=0) < 0) or np.any(grid > series.limit):
-        raise RangeError(f"grid must ascend within [0, {series.limit}]")
-    counts = np.zeros((len(grid), kinds), dtype=np.int64)
+    limit = len(mobius) - 1
+    if np.any(np.diff(grid, prepend=0) < 0) or np.any(grid > limit):
+        raise RangeError(f"grid must ascend within [0, {limit}]")
+    # d(n) <= 8 for n <= 10**8 (2*3*5*...*23 = 223,092,870): a few kinds,
+    # and every code stays below (3 * 9) << 8, within int16
+    kinds = 1 if omega_counts is None else \
+        int(omega_counts[: limit + 1].max()) + 1
+    patterns = 1 << lanes
+    net = np.zeros((len(grid), kinds, patterns), dtype=np.int64)
+    block = np.empty(min(_BLOCK, limit), dtype=np.int16)
     prev = 0
     for i, x in enumerate(grid.tolist()):
         for lo in range(prev + 1, x + 1, _BLOCK):
             hi = min(lo + _BLOCK, x + 1)
-            code = series.values[lo:hi] + np.int8(1)
+            code = block[: hi - lo]
+            np.add(mobius[lo:hi], 1, out=code)
             if omega_counts is not None:
                 code += 3 * omega_counts[lo:hi]
-            tally = np.bincount(code, minlength=3 * kinds)
-            counts[i] += tally[2::3] - tally[0::3]
+            if lanes:
+                code <<= lanes
+                code |= flips[lo:hi]
+            tally = np.bincount(code, minlength=3 * kinds * patterns)
+            tally = tally.reshape(kinds, 3, patterns)
+            net[i] += tally[:, 2] - tally[:, 0]
         prev = x
-    return counts
+    signs = _LANE_SIGNS[:patterns, : max(lanes, 1)]
+    return (net @ signs).transpose(2, 0, 1)
+
+
+def _sums_from_counts(counts: np.ndarray, grid: np.ndarray,
+                      w: float | None = None) -> SumGrid:
+    """One lane's checkpoint sums from its counts C[i, k]: their exact
+    cumulative sum, or with a weight factor ``w`` the sums of w**d(n) f(n).
+
+    Each weighted segment is the exact sum of its signed counts times the
+    float weights, rounded once by an int / int division, and joins the
+    running total through fsum: the float that exact fsum over its terms
+    gives.
+    """
+    if w is None:
+        return SumGrid(checkpoints=grid, sums=np.cumsum(counts[:, 0]))
+    ratios = [x.as_integer_ratio()
+              for x in (w ** np.arange(counts.shape[1])).tolist()]
+    den = max(d for _, d in ratios)  # w**k = weights[k] / den exactly
+    weights = [n * (den // d) for n, d in ratios]
+    sums = np.empty(len(grid), dtype=np.float64)
+    total = 0.0
+    for i, row in enumerate(counts.tolist()):
+        segment = sum(c * wk for c, wk in zip(row, weights)) / den
+        total = math.fsum([total, segment])
+        sums[i] = total
+    return SumGrid(checkpoints=grid, sums=sums)
 
 
 def partial_sums(series: SignSeries, grid: np.ndarray) -> SumGrid:
     """Exact integer sums S(x) = sum_{n <= x} f(n) at the grid checkpoints."""
     grid = np.asarray(grid, dtype=np.int64)
-    sums = np.cumsum(_segment_counts(series, grid)[:, 0])
-    return SumGrid(checkpoints=grid, sums=sums)
+    return _sums_from_counts(_segment_counts(series.values, grid)[0], grid)
 
 
 def weighted_partial_sums(series: SignSeries, omega_counts: np.ndarray,
                           grid: np.ndarray) -> SumGrid:
     """Sums of (2*beta-1)**-d(n) * f_beta(n) at the checkpoints, with the
     series' beta; ``omega_counts`` is the table d(n) (index = n).
-
-    Each segment is the exact sum of its signed counts times the float
-    weights, rounded once by an int / int division, and joins the running
-    total through fsum: the float that exact fsum over its terms gives.
     """
     w = weight_factor(series.beta)  # validates the beta threshold
     if len(omega_counts) < series.limit + 1:
         raise CoverageError("omega table shorter than series limit")
     grid = np.asarray(grid, dtype=np.int64)
-    # d(n) <= 8 for n <= 10**8 (2*3*5*...*23 = 223,092,870): a few weights
-    kinds = int(omega_counts[: series.limit + 1].max()) + 1
-    ratios = [x.as_integer_ratio() for x in (w ** np.arange(kinds)).tolist()]
-    den = max(d for _, d in ratios)  # w**k = weights[k] / den exactly
-    weights = [n * (den // d) for n, d in ratios]
-    sums = np.empty(len(grid), dtype=np.float64)
-    total = 0.0
-    for i, row in enumerate(
-            _segment_counts(series, grid, omega_counts, kinds).tolist()):
-        segment = sum(c * wk for c, wk in zip(row, weights)) / den
-        total = math.fsum([total, segment])
-        sums[i] = total
-    return SumGrid(checkpoints=grid, sums=sums)
+    counts = _segment_counts(series.values, grid, omega_counts)
+    return _sums_from_counts(counts[0], grid, w)
 
 
 def fit_growth_exponent(sumgrid: SumGrid,
@@ -288,25 +327,41 @@ def sieve_tables(limit: int, weighted: bool
     return mobius_sieve(limit), None
 
 
-def seed_sums(beta: DyadicFraction, limit: int, weighted: bool,
-              seed: int) -> SumGrid:
-    """Sample one seed's omega, build f_beta, and sum it at the checkpoints.
+def _coupled_counts(beta: DyadicFraction, limit: int, weighted: bool,
+                    seeds) -> Iterator[np.ndarray]:
+    """Each seed's counts C[i, k] on checkpoint_grid(limit), in seed order:
+    one prime walk and one reduction per LANES seeds."""
+    mobius, omega_counts = sieve_tables(limit, weighted)
+    grid = checkpoint_grid(limit)
+    for at in range(0, len(seeds), LANES):
+        chunk = seeds[at: at + LANES]
+        yield from _segment_counts(mobius, grid, omega_counts,
+                                   _lane_flips(beta, chunk, limit), len(chunk))
+
+
+def coupled_sums(beta: DyadicFraction, limit: int, weighted: bool,
+                 seeds) -> list[SumGrid]:
+    """Every seed's checkpoint sums of f_beta, in seed order; the seeds
+    share each walk over the prime multiples, LANES at a time.
 
     Weighted sums weigh f_beta(n) by (2*beta-1)**-d(n).
     """
-    mobius, omega_counts = sieve_tables(limit, weighted)
-    assignment = OmegaAssignment(master_seed=seed, prime_limit=limit)
-    series = build_sign_series(beta, assignment, limit, mobius)
+    w = weight_factor(beta) if weighted else None  # the weighted threshold
     grid = checkpoint_grid(limit)
-    if weighted:
-        return weighted_partial_sums(series, omega_counts, grid)
-    return partial_sums(series, grid)
+    return [_sums_from_counts(counts, grid, w)
+            for counts in _coupled_counts(beta, limit, weighted, seeds)]
 
 
-def run_seed(config: CampaignConfig, seed: int) -> SeedResult:
-    """The full single-seed pipeline: sample, sieve signs, sum, fit."""
+def seed_sums(beta: DyadicFraction, limit: int, weighted: bool,
+              seed: int) -> SumGrid:
+    """One seed's checkpoint sums: ``coupled_sums`` with a single lane."""
+    return coupled_sums(beta, limit, weighted, [seed])[0]
+
+
+def _seed_result(config: CampaignConfig, seed: int,
+                 sums: SumGrid) -> SeedResult:
+    """Fit one seed's sums and, for 1/2 < beta < 1 unweighted, its ratio."""
     beta = config.beta()
-    sums = seed_sums(beta, config.limit, config.weighted, seed)
     fit = fit_growth_exponent(sums, config.window)
     terminal = ratio_decade = sign_stable = None
     if not config.weighted and 0.5 < float(beta) < 1.0:
@@ -322,6 +377,12 @@ def run_seed(config: CampaignConfig, seed: int) -> SeedResult:
                       points_dropped=fit.points_dropped,
                       terminal_ratio=terminal, ratio_decade=ratio_decade,
                       sign_stable=sign_stable)
+
+
+def run_seed(config: CampaignConfig, seed: int) -> SeedResult:
+    """The full single-seed pipeline: sample, sieve signs, sum, fit."""
+    return _seed_result(config, seed, seed_sums(
+        config.beta(), config.limit, config.weighted, seed))
 
 
 def _quantile(xs: list[float], q: float) -> float:
@@ -343,7 +404,10 @@ def monte_carlo_campaign(config: CampaignConfig) -> CampaignReport:
     """Run every seed and aggregate quantiles; deterministic in the seeds."""
     if len(config.seeds) < 1:
         raise PreconditionError("campaign needs at least one seed")
-    results = [run_seed(config, seed) for seed in config.seeds]
+    sums = coupled_sums(config.beta(), config.limit, config.weighted,
+                        config.seeds)
+    results = [_seed_result(config, seed, grid)
+               for seed, grid in zip(config.seeds, sums)]
     alphas = sorted(r.alpha for r in results)
     frac_pos = frac_band = None
     terminals = [r.terminal_ratio for r in results

@@ -9,6 +9,10 @@ addressable in O(1) without storing the whole assignment.  All thresholds
 The sign convention is right-open: -1 on [0, beta), +1 on [beta, 1).  On the
 2**64-point dyadic grid this makes P(-1) = beta exact, and it differs from
 the closed-interval convention only at grid endpoints (a measure-zero set).
+
+``build_sign_series`` realizes one seed's f_beta; ``_lane_flips`` realizes
+up to LANES seeds at once, as one flip word per integer over the Mobius
+table.
 """
 
 from __future__ import annotations
@@ -24,6 +28,8 @@ from .sieve import _multiples, primes_up_to
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
+
+LANES = 8  # seeds per flip word: bit k of a uint8 belongs to seeds[k]
 
 
 def splitmix64(x: np.ndarray) -> np.ndarray:
@@ -115,6 +121,31 @@ def build_sign_series(beta: DyadicFraction, assignment: OmegaAssignment,
     primes = primes[primes <= limit]
     signs = prime_signs(beta, assignment, primes)
     values = mobius[: limit + 1].astype(np.int8, copy=True)
-    for sel in _multiples(primes[signs == 1], limit):
+    for sel, _ in _multiples(primes[signs == 1], limit):
         values[sel] *= np.int8(-1)
     return SignSeries(beta=beta, limit=limit, values=values)
+
+
+def _lane_flips(beta: DyadicFraction, seeds, limit: int) -> np.ndarray:
+    """uint8 words for n <= limit whose bit k is the parity of the
+    plus-signed primes of seed ``seeds[k]`` that divide n, for at most
+    LANES seeds: on squarefree n that seed's f_beta(n) is mu(n) times
+    (-1)**bit k, so the words and the Mobius table hold all lanes' series.
+
+    Each seed is hashed once.  Bit k of a prime's mask is set when seed k
+    signs it +1; one walk over the primes plus in any lane flips every lane.
+    """
+    if len(seeds) > LANES:
+        raise PreconditionError(f"{len(seeds)} seeds exceed {LANES} lanes")
+    primes = primes_up_to(limit)
+    masks = np.zeros(len(primes), dtype=np.uint8)
+    for k, seed in enumerate(seeds):
+        signs = prime_signs(beta, OmegaAssignment(master_seed=seed,
+                                                  prime_limit=limit))
+        masks |= (signs == 1).view(np.uint8) << np.uint8(k)
+    keep = masks != 0
+    primes, masks = primes[keep], masks[keep]
+    words = np.zeros(limit + 1, dtype=np.uint8)
+    for sel, at in _multiples(primes, limit):
+        words[sel] ^= masks[at]
+    return words

@@ -7,7 +7,9 @@ Memory budget at the supported maximum X = 10**8: mu, d(n) and the prime
 sieve at 1 byte per integer, plus 8 bytes per prime, about 0.35 GB (286 MiB
 ``VmHWM`` measured for one pass at 10**8, 25 MiB traced at 10**7).  The
 last limit's prime table stays cached and read-only for the process: 8 bytes
-per prime, about 46 MB at 10**8.
+per prime, about 46 MB at 10**8.  A campaign's lane pass adds one byte per
+integer of flip words: the sieve and an 8-seed lane pass at 10**8 peak at
+368 MiB ``VmHWM`` (the sieve and 2 seeds of the per-seed path: 429 MiB).
 """
 
 from __future__ import annotations
@@ -52,22 +54,25 @@ def _prime_table(limit: int) -> np.ndarray:
 
 
 def _multiples(primes: np.ndarray, limit: int) -> Iterator:
-    """Index sets that together select every multiple n <= limit of each of
-    the ascending ``primes`` exactly once.
+    """Pairs (index set, positions): the index sets together select every
+    multiple n <= limit of each of the ascending ``primes`` exactly once, and
+    ``primes[positions]`` are the primes whose multiples one set selects.
 
-    One slice per prime p <= isqrt(limit).  A larger prime q divides only
-    m*q with m <= limit // q <= isqrt(limit), so all of them go at once, as
-    one index array m * q per cofactor m.
+    One slice per prime p <= isqrt(limit), at its position.  A larger prime
+    q divides only m*q with m <= limit // q <= isqrt(limit), so all of them
+    go at once, as one index array m * q per cofactor m (for m = 1 the
+    slice of the primes itself, no copy).
     """
     split = int(np.searchsorted(primes, math.isqrt(limit), side="right"))
-    for p in primes[:split].tolist():
-        yield slice(p, limit + 1, p)
+    for at, p in enumerate(primes[:split].tolist()):
+        yield slice(p, limit + 1, p), at
     large = primes[split:]
     if len(large):
         cofactors = np.arange(1, limit // int(large[0]) + 1)
         cuts = np.searchsorted(large, limit // cofactors, side="right")
         for m, cut in zip(cofactors.tolist(), cuts.tolist()):
-            yield m * large[:cut]
+            yield (large[:cut] if m == 1 else m * large[:cut],
+                   slice(split, split + cut))
 
 
 def _sieve_mu_omega(limit: int) -> tuple[np.ndarray, np.ndarray]:
@@ -81,7 +86,7 @@ def _sieve_mu_omega(limit: int) -> tuple[np.ndarray, np.ndarray]:
             f"sieve limit {limit} outside supported range [1, {MAX_LIMIT}]")
     primes = primes_up_to(limit)
     omega = np.zeros(limit + 1, dtype=np.int8)
-    for sel in _multiples(primes, limit):
+    for sel, _ in _multiples(primes, limit):
         omega[sel] += 1
     mu = omega & np.int8(1)
     mu *= np.int8(-2)

@@ -1,8 +1,9 @@
 """Test-only oracles: a smallest-prime-factor table and trial factorization
 check the sieve by an independent route; ``TransformedOmega`` feeds the
 product-by-product identity oracle; ``fsum_weighted_sums`` is the term by
-term reference for the weighted checkpoint sums.  None of it is part of the
-package.
+term reference for the weighted checkpoint sums, and ``per_seed_counts`` the
+per-seed reference for the coupled lane kernel's exact counts.  None of it
+is part of the package.
 """
 
 import math
@@ -10,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from rmflab import (OmegaAssignment, build_sign_series,
+                    distinct_prime_counts, mobius_sieve)
 from rmflab.errors import ConfigurationError, RangeError
 from rmflab.iet import IetSpec, apply_T_power_numerators
 from rmflab.sieve import MAX_LIMIT
@@ -120,3 +123,26 @@ def fsum_weighted_sums(values: np.ndarray, omega_counts: np.ndarray,
         sums[i] = total
         prev = int(x)
     return sums
+
+
+def per_seed_counts(beta, limit: int, weighted: bool, seed: int,
+                    grid: np.ndarray) -> np.ndarray:
+    """C[i, k], one seed's exact sum of f_beta(n) over grid[i-1] < n <=
+    grid[i] with d(n) = k (every k 0 unless weighted), the per-seed way: its
+    own sign series, then one bincount of f(n) + 1 + 3 d(n) per segment."""
+    series = build_sign_series(
+        beta, OmegaAssignment(master_seed=seed, prime_limit=limit), limit,
+        mobius_sieve(limit))
+    code = series.values + np.int8(1)
+    kinds = 1
+    if weighted:
+        omega = distinct_prime_counts(limit)
+        code += 3 * omega
+        kinds = int(omega.max()) + 1
+    counts = np.zeros((len(grid), kinds), dtype=np.int64)
+    prev = 0
+    for i, x in enumerate(grid.tolist()):
+        tally = np.bincount(code[prev + 1: x + 1], minlength=3 * kinds)
+        counts[i] = tally[2::3] - tally[0::3]
+        prev = x
+    return counts

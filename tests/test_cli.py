@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 import subprocess
 import sys
 import tempfile
@@ -241,6 +242,22 @@ def test_zero_sums_fit_error_is_data_dependent(tmp_path):
     assert fails_only_on_zero_sums(cfg)
     with pytest.raises(FitError, match="only 2 nonzero"):
         run(cfg)
+
+
+@pytest.mark.parametrize("kind", ["growth", "campaign"])
+def test_fit_error_names_the_first_failing_seed(kind, tmp_path):
+    # the zero-sum case above for seeds 1 (two nonzero sums left) and 3
+    # (three), in the second flip word after nine seeds whose fits pass: the
+    # first failing seed in config order decides the message
+    passing = [0, 2, 5, 7, 13, 16, 17, 18, 21]
+    for late, message in (([1, 3], "only 2 nonzero"),
+                          ([3, 1], "only 3 nonzero")):
+        cfg = ExperimentConfig(kind=kind, beta="3/4", limit=60,
+                               window=[10, 32], seeds=passing + late,
+                               outdir=str(tmp_path / "r"))
+        with pytest.raises(FitError, match=re.escape(
+                f"{message} checkpoints in window (10, 32); need 5")):
+            run(cfg)
 
 
 @pytest.mark.parametrize("changes, needle", [

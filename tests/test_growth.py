@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import factor_summary, fsum_weighted_sums
+from oracles import (ISQRT_EDGE_LIMITS, factor_summary, fsum_weighted_sums,
+                     per_seed_counts)
 from rmflab import (CampaignConfig, DomainError, DyadicFraction, FitError,
                     OmegaAssignment, PreconditionError, RangeError,
                     abel_consistency, build_sign_series, checkpoint_grid,
@@ -16,8 +17,9 @@ from rmflab import (CampaignConfig, DomainError, DyadicFraction, FitError,
                     run_seed, selberg_delange_ratio, weighted_partial_sums)
 from rmflab.dirichlet import weight_factor
 from rmflab.dyadic import HALF, ONE
-from rmflab.growth import SumGrid, _median, _quantile, sieve_tables
-from rmflab.sieve import _prime_table, _sieve_mu_omega
+from rmflab.growth import (SumGrid, _coupled_counts, _median, _quantile,
+                           coupled_sums, sieve_tables)
+from rmflab.sieve import _prime_table, _sieve_mu_omega, primes_up_to
 
 B34 = DyadicFraction.from_fraction(3, 2)
 B78 = DyadicFraction.from_fraction(7, 3)
@@ -162,6 +164,22 @@ def test_sum_layer_peak_memory_at_1e7():
         assert peak < 16 * 2**20, peak / 2**20
 
 
+def test_lane_pass_peak_memory_at_1e7():
+    # one walk and one reduction for 4 seeds at beta 1/2, where nearly every
+    # prime is plus in some lane; the per-seed path peaked at 25.4 MiB traced
+    # per seed, the lane pass at 21.6 MiB (the omega hash's temporaries)
+    limit = 10**7
+    sieve_tables(limit, False)
+    primes_up_to(limit)  # the cached Mobius table may outlive the primes'
+    tracemalloc.start()
+    try:
+        coupled_sums(HALF, limit, False, (1, 2, 3, 4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20, peak / 2**20
+
+
 def test_sieve_peak_memory_at_1e7():
     # mu, d(n) and the prime sieve take 1 byte per integer and the primes 8
     # bytes each; the product-accumulator sieve peaked at 105 MiB.  A cold
@@ -280,3 +298,48 @@ def test_campaign_quantiles_match_numpy(alphas):
     for q in (0.10, 0.90):
         assert _quantile(xs, q) == np.quantile(alphas, q)
     assert _median(xs) == np.median(alphas)
+
+
+# 17 seeds; 0 and 2**64 - 1 are the ends of the seed range
+LANE_SEEDS = (0, *range(1, 16), 2**64 - 1)
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_counts(beta_numerator, limit, weighted, seed):
+    beta = DyadicFraction(beta_numerator)
+    return per_seed_counts(beta, limit, weighted, seed,
+                           checkpoint_grid(limit))
+
+
+@pytest.mark.parametrize("beta, weighted", [(HALF, False), (B34, False),
+                                            (ONE, False), (B78, True),
+                                            (B1516, True)])
+@pytest.mark.parametrize("limit", [x for x in ISQRT_EDGE_LIMITS if x >= 10])
+def test_lane_counts_match_per_seed_oracle(limit, beta, weighted):
+    # 1, 7, 8, 9 and 17 seeds: one lane, part of a word, a full word, and
+    # one and two seeds past a full word
+    for n in (1, 7, 8, 9, 17):
+        seeds = LANE_SEEDS[:n]
+        got = list(_coupled_counts(beta, limit, weighted, seeds))
+        assert len(got) == n
+        for seed, counts in zip(seeds, got):
+            want = oracle_counts(beta.numerator, limit, weighted, seed)
+            assert np.array_equal(counts, want), (n, seed)
+
+
+def test_lane_counts_follow_the_seeds():
+    seeds = LANE_SEEDS + (16,)
+    forward = list(_coupled_counts(B34, 10**4, False, seeds))
+    backward = list(_coupled_counts(B34, 10**4, False, seeds[::-1]))
+    assert all(np.array_equal(a, b) for a, b in zip(forward, backward[::-1]))
+    repeated = list(_coupled_counts(B34, 10**4, False, (5, 5, 9, 5)))
+    assert np.array_equal(repeated[0], repeated[1])
+    assert np.array_equal(repeated[0], repeated[3])
+    assert not np.array_equal(repeated[0], repeated[2])
+
+
+def test_campaign_matches_run_seed_across_lane_words():
+    cfg = CampaignConfig(beta_numerator=B34.numerator, limit=10**4,
+                         seeds=tuple(range(20, 31)), window=(10**2, 10**4))
+    report = monte_carlo_campaign(cfg)
+    assert report.per_seed == tuple(run_seed(cfg, s) for s in cfg.seeds)

@@ -10,7 +10,7 @@ from rmflab import (CoverageError, DomainError, DyadicFraction,
                     OmegaAssignment, PreconditionError, build_sign_series,
                     mobius_sieve, partial_sums, prime_signs)
 from rmflab.dyadic import HALF, ONE
-from rmflab.sampler import signs_from_numerators
+from rmflab.sampler import LANES, _lane_flips, signs_from_numerators
 
 
 def test_omega_deterministic():
@@ -122,6 +122,16 @@ def test_series_is_the_product_of_prime_signs(limit, beta, assignment_1e5,
                       dtype=np.int8)
     s = build_sign_series(beta, assignment_1e5, limit, mobius)
     assert s.values.tolist() == sign_products(beta.numerator)[: limit + 1]
+    # the same seed as lane 1 of a flip word: bit 1 negates the Mobius table
+    words = _lane_flips(beta, (7, assignment_1e5.master_seed), limit)
+    lane = mobius * (1 - 2 * (words >> 1 & 1).astype(np.int8))
+    assert lane.tolist() == s.values.tolist()
+
+
+def test_flip_words_hold_at_most_eight_seeds():
+    assert _lane_flips(HALF, tuple(range(LANES)), 100).dtype == np.uint8
+    with pytest.raises(PreconditionError, match="9 seeds"):
+        _lane_flips(HALF, tuple(range(LANES + 1)), 100)
 
 
 def test_series_prefix_property(mu_1e6, assignment_1e5):
