@@ -20,7 +20,6 @@ from .dirichlet import (WEIGHT_BETA_THRESHOLD, H_eval, euler_F, exp_form_F,
                         identity_residual, weight_factor, zeta_truncated)
 from .growth import (CampaignConfig, SumGrid, abel_consistency,
                      checkpoint_grid, fit_growth_exponent,
-                     monte_carlo_campaign, partial_sums, run_seed,
-                     selberg_delange_ratio, weighted_partial_sums)
+                     monte_carlo_campaign, selberg_delange_ratio)
 
 __version__ = "0.1.0"

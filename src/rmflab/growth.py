@@ -5,12 +5,13 @@ carry float weights (2*beta-1)**-d(n), at most (2*beta-1)**-8 ~ 9.99 at
 beta = 7/8 for X <= 10**8.  Both come from one kernel of exact signed counts
 per (checkpoint segment, d(n)); weighted sums round them once.
 
-Campaigns and the growth experiments take their seeds LANES (8) at a time
-(``coupled_sums``): one walk over the prime multiples writes a uint8 word
-per integer whose bit k is seed k's flip parity, and one bincount per block
-counts every lane.  At X = 10**7 a 4-seed lane pass at beta = 1/2 peaks at
-about 22 MiB traced, mostly the omega hash's temporaries (the per-seed path
-peaked at 25 MiB for each seed), and a test holds it below 24 MiB.
+``coupled_sums`` is the one way from seeds to checkpoint sums.  Campaigns
+and the growth experiments take their seeds LANES (8) at a time: one walk
+over the prime multiples writes a uint8 word per integer whose bit k is
+seed k's flip parity, and one bincount per block counts every lane.  At
+X = 10**7 a 4-seed lane pass at beta = 1/2 peaks at about 22 MiB traced,
+mostly the omega hash's temporaries (the per-seed path peaked at 25 MiB
+for each seed), and a test holds it below 24 MiB.
 
 Checkpoints live on a geometric grid with ratio 10**(1/8), so every power
 of ten is itself a checkpoint and log-log fits see evenly spaced abscissae.
@@ -20,14 +21,12 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from .dyadic import DyadicFraction
-from .errors import (CoverageError, DomainError, FitError, PreconditionError,
-                     RangeError)
+from .errors import DomainError, FitError, PreconditionError, RangeError
 from .sampler import LANES, SignSeries, _lane_flips
 from .sieve import _sieve_mu_omega, mobius_sieve
 from .dirichlet import weight_factor
@@ -101,15 +100,13 @@ _LANE_SIGNS = 1 - 2 * (np.arange(1 << LANES)[:, None] >> np.arange(LANES) & 1)
 
 
 def _segment_counts(mobius: np.ndarray, grid: np.ndarray,
-                    omega_counts: np.ndarray | None = None,
-                    flips: np.ndarray | None = None,
-                    lanes: int = 0) -> np.ndarray:
+                    omega_counts: np.ndarray | None, flips: np.ndarray,
+                    lanes: int) -> np.ndarray:
     """C[lane, i, k], the exact sum of the lane's f(n) over
     grid[i-1] < n <= grid[i] with d(n) = k (grid[-1] read as 0; without a
-    d(n) table every k is 0).
+    d(n) table, ``omega_counts`` None, every k is 0).
 
-    Lane k's f(n) is mobius[n] * (-1)**(bit k of flips[n]); with no flip
-    words (lanes = 0) the one lane is ``mobius`` itself.  Each block of at
+    Lane k's f(n) is mobius[n] * (-1)**(bit k of flips[n]).  Each block of at
     most _BLOCK integers in a segment is reduced by one bincount of the
     int16 code ((mobius[n] + 1) + 3*d(n)) << lanes | flips[n], built in
     place, so no full-length table is made; a fixed sign table decodes the
@@ -134,15 +131,13 @@ def _segment_counts(mobius: np.ndarray, grid: np.ndarray,
             np.add(mobius[lo:hi], 1, out=code)
             if omega_counts is not None:
                 code += 3 * omega_counts[lo:hi]
-            if lanes:
-                code <<= lanes
-                code |= flips[lo:hi]
+            code <<= lanes
+            code |= flips[lo:hi]
             tally = np.bincount(code, minlength=3 * kinds * patterns)
             tally = tally.reshape(kinds, 3, patterns)
             net[i] += tally[:, 2] - tally[:, 0]
         prev = x
-    signs = _LANE_SIGNS[:patterns, : max(lanes, 1)]
-    return (net @ signs).transpose(2, 0, 1)
+    return (net @ _LANE_SIGNS[:patterns, :lanes]).transpose(2, 0, 1)
 
 
 def _sums_from_counts(counts: np.ndarray, grid: np.ndarray,
@@ -168,25 +163,6 @@ def _sums_from_counts(counts: np.ndarray, grid: np.ndarray,
         total = math.fsum([total, segment])
         sums[i] = total
     return SumGrid(checkpoints=grid, sums=sums)
-
-
-def partial_sums(series: SignSeries, grid: np.ndarray) -> SumGrid:
-    """Exact integer sums S(x) = sum_{n <= x} f(n) at the grid checkpoints."""
-    grid = np.asarray(grid, dtype=np.int64)
-    return _sums_from_counts(_segment_counts(series.values, grid)[0], grid)
-
-
-def weighted_partial_sums(series: SignSeries, omega_counts: np.ndarray,
-                          grid: np.ndarray) -> SumGrid:
-    """Sums of (2*beta-1)**-d(n) * f_beta(n) at the checkpoints, with the
-    series' beta; ``omega_counts`` is the table d(n) (index = n).
-    """
-    w = weight_factor(series.beta)  # validates the beta threshold
-    if len(omega_counts) < series.limit + 1:
-        raise CoverageError("omega table shorter than series limit")
-    grid = np.asarray(grid, dtype=np.int64)
-    counts = _segment_counts(series.values, grid, omega_counts)
-    return _sums_from_counts(counts[0], grid, w)
 
 
 def fit_growth_exponent(sumgrid: SumGrid,
@@ -250,8 +226,8 @@ def abel_consistency(series: SignSeries, X: int, s: complex) -> float:
     s = complex(s)
     if s.real <= 0:
         raise DomainError(f"Re(s)={s.real} <= 0")
-    if X > series.limit:
-        raise RangeError(f"X={X} exceeds series limit {series.limit}")
+    if not 1 <= X <= series.limit:
+        raise RangeError(f"X={X} outside [1, {series.limit}]")
     n = np.arange(1, X + 1, dtype=np.float64)
     npow = np.exp(-s * np.log(n))
     f = series.values[1: X + 1].astype(np.float64)
@@ -321,41 +297,35 @@ def sieve_tables(limit: int, weighted: bool
                  ) -> tuple[np.ndarray, np.ndarray | None]:
     """mu(n), and d(n) when weighted, for 0 <= n <= limit, from one pass.
 
-    The last call is cached: all seeds and runs at one limit sieve once."""
+    The last call is cached: all seeds and runs at one limit sieve once,
+    and share the tables, so they are read-only."""
     if weighted:
-        return _sieve_mu_omega(limit)
-    return mobius_sieve(limit), None
-
-
-def _coupled_counts(beta: DyadicFraction, limit: int, weighted: bool,
-                    seeds) -> Iterator[np.ndarray]:
-    """Each seed's counts C[i, k] on checkpoint_grid(limit), in seed order:
-    one prime walk and one reduction per LANES seeds."""
-    mobius, omega_counts = sieve_tables(limit, weighted)
-    grid = checkpoint_grid(limit)
-    for at in range(0, len(seeds), LANES):
-        chunk = seeds[at: at + LANES]
-        yield from _segment_counts(mobius, grid, omega_counts,
-                                   _lane_flips(beta, chunk, limit), len(chunk))
+        mobius, omega_counts = _sieve_mu_omega(limit)
+        omega_counts.flags.writeable = False
+    else:
+        mobius, omega_counts = mobius_sieve(limit), None
+    mobius.flags.writeable = False
+    return mobius, omega_counts
 
 
 def coupled_sums(beta: DyadicFraction, limit: int, weighted: bool,
                  seeds) -> list[SumGrid]:
     """Every seed's checkpoint sums of f_beta, in seed order; the seeds
-    share each walk over the prime multiples, LANES at a time.
+    share each walk over the prime multiples and each reduction, LANES at a
+    time.
 
     Weighted sums weigh f_beta(n) by (2*beta-1)**-d(n).
     """
     w = weight_factor(beta) if weighted else None  # the weighted threshold
     grid = checkpoint_grid(limit)
-    return [_sums_from_counts(counts, grid, w)
-            for counts in _coupled_counts(beta, limit, weighted, seeds)]
-
-
-def seed_sums(beta: DyadicFraction, limit: int, weighted: bool,
-              seed: int) -> SumGrid:
-    """One seed's checkpoint sums: ``coupled_sums`` with a single lane."""
-    return coupled_sums(beta, limit, weighted, [seed])[0]
+    mobius, omega_counts = sieve_tables(limit, weighted)
+    sums = []
+    for at in range(0, len(seeds), LANES):
+        chunk = seeds[at: at + LANES]
+        counts = _segment_counts(mobius, grid, omega_counts,
+                                 _lane_flips(beta, chunk, limit), len(chunk))
+        sums += [_sums_from_counts(c, grid, w) for c in counts]
+    return sums
 
 
 def _seed_result(config: CampaignConfig, seed: int,
@@ -377,12 +347,6 @@ def _seed_result(config: CampaignConfig, seed: int,
                       points_dropped=fit.points_dropped,
                       terminal_ratio=terminal, ratio_decade=ratio_decade,
                       sign_stable=sign_stable)
-
-
-def run_seed(config: CampaignConfig, seed: int) -> SeedResult:
-    """The full single-seed pipeline: sample, sieve signs, sum, fit."""
-    return _seed_result(config, seed, seed_sums(
-        config.beta(), config.limit, config.weighted, seed))
 
 
 def _quantile(xs: list[float], q: float) -> float:

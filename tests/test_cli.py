@@ -16,8 +16,8 @@ from rmflab import (ConfigurationError, DomainError, FitError, LabError,
                     PreconditionError)
 from rmflab.cli import _RUNNERS, ExperimentConfig, main, parse_beta, run, \
     validate
-from rmflab.growth import (SumGrid, default_window, fit_growth_exponent,
-                           seed_sums)
+from rmflab.growth import (SumGrid, coupled_sums, default_window,
+                           fit_growth_exponent)
 from rmflab.sieve import MAX_LIMIT
 
 
@@ -150,8 +150,8 @@ def fails_only_on_zero_sums(config: ExperimentConfig) -> bool:
     """
     weighted = config.kind == "weighted-growth" or \
         (config.kind == "campaign" and config.weighted)
-    sums = seed_sums(config.beta_value(), config.limit, weighted,
-                     config.seeds[0])
+    sums = coupled_sums(config.beta_value(), config.limit, weighted,
+                        [config.seeds[0]])[0]
     window = config.window or default_window(config.limit)
     try:
         fit_growth_exponent(sums, window)

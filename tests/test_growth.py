@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import math
@@ -9,16 +10,18 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (ISQRT_EDGE_LIMITS, factor_summary, fsum_weighted_sums,
                      per_seed_counts)
+import rmflab.growth as growth
 from rmflab import (CampaignConfig, DomainError, DyadicFraction, FitError,
                     OmegaAssignment, PreconditionError, RangeError,
                     abel_consistency, build_sign_series, checkpoint_grid,
                     distinct_prime_counts, fit_growth_exponent,
-                    mobius_sieve, monte_carlo_campaign, partial_sums,
-                    run_seed, selberg_delange_ratio, weighted_partial_sums)
+                    mobius_sieve, monte_carlo_campaign, selberg_delange_ratio)
 from rmflab.dirichlet import weight_factor
 from rmflab.dyadic import HALF, ONE
-from rmflab.growth import (SumGrid, _coupled_counts, _median, _quantile,
-                           coupled_sums, sieve_tables)
+from rmflab.growth import (SumGrid, _median, _quantile, _seed_result,
+                           _segment_counts, _sums_from_counts, coupled_sums,
+                           sieve_tables)
+from rmflab.sampler import _lane_flips
 from rmflab.sieve import _prime_table, _sieve_mu_omega, primes_up_to
 
 B34 = DyadicFraction.from_fraction(3, 2)
@@ -39,36 +42,52 @@ def test_checkpoint_grid_hits_powers_of_ten():
     assert ratios.max() < 1.5  # ~ 10**(1/8) = 1.3335
 
 
+@functools.lru_cache(maxsize=None)
+def tables(limit):
+    """mu(n) and d(n) for n <= limit, sieved apart from ``sieve_tables``."""
+    return mobius_sieve(limit), distinct_prime_counts(limit)
+
+
+def one_lane_sums(beta, seed, limit, grid, weighted=False):
+    """One seed's sums at any ascending checkpoints in [0, limit]: the lane
+    kernel with a single lane, weighted by (2*beta-1)**-d(n) if asked."""
+    mobius, om = tables(limit)
+    grid = np.asarray(grid, dtype=np.int64)
+    counts = _segment_counts(mobius, grid, om if weighted else None,
+                             _lane_flips(beta, [seed], limit), 1)
+    w = weight_factor(beta) if weighted else None
+    return _sums_from_counts(counts[0], grid, w)
+
+
 def test_partial_sums_mobius(mu_1e6, assignment_1e5):
-    series = build_sign_series(ONE, assignment_1e5, 10**5, mu_1e6)
     grid = np.array([1, 10, 100, 1000])
-    sums = partial_sums(series, grid)
+    sums = one_lane_sums(ONE, assignment_1e5.master_seed, 10**5, grid)
     # Mertens values, independent brute force over mu
     mert = [int(np.sum(mu_1e6[1: x + 1])) for x in grid]
     assert sums.sums.tolist() == mert
     assert sums.sums[1] == -1  # S(10)
 
 
-def test_partial_sums_start_at_one(mu_1e6, assignment_1e5):
+def test_partial_sums_start_at_one(assignment_1e5):
     for beta in (HALF, B34, B78):
-        series = build_sign_series(beta, assignment_1e5, 10**5, mu_1e6)
-        assert partial_sums(series, np.array([1])).sums[0] == 1
+        sums = one_lane_sums(beta, assignment_1e5.master_seed, 10**5, [1])
+        assert sums.sums[0] == 1
 
 
 def test_partial_sums_segment_consistency(mu_1e6, assignment_1e5):
     series = build_sign_series(B34, assignment_1e5, 10**5, mu_1e6)
     grid = np.array([10, 20, 50, 100])
-    sums = partial_sums(series, grid)
+    sums = one_lane_sums(B34, assignment_1e5.master_seed, 10**5, grid)
     for i in range(1, len(grid)):
         seg = int(np.sum(series.values[grid[i - 1] + 1: grid[i] + 1]))
         assert sums.sums[i] - sums.sums[i - 1] == seg
 
 
 def test_weighted_sums_brute_force(mu_1e6, spf_1e5, assignment_1e5):
-    om = distinct_prime_counts(10**5)
     series = build_sign_series(B78, assignment_1e5, 10**5, mu_1e6)
     grid = np.array([10, 100])
-    sums = weighted_partial_sums(series, om, grid)
+    sums = one_lane_sums(B78, assignment_1e5.master_seed, 10**5, grid,
+                         weighted=True)
     for i, x in enumerate(grid):
         brute = math.fsum(
             (4 / 3) ** factor_summary(n, spf_1e5).d * int(series.values[n])
@@ -80,42 +99,43 @@ def test_weight_values():
     assert (4 / 3) ** 3 == pytest.approx(64 / 27)  # d(30) = 3 at beta = 7/8
 
 
-def test_weighted_sums_threshold(mu_1e6, assignment_1e5):
-    om = distinct_prime_counts(10**5)
-    series = build_sign_series(B34, assignment_1e5, 10**5, mu_1e6)
+def test_weighted_sums_threshold():
     with pytest.raises(PreconditionError):
-        weighted_partial_sums(series, om, np.array([10]))
+        coupled_sums(B34, 10**4, True, [1])
 
 
-def test_unit_weight_reduces_to_plain_sums(mu_1e6, assignment_1e5):
+def test_unit_weight_reduces_to_plain_sums(assignment_1e5):
     # with d(n) = 0 everywhere every weight is 1, which must reproduce the
     # exact integer sums
-    series = build_sign_series(B78, assignment_1e5, 10**5, mu_1e6)
+    mobius, _ = tables(10**5)
+    flips = _lane_flips(B78, [assignment_1e5.master_seed], 10**5)
     grid = checkpoint_grid(10**5)
     no_factors = np.zeros(10**5 + 1, dtype=np.int8)
-    wsums = weighted_partial_sums(series, no_factors, grid)
-    plain = partial_sums(series, grid)
+    counts = _segment_counts(mobius, grid, no_factors, flips, 1)[0]
+    wsums = _sums_from_counts(counts, grid, weight_factor(B78))
+    plain = one_lane_sums(B78, assignment_1e5.master_seed, 10**5, grid)
     assert np.array_equal(wsums.sums, plain.sums.astype(np.float64))
 
 
 @functools.lru_cache(maxsize=None)
 def series_1e5(seed, beta_numerator):
     """f_beta at X = 10**5 for one seed, with the d(n) table."""
+    mobius, om = tables(10**5)
     series = build_sign_series(
         DyadicFraction(beta_numerator),
-        OmegaAssignment(master_seed=seed, prime_limit=10**5), 10**5,
-        mobius_sieve(10**5))
-    return series, distinct_prime_counts(10**5)
+        OmegaAssignment(master_seed=seed, prime_limit=10**5), 10**5, mobius)
+    return series, om
 
 
 def assert_sums_match_references(seed, beta, grid):
-    """Weighted sums equal the term-by-term fsum oracle bit for bit, and
-    plain sums equal the full int64 prefix, on an ascending grid."""
+    """One lane's weighted sums equal the term-by-term fsum oracle bit for
+    bit, and its plain sums the full int64 prefix of the independently
+    built series, on an ascending grid."""
     series, om = series_1e5(seed, beta.numerator)
     want = fsum_weighted_sums(series.values, om, weight_factor(beta), grid)
-    got = weighted_partial_sums(series, om, grid)
+    got = one_lane_sums(beta, seed, 10**5, grid, weighted=True)
     assert got.sums.tobytes() == want.tobytes()
-    plain = partial_sums(series, grid)
+    plain = one_lane_sums(beta, seed, 10**5, grid)
     assert plain.sums.dtype == np.int64
     assert np.array_equal(plain.sums,
                           np.cumsum(series.values, dtype=np.int64)[grid])
@@ -139,22 +159,25 @@ def test_sums_match_references_on_drawn_grids(seed, beta, xs, repeats):
 
 @pytest.mark.parametrize("grid", [[10, 100, 50], [10, 10**5 + 1], [-1, 10]])
 def test_sums_reject_grids_out_of_order_or_range(grid):
-    series, om = series_1e5(1, B78.numerator)
-    with pytest.raises(RangeError):
-        partial_sums(series, np.array(grid))
-    with pytest.raises(RangeError):
-        weighted_partial_sums(series, om, np.array(grid))
+    mobius, om = tables(10**5)
+    flips = _lane_flips(B78, [1], 10**5)
+    for omega_counts in (None, om):
+        with pytest.raises(RangeError):
+            _segment_counts(mobius, np.array(grid), omega_counts, flips, 1)
 
 
 def test_sum_layer_peak_memory_at_1e7():
+    # one lane's reduction and sums, with its flip words built beforehand;
     # a full-length int64 prefix or float64 weighted array would be 76 MiB
     limit = 10**7
     mobius, om = sieve_tables(limit, True)
-    series = build_sign_series(
-        B78, OmegaAssignment(master_seed=1, prime_limit=limit), limit, mobius)
+    flips = _lane_flips(B78, [1], limit)
     grid = checkpoint_grid(limit)
-    for call in (lambda: partial_sums(series, grid),
-                 lambda: weighted_partial_sums(series, om, grid)):
+    w = weight_factor(B78)
+    for call in (lambda: _sums_from_counts(
+                     _segment_counts(mobius, grid, None, flips, 1)[0], grid),
+                 lambda: _sums_from_counts(
+                     _segment_counts(mobius, grid, om, flips, 1)[0], grid, w)):
         tracemalloc.start()
         try:
             call()
@@ -254,6 +277,13 @@ def test_abel_trivial_X1(mu_1e6, assignment_1e5):
     assert abel_consistency(series, 1, 1.5) == 0.0
 
 
+@pytest.mark.parametrize("X", [0, -3, 10**5 + 1])
+def test_abel_rejects_X_outside_the_series(X, mu_1e6, assignment_1e5):
+    series = build_sign_series(B34, assignment_1e5, 10**5, mu_1e6)
+    with pytest.raises(RangeError):
+        abel_consistency(series, X, 1.5)
+
+
 def test_abel_brute_force_small(mu_1e6, assignment_1e5):
     # independent term-by-term evaluation of both sides at X = 100
     series = build_sign_series(B34, assignment_1e5, 10**5, mu_1e6)
@@ -267,11 +297,13 @@ def test_abel_brute_force_small(mu_1e6, assignment_1e5):
     assert abel_consistency(series, X, s) < 1e-12
 
 
-def test_campaign_single_seed_matches_run_seed():
+def test_campaign_single_seed_matches_per_seed_oracle():
     cfg = CampaignConfig(beta_numerator=B34.numerator, limit=10**5,
                          seeds=(9,), window=(10**3, 10**5))
     report = monte_carlo_campaign(cfg)
-    single = run_seed(cfg, 9)
+    grid = checkpoint_grid(cfg.limit)
+    single = _seed_result(cfg, 9, _sums_from_counts(
+        per_seed_counts(B34, cfg.limit, False, 9, grid), grid))
     assert report.per_seed == (single,)
     assert report.alpha_median == single.alpha
 
@@ -311,6 +343,37 @@ def oracle_counts(beta_numerator, limit, weighted, seed):
                            checkpoint_grid(limit))
 
 
+def coupled_counts(beta, limit, weighted, seeds):
+    """Each seed's counts C[i, k] as ``coupled_sums`` reduces them, in seed
+    order, and its sums."""
+    seen = []
+    kernel = growth._segment_counts
+
+    def recording_kernel(*args):
+        counts = kernel(*args)
+        seen.extend(counts)
+        return counts
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(growth, "_segment_counts", recording_kernel)
+        sums = coupled_sums(beta, limit, weighted, seeds)
+    return seen, sums
+
+
+def assert_lanes_match_per_seed_oracle(beta, limit, weighted, seeds):
+    """Every lane's counts equal the per-seed oracle's, and its sums the
+    sums of those counts."""
+    got, sums = coupled_counts(beta, limit, weighted, seeds)
+    assert len(got) == len(sums) == len(seeds)
+    grid = checkpoint_grid(limit)
+    w = weight_factor(beta) if weighted else None
+    for seed, counts, lane_sums in zip(seeds, got, sums):
+        want = oracle_counts(beta.numerator, limit, weighted, seed)
+        assert np.array_equal(counts, want), (len(seeds), seed)
+        assert lane_sums.sums.tobytes() == \
+            _sums_from_counts(want, grid, w).sums.tobytes()
+
+
 @pytest.mark.parametrize("beta, weighted", [(HALF, False), (B34, False),
                                             (ONE, False), (B78, True),
                                             (B1516, True)])
@@ -319,27 +382,37 @@ def test_lane_counts_match_per_seed_oracle(limit, beta, weighted):
     # 1, 7, 8, 9 and 17 seeds: one lane, part of a word, a full word, and
     # one and two seeds past a full word
     for n in (1, 7, 8, 9, 17):
-        seeds = LANE_SEEDS[:n]
-        got = list(_coupled_counts(beta, limit, weighted, seeds))
-        assert len(got) == n
-        for seed, counts in zip(seeds, got):
-            want = oracle_counts(beta.numerator, limit, weighted, seed)
-            assert np.array_equal(counts, want), (n, seed)
+        assert_lanes_match_per_seed_oracle(beta, limit, weighted,
+                                           LANE_SEEDS[:n])
+
+
+@pytest.mark.parametrize("block, limit", [(1, 1000), (7, 10**4),
+                                          (4096, 10**5)])
+def test_lane_counts_across_blocks(monkeypatch, block, limit):
+    # checkpoint segments many blocks long, which the real 2**20-integer
+    # block reaches only beyond X ~ 4 * 10**6
+    monkeypatch.setattr(growth, "_BLOCK", block)
+    for beta, weighted in ((HALF, False), (B78, True)):
+        for n in (1, 8, 9):
+            assert_lanes_match_per_seed_oracle(beta, limit, weighted,
+                                               LANE_SEEDS[:n])
 
 
 def test_lane_counts_follow_the_seeds():
     seeds = LANE_SEEDS + (16,)
-    forward = list(_coupled_counts(B34, 10**4, False, seeds))
-    backward = list(_coupled_counts(B34, 10**4, False, seeds[::-1]))
+    forward, _ = coupled_counts(B34, 10**4, False, seeds)
+    backward, _ = coupled_counts(B34, 10**4, False, seeds[::-1])
     assert all(np.array_equal(a, b) for a, b in zip(forward, backward[::-1]))
-    repeated = list(_coupled_counts(B34, 10**4, False, (5, 5, 9, 5)))
+    repeated, _ = coupled_counts(B34, 10**4, False, (5, 5, 9, 5))
     assert np.array_equal(repeated[0], repeated[1])
     assert np.array_equal(repeated[0], repeated[3])
     assert not np.array_equal(repeated[0], repeated[2])
 
 
-def test_campaign_matches_run_seed_across_lane_words():
+def test_campaign_matches_one_seed_campaigns_across_lane_words():
     cfg = CampaignConfig(beta_numerator=B34.numerator, limit=10**4,
                          seeds=tuple(range(20, 31)), window=(10**2, 10**4))
     report = monte_carlo_campaign(cfg)
-    assert report.per_seed == tuple(run_seed(cfg, s) for s in cfg.seeds)
+    assert report.per_seed == tuple(
+        monte_carlo_campaign(dataclasses.replace(cfg, seeds=(s,))).per_seed[0]
+        for s in cfg.seeds)

@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 from oracles import ISQRT_EDGE_LIMITS
 from rmflab import (CoverageError, DomainError, DyadicFraction,
                     OmegaAssignment, PreconditionError, build_sign_series,
-                    mobius_sieve, partial_sums, prime_signs)
+                    mobius_sieve, prime_signs)
 from rmflab.dyadic import HALF, ONE
+from rmflab.growth import _segment_counts
 from rmflab.sampler import LANES, _lane_flips, signs_from_numerators
 
 
@@ -79,7 +80,9 @@ def test_prime_sign_mean_beta34(assignment_1e6):
 def test_beta_one_series_is_mobius(mu_1e6, assignment_1e6):
     series = build_sign_series(ONE, assignment_1e6, 10**6, mu_1e6)
     assert np.array_equal(series.values[1:], mu_1e6[1: 10**6 + 1])
-    assert partial_sums(series, np.array([10])).sums[0] == -1  # Mertens(10)
+    flips = _lane_flips(ONE, [assignment_1e6.master_seed], 10**6)
+    counts = _segment_counts(mu_1e6, np.array([10]), None, flips, 1)
+    assert counts[0, 0, 0] == -1  # Mertens(10)
 
 
 def test_series_multiplicativity_at_30(mu_1e6, assignment_1e5):
@@ -135,11 +138,13 @@ def test_flip_words_hold_at_most_eight_seeds():
 
 
 def test_series_prefix_property(mu_1e6, assignment_1e5):
+    # the one-lane kernel on a dense grid: every segment is one integer
     beta = DyadicFraction.from_fraction(3, 2)
     s = build_sign_series(beta, assignment_1e5, 10**5, mu_1e6)
-    sums = partial_sums(s, np.arange(1, 10**5 + 1)).sums
-    assert np.array_equal(np.diff(sums), s.values[2:])
-    assert sums[0] == 1
+    flips = _lane_flips(beta, [assignment_1e5.master_seed], 10**5)
+    grid = np.arange(1, 2001)
+    counts = _segment_counts(mu_1e6[: 10**5 + 1], grid, None, flips, 1)
+    assert np.array_equal(counts[0, :, 0], s.values[1:2001])
 
 
 def test_series_coverage_error(mu_1e6):

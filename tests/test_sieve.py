@@ -7,6 +7,7 @@ from oracles import ISQRT_EDGE_LIMITS, build_spf, factor_summary
 from rmflab import (ConfigurationError, OmegaAssignment, RangeError,
                     distinct_prime_counts, mobius_sieve, primes_up_to)
 from rmflab import sieve
+from rmflab.growth import sieve_tables
 
 
 def eratosthenes_oracle(limit):
@@ -90,6 +91,14 @@ def test_prime_table_is_read_only():
         primes_up_to(100)[0] = 4
     with pytest.raises(ValueError):
         OmegaAssignment(master_seed=1, prime_limit=10**4).primes[-1] = 4
+
+
+def test_sieve_tables_are_read_only():
+    # every later run at the same limit reads the cached tables
+    mobius, _ = sieve_tables(100, False)
+    for table in (mobius, *sieve_tables(100, True)):
+        with pytest.raises(ValueError):
+            table[6] = 0
 
 
 def test_prime_table_is_shared_at_one_limit(monkeypatch):
