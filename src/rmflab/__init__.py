@@ -12,8 +12,7 @@ from .dyadic import HALF, DyadicFraction, beta_for_level
 from .errors import (ConfigurationError, CoverageError, DomainError, FitError,
                      LabError, PreconditionError, RangeError)
 from .sieve import distinct_prime_counts, mobius_sieve, primes_up_to
-from .sampler import (OmegaAssignment, SignSeries, build_sign_series,
-                      prime_signs)
+from .sampler import OmegaAssignment, prime_signs
 from .iet import (IetSpec, apply_T, apply_T_power, apply_T_power_numerators,
                   interval_index)
 from .dirichlet import (WEIGHT_BETA_THRESHOLD, H_eval, euler_F, exp_form_F,

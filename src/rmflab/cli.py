@@ -35,7 +35,7 @@ from .growth import (MIN_FIT_POINTS, CampaignConfig, abel_consistency,
                      fit_growth_exponent, monte_carlo_campaign,
                      selberg_delange_ratio, sieve_tables)
 from .iet import IetSpec, apply_T_power_numerators
-from .sampler import OmegaAssignment, build_sign_series
+from .sampler import OmegaAssignment, _lane_flips
 from .sieve import MAX_LIMIT
 
 KINDS = ("identity", "iet-test", "growth", "weighted-growth", "exp-form",
@@ -296,9 +296,11 @@ def _exp_form_at(config, beta, assignment):
 
 
 def _abel_at(config, beta, assignment):
+    # one seed's f_beta: the Mobius table negated where lane 0's word is odd
     mobius, _ = sieve_tables(config.limit, False)
-    series = build_sign_series(beta, assignment, config.limit, mobius)
-    return lambda s: [abel_consistency(series, config.limit, s)]
+    words = _lane_flips(beta, [assignment.master_seed], config.limit)
+    values = np.where(words & 1, -mobius, mobius)
+    return lambda s: [abel_consistency(values, config.limit, s)]
 
 
 def _h_scan_at(config, beta, assignment):

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dyadic import HALF, DyadicFraction, beta_for_level
-from .errors import DomainError, PreconditionError
+from .errors import CoverageError, DomainError, PreconditionError
 from .iet import IetSpec, apply_T_power_numerators
 from .sampler import prime_signs, signs_from_numerators
 
@@ -71,14 +71,22 @@ def _log_product(primes: np.ndarray, coeffs: np.ndarray,
     return EulerEvaluation(log_value=log_value, value=cmath.exp(log_value))
 
 
+def _primes_to(assignment, P: int) -> np.ndarray:
+    """The assignment's primes <= P; it must cover them all."""
+    if assignment.prime_limit < P:
+        raise CoverageError(
+            f"assignment covers primes <= {assignment.prime_limit} < P={P}")
+    primes = assignment.primes
+    return primes[: np.searchsorted(primes, P, side="right")]
+
+
 def euler_F(beta: DyadicFraction, assignment, P: int,
             s: complex) -> EulerEvaluation:
     """Truncated product of (1 + f_beta(p) * p**-s) over p <= P."""
     s = complex(s)
     if s.real <= 0:
         raise DomainError(f"Re(s)={s.real} <= 0")
-    primes = assignment.primes
-    primes = primes[primes <= P]
+    primes = _primes_to(assignment, P)
     signs = prime_signs(beta, assignment, primes)
     return _log_product(primes, signs, s)
 
@@ -164,8 +172,7 @@ def identity_residual(level: int, assignment, P: int, s: complex,
         raise DomainError(f"s={s}: needs Re(s) > 0 and finite")
     spec = IetSpec(level)
     beta = beta_for_level(level)
-    primes = assignment.primes
-    primes = primes[: np.searchsorted(primes, P, side="right")]
+    primes = _primes_to(assignment, P)
     nums = assignment.numerators(primes)
     log_minus, log_plus = _log_factor_tables(primes, s)
     base_re = _exact_partials(log_minus.real)
@@ -204,8 +211,7 @@ def exp_form_F(beta: DyadicFraction, assignment, P: int,
     s = complex(s)
     if s.real <= 0.5:
         raise DomainError(f"tail series needs Re(s) > 1/2, got {s.real}")
-    primes = assignment.primes
-    primes = primes[primes <= P]
+    primes = _primes_to(assignment, P)
     signs = prime_signs(beta, assignment, primes).astype(np.float64)
     z = signs * _prime_powers(primes, s)
     prime_sum = _fsum_complex(z)
@@ -242,8 +248,7 @@ def weighted_euler_G(beta: DyadicFraction, assignment, P: int,
     if s.real <= 0.5:
         raise DomainError(f"weighted product needs Re(s) > 1/2, got {s.real}")
     w = weight_factor(beta)
-    primes = assignment.primes
-    primes = primes[primes <= P]
+    primes = _primes_to(assignment, P)
     signs = prime_signs(beta, assignment, primes).astype(np.float64)
     return _log_product(primes, w * signs, s)
 
@@ -252,7 +257,6 @@ def H_eval(beta: DyadicFraction, assignment, P: int, s: complex
            ) -> EulerEvaluation:
     """H = G * zeta on the shared truncated prime set, combined in log space."""
     g = weighted_euler_G(beta, assignment, P, s)
-    primes = assignment.primes
-    z = zeta_truncated(P, complex(s), primes[primes <= P])
+    z = zeta_truncated(P, complex(s), _primes_to(assignment, P))
     log_value = g.log_value + z.log_value
     return EulerEvaluation(log_value=log_value, value=cmath.exp(log_value))

@@ -10,8 +10,7 @@ and the growth experiments take their seeds LANES (8) at a time: one walk
 over the prime multiples writes a uint8 word per integer whose bit k is
 seed k's flip parity, and one bincount per block counts every lane.  At
 X = 10**7 a 4-seed lane pass at beta = 1/2 peaks at about 22 MiB traced,
-mostly the omega hash's temporaries (the per-seed path peaked at 25 MiB
-for each seed), and a test holds it below 24 MiB.
+mostly the omega hash's temporaries, and a test holds it below 24 MiB.
 
 Checkpoints live on a geometric grid with ratio 10**(1/8), so every power
 of ten is itself a checkpoint and log-log fits see evenly spaced abscissae.
@@ -27,7 +26,7 @@ import numpy as np
 
 from .dyadic import DyadicFraction
 from .errors import DomainError, FitError, PreconditionError, RangeError
-from .sampler import LANES, SignSeries, _lane_flips
+from .sampler import LANES, _lane_flips
 from .sieve import _sieve_mu_omega, mobius_sieve
 from .dirichlet import weight_factor
 
@@ -216,8 +215,9 @@ def selberg_delange_ratio(beta: DyadicFraction,
                               sign_stable=sign_stable)
 
 
-def abel_consistency(series: SignSeries, X: int, s: complex) -> float:
-    """Residual of the finite Abel summation identity at s.
+def abel_consistency(values: np.ndarray, X: int, s: complex) -> float:
+    """Residual of the finite Abel summation identity at s, for the series
+    f(n) = values[n] (int8, index 0 unused).
 
     Compares sum_{n<=X} f(n) n**-s against
     S(X) X**-s + sum_{m<X} S(m) (m**-s - (m+1)**-s); the identity is exact,
@@ -226,14 +226,14 @@ def abel_consistency(series: SignSeries, X: int, s: complex) -> float:
     s = complex(s)
     if s.real <= 0:
         raise DomainError(f"Re(s)={s.real} <= 0")
-    if not 1 <= X <= series.limit:
-        raise RangeError(f"X={X} outside [1, {series.limit}]")
+    if not 1 <= X <= len(values) - 1:
+        raise RangeError(f"X={X} outside [1, {len(values) - 1}]")
     n = np.arange(1, X + 1, dtype=np.float64)
     npow = np.exp(-s * np.log(n))
-    f = series.values[1: X + 1].astype(np.float64)
+    f = values[1: X + 1].astype(np.float64)
     lhs = f * npow
     lhs_sum = complex(math.fsum(lhs.real), math.fsum(lhs.imag))
-    S = np.cumsum(series.values[1: X + 1],
+    S = np.cumsum(values[1: X + 1],
                   dtype=np.int64).astype(np.float64)  # S(1)..S(X)
     boundary = S[-1] * npow[-1]
     steps = S[:-1] * (npow[:-1] - np.exp(-s * np.log(n[1:])))

@@ -10,9 +10,9 @@ The sign convention is right-open: -1 on [0, beta), +1 on [beta, 1).  On the
 2**64-point dyadic grid this makes P(-1) = beta exact, and it differs from
 the closed-interval convention only at grid endpoints (a measure-zero set).
 
-``build_sign_series`` realizes one seed's f_beta; ``_lane_flips`` realizes
-up to LANES seeds at once, as one flip word per integer over the Mobius
-table.
+``_lane_flips`` realizes f_beta for up to LANES seeds at once, as one flip
+word per integer over the Mobius table; every pipeline reads its series
+from those words.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dyadic import HALF, DyadicFraction
-from .errors import CoverageError, DomainError, PreconditionError
+from .errors import DomainError, PreconditionError
 from .sieve import _multiples, primes_up_to
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -92,38 +92,6 @@ def signs_from_numerators(beta: DyadicFraction,
         return np.full(len(nums), -1, dtype=np.int8)
     return np.where(nums < np.uint64(beta.numerator),
                     np.int8(-1), np.int8(1))
-
-
-@dataclass(frozen=True)
-class SignSeries:
-    """f_beta(n) for n <= limit."""
-
-    beta: DyadicFraction
-    limit: int
-    values: np.ndarray  # int8, index 0..limit, values[0] = 0, values[1] = 1
-
-
-def build_sign_series(beta: DyadicFraction, assignment: OmegaAssignment,
-                      limit: int, mobius: np.ndarray) -> SignSeries:
-    """Extend the prime signs multiplicatively over the squarefree integers.
-
-    On squarefree n, f(n) = mu(n) * (-1)^#{p | n : sign(p) = +1}; elsewhere 0.
-    Starting from the Mobius table and flipping the multiples of each
-    plus-signed prime realizes exactly that, since non-squarefree entries
-    stay zero under sign flips.
-    """
-    if assignment.prime_limit < limit:
-        raise CoverageError(
-            f"assignment covers primes <= {assignment.prime_limit} < {limit}")
-    if len(mobius) < limit + 1:
-        raise CoverageError(f"mobius table shorter than limit {limit}")
-    primes = assignment.primes
-    primes = primes[primes <= limit]
-    signs = prime_signs(beta, assignment, primes)
-    values = mobius[: limit + 1].astype(np.int8, copy=True)
-    for sel, _ in _multiples(primes[signs == 1], limit):
-        values[sel] *= np.int8(-1)
-    return SignSeries(beta=beta, limit=limit, values=values)
 
 
 def _lane_flips(beta: DyadicFraction, seeds, limit: int) -> np.ndarray:

@@ -9,7 +9,7 @@ sieve at 1 byte per integer, plus 8 bytes per prime, about 0.35 GB (286 MiB
 last limit's prime table stays cached and read-only for the process: 8 bytes
 per prime, about 46 MB at 10**8.  A campaign's lane pass adds one byte per
 integer of flip words: the sieve and an 8-seed lane pass at 10**8 peak at
-368 MiB ``VmHWM`` (the sieve and 2 seeds of the per-seed path: 429 MiB).
+368 MiB ``VmHWM``.
 """
 
 from __future__ import annotations

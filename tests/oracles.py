@@ -1,9 +1,11 @@
 """Test-only oracles: a smallest-prime-factor table and trial factorization
-check the sieve by an independent route; ``TransformedOmega`` feeds the
-product-by-product identity oracle; ``fsum_weighted_sums`` is the term by
-term reference for the weighted checkpoint sums, and ``per_seed_counts`` the
-per-seed reference for the coupled lane kernel's exact counts.  None of it
-is part of the package.
+check the sieve by an independent route; ``build_sign_series`` realizes one
+seed's f_beta by its own walk over the plus-signed primes, the reference for
+the package's lane words; ``TransformedOmega`` feeds the product-by-product
+identity oracle; ``fsum_weighted_sums`` is the term by term reference for
+the weighted checkpoint sums, and ``per_seed_counts`` the per-seed reference
+for the coupled lane kernel's exact counts.  None of it is part of the
+package.
 """
 
 import math
@@ -11,11 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rmflab import (OmegaAssignment, build_sign_series,
-                    distinct_prime_counts, mobius_sieve)
-from rmflab.errors import ConfigurationError, RangeError
+from rmflab import (DyadicFraction, OmegaAssignment, distinct_prime_counts,
+                    mobius_sieve, prime_signs)
+from rmflab.errors import ConfigurationError, CoverageError, RangeError
 from rmflab.iet import IetSpec, apply_T_power_numerators
-from rmflab.sieve import MAX_LIMIT
+from rmflab.sieve import MAX_LIMIT, _multiples
 
 
 # p*p - 1, p*p and p*p + 1 move isqrt(limit), and with it whether a prime
@@ -92,9 +94,42 @@ def factor_summary(n: int, table: SpfTable) -> FactorSummary:
 
 
 @dataclass(frozen=True)
+class SignSeries:
+    """f_beta(n) for n <= limit."""
+
+    beta: DyadicFraction
+    limit: int
+    values: np.ndarray  # int8, index 0..limit, values[0] = 0, values[1] = 1
+
+
+def build_sign_series(beta: DyadicFraction, assignment: OmegaAssignment,
+                      limit: int, mobius: np.ndarray) -> SignSeries:
+    """Extend the prime signs multiplicatively over the squarefree integers.
+
+    On squarefree n, f(n) = mu(n) * (-1)^#{p | n : sign(p) = +1}; elsewhere 0.
+    Starting from the Mobius table and flipping the multiples of each
+    plus-signed prime realizes exactly that, since non-squarefree entries
+    stay zero under sign flips.
+    """
+    if assignment.prime_limit < limit:
+        raise CoverageError(
+            f"assignment covers primes <= {assignment.prime_limit} < {limit}")
+    if len(mobius) < limit + 1:
+        raise CoverageError(f"mobius table shorter than limit {limit}")
+    primes = assignment.primes
+    primes = primes[primes <= limit]
+    signs = prime_signs(beta, assignment, primes)
+    values = mobius[: limit + 1].astype(np.int8, copy=True)
+    for sel, _ in _multiples(primes[signs == 1], limit):
+        values[sel] *= np.int8(-1)
+    return SignSeries(beta=beta, limit=limit, values=values)
+
+
+@dataclass(frozen=True)
 class TransformedOmega:
-    """The view (T^k omega)_p of an omega assignment, with its ``primes``
-    and ``numerators``, so samplers and Euler products accept either."""
+    """The view (T^k omega)_p of an omega assignment, with its
+    ``prime_limit``, ``primes`` and ``numerators``, so samplers and Euler
+    products accept either."""
 
     base: object  # OmegaAssignment or another TransformedOmega
     spec: IetSpec
@@ -103,6 +138,10 @@ class TransformedOmega:
     @property
     def primes(self) -> np.ndarray:
         return self.base.primes
+
+    @property
+    def prime_limit(self) -> int:
+        return self.base.prime_limit
 
     def numerators(self, primes: np.ndarray | None = None) -> np.ndarray:
         return apply_T_power_numerators(

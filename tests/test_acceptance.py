@@ -11,13 +11,15 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+from oracles import build_sign_series
 from rmflab import (CampaignConfig, DyadicFraction, IetSpec, OmegaAssignment,
                     SumGrid, abel_consistency, apply_T_power_numerators,
-                    build_sign_series, checkpoint_grid,
-                    distinct_prime_counts, fit_growth_exponent,
-                    identity_residual, mobius_sieve, monte_carlo_campaign,
-                    euler_F, exp_form_F, prime_signs, weight_factor)
+                    checkpoint_grid, distinct_prime_counts,
+                    fit_growth_exponent, identity_residual, mobius_sieve,
+                    monte_carlo_campaign, euler_F, exp_form_F, prime_signs,
+                    weight_factor)
 from rmflab.dyadic import HALF, ONE
+from rmflab.sampler import _lane_flips
 
 B34 = DyadicFraction.from_fraction(3, 2)
 B78 = DyadicFraction.from_fraction(7, 3)
@@ -28,6 +30,14 @@ LIMIT = 10**7
 
 def report(criterion: str, ok: bool, detail: str) -> None:
     print(f"[{criterion}] {'PASS' if ok else 'FAIL'}: {detail}")
+
+
+def lane_series(beta: DyadicFraction, seed: int,
+                mobius: np.ndarray) -> np.ndarray:
+    """One seed's f_beta(n), n <= len(mobius) - 1, as the program realizes
+    it: the Mobius table negated where lane 0 of the flip words is odd."""
+    words = _lane_flips(beta, [seed], len(mobius) - 1)
+    return np.where(words & 1, -mobius, mobius)
 
 
 @pytest.fixture(scope="module")
@@ -106,9 +116,8 @@ def test_criterion_03_measure_preservation():
 
 def test_criterion_04_mobius_degeneration():
     mu = mobius_sieve(10**6)
-    assignment = OmegaAssignment(master_seed=42, prime_limit=10**6)
-    series = build_sign_series(ONE, assignment, 10**6, mu)
-    ok = bool(np.array_equal(series.values[1:], mu[1:]))
+    series = lane_series(ONE, 42, mu)
+    ok = bool(np.array_equal(series[1:], mu[1:]))
     report("criterion 04 Mobius degeneration", ok,
            "beta=1 series equals mu exactly up to 10^6")
     assert ok
@@ -132,10 +141,9 @@ def test_criterion_05_prime_sign_statistics():
 
 def test_criterion_06_abel_consistency():
     mu = mobius_sieve(10**5)
-    assignment = OmegaAssignment(master_seed=42, prime_limit=10**5)
     worst = 0.0
     for beta in (HALF, B34):
-        series = build_sign_series(beta, assignment, 10**5, mu)
+        series = lane_series(beta, 42, mu)
         for s in (1.5, 2.0, 1.2 + 5j):
             worst = max(worst, abel_consistency(series, 10**5, s))
     ok = worst < 1e-10

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import TransformedOmega
-from rmflab import (DomainError, DyadicFraction, H_eval, IetSpec,
-                    OmegaAssignment, PreconditionError, WEIGHT_BETA_THRESHOLD,
-                    beta_for_level, euler_F, exp_form_F, identity_residual,
-                    prime_signs, primes_up_to, weight_factor, zeta_truncated)
+from rmflab import (CoverageError, DomainError, DyadicFraction, H_eval,
+                    IetSpec, OmegaAssignment, PreconditionError,
+                    WEIGHT_BETA_THRESHOLD, beta_for_level, euler_F, exp_form_F,
+                    identity_residual, prime_signs, primes_up_to,
+                    weight_factor, zeta_truncated)
 from rmflab import dirichlet
 from rmflab.dirichlet import weighted_euler_G
 from rmflab.dyadic import HALF, ONE
@@ -115,6 +116,28 @@ def test_identity_residual_domain():
         identity_residual(1, a, 10**3, 0.9)
     # still computable outside the stated domain when asked to
     assert identity_residual(1, a, 10**3, 0.9, strict_domain=False) < 1e-10
+
+
+# every product over p <= P, as a function of (assignment, P)
+PRODUCTS_TO_P = {
+    "euler_F": lambda a, P: euler_F(B78, a, P, 2),
+    "exp_form_F": lambda a, P: exp_form_F(B78, a, P, 2),
+    "weighted_euler_G": lambda a, P: weighted_euler_G(B78, a, P, 2),
+    "H_eval": lambda a, P: H_eval(B78, a, P, 2),
+    "identity_residual": lambda a, P: identity_residual(1, a, P, 2),
+}
+
+
+@pytest.mark.parametrize("name", PRODUCTS_TO_P)
+def test_products_reject_P_beyond_the_assignment(name):
+    # fewer primes than P asks for would silently truncate the product
+    product = PRODUCTS_TO_P[name]
+    a = OmegaAssignment(master_seed=1, prime_limit=10**3)
+    for omega in (a, TransformedOmega(a, IetSpec(1), 1)):
+        product(omega, 10**3)
+        for P in (10**3 + 1, 10**4):
+            with pytest.raises(CoverageError):
+                product(omega, P)
 
 
 def identity_residual_oracle(level, assignment, P, s):

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import ISQRT_EDGE_LIMITS
+from oracles import ISQRT_EDGE_LIMITS, build_sign_series
 from rmflab import (CoverageError, DomainError, DyadicFraction,
-                    OmegaAssignment, PreconditionError, build_sign_series,
-                    mobius_sieve, prime_signs)
+                    OmegaAssignment, PreconditionError, mobius_sieve,
+                    prime_signs)
 from rmflab.dyadic import HALF, ONE
 from rmflab.growth import _segment_counts
 from rmflab.sampler import LANES, _lane_flips, signs_from_numerators
