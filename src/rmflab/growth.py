@@ -9,8 +9,10 @@ per (checkpoint segment, d(n)); weighted sums round them once.
 and the growth experiments take their seeds LANES (8) at a time: one walk
 over the prime multiples writes a uint8 word per integer whose bit k is
 seed k's flip parity, and one bincount per block counts every lane.  At
-X = 10**7 a 4-seed lane pass at beta = 1/2 peaks at about 22 MiB traced,
-mostly the omega hash's temporaries, and a test holds it below 24 MiB.
+X = 10**7 a 4-seed lane pass at beta = 1/2 peaks at about 21 MiB traced,
+set by the walk: the 10 MB of words, the 8-byte copy of the kept primes
+and the index array of the large primes' first cofactors (the blocked
+hash peaks at 6 MiB).  A test holds it below 24 MiB.
 
 Checkpoints live on a geometric grid with ratio 10**(1/8), so every power
 of ten is itself a checkpoint and log-log fits see evenly spaced abscissae.
@@ -19,6 +21,7 @@ of ten is itself a checkpoint and log-log fits see evenly spaced abscissae.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, asdict
 
@@ -91,8 +94,9 @@ class SelbergDelangeStat:
     sign_stable: bool  # R > 0 at every checkpoint in the final decade
 
 
-# Integers per bincount: it copies its int16 input to intp, 8 MiB per block.
-_BLOCK = 2**20
+# Integers per bincount: it copies its int16 input to intp, 512 KiB per
+# block, so the copy and the 128 KiB code block stay within L2.
+_BLOCK = 2**16
 
 # word pattern x lane -> +-1: lane k of pattern w reads (-1)**(bit k of w)
 _LANE_SIGNS = 1 - 2 * (np.arange(1 << LANES)[:, None] >> np.arange(LANES) & 1)
@@ -215,29 +219,59 @@ def selberg_delange_ratio(beta: DyadicFraction,
                               sign_stable=sign_stable)
 
 
+# Integers per block of abel_consistency's terms: under 128 bytes of arrays
+# each, at most 8 MiB per block
+_ABEL_BLOCK = 2**16
+
+
+def _abel_terms(values: np.ndarray, X: int, s: complex, steps: bool):
+    """The terms of the Abel summation identity, _ABEL_BLOCK integers at a
+    time: f(n) n**-s for 1 <= n <= X, or with ``steps``
+    S(m) (m**-s - (m+1)**-s) for 1 <= m < X, where S is carried across the
+    blocks as int64."""
+    S = 0
+    for lo in range(1, X + 1, _ABEL_BLOCK):
+        hi = min(lo + _ABEL_BLOCK, X + 1)
+        # n**-s for the block's n and the one after it, up to X
+        n = np.arange(lo, min(hi + 1, X + 1), dtype=np.float64)
+        npow = np.exp(-s * np.log(n))
+        if steps:
+            partial = np.cumsum(values[lo:hi], dtype=np.int64)
+            partial += S
+            S = int(partial[-1])
+            yield (partial[: len(n) - 1].astype(np.float64)
+                   * (npow[:-1] - npow[1:]))
+        else:
+            yield values[lo:hi].astype(np.float64) * npow[: hi - lo]
+
+
 def abel_consistency(values: np.ndarray, X: int, s: complex) -> float:
     """Residual of the finite Abel summation identity at s, for the series
     f(n) = values[n] (int8, index 0 unused).
 
     Compares sum_{n<=X} f(n) n**-s against
     S(X) X**-s + sum_{m<X} S(m) (m**-s - (m+1)**-s); the identity is exact,
-    so the residual measures only floating-point noise.
+    so the residual measures only floating-point noise.  Each real and
+    imaginary sum is one fsum over its terms, block after block, so the
+    memory stays within a few blocks at any X; fsum is correctly rounded,
+    so the blocks do not change the result.
     """
     s = complex(s)
     if s.real <= 0:
         raise DomainError(f"Re(s)={s.real} <= 0")
     if not 1 <= X <= len(values) - 1:
         raise RangeError(f"X={X} outside [1, {len(values) - 1}]")
-    n = np.arange(1, X + 1, dtype=np.float64)
-    npow = np.exp(-s * np.log(n))
-    f = values[1: X + 1].astype(np.float64)
-    lhs = f * npow
-    lhs_sum = complex(math.fsum(lhs.real), math.fsum(lhs.imag))
-    S = np.cumsum(values[1: X + 1],
-                  dtype=np.int64).astype(np.float64)  # S(1)..S(X)
-    boundary = S[-1] * npow[-1]
-    steps = S[:-1] * (npow[:-1] - np.exp(-s * np.log(n[1:])))
-    rhs = boundary + complex(math.fsum(steps.real), math.fsum(steps.imag))
+
+    def fsum(part: str, steps: bool) -> float:
+        # a memoryview hands fsum one float at a time, with no list per block
+        return math.fsum(itertools.chain.from_iterable(
+            memoryview(getattr(terms, part))
+            for terms in _abel_terms(values, X, s, steps)))
+
+    lhs_sum = complex(fsum("real", False), fsum("imag", False))
+    S_X = np.float64(values[1: X + 1].sum(dtype=np.int64))
+    boundary = S_X * np.exp(-s * np.log(np.array([X], dtype=np.float64)))[0]
+    rhs = boundary + complex(fsum("real", True), fsum("imag", True))
     return abs(lhs_sum - rhs)
 
 

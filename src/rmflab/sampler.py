@@ -23,7 +23,7 @@ import numpy as np
 
 from .dyadic import HALF, DyadicFraction
 from .errors import DomainError, PreconditionError
-from .sieve import _multiples, primes_up_to
+from .sieve import _walk, primes_up_to
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -32,12 +32,19 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 LANES = 8  # seeds per flip word: bit k of a uint8 belongs to seeds[k]
 
 
-def splitmix64(x: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer applied elementwise to a uint64 array."""
-    z = x + _GOLDEN
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
+# Ranks hashed per block: 512 KiB of uint64 per scratch array, within L2
+_HASH_BLOCK = 2**16
+
+
+def _prefix(primes: np.ndarray | None, covered: np.ndarray) -> np.ndarray:
+    """``primes``, checked to be a prefix of ``covered`` (default: all of
+    ``covered``)."""
+    if primes is None:
+        return covered
+    if not np.array_equal(primes, covered[: len(primes)]):
+        raise DomainError(f"not a prefix of the covered primes: "
+                          f"{np.asarray(primes)[:5].tolist()}")
+    return primes
 
 
 @dataclass(frozen=True)
@@ -64,24 +71,41 @@ class OmegaAssignment:
         all of them).
 
         Each prime's value comes from an independent counter position
-        (its rank), so streams never overlap within one seed.
+        (its rank), so streams never overlap within one seed: the SplitMix64
+        output at seed + golden * (rank + 1), mod 2**64.  It is computed in
+        place in the result, _HASH_BLOCK ranks at a time, with one scratch
+        array for the shifts.
         """
-        if primes is None:
-            primes = self._primes
-        elif not np.array_equal(primes, self._primes[: len(primes)]):
-            raise DomainError(f"not a prefix of the covered primes: "
-                              f"{np.asarray(primes)[:5].tolist()}")
-        ranks = np.arange(len(primes), dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            seeded = splitmix64(np.uint64(self.master_seed) + _GOLDEN * ranks)
-        return seeded
+        count = len(_prefix(primes, self._primes))
+        out = np.empty(count, dtype=np.uint64)
+        offsets = np.arange(min(_HASH_BLOCK, count), dtype=np.uint64)
+        offsets *= _GOLDEN  # golden * j for the j-th rank of a block
+        shifted = np.empty_like(offsets)
+        for lo in range(0, count, _HASH_BLOCK):
+            z = out[lo: lo + _HASH_BLOCK]
+            tmp = shifted[: len(z)]
+            start = (self.master_seed + int(_GOLDEN) * (lo + 1)) % 2**64
+            np.add(offsets[: len(z)], np.uint64(start), out=z)
+            np.right_shift(z, np.uint64(30), out=tmp)
+            z ^= tmp
+            z *= _MIX1
+            np.right_shift(z, np.uint64(27), out=tmp)
+            z ^= tmp
+            z *= _MIX2
+            np.right_shift(z, np.uint64(31), out=tmp)
+            z ^= tmp
+        return out
 
 
 def prime_signs(beta: DyadicFraction, assignment: OmegaAssignment,
                 primes: np.ndarray | None = None) -> np.ndarray:
-    """Vector of signs at the given primes, int8."""
+    """Vector of signs at the given primes, int8; at beta = 1 every sign is
+    -1, so nothing is hashed."""
     if not HALF <= beta:
         raise PreconditionError(f"beta={float(beta)} below 1/2")
+    if beta.is_one:
+        return np.full(len(_prefix(primes, assignment.primes)), -1,
+                       dtype=np.int8)
     return signs_from_numerators(beta, assignment.numerators(primes))
 
 
@@ -90,8 +114,10 @@ def signs_from_numerators(beta: DyadicFraction,
     """-1 where omega_p < beta else +1, on already hashed numerators; int8."""
     if beta.is_one:
         return np.full(len(nums), -1, dtype=np.int8)
-    return np.where(nums < np.uint64(beta.numerator),
-                    np.int8(-1), np.int8(1))
+    signs = (nums >= np.uint64(beta.numerator)).view(np.int8)  # 0 or 1
+    signs <<= 1
+    signs -= 1
+    return signs
 
 
 def _lane_flips(beta: DyadicFraction, seeds, limit: int) -> np.ndarray:
@@ -112,8 +138,4 @@ def _lane_flips(beta: DyadicFraction, seeds, limit: int) -> np.ndarray:
                                                   prime_limit=limit))
         masks |= (signs == 1).view(np.uint8) << np.uint8(k)
     keep = masks != 0
-    primes, masks = primes[keep], masks[keep]
-    words = np.zeros(limit + 1, dtype=np.uint8)
-    for sel, at in _multiples(primes, limit):
-        words[sel] ^= masks[at]
-    return words
+    return _walk(primes[keep], masks[keep], limit, np.bitwise_xor)

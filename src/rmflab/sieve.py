@@ -3,20 +3,20 @@
 Everything here is deterministic and exact.  Tables are plain numpy arrays,
 immutable by convention after construction, and safe for concurrent reads.
 
-Memory budget at the supported maximum X = 10**8: mu, d(n) and the prime
-sieve at 1 byte per integer, plus 8 bytes per prime, about 0.35 GB (286 MiB
-``VmHWM`` measured for one pass at 10**8, 25 MiB traced at 10**7).  The
-last limit's prime table stays cached and read-only for the process: 8 bytes
-per prime, about 46 MB at 10**8.  A campaign's lane pass adds one byte per
-integer of flip words: the sieve and an 8-seed lane pass at 10**8 peak at
-368 MiB ``VmHWM``.
+Memory budget at the supported maximum X = 10**8: mu and d(n) at 1 byte per
+integer, the odd-only prime sieve at 1 byte per odd integer, and 8 bytes per
+prime, about 0.30 GB (286 MiB ``VmHWM`` measured for one pass at 10**8,
+25 MiB traced at 10**7).  The last limit's prime table stays cached and
+read-only for the process: 8 bytes per prime, about 46 MB at 10**8.  A
+campaign's lane pass adds one byte per integer of flip words: the sieve and
+an 8-seed lane pass at 10**8 peak at 361 MiB ``VmHWM``.  The walk itself
+works in cache-sized pieces (see ``_walk``).
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Iterator
 
 import numpy as np
 
@@ -26,7 +26,8 @@ MAX_LIMIT = 10**8
 
 
 def primes_up_to(limit: int) -> np.ndarray:
-    """All primes <= limit, ascending, as int64. Simple Eratosthenes.
+    """All primes <= limit, ascending, as int64: Eratosthenes over the odd
+    numbers.
 
     The last limit's table stays cached for the process (8 bytes per prime,
     about 46 MB at 10**8); every caller at that limit shares it, so it is
@@ -43,36 +44,68 @@ def _prime_table(limit: int) -> np.ndarray:
     if limit < 2:
         primes = np.empty(0, dtype=np.int64)
     else:
-        is_prime = np.ones(limit + 1, dtype=bool)
-        is_prime[:2] = False
-        for p in range(2, int(limit**0.5) + 1):
-            if is_prime[p]:
-                is_prime[p * p:: p] = False
-        primes = np.flatnonzero(is_prime).astype(np.int64)
+        # slot i stands for the odd number 2i + 1; slot 0 (for 1) holds 2
+        odd_prime = np.ones((limit + 1) // 2, dtype=bool)
+        for p in range(3, math.isqrt(limit) + 1, 2):
+            if odd_prime[p // 2]:
+                odd_prime[p * p // 2:: p] = False
+        primes = np.flatnonzero(odd_prime).astype(np.int64, copy=False)
+        primes *= 2
+        primes += 1
+        primes[0] = 2
     primes.flags.writeable = False
     return primes
 
 
-def _multiples(primes: np.ndarray, limit: int) -> Iterator:
-    """Pairs (index set, positions): the index sets together select every
-    multiple n <= limit of each of the ascending ``primes`` exactly once, and
-    ``primes[positions]`` are the primes whose multiples one set selects.
+_WHEEL_MAX = 13  # the wheel's period is at most 2*3*5*7*11*13 = 30030
+_WALK_BLOCK = 2**20  # 1 MiB of int8 or uint8 words, within a 2 MiB L2
 
-    One slice per prime p <= isqrt(limit), at its position.  A larger prime
-    q divides only m*q with m <= limit // q <= isqrt(limit), so all of them
-    go at once, as one index array m * q per cofactor m (for m = 1 the
-    slice of the primes itself, no copy).
+
+def _walk(primes: np.ndarray, values: np.ndarray, limit: int,
+          op: np.ufunc) -> np.ndarray:
+    """t[n] for 0 <= n <= limit, the ``op``-reduction of values[i] over the
+    ascending ``primes[i]`` that divide n, starting from 0 (t[0] = 0).
+
+    ``op`` is an associative, commutative ufunc with identity 0 in the
+    dtype of ``values`` (np.add, np.bitwise_xor).  The primes <= _WHEEL_MAX
+    are written once into a pattern of period their product, which is tiled
+    over t; each other prime p <= isqrt(limit) is one strided slice per
+    block of _WALK_BLOCK integers, so a block stays in cache while every
+    such prime passes over it.  A larger prime q divides only m*q with
+    m <= limit // q <= isqrt(limit), so all of them go at once, as one index
+    array m * q per cofactor m (for m = 1 the slice of the primes itself,
+    no copy).
     """
-    split = int(np.searchsorted(primes, math.isqrt(limit), side="right"))
-    for at, p in enumerate(primes[:split].tolist()):
-        yield slice(p, limit + 1, p), at
+    t = np.zeros(limit + 1, dtype=values.dtype)
+    wheel = int(np.searchsorted(primes, _WHEEL_MAX, side="right"))
+    split = max(wheel, int(np.searchsorted(primes, math.isqrt(limit),
+                                           side="right")))
+    if wheel:
+        small = primes[:wheel].tolist()
+        pattern = t[: min(math.prod(small), limit + 1)]
+        for p, v in zip(small, values[:wheel].tolist()):
+            op(pattern[::p], v, out=pattern[::p])
+        # tile by doubling: t[n] = pattern[n % period]
+        filled = len(pattern)
+        while filled <= limit:
+            step = min(filled, limit + 1 - filled)
+            t[filled: filled + step] = t[:step]
+            filled += step
+    mid = primes[wheel:split]
+    steps, mid_values = mid.tolist(), values[wheel:split].tolist()
+    for lo in range(0, limit + 1, _WALK_BLOCK):
+        block = t[lo: lo + _WALK_BLOCK]
+        for p, at, v in zip(steps, (-lo % mid).tolist(), mid_values):
+            op(block[at::p], v, out=block[at::p])
     large = primes[split:]
     if len(large):
         cofactors = np.arange(1, limit // int(large[0]) + 1)
         cuts = np.searchsorted(large, limit // cofactors, side="right")
         for m, cut in zip(cofactors.tolist(), cuts.tolist()):
-            yield (large[:cut] if m == 1 else m * large[:cut],
-                   slice(split, split + cut))
+            at = large[:cut] if m == 1 else m * large[:cut]
+            t[at] = op(t[at], values[split: split + cut])
+    t[0] = 0
+    return t
 
 
 def _sieve_mu_omega(limit: int) -> tuple[np.ndarray, np.ndarray]:
@@ -85,9 +118,8 @@ def _sieve_mu_omega(limit: int) -> tuple[np.ndarray, np.ndarray]:
         raise ConfigurationError(
             f"sieve limit {limit} outside supported range [1, {MAX_LIMIT}]")
     primes = primes_up_to(limit)
-    omega = np.zeros(limit + 1, dtype=np.int8)
-    for sel, _ in _multiples(primes, limit):
-        omega[sel] += 1
+    omega = _walk(primes, np.broadcast_to(np.int8(1), primes.shape), limit,
+                  np.add)
     mu = omega & np.int8(1)
     mu *= np.int8(-2)
     mu += np.int8(1)

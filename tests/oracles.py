@@ -1,14 +1,19 @@
 """Test-only oracles: a smallest-prime-factor table and trial factorization
-check the sieve by an independent route; ``build_sign_series`` realizes one
-seed's f_beta by its own walk over the plus-signed primes, the reference for
-the package's lane words; ``TransformedOmega`` feeds the product-by-product
-identity oracle; ``fsum_weighted_sums`` is the term by term reference for
-the weighted checkpoint sums, and ``per_seed_counts`` the per-seed reference
-for the coupled lane kernel's exact counts.  None of it is part of the
-package.
+check the sieve by an independent route; ``_multiples`` is the unblocked
+walk over the prime multiples, the reference for ``sieve._walk``;
+``splitmix64`` is the whole-array hash, the reference for the blocked
+``OmegaAssignment.numerators``; ``build_sign_series`` realizes one seed's
+f_beta by its own walk over the plus-signed primes, the reference for the
+package's lane words; ``TransformedOmega`` feeds the product-by-product
+identity oracle; ``abel_residual_unblocked`` is the full-length reference
+for the blocked Abel check; ``fsum_weighted_sums`` is the term by term
+reference for the weighted checkpoint sums, and ``per_seed_counts`` the
+per-seed reference for the coupled lane kernel's exact counts.  None of it
+is part of the package.
 """
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,13 +22,66 @@ from rmflab import (DyadicFraction, OmegaAssignment, distinct_prime_counts,
                     mobius_sieve, prime_signs)
 from rmflab.errors import ConfigurationError, CoverageError, RangeError
 from rmflab.iet import IetSpec, apply_T_power_numerators
-from rmflab.sieve import MAX_LIMIT, _multiples
+from rmflab.sieve import MAX_LIMIT
 
 
 # p*p - 1, p*p and p*p + 1 move isqrt(limit), and with it whether a prime
 # is sieved as a stride or among the cofactor batches of the larger primes
 ISQRT_EDGE_LIMITS = [p * p + e for p in (2, 3, 5, 7, 11, 97, 313)
                      for e in (-1, 0, 1)] + [10**5]
+
+
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+
+
+def splitmix64(x: np.ndarray) -> np.ndarray:
+    """SplitMix64 finalizer applied elementwise to a uint64 array."""
+    z = x + _GOLDEN
+    z = (z ^ (z >> np.uint64(30))) * _MIX1
+    z = (z ^ (z >> np.uint64(27))) * _MIX2
+    return z ^ (z >> np.uint64(31))
+
+
+def seeded_numerators(seed: int, count: int) -> np.ndarray:
+    """The numerators of the first ``count`` primes' omega for ``seed``, in
+    one whole-array hash: splitmix64 of seed + golden * rank."""
+    ranks = np.arange(count, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        return splitmix64(np.uint64(seed) + _GOLDEN * ranks)
+
+
+def _multiples(primes: np.ndarray, limit: int) -> Iterator:
+    """Pairs (index set, positions): the index sets together select every
+    multiple n <= limit of each of the ascending ``primes`` exactly once, and
+    ``primes[positions]`` are the primes whose multiples one set selects.
+
+    One slice per prime p <= isqrt(limit), at its position.  A larger prime
+    q divides only m*q with m <= limit // q <= isqrt(limit), so all of them
+    go at once, as one index array m * q per cofactor m (for m = 1 the
+    slice of the primes itself, no copy).
+    """
+    split = int(np.searchsorted(primes, math.isqrt(limit), side="right"))
+    for at, p in enumerate(primes[:split].tolist()):
+        yield slice(p, limit + 1, p), at
+    large = primes[split:]
+    if len(large):
+        cofactors = np.arange(1, limit // int(large[0]) + 1)
+        cuts = np.searchsorted(large, limit // cofactors, side="right")
+        for m, cut in zip(cofactors.tolist(), cuts.tolist()):
+            yield (large[:cut] if m == 1 else m * large[:cut],
+                   slice(split, split + cut))
+
+
+def multiples_walk(primes: np.ndarray, values: np.ndarray, limit: int,
+                   op) -> np.ndarray:
+    """The reference for ``sieve._walk``: t[n] = op over values[i] of the
+    primes[i] dividing n, one ``_multiples`` index set at a time."""
+    t = np.zeros(limit + 1, dtype=values.dtype)
+    for sel, at in _multiples(primes, limit):
+        t[sel] = op(t[sel], values[at])
+    return t
 
 
 @dataclass(frozen=True)
@@ -146,6 +204,24 @@ class TransformedOmega:
     def numerators(self, primes: np.ndarray | None = None) -> np.ndarray:
         return apply_T_power_numerators(
             self.spec, self.base.numerators(primes), self.power)
+
+
+def abel_residual_unblocked(values: np.ndarray, X: int, s: complex) -> float:
+    """The Abel summation residual of ``growth.abel_consistency`` from
+    full-length arrays: about 88 bytes per integer, the reference for its
+    blocked evaluation."""
+    s = complex(s)
+    n = np.arange(1, X + 1, dtype=np.float64)
+    npow = np.exp(-s * np.log(n))
+    f = values[1: X + 1].astype(np.float64)
+    lhs = f * npow
+    lhs_sum = complex(math.fsum(lhs.real), math.fsum(lhs.imag))
+    S = np.cumsum(values[1: X + 1],
+                  dtype=np.int64).astype(np.float64)  # S(1)..S(X)
+    boundary = S[-1] * npow[-1]
+    steps = S[:-1] * (npow[:-1] - np.exp(-s * np.log(n[1:])))
+    rhs = boundary + complex(math.fsum(steps.real), math.fsum(steps.imag))
+    return abs(lhs_sum - rhs)
 
 
 def fsum_weighted_sums(values: np.ndarray, omega_counts: np.ndarray,

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (ISQRT_EDGE_LIMITS, build_sign_series, factor_summary,
-                     fsum_weighted_sums, per_seed_counts)
+from oracles import (ISQRT_EDGE_LIMITS, abel_residual_unblocked,
+                     build_sign_series, factor_summary, fsum_weighted_sums,
+                     per_seed_counts)
 import rmflab.growth as growth
 from rmflab import (CampaignConfig, DomainError, DyadicFraction, FitError,
                     OmegaAssignment, PreconditionError, RangeError,
@@ -190,7 +191,8 @@ def test_sum_layer_peak_memory_at_1e7():
 def test_lane_pass_peak_memory_at_1e7():
     # one walk and one reduction for 4 seeds at beta 1/2, where nearly every
     # prime is plus in some lane; the per-seed path peaked at 25.4 MiB traced
-    # per seed, the lane pass at 21.6 MiB (the omega hash's temporaries)
+    # per seed, the lane pass at 21.2 MiB (the words, the kept primes and
+    # the large primes' first index array)
     limit = 10**7
     sieve_tables(limit, False)
     primes_up_to(limit)  # the cached Mobius table may outlive the primes'
@@ -204,9 +206,10 @@ def test_lane_pass_peak_memory_at_1e7():
 
 
 def test_sieve_peak_memory_at_1e7():
-    # mu, d(n) and the prime sieve take 1 byte per integer and the primes 8
-    # bytes each; the product-accumulator sieve peaked at 105 MiB.  A cold
-    # pass: an earlier test may have left the primes <= 10**7 cached
+    # mu and d(n) take 1 byte per integer, the odd-only prime sieve 1 byte
+    # per odd integer and the primes 8 bytes each; the product-accumulator
+    # sieve peaked at 105 MiB.  A cold pass: an earlier test may have left
+    # the primes <= 10**7 cached
     _prime_table.cache_clear()
     tracemalloc.start()
     try:
@@ -295,6 +298,34 @@ def test_abel_brute_force_small(mu_1e6, assignment_1e5):
         S(m) * (m ** -s - (m + 1) ** -s) for m in range(1, X))
     assert abs(lhs - rhs) < 1e-12
     assert abel_consistency(series.values, X, s) < 1e-12
+
+
+@pytest.mark.parametrize("block", [1, 7, growth._ABEL_BLOCK])
+def test_abel_blocks_give_the_unblocked_residual(monkeypatch, block, mu_1e6,
+                                                 assignment_1e5):
+    # fsum is correctly rounded, so splitting the terms into blocks must
+    # leave every residual bit for bit as the full-length evaluation's
+    monkeypatch.setattr(growth, "_ABEL_BLOCK", block)
+    series = build_sign_series(B34, assignment_1e5, 10**5, mu_1e6)
+    limits = [1, 2, 7, 8, 15, 1000] if block < 100 else \
+        [block - 1, block, block + 1, 10**5]
+    for X in limits:
+        for s in (1.5, 2, 1.2 + 5j, 0.7 - 3j):
+            got = abel_consistency(series.values, X, s)
+            assert got == abel_residual_unblocked(series.values, X, s), (X, s)
+
+
+def test_abel_peak_memory_at_1e6(mu_1e6):
+    # blocks of 2**16 integers, each at most 128 bytes per integer of arrays
+    # and float lists, and at most two blocks' worth alive at once: 16 MiB
+    # at any X.  The full-length evaluation traced 83.9 MiB here
+    tracemalloc.start()
+    try:
+        abel_consistency(mu_1e6, 10**6, 1.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak / 2**20
 
 
 def test_campaign_single_seed_matches_per_seed_oracle():
@@ -389,8 +420,8 @@ def test_lane_counts_match_per_seed_oracle(limit, beta, weighted):
 @pytest.mark.parametrize("block, limit", [(1, 1000), (7, 10**4),
                                           (4096, 10**5)])
 def test_lane_counts_across_blocks(monkeypatch, block, limit):
-    # checkpoint segments many blocks long, which the real 2**20-integer
-    # block reaches only beyond X ~ 4 * 10**6
+    # checkpoint segments many blocks long, which the real 2**16-integer
+    # block reaches only beyond X ~ 3 * 10**5
     monkeypatch.setattr(growth, "_BLOCK", block)
     for beta, weighted in ((HALF, False), (B78, True)):
         for n in (1, 8, 9):

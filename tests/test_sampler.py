@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import ISQRT_EDGE_LIMITS, build_sign_series
+from oracles import ISQRT_EDGE_LIMITS, build_sign_series, seeded_numerators
 from rmflab import (CoverageError, DomainError, DyadicFraction,
                     OmegaAssignment, PreconditionError, mobius_sieve,
                     prime_signs)
@@ -21,6 +21,32 @@ def test_omega_deterministic():
     assert np.array_equal(a1.numerators(some), a2.numerators(some))
     assert np.array_equal(a1.numerators(some), a1.numerators()[:100])
     assert np.array_equal(a1.numerators(), a2.numerators())
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+def test_numerators_match_the_whole_array_hash(seed):
+    # lengths around one hash block, and all 78,498 primes <= 10**6
+    a = OmegaAssignment(master_seed=seed, prime_limit=10**6)
+    want = seeded_numerators(seed, len(a.primes))
+    assert len(want) == 78498
+    for n in (0, 1, 2**16 - 1, 2**16, 2**16 + 1):
+        got = a.numerators(a.primes[:n])
+        assert got.dtype == np.uint64 and np.array_equal(got, want[:n]), n
+    assert np.array_equal(a.numerators(), want)
+
+
+def test_signs_at_beta_one_skip_the_hash(monkeypatch, assignment_1e5):
+    def no_hash(self, primes=None):
+        raise AssertionError("hashed at beta = 1")
+
+    monkeypatch.setattr(OmegaAssignment, "numerators", no_hash)
+    primes = assignment_1e5.primes
+    for some in (None, primes[:0], primes[:10]):
+        signs = prime_signs(ONE, assignment_1e5, some)
+        want = len(primes) if some is None else len(some)
+        assert signs.dtype == np.int8 and signs.tolist() == [-1] * want
+    with pytest.raises(DomainError):
+        prime_signs(ONE, assignment_1e5, np.array([2, 5]))
 
 
 def test_omega_rejects_non_primes(assignment_1e5):

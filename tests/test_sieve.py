@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from oracles import ISQRT_EDGE_LIMITS, build_spf, factor_summary
+from oracles import (ISQRT_EDGE_LIMITS, build_spf, factor_summary,
+                     multiples_walk)
 from rmflab import (ConfigurationError, OmegaAssignment, RangeError,
                     distinct_prime_counts, mobius_sieve, primes_up_to)
 from rmflab import sieve
@@ -103,13 +104,13 @@ def test_sieve_tables_are_read_only():
 
 def test_prime_table_is_shared_at_one_limit(monkeypatch):
     seen = []
-    walk = sieve._multiples
+    walk = sieve._walk
 
-    def recording_walk(primes, limit):
+    def recording_walk(primes, values, limit, op):
         seen.append(primes)
-        return walk(primes, limit)
+        return walk(primes, values, limit, op)
 
-    monkeypatch.setattr(sieve, "_multiples", recording_walk)
+    monkeypatch.setattr(sieve, "_walk", recording_walk)
     sieve._sieve_mu_omega(10**4)
     a = OmegaAssignment(master_seed=1, prime_limit=10**4).primes
     b = OmegaAssignment(master_seed=2, prime_limit=10**4).primes
@@ -118,12 +119,36 @@ def test_prime_table_is_shared_at_one_limit(monkeypatch):
 
 
 def test_prime_table_follows_the_limit(spf_1e5):
-    # one cached table: each new limit must replace it, never reuse it
+    # one cached table: each new limit must replace it, never reuse it.  The
+    # odd-only sieve's edges: 2 in slot 0, each odd p crossing out from p*p
     every = spf_1e5.primes()
-    for limit in (10**4, 100, 10**4, 1):
+    for limit in (10**4, 100, 10**4, 1, *range(41), *ISQRT_EDGE_LIMITS):
         primes = primes_up_to(limit)
         assert primes.tolist() == every[every <= limit].tolist(), limit
         assert primes.dtype == np.int64 and not primes.flags.writeable
+
+
+# the wheel's edges (its largest prime, one period of 2*3*5*7*11*13), and
+# one and two blocks of the blocked walk
+WALK_LIMITS = [1, 2, 13, 14, 30029, 30030, 30031, sieve._WALK_BLOCK - 1,
+               sieve._WALK_BLOCK, sieve._WALK_BLOCK + 1,
+               2 * sieve._WALK_BLOCK + 7]
+
+
+@pytest.mark.parametrize("limit", WALK_LIMITS)
+@pytest.mark.parametrize("drop", [(), (2,), (3, 7), (2, 5, 11, 13),
+                                  (2, 3, 5, 7, 11, 13)])
+def test_walk_matches_the_unblocked_walk(limit, drop):
+    # primes as the lane pass keeps them: some of 2..13 may be dropped
+    primes = primes_up_to(limit)
+    primes = primes[~np.isin(primes, drop)]
+    rng = np.random.default_rng(limit)
+    masks = rng.integers(1, 256, size=len(primes)).astype(np.uint8)
+    ones = np.ones(len(primes), dtype=np.int8)
+    for values, op in ((ones, np.add), (masks, np.bitwise_xor)):
+        got = sieve._walk(primes, values, limit, op)
+        assert got.dtype == values.dtype
+        assert np.array_equal(got, multiples_walk(primes, values, limit, op))
 
 
 def test_prime_table_rejects_limits_above_max():
