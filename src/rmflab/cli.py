@@ -35,7 +35,7 @@ from .growth import (MIN_FIT_POINTS, CampaignConfig, abel_consistency,
                      fit_growth_exponent, monte_carlo_campaign,
                      selberg_delange_ratio, sieve_tables)
 from .iet import IetSpec, apply_T_power_numerators
-from .sampler import OmegaAssignment, _lane_flips
+from .sampler import OmegaAssignment, _lane_flips, is_seed
 from .sieve import MAX_LIMIT
 
 KINDS = ("identity", "iet-test", "growth", "weighted-growth", "exp-form",
@@ -99,8 +99,9 @@ def validate(config: ExperimentConfig) -> list[str]:
         v.append(f"level=None: kind {config.kind} requires a level n")
     if config.level is not None and not 1 <= config.level <= 62:
         v.append(f"level={config.level}: must be in [1, 62]")
-    if any(not 0 <= seed < 2**64 for seed in config.seeds):
-        v.append(f"seeds={config.seeds}: every seed must be in [0, 2**64)")
+    if not all(map(is_seed, config.seeds)):
+        v.append(f"seeds={config.seeds}: every seed must be an integer in "
+                 "[0, 2**64)")
     if config.kind == "iet-test" and config.points < 1:
         v.append(f"points={config.points}: must be >= 1")
     needs_beta = config.kind not in ("identity", "iet-test")

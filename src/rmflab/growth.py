@@ -7,12 +7,16 @@ per (checkpoint segment, d(n)); weighted sums round them once.
 
 ``coupled_sums`` is the one way from seeds to checkpoint sums.  Campaigns
 and the growth experiments take their seeds LANES (8) at a time: one walk
-over the prime multiples writes a uint8 word per integer whose bit k is
-seed k's flip parity, and one bincount per block counts every lane.  At
-X = 10**7 a 4-seed lane pass at beta = 1/2 peaks at about 21 MiB traced,
-set by the walk: the 10 MB of words, the 8-byte copy of the kept primes
-and the index array of the large primes' first cofactors (the blocked
-hash peaks at 6 MiB).  A test holds it below 24 MiB.
+over the multiples of the primes <= sqrt(X) writes a uint8 word per
+integer whose bit k is seed k's flip parity over those primes, and one
+bincount per block counts every lane.  Every n <= X has at most one prime
+factor above sqrt(X), so the larger primes are not walked: their effect on
+the counts is an exact integer correction from running counts of their
+signs (``_large_prime_counts``), the split by largest prime factor used
+for the Mertens function (Deleglise and Rivat, Experiment. Math. 5, 1996).
+At X = 10**7 a 4-seed lane pass peaks at about 11 MiB traced, plain at
+beta = 1/2 or weighted at 7/8: the 10 MB of words.  A test holds it below
+24 MiB.
 
 Checkpoints live on a geometric grid with ratio 10**(1/8), so every power
 of ten is itself a checkpoint and log-log fits see evenly spaced abscissae.
@@ -29,8 +33,8 @@ import numpy as np
 
 from .dyadic import DyadicFraction
 from .errors import DomainError, FitError, PreconditionError, RangeError
-from .sampler import LANES, _lane_flips
-from .sieve import _sieve_mu_omega, mobius_sieve
+from .sampler import LANES, _lane_masks
+from .sieve import _sieve_mu_omega, _walk, mobius_sieve
 from .dirichlet import weight_factor
 
 GRID_STEPS_PER_DECADE = 8
@@ -100,6 +104,15 @@ _BLOCK = 2**16
 
 # word pattern x lane -> +-1: lane k of pattern w reads (-1)**(bit k of w)
 _LANE_SIGNS = 1 - 2 * (np.arange(1 << LANES)[:, None] >> np.arange(LANES) & 1)
+
+# Large primes per running count of their masks: a lane's count stays below
+# 2**16, so four lanes share a uint64 as 16-bit fields and never carry.
+# _SPREAD[h, w] holds bit 4h + j of the mask w at bit 16j, for j < 4.
+_COUNT_BLOCK = 2**16 - 1
+_FIELDS = np.arange(0, 64, 16, dtype=np.uint64)
+_SPREAD = (((np.arange(1 << LANES) >> np.arange(LANES)[:, None]) & 1)
+           .reshape(LANES // 4, 4, -1).astype(np.uint64)
+           << _FIELDS[:, None]).sum(axis=1, dtype=np.uint64)
 
 
 def _segment_counts(mobius: np.ndarray, grid: np.ndarray,
@@ -342,6 +355,89 @@ def sieve_tables(limit: int, weighted: bool
     return mobius, omega_counts
 
 
+def _large_prime_counts(mobius: np.ndarray, grid: np.ndarray,
+                        omega_counts: np.ndarray | None, primes: np.ndarray,
+                        masks: np.ndarray, split: int,
+                        lanes: int) -> np.ndarray:
+    """The large primes' part L[lane, i, k] of the counts C[lane, i, k]:
+    what the primes q = primes[split:] > isqrt(limit) add to the counts of
+    words that leave them out (``primes`` and ``masks`` as
+    ``sampler._lane_masks`` returns them).
+
+    A multiple n = m*q <= limit of such a q has m < q, so n is squarefree
+    iff m is, and d(n) = d(m) + 1.  Words without q read lane k's f(n) as
+    -f_k(m); the true f_k(m) f_k(q) is 2 f_k(m) more exactly when q is plus
+    in lane k.  Up to a checkpoint x that adds
+    2 f_k(m) * Pi_k(x // m) at kind d(m) + 1 for each squarefree
+    m <= x // q_min, where Pi_k(y) counts lane k's plus primes in
+    (isqrt(limit), y]; the segments' parts are the differences of those
+    totals.  Pi_k is read off one running count of the masks per
+    _COUNT_BLOCK primes, and f_k(m) off the words of m <= limit // q_min;
+    at 10**7 that is about 8,000 (checkpoint, m) pairs.
+    """
+    limit = len(mobius) - 1
+    large, large_masks = primes[split:], masks[split:]
+    q_min = int(large[0])
+    top = limit // q_min  # the largest cofactor m, below q_min
+    small = int(np.searchsorted(primes, top, side="right"))
+    words = _walk(primes[:small], masks[:small], top, np.bitwise_xor)
+    ms = np.flatnonzero(mobius[: top + 1])  # the squarefree m <= top
+    signs = _LANE_SIGNS[words[ms], :lanes] * mobius[ms, None]  # f_k(m)
+    kinds = np.zeros(len(ms), dtype=np.int8) if omega_counts is None \
+        else omega_counts[ms] + np.int8(1)  # d(m*q) = d(m) + 1
+    # pair j: checkpoint rows[j] with cofactor ms[cols[j]] <= x // q_min
+    cuts = np.searchsorted(ms, grid // q_min, side="right")
+    rows = np.repeat(np.arange(len(grid)), cuts)
+    cols = np.arange(len(rows)) - np.repeat(np.cumsum(cuts) - cuts, cuts)
+    ranks = np.searchsorted(large, grid[rows] // ms[cols], side="right")
+    # plus[j, k] = Pi_k at pair j: lane k's plus primes in large[:rank]
+    quads = -(-lanes // 4)
+    plus = np.empty((len(ranks), 4 * quads), dtype=np.int64)
+    order = np.argsort(ranks, kind="stable")
+    sorted_ranks = ranks[order]
+    passed = np.zeros(4 * quads, dtype=np.int64)
+    for lo in range(0, len(large), _COUNT_BLOCK):
+        block = large_masks[lo: lo + _COUNT_BLOCK]
+        a, b = np.searchsorted(sorted_ranks, [lo, lo + len(block)],
+                               side="right")
+        # running counts at the pairs' ranks and at the block's end
+        at = np.append(sorted_ranks[a:b] - lo - 1, len(block) - 1)
+        running = np.cumsum(_SPREAD[:quads, block], axis=1)
+        fields = running[:, at, None] >> _FIELDS & np.uint64(0xFFFF)
+        counts = fields.transpose(1, 0, 2).reshape(len(at), -1).view(np.int64)
+        plus[order[a:b]] = counts[:-1] + passed
+        passed += counts[-1]
+    totals = np.zeros((len(grid), int(kinds.max()) + 1, lanes),
+                      dtype=np.int64)
+    np.add.at(totals, (rows, kinds[cols]),
+              2 * signs[cols] * plus[:, :lanes])
+    return np.diff(totals, axis=0, prepend=0).transpose(2, 0, 1)
+
+
+def _lane_counts(beta: DyadicFraction, seeds, limit: int,
+                 mobius: np.ndarray, grid: np.ndarray,
+                 omega_counts: np.ndarray | None) -> np.ndarray:
+    """C[lane, i, k] of ``_segment_counts`` for at most LANES seeds, from
+    one walk over the primes <= isqrt(limit) that are plus in some lane.
+
+    Every n <= limit has at most one prime factor above isqrt(limit), so
+    the larger primes' effect is counted in closed form
+    (``_large_prime_counts``; a grid's limit is at least 10, so there is
+    such a prime), before the limit-long words exist, and added to the
+    counts; every count is the exact integer the full walk gives.
+    """
+    primes, masks = _lane_masks(beta, seeds, limit)
+    split = int(np.searchsorted(primes, math.isqrt(limit), side="right"))
+    large = _large_prime_counts(mobius, grid, omega_counts, primes, masks,
+                                split, len(seeds))
+    keep = masks[:split] != 0
+    words = _walk(primes[:split][keep], masks[:split][keep], limit,
+                  np.bitwise_xor)
+    counts = _segment_counts(mobius, grid, omega_counts, words, len(seeds))
+    counts[:, :, : large.shape[2]] += large
+    return counts
+
+
 def coupled_sums(beta: DyadicFraction, limit: int, weighted: bool,
                  seeds) -> list[SumGrid]:
     """Every seed's checkpoint sums of f_beta, in seed order; the seeds
@@ -355,9 +451,8 @@ def coupled_sums(beta: DyadicFraction, limit: int, weighted: bool,
     mobius, omega_counts = sieve_tables(limit, weighted)
     sums = []
     for at in range(0, len(seeds), LANES):
-        chunk = seeds[at: at + LANES]
-        counts = _segment_counts(mobius, grid, omega_counts,
-                                 _lane_flips(beta, chunk, limit), len(chunk))
+        counts = _lane_counts(beta, seeds[at: at + LANES], limit, mobius,
+                              grid, omega_counts)
         sums += [_sums_from_counts(c, grid, w) for c in counts]
     return sums
 

@@ -10,13 +10,16 @@ The sign convention is right-open: -1 on [0, beta), +1 on [beta, 1).  On the
 2**64-point dyadic grid this makes P(-1) = beta exact, and it differs from
 the closed-interval convention only at grid endpoints (a measure-zero set).
 
-``_lane_flips`` realizes f_beta for up to LANES seeds at once, as one flip
-word per integer over the Mobius table; every pipeline reads its series
-from those words.
+``_lane_masks`` signs every prime for up to LANES seeds at once, as one
+uint8 mask per prime; ``_lane_flips`` walks those masks into one flip word
+per integer over the Mobius table, from which the ``abel`` sweep reads its
+series.  The campaign lane pass (``growth.coupled_sums``) walks only the
+masks of the primes <= isqrt(limit) and counts the larger ones.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,6 +50,17 @@ def _prefix(primes: np.ndarray | None, covered: np.ndarray) -> np.ndarray:
     return primes
 
 
+def is_seed(seed) -> bool:
+    """True for an integer in [0, 2**64): a Python or numpy integer, not a
+    bool or a float."""
+    if isinstance(seed, bool):
+        return False
+    try:
+        return 0 <= operator.index(seed) < 2**64
+    except TypeError:
+        return False
+
+
 @dataclass(frozen=True)
 class OmegaAssignment:
     """Deterministic map prime -> uniform dyadic coordinate, fixed by a seed."""
@@ -56,10 +70,14 @@ class OmegaAssignment:
     _primes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # the hash reads the seed as a uint64; wrapping it would alias seeds
-        if not 0 <= self.master_seed < 2**64:
-            raise DomainError(
-                f"master_seed={self.master_seed} outside [0, 2**64)")
+        # the hash reads the seed as a uint64: a float start loses precision
+        # (1.5, 2.0 and 1000.5 would hash like 2) and wrapping would alias
+        # seeds
+        if not is_seed(self.master_seed):
+            raise DomainError(f"master_seed={self.master_seed!r} is not an "
+                              "integer in [0, 2**64)")
+        object.__setattr__(self, "master_seed",
+                           operator.index(self.master_seed))
         object.__setattr__(self, "_primes", primes_up_to(self.prime_limit))
 
     @property
@@ -120,14 +138,15 @@ def signs_from_numerators(beta: DyadicFraction,
     return signs
 
 
-def _lane_flips(beta: DyadicFraction, seeds, limit: int) -> np.ndarray:
-    """uint8 words for n <= limit whose bit k is the parity of the
-    plus-signed primes of seed ``seeds[k]`` that divide n, for at most
-    LANES seeds: on squarefree n that seed's f_beta(n) is mu(n) times
-    (-1)**bit k, so the words and the Mobius table hold all lanes' series.
+def _lane_masks(beta: DyadicFraction, seeds,
+                limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """The primes <= limit (the shared read-only table) and their uint8
+    masks for at most LANES seeds: bit k of a prime's mask is set when seed
+    ``seeds[k]`` signs it +1 (every mask is 0 at beta = 1).
 
-    Each seed is hashed once.  Bit k of a prime's mask is set when seed k
-    signs it +1; one walk over the primes plus in any lane flips every lane.
+    Each seed is hashed once.  On squarefree n, the xor of the masks of the
+    primes dividing n has bit k set exactly when seed k's f_beta(n) is
+    -mu(n).
     """
     if len(seeds) > LANES:
         raise PreconditionError(f"{len(seeds)} seeds exceed {LANES} lanes")
@@ -137,5 +156,19 @@ def _lane_flips(beta: DyadicFraction, seeds, limit: int) -> np.ndarray:
         signs = prime_signs(beta, OmegaAssignment(master_seed=seed,
                                                   prime_limit=limit))
         masks |= (signs == 1).view(np.uint8) << np.uint8(k)
+    return primes, masks
+
+
+def _lane_flips(beta: DyadicFraction, seeds, limit: int) -> np.ndarray:
+    """uint8 words for n <= limit whose bit k is the parity of the
+    plus-signed primes of seed ``seeds[k]`` that divide n, for at most
+    LANES seeds: on squarefree n that seed's f_beta(n) is mu(n) times
+    (-1)**bit k, so the words and the Mobius table hold all lanes' series.
+
+    One walk over every prime <= limit that is plus in some lane (see
+    ``_lane_masks``), the large primes included; the campaign lane pass
+    counts those instead (``growth._lane_counts``).
+    """
+    primes, masks = _lane_masks(beta, seeds, limit)
     keep = masks != 0
     return _walk(primes[keep], masks[keep], limit, np.bitwise_xor)

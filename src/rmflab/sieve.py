@@ -8,9 +8,11 @@ integer, the odd-only prime sieve at 1 byte per odd integer, and 8 bytes per
 prime, about 0.30 GB (286 MiB ``VmHWM`` measured for one pass at 10**8,
 25 MiB traced at 10**7).  The last limit's prime table stays cached and
 read-only for the process: 8 bytes per prime, about 46 MB at 10**8.  A
-campaign's lane pass adds one byte per integer of flip words: the sieve and
-an 8-seed lane pass at 10**8 peak at 361 MiB ``VmHWM``.  The walk itself
-works in cache-sized pieces (see ``_walk``).
+campaign's lane pass adds one byte per integer of flip words, walked over
+the primes <= sqrt(X) only: the sieve and an 8-seed lane pass at 10**8
+peak at 288 MiB ``VmHWM`` (384 MiB weighted, with d(n) kept), so the
+sieve sets the plain peak.  The walk itself works in cache-sized pieces
+(see ``_walk``).
 """
 
 from __future__ import annotations

@@ -189,20 +189,22 @@ def test_sum_layer_peak_memory_at_1e7():
 
 
 def test_lane_pass_peak_memory_at_1e7():
-    # one walk and one reduction for 4 seeds at beta 1/2, where nearly every
-    # prime is plus in some lane; the per-seed path peaked at 25.4 MiB traced
-    # per seed, the lane pass at 21.2 MiB (the words, the kept primes and
-    # the large primes' first index array)
+    # one walk and one reduction for 4 seeds: at beta 1/2 nearly every prime
+    # is plus in some lane, and the weighted pass also reads d(n).  The
+    # per-seed path peaked at 25.4 MiB traced per seed, the walk over every
+    # prime at 21.2 MiB (beta 1/2) and 15.9 MiB (7/8 weighted); walking only
+    # the primes <= isqrt(X), 10.8 and 10.9 MiB: the 10 MB of words
     limit = 10**7
-    sieve_tables(limit, False)
-    primes_up_to(limit)  # the cached Mobius table may outlive the primes'
-    tracemalloc.start()
-    try:
-        coupled_sums(HALF, limit, False, (1, 2, 3, 4))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 24 * 2**20, peak / 2**20
+    for beta, weighted in ((HALF, False), (B78, True)):
+        sieve_tables(limit, weighted)
+        primes_up_to(limit)  # the cached tables may outlive the primes'
+        tracemalloc.start()
+        try:
+            coupled_sums(beta, limit, weighted, (1, 2, 3, 4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20, (float(beta), peak / 2**20)
 
 
 def test_sieve_peak_memory_at_1e7():
@@ -375,10 +377,12 @@ def oracle_counts(beta_numerator, limit, weighted, seed):
 
 
 def coupled_counts(beta, limit, weighted, seeds):
-    """Each seed's counts C[i, k] as ``coupled_sums`` reduces them, in seed
-    order, and its sums."""
+    """Each seed's final counts C[i, k] as ``coupled_sums`` sums them, in
+    seed order, and its sums: the counts of each chunk's ``_lane_counts``,
+    the large primes' part included (``_segment_counts`` alone sees only the
+    words of the primes <= isqrt(limit))."""
     seen = []
-    kernel = growth._segment_counts
+    kernel = growth._lane_counts
 
     def recording_kernel(*args):
         counts = kernel(*args)
@@ -386,7 +390,7 @@ def coupled_counts(beta, limit, weighted, seeds):
         return counts
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(growth, "_segment_counts", recording_kernel)
+        mp.setattr(growth, "_lane_counts", recording_kernel)
         sums = coupled_sums(beta, limit, weighted, seeds)
     return seen, sums
 
@@ -427,6 +431,40 @@ def test_lane_counts_across_blocks(monkeypatch, block, limit):
         for n in (1, 8, 9):
             assert_lanes_match_per_seed_oracle(beta, limit, weighted,
                                                LANE_SEEDS[:n])
+
+
+@pytest.mark.parametrize("limit", [1009, 10007, 99991])
+def test_lane_counts_where_a_cofactor_quotient_is_a_large_prime(limit):
+    # limit itself is a prime above isqrt(limit), so x // m lands on a large
+    # prime at the last checkpoint for m = 1, and at others for other m
+    grid = checkpoint_grid(limit)
+    root = math.isqrt(limit)
+    primes = primes_up_to(limit)
+    large = set(primes[primes > root].tolist())
+    hits = {(x, m) for x in grid.tolist() for m in range(1, x // root + 1)
+            if x // m in large}
+    assert (limit, 1) in hits and len(hits) > 3
+    for beta, weighted in ((HALF, False), (B34, False), (B78, True)):
+        for n in (1, 8, 9):
+            assert_lanes_match_per_seed_oracle(beta, limit, weighted,
+                                               LANE_SEEDS[:n])
+
+
+@pytest.mark.parametrize("limit", [10, 26, 1000, 10**5])
+def test_lane_pass_walks_no_prime_above_isqrt_limit(monkeypatch, limit):
+    # the primes above isqrt(limit) are counted, not walked: no walk of a
+    # campaign's lane pass scatters over their multiples
+    import rmflab.sampler as sampler
+    walked = []
+    for module in (growth, sampler):
+        def recording_walk(primes, values, n, op, walk=module._walk):
+            walked.append(primes)
+            return walk(primes, values, n, op)
+        monkeypatch.setattr(module, "_walk", recording_walk)
+    for weighted, beta in ((False, HALF), (True, B78)):
+        coupled_sums(beta, limit, weighted, LANE_SEEDS[:9])
+    assert walked
+    assert max(int(p.max(initial=0)) for p in walked) <= math.isqrt(limit)
 
 
 def test_lane_counts_follow_the_seeds():

@@ -23,6 +23,24 @@ def test_omega_deterministic():
     assert np.array_equal(a1.numerators(), a2.numerators())
 
 
+@pytest.mark.parametrize("seed", [1.5, 2.0, 1000.5, True, False, "3", None,
+                                  -1, 2**64])
+def test_omega_rejects_seeds_that_are_not_uint64_integers(seed):
+    # a float start loses precision: 1.5, 2.0 and 1000.5 hashed like seed 2,
+    # and True like seed 1, so a manifest named seeds that were never used
+    with pytest.raises(DomainError, match="master_seed"):
+        OmegaAssignment(master_seed=seed, prime_limit=100)
+
+
+@pytest.mark.parametrize("seed", [np.uint64(2**64 - 1), np.int64(5),
+                                  np.uint8(7)])
+def test_omega_takes_numpy_integer_seeds_as_ints(seed):
+    a = OmegaAssignment(master_seed=seed, prime_limit=10**4)
+    assert type(a.master_seed) is int and a.master_seed == int(seed)
+    assert np.array_equal(a.numerators(),
+                          seeded_numerators(int(seed), len(a.primes)))
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
 def test_numerators_match_the_whole_array_hash(seed):
     # lengths around one hash block, and all 78,498 primes <= 10**6
