@@ -11,7 +11,7 @@ square-root-cancellation regimes of the partial sums.
 from .dyadic import HALF, DyadicFraction, beta_for_level
 from .errors import (ConfigurationError, CoverageError, DomainError, FitError,
                      LabError, PreconditionError, RangeError)
-from .sieve import distinct_prime_counts, mobius_sieve, primes_up_to
+from .sieve import primes_up_to
 from .sampler import OmegaAssignment, prime_signs
 from .iet import (IetSpec, apply_T, apply_T_power, apply_T_power_numerators,
                   interval_index)

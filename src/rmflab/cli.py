@@ -33,10 +33,10 @@ from .errors import DomainError, LabError
 from .growth import (MIN_FIT_POINTS, CampaignConfig, abel_consistency,
                      checkpoint_grid, coupled_sums, default_window,
                      fit_growth_exponent, monte_carlo_campaign,
-                     selberg_delange_ratio, sieve_tables)
+                     selberg_delange_ratio)
 from .iet import IetSpec, apply_T_power_numerators
 from .sampler import OmegaAssignment, _lane_flips, is_seed
-from .sieve import MAX_LIMIT
+from .sieve import MAX_LIMIT, squarefree_kinds
 
 KINDS = ("identity", "iet-test", "growth", "weighted-growth", "exp-form",
          "abel", "h-scan", "campaign")
@@ -107,11 +107,12 @@ def validate(config: ExperimentConfig) -> list[str]:
     needs_beta = config.kind not in ("identity", "iet-test")
     if needs_beta and config.beta is None and config.level is None:
         v.append(f"beta=None: kind {config.kind} requires beta (or level)")
-    b = None
-    if config.beta is not None:
+    b = None  # the beta run() uses, from beta or else from a valid level
+    if config.beta is not None or \
+            config.level is not None and 1 <= config.level <= 62:
         try:
-            beta = parse_beta(config.beta)
-        except ValueError as exc:
+            beta = config.beta_value()
+        except ValueError as exc:  # only a beta text can fail here
             v.append(f"beta={config.beta!r}: {exc}")
         else:
             b = float(beta)
@@ -127,7 +128,7 @@ def validate(config: ExperimentConfig) -> list[str]:
     weighted = config.kind in ("weighted-growth", "h-scan") or \
         (config.kind == "campaign" and config.weighted)
     if weighted and b is not None and not WEIGHT_BETA_THRESHOLD < b < 1:
-        v.append(f"beta={config.beta}: weighted sums require "
+        v.append(f"beta={beta.as_fraction_string()}: weighted sums require "
                  f"1/2 + 1/(2*sqrt(2)) ~ {WEIGHT_BETA_THRESHOLD:.6f} "
                  "< beta < 1")
     if config.prime_limit < 2:
@@ -297,10 +298,11 @@ def _exp_form_at(config, beta, assignment):
 
 
 def _abel_at(config, beta, assignment):
-    # one seed's f_beta: the Mobius table negated where lane 0's word is odd
-    mobius, _ = sieve_tables(config.limit, False)
+    # one seed's f_beta: (-1)**(d(n) + lane 0's bit) on squarefree n, else 0
+    kinds = squarefree_kinds(config.limit)
     words = _lane_flips(beta, [assignment.master_seed], config.limit)
-    values = np.where(words & 1, -mobius, mobius)
+    odd = (kinds ^ words.view(np.int8)) & np.int8(1)
+    values = np.where(kinds < 0, np.int8(0), np.int8(1) - 2 * odd)
     return lambda s: [abel_consistency(values, config.limit, s)]
 
 

@@ -3,7 +3,9 @@
 Partial sums of the sign series are exact 64-bit integers.  Weighted sums
 carry float weights (2*beta-1)**-d(n), at most (2*beta-1)**-8 ~ 9.99 at
 beta = 7/8 for X <= 10**8.  Both come from one kernel of exact signed counts
-per (checkpoint segment, d(n)); weighted sums round them once.
+per (checkpoint segment, d(n)), read off the one table of
+``sieve.squarefree_kinds``: plain sums add them up, weighted sums round
+them once.
 
 ``coupled_sums`` is the one way from seeds to checkpoint sums.  Campaigns
 and the growth experiments take their seeds LANES (8) at a time: one walk
@@ -24,7 +26,6 @@ of ten is itself a checkpoint and log-log fits see evenly spaced abscissae.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, asdict
@@ -34,7 +35,7 @@ import numpy as np
 from .dyadic import DyadicFraction
 from .errors import DomainError, FitError, PreconditionError, RangeError
 from .sampler import LANES, _lane_masks
-from .sieve import _sieve_mu_omega, _walk, mobius_sieve
+from .sieve import MAX_KIND, _walk, squarefree_kinds
 from .dirichlet import weight_factor
 
 GRID_STEPS_PER_DECADE = 8
@@ -115,51 +116,48 @@ _SPREAD = (((np.arange(1 << LANES) >> np.arange(LANES)[:, None]) & 1)
            << _FIELDS[:, None]).sum(axis=1, dtype=np.uint64)
 
 
-def _segment_counts(mobius: np.ndarray, grid: np.ndarray,
-                    omega_counts: np.ndarray | None, flips: np.ndarray,
+def _segment_counts(kinds: np.ndarray, grid: np.ndarray, flips: np.ndarray,
                     lanes: int) -> np.ndarray:
-    """C[lane, i, k], the exact sum of the lane's f(n) over
-    grid[i-1] < n <= grid[i] with d(n) = k (grid[-1] read as 0; without a
-    d(n) table, ``omega_counts`` None, every k is 0).
+    """C[lane, i, d], the exact sum of the lane's f(n) over
+    grid[i-1] < n <= grid[i] with d(n) = d, for d <= MAX_KIND (grid[-1]
+    read as 0), from the table ``kinds`` of ``sieve.squarefree_kinds``.
 
-    Lane k's f(n) is mobius[n] * (-1)**(bit k of flips[n]).  Each block of at
-    most _BLOCK integers in a segment is reduced by one bincount of the
-    int16 code ((mobius[n] + 1) + 3*d(n)) << lanes | flips[n], built in
-    place, so no full-length table is made; a fixed sign table decodes the
-    counts of every word pattern into every lane's.  ``grid`` must ascend
-    (repeats allowed) within [0, len(mobius) - 1].
+    Lane k's f(n) is (-1)**(d(n) + bit k of flips[n]) on squarefree n, and
+    0 elsewhere.  Each block of at most _BLOCK integers in a segment is
+    reduced by one bincount of the int16 code (kinds[n] + 1) << lanes |
+    flips[n], built in place, so no full-length table is made: row 0 holds
+    the n that are not squarefree, row d + 1 those with d(n) = d, signed by
+    (-1)**d; a fixed sign table decodes the counts of every word pattern
+    into every lane's.  ``grid`` must ascend (repeats allowed) within
+    [0, len(kinds) - 1].
     """
-    limit = len(mobius) - 1
+    limit = len(kinds) - 1
     if np.any(np.diff(grid, prepend=0) < 0) or np.any(grid > limit):
         raise RangeError(f"grid must ascend within [0, {limit}]")
-    # d(n) <= 8 for n <= 10**8 (2*3*5*...*23 = 223,092,870): a few kinds,
-    # and every code stays below (3 * 9) << 8, within int16
-    kinds = 1 if omega_counts is None else \
-        int(omega_counts[: limit + 1].max()) + 1
-    patterns = 1 << lanes
-    net = np.zeros((len(grid), kinds, patterns), dtype=np.int64)
+    # d(n) <= MAX_KIND = 8 keeps every code below 10 << 8, within int16
+    rows, patterns = MAX_KIND + 2, 1 << lanes
+    net = np.zeros((len(grid), rows * patterns), dtype=np.int64)
     block = np.empty(min(_BLOCK, limit), dtype=np.int16)
     prev = 0
     for i, x in enumerate(grid.tolist()):
         for lo in range(prev + 1, x + 1, _BLOCK):
             hi = min(lo + _BLOCK, x + 1)
             code = block[: hi - lo]
-            np.add(mobius[lo:hi], 1, out=code)
-            if omega_counts is not None:
-                code += 3 * omega_counts[lo:hi]
+            np.add(kinds[lo:hi], 1, out=code)
             code <<= lanes
             code |= flips[lo:hi]
-            tally = np.bincount(code, minlength=3 * kinds * patterns)
-            tally = tally.reshape(kinds, 3, patterns)
-            net[i] += tally[:, 2] - tally[:, 0]
+            net[i] += np.bincount(code, minlength=rows * patterns)
         prev = x
+    net = net.reshape(len(grid), rows, patterns)[:, 1:]
+    net[:, 1::2] *= -1  # mu(n) = (-1)**d(n)
     return (net @ _LANE_SIGNS[:patterns, :lanes]).transpose(2, 0, 1)
 
 
 def _sums_from_counts(counts: np.ndarray, grid: np.ndarray,
                       w: float | None = None) -> SumGrid:
-    """One lane's checkpoint sums from its counts C[i, k]: their exact
-    cumulative sum, or with a weight factor ``w`` the sums of w**d(n) f(n).
+    """One lane's checkpoint sums from its counts C[i, d]: the exact
+    cumulative sum of their totals, or with a weight factor ``w`` the sums
+    of w**d(n) f(n).
 
     Each weighted segment is the exact sum of its signed counts times the
     float weights, rounded once by an int / int division, and joins the
@@ -167,7 +165,7 @@ def _sums_from_counts(counts: np.ndarray, grid: np.ndarray,
     gives.
     """
     if w is None:
-        return SumGrid(checkpoints=grid, sums=np.cumsum(counts[:, 0]))
+        return SumGrid(checkpoints=grid, sums=np.cumsum(counts.sum(axis=1)))
     ratios = [x.as_integer_ratio()
               for x in (w ** np.arange(counts.shape[1])).tolist()]
     den = max(d for _, d in ratios)  # w**k = weights[k] / den exactly
@@ -339,27 +337,10 @@ class CampaignReport:
         return asdict(self)
 
 
-@functools.lru_cache(maxsize=1)
-def sieve_tables(limit: int, weighted: bool
-                 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """mu(n), and d(n) when weighted, for 0 <= n <= limit, from one pass.
-
-    The last call is cached: all seeds and runs at one limit sieve once,
-    and share the tables, so they are read-only."""
-    if weighted:
-        mobius, omega_counts = _sieve_mu_omega(limit)
-        omega_counts.flags.writeable = False
-    else:
-        mobius, omega_counts = mobius_sieve(limit), None
-    mobius.flags.writeable = False
-    return mobius, omega_counts
-
-
-def _large_prime_counts(mobius: np.ndarray, grid: np.ndarray,
-                        omega_counts: np.ndarray | None, primes: np.ndarray,
-                        masks: np.ndarray, split: int,
+def _large_prime_counts(kinds: np.ndarray, grid: np.ndarray,
+                        primes: np.ndarray, masks: np.ndarray, split: int,
                         lanes: int) -> np.ndarray:
-    """The large primes' part L[lane, i, k] of the counts C[lane, i, k]:
+    """The large primes' part L[lane, i, d] of the counts C[lane, i, d]:
     what the primes q = primes[split:] > isqrt(limit) add to the counts of
     words that leave them out (``primes`` and ``masks`` as
     ``sampler._lane_masks`` returns them).
@@ -368,23 +349,23 @@ def _large_prime_counts(mobius: np.ndarray, grid: np.ndarray,
     iff m is, and d(n) = d(m) + 1.  Words without q read lane k's f(n) as
     -f_k(m); the true f_k(m) f_k(q) is 2 f_k(m) more exactly when q is plus
     in lane k.  Up to a checkpoint x that adds
-    2 f_k(m) * Pi_k(x // m) at kind d(m) + 1 for each squarefree
+    2 f_k(m) * Pi_k(x // m) at d(m) + 1 for each squarefree
     m <= x // q_min, where Pi_k(y) counts lane k's plus primes in
     (isqrt(limit), y]; the segments' parts are the differences of those
     totals.  Pi_k is read off one running count of the masks per
     _COUNT_BLOCK primes, and f_k(m) off the words of m <= limit // q_min;
     at 10**7 that is about 8,000 (checkpoint, m) pairs.
     """
-    limit = len(mobius) - 1
+    limit = len(kinds) - 1
     large, large_masks = primes[split:], masks[split:]
     q_min = int(large[0])
     top = limit // q_min  # the largest cofactor m, below q_min
     small = int(np.searchsorted(primes, top, side="right"))
     words = _walk(primes[:small], masks[:small], top, np.bitwise_xor)
-    ms = np.flatnonzero(mobius[: top + 1])  # the squarefree m <= top
-    signs = _LANE_SIGNS[words[ms], :lanes] * mobius[ms, None]  # f_k(m)
-    kinds = np.zeros(len(ms), dtype=np.int8) if omega_counts is None \
-        else omega_counts[ms] + np.int8(1)  # d(m*q) = d(m) + 1
+    ms = np.flatnonzero(kinds[: top + 1] >= 0)  # the squarefree m <= top
+    d = kinds[ms]
+    mu = 1 - 2 * (d[:, None] & 1)  # mu(m) = (-1)**d(m)
+    signs = _LANE_SIGNS[words[ms], :lanes] * mu  # f_k(m)
     # pair j: checkpoint rows[j] with cofactor ms[cols[j]] <= x // q_min
     cuts = np.searchsorted(ms, grid // q_min, side="right")
     rows = np.repeat(np.arange(len(grid)), cuts)
@@ -407,17 +388,15 @@ def _large_prime_counts(mobius: np.ndarray, grid: np.ndarray,
         counts = fields.transpose(1, 0, 2).reshape(len(at), -1).view(np.int64)
         plus[order[a:b]] = counts[:-1] + passed
         passed += counts[-1]
-    totals = np.zeros((len(grid), int(kinds.max()) + 1, lanes),
-                      dtype=np.int64)
-    np.add.at(totals, (rows, kinds[cols]),
+    totals = np.zeros((len(grid), MAX_KIND + 1, lanes), dtype=np.int64)
+    np.add.at(totals, (rows, d[cols] + 1),  # d(m*q) = d(m) + 1
               2 * signs[cols] * plus[:, :lanes])
     return np.diff(totals, axis=0, prepend=0).transpose(2, 0, 1)
 
 
 def _lane_counts(beta: DyadicFraction, seeds, limit: int,
-                 mobius: np.ndarray, grid: np.ndarray,
-                 omega_counts: np.ndarray | None) -> np.ndarray:
-    """C[lane, i, k] of ``_segment_counts`` for at most LANES seeds, from
+                 kinds: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """C[lane, i, d] of ``_segment_counts`` for at most LANES seeds, from
     one walk over the primes <= isqrt(limit) that are plus in some lane.
 
     Every n <= limit has at most one prime factor above isqrt(limit), so
@@ -428,13 +407,13 @@ def _lane_counts(beta: DyadicFraction, seeds, limit: int,
     """
     primes, masks = _lane_masks(beta, seeds, limit)
     split = int(np.searchsorted(primes, math.isqrt(limit), side="right"))
-    large = _large_prime_counts(mobius, grid, omega_counts, primes, masks,
-                                split, len(seeds))
+    large = _large_prime_counts(kinds, grid, primes, masks, split,
+                                len(seeds))
     keep = masks[:split] != 0
     words = _walk(primes[:split][keep], masks[:split][keep], limit,
                   np.bitwise_xor)
-    counts = _segment_counts(mobius, grid, omega_counts, words, len(seeds))
-    counts[:, :, : large.shape[2]] += large
+    counts = _segment_counts(kinds, grid, words, len(seeds))
+    counts += large
     return counts
 
 
@@ -448,11 +427,11 @@ def coupled_sums(beta: DyadicFraction, limit: int, weighted: bool,
     """
     w = weight_factor(beta) if weighted else None  # the weighted threshold
     grid = checkpoint_grid(limit)
-    mobius, omega_counts = sieve_tables(limit, weighted)
+    kinds = squarefree_kinds(limit)
     sums = []
     for at in range(0, len(seeds), LANES):
-        counts = _lane_counts(beta, seeds[at: at + LANES], limit, mobius,
-                              grid, omega_counts)
+        counts = _lane_counts(beta, seeds[at: at + LANES], limit, kinds,
+                              grid)
         sums += [_sums_from_counts(c, grid, w) for c in counts]
     return sums
 

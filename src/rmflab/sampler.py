@@ -11,10 +11,11 @@ The sign convention is right-open: -1 on [0, beta), +1 on [beta, 1).  On the
 the closed-interval convention only at grid endpoints (a measure-zero set).
 
 ``_lane_masks`` signs every prime for up to LANES seeds at once, as one
-uint8 mask per prime; ``_lane_flips`` walks those masks into one flip word
-per integer over the Mobius table, from which the ``abel`` sweep reads its
-series.  The campaign lane pass (``growth.coupled_sums``) walks only the
-masks of the primes <= isqrt(limit) and counts the larger ones.
+uint8 mask per prime, straight from the blocks of the hash; ``_lane_flips``
+walks those masks into one flip word per integer, from which, with the
+table of ``sieve.squarefree_kinds``, the ``abel`` sweep reads its series.
+The campaign lane pass (``growth.coupled_sums``) walks only the masks of
+the primes <= isqrt(limit) and counts the larger ones.
 """
 
 from __future__ import annotations
@@ -37,6 +38,35 @@ LANES = 8  # seeds per flip word: bit k of a uint8 belongs to seeds[k]
 
 # Ranks hashed per block: 512 KiB of uint64 per scratch array, within L2
 _HASH_BLOCK = 2**16
+
+
+def _hash_blocks(seed: int, count: int):
+    """The omega numerators of ranks 0 .. count - 1 for ``seed``, _HASH_BLOCK
+    ranks at a time: yields (lo, z) with z the uint64 numerators of ranks
+    lo, lo + 1, ..., held in one scratch array that the next block reuses.
+
+    Each rank has its own counter position, so streams never overlap within
+    one seed: the SplitMix64 output at seed + golden * (rank + 1), mod 2**64,
+    computed in place with one more scratch array for the shifts.
+    """
+    offsets = np.arange(min(_HASH_BLOCK, count), dtype=np.uint64)
+    offsets *= _GOLDEN  # golden * j for the j-th rank of a block
+    scratch = np.empty_like(offsets)
+    shifted = np.empty_like(offsets)
+    for lo in range(0, count, _HASH_BLOCK):
+        z = scratch[: min(_HASH_BLOCK, count - lo)]
+        tmp = shifted[: len(z)]
+        start = (seed + int(_GOLDEN) * (lo + 1)) % 2**64
+        np.add(offsets[: len(z)], np.uint64(start), out=z)
+        np.right_shift(z, np.uint64(30), out=tmp)
+        z ^= tmp
+        z *= _MIX1
+        np.right_shift(z, np.uint64(27), out=tmp)
+        z ^= tmp
+        z *= _MIX2
+        np.right_shift(z, np.uint64(31), out=tmp)
+        z ^= tmp
+        yield lo, z
 
 
 def _prefix(primes: np.ndarray | None, covered: np.ndarray) -> np.ndarray:
@@ -86,32 +116,10 @@ class OmegaAssignment:
 
     def numerators(self, primes: np.ndarray | None = None) -> np.ndarray:
         """uint64 numerators of omega_p for a prefix of ``.primes`` (default:
-        all of them).
-
-        Each prime's value comes from an independent counter position
-        (its rank), so streams never overlap within one seed: the SplitMix64
-        output at seed + golden * (rank + 1), mod 2**64.  It is computed in
-        place in the result, _HASH_BLOCK ranks at a time, with one scratch
-        array for the shifts.
-        """
-        count = len(_prefix(primes, self._primes))
-        out = np.empty(count, dtype=np.uint64)
-        offsets = np.arange(min(_HASH_BLOCK, count), dtype=np.uint64)
-        offsets *= _GOLDEN  # golden * j for the j-th rank of a block
-        shifted = np.empty_like(offsets)
-        for lo in range(0, count, _HASH_BLOCK):
-            z = out[lo: lo + _HASH_BLOCK]
-            tmp = shifted[: len(z)]
-            start = (self.master_seed + int(_GOLDEN) * (lo + 1)) % 2**64
-            np.add(offsets[: len(z)], np.uint64(start), out=z)
-            np.right_shift(z, np.uint64(30), out=tmp)
-            z ^= tmp
-            z *= _MIX1
-            np.right_shift(z, np.uint64(27), out=tmp)
-            z ^= tmp
-            z *= _MIX2
-            np.right_shift(z, np.uint64(31), out=tmp)
-            z ^= tmp
+        all of them), filled from ``_hash_blocks``."""
+        out = np.empty(len(_prefix(primes, self._primes)), dtype=np.uint64)
+        for lo, z in _hash_blocks(self.master_seed, len(out)):
+            out[lo: lo + len(z)] = z
         return out
 
 
@@ -144,18 +152,27 @@ def _lane_masks(beta: DyadicFraction, seeds,
     masks for at most LANES seeds: bit k of a prime's mask is set when seed
     ``seeds[k]`` signs it +1 (every mask is 0 at beta = 1).
 
-    Each seed is hashed once.  On squarefree n, the xor of the masks of the
-    primes dividing n has bit k set exactly when seed k's f_beta(n) is
-    -mu(n).
+    Each seed is hashed once, block by block (``_hash_blocks``), straight
+    into the masks, with no per-seed array of numerators or signs.  On
+    squarefree n, the xor of the masks of the primes dividing n has bit k
+    set exactly when seed k's f_beta(n) is -mu(n).
     """
     if len(seeds) > LANES:
         raise PreconditionError(f"{len(seeds)} seeds exceed {LANES} lanes")
+    if not HALF <= beta:
+        raise PreconditionError(f"beta={float(beta)} below 1/2")
+    if not all(map(is_seed, seeds)):
+        raise DomainError(f"seeds={list(seeds)!r}: every seed must be an "
+                          "integer in [0, 2**64)")
     primes = primes_up_to(limit)
     masks = np.zeros(len(primes), dtype=np.uint8)
+    if beta.is_one:
+        return primes, masks
+    threshold = np.uint64(beta.numerator)
     for k, seed in enumerate(seeds):
-        signs = prime_signs(beta, OmegaAssignment(master_seed=seed,
-                                                  prime_limit=limit))
-        masks |= (signs == 1).view(np.uint8) << np.uint8(k)
+        for lo, z in _hash_blocks(operator.index(seed), len(primes)):
+            plus = (z >= threshold).view(np.uint8)  # omega >= beta: +1
+            masks[lo: lo + len(z)] |= plus << np.uint8(k)
     return primes, masks
 
 
@@ -163,7 +180,8 @@ def _lane_flips(beta: DyadicFraction, seeds, limit: int) -> np.ndarray:
     """uint8 words for n <= limit whose bit k is the parity of the
     plus-signed primes of seed ``seeds[k]`` that divide n, for at most
     LANES seeds: on squarefree n that seed's f_beta(n) is mu(n) times
-    (-1)**bit k, so the words and the Mobius table hold all lanes' series.
+    (-1)**bit k, so the words and the table of ``sieve.squarefree_kinds``
+    hold all lanes' series.
 
     One walk over every prime <= limit that is plus in some lane (see
     ``_lane_masks``), the large primes included; the campaign lane pass

@@ -1,18 +1,18 @@
-"""Integer-arithmetic substrate: primes, Mobius values, distinct-prime counts.
+"""Integer-arithmetic substrate: primes, and one table of squarefree kinds.
 
 Everything here is deterministic and exact.  Tables are plain numpy arrays,
-immutable by convention after construction, and safe for concurrent reads.
+read-only once built, and safe for concurrent reads.
 
-Memory budget at the supported maximum X = 10**8: mu and d(n) at 1 byte per
-integer, the odd-only prime sieve at 1 byte per odd integer, and 8 bytes per
-prime, about 0.30 GB (286 MiB ``VmHWM`` measured for one pass at 10**8,
-25 MiB traced at 10**7).  The last limit's prime table stays cached and
-read-only for the process: 8 bytes per prime, about 46 MB at 10**8.  A
-campaign's lane pass adds one byte per integer of flip words, walked over
+Memory budget at the supported maximum X = 10**8: the kinds table at 1 byte
+per integer, the odd-only prime sieve at 1 byte per odd integer, and 8 bytes
+per prime, about 0.22 GB (213 MiB ``VmHWM`` measured for one pass at 10**8,
+48 MiB at 10**7, 19 MiB traced at 10**7; 2-core x86-64, numpy 2.4).  The
+last limit's prime table and kinds table stay cached and read-only for the
+process: 8 bytes per prime, about 46 MB at 10**8, and 1 byte per integer.
+A campaign's lane pass adds one byte per integer of flip words, walked over
 the primes <= sqrt(X) only: the sieve and an 8-seed lane pass at 10**8
-peak at 288 MiB ``VmHWM`` (384 MiB weighted, with d(n) kept), so the
-sieve sets the plain peak.  The walk itself works in cache-sized pieces
-(see ``_walk``).
+peak at 292 MiB ``VmHWM``, plain or weighted, so the lane pass sets the
+peak.  The walk itself works in cache-sized pieces (see ``_walk``).
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ import numpy as np
 from .errors import ConfigurationError
 
 MAX_LIMIT = 10**8
+# d(n) <= MAX_KIND for n <= MAX_LIMIT: 2*3*5*...*23 = 223,092,870 > 10**8
+MAX_KIND = 8
 
 
 def primes_up_to(limit: int) -> np.ndarray:
@@ -110,32 +112,25 @@ def _walk(primes: np.ndarray, values: np.ndarray, limit: int,
     return t
 
 
-def _sieve_mu_omega(limit: int) -> tuple[np.ndarray, np.ndarray]:
-    """One pass producing both mu(n) and the distinct-prime count d(n).
+@functools.lru_cache(maxsize=1)
+def squarefree_kinds(limit: int) -> np.ndarray:
+    """k(n) for 0 <= n <= limit as int8: the distinct-prime count d(n) on
+    squarefree n, and -1 elsewhere (at n = 0 too).  On squarefree n,
+    mu(n) = (-1)**k(n).
 
-    d(n) counts one at every multiple of every prime; mu(n) is (-1)**d(n),
-    zeroed at the multiples of p*p.
+    d(n) counts one at every multiple of every prime; the multiples of each
+    p*p are then set to -1.  The last limit's table stays cached for the
+    process, so every run at that limit sieves once and shares it: it is
+    read-only.
     """
     if not 1 <= limit <= MAX_LIMIT:
         raise ConfigurationError(
             f"sieve limit {limit} outside supported range [1, {MAX_LIMIT}]")
     primes = primes_up_to(limit)
-    omega = _walk(primes, np.broadcast_to(np.int8(1), primes.shape), limit,
+    kinds = _walk(primes, np.broadcast_to(np.int8(1), primes.shape), limit,
                   np.add)
-    mu = omega & np.int8(1)
-    mu *= np.int8(-2)
-    mu += np.int8(1)
     for p in primes[primes <= math.isqrt(limit)].tolist():
-        mu[p * p:: p * p] = 0
-    mu[0] = 0
-    return mu, omega
-
-
-def mobius_sieve(limit: int) -> np.ndarray:
-    """mu(n) for 0 <= n <= limit as int8 (mu[0] = 0 by convention)."""
-    return _sieve_mu_omega(limit)[0]
-
-
-def distinct_prime_counts(limit: int) -> np.ndarray:
-    """d(n) = number of distinct primes dividing n, for 0 <= n <= limit."""
-    return _sieve_mu_omega(limit)[1]
+        kinds[p * p:: p * p] = -1
+    kinds[0] = -1
+    kinds.flags.writeable = False
+    return kinds

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from oracles import build_spf, factor_summary
-from rmflab import OmegaAssignment, mobius_sieve
+from oracles import build_spf, factor_summary, mobius_sieve
+from rmflab import OmegaAssignment
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,8 @@
 """Test-only oracles: a smallest-prime-factor table and trial factorization
 check the sieve by an independent route; ``_multiples`` is the unblocked
-walk over the prime multiples, the reference for ``sieve._walk``;
+walk over the prime multiples, the reference for ``sieve._walk``, and
+``mobius_sieve`` and ``distinct_prime_counts`` build mu(n) and d(n) apart
+from ``sieve.squarefree_kinds`` by that walk;
 ``splitmix64`` is the whole-array hash, the reference for the blocked
 ``OmegaAssignment.numerators``; ``build_sign_series`` realizes one seed's
 f_beta by its own walk over the plus-signed primes, the reference for the
@@ -12,17 +14,17 @@ per-seed reference for the coupled lane kernel's exact counts.  None of it
 is part of the package.
 """
 
+import functools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from rmflab import (DyadicFraction, OmegaAssignment, distinct_prime_counts,
-                    mobius_sieve, prime_signs)
+from rmflab import DyadicFraction, OmegaAssignment, prime_signs, primes_up_to
 from rmflab.errors import ConfigurationError, CoverageError, RangeError
 from rmflab.iet import IetSpec, apply_T_power_numerators
-from rmflab.sieve import MAX_LIMIT
+from rmflab.sieve import MAX_KIND, MAX_LIMIT
 
 
 # p*p - 1, p*p and p*p + 1 move isqrt(limit), and with it whether a prime
@@ -82,6 +84,32 @@ def multiples_walk(primes: np.ndarray, values: np.ndarray, limit: int,
     for sel, at in _multiples(primes, limit):
         t[sel] = op(t[sel], values[at])
     return t
+
+
+# The tables below are cached for the tests of one process, so read-only.
+
+@functools.lru_cache(maxsize=8)
+def distinct_prime_counts(limit: int) -> np.ndarray:
+    """d(n) for 0 <= n <= limit as int8 (d(0) = 0): one count per prime at
+    each of its multiples, by the unblocked walk."""
+    primes = primes_up_to(limit)
+    counts = multiples_walk(primes, np.ones(len(primes), dtype=np.int8),
+                            limit, np.add)
+    counts.flags.writeable = False
+    return counts
+
+
+@functools.lru_cache(maxsize=8)
+def mobius_sieve(limit: int) -> np.ndarray:
+    """mu(n) for 0 <= n <= limit as int8 (mu[0] = 0): (-1)**d(n), zeroed at
+    the multiples of each p*p."""
+    mu = 1 - 2 * (distinct_prime_counts(limit) & 1)
+    primes = primes_up_to(limit)
+    for p in primes[primes <= math.isqrt(limit)].tolist():
+        mu[p * p:: p * p] = 0
+    mu[0] = 0
+    mu.flags.writeable = False
+    return mu
 
 
 @dataclass(frozen=True)
@@ -240,20 +268,17 @@ def fsum_weighted_sums(values: np.ndarray, omega_counts: np.ndarray,
     return sums
 
 
-def per_seed_counts(beta, limit: int, weighted: bool, seed: int,
+def per_seed_counts(beta, limit: int, seed: int,
                     grid: np.ndarray) -> np.ndarray:
-    """C[i, k], one seed's exact sum of f_beta(n) over grid[i-1] < n <=
-    grid[i] with d(n) = k (every k 0 unless weighted), the per-seed way: its
-    own sign series, then one bincount of f(n) + 1 + 3 d(n) per segment."""
+    """C[i, d], one seed's exact sum of f_beta(n) over grid[i-1] < n <=
+    grid[i] with d(n) = d, for d <= MAX_KIND, the per-seed way: its own sign
+    series, then one bincount of f(n) + 1 + 3 d(n) per segment."""
     series = build_sign_series(
         beta, OmegaAssignment(master_seed=seed, prime_limit=limit), limit,
         mobius_sieve(limit))
     code = series.values + np.int8(1)
-    kinds = 1
-    if weighted:
-        omega = distinct_prime_counts(limit)
-        code += 3 * omega
-        kinds = int(omega.max()) + 1
+    code += 3 * distinct_prime_counts(limit)
+    kinds = MAX_KIND + 1
     counts = np.zeros((len(grid), kinds), dtype=np.int64)
     prev = 0
     for i, x in enumerate(grid.tolist()):

@@ -11,15 +11,15 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from oracles import build_sign_series
+from oracles import build_sign_series, distinct_prime_counts, mobius_sieve
 from rmflab import (CampaignConfig, DyadicFraction, IetSpec, OmegaAssignment,
                     SumGrid, abel_consistency, apply_T_power_numerators,
-                    checkpoint_grid, distinct_prime_counts,
-                    fit_growth_exponent, identity_residual, mobius_sieve,
+                    checkpoint_grid, fit_growth_exponent, identity_residual,
                     monte_carlo_campaign, euler_F, exp_form_F, prime_signs,
                     weight_factor)
 from rmflab.dyadic import HALF, ONE
 from rmflab.sampler import _lane_flips
+from rmflab.sieve import squarefree_kinds
 
 B34 = DyadicFraction.from_fraction(3, 2)
 B78 = DyadicFraction.from_fraction(7, 3)
@@ -32,12 +32,13 @@ def report(criterion: str, ok: bool, detail: str) -> None:
     print(f"[{criterion}] {'PASS' if ok else 'FAIL'}: {detail}")
 
 
-def lane_series(beta: DyadicFraction, seed: int,
-                mobius: np.ndarray) -> np.ndarray:
-    """One seed's f_beta(n), n <= len(mobius) - 1, as the program realizes
-    it: the Mobius table negated where lane 0 of the flip words is odd."""
-    words = _lane_flips(beta, [seed], len(mobius) - 1)
-    return np.where(words & 1, -mobius, mobius)
+def lane_series(beta: DyadicFraction, seed: int, limit: int) -> np.ndarray:
+    """One seed's f_beta(n), n <= limit, as the abel sweep realizes it:
+    (-1)**(d(n) + lane 0's bit) on squarefree n, and 0 elsewhere."""
+    kinds = squarefree_kinds(limit)
+    words = _lane_flips(beta, [seed], limit)
+    odd = (kinds ^ words.view(np.int8)) & np.int8(1)
+    return np.where(kinds < 0, np.int8(0), np.int8(1) - 2 * odd)
 
 
 @pytest.fixture(scope="module")
@@ -116,7 +117,7 @@ def test_criterion_03_measure_preservation():
 
 def test_criterion_04_mobius_degeneration():
     mu = mobius_sieve(10**6)
-    series = lane_series(ONE, 42, mu)
+    series = lane_series(ONE, 42, 10**6)
     ok = bool(np.array_equal(series[1:], mu[1:]))
     report("criterion 04 Mobius degeneration", ok,
            "beta=1 series equals mu exactly up to 10^6")
@@ -140,10 +141,9 @@ def test_criterion_05_prime_sign_statistics():
 
 
 def test_criterion_06_abel_consistency():
-    mu = mobius_sieve(10**5)
     worst = 0.0
     for beta in (HALF, B34):
-        series = lane_series(beta, 42, mu)
+        series = lane_series(beta, 42, 10**5)
         for s in (1.5, 2.0, 1.2 + 5j):
             worst = max(worst, abel_consistency(series, 10**5, s))
     ok = worst < 1e-10

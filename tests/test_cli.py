@@ -291,6 +291,12 @@ def test_fit_error_names_the_first_failing_seed(kind, tmp_path):
     ({"kind": "weighted-growth", "beta": "7/8", "seeds": [True]},
      "seeds=[True]"),
     ({"kind": "abel", "seeds": [1000.5]}, "seeds=[1000.5]"),
+    # level 1 is beta 3/4, below the weighted threshold
+    ({"kind": "weighted-growth", "beta": None, "level": 1},
+     "weighted sums require"),
+    ({"kind": "h-scan", "beta": None, "level": 1}, "weighted sums require"),
+    ({"kind": "campaign", "beta": None, "level": 1, "weighted": True},
+     "weighted sums require"),
 ])
 def test_validate_rejects_fits_and_sigmas_run_would_reject(changes, needle,
                                                             tmp_path):

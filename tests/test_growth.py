@@ -9,21 +9,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (ISQRT_EDGE_LIMITS, abel_residual_unblocked,
-                     build_sign_series, factor_summary, fsum_weighted_sums,
-                     per_seed_counts)
+                     build_sign_series, distinct_prime_counts, factor_summary,
+                     fsum_weighted_sums, mobius_sieve, per_seed_counts)
 import rmflab.growth as growth
 from rmflab import (CampaignConfig, DomainError, DyadicFraction, FitError,
                     OmegaAssignment, PreconditionError, RangeError,
-                    abel_consistency, checkpoint_grid, distinct_prime_counts,
-                    fit_growth_exponent, mobius_sieve, monte_carlo_campaign,
-                    selberg_delange_ratio)
+                    abel_consistency, checkpoint_grid, fit_growth_exponent,
+                    monte_carlo_campaign, selberg_delange_ratio)
 from rmflab.dirichlet import weight_factor
 from rmflab.dyadic import HALF, ONE
 from rmflab.growth import (SumGrid, _median, _quantile, _seed_result,
-                           _segment_counts, _sums_from_counts, coupled_sums,
-                           sieve_tables)
+                           _segment_counts, _sums_from_counts, coupled_sums)
 from rmflab.sampler import _lane_flips
-from rmflab.sieve import _prime_table, _sieve_mu_omega, primes_up_to
+from rmflab.sieve import _prime_table, primes_up_to, squarefree_kinds
 
 B34 = DyadicFraction.from_fraction(3, 2)
 B78 = DyadicFraction.from_fraction(7, 3)
@@ -44,17 +42,18 @@ def test_checkpoint_grid_hits_powers_of_ten():
 
 
 @functools.lru_cache(maxsize=None)
-def tables(limit):
-    """mu(n) and d(n) for n <= limit, sieved apart from ``sieve_tables``."""
-    return mobius_sieve(limit), distinct_prime_counts(limit)
+def kinds_table(limit):
+    """d(n) on squarefree n <= limit, -1 elsewhere, built apart from
+    ``squarefree_kinds``."""
+    return np.where(mobius_sieve(limit) != 0, distinct_prime_counts(limit),
+                    np.int8(-1))
 
 
 def one_lane_sums(beta, seed, limit, grid, weighted=False):
     """One seed's sums at any ascending checkpoints in [0, limit]: the lane
     kernel with a single lane, weighted by (2*beta-1)**-d(n) if asked."""
-    mobius, om = tables(limit)
     grid = np.asarray(grid, dtype=np.int64)
-    counts = _segment_counts(mobius, grid, om if weighted else None,
+    counts = _segment_counts(kinds_table(limit), grid,
                              _lane_flips(beta, [seed], limit), 1)
     w = weight_factor(beta) if weighted else None
     return _sums_from_counts(counts[0], grid, w)
@@ -106,14 +105,12 @@ def test_weighted_sums_threshold():
 
 
 def test_unit_weight_reduces_to_plain_sums(assignment_1e5):
-    # with d(n) = 0 everywhere every weight is 1, which must reproduce the
-    # exact integer sums
-    mobius, _ = tables(10**5)
+    # with weight factor 1 every weight is 1, which must reproduce the exact
+    # integer sums
     flips = _lane_flips(B78, [assignment_1e5.master_seed], 10**5)
     grid = checkpoint_grid(10**5)
-    no_factors = np.zeros(10**5 + 1, dtype=np.int8)
-    counts = _segment_counts(mobius, grid, no_factors, flips, 1)[0]
-    wsums = _sums_from_counts(counts, grid, weight_factor(B78))
+    counts = _segment_counts(kinds_table(10**5), grid, flips, 1)[0]
+    wsums = _sums_from_counts(counts, grid, 1.0)
     plain = one_lane_sums(B78, assignment_1e5.master_seed, 10**5, grid)
     assert np.array_equal(wsums.sums, plain.sums.astype(np.float64))
 
@@ -121,11 +118,11 @@ def test_unit_weight_reduces_to_plain_sums(assignment_1e5):
 @functools.lru_cache(maxsize=None)
 def series_1e5(seed, beta_numerator):
     """f_beta at X = 10**5 for one seed, with the d(n) table."""
-    mobius, om = tables(10**5)
     series = build_sign_series(
         DyadicFraction(beta_numerator),
-        OmegaAssignment(master_seed=seed, prime_limit=10**5), 10**5, mobius)
-    return series, om
+        OmegaAssignment(master_seed=seed, prime_limit=10**5), 10**5,
+        mobius_sieve(10**5))
+    return series, distinct_prime_counts(10**5)
 
 
 def assert_sums_match_references(seed, beta, grid):
@@ -160,28 +157,23 @@ def test_sums_match_references_on_drawn_grids(seed, beta, xs, repeats):
 
 @pytest.mark.parametrize("grid", [[10, 100, 50], [10, 10**5 + 1], [-1, 10]])
 def test_sums_reject_grids_out_of_order_or_range(grid):
-    mobius, om = tables(10**5)
     flips = _lane_flips(B78, [1], 10**5)
-    for omega_counts in (None, om):
-        with pytest.raises(RangeError):
-            _segment_counts(mobius, np.array(grid), omega_counts, flips, 1)
+    with pytest.raises(RangeError):
+        _segment_counts(kinds_table(10**5), np.array(grid), flips, 1)
 
 
 def test_sum_layer_peak_memory_at_1e7():
     # one lane's reduction and sums, with its flip words built beforehand;
     # a full-length int64 prefix or float64 weighted array would be 76 MiB
     limit = 10**7
-    mobius, om = sieve_tables(limit, True)
+    kinds = squarefree_kinds(limit)
     flips = _lane_flips(B78, [1], limit)
     grid = checkpoint_grid(limit)
-    w = weight_factor(B78)
-    for call in (lambda: _sums_from_counts(
-                     _segment_counts(mobius, grid, None, flips, 1)[0], grid),
-                 lambda: _sums_from_counts(
-                     _segment_counts(mobius, grid, om, flips, 1)[0], grid, w)):
+    for w in (None, weight_factor(B78)):
         tracemalloc.start()
         try:
-            call()
+            _sums_from_counts(_segment_counts(kinds, grid, flips, 1)[0],
+                              grid, w)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -196,8 +188,8 @@ def test_lane_pass_peak_memory_at_1e7():
     # the primes <= isqrt(X), 10.8 and 10.9 MiB: the 10 MB of words
     limit = 10**7
     for beta, weighted in ((HALF, False), (B78, True)):
-        sieve_tables(limit, weighted)
-        primes_up_to(limit)  # the cached tables may outlive the primes'
+        squarefree_kinds(limit)
+        primes_up_to(limit)  # the cached table may outlive the primes'
         tracemalloc.start()
         try:
             coupled_sums(beta, limit, weighted, (1, 2, 3, 4))
@@ -208,14 +200,15 @@ def test_lane_pass_peak_memory_at_1e7():
 
 
 def test_sieve_peak_memory_at_1e7():
-    # mu and d(n) take 1 byte per integer, the odd-only prime sieve 1 byte
+    # the table takes 1 byte per integer, the odd-only prime sieve 1 byte
     # per odd integer and the primes 8 bytes each; the product-accumulator
     # sieve peaked at 105 MiB.  A cold pass: an earlier test may have left
-    # the primes <= 10**7 cached
+    # the primes <= 10**7 and the table cached
     _prime_table.cache_clear()
+    squarefree_kinds.cache_clear()
     tracemalloc.start()
     try:
-        _sieve_mu_omega(10**7)
+        squarefree_kinds(10**7)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -336,7 +329,7 @@ def test_campaign_single_seed_matches_per_seed_oracle():
     report = monte_carlo_campaign(cfg)
     grid = checkpoint_grid(cfg.limit)
     single = _seed_result(cfg, 9, _sums_from_counts(
-        per_seed_counts(B34, cfg.limit, False, 9, grid), grid))
+        per_seed_counts(B34, cfg.limit, 9, grid), grid))
     assert report.per_seed == (single,)
     assert report.alpha_median == single.alpha
 
@@ -370,10 +363,9 @@ LANE_SEEDS = (0, *range(1, 16), 2**64 - 1)
 
 
 @functools.lru_cache(maxsize=None)
-def oracle_counts(beta_numerator, limit, weighted, seed):
+def oracle_counts(beta_numerator, limit, seed):
     beta = DyadicFraction(beta_numerator)
-    return per_seed_counts(beta, limit, weighted, seed,
-                           checkpoint_grid(limit))
+    return per_seed_counts(beta, limit, seed, checkpoint_grid(limit))
 
 
 def coupled_counts(beta, limit, weighted, seeds):
@@ -403,7 +395,7 @@ def assert_lanes_match_per_seed_oracle(beta, limit, weighted, seeds):
     grid = checkpoint_grid(limit)
     w = weight_factor(beta) if weighted else None
     for seed, counts, lane_sums in zip(seeds, got, sums):
-        want = oracle_counts(beta.numerator, limit, weighted, seed)
+        want = oracle_counts(beta.numerator, limit, seed)
         assert np.array_equal(counts, want), (len(seeds), seed)
         assert lane_sums.sums.tobytes() == \
             _sums_from_counts(want, grid, w).sums.tobytes()

@@ -5,13 +5,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import ISQRT_EDGE_LIMITS, build_sign_series, seeded_numerators
+from oracles import (ISQRT_EDGE_LIMITS, build_sign_series, mobius_sieve,
+                     seeded_numerators)
 from rmflab import (CoverageError, DomainError, DyadicFraction,
-                    OmegaAssignment, PreconditionError, mobius_sieve,
-                    prime_signs)
+                    OmegaAssignment, PreconditionError, prime_signs,
+                    primes_up_to)
 from rmflab.dyadic import HALF, ONE
 from rmflab.growth import _segment_counts
-from rmflab.sampler import LANES, _lane_flips, signs_from_numerators
+from rmflab.sampler import (_HASH_BLOCK, LANES, _lane_flips, _lane_masks,
+                            signs_from_numerators)
+from rmflab.sieve import squarefree_kinds
 
 
 def test_omega_deterministic():
@@ -125,8 +128,9 @@ def test_beta_one_series_is_mobius(mu_1e6, assignment_1e6):
     series = build_sign_series(ONE, assignment_1e6, 10**6, mu_1e6)
     assert np.array_equal(series.values[1:], mu_1e6[1: 10**6 + 1])
     flips = _lane_flips(ONE, [assignment_1e6.master_seed], 10**6)
-    counts = _segment_counts(mu_1e6, np.array([10]), None, flips, 1)
-    assert counts[0, 0, 0] == -1  # Mertens(10)
+    counts = _segment_counts(squarefree_kinds(10**6), np.array([10]), flips,
+                             1)
+    assert counts[0, 0].sum() == -1  # Mertens(10)
 
 
 def test_series_multiplicativity_at_30(mu_1e6, assignment_1e5):
@@ -175,6 +179,32 @@ def test_series_is_the_product_of_prime_signs(limit, beta, assignment_1e5,
     assert lane.tolist() == s.values.tolist()
 
 
+@pytest.mark.parametrize("count", [_HASH_BLOCK - 1, _HASH_BLOCK,
+                                   _HASH_BLOCK + 1])
+def test_lane_masks_match_per_seed_signs(count):
+    # the masks come straight from the hash blocks; a last block of one
+    # prime, a full one, and one short by a prime
+    limit = int(primes_up_to(10**6)[count - 1])
+    seeds = (3, 0, 2**64 - 1, 4, 5, 6, 7, 8)
+    for beta in (HALF, DyadicFraction.from_fraction(3, 2),
+                 DyadicFraction.from_fraction(7, 3), ONE):
+        for n in (1, 3, 8):
+            primes, masks = _lane_masks(beta, seeds[:n], limit)
+            assert len(primes) == count and masks.dtype == np.uint8
+            want = np.zeros(count, dtype=np.uint8)
+            for k, seed in enumerate(seeds[:n]):
+                signs = prime_signs(beta, OmegaAssignment(
+                    master_seed=seed, prime_limit=limit))
+                want |= (signs == 1).astype(np.uint8) << np.uint8(k)
+            assert np.array_equal(masks, want), (float(beta), n)
+
+
+@pytest.mark.parametrize("seed", [1.5, True])
+def test_lane_masks_reject_seeds_that_are_not_uint64_integers(seed):
+    with pytest.raises(DomainError, match="seeds"):
+        _lane_masks(HALF, [1, seed], 100)
+
+
 def test_flip_words_hold_at_most_eight_seeds():
     assert _lane_flips(HALF, tuple(range(LANES)), 100).dtype == np.uint8
     with pytest.raises(PreconditionError, match="9 seeds"):
@@ -187,8 +217,8 @@ def test_series_prefix_property(mu_1e6, assignment_1e5):
     s = build_sign_series(beta, assignment_1e5, 10**5, mu_1e6)
     flips = _lane_flips(beta, [assignment_1e5.master_seed], 10**5)
     grid = np.arange(1, 2001)
-    counts = _segment_counts(mu_1e6[: 10**5 + 1], grid, None, flips, 1)
-    assert np.array_equal(counts[0, :, 0], s.values[1:2001])
+    counts = _segment_counts(squarefree_kinds(10**5), grid, flips, 1)
+    assert np.array_equal(counts[0].sum(axis=1), s.values[1:2001])
 
 
 def test_series_coverage_error(mu_1e6):

@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from oracles import (ISQRT_EDGE_LIMITS, build_spf, factor_summary,
-                     multiples_walk)
+from oracles import (ISQRT_EDGE_LIMITS, build_spf, distinct_prime_counts,
+                     factor_summary, mobius_sieve, multiples_walk)
 from rmflab import (ConfigurationError, OmegaAssignment, RangeError,
-                    distinct_prime_counts, mobius_sieve, primes_up_to)
-from rmflab import sieve
-from rmflab.growth import sieve_tables
+                    primes_up_to)
+from rmflab import cli, sieve
+from rmflab.sieve import squarefree_kinds
 
 
 def eratosthenes_oracle(limit):
@@ -95,11 +95,29 @@ def test_prime_table_is_read_only():
 
 
 def test_sieve_tables_are_read_only():
-    # every later run at the same limit reads the cached tables
-    mobius, _ = sieve_tables(100, False)
-    for table in (mobius, *sieve_tables(100, True)):
-        with pytest.raises(ValueError):
-            table[6] = 0
+    # every later run at the same limit reads the cached table
+    with pytest.raises(ValueError):
+        squarefree_kinds(100)[6] = 0
+
+
+def test_plain_and_weighted_runs_at_one_limit_sieve_once(monkeypatch,
+                                                         tmp_path):
+    walks = []
+    walk = sieve._walk
+
+    def recording_walk(primes, values, limit, op):
+        walks.append(limit)
+        return walk(primes, values, limit, op)
+
+    monkeypatch.setattr(sieve, "_walk", recording_walk)
+    squarefree_kinds.cache_clear()
+    for i, (kind, beta) in enumerate((("growth", "3/4"),
+                                      ("weighted-growth", "7/8"),
+                                      ("growth", "1/2"))):
+        cli.run(cli.ExperimentConfig(kind=kind, beta=beta, limit=10**4,
+                                     seeds=[1, 2],
+                                     outdir=str(tmp_path / str(i))))
+    assert walks == [10**4]
 
 
 def test_prime_table_is_shared_at_one_limit(monkeypatch):
@@ -111,7 +129,8 @@ def test_prime_table_is_shared_at_one_limit(monkeypatch):
         return walk(primes, values, limit, op)
 
     monkeypatch.setattr(sieve, "_walk", recording_walk)
-    sieve._sieve_mu_omega(10**4)
+    squarefree_kinds.cache_clear()
+    squarefree_kinds(10**4)
     a = OmegaAssignment(master_seed=1, prime_limit=10**4).primes
     b = OmegaAssignment(master_seed=2, prime_limit=10**4).primes
     assert np.shares_memory(a, b)
@@ -172,9 +191,21 @@ def test_mobius_agrees_with_factor_summary(factors_1e5):
 
 @pytest.mark.parametrize("limit", ISQRT_EDGE_LIMITS)
 def test_sieve_matches_factorization_at_isqrt_edges(limit, factors_1e5):
+    # the last limit is 10**5: every n <= 10**5 is checked
     facts = factors_1e5[1: limit + 1]
+    kinds = squarefree_kinds(limit)
+    assert kinds.dtype == np.int8 and not kinds.flags.writeable
+    assert kinds.tolist() == \
+        [-1] + [f.d if f.is_squarefree else -1 for f in facts]
     assert mobius_sieve(limit).tolist() == [0] + [f.mobius for f in facts]
     assert distinct_prime_counts(limit).tolist() == [0] + [f.d for f in facts]
+
+
+def test_max_kind_bounds_the_prime_factors_up_to_max_limit():
+    # the product of the first MAX_KIND primes is the least n with
+    # d(n) = MAX_KIND; one more prime takes it past MAX_LIMIT
+    first = primes_up_to(100)[: sieve.MAX_KIND + 1].tolist()
+    assert math.prod(first[:-1]) <= sieve.MAX_LIMIT < math.prod(first)
 
 
 def test_squarefree_density_1e6(mu_1e6):
@@ -201,3 +232,4 @@ def test_distinct_prime_counts():
     assert om[1] == 0 and om[2] == 1 and om[30] == 3 and om[510510] == 7
     # primorial bound: 8 primes already exceed 10**6
     assert int(om.max()) == 7 <= 9
+    assert int(squarefree_kinds(10**6).max()) == 7
