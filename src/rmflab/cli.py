@@ -35,7 +35,7 @@ from .growth import (MIN_FIT_POINTS, CampaignConfig, abel_consistency,
                      fit_growth_exponent, monte_carlo_campaign,
                      selberg_delange_ratio)
 from .iet import IetSpec, apply_T_power_numerators
-from .sampler import OmegaAssignment, _lane_flips, is_seed
+from .sampler import OmegaAssignment, _lane_flips, is_integer, is_seed
 from .sieve import MAX_LIMIT, squarefree_kinds
 
 KINDS = ("identity", "iet-test", "growth", "weighted-growth", "exp-form",
@@ -92,7 +92,16 @@ def validate(config: ExperimentConfig) -> list[str]:
     """Constraint check; empty list means run() would accept the config."""
     if config.kind not in KINDS:
         return [f"kind={config.kind!r}: must be one of {KINDS}"]
-    v = []
+    # a float or bool size would reach numpy, or a shift, as a TypeError;
+    # the checks below compare them, so these come first
+    sizes = {"limit": config.limit, "prime_limit": config.prime_limit,
+             "points": config.points}
+    if config.level is not None:
+        sizes["level"] = config.level
+    v = [f"{name}={value!r}: must be an integer"
+         for name, value in sizes.items() if not is_integer(value)]
+    if v:
+        return v
     if not config.seeds:
         v.append("seeds=[]: at least one seed is required")
     if config.kind in ("identity", "iet-test") and config.level is None:

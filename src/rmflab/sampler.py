@@ -80,15 +80,20 @@ def _prefix(primes: np.ndarray | None, covered: np.ndarray) -> np.ndarray:
     return primes
 
 
-def is_seed(seed) -> bool:
-    """True for an integer in [0, 2**64): a Python or numpy integer, not a
-    bool or a float."""
-    if isinstance(seed, bool):
+def is_integer(value) -> bool:
+    """True for a Python or numpy integer, not a bool or a float."""
+    if isinstance(value, bool):
         return False
     try:
-        return 0 <= operator.index(seed) < 2**64
+        operator.index(value)
     except TypeError:
         return False
+    return True
+
+
+def is_seed(seed) -> bool:
+    """True for an integer in [0, 2**64)."""
+    return is_integer(seed) and 0 <= operator.index(seed) < 2**64
 
 
 @dataclass(frozen=True)

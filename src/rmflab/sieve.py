@@ -5,14 +5,14 @@ read-only once built, and safe for concurrent reads.
 
 Memory budget at the supported maximum X = 10**8: the kinds table at 1 byte
 per integer, the odd-only prime sieve at 1 byte per odd integer, and 8 bytes
-per prime, about 0.22 GB (213 MiB ``VmHWM`` measured for one pass at 10**8,
-48 MiB at 10**7, 19 MiB traced at 10**7; 2-core x86-64, numpy 2.4).  The
-last limit's prime table and kinds table stay cached and read-only for the
-process: 8 bytes per prime, about 46 MB at 10**8, and 1 byte per integer.
-A campaign's lane pass adds one byte per integer of flip words, walked over
-the primes <= sqrt(X) only: the sieve and an 8-seed lane pass at 10**8
-peak at 292 MiB ``VmHWM``, plain or weighted, so the lane pass sets the
-peak.  The walk itself works in cache-sized pieces (see ``_walk``).
+per prime, about 0.2 GB (169 MiB ``VmHWM`` measured for one cold pass at
+10**8, 44 MiB at 10**7, 16 MiB traced at 10**7; 2-core x86-64, numpy 2.4).
+The last limit's prime table and kinds table stay cached and read-only for
+the process: 8 bytes per prime, about 46 MB at 10**8, and 1 byte per
+integer.  A campaign's lane pass adds one byte per integer of flip words:
+the sieve and an 8-seed lane pass at 10**8 peak at 272 MiB ``VmHWM``, plain
+or weighted, so the lane pass sets the peak.  The sieve and the lane pass
+walk only the primes <= sqrt(X), in cache-sized blocks (see ``_walker``).
 """
 
 from __future__ import annotations
@@ -63,6 +63,47 @@ def _prime_table(limit: int) -> np.ndarray:
 
 _WHEEL_MAX = 13  # the wheel's period is at most 2*3*5*7*11*13 = 30030
 _WALK_BLOCK = 2**20  # 1 MiB of int8 or uint8 words, within a 2 MiB L2
+_KINDS_BLOCK = _WALK_BLOCK // 2  # 1 MiB of the sieve's uint16 codes
+
+
+def _walker(primes: np.ndarray, values: np.ndarray, op: np.ufunc):
+    """The walk over the multiples of ``primes``, one block at a time: a
+    function fill(block, lo) that sets block[j] to the ``op``-reduction of
+    values[i] over the ascending ``primes[i]`` that divide lo + j, starting
+    from 0 (at lo + j = 0 every prime divides).
+
+    ``op`` is an associative, commutative ufunc with identity 0 in the
+    dtype of ``values`` (np.add, np.bitwise_xor).  The primes <= _WHEEL_MAX
+    are written once into a pattern of period their product, which each
+    block copies from its offset and tiles by doubling; each other prime is
+    one strided slice per block.  A block of at most 1 MiB stays in cache
+    while every prime passes over it.
+    """
+    wheel = int(np.searchsorted(primes, _WHEEL_MAX, side="right"))
+    small = primes[:wheel].tolist()
+    pattern = np.zeros(math.prod(small), dtype=values.dtype)
+    for p, v in zip(small, values[:wheel].tolist()):
+        op(pattern[::p], v, out=pattern[::p])
+    period = len(pattern)
+    mid = primes[wheel:]
+    # numpy scalars: a Python int would be converted again at every call
+    steps, mid_values = mid.tolist(), list(values[wheel:])
+
+    def fill(block: np.ndarray, lo: int) -> None:
+        # block[j] = pattern[(lo + j) % period]: one period, then doubling
+        head, at = block[:period], lo % period
+        cut = min(period - at, len(head))
+        head[:cut] = pattern[at: at + cut]
+        head[cut:] = pattern[: len(head) - cut]
+        filled = len(head)
+        while filled < len(block):
+            step = min(filled, len(block) - filled)
+            block[filled: filled + step] = block[:step]
+            filled += step
+        for p, start, v in zip(steps, (-lo % mid).tolist(), mid_values):
+            multiples = block[start::p]
+            op(multiples, v, out=multiples)
+    return fill
 
 
 def _walk(primes: np.ndarray, values: np.ndarray, limit: int,
@@ -70,37 +111,18 @@ def _walk(primes: np.ndarray, values: np.ndarray, limit: int,
     """t[n] for 0 <= n <= limit, the ``op``-reduction of values[i] over the
     ascending ``primes[i]`` that divide n, starting from 0 (t[0] = 0).
 
-    ``op`` is an associative, commutative ufunc with identity 0 in the
-    dtype of ``values`` (np.add, np.bitwise_xor).  The primes <= _WHEEL_MAX
-    are written once into a pattern of period their product, which is tiled
-    over t; each other prime p <= isqrt(limit) is one strided slice per
-    block of _WALK_BLOCK integers, so a block stays in cache while every
-    such prime passes over it.  A larger prime q divides only m*q with
+    The primes <= isqrt(limit) go through ``_walker``, _WALK_BLOCK integers
+    at a time.  A larger prime q divides only m*q with
     m <= limit // q <= isqrt(limit), so all of them go at once, as one index
     array m * q per cofactor m (for m = 1 the slice of the primes itself,
-    no copy).
+    no copy); only ``sampler._lane_flips`` (the ``abel`` sweep) hands the
+    walk such primes.
     """
-    t = np.zeros(limit + 1, dtype=values.dtype)
-    wheel = int(np.searchsorted(primes, _WHEEL_MAX, side="right"))
-    split = max(wheel, int(np.searchsorted(primes, math.isqrt(limit),
-                                           side="right")))
-    if wheel:
-        small = primes[:wheel].tolist()
-        pattern = t[: min(math.prod(small), limit + 1)]
-        for p, v in zip(small, values[:wheel].tolist()):
-            op(pattern[::p], v, out=pattern[::p])
-        # tile by doubling: t[n] = pattern[n % period]
-        filled = len(pattern)
-        while filled <= limit:
-            step = min(filled, limit + 1 - filled)
-            t[filled: filled + step] = t[:step]
-            filled += step
-    mid = primes[wheel:split]
-    steps, mid_values = mid.tolist(), values[wheel:split].tolist()
+    t = np.empty(limit + 1, dtype=values.dtype)
+    split = int(np.searchsorted(primes, math.isqrt(limit), side="right"))
+    fill = _walker(primes[:split], values[:split], op)
     for lo in range(0, limit + 1, _WALK_BLOCK):
-        block = t[lo: lo + _WALK_BLOCK]
-        for p, at, v in zip(steps, (-lo % mid).tolist(), mid_values):
-            op(block[at::p], v, out=block[at::p])
+        fill(t[lo: lo + _WALK_BLOCK], lo)
     large = primes[split:]
     if len(large):
         cofactors = np.arange(1, limit // int(large[0]) + 1)
@@ -118,19 +140,58 @@ def squarefree_kinds(limit: int) -> np.ndarray:
     squarefree n, and -1 elsewhere (at n = 0 too).  On squarefree n,
     mu(n) = (-1)**k(n).
 
-    d(n) counts one at every multiple of every prime; the multiples of each
-    p*p are then set to -1.  The last limit's table stays cached for the
-    process, so every run at that limit sieves once and shares it: it is
-    read-only.
+    A squarefree n <= limit has at most one prime factor q > isqrt(limit),
+    so d(n) = s(n) + [n has such a q], where s(n) counts the primes
+    p <= isqrt(limit) that divide n; the walk (``_walker``) takes only those
+    primes, or every prime when limit < 9.  Each adds the uint16 code
+    0xFF00 | floor(8 log2 p), so a block's code for n is l(n) - 256 s(n):
+    l(n), the sum of the floors, is at most 8 log2 n < 256
+    (8 log2 MAX_LIMIT < 213).  Each floor errs by less than 1 and
+    s(n) <= MAX_KIND, so on 2**e <= n < 2**(e+1):
+      - without a q, l(n) > 8 log2 n - 8 >= 8e - 8;
+      - with one, q >= 5 (limit >= 9) and l(n) <= 8 log2(n / q) < 8e - 10.
+    Then 8e + 248 - code = 256 (s(n) + 1) + (8e - 8 - l(n)) has the high
+    byte s(n) + 1 exactly when n has such a q, and s(n) (a borrow) when
+    not: one subtraction and one shift per range decode a block in place.
+    Then -1 goes on the multiples of each p*p in the block, while it is in
+    cache: every non-squarefree n <= limit has such a factor.
+
+    The last limit's table stays cached for the process, so every run at
+    that limit sieves once and shares it: it is read-only.
     """
     if not 1 <= limit <= MAX_LIMIT:
         raise ConfigurationError(
             f"sieve limit {limit} outside supported range [1, {MAX_LIMIT}]")
     primes = primes_up_to(limit)
-    kinds = _walk(primes, np.broadcast_to(np.int8(1), primes.shape), limit,
-                  np.add)
-    for p in primes[primes <= math.isqrt(limit)].tolist():
-        kinds[p * p:: p * p] = -1
+    top = math.isqrt(limit) if limit >= 9 else limit
+    small = primes[: int(np.searchsorted(primes, top, side="right"))]
+    codes = 0xFF00 | np.array([(p**8).bit_length() - 1  # floor(8 log2 p)
+                               for p in small.tolist()], dtype=np.uint16)
+    fill = _walker(small, codes, np.add)
+    squares = small * small
+    # a square above the block size has at most one multiple in a block
+    cut = int(np.searchsorted(squares, _KINDS_BLOCK, side="right"))
+    strided, single = squares[:cut].tolist(), squares[cut:]
+    kinds = np.empty(limit + 1, dtype=np.int8)
+    buffer = np.empty(min(_KINDS_BLOCK, limit + 1), dtype=np.uint16)
+    for lo in range(0, limit + 1, _KINDS_BLOCK):
+        hi = min(lo + _KINDS_BLOCK, limit + 1)
+        block = buffer[: hi - lo]
+        fill(block, lo)
+        n = max(lo, 1)
+        while n < hi:  # one range [2**e, 2**(e+1)) at a time
+            e = n.bit_length() - 1
+            end = min(hi, 2 << e)
+            code = block[n - lo: end - lo]
+            np.subtract(8 * e + 248, code, out=code)
+            code >>= 8
+            n = end
+        out = kinds[lo:hi]
+        out[...] = block
+        for s in strided:
+            out[-lo % s:: s] = -1
+        at = -lo % single
+        out[at[at < len(out)]] = -1
     kinds[0] = -1
     kinds.flags.writeable = False
     return kinds

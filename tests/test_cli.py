@@ -87,6 +87,25 @@ def test_cli_validate_subcommand_exit_codes():
                  "--seeds", "1"]) == 2
 
 
+def test_float_limit_in_a_config_file_is_a_usage_error(tmp_path, capsys):
+    # JSON reads 1e4 as a float; run() would write config.json, then numpy
+    # would raise a TypeError that main() does not catch
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"beta": "3/4", "limit": 1e4, "seeds": [1]}))
+    code = main(["campaign", "--config", str(path),
+                 "--out", str(tmp_path / "r")])
+    assert code == 2
+    assert "limit=10000.0: must be an integer" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("name", ["limit", "prime_limit", "points", "level"])
+def test_validate_rejects_bool_sizes(name):
+    # True would be read as 1, as is_seed refuses it for a seed
+    cfg = ExperimentConfig(**{"kind": "iet-test", "level": 3, name: True})
+    assert validate(cfg) == [f"{name}=True: must be an integer"]
+
+
 def test_rerun_checksums_identical(tmp_path):
     c = ExperimentConfig(kind="abel", beta="3/4", limit=2000, sigmas=[1.5],
                          ts=[0.0], seeds=[5], outdir=str(tmp_path / "r"))
@@ -297,6 +316,14 @@ def test_fit_error_names_the_first_failing_seed(kind, tmp_path):
     ({"kind": "h-scan", "beta": None, "level": 1}, "weighted sums require"),
     ({"kind": "campaign", "beta": None, "level": 1, "weighted": True},
      "weighted sums require"),
+    # a float size reaches numpy, or the shift of beta_for_level
+    ({"kind": "campaign", "limit": 1e4}, "limit=10000.0"),
+    ({"kind": "abel", "limit": 1e4}, "limit=10000.0"),
+    ({"kind": "identity", "prime_limit": 1e4, "level": 1},
+     "prime_limit=10000.0"),
+    ({"kind": "identity", "level": 1.5}, "level=1.5"),
+    ({"kind": "weighted-growth", "beta": None, "level": 1.5}, "level=1.5"),
+    ({"kind": "iet-test", "level": 3, "points": 10.5}, "points=10.5"),
 ])
 def test_validate_rejects_fits_and_sigmas_run_would_reject(changes, needle,
                                                             tmp_path):
@@ -304,7 +331,10 @@ def test_validate_rejects_fits_and_sigmas_run_would_reject(changes, needle,
               **changes, "outdir": str(tmp_path / "r")}
     cfg = ExperimentConfig(**fields)
     assert any(needle in v for v in validate(cfg)), validate(cfg)
-    if cfg.kind == "iet-test":
+    if validate(cfg)[0].endswith(": must be an integer"):
+        with pytest.raises(TypeError):
+            _RUNNERS[cfg.kind](cfg, tmp_path)
+    elif cfg.kind == "iet-test":
         # the KS bound divides by points; numpy rejects the size and the seed
         with pytest.raises((ZeroDivisionError, ValueError)):
             _RUNNERS[cfg.kind](cfg, tmp_path)

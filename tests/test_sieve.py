@@ -21,7 +21,8 @@ def eratosthenes_oracle(limit):
     return [n for n in range(limit + 1) if flags[n]]
 
 
-def mu_by_trial_division(n):
+def kind_by_trial_division(n):
+    """d(n) if n is squarefree, else -1."""
     d = 0
     m = n
     p = 2
@@ -29,12 +30,17 @@ def mu_by_trial_division(n):
         if m % p == 0:
             m //= p
             if m % p == 0:
-                return 0
+                return -1
             d += 1
         p += 1
     if m > 1:
         d += 1
-    return -1 if d % 2 else 1
+    return d
+
+
+def mu_by_trial_division(n):
+    k = kind_by_trial_division(n)
+    return 0 if k < 0 else (-1) ** k
 
 
 def test_build_spf_small_values():
@@ -100,36 +106,36 @@ def test_sieve_tables_are_read_only():
         squarefree_kinds(100)[6] = 0
 
 
+def record_sieve_walks(monkeypatch):
+    """The primes of each walk the sieve starts, from now on: the walks
+    whose values are the sieve's uint16 codes (the lane words' are uint8)."""
+    walks = []
+    walker = sieve._walker
+
+    def recording_walker(primes, values, op):
+        if values.dtype == np.uint16:
+            walks.append(primes)
+        return walker(primes, values, op)
+
+    monkeypatch.setattr(sieve, "_walker", recording_walker)
+    squarefree_kinds.cache_clear()
+    return walks
+
+
 def test_plain_and_weighted_runs_at_one_limit_sieve_once(monkeypatch,
                                                          tmp_path):
-    walks = []
-    walk = sieve._walk
-
-    def recording_walk(primes, values, limit, op):
-        walks.append(limit)
-        return walk(primes, values, limit, op)
-
-    monkeypatch.setattr(sieve, "_walk", recording_walk)
-    squarefree_kinds.cache_clear()
+    walks = record_sieve_walks(monkeypatch)
     for i, (kind, beta) in enumerate((("growth", "3/4"),
                                       ("weighted-growth", "7/8"),
                                       ("growth", "1/2"))):
         cli.run(cli.ExperimentConfig(kind=kind, beta=beta, limit=10**4,
                                      seeds=[1, 2],
                                      outdir=str(tmp_path / str(i))))
-    assert walks == [10**4]
+    assert len(walks) == 1
 
 
 def test_prime_table_is_shared_at_one_limit(monkeypatch):
-    seen = []
-    walk = sieve._walk
-
-    def recording_walk(primes, values, limit, op):
-        seen.append(primes)
-        return walk(primes, values, limit, op)
-
-    monkeypatch.setattr(sieve, "_walk", recording_walk)
-    squarefree_kinds.cache_clear()
+    seen = record_sieve_walks(monkeypatch)
     squarefree_kinds(10**4)
     a = OmegaAssignment(master_seed=1, prime_limit=10**4).primes
     b = OmegaAssignment(master_seed=2, prime_limit=10**4).primes
@@ -206,6 +212,75 @@ def test_max_kind_bounds_the_prime_factors_up_to_max_limit():
     # d(n) = MAX_KIND; one more prime takes it past MAX_LIMIT
     first = primes_up_to(100)[: sieve.MAX_KIND + 1].tolist()
     assert math.prod(first[:-1]) <= sieve.MAX_LIMIT < math.prod(first)
+
+
+def test_log_byte_holds_up_to_max_limit():
+    # the sieve's low byte sums floor(8 log2 p) over the primes p of n, at
+    # most 8 log2 n <= 8 log2 MAX_LIMIT, which must stay below 256:
+    # 8 log2 X < 256 iff X**8 < 2**256
+    assert sieve.MAX_LIMIT ** 8 < 2**256
+    # ... and the integer codes are the exact floors
+    for p in (2, 3, 7, math.isqrt(sieve.MAX_LIMIT)):
+        code = (p**8).bit_length() - 1
+        assert 2**code <= p**8 < 2**(code + 1)
+        assert code == math.floor(8 * math.log2(p))
+
+
+@pytest.mark.parametrize("limit", [1, 2, 4, 8, 9, 10, 26, 1000, 10**5])
+def test_sieve_walks_no_prime_above_isqrt_limit(monkeypatch, limit):
+    # a squarefree n has at most one prime factor above isqrt(limit), which
+    # the log byte finds: the sieve walks only the primes up to isqrt(limit)
+    # (below 9, where the smallest such prime may be 2 or 3, every prime)
+    walks = record_sieve_walks(monkeypatch)
+    squarefree_kinds(limit)
+    top = math.isqrt(limit) if limit >= 9 else limit
+    assert [w.tolist() for w in walks] == \
+        [[p for p in primes_up_to(limit).tolist() if p <= top]]
+
+
+# the threshold's edges: every small limit (the least prime above
+# isqrt(limit) is 2, 3, 5, 7, ...), the dyadic ranges' edges, the sieve's
+# blocks and the wheel's period
+KINDS_LIMITS = sorted({*range(1, 301),
+                       *(2**k + e for k in range(1, 22) for e in (-1, 0, 1)),
+                       sieve._KINDS_BLOCK - 1, sieve._KINDS_BLOCK,
+                       sieve._KINDS_BLOCK + 1, 2 * sieve._KINDS_BLOCK + 7,
+                       30029, 30030, 30031, *ISQRT_EDGE_LIMITS})
+
+
+@pytest.fixture(scope="module")
+def kinds_oracle():
+    """d(n) on squarefree n, else -1, for n <= max(KINDS_LIMITS), from the
+    unblocked oracles."""
+    top = max(KINDS_LIMITS)
+    want = np.where(mobius_sieve(top) != 0, distinct_prime_counts(top), -1)
+    want[0] = -1
+    return want
+
+
+def test_sieve_matches_the_oracles_at_the_thresholds_edges(kinds_oracle):
+    for limit in KINDS_LIMITS:
+        kinds = squarefree_kinds(limit)
+        assert np.array_equal(kinds, kinds_oracle[: limit + 1]), limit
+
+
+def test_sieve_matches_trial_division_at_1e7():
+    limit = 10**7
+    kinds = squarefree_kinds(limit)
+    # 2*3*5*...*19 is the only n <= 10**7 with d(n) = 8
+    assert np.flatnonzero(kinds == 8).tolist() == [9_699_690]
+    q_min = next(q for q in range(math.isqrt(limit) + 1, limit)
+                 if kind_by_trial_division(q) == 1)
+    ns = [9_699_690, *(2**k + e for k in range(1, 24) for e in (-1, 1))]
+    for m in (*range(1, 31), *range(limit // q_min - 11, limit // q_min + 1)):
+        # m times the least prime above isqrt(limit) and the largest
+        # prime <= limit // m
+        top = next(q for q in range(limit // m, 0, -1)
+                   if kind_by_trial_division(q) == 1)
+        ns += [m * q_min, m * top]
+    assert max(ns) <= limit
+    assert [int(kinds[n]) for n in ns] == \
+        [kind_by_trial_division(n) for n in ns]
 
 
 def test_squarefree_density_1e6(mu_1e6):
