@@ -15,8 +15,9 @@ from .sieve import primes_up_to
 from .sampler import OmegaAssignment, prime_signs
 from .iet import (IetSpec, apply_T, apply_T_power, apply_T_power_numerators,
                   interval_index)
-from .dirichlet import (WEIGHT_BETA_THRESHOLD, H_eval, euler_F, exp_form_F,
-                        identity_residual, weight_factor, zeta_truncated)
+from .dirichlet import (WEIGHT_BETA_THRESHOLD, H_eval, IdentityEvaluator,
+                        euler_F, exp_form_F, identity_residual, weight_factor,
+                        zeta_truncated)
 from .growth import (CampaignConfig, SumGrid, abel_consistency,
                      checkpoint_grid, fit_growth_exponent,
                      monte_carlo_campaign, selberg_delange_ratio)

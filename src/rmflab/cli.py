@@ -17,6 +17,7 @@ import csv
 import hashlib
 import json
 import math
+import numbers
 import sys
 import time
 from collections.abc import Callable
@@ -27,8 +28,8 @@ import numpy as np
 
 from . import __version__
 from .dyadic import HALF, SCALE_BITS, DyadicFraction, beta_for_level
-from .dirichlet import (WEIGHT_BETA_THRESHOLD, H_eval, euler_F, exp_form_F,
-                        identity_residual)
+from .dirichlet import (MAX_IDENTITY_LEVEL, WEIGHT_BETA_THRESHOLD, H_eval,
+                        IdentityEvaluator, euler_F, exp_form_F)
 from .errors import DomainError, LabError
 from .growth import (MIN_FIT_POINTS, CampaignConfig, abel_consistency,
                      checkpoint_grid, coupled_sums, default_window,
@@ -92,14 +93,32 @@ def validate(config: ExperimentConfig) -> list[str]:
     """Constraint check; empty list means run() would accept the config."""
     if config.kind not in KINDS:
         return [f"kind={config.kind!r}: must be one of {KINDS}"]
-    # a float or bool size would reach numpy, or a shift, as a TypeError;
-    # the checks below compare them, so these come first
+    # a JSON config can give any field any type; a wrong one would reach
+    # numpy, a shift or a comparison as a TypeError ("false" would even pass
+    # as a true weighted); the checks below compare them, so these come first
     sizes = {"limit": config.limit, "prime_limit": config.prime_limit,
              "points": config.points}
     if config.level is not None:
         sizes["level"] = config.level
     v = [f"{name}={value!r}: must be an integer"
          for name, value in sizes.items() if not is_integer(value)]
+    reals = {"sigmas": config.sigmas, "ts": config.ts}
+    if config.window is not None:
+        reals["window"] = config.window
+    v += [f"{name}={values!r}: must be a list of real numbers"
+          for name, values in reals.items()
+          if not (isinstance(values, list) and all(map(_is_real, values)))]
+    if not isinstance(config.seeds, list):
+        v.append(f"seeds={config.seeds!r}: must be a list of integers")
+    if config.beta is not None and not isinstance(config.beta, str):
+        v.append(f"beta={config.beta!r}: must be a fraction text like \"3/4\"")
+    tol = config.tolerance
+    if not (_is_real(tol) and math.isfinite(tol) and tol > 0):
+        v.append(f"tolerance={tol!r}: must be a finite real number > 0")
+    if not isinstance(config.weighted, bool):
+        v.append(f"weighted={config.weighted!r}: must be true or false")
+    if not isinstance(config.outdir, str):
+        v.append(f"outdir={config.outdir!r}: must be a path text")
     if v:
         return v
     if not config.seeds:
@@ -108,6 +127,12 @@ def validate(config: ExperimentConfig) -> list[str]:
         v.append(f"level=None: kind {config.kind} requires a level n")
     if config.level is not None and not 1 <= config.level <= 62:
         v.append(f"level={config.level}: must be in [1, 62]")
+    elif config.kind == "identity" and config.level is not None and \
+            config.level > MAX_IDENTITY_LEVEL:
+        v.append(f"level={config.level}: the identity evaluates "
+                 f"2**{config.level} + 2 = {2**config.level + 2:,} Euler "
+                 f"products; levels above {MAX_IDENTITY_LEVEL} are not "
+                 "evaluated")
     if not all(map(is_seed, config.seeds)):
         v.append(f"seeds={config.seeds}: every seed must be an integer in "
                  "[0, 2**64)")
@@ -161,6 +186,11 @@ def validate(config: ExperimentConfig) -> list[str]:
             v.append(f"window=[{lo}, {hi}]: holds {inside} checkpoints up "
                      f"to limit {config.limit}; a fit needs {MIN_FIT_POINTS}")
     return v
+
+
+def _is_real(value) -> bool:
+    """True for a real number, not a bool or a str."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +323,9 @@ def _run_growth(config: ExperimentConfig, outdir: Path) -> tuple[dict, bool]:
 # beta and one seed's omega and returns a map from s to the row's values.
 
 def _identity_at(config, beta, assignment):
-    return lambda s: [identity_residual(config.level, assignment,
-                                        config.prime_limit, s)]
+    residual = IdentityEvaluator(config.level, assignment,
+                                 config.prime_limit).residual
+    return lambda s: [residual(s)]
 
 
 def _exp_form_at(config, beta, assignment):

@@ -12,15 +12,18 @@ links 1/zeta**(2**n - 1) to the family of sign products is exact prime by
 prime, so its residual is pure floating-point noise.
 
 The identity residual evaluates 2**n + 2 products whose factors are all
-1 - p**-s or 1 + p**-s.  It computes both log tables once per (P, s) and
-keeps the exact sum of the minus table as a few non-overlapping float
-partials.  A product's log is then one fsum over those partials and the
-plus-minus differences at its plus-signed primes (about 1 in 2**(n+1) of
-them).  Because fsum is correctly rounded (Shewchuk, 1997), that is the
-same float as the fsum over the product's full term vector, so the
-residual is bit for bit what the product-by-product evaluation gives.
-Each product's signs are still derived from its own T**k view of the
-hashed omega, so the check stays independent of the exchange map it tests.
+1 - p**-s or 1 + p**-s.  ``IdentityEvaluator`` does the work that does not
+depend on s once per (level, seed, P): it hashes omega, builds the 2**n
+T**k views and keeps each product's plus-signed primes (about 1 in
+2**(n+1) of them).  Per point it computes both log tables and keeps the
+exact sum of the minus table as a few non-overlapping float partials.  A
+product's log is then one fsum over those partials and the plus-minus
+differences at its plus-signed primes.  Because fsum is correctly rounded
+(Shewchuk, 1997), that is the same float as the fsum over the product's
+full term vector, so the residual is bit for bit what the
+product-by-product evaluation gives.  Each product's signs are still
+derived from its own T**k view of the hashed omega, so the check stays
+independent of the exchange map it tests.
 """
 
 from __future__ import annotations
@@ -136,10 +139,74 @@ def _exact_partials(values: np.ndarray) -> list[float]:
     """
     partials: list[float] = []
     while True:
-        r = math.fsum(itertools.chain(values, (-x for x in partials)))
+        # a memoryview hands fsum Python floats, not numpy scalars
+        r = math.fsum(itertools.chain(memoryview(values),
+                                      (-x for x in partials)))
         if r == 0.0:
             return partials
         partials.append(r)
+
+
+#: The highest level ``IdentityEvaluator`` accepts.  A level-n residual
+#: evaluates 2**n + 2 Euler products, so its cost doubles with each level.
+MAX_IDENTITY_LEVEL = 16
+
+
+class IdentityEvaluator:
+    """``identity_residual`` of one (level, omega, P) at any number of s.
+
+    The constructor hashes omega, applies T**k to all numerators for
+    k = 1..2**n and keeps only each product's plus-signed prime indices.
+    """
+
+    def __init__(self, level: int, assignment, P: int):
+        if level > MAX_IDENTITY_LEVEL:
+            raise DomainError(
+                f"level {level}: the identity evaluates 2**{level} + 2 = "
+                f"{2**level + 2:,} Euler products; levels above "
+                f"{MAX_IDENTITY_LEVEL} are not evaluated")
+        spec = IetSpec(level)
+        beta = beta_for_level(level)
+        self._primes = _primes_to(assignment, P)
+        nums = assignment.numerators(self._primes)
+
+        def plus(threshold: DyadicFraction, view_nums: np.ndarray):
+            return np.flatnonzero(
+                signs_from_numerators(threshold, view_nums) == 1)
+
+        self._plus_half = plus(HALF, nums)
+        self._plus_views = [
+            plus(beta, apply_T_power_numerators(spec, nums, k))
+            for k in range(1, spec.intervals + 1)]
+
+    def residual(self, s: complex, strict_domain: bool = True) -> float:
+        """|L - R| at s; see ``identity_residual``."""
+        s = complex(s)
+        if strict_domain and s.real <= 1:
+            raise PreconditionError(
+                f"identity stated for Re(s) > 1, got Re(s)={s.real}")
+        if not (s.real > 0 and cmath.isfinite(s)):  # NaN: fsum never ends
+            raise DomainError(f"s={s}: needs Re(s) > 0 and finite")
+        log_minus, log_plus = _log_factor_tables(self._primes, s)
+        base_re = _exact_partials(log_minus.real)
+        base_im = _exact_partials(log_minus.imag)
+
+        def product_log(plus: np.ndarray) -> complex:
+            lp, lm = log_plus[plus], log_minus[plus]
+            return complex(
+                math.fsum(itertools.chain(base_re, memoryview(lp.real),
+                                          memoryview(-lm.real))),
+                math.fsum(itertools.chain(base_im, memoryview(lp.imag),
+                                          memoryview(-lm.imag))))
+
+        log_zeta = -complex(base_re[0] if base_re else 0.0,
+                            base_im[0] if base_im else 0.0)
+        left = -(len(self._plus_views) - 1) * log_zeta  # 2**n - 1
+        parts = [-product_log(self._plus_half)]
+        parts.extend(map(product_log, self._plus_views))
+        right_total = complex(math.fsum(z.real for z in parts),
+                              math.fsum(z.imag for z in parts))
+        return abs(left - right_total)
 
 
 def identity_residual(level: int, assignment, P: int, s: complex,
@@ -150,10 +217,12 @@ def identity_residual(level: int, assignment, P: int, s: complex,
     + sum_{k=1..2**n} log F_beta(s, T^k omega), with beta = 1 - 2**-(n+1).
     Both sides run over the same primes p <= P.
 
-    Every factor of the 2**n + 2 products is 1 - p**-s or 1 + p**-s, so the
-    two log tables are computed once and shared.  The exact sum of the
-    log(1 - p**-s) table is kept as a few non-overlapping float partials;
-    a product's log is then the fsum of those partials plus
+    The T**k views do not depend on s: ``IdentityEvaluator`` builds them
+    once per (level, seed, P), and a caller with many points calls its
+    ``residual``.  Every factor of the 2**n + 2 products is 1 - p**-s or
+    1 + p**-s, so per point the two log tables are shared.  The exact sum
+    of the log(1 - p**-s) table is kept as a few non-overlapping float
+    partials; a product's log is then the fsum of those partials plus
     log(1 + p**-s) - log(1 - p**-s) at its plus-signed primes only.  fsum
     rounds the exact sum correctly, so this is the same float as the fsum
     over the product's full term vector, and L (from the same partials) is
@@ -163,40 +232,9 @@ def identity_residual(level: int, assignment, P: int, s: complex,
     signs come from applying T**k to all numerators and comparing them with
     beta, never from the interval index the identity is built on.  A wrong
     exchange map therefore leaves a residual far above rounding noise.
+    Levels above ``MAX_IDENTITY_LEVEL`` raise ``DomainError``.
     """
-    s = complex(s)
-    if strict_domain and s.real <= 1:
-        raise PreconditionError(
-            f"identity stated for Re(s) > 1, got Re(s)={s.real}")
-    if not (s.real > 0 and cmath.isfinite(s)):  # a NaN fsum never reaches 0
-        raise DomainError(f"s={s}: needs Re(s) > 0 and finite")
-    spec = IetSpec(level)
-    beta = beta_for_level(level)
-    primes = _primes_to(assignment, P)
-    nums = assignment.numerators(primes)
-    log_minus, log_plus = _log_factor_tables(primes, s)
-    base_re = _exact_partials(log_minus.real)
-    base_im = _exact_partials(log_minus.imag)
-
-    def product_log(threshold: DyadicFraction, view_nums: np.ndarray
-                    ) -> complex:
-        plus = np.flatnonzero(
-            signs_from_numerators(threshold, view_nums) == 1)
-        lp, lm = log_plus[plus], log_minus[plus]
-        return complex(
-            math.fsum(itertools.chain(base_re, lp.real, -lm.real)),
-            math.fsum(itertools.chain(base_im, lp.imag, -lm.imag)))
-
-    log_zeta = -complex(base_re[0] if base_re else 0.0,
-                        base_im[0] if base_im else 0.0)
-    left = -(spec.intervals - 1) * log_zeta
-    parts = [-product_log(HALF, nums)]
-    for k in range(1, spec.intervals + 1):
-        parts.append(product_log(
-            beta, apply_T_power_numerators(spec, nums, k)))
-    right_total = complex(math.fsum(z.real for z in parts),
-                          math.fsum(z.imag for z in parts))
-    return abs(left - right_total)
+    return IdentityEvaluator(level, assignment, P).residual(s, strict_domain)
 
 
 def exp_form_F(beta: DyadicFraction, assignment, P: int,

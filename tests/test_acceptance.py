@@ -12,11 +12,11 @@ import pytest
 from scipy.stats import ks_2samp
 
 from oracles import build_sign_series, distinct_prime_counts, mobius_sieve
-from rmflab import (CampaignConfig, DyadicFraction, IetSpec, OmegaAssignment,
-                    SumGrid, abel_consistency, apply_T_power_numerators,
-                    checkpoint_grid, fit_growth_exponent, identity_residual,
-                    monte_carlo_campaign, euler_F, exp_form_F, prime_signs,
-                    weight_factor)
+from rmflab import (CampaignConfig, DyadicFraction, IdentityEvaluator,
+                    IetSpec, OmegaAssignment, SumGrid, abel_consistency,
+                    apply_T_power_numerators, checkpoint_grid,
+                    fit_growth_exponent, monte_carlo_campaign, euler_F,
+                    exp_form_F, prime_signs, weight_factor)
 from rmflab.dyadic import HALF, ONE
 from rmflab.sampler import _lane_flips
 from rmflab.sieve import squarefree_kinds
@@ -67,10 +67,10 @@ def test_criterion_01_zeta_identity():
     for seed in range(1, 11):
         assignment = OmegaAssignment(master_seed=seed, prime_limit=10**4)
         for level in (1, 2, 3):
+            evaluator = IdentityEvaluator(level, assignment, 10**4)
             for sigma in (1.1, 1.5, 2.0, 3.0):
                 for t in (0.0, 1.0, 10.0):
-                    res = identity_residual(level, assignment, 10**4,
-                                            complex(sigma, t))
+                    res = evaluator.residual(complex(sigma, t))
                     worst = max(worst, res)
     ok = worst < 1e-10
     report("criterion 01 zeta identity", ok, f"max residual {worst:.3e}")

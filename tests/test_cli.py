@@ -324,6 +324,10 @@ def test_fit_error_names_the_first_failing_seed(kind, tmp_path):
     ({"kind": "identity", "level": 1.5}, "level=1.5"),
     ({"kind": "weighted-growth", "beta": None, "level": 1.5}, "level=1.5"),
     ({"kind": "iet-test", "level": 3, "points": 10.5}, "points=10.5"),
+    # the identity's 2**n + 2 products: level 40 would take years
+    ({"kind": "identity", "level": 40, "prime_limit": 10**4},
+     "2**40 + 2 = 1,099,511,627,778 Euler products"),
+    ({"kind": "identity", "level": 17}, "levels above 16"),
 ])
 def test_validate_rejects_fits_and_sigmas_run_would_reject(changes, needle,
                                                             tmp_path):
@@ -343,6 +347,43 @@ def test_validate_rejects_fits_and_sigmas_run_would_reject(changes, needle,
     with pytest.raises(LabError):
         run(cfg)
     assert not (tmp_path / "r").exists()  # rejected before any output
+
+
+def test_identity_level_cap_leaves_iet_test_at_62():
+    assert validate(ExperimentConfig(kind="identity", level=16)) == []
+    assert validate(ExperimentConfig(kind="iet-test", level=62)) == []
+
+
+# JSON gives a field any type; each case once crashed validate() or run(),
+# or (weighted "false") ran the other experiment
+@pytest.mark.parametrize("payload, needle", [
+    ({"kind": "identity", "level": 1, "tolerance": "1e-10"},
+     "tolerance='1e-10'"),
+    ({"kind": "identity", "level": 1, "tolerance": 0}, "tolerance=0"),
+    ({"kind": "identity", "level": 1, "tolerance": True}, "tolerance=True"),
+    ({"kind": "identity", "level": 1, "sigmas": ["2"]}, "sigmas=['2']"),
+    ({"kind": "exp-form", "beta": "3/4", "sigmas": 2}, "sigmas=2"),
+    ({"kind": "abel", "beta": "3/4", "ts": [False]}, "ts=[False]"),
+    ({"kind": "campaign", "beta": "3/4", "weighted": "false"},
+     "weighted='false'"),
+    ({"kind": "growth", "beta": 0.75}, "beta=0.75"),
+    ({"kind": "growth", "beta": "3/4", "seeds": 5}, "seeds=5"),
+    ({"kind": "growth", "beta": "3/4", "window": 5}, "window=5"),
+    ({"kind": "growth", "beta": "3/4", "window": ["a", "b"]},
+     "window=['a', 'b']"),
+    ({"kind": "growth", "beta": "3/4", "outdir": 5}, "outdir=5"),
+])
+def test_json_fields_of_the_wrong_type_are_usage_errors(payload, needle,
+                                                        tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"seeds": [1], "limit": 1000,
+                                "prime_limit": 1000,
+                                "outdir": str(tmp_path / "r"), **payload}))
+    assert main(["validate", "--config", str(path)]) == 2
+    assert f"violation: {needle}" in capsys.readouterr().out
+    assert main([payload["kind"], "--config", str(path)]) == 2
+    assert f"usage error: {needle}" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
 
 
 @pytest.mark.parametrize("limit", [500, 1000, 5000])

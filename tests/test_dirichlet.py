@@ -9,11 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import TransformedOmega
 from rmflab import (CoverageError, DomainError, DyadicFraction, H_eval,
-                    IetSpec, OmegaAssignment, PreconditionError,
-                    WEIGHT_BETA_THRESHOLD, beta_for_level, euler_F, exp_form_F,
-                    identity_residual, prime_signs, primes_up_to,
-                    weight_factor, zeta_truncated)
+                    IdentityEvaluator, IetSpec, OmegaAssignment,
+                    PreconditionError, WEIGHT_BETA_THRESHOLD, beta_for_level,
+                    euler_F, exp_form_F, identity_residual, prime_signs,
+                    primes_up_to, weight_factor, zeta_truncated)
 from rmflab import dirichlet
+from rmflab.cli import ExperimentConfig, run
 from rmflab.dirichlet import weighted_euler_G
 from rmflab.dyadic import HALF, ONE
 from rmflab.sampler import signs_from_numerators
@@ -162,14 +163,15 @@ ORACLE_POINTS = (1.5, complex(1.1, 10), complex(2, -3.7), 3.0,
 
 
 def test_identity_residual_matches_product_oracle_bitwise():
+    # one evaluator per (seed, level, P), called at every point
     checked = nonzero = 0
     for seed in (1, 7, 42):
         a = OmegaAssignment(master_seed=seed, prime_limit=10**4)
-        for level in range(1, 7):
-            for P in (10**4, 3000):
+        for level in range(1, 9):
+            for P in (10**4, 3000) if level <= 6 else (3000,):
+                evaluator = IdentityEvaluator(level, a, P)
                 for s in ORACLE_POINTS:
-                    got = identity_residual(level, a, P, s,
-                                            strict_domain=False)
+                    got = evaluator.residual(s, strict_domain=False)
                     assert got == identity_residual_oracle(level, a, P, s), \
                         (seed, level, P, s)
                     checked += 1
@@ -186,9 +188,59 @@ def test_identity_residual_oracle_level8_and_fixed_omega():
     for num in (0, 12345, 2**63 + 2**61 + 99, 2**64 - 1):
         fixed = FixedOmega(prime_limit=10**3, num=num)
         for level in (1, 3, 6):
-            for s in (1.5, complex(1.2, -4)):
-                assert identity_residual(level, fixed, 10**3, s) == \
+            evaluator = IdentityEvaluator(level, fixed, 10**3)
+            for s in (1.5, complex(1.2, -4), complex(0.8, 0)):
+                assert evaluator.residual(s, strict_domain=False) == \
                     identity_residual_oracle(level, fixed, 10**3, s)
+
+
+def test_identity_evaluator_rejects_a_point_before_any_work(monkeypatch):
+    evaluator = IdentityEvaluator(2, OmegaAssignment(master_seed=3,
+                                                     prime_limit=10**3), 10**3)
+
+    def no_tables(primes, s):
+        raise AssertionError(f"log tables built for s={s}")
+
+    monkeypatch.setattr(dirichlet, "_log_factor_tables", no_tables)
+    for s, strict, error in ((0.9, True, PreconditionError),
+                             (complex(1, 5), True, PreconditionError),
+                             (complex(-0.5, 1), False, DomainError),
+                             (0.0, False, DomainError),
+                             (complex(math.nan, 0), True, DomainError),
+                             (complex(2, math.inf), True, DomainError)):
+        with pytest.raises(error):
+            evaluator.residual(s, strict_domain=strict)
+
+
+class UnhashedOmega(FixedOmega):
+    """Test double whose omega must never be hashed."""
+
+    def numerators(self, primes=None):
+        raise AssertionError("omega hashed")
+
+
+def test_identity_evaluator_refuses_levels_above_the_cap():
+    a = UnhashedOmega(prime_limit=10**2, num=0)
+    for level, count in ((17, "131,074"), (40, "1,099,511,627,778")):
+        with pytest.raises(DomainError, match=f"= {count} Euler products"):
+            IdentityEvaluator(level, a, 10**2)
+
+
+def test_identity_run_builds_the_views_once_per_seed(monkeypatch, tmp_path):
+    calls = []
+    exchange = dirichlet.apply_T_power_numerators
+
+    def counted(spec, nums, k):
+        calls.append(k)
+        return exchange(spec, nums, k)
+
+    monkeypatch.setattr(dirichlet, "apply_T_power_numerators", counted)
+    level = 3
+    manifest = run(ExperimentConfig(
+        kind="identity", level=level, prime_limit=2000, seeds=[1, 2],
+        sigmas=[1.5, 2.0], ts=[0.0, -5.0], outdir=str(tmp_path / "r")))
+    assert manifest["pass"]
+    assert calls == 2 * list(range(1, 2**level + 1))
 
 
 def test_identity_residual_detects_a_wrong_exchange_map(monkeypatch):
