@@ -30,7 +30,7 @@ from . import __version__
 from .dyadic import HALF, SCALE_BITS, DyadicFraction, beta_for_level
 from .dirichlet import (MAX_IDENTITY_LEVEL, WEIGHT_BETA_THRESHOLD, H_eval,
                         IdentityEvaluator, euler_F, exp_form_F)
-from .errors import DomainError, LabError
+from .errors import DomainError, LabError, PreconditionError
 from .growth import (MIN_FIT_POINTS, CampaignConfig, abel_consistency,
                      checkpoint_grid, coupled_sums, default_window,
                      fit_growth_exponent, monte_carlo_campaign,
@@ -42,6 +42,8 @@ from .sieve import MAX_LIMIT, squarefree_kinds
 KINDS = ("identity", "iet-test", "growth", "weighted-growth", "exp-form",
          "abel", "h-scan", "campaign")
 _FIT_KINDS = ("growth", "weighted-growth", "campaign")  # fit growth exponents
+# kinds whose outputs no weight enters: weighted: true is refused there
+_UNWEIGHTED_KINDS = ("growth", "abel", "exp-form", "identity", "iet-test")
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -123,6 +125,8 @@ def validate(config: ExperimentConfig) -> list[str]:
         return v
     if not config.seeds:
         v.append("seeds=[]: at least one seed is required")
+    if config.weighted and config.kind in _UNWEIGHTED_KINDS:
+        v.append(_weighted_refusal(config.kind))
     if config.kind in ("identity", "iet-test") and config.level is None:
         v.append(f"level=None: kind {config.kind} requires a level n")
     if config.level is not None and not 1 <= config.level <= 62:
@@ -186,6 +190,18 @@ def validate(config: ExperimentConfig) -> list[str]:
             v.append(f"window=[{lo}, {hi}]: holds {inside} checkpoints up "
                      f"to limit {config.limit}; a fit needs {MIN_FIT_POINTS}")
     return v
+
+
+def _weighted_refusal(kind: str) -> str:
+    return (f"weighted=True: kind {kind} has no weighted form; the weighted "
+            "sums are kind weighted-growth (or campaign with weighted)")
+
+
+def _refuse_weighted(config: ExperimentConfig) -> None:
+    """Raise for weighted: true on a kind whose outputs it would not
+    change, as validate() reports it."""
+    if config.weighted and config.kind in _UNWEIGHTED_KINDS:
+        raise PreconditionError(_weighted_refusal(config.kind))
 
 
 def _is_real(value) -> bool:
@@ -272,6 +288,7 @@ def _dynamics_hold(spec: IetSpec, rng: np.random.Generator,
 
 def _run_iet_test(config: ExperimentConfig, outdir: Path) -> tuple[dict, bool]:
     from scipy.stats import ks_2samp
+    _refuse_weighted(config)
     spec = IetSpec(config.level)
     rng = np.random.default_rng(config.seeds[0])
     nums = rng.integers(0, 2**SCALE_BITS, size=config.points,
@@ -297,6 +314,7 @@ def _run_iet_test(config: ExperimentConfig, outdir: Path) -> tuple[dict, bool]:
 
 def _run_growth(config: ExperimentConfig, outdir: Path) -> tuple[dict, bool]:
     """growth and weighted-growth: checkpoint sums and one fit per seed."""
+    _refuse_weighted(config)
     beta = config.beta_value()
     weighted = config.kind == "weighted-growth"
     window = _fit_window(config)
@@ -384,6 +402,7 @@ _SWEEPS = {
 
 
 def _run_sweep(config: ExperimentConfig, outdir: Path) -> tuple[dict, bool]:
+    _refuse_weighted(config)
     sweep = _SWEEPS[config.kind]
     size = config.prime_limit if sweep.size == "P" else config.limit
     beta = config.beta_value()

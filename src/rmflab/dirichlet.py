@@ -253,20 +253,22 @@ def exp_form_F(beta: DyadicFraction, assignment, P: int,
     signs = prime_signs(beta, assignment, primes).astype(np.float64)
     z = signs * _prime_powers(primes, s)
     prime_sum = _fsum_complex(z)
-    tail_terms = []
-    zm = z * z
-    m = 2
-    while np.max(np.abs(zm)) / m >= _TAIL_CUTOFF:
-        sign = -1.0 if m % 2 == 0 else 1.0
-        tail_terms.append(sign / m * zm)
-        zm = zm * z
-        m += 1
-    if tail_terms:
-        flat = np.concatenate(tail_terms)
-        A_tail = _fsum_complex(flat)
-    else:
-        A_tail = 0j
-    return prime_sum, A_tail
+
+    def orders(part: str):
+        # one order's terms at a time, whose memoryview hands fsum Python
+        # floats: no order outlives its step, and fsum rounds the exact sum
+        # of all of them once
+        zm = z * z
+        m = 2
+        while np.max(np.abs(zm)) / m >= _TAIL_CUTOFF:
+            sign = -1.0 if m % 2 == 0 else 1.0
+            yield memoryview(getattr(sign / m * zm, part))
+            zm = zm * z
+            m += 1
+
+    real, imag = (math.fsum(itertools.chain.from_iterable(orders(part)))
+                  for part in ("real", "imag"))
+    return prime_sum, complex(real, imag)
 
 
 def weight_factor(beta: DyadicFraction) -> float:

@@ -3,22 +3,23 @@
 Partial sums of the sign series are exact 64-bit integers.  Weighted sums
 carry float weights (2*beta-1)**-d(n), at most (2*beta-1)**-8 ~ 9.99 at
 beta = 7/8 for X <= 10**8.  Both come from one kernel of exact signed counts
-per (checkpoint segment, d(n)), read off the one table of
-``sieve.squarefree_kinds``: plain sums add them up, weighted sums round
+per (checkpoint segment, d(n)): plain sums add them up, weighted sums round
 them once.
 
-``coupled_sums`` is the one way from seeds to checkpoint sums.  Campaigns
-and the growth experiments take their seeds LANES (8) at a time: one walk
-over the multiples of the primes <= sqrt(X) writes a uint8 word per
-integer whose bit k is seed k's flip parity over those primes, and one
-bincount per block counts every lane.  Every n <= X has at most one prime
-factor above sqrt(X), so the larger primes are not walked: their effect on
-the counts is an exact integer correction from running counts of their
-signs (``_large_prime_counts``), the split by largest prime factor used
-for the Mertens function (Deleglise and Rivat, Experiment. Math. 5, 1996).
-At X = 10**7 a 4-seed lane pass peaks at about 11 MiB traced, plain at
-beta = 1/2 or weighted at 7/8: the 10 MB of words.  A test holds it below
-24 MiB.
+``coupled_sums`` is the one way from seeds to checkpoint sums, LANES (8)
+seeds at a time.  It splits each squarefree n > 1 as m q with q = P+(n),
+the largest prime factor, and P+(m) < q, as Deleglise and Rivat
+(Experiment. Math. 5, 1996) split the Mertens function.  Seed k's sum is
+
+    S_k(x) = 1 + sum_{m P+(m) < x} f_k(m) (Pi_k(x // m) - Pi_k(P+(m))),
+
+with Pi_k(y) the sum of f_k(p) over the primes p <= y.  The nodes m take
+only primes below sqrt(X), and one tree of (checkpoint, node) pairs per
+limit serves every seed; no table of length X is made.  At X = 10**7 it
+has 15,512 nodes and 85,331 pairs; a 4-seed pass from a cold tree peaks
+at 10.8 MiB traced, the tree's build (a test holds it below 24 MiB).  At
+10**8, 8 seeds take 1.6-1.7 s and 173-176 MiB ``VmHWM`` from a cold
+start, the prime sieve alone 125 MiB (2-core x86-64, numpy 2.4).
 
 Checkpoints live on a geometric grid with ratio 10**(1/8), so every power
 of ten is itself a checkpoint and log-log fits see evenly spaced abscissae.
@@ -26,6 +27,7 @@ of ten is itself a checkpoint and log-log fits see evenly spaced abscissae.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, asdict
@@ -35,7 +37,7 @@ import numpy as np
 from .dyadic import DyadicFraction
 from .errors import DomainError, FitError, PreconditionError, RangeError
 from .sampler import LANES, _lane_masks
-from .sieve import MAX_KIND, _walk, squarefree_kinds
+from .sieve import MAX_KIND, primes_up_to
 from .dirichlet import weight_factor
 
 GRID_STEPS_PER_DECADE = 8
@@ -97,60 +99,6 @@ class SelbergDelangeStat:
     ratios: np.ndarray
     terminal_ratio: float
     sign_stable: bool  # R > 0 at every checkpoint in the final decade
-
-
-# Integers per bincount: it copies its int16 input to intp, 512 KiB per
-# block, so the copy and the 128 KiB code block stay within L2.
-_BLOCK = 2**16
-
-# word pattern x lane -> +-1: lane k of pattern w reads (-1)**(bit k of w)
-_LANE_SIGNS = 1 - 2 * (np.arange(1 << LANES)[:, None] >> np.arange(LANES) & 1)
-
-# Large primes per running count of their masks: a lane's count stays below
-# 2**16, so four lanes share a uint64 as 16-bit fields and never carry.
-# _SPREAD[h, w] holds bit 4h + j of the mask w at bit 16j, for j < 4.
-_COUNT_BLOCK = 2**16 - 1
-_FIELDS = np.arange(0, 64, 16, dtype=np.uint64)
-_SPREAD = (((np.arange(1 << LANES) >> np.arange(LANES)[:, None]) & 1)
-           .reshape(LANES // 4, 4, -1).astype(np.uint64)
-           << _FIELDS[:, None]).sum(axis=1, dtype=np.uint64)
-
-
-def _segment_counts(kinds: np.ndarray, grid: np.ndarray, flips: np.ndarray,
-                    lanes: int) -> np.ndarray:
-    """C[lane, i, d], the exact sum of the lane's f(n) over
-    grid[i-1] < n <= grid[i] with d(n) = d, for d <= MAX_KIND (grid[-1]
-    read as 0), from the table ``kinds`` of ``sieve.squarefree_kinds``.
-
-    Lane k's f(n) is (-1)**(d(n) + bit k of flips[n]) on squarefree n, and
-    0 elsewhere.  Each block of at most _BLOCK integers in a segment is
-    reduced by one bincount of the int16 code (kinds[n] + 1) << lanes |
-    flips[n], built in place, so no full-length table is made: row 0 holds
-    the n that are not squarefree, row d + 1 those with d(n) = d, signed by
-    (-1)**d; a fixed sign table decodes the counts of every word pattern
-    into every lane's.  ``grid`` must ascend (repeats allowed) within
-    [0, len(kinds) - 1].
-    """
-    limit = len(kinds) - 1
-    if np.any(np.diff(grid, prepend=0) < 0) or np.any(grid > limit):
-        raise RangeError(f"grid must ascend within [0, {limit}]")
-    # d(n) <= MAX_KIND = 8 keeps every code below 10 << 8, within int16
-    rows, patterns = MAX_KIND + 2, 1 << lanes
-    net = np.zeros((len(grid), rows * patterns), dtype=np.int64)
-    block = np.empty(min(_BLOCK, limit), dtype=np.int16)
-    prev = 0
-    for i, x in enumerate(grid.tolist()):
-        for lo in range(prev + 1, x + 1, _BLOCK):
-            hi = min(lo + _BLOCK, x + 1)
-            code = block[: hi - lo]
-            np.add(kinds[lo:hi], 1, out=code)
-            code <<= lanes
-            code |= flips[lo:hi]
-            net[i] += np.bincount(code, minlength=rows * patterns)
-        prev = x
-    net = net.reshape(len(grid), rows, patterns)[:, 1:]
-    net[:, 1::2] *= -1  # mu(n) = (-1)**d(n)
-    return (net @ _LANE_SIGNS[:patterns, :lanes]).transpose(2, 0, 1)
 
 
 def _sums_from_counts(counts: np.ndarray, grid: np.ndarray,
@@ -337,102 +285,128 @@ class CampaignReport:
         return asdict(self)
 
 
-def _large_prime_counts(kinds: np.ndarray, grid: np.ndarray,
-                        primes: np.ndarray, masks: np.ndarray, split: int,
-                        lanes: int) -> np.ndarray:
-    """The large primes' part L[lane, i, d] of the counts C[lane, i, d]:
-    what the primes q = primes[split:] > isqrt(limit) add to the counts of
-    words that leave them out (``primes`` and ``masks`` as
-    ``sampler._lane_masks`` returns them).
+@dataclass(frozen=True)
+class _Tree:
+    """The nodes and (checkpoint, node) pairs of the largest-prime-factor
+    recursion at one limit and grid (``_tree``); no seed or beta enters."""
 
-    A multiple n = m*q <= limit of such a q has m < q, so n is squarefree
-    iff m is, and d(n) = d(m) + 1.  Words without q read lane k's f(n) as
-    -f_k(m); the true f_k(m) f_k(q) is 2 f_k(m) more exactly when q is plus
-    in lane k.  Up to a checkpoint x that adds
-    2 f_k(m) * Pi_k(x // m) at d(m) + 1 for each squarefree
-    m <= x // q_min, where Pi_k(y) counts lane k's plus primes in
-    (isqrt(limit), y]; the segments' parts are the differences of those
-    totals.  Pi_k is read off one running count of the masks per
-    _COUNT_BLOCK primes, and f_k(m) off the words of m <= limit // q_min;
-    at 10**7 that is about 8,000 (checkpoint, m) pairs.
+    limit: int
+    grid: np.ndarray
+    levels: list[int]  # the nodes with d(m) = d are levels[d]:levels[d + 1]
+    parents: np.ndarray  # node -> the node m // P+(m)
+    tops: np.ndarray  # node -> the index of P+(m) among the primes
+    cols: np.ndarray  # pair -> its node m
+    bins: np.ndarray  # pair -> i * (MAX_KIND + 1) + d(m) + 1, at grid[i]
+    ranks: np.ndarray  # the prime ranks the pairs read: ascending, from 0
+    upper: np.ndarray  # pair -> pi(x // m), as an index into ranks
+    lower: np.ndarray  # pair -> pi(P+(m)), as an index into ranks
+
+
+def _tree(limit: int, grid: np.ndarray) -> _Tree:
+    """The recursion's tree at checkpoints ``grid``, ascending (repeats
+    allowed) within [0, limit].
+
+    Its nodes are the squarefree m with m P+(m) < limit, m = 1 included
+    with P+(1) read as 1, breadth first: the children of m are the m p with
+    P+(m) < p and m p p < limit.  Checkpoint x pairs with the nodes with
+    m P+(m) < x, the m for which some n = m q <= x with a prime q > P+(m)
+    may exist.
     """
-    limit = len(kinds) - 1
-    large, large_masks = primes[split:], masks[split:]
-    q_min = int(large[0])
-    top = limit // q_min  # the largest cofactor m, below q_min
-    small = int(np.searchsorted(primes, top, side="right"))
-    words = _walk(primes[:small], masks[:small], top, np.bitwise_xor)
-    ms = np.flatnonzero(kinds[: top + 1] >= 0)  # the squarefree m <= top
-    d = kinds[ms]
-    mu = 1 - 2 * (d[:, None] & 1)  # mu(m) = (-1)**d(m)
-    signs = _LANE_SIGNS[words[ms], :lanes] * mu  # f_k(m)
-    # pair j: checkpoint rows[j] with cofactor ms[cols[j]] <= x // q_min
-    cuts = np.searchsorted(ms, grid // q_min, side="right")
+    if np.any(np.diff(grid, prepend=0) < 0) or np.any(grid > limit):
+        raise RangeError(f"grid must ascend within [0, {limit}]")
+    primes = primes_up_to(limit)
+    m, top = np.ones(1, dtype=np.int64), np.full(1, -1)
+    ms, tops, parents, levels = [m], [top], [np.zeros(1, np.int64)], [0, 1]
+    while True:
+        # the child primes of m: from index top + 1 to the primes' count up
+        # to isqrt((limit - 1) // m), exclusive
+        roots = [math.isqrt((limit - 1) // v) for v in m.tolist()]
+        count = np.maximum(
+            np.searchsorted(primes, roots, side="right") - top - 1, 0)
+        if not count.any():
+            break
+        at = np.repeat(np.arange(len(m)), count)
+        top = top[at] + 1 + np.arange(len(at)) - \
+            np.repeat(np.cumsum(count) - count, count)
+        m = m[at] * primes[top]
+        ms.append(m)
+        tops.append(top)
+        parents.append(at + levels[-2])
+        levels.append(levels[-1] + len(at))
+    m, top = np.concatenate(ms), np.concatenate(tops)
+    keys = m.copy()
+    keys[1:] *= primes[top[1:]]  # m P+(m)
+    order = np.argsort(keys)
+    cuts = np.searchsorted(keys[order], grid, side="left")
     rows = np.repeat(np.arange(len(grid)), cuts)
-    cols = np.arange(len(rows)) - np.repeat(np.cumsum(cuts) - cuts, cuts)
-    ranks = np.searchsorted(large, grid[rows] // ms[cols], side="right")
-    # plus[j, k] = Pi_k at pair j: lane k's plus primes in large[:rank]
-    quads = -(-lanes // 4)
-    plus = np.empty((len(ranks), 4 * quads), dtype=np.int64)
-    order = np.argsort(ranks, kind="stable")
-    sorted_ranks = ranks[order]
-    passed = np.zeros(4 * quads, dtype=np.int64)
-    for lo in range(0, len(large), _COUNT_BLOCK):
-        block = large_masks[lo: lo + _COUNT_BLOCK]
-        a, b = np.searchsorted(sorted_ranks, [lo, lo + len(block)],
-                               side="right")
-        # running counts at the pairs' ranks and at the block's end
-        at = np.append(sorted_ranks[a:b] - lo - 1, len(block) - 1)
-        running = np.cumsum(_SPREAD[:quads, block], axis=1)
-        fields = running[:, at, None] >> _FIELDS & np.uint64(0xFFFF)
-        counts = fields.transpose(1, 0, 2).reshape(len(at), -1).view(np.int64)
-        plus[order[a:b]] = counts[:-1] + passed
-        passed += counts[-1]
-    totals = np.zeros((len(grid), MAX_KIND + 1, lanes), dtype=np.int64)
-    np.add.at(totals, (rows, d[cols] + 1),  # d(m*q) = d(m) + 1
-              2 * signs[cols] * plus[:, :lanes])
-    return np.diff(totals, axis=0, prepend=0).transpose(2, 0, 1)
+    cols = order[np.arange(len(rows)) -
+                 np.repeat(np.cumsum(cuts) - cuts, cuts)]
+    d = np.repeat(np.arange(len(levels) - 1), np.diff(levels))
+    upper = np.searchsorted(primes, grid[rows] // m[cols], side="right")
+    ranks, at = np.unique(np.concatenate([[0], upper, top[cols] + 1]),
+                          return_inverse=True)
+    return _Tree(limit=limit, grid=grid, levels=levels,
+                 parents=np.concatenate(parents), tops=top, cols=cols,
+                 bins=rows * (MAX_KIND + 1) + d[cols] + 1, ranks=ranks,
+                 upper=at[1: len(rows) + 1], lower=at[len(rows) + 1:])
 
 
-def _lane_counts(beta: DyadicFraction, seeds, limit: int,
-                 kinds: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """C[lane, i, d] of ``_segment_counts`` for at most LANES seeds, from
-    one walk over the primes <= isqrt(limit) that are plus in some lane.
+@functools.lru_cache(maxsize=1)
+def _checkpoint_tree(limit: int) -> _Tree:
+    """The tree at ``checkpoint_grid(limit)``; the last limit's stays cached,
+    so every lane group and run at that limit shares it."""
+    return _tree(limit, checkpoint_grid(limit))
 
-    Every n <= limit has at most one prime factor above isqrt(limit), so
-    the larger primes' effect is counted in closed form
-    (``_large_prime_counts``; a grid's limit is at least 10, so there is
-    such a prime), before the limit-long words exist, and added to the
-    counts; every count is the exact integer the full walk gives.
+
+def _checkpoint_counts(tree: _Tree, beta: DyadicFraction,
+                       seeds) -> np.ndarray:
+    """C[lane, i, d] for at most LANES seeds: the exact sum of the lane's
+    f(n) over grid[i-1] < n <= grid[i] with d(n) = d (grid[-1] read as 0),
+    for d <= MAX_KIND, by the recursion of the module docstring.
+
+    Bit k of a node's word is the parity of seed k's minus primes of m, the
+    xor of their complemented masks (``sampler._lane_masks``) carried down
+    the tree, so f_k(m) = (-1)**(bit k).  Pi_k(y) = 2 plus_k(y) - pi(y) is
+    counted only at the tree's ranks, one lane at a time.  Each lane's
+    totals are one bincount, exact in float64: every partial sum is an
+    integer of size at most limit < 2**53.
     """
-    primes, masks = _lane_masks(beta, seeds, limit)
-    split = int(np.searchsorted(primes, math.isqrt(limit), side="right"))
-    large = _large_prime_counts(kinds, grid, primes, masks, split,
-                                len(seeds))
-    keep = masks[:split] != 0
-    words = _walk(primes[:split][keep], masks[:split][keep], limit,
-                  np.bitwise_xor)
-    counts = _segment_counts(kinds, grid, words, len(seeds))
-    counts += large
-    return counts
+    primes, masks = _lane_masks(beta, seeds, tree.limit)
+    words = np.zeros(len(tree.parents), dtype=np.uint8)
+    for lo, hi in zip(tree.levels[1:-1], tree.levels[2:]):
+        words[lo:hi] = words[tree.parents[lo:hi]] ^ ~masks[tree.tops[lo:hi]]
+    signs = 1 - 2 * (words[:, None] >> np.arange(len(seeds)) & 1)  # f_k(m)
+    rows, kinds = len(tree.grid), MAX_KIND + 1
+    totals = np.empty((len(seeds), rows, kinds), dtype=np.int64)
+    bits = np.zeros(len(primes) + 1, dtype=np.uint8)  # a 0 past the last
+    for k in range(len(seeds)):
+        np.right_shift(masks, k, out=bits[:-1])
+        bits &= 1
+        # plus_k at ranks[j]: the plus primes among the first ranks[j]
+        runs = np.add.reduceat(bits, tree.ranks, dtype=np.int64)
+        prime_sums = 2 * (np.cumsum(runs) - runs) - tree.ranks  # Pi_k
+        weights = signs[tree.cols, k] * (prime_sums[tree.upper] -
+                                         prime_sums[tree.lower])
+        totals[k] = np.bincount(tree.bins, weights,
+                                minlength=rows * kinds).reshape(rows, kinds)
+    totals[:, tree.grid >= 1, 0] += 1  # n = 1
+    return np.diff(totals, axis=1, prepend=0)
 
 
 def coupled_sums(beta: DyadicFraction, limit: int, weighted: bool,
                  seeds) -> list[SumGrid]:
     """Every seed's checkpoint sums of f_beta, in seed order; the seeds
-    share each walk over the prime multiples and each reduction, LANES at a
-    time.
+    share the limit's tree (``_checkpoint_tree``), and each lane group of
+    LANES seeds its hash pass and its counts (``_checkpoint_counts``).
 
     Weighted sums weigh f_beta(n) by (2*beta-1)**-d(n).
     """
     w = weight_factor(beta) if weighted else None  # the weighted threshold
-    grid = checkpoint_grid(limit)
-    kinds = squarefree_kinds(limit)
+    tree = _checkpoint_tree(limit)
     sums = []
     for at in range(0, len(seeds), LANES):
-        counts = _lane_counts(beta, seeds[at: at + LANES], limit, kinds,
-                              grid)
-        sums += [_sums_from_counts(c, grid, w) for c in counts]
+        counts = _checkpoint_counts(tree, beta, seeds[at: at + LANES])
+        sums += [_sums_from_counts(c, tree.grid, w) for c in counts]
     return sums
 
 

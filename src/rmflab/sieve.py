@@ -3,16 +3,16 @@
 Everything here is deterministic and exact.  Tables are plain numpy arrays,
 read-only once built, and safe for concurrent reads.
 
-Memory budget at the supported maximum X = 10**8: the kinds table at 1 byte
-per integer, the odd-only prime sieve at 1 byte per odd integer, and 8 bytes
-per prime, about 0.2 GB (169 MiB ``VmHWM`` measured for one cold pass at
-10**8, 44 MiB at 10**7, 16 MiB traced at 10**7; 2-core x86-64, numpy 2.4).
-The last limit's prime table and kinds table stay cached and read-only for
-the process: 8 bytes per prime, about 46 MB at 10**8, and 1 byte per
-integer.  A campaign's lane pass adds one byte per integer of flip words:
-the sieve and an 8-seed lane pass at 10**8 peak at 272 MiB ``VmHWM``, plain
-or weighted, so the lane pass sets the peak.  The sieve and the lane pass
-walk only the primes <= sqrt(X), in cache-sized blocks (see ``_walker``).
+Memory budget at the supported maximum X = 10**8.  The prime table takes 8
+bytes per prime, about 46 MB, and its odd-only sieve 1 byte per odd integer
+while it runs: a cold ``primes_up_to(10**8)`` peaks at 125 MiB ``VmHWM``.
+The checkpoint sums (``growth.coupled_sums``) read no other table here: an
+8-seed pass peaks at 173-176 MiB ``VmHWM`` at 10**8, 56 MiB at 10**7.  The
+kinds table, 1 byte per integer, serves the ``abel`` sweep alone: one cold
+pass peaks at 174 MiB ``VmHWM`` at 10**8 and 16 MiB traced at 10**7
+(2-core x86-64, numpy 2.4).  The last limit's prime table and kinds table
+stay cached and read-only for the process.  The sieve walks only the
+primes <= sqrt(X), in cache-sized blocks (see ``_walker``).
 """
 
 from __future__ import annotations

@@ -328,6 +328,14 @@ def test_fit_error_names_the_first_failing_seed(kind, tmp_path):
     ({"kind": "identity", "level": 40, "prime_limit": 10**4},
      "2**40 + 2 = 1,099,511,627,778 Euler products"),
     ({"kind": "identity", "level": 17}, "levels above 16"),
+    # weighted: true on a kind whose outputs no weight enters
+    ({"kind": "growth", "weighted": True}, "kind weighted-growth"),
+    ({"kind": "abel", "weighted": True}, "kind weighted-growth"),
+    ({"kind": "exp-form", "weighted": True}, "kind weighted-growth"),
+    ({"kind": "identity", "level": 1, "weighted": True},
+     "kind weighted-growth"),
+    ({"kind": "iet-test", "level": 3, "weighted": True},
+     "kind weighted-growth"),
 ])
 def test_validate_rejects_fits_and_sigmas_run_would_reject(changes, needle,
                                                             tmp_path):
@@ -347,6 +355,26 @@ def test_validate_rejects_fits_and_sigmas_run_would_reject(changes, needle,
     with pytest.raises(LabError):
         run(cfg)
     assert not (tmp_path / "r").exists()  # rejected before any output
+
+
+@pytest.mark.parametrize("kind, extra", [
+    ("growth", ["--beta", "7/8", "--limit", "1000"]),
+    ("abel", ["--beta", "3/4", "--limit", "1000"]),
+    ("exp-form", ["--beta", "3/4", "--prime-limit", "1000"]),
+    ("identity", ["--level", "1", "--prime-limit", "1000"]),
+    ("iet-test", ["--level", "3", "--points", "100"])])
+def test_weighted_flag_on_an_unweighted_kind_is_a_usage_error(kind, extra,
+                                                              tmp_path,
+                                                              capsys):
+    # the flag once ran the unweighted experiment and recorded
+    # "weighted": true in config.json and the manifest
+    code = main([kind, *extra, "--seeds", "1", "--weighted",
+                 "--out", str(tmp_path / "r")])
+    assert code == 2
+    assert "weighted-growth" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+    assert main(["validate", kind, *extra, "--seeds", "1",
+                 "--weighted"]) == 2
 
 
 def test_identity_level_cap_leaves_iet_test_at_62():

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import TransformedOmega
+from oracles import TransformedOmega, exp_form_tail_concatenated
 from rmflab import (CoverageError, DomainError, DyadicFraction, H_eval,
                     IdentityEvaluator, IetSpec, OmegaAssignment,
                     PreconditionError, WEIGHT_BETA_THRESHOLD, beta_for_level,
@@ -313,6 +314,30 @@ def test_exp_form_tail_bound_sigma06():
         zm = zm * z
         m += 1
     assert abs(tail) <= bound
+
+
+@pytest.mark.parametrize("P, s", [(2, 0.55 + 7j), (1000, 0.55 + 1j),
+                                  (10**4, 0.8 - 3j), (10**5, 0.55 + 0.5j),
+                                  (10**5, 1.2 + 14.1j), (10**5, 2 - 30j)])
+def test_exp_form_tail_matches_the_concatenated_oracle(P, s, assignment_1e5):
+    # fsum rounds the exact sum once, however the terms reach it
+    for beta in (B34, B78):
+        _, tail = exp_form_F(beta, assignment_1e5, P, s)
+        assert tail == exp_form_tail_concatenated(beta, assignment_1e5, P, s)
+
+
+def test_exp_form_peak_memory_at_1e5(assignment_1e5):
+    # at sigma = 0.55 the tail runs to order m ~ 100; holding every order's
+    # terms for one concatenation peaked at 28.2 MiB traced (230.6 MiB at
+    # P = 10**6), about 3 KB per prime
+    assignment_1e5.primes
+    tracemalloc.start()
+    try:
+        exp_form_F(B34, assignment_1e5, 10**5, 0.55)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak / 2**20
 
 
 def test_exp_form_domain():

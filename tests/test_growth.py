@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (ISQRT_EDGE_LIMITS, abel_residual_unblocked,
                      build_sign_series, distinct_prime_counts, factor_summary,
-                     fsum_weighted_sums, mobius_sieve, per_seed_counts)
+                     fsum_weighted_sums, mobius_sieve, per_seed_counts,
+                     segment_counts)
 import rmflab.growth as growth
 from rmflab import (CampaignConfig, DomainError, DyadicFraction, FitError,
                     OmegaAssignment, PreconditionError, RangeError,
@@ -18,10 +19,12 @@ from rmflab import (CampaignConfig, DomainError, DyadicFraction, FitError,
                     monte_carlo_campaign, selberg_delange_ratio)
 from rmflab.dirichlet import weight_factor
 from rmflab.dyadic import HALF, ONE
-from rmflab.growth import (SumGrid, _median, _quantile, _seed_result,
-                           _segment_counts, _sums_from_counts, coupled_sums)
-from rmflab.sampler import _lane_flips
-from rmflab.sieve import _prime_table, primes_up_to, squarefree_kinds
+from rmflab.growth import (SumGrid, _checkpoint_counts, _checkpoint_tree,
+                           _median, _quantile, _seed_result, _sums_from_counts,
+                           _tree, coupled_sums)
+from rmflab.sampler import LANES, _lane_flips
+from rmflab.sieve import (MAX_KIND, _prime_table, primes_up_to,
+                          squarefree_kinds)
 
 B34 = DyadicFraction.from_fraction(3, 2)
 B78 = DyadicFraction.from_fraction(7, 3)
@@ -50,11 +53,10 @@ def kinds_table(limit):
 
 
 def one_lane_sums(beta, seed, limit, grid, weighted=False):
-    """One seed's sums at any ascending checkpoints in [0, limit]: the lane
-    kernel with a single lane, weighted by (2*beta-1)**-d(n) if asked."""
+    """One seed's sums at any ascending checkpoints in [0, limit]: the
+    recursion with a single lane, weighted by (2*beta-1)**-d(n) if asked."""
     grid = np.asarray(grid, dtype=np.int64)
-    counts = _segment_counts(kinds_table(limit), grid,
-                             _lane_flips(beta, [seed], limit), 1)
+    counts = _checkpoint_counts(_tree(limit, grid), beta, [seed])
     w = weight_factor(beta) if weighted else None
     return _sums_from_counts(counts[0], grid, w)
 
@@ -107,9 +109,9 @@ def test_weighted_sums_threshold():
 def test_unit_weight_reduces_to_plain_sums(assignment_1e5):
     # with weight factor 1 every weight is 1, which must reproduce the exact
     # integer sums
-    flips = _lane_flips(B78, [assignment_1e5.master_seed], 10**5)
     grid = checkpoint_grid(10**5)
-    counts = _segment_counts(kinds_table(10**5), grid, flips, 1)[0]
+    counts = _checkpoint_counts(_tree(10**5, grid), B78,
+                                [assignment_1e5.master_seed])[0]
     wsums = _sums_from_counts(counts, grid, 1.0)
     plain = one_lane_sums(B78, assignment_1e5.master_seed, 10**5, grid)
     assert np.array_equal(wsums.sums, plain.sums.astype(np.float64))
@@ -157,23 +159,20 @@ def test_sums_match_references_on_drawn_grids(seed, beta, xs, repeats):
 
 @pytest.mark.parametrize("grid", [[10, 100, 50], [10, 10**5 + 1], [-1, 10]])
 def test_sums_reject_grids_out_of_order_or_range(grid):
-    flips = _lane_flips(B78, [1], 10**5)
     with pytest.raises(RangeError):
-        _segment_counts(kinds_table(10**5), np.array(grid), flips, 1)
+        _tree(10**5, np.array(grid))
 
 
 def test_sum_layer_peak_memory_at_1e7():
-    # one lane's reduction and sums, with its flip words built beforehand;
-    # a full-length int64 prefix or float64 weighted array would be 76 MiB
+    # one lane's counts and sums, with the tree built beforehand; a
+    # full-length int64 prefix or float64 weighted array would be 76 MiB
     limit = 10**7
-    kinds = squarefree_kinds(limit)
-    flips = _lane_flips(B78, [1], limit)
-    grid = checkpoint_grid(limit)
+    tree = _checkpoint_tree(limit)
     for w in (None, weight_factor(B78)):
         tracemalloc.start()
         try:
-            _sums_from_counts(_segment_counts(kinds, grid, flips, 1)[0],
-                              grid, w)
+            _sums_from_counts(_checkpoint_counts(tree, B78, [1])[0],
+                              tree.grid, w)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -181,15 +180,14 @@ def test_sum_layer_peak_memory_at_1e7():
 
 
 def test_lane_pass_peak_memory_at_1e7():
-    # one walk and one reduction for 4 seeds: at beta 1/2 nearly every prime
-    # is plus in some lane, and the weighted pass also reads d(n).  The
-    # per-seed path peaked at 25.4 MiB traced per seed, the walk over every
-    # prime at 21.2 MiB (beta 1/2) and 15.9 MiB (7/8 weighted); walking only
-    # the primes <= isqrt(X), 10.8 and 10.9 MiB: the 10 MB of words
+    # 4 seeds from a cold tree, plain at beta 1/2 (nearly every prime is
+    # plus in some lane) or weighted at 7/8: 10.8 MiB traced, the tree's
+    # build.  The per-seed path peaked at 25.4 MiB per seed, and the flip
+    # words of the primes <= isqrt(X) at 10.8 MiB
     limit = 10**7
     for beta, weighted in ((HALF, False), (B78, True)):
-        squarefree_kinds(limit)
         primes_up_to(limit)  # the cached table may outlive the primes'
+        _checkpoint_tree.cache_clear()
         tracemalloc.start()
         try:
             coupled_sums(beta, limit, weighted, (1, 2, 3, 4))
@@ -369,12 +367,10 @@ def oracle_counts(beta_numerator, limit, seed):
 
 
 def coupled_counts(beta, limit, weighted, seeds):
-    """Each seed's final counts C[i, k] as ``coupled_sums`` sums them, in
-    seed order, and its sums: the counts of each chunk's ``_lane_counts``,
-    the large primes' part included (``_segment_counts`` alone sees only the
-    words of the primes <= isqrt(limit))."""
+    """Each seed's counts C[i, k] as ``coupled_sums`` sums them, in seed
+    order, and its sums: the counts of each chunk's ``_checkpoint_counts``."""
     seen = []
-    kernel = growth._lane_counts
+    kernel = growth._checkpoint_counts
 
     def recording_kernel(*args):
         counts = kernel(*args)
@@ -382,47 +378,97 @@ def coupled_counts(beta, limit, weighted, seeds):
         return counts
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(growth, "_lane_counts", recording_kernel)
+        mp.setattr(growth, "_checkpoint_counts", recording_kernel)
         sums = coupled_sums(beta, limit, weighted, seeds)
     return seen, sums
 
 
-def assert_lanes_match_per_seed_oracle(beta, limit, weighted, seeds):
-    """Every lane's counts equal the per-seed oracle's, and its sums the
-    sums of those counts."""
+def assert_lanes_match_oracles(beta, limit, weighted, seeds,
+                               per_seed=True):
+    """Every lane's counts equal the integer-by-integer oracle's over each
+    chunk's flip words and, if asked, the per-seed oracle's; its sums are
+    the sums of those counts."""
     got, sums = coupled_counts(beta, limit, weighted, seeds)
     assert len(got) == len(sums) == len(seeds)
     grid = checkpoint_grid(limit)
+    kinds = kinds_table(limit) if per_seed else squarefree_kinds(limit)
+    want = np.concatenate([
+        segment_counts(kinds, grid, _lane_flips(beta, chunk, limit),
+                       len(chunk))
+        for chunk in (seeds[at: at + LANES]
+                      for at in range(0, len(seeds), LANES))])
     w = weight_factor(beta) if weighted else None
-    for seed, counts, lane_sums in zip(seeds, got, sums):
-        want = oracle_counts(beta.numerator, limit, seed)
-        assert np.array_equal(counts, want), (len(seeds), seed)
+    for seed, counts, lane_want, lane_sums in zip(seeds, got, want, sums):
+        assert np.array_equal(counts, lane_want), (len(seeds), seed)
+        if per_seed:
+            assert np.array_equal(
+                counts, oracle_counts(beta.numerator, limit, seed)), seed
         assert lane_sums.sums.tobytes() == \
-            _sums_from_counts(want, grid, w).sums.tobytes()
+            _sums_from_counts(lane_want, grid, w).sums.tobytes()
 
 
 @pytest.mark.parametrize("beta, weighted", [(HALF, False), (B34, False),
                                             (ONE, False), (B78, True),
                                             (B1516, True)])
-@pytest.mark.parametrize("limit", [x for x in ISQRT_EDGE_LIMITS if x >= 10])
+@pytest.mark.parametrize("limit", [x for x in ISQRT_EDGE_LIMITS if x >= 10]
+                         + [11, 12, 97, 1000])
 def test_lane_counts_match_per_seed_oracle(limit, beta, weighted):
     # 1, 7, 8, 9 and 17 seeds: one lane, part of a word, a full word, and
     # one and two seeds past a full word
     for n in (1, 7, 8, 9, 17):
-        assert_lanes_match_per_seed_oracle(beta, limit, weighted,
-                                           LANE_SEEDS[:n])
+        assert_lanes_match_oracles(beta, limit, weighted, LANE_SEEDS[:n])
 
 
-@pytest.mark.parametrize("block, limit", [(1, 1000), (7, 10**4),
-                                          (4096, 10**5)])
-def test_lane_counts_across_blocks(monkeypatch, block, limit):
-    # checkpoint segments many blocks long, which the real 2**16-integer
-    # block reaches only beyond X ~ 3 * 10**5
-    monkeypatch.setattr(growth, "_BLOCK", block)
+@pytest.mark.parametrize("limit", [10**6 + 3, 10**7])
+def test_lane_counts_match_segment_oracle_at_large_limits(limit):
+    # checkpoint segments many of the oracle's blocks long; 9 seeds fill one
+    # word and start a second
     for beta, weighted in ((HALF, False), (B78, True)):
-        for n in (1, 8, 9):
-            assert_lanes_match_per_seed_oracle(beta, limit, weighted,
-                                               LANE_SEEDS[:n])
+        assert_lanes_match_oracles(beta, limit, weighted, LANE_SEEDS[:9],
+                                   per_seed=False)
+
+
+def tree_values(tree):
+    """Each node's m, from its parent and its largest prime."""
+    primes = primes_up_to(tree.limit)
+    m = np.ones(len(tree.parents), dtype=np.int64)
+    for lo, hi in zip(tree.levels[1:-1], tree.levels[2:]):
+        m[lo:hi] = m[tree.parents[lo:hi]] * primes[tree.tops[lo:hi]]
+    return m
+
+
+@pytest.mark.parametrize("limit", [10, 26, 1000, 10**4])
+def test_tree_pairs_each_checkpoint_with_the_nodes_below_it(limit,
+                                                            factors_1e5):
+    # brute force from the factor table: the nodes are the squarefree m with
+    # m P+(m) < limit (P+(1) = 1), and x pairs with m iff m P+(m) < x.  The
+    # grid holds every m P+(m) and its neighbours, where the cut turns
+    def top(m):
+        return max(factors_1e5[m].distinct_primes, default=1)
+
+    squarefree = [m for m in range(1, limit + 1)
+                  if factors_1e5[m].is_squarefree]
+    keys = {m: m * top(m) for m in squarefree if m * top(m) < limit}
+    grid = np.array(sorted({0, 1, 2, limit} | {
+        min(k + e, limit) for k in keys.values() for e in (-1, 0, 1)}))
+    tree = _tree(limit, grid)
+    m = tree_values(tree)
+    assert sorted(m.tolist()) == sorted(keys)
+    d = np.repeat(np.arange(len(tree.levels) - 1), np.diff(tree.levels))
+    assert d.tolist() == [factors_1e5[v].d for v in m.tolist()]
+    rows, kinds = np.divmod(tree.bins, MAX_KIND + 1)
+    assert np.array_equal(kinds, d[tree.cols] + 1)
+    pairs = sorted(zip(rows.tolist(), m[tree.cols].tolist()))
+    assert pairs == sorted((i, v) for i, x in enumerate(grid.tolist())
+                           for v, key in keys.items() if key < x)
+    primes = primes_up_to(limit)
+    assert tree.ranks[0] == 0 and np.all(np.diff(tree.ranks) > 0)
+    x_over_m = grid[rows] // m[tree.cols]
+    assert np.array_equal(tree.ranks[tree.upper],
+                          np.searchsorted(primes, x_over_m, side="right"))
+    tops = np.array([top(v) for v in m[tree.cols].tolist()])
+    assert np.array_equal(tree.ranks[tree.lower],
+                          np.searchsorted(primes, tops, side="right"))
 
 
 @pytest.mark.parametrize("limit", [1009, 10007, 99991])
@@ -438,25 +484,27 @@ def test_lane_counts_where_a_cofactor_quotient_is_a_large_prime(limit):
     assert (limit, 1) in hits and len(hits) > 3
     for beta, weighted in ((HALF, False), (B34, False), (B78, True)):
         for n in (1, 8, 9):
-            assert_lanes_match_per_seed_oracle(beta, limit, weighted,
-                                               LANE_SEEDS[:n])
+            assert_lanes_match_oracles(beta, limit, weighted,
+                                       LANE_SEEDS[:n])
 
 
 @pytest.mark.parametrize("limit", [10, 26, 1000, 10**5])
 def test_lane_pass_walks_no_prime_above_isqrt_limit(monkeypatch, limit):
-    # the primes above isqrt(limit) are counted, not walked: no walk of a
-    # campaign's lane pass scatters over their multiples
+    # coupled_sums walks no prime at all, and sieves no kinds table: the
+    # recursion reads no table of length limit, and the walks and the kinds
+    # sieve belong to the abel sweep alone
     import rmflab.sampler as sampler
-    walked = []
-    for module in (growth, sampler):
-        def recording_walk(primes, values, n, op, walk=module._walk):
-            walked.append(primes)
-            return walk(primes, values, n, op)
-        monkeypatch.setattr(module, "_walk", recording_walk)
+    import rmflab.sieve as sieve
+
+    def refuse(*args):
+        raise AssertionError("a table of length limit")
+
+    for module, name in ((sieve, "squarefree_kinds"), (sieve, "_walk"),
+                         (sieve, "_walker"), (sampler, "_walk")):
+        monkeypatch.setattr(module, name, refuse)
+    _checkpoint_tree.cache_clear()
     for weighted, beta in ((False, HALF), (True, B78)):
-        coupled_sums(beta, limit, weighted, LANE_SEEDS[:9])
-    assert walked
-    assert max(int(p.max(initial=0)) for p in walked) <= math.isqrt(limit)
+        assert len(coupled_sums(beta, limit, weighted, LANE_SEEDS[:9])) == 9
 
 
 def test_lane_counts_follow_the_seeds():

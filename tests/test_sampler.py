@@ -11,10 +11,9 @@ from rmflab import (CoverageError, DomainError, DyadicFraction,
                     OmegaAssignment, PreconditionError, prime_signs,
                     primes_up_to)
 from rmflab.dyadic import HALF, ONE
-from rmflab.growth import _segment_counts
+from rmflab.growth import _checkpoint_counts, _tree
 from rmflab.sampler import (_HASH_BLOCK, LANES, _lane_flips, _lane_masks,
                             signs_from_numerators)
-from rmflab.sieve import squarefree_kinds
 
 
 def test_omega_deterministic():
@@ -127,9 +126,8 @@ def test_prime_sign_mean_beta34(assignment_1e6):
 def test_beta_one_series_is_mobius(mu_1e6, assignment_1e6):
     series = build_sign_series(ONE, assignment_1e6, 10**6, mu_1e6)
     assert np.array_equal(series.values[1:], mu_1e6[1: 10**6 + 1])
-    flips = _lane_flips(ONE, [assignment_1e6.master_seed], 10**6)
-    counts = _segment_counts(squarefree_kinds(10**6), np.array([10]), flips,
-                             1)
+    counts = _checkpoint_counts(_tree(10**6, np.array([10])), ONE,
+                                [assignment_1e6.master_seed])
     assert counts[0, 0].sum() == -1  # Mertens(10)
 
 
@@ -212,12 +210,13 @@ def test_flip_words_hold_at_most_eight_seeds():
 
 
 def test_series_prefix_property(mu_1e6, assignment_1e5):
-    # the one-lane kernel on a dense grid: every segment is one integer
+    # the recursion with one lane on a dense grid: every segment is one
+    # integer
     beta = DyadicFraction.from_fraction(3, 2)
     s = build_sign_series(beta, assignment_1e5, 10**5, mu_1e6)
-    flips = _lane_flips(beta, [assignment_1e5.master_seed], 10**5)
     grid = np.arange(1, 2001)
-    counts = _segment_counts(squarefree_kinds(10**5), grid, flips, 1)
+    counts = _checkpoint_counts(_tree(10**5, grid), beta,
+                                [assignment_1e5.master_seed])
     assert np.array_equal(counts[0].sum(axis=1), s.values[1:2001])
 
 

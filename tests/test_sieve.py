@@ -7,7 +7,7 @@ from oracles import (ISQRT_EDGE_LIMITS, build_spf, distinct_prime_counts,
                      factor_summary, mobius_sieve, multiples_walk)
 from rmflab import (ConfigurationError, OmegaAssignment, RangeError,
                     primes_up_to)
-from rmflab import cli, sieve
+from rmflab import cli, growth, sieve
 from rmflab.sieve import squarefree_kinds
 
 
@@ -122,16 +122,26 @@ def record_sieve_walks(monkeypatch):
     return walks
 
 
-def test_plain_and_weighted_runs_at_one_limit_sieve_once(monkeypatch,
-                                                         tmp_path):
+def test_plain_and_weighted_runs_at_one_limit_build_one_tree(monkeypatch,
+                                                             tmp_path):
+    # the tree depends on the limit alone, and the sums read no kinds table
     walks = record_sieve_walks(monkeypatch)
+    trees = []
+    build = growth._tree
+
+    def recording_tree(limit, grid):
+        trees.append(limit)
+        return build(limit, grid)
+
+    monkeypatch.setattr(growth, "_tree", recording_tree)
+    growth._checkpoint_tree.cache_clear()
     for i, (kind, beta) in enumerate((("growth", "3/4"),
                                       ("weighted-growth", "7/8"),
                                       ("growth", "1/2"))):
         cli.run(cli.ExperimentConfig(kind=kind, beta=beta, limit=10**4,
                                      seeds=[1, 2],
                                      outdir=str(tmp_path / str(i))))
-    assert len(walks) == 1
+    assert trees == [10**4] and walks == []
 
 
 def test_prime_table_is_shared_at_one_limit(monkeypatch):
