@@ -14,16 +14,19 @@ prime, so its residual is pure floating-point noise.
 The identity residual evaluates 2**n + 2 products whose factors are all
 1 - p**-s or 1 + p**-s.  ``IdentityEvaluator`` does the work that does not
 depend on s once per (level, seed, P): it hashes omega, builds the 2**n
-T**k views and keeps each product's plus-signed primes (about 1 in
-2**(n+1) of them).  Per point it computes both log tables and keeps the
-exact sum of the minus table as a few non-overlapping float partials.  A
-product's log is then one fsum over those partials and the plus-minus
-differences at its plus-signed primes.  Because fsum is correctly rounded
-(Shewchuk, 1997), that is the same float as the fsum over the product's
-full term vector, so the residual is bit for bit what the
-product-by-product evaluation gives.  Each product's signs are still
-derived from its own T**k view of the hashed omega, so the check stays
-independent of the exchange map it tests.
+T**k views block by block of 4,096 numerators, so that each block's views
+are made while it sits in cache, and keeps each product's plus-signed
+primes (about 1 in 2**(n+1) of them).  Per point it computes both log
+tables and keeps the exact sum of the minus table as a few non-overlapping
+float partials.  A product's log is then one fsum over those partials and
+the plus-minus differences at its plus-signed primes.  No fsum runs over a
+long array: error-free extraction (Rump, Ogita and Oishi, 2008) first turns
+each block of values into a few floats with the same exact sum.  Because
+fsum is correctly rounded (Shewchuk, 1997), that is the same float as the
+fsum over the product's full term vector, so the residual is bit for bit
+what the product-by-product evaluation gives.  Each product's signs are
+still derived from its own T**k view of the hashed omega, so the check
+stays independent of the exchange map it tests.
 """
 
 from __future__ import annotations
@@ -128,19 +131,60 @@ def _log_factor_tables(primes: np.ndarray, s: complex
     return log_minus, log_plus
 
 
+#: Values per block of an exact extraction, and the M of its splitting
+#: constants sigma = 2**(M + e): 2**M >= block + 2 keeps every sum of one
+#: block's extracted parts exact.
+_EXTRACT_BLOCK = 2**14
+_EXTRACT_BITS = (_EXTRACT_BLOCK + 1).bit_length()
+
+
+def _extracted(rows: np.ndarray) -> np.ndarray:
+    """A few floats per row whose exact sum is the exact sum of the row.
+
+    ``rows`` is float64 of shape (r, n); column j of the (k, r) result sums
+    exactly to row j.  ExtractVector (Rump, Ogita and Oishi, SIAM J. Sci.
+    Comput. 31, 2008), per block of _EXTRACT_BLOCK values: with
+    max |x| < 2**e and sigma = 2**(M + e), q = (sigma + x) - sigma keeps x's
+    bits above eps * sigma and x - q the rest, both exactly, and the block's
+    q sum without error in any order.  Each round moves 53 - M - 1 bits of
+    every value into one float per row, until nothing is left.  A block
+    whose sigma would overflow is passed on as it is.
+    """
+    found = []
+    for lo in range(0, rows.shape[1], _EXTRACT_BLOCK):
+        rest = rows[:, lo:lo + _EXTRACT_BLOCK].copy()
+        scratch = np.empty_like(rest)
+        while True:
+            top = np.max(np.abs(rest, out=scratch), axis=1)
+            if not np.isfinite(top).all():  # NaN would never leave
+                raise DomainError("exact sum of a non-finite value")
+            if not top.any():
+                break
+            exponents = np.frexp(top)[1] + _EXTRACT_BITS
+            if exponents.max() > 1023:
+                found.append(rest.T)
+                break
+            sigma = np.ldexp(1.0, exponents)[:, None]
+            q = np.add(rest, sigma, out=scratch)
+            q -= sigma
+            rest -= q
+            found.append(q.sum(axis=1)[None])
+    return np.concatenate(found) if found else np.zeros((0, len(rows)))
+
+
 def _exact_partials(values: np.ndarray) -> list[float]:
     """Non-overlapping floats whose exact sum is the exact sum of ``values``.
 
     The first entry is ``math.fsum(values)``; each further one is fsum of
-    what the earlier ones leave over.  The exact sum of doubles is a
-    multiple of 2**-1074, so the remainder reaches 0 after a few rounds (two
-    to four for the 78,498 Euler log terms at P = 10**6).  Empty when the
-    exact sum is 0.
+    what the earlier ones leave over.  fsum runs on the few floats
+    ``_extracted`` leaves, not on ``values``: their exact sum is the same,
+    so is every fsum, and the remainder reaches 0 after a few rounds.
+    Empty when the exact sum is 0; ``DomainError`` on a NaN or infinity.
     """
+    extracted = _extracted(np.asarray(values, dtype=np.float64)[None])[:, 0]
     partials: list[float] = []
     while True:
-        # a memoryview hands fsum Python floats, not numpy scalars
-        r = math.fsum(itertools.chain(memoryview(values),
+        r = math.fsum(itertools.chain(extracted.tolist(),
                                       (-x for x in partials)))
         if r == 0.0:
             return partials
@@ -151,12 +195,18 @@ def _exact_partials(values: np.ndarray) -> list[float]:
 #: evaluates 2**n + 2 Euler products, so its cost doubles with each level.
 MAX_IDENTITY_LEVEL = 16
 
+#: Numerators per block of the view build: every k's view of one block is
+#: made while the block's 32 KiB of numerators sit in L2.
+_VIEW_BLOCK = 2**12
+
 
 class IdentityEvaluator:
     """``identity_residual`` of one (level, omega, P) at any number of s.
 
-    The constructor hashes omega, applies T**k to all numerators for
-    k = 1..2**n and keeps only each product's plus-signed prime indices.
+    The constructor hashes omega and, block by block of _VIEW_BLOCK
+    numerators, applies T**k to every numerator for k = 1..2**n, keeping
+    only each product's plus-signed prime indices.  One stable regroup by k
+    at the end puts each view's indices together, in prime order.
     """
 
     def __init__(self, level: int, assignment, P: int):
@@ -166,18 +216,33 @@ class IdentityEvaluator:
                 f"{2**level + 2:,} Euler products; levels above "
                 f"{MAX_IDENTITY_LEVEL} are not evaluated")
         spec = IetSpec(level)
-        beta = beta_for_level(level)
         self._primes = _primes_to(assignment, P)
         nums = assignment.numerators(self._primes)
-
-        def plus(threshold: DyadicFraction, view_nums: np.ndarray):
-            return np.flatnonzero(
-                signs_from_numerators(threshold, view_nums) == 1)
-
-        self._plus_half = plus(HALF, nums)
-        self._plus_views = [
-            plus(beta, apply_T_power_numerators(spec, nums, k))
-            for k in range(1, spec.intervals + 1)]
+        self._plus_half = np.flatnonzero(
+            signs_from_numerators(HALF, nums) == 1)
+        # the sign is +1 where omega >= beta, as in signs_from_numerators
+        beta = np.uint64(beta_for_level(level).numerator)
+        views = np.arange(spec.intervals)  # view k is labelled k - 1
+        found, labels = [], []  # per block: plus indices, and their views
+        # one empty block when there are no primes (P < 2)
+        for lo in range(0, max(len(nums), 1), _VIEW_BLOCK):
+            block = nums[lo:lo + _VIEW_BLOCK]
+            plus = [np.flatnonzero(
+                apply_T_power_numerators(spec, block, k) >= beta)
+                for k in range(1, spec.intervals + 1)]
+            found.append(np.concatenate(plus) + lo)
+            labels.append(np.repeat(views, [len(p) for p in plus]))
+        del nums, block
+        self._plus_views = np.concatenate(found)
+        del found
+        labels = np.concatenate(labels)
+        # regrouped in place: a new array above the freed ones would keep
+        # about 1 MiB of them resident (VmRSS, level 6, P = 10**6)
+        self._plus_views[:] = self._plus_views[
+            np.argsort(labels, kind="stable")]
+        self._view_bounds = np.zeros(spec.intervals + 1, dtype=np.intp)
+        np.cumsum(np.bincount(labels, minlength=spec.intervals),
+                  out=self._view_bounds[1:])
 
     def residual(self, s: complex, strict_domain: bool = True) -> float:
         """|L - R| at s; see ``identity_residual``."""
@@ -185,25 +250,36 @@ class IdentityEvaluator:
         if strict_domain and s.real <= 1:
             raise PreconditionError(
                 f"identity stated for Re(s) > 1, got Re(s)={s.real}")
-        if not (s.real > 0 and cmath.isfinite(s)):  # NaN: fsum never ends
+        if not (s.real > 0 and cmath.isfinite(s)):
             raise DomainError(f"s={s}: needs Re(s) > 0 and finite")
         log_minus, log_plus = _log_factor_tables(self._primes, s)
         base_re = _exact_partials(log_minus.real)
         base_im = _exact_partials(log_minus.imag)
-
-        def product_log(plus: np.ndarray) -> complex:
-            lp, lm = log_plus[plus], log_minus[plus]
-            return complex(
-                math.fsum(itertools.chain(base_re, memoryview(lp.real),
-                                          memoryview(-lm.real))),
-                math.fsum(itertools.chain(base_im, memoryview(lp.imag),
-                                          memoryview(-lm.imag))))
-
         log_zeta = -complex(base_re[0] if base_re else 0.0,
                             base_im[0] if base_im else 0.0)
-        left = -(len(self._plus_views) - 1) * log_zeta  # 2**n - 1
+
+        def product_log(plus: np.ndarray) -> complex:
+            if not len(plus):  # the fsum of the partials alone
+                return -log_zeta
+            re, im = list(base_re), list(base_im)
+            # log(1 + p**-s) and -log(1 - p**-s) at the plus-signed primes,
+            # gathered one extraction block at a time as (real, imag) rows
+            for lo in range(0, len(plus), _EXTRACT_BLOCK // 2):
+                at = plus[lo:lo + _EXTRACT_BLOCK // 2]
+                terms = np.empty((2, len(at)), dtype=np.complex128)
+                np.take(log_plus, at, out=terms[0])
+                np.take(log_minus, at, out=terms[1])
+                np.negative(terms[1], out=terms[1])
+                parts = _extracted(terms.view(np.float64).reshape(-1, 2).T)
+                re += parts[:, 0].tolist()
+                im += parts[:, 1].tolist()
+            return complex(math.fsum(re), math.fsum(im))
+
+        left = -(len(self._view_bounds) - 2) * log_zeta  # 2**n - 1
         parts = [-product_log(self._plus_half)]
-        parts.extend(map(product_log, self._plus_views))
+        bounds = self._view_bounds.tolist()
+        parts.extend(product_log(self._plus_views[a:b])
+                     for a, b in itertools.pairwise(bounds))
         right_total = complex(math.fsum(z.real for z in parts),
                               math.fsum(z.imag for z in parts))
         return abs(left - right_total)
@@ -223,15 +299,17 @@ def identity_residual(level: int, assignment, P: int, s: complex,
     1 + p**-s, so per point the two log tables are shared.  The exact sum
     of the log(1 - p**-s) table is kept as a few non-overlapping float
     partials; a product's log is then the fsum of those partials plus
-    log(1 + p**-s) - log(1 - p**-s) at its plus-signed primes only.  fsum
-    rounds the exact sum correctly, so this is the same float as the fsum
-    over the product's full term vector, and L (from the same partials) is
-    unchanged too.
+    log(1 + p**-s) - log(1 - p**-s) at its plus-signed primes only, with
+    those terms first extracted, block by block, into a few floats of the
+    same exact sum.  fsum rounds the exact sum correctly, so this is the
+    same float as the fsum over the product's full term vector, and L (from
+    the same partials) is unchanged too.
 
     The sides stay independent: omega is hashed once, but every view's
-    signs come from applying T**k to all numerators and comparing them with
-    beta, never from the interval index the identity is built on.  A wrong
-    exchange map therefore leaves a residual far above rounding noise.
+    signs come from applying T**k to all numerators, block by block, and
+    comparing them with beta, never from the interval index the identity is
+    built on.  A wrong exchange map therefore leaves a residual far above
+    rounding noise.
     Levels above ``MAX_IDENTITY_LEVEL`` raise ``DomainError``.
     """
     return IdentityEvaluator(level, assignment, P).residual(s, strict_domain)
@@ -260,7 +338,8 @@ def exp_form_F(beta: DyadicFraction, assignment, P: int,
         # of all of them once
         zm = z * z
         m = 2
-        while np.max(np.abs(zm)) / m >= _TAIL_CUTOFF:
+        # initial: with no primes (P < 2) the tail is the empty sum
+        while np.max(np.abs(zm), initial=0.0) / m >= _TAIL_CUTOFF:
             sign = -1.0 if m % 2 == 0 else 1.0
             yield memoryview(getattr(sign / m * zm, part))
             zm = zm * z

@@ -91,14 +91,16 @@ def apply_T_power_numerators(spec: IetSpec, nums: np.ndarray,
 
     On [1/2, 1), x - 1/2 = j * step + offset with j < 2**n and
     2**n * step = 2**63, so rotating the interval index j by -k modulo 2**n
-    is subtracting k * step modulo 2**63; the offset bits never move.
+    is subtracting k * step modulo 2**63; the offset bits never move.  The
+    low 63 bits of x - k * step are that difference whatever bit 63 of x
+    is, so 1/2 is put back with an or.
     """
     if k < 0:
         raise DomainError("power must be non-negative")
     nums = np.asarray(nums, dtype=np.uint64)
     half = np.uint64(_HALF_NUM)
-    rotated = nums - half  # wraps below 1/2; those entries are not used
-    rotated -= np.uint64((k % spec.intervals) * spec.step_numerator)
+    # wraps below 1/2; those entries are not used
+    rotated = nums - np.uint64((k % spec.intervals) * spec.step_numerator)
     rotated &= np.uint64(_HALF_NUM - 1)
-    rotated += half
+    rotated |= half
     return np.where(nums >= half, rotated, nums)

@@ -7,7 +7,10 @@ from ``sieve.squarefree_kinds`` by that walk;
 ``OmegaAssignment.numerators``; ``build_sign_series`` realizes one seed's
 f_beta by its own walk over the plus-signed primes, the reference for the
 package's lane words; ``TransformedOmega`` feeds the product-by-product
-identity oracle; ``abel_residual_unblocked`` is the full-length reference
+identity oracle and ``plus_views_whole`` is the whole-array reference for
+the identity's blocked view build; ``exact_partials_fsum`` is the fsum over
+every value, the reference for the extracted exact partials;
+``abel_residual_unblocked`` is the full-length reference
 for the blocked Abel check, and ``exp_form_tail_concatenated`` the
 all-orders-at-once reference for the exp-form tail; ``fsum_weighted_sums``
 is the term by term reference for the weighted checkpoint sums, and
@@ -17,17 +20,19 @@ is part of the package.
 """
 
 import functools
+import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from rmflab import DyadicFraction, OmegaAssignment, prime_signs, primes_up_to
+from rmflab import (DyadicFraction, OmegaAssignment, beta_for_level,
+                    prime_signs, primes_up_to)
 from rmflab.dirichlet import _TAIL_CUTOFF
 from rmflab.errors import ConfigurationError, CoverageError, RangeError
 from rmflab.iet import IetSpec, apply_T_power_numerators
-from rmflab.sampler import LANES
+from rmflab.sampler import LANES, signs_from_numerators
 from rmflab.sieve import MAX_KIND, MAX_LIMIT
 
 
@@ -236,6 +241,32 @@ class TransformedOmega:
     def numerators(self, primes: np.ndarray | None = None) -> np.ndarray:
         return apply_T_power_numerators(
             self.spec, self.base.numerators(primes), self.power)
+
+
+def plus_views_whole(level: int, assignment, P: int) -> list[np.ndarray]:
+    """The plus-signed prime indices of each view T**k omega, k = 1..2**n,
+    each from one ``apply_T_power_numerators`` call on all the numerators
+    of the primes <= P."""
+    spec = IetSpec(level)
+    beta = beta_for_level(level)
+    primes = assignment.primes
+    nums = assignment.numerators(primes[primes <= P])
+    return [np.flatnonzero(signs_from_numerators(
+        beta, apply_T_power_numerators(spec, nums, k)) == 1)
+        for k in range(1, spec.intervals + 1)]
+
+
+def exact_partials_fsum(values: np.ndarray) -> list[float]:
+    """Non-overlapping floats whose exact sum is that of ``values``: fsum
+    over every value, then over the values less the partials so far, until
+    nothing is left.  Loops forever on a NaN."""
+    partials: list[float] = []
+    while True:
+        r = math.fsum(itertools.chain(memoryview(values),
+                                      (-x for x in partials)))
+        if r == 0.0:
+            return partials
+        partials.append(r)
 
 
 def abel_residual_unblocked(values: np.ndarray, X: int, s: complex) -> float:

@@ -1,6 +1,8 @@
 import cmath
+import itertools
 import math
 import tracemalloc
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -8,7 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import TransformedOmega, exp_form_tail_concatenated
+from oracles import (TransformedOmega, exact_partials_fsum,
+                     exp_form_tail_concatenated, plus_views_whole)
 from rmflab import (CoverageError, DomainError, DyadicFraction, H_eval,
                     IdentityEvaluator, IetSpec, OmegaAssignment,
                     PreconditionError, WEIGHT_BETA_THRESHOLD, beta_for_level,
@@ -228,24 +231,29 @@ def test_identity_evaluator_refuses_levels_above_the_cap():
 
 
 def test_identity_run_builds_the_views_once_per_seed(monkeypatch, tmp_path):
-    calls = []
+    level, seeds, prime_limit = 3, [1, 2], 50_000  # 5,133 primes
+    count = len(primes_up_to(prime_limit))
+    assert count > dirichlet._VIEW_BLOCK  # the views are built in blocks
+    seed_of = {int(num): seed for seed in seeds for num in OmegaAssignment(
+        master_seed=seed, prime_limit=prime_limit).numerators()}
+    mapped = Counter()  # numerators mapped per (seed, k)
     exchange = dirichlet.apply_T_power_numerators
 
     def counted(spec, nums, k):
-        calls.append(k)
+        mapped[seed_of[int(nums[0])], k] += len(nums)
         return exchange(spec, nums, k)
 
     monkeypatch.setattr(dirichlet, "apply_T_power_numerators", counted)
-    level = 3
     manifest = run(ExperimentConfig(
-        kind="identity", level=level, prime_limit=2000, seeds=[1, 2],
+        kind="identity", level=level, prime_limit=prime_limit, seeds=seeds,
         sigmas=[1.5, 2.0], ts=[0.0, -5.0], outdir=str(tmp_path / "r")))
     assert manifest["pass"]
-    assert calls == 2 * list(range(1, 2**level + 1))
+    assert mapped == {(seed, k): count for seed in seeds
+                      for k in range(1, 2**level + 1)}
 
 
 def test_identity_residual_detects_a_wrong_exchange_map(monkeypatch):
-    a = OmegaAssignment(master_seed=42, prime_limit=10**4)
+    a = OmegaAssignment(master_seed=42, prime_limit=10**5)
     assert identity_residual(3, a, 10**4, 1.5) < 1e-12
     exchange = dirichlet.apply_T_power_numerators
 
@@ -256,6 +264,56 @@ def test_identity_residual_detects_a_wrong_exchange_map(monkeypatch):
                         repeats_previous_power)
     for s in (1.5, complex(2, 10)):
         assert identity_residual(3, a, 10**4, s) > 1e-6
+    # at P = 10**5 (9,592 primes, three view blocks) the wrong power in any
+    # one block fails the residual; the last block's primes are above
+    # 80,000, so the points sit near Re(s) = 1
+    for wrong_block in range(3):
+        fives = itertools.count()  # counts the blocks mapped at k = 5
+
+        def wrong_in_one_block(spec, nums, k):
+            if k == 5 and next(fives) == wrong_block:
+                k = 4
+            return exchange(spec, nums, k)
+
+        monkeypatch.setattr(dirichlet, "apply_T_power_numerators",
+                            wrong_in_one_block)
+        evaluator = IdentityEvaluator(3, a, 10**5)
+        assert next(fives) == 3
+        for s in (1.1, complex(1.1, 10)):
+            assert evaluator.residual(s) > 1e-6, (wrong_block, s)
+
+
+@pytest.mark.parametrize("count", [2**12 - 1, 2**12, 2**12 + 1])
+def test_identity_residual_matches_the_oracle_at_the_view_block_edge(count):
+    assert dirichlet._VIEW_BLOCK == 2**12
+    a = OmegaAssignment(master_seed=11, prime_limit=10**5)
+    P = int(a.primes[count - 1])
+    for level in (1, 4, 6):
+        evaluator = IdentityEvaluator(level, a, P)
+        for s in (1.5, complex(1.1, 10), complex(0.8, -2)):
+            assert evaluator.residual(s, strict_domain=False) == \
+                identity_residual_oracle(level, a, P, s), (level, s)
+
+
+def test_identity_residual_on_no_primes():
+    # P < 2: every product is empty and so is the residual
+    a = OmegaAssignment(master_seed=1, prime_limit=10**2)
+    for level in (1, 3):
+        evaluator = IdentityEvaluator(level, a, 1)
+        assert evaluator.residual(1.5) == 0.0 == \
+            identity_residual_oracle(level, a, 1, 1.5)
+
+
+def test_identity_views_match_the_whole_array_build():
+    a = OmegaAssignment(master_seed=3, prime_limit=10**5)
+    for level in range(1, 9):
+        evaluator = IdentityEvaluator(level, a, 10**5)  # three blocks
+        bounds = evaluator._view_bounds
+        views = plus_views_whole(level, a, 10**5)
+        assert len(bounds) == len(views) + 1
+        for k, view in enumerate(views):
+            assert np.array_equal(
+                evaluator._plus_views[bounds[k]:bounds[k + 1]], view)
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False,
@@ -270,6 +328,68 @@ def test_exact_partials_sum_exactly(values):
         sum(map(Fraction, values), Fraction(0))
     assert (partials[0] if partials else 0.0) == math.fsum(values)
     assert all(x != 0.0 for x in partials)
+
+
+subnormal = st.floats(min_value=-2.0**-1022, max_value=2.0**-1022)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(finite, subnormal), max_size=60),
+       st.lists(st.one_of(finite, subnormal), max_size=20))
+def test_extracted_partials_match_fsum_over_every_value(values, cancelled):
+    # cancelled values appear with both signs, so they sum to exactly 0
+    array = np.array(values + cancelled + [-x for x in cancelled],
+                     dtype=np.float64)
+    np.random.default_rng(len(values)).shuffle(array)
+    extracted = dirichlet._extracted(array[None])
+    assert extracted.shape[1] == 1
+    assert sum(map(Fraction, extracted[:, 0].tolist()), Fraction(0)) == \
+        sum(map(Fraction, values), Fraction(0))
+    assert dirichlet._exact_partials(array) == exact_partials_fsum(array)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([2**14 - 1, 2**14, 2**14 + 1, 3 * 2**14 + 1]),
+       st.lists(st.one_of(finite, subnormal), min_size=1, max_size=8),
+       st.integers(0, 2**32 - 1))
+def test_extracted_partials_across_blocks(count, pool, seed):
+    # rows that cross the extraction block, drawn from a few magnitudes so
+    # that many terms cancel; two rows are extracted at once
+    assert dirichlet._EXTRACT_BLOCK == 2**14
+    rng = np.random.default_rng(seed)
+    picks = rng.integers(len(pool), size=(2, count))
+    signs = rng.choice([-1, 1], picks.shape)
+    rows = np.array(pool)[picks] * signs
+    extracted = dirichlet._extracted(rows)
+    for row, column in enumerate(extracted.T):
+        exact = sum((Fraction(x) * int(signs[row][picks[row] == i].sum())
+                     for i, x in enumerate(pool)), Fraction(0))
+        assert sum(map(Fraction, column.tolist()), Fraction(0)) == exact
+    assert dirichlet._exact_partials(rows[0]) == exact_partials_fsum(rows[0])
+
+
+def test_extracted_partials_pass_on_a_block_whose_sigma_would_overflow():
+    # max |x| below 2**1008 gives sigma = 2**1023; at 2**1008 and above
+    # sigma would overflow, and the block goes to fsum as it is
+    below = np.nextafter(2.0**1008, 0.0)
+    for values in ([1.7e308, -1.7e308, 1.0, 5e-324],
+                   [2.0**1008, 3.0, -2.0**1008, 2.0**-1074],
+                   [below, 3.0, -below, 2.0**-1074]):
+        array = np.array(values)
+        extracted = dirichlet._extracted(array[None])[:, 0].tolist()
+        assert sum(map(Fraction, extracted), Fraction(0)) == \
+            sum(map(Fraction, values), Fraction(0))
+        assert dirichlet._exact_partials(array) == exact_partials_fsum(array)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_exact_partials_refuse_non_finite_values(bad):
+    # a NaN keeps the fsum remainder loop from ever reaching 0
+    for at in (0, 5, 2**14 + 3):
+        values = np.ones(2**14 + 10)
+        values[at] = bad
+        with pytest.raises(DomainError):
+            dirichlet._exact_partials(values)
 
 
 def test_local_factor_ratio_oracle():
@@ -338,6 +458,15 @@ def test_exp_form_peak_memory_at_1e5(assignment_1e5):
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20, peak / 2**20
+
+
+def test_exp_form_and_euler_F_agree_on_no_primes():
+    # P < 2: both are the empty product
+    a = OmegaAssignment(master_seed=1, prime_limit=10**3)
+    for s in (0.75, complex(2, 10)):
+        assert exp_form_F(B34, a, 1, s) == (0j, 0j)
+        ev = euler_F(B34, a, 1, s)
+        assert ev.log_value == 0j and ev.value == 1
 
 
 def test_exp_form_domain():
