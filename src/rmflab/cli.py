@@ -161,8 +161,8 @@ def validate(config: ExperimentConfig) -> list[str]:
     for sigma in config.sigmas if sweep else ():
         if sigma <= sweep.sigma_floor:
             v.append(f"sigma={sigma}: {sweep.floor_reason}")
-    if sweep and not all(map(math.isfinite, config.sigmas + config.ts)):
-        v.append(f"sigmas={config.sigmas}, ts={config.ts}: must be finite")
+    if sweep and (why := _points_refusal(config)):
+        v.append(why)
     weighted = config.kind in ("weighted-growth", "h-scan") or \
         (config.kind == "campaign" and config.weighted)
     if weighted and b is not None and not WEIGHT_BETA_THRESHOLD < b < 1:
@@ -190,6 +190,15 @@ def validate(config: ExperimentConfig) -> list[str]:
             v.append(f"window=[{lo}, {hi}]: holds {inside} checkpoints up "
                      f"to limit {config.limit}; a fit needs {MIN_FIT_POINTS}")
     return v
+
+
+def _points_refusal(config: ExperimentConfig) -> str | None:
+    """Why a sweep's sigmas and ts give it no point, or a non-finite one."""
+    if not (config.sigmas and config.ts and
+            all(map(math.isfinite, config.sigmas + config.ts))):
+        return (f"sigmas={config.sigmas}, ts={config.ts}: a sweep needs at "
+                "least one of each, all finite")
+    return None
 
 
 def _weighted_refusal(kind: str) -> str:
@@ -406,8 +415,8 @@ def _run_sweep(config: ExperimentConfig, outdir: Path) -> tuple[dict, bool]:
     sweep = _SWEEPS[config.kind]
     size = config.prime_limit if sweep.size == "P" else config.limit
     beta = config.beta_value()
-    if not all(map(math.isfinite, config.sigmas + config.ts)):
-        raise DomainError(f"non-finite s: {config.sigmas + config.ts}")
+    if why := _points_refusal(config):
+        raise DomainError(why)
     rows = []
     for seed in config.seeds:
         at = sweep.at(config, beta,

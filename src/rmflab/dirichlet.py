@@ -1,11 +1,14 @@
 """Complex evaluation of truncated Euler products and the coupled identities.
 
 Every product over primes p <= P is computed in log space as a sum of
-per-prime principal logarithms, accumulated with exact (fsum) summation of
-the real and imaginary parts.  For sigma > 0 every factor 1 + c_p * p**-s
-with |c_p| <= 1 has modulus of the perturbation strictly below 1 only for
-|c_p| < p**sigma, which holds for the sign factors; the weighted factors
-additionally require the documented beta threshold.
+per-prime principal logarithms.  That sum, ``exp_form_F``'s series and
+``growth.abel_consistency``'s terms all go through ``_exact_sum``: the exact
+sum of the real and of the imaginary parts, each rounded once, by
+error-free extraction (Rump, Ogita and Oishi, 2008) and one fsum per part
+(correctly rounded, Shewchuk 1997).  For sigma > 0 every factor
+1 + c_p * p**-s with |c_p| <= 1 has modulus of the perturbation strictly
+below 1 only for |c_p| < p**sigma, which holds for the sign factors; the
+weighted factors additionally require the documented beta threshold.
 
 With both sides truncated to the same prime set, the zeta identity that
 links 1/zeta**(2**n - 1) to the family of sign products is exact prime by
@@ -17,14 +20,11 @@ depend on s once per (level, seed, P): it hashes omega, builds the 2**n
 T**k views block by block of 4,096 numerators, so that each block's views
 are made while it sits in cache, and keeps each product's plus-signed
 primes (about 1 in 2**(n+1) of them).  Per point it computes both log
-tables and keeps the exact sum of the minus table as a few non-overlapping
-float partials.  A product's log is then one fsum over those partials and
-the plus-minus differences at its plus-signed primes.  No fsum runs over a
-long array: error-free extraction (Rump, Ogita and Oishi, 2008) first turns
-each block of values into a few floats with the same exact sum.  Because
-fsum is correctly rounded (Shewchuk, 1997), that is the same float as the
-fsum over the product's full term vector, so the residual is bit for bit
-what the product-by-product evaluation gives.  Each product's signs are
+tables and extracts the minus table once into a few floats.  A product's
+log is then the exact sum of those floats and the plus-minus differences at
+its plus-signed primes, rounded once: the same float as the exact sum of the
+product's full term vector, so the residual is bit for bit what the
+product-by-product evaluation gives.  Each product's signs are
 still derived from its own T**k view of the hashed omega, so the check
 stays independent of the exchange map it tests.
 """
@@ -34,6 +34,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,8 +58,13 @@ class EulerEvaluation:
     value: complex
 
 
-def _fsum_complex(terms: np.ndarray) -> complex:
-    return complex(math.fsum(terms.real), math.fsum(terms.imag))
+def _point(s: complex, floor: float) -> complex:
+    """s as a complex number; ``DomainError`` unless it is finite with
+    Re(s) > floor."""
+    s = complex(s)
+    if not (cmath.isfinite(s) and s.real > floor):
+        raise DomainError(f"s={s}: needs Re(s) > {floor} and finite")
+    return s
 
 
 def _prime_powers(primes: np.ndarray, s: complex) -> np.ndarray:
@@ -70,10 +76,10 @@ def _prime_powers(primes: np.ndarray, s: complex) -> np.ndarray:
 def _log_product(primes: np.ndarray, coeffs: np.ndarray,
                  s: complex) -> EulerEvaluation:
     """sum of log(1 + c_p * p**-s) over the given primes, principal branch
-    per factor.  Callers pass the primes <= P and check Re(s)."""
+    per factor, summed exactly and rounded once (``_exact_sum``).  Callers
+    pass the primes <= P and check s."""
     cs = np.asarray(coeffs, dtype=np.float64)
-    terms = np.log(1.0 + cs * _prime_powers(primes, s))
-    log_value = _fsum_complex(terms)
+    log_value = _exact_sum([np.log(1.0 + cs * _prime_powers(primes, s))])
     return EulerEvaluation(log_value=log_value, value=cmath.exp(log_value))
 
 
@@ -89,9 +95,7 @@ def _primes_to(assignment, P: int) -> np.ndarray:
 def euler_F(beta: DyadicFraction, assignment, P: int,
             s: complex) -> EulerEvaluation:
     """Truncated product of (1 + f_beta(p) * p**-s) over p <= P."""
-    s = complex(s)
-    if s.real <= 0:
-        raise DomainError(f"Re(s)={s.real} <= 0")
+    s = _point(s, 0)
     primes = _primes_to(assignment, P)
     signs = prime_signs(beta, assignment, primes)
     return _log_product(primes, signs, s)
@@ -102,9 +106,7 @@ def zeta_truncated(P: int, s: complex, primes: np.ndarray | None = None
     """Truncated zeta: product of (1 - p**-s)**-1 over p <= P.
 
     ``primes``, when given, must be the primes <= P."""
-    s = complex(s)
-    if s.real <= 0:
-        raise DomainError(f"Re(s)={s.real} <= 0")
+    s = _point(s, 0)
     if primes is None:
         from .sieve import primes_up_to
         primes = primes_up_to(P)
@@ -172,23 +174,25 @@ def _extracted(rows: np.ndarray) -> np.ndarray:
     return np.concatenate(found) if found else np.zeros((0, len(rows)))
 
 
-def _exact_partials(values: np.ndarray) -> list[float]:
-    """Non-overlapping floats whose exact sum is the exact sum of ``values``.
+def _exact_sum(blocks: Iterable[np.ndarray],
+               extracted: np.ndarray = np.empty((0, 2))) -> complex:
+    """The sums of the real and of the imaginary parts of the values in
+    ``blocks`` (complex128 arrays), each exact and then rounded once.
 
-    The first entry is ``math.fsum(values)``; each further one is fsum of
-    what the earlier ones leave over.  fsum runs on the few floats
-    ``_extracted`` leaves, not on ``values``: their exact sum is the same,
-    so is every fsum, and the remainder reaches 0 after a few rounds.
-    Empty when the exact sum is 0; ``DomainError`` on a NaN or infinity.
+    ``_extracted`` turns each block into a few floats per part with the same
+    exact sum, and one fsum per part rounds the exact sum of them all: the
+    float fsum over every value gives, however the values are split into
+    blocks.  A stream of blocks is taken one at a time, never concatenated.
+    ``extracted`` is a (k, 2) array of floats already extracted from real
+    and imaginary parts, whose exact sums join these.  A NaN or infinity
+    raises ``DomainError``.
     """
-    extracted = _extracted(np.asarray(values, dtype=np.float64)[None])[:, 0]
-    partials: list[float] = []
-    while True:
-        r = math.fsum(itertools.chain(extracted.tolist(),
-                                      (-x for x in partials)))
-        if r == 0.0:
-            return partials
-        partials.append(r)
+    found = [extracted]
+    for block in blocks:
+        found.append(_extracted(block.view(np.float64).reshape(-1, 2).T))
+        del block  # freed before the next block is made
+    re, im = np.concatenate(found).T.tolist()
+    return complex(math.fsum(re), math.fsum(im))
 
 
 #: The highest level ``IdentityEvaluator`` accepts.  A level-n residual
@@ -250,38 +254,28 @@ class IdentityEvaluator:
         if strict_domain and s.real <= 1:
             raise PreconditionError(
                 f"identity stated for Re(s) > 1, got Re(s)={s.real}")
-        if not (s.real > 0 and cmath.isfinite(s)):
-            raise DomainError(f"s={s}: needs Re(s) > 0 and finite")
+        _point(s, 0)
         log_minus, log_plus = _log_factor_tables(self._primes, s)
-        base_re = _exact_partials(log_minus.real)
-        base_im = _exact_partials(log_minus.imag)
-        log_zeta = -complex(base_re[0] if base_re else 0.0,
-                            base_im[0] if base_im else 0.0)
+        # the minus table as a few floats of the same exact sum, per part
+        base = _extracted(log_minus.view(np.float64).reshape(-1, 2).T)
+        log_zeta = -_exact_sum([], base)
 
         def product_log(plus: np.ndarray) -> complex:
-            if not len(plus):  # the fsum of the partials alone
+            if not len(plus):  # most products at high levels: no gather
                 return -log_zeta
-            re, im = list(base_re), list(base_im)
             # log(1 + p**-s) and -log(1 - p**-s) at the plus-signed primes,
-            # gathered one extraction block at a time as (real, imag) rows
-            for lo in range(0, len(plus), _EXTRACT_BLOCK // 2):
-                at = plus[lo:lo + _EXTRACT_BLOCK // 2]
-                terms = np.empty((2, len(at)), dtype=np.complex128)
-                np.take(log_plus, at, out=terms[0])
-                np.take(log_minus, at, out=terms[1])
-                np.negative(terms[1], out=terms[1])
-                parts = _extracted(terms.view(np.float64).reshape(-1, 2).T)
-                re += parts[:, 0].tolist()
-                im += parts[:, 1].tolist()
-            return complex(math.fsum(re), math.fsum(im))
+            # gathered one extraction block at a time
+            half = _EXTRACT_BLOCK // 2
+            blocks = np.split(plus, range(half, len(plus), half))
+            return _exact_sum((np.concatenate([log_plus[at], -log_minus[at]])
+                               for at in blocks), base)
 
         left = -(len(self._view_bounds) - 2) * log_zeta  # 2**n - 1
         parts = [-product_log(self._plus_half)]
         bounds = self._view_bounds.tolist()
         parts.extend(product_log(self._plus_views[a:b])
                      for a, b in itertools.pairwise(bounds))
-        right_total = complex(math.fsum(z.real for z in parts),
-                              math.fsum(z.imag for z in parts))
+        right_total = _exact_sum([np.array(parts)])
         return abs(left - right_total)
 
 
@@ -296,14 +290,13 @@ def identity_residual(level: int, assignment, P: int, s: complex,
     The T**k views do not depend on s: ``IdentityEvaluator`` builds them
     once per (level, seed, P), and a caller with many points calls its
     ``residual``.  Every factor of the 2**n + 2 products is 1 - p**-s or
-    1 + p**-s, so per point the two log tables are shared.  The exact sum
-    of the log(1 - p**-s) table is kept as a few non-overlapping float
-    partials; a product's log is then the fsum of those partials plus
-    log(1 + p**-s) - log(1 - p**-s) at its plus-signed primes only, with
-    those terms first extracted, block by block, into a few floats of the
-    same exact sum.  fsum rounds the exact sum correctly, so this is the
-    same float as the fsum over the product's full term vector, and L (from
-    the same partials) is unchanged too.
+    1 + p**-s, so per point the two log tables are shared.  The
+    log(1 - p**-s) table is extracted once into a few floats of the same
+    exact sum; a product's log is then ``_exact_sum`` over those floats and
+    log(1 + p**-s) - log(1 - p**-s) at its plus-signed primes only,
+    gathered in blocks of half an extraction block.  The exact sum is
+    rounded once, so this is the same float as the fsum over the product's
+    full term vector, and L (from the same floats) is unchanged too.
 
     The sides stay independent: omega is hashed once, but every view's
     signs come from applying T**k to all numerators, block by block, and
@@ -324,30 +317,22 @@ def exp_form_F(beta: DyadicFraction, assignment, P: int,
     A_tail = sum_p sum_{m>=2} (-1)**(m+1) f(p)**m / (m * p**(m s)),
     the m-series stopped once its largest term drops below 1e-18.
     """
-    s = complex(s)
-    if s.real <= 0.5:
-        raise DomainError(f"tail series needs Re(s) > 1/2, got {s.real}")
+    s = _point(s, 0.5)  # the tail series needs Re(s) > 1/2
     primes = _primes_to(assignment, P)
     signs = prime_signs(beta, assignment, primes).astype(np.float64)
     z = signs * _prime_powers(primes, s)
-    prime_sum = _fsum_complex(z)
 
-    def orders(part: str):
-        # one order's terms at a time, whose memoryview hands fsum Python
-        # floats: no order outlives its step, and fsum rounds the exact sum
-        # of all of them once
+    def orders():
+        # one order's terms at a time: no order outlives its step
         zm = z * z
         m = 2
         # initial: with no primes (P < 2) the tail is the empty sum
         while np.max(np.abs(zm), initial=0.0) / m >= _TAIL_CUTOFF:
-            sign = -1.0 if m % 2 == 0 else 1.0
-            yield memoryview(getattr(sign / m * zm, part))
+            yield (-1.0 if m % 2 == 0 else 1.0) / m * zm
             zm = zm * z
             m += 1
 
-    real, imag = (math.fsum(itertools.chain.from_iterable(orders(part)))
-                  for part in ("real", "imag"))
-    return prime_sum, complex(real, imag)
+    return _exact_sum([z]), _exact_sum(orders())
 
 
 def weight_factor(beta: DyadicFraction) -> float:
@@ -363,9 +348,7 @@ def weight_factor(beta: DyadicFraction) -> float:
 def weighted_euler_G(beta: DyadicFraction, assignment, P: int,
                      s: complex) -> EulerEvaluation:
     """Truncated product of (1 + g(p) * p**-s) with g(p) = f(p)/(2*beta-1)."""
-    s = complex(s)
-    if s.real <= 0.5:
-        raise DomainError(f"weighted product needs Re(s) > 1/2, got {s.real}")
+    s = _point(s, 0.5)
     w = weight_factor(beta)
     primes = _primes_to(assignment, P)
     signs = prime_signs(beta, assignment, primes).astype(np.float64)

@@ -28,7 +28,6 @@ of ten is itself a checkpoint and log-log fits see evenly spaced abscissae.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, asdict
 
@@ -38,7 +37,7 @@ from .dyadic import DyadicFraction
 from .errors import DomainError, FitError, PreconditionError, RangeError
 from .sampler import LANES, _lane_masks
 from .sieve import MAX_KIND, primes_up_to
-from .dirichlet import weight_factor
+from .dirichlet import _exact_sum, _point, weight_factor
 
 GRID_STEPS_PER_DECADE = 8
 MIN_FIT_POINTS = 5  # nonzero checkpoints a growth fit needs
@@ -109,8 +108,8 @@ def _sums_from_counts(counts: np.ndarray, grid: np.ndarray,
 
     Each weighted segment is the exact sum of its signed counts times the
     float weights, rounded once by an int / int division, and joins the
-    running total through fsum: the float that exact fsum over its terms
-    gives.
+    running total by one float addition, which rounds the exact sum of the
+    two once.
     """
     if w is None:
         return SumGrid(checkpoints=grid, sums=np.cumsum(counts.sum(axis=1)))
@@ -122,7 +121,7 @@ def _sums_from_counts(counts: np.ndarray, grid: np.ndarray,
     total = 0.0
     for i, row in enumerate(counts.tolist()):
         segment = sum(c * wk for c, wk in zip(row, weights)) / den
-        total = math.fsum([total, segment])
+        total += segment
         sums[i] = total
     return SumGrid(checkpoints=grid, sums=sums)
 
@@ -210,27 +209,19 @@ def abel_consistency(values: np.ndarray, X: int, s: complex) -> float:
 
     Compares sum_{n<=X} f(n) n**-s against
     S(X) X**-s + sum_{m<X} S(m) (m**-s - (m+1)**-s); the identity is exact,
-    so the residual measures only floating-point noise.  Each real and
-    imaginary sum is one fsum over its terms, block after block, so the
-    memory stays within a few blocks at any X; fsum is correctly rounded,
-    so the blocks do not change the result.
+    so the residual measures only floating-point noise.  Each side's terms
+    are made once, a block at a time, and ``dirichlet._exact_sum`` sums
+    their real and imaginary parts exactly and rounds each once, so the
+    memory stays within a few blocks at any X and the blocks do not change
+    the result.
     """
-    s = complex(s)
-    if s.real <= 0:
-        raise DomainError(f"Re(s)={s.real} <= 0")
+    s = _point(s, 0)
     if not 1 <= X <= len(values) - 1:
         raise RangeError(f"X={X} outside [1, {len(values) - 1}]")
-
-    def fsum(part: str, steps: bool) -> float:
-        # a memoryview hands fsum one float at a time, with no list per block
-        return math.fsum(itertools.chain.from_iterable(
-            memoryview(getattr(terms, part))
-            for terms in _abel_terms(values, X, s, steps)))
-
-    lhs_sum = complex(fsum("real", False), fsum("imag", False))
+    lhs_sum = _exact_sum(_abel_terms(values, X, s, False))
     S_X = np.float64(values[1: X + 1].sum(dtype=np.int64))
     boundary = S_X * np.exp(-s * np.log(np.array([X], dtype=np.float64)))[0]
-    rhs = boundary + complex(fsum("real", True), fsum("imag", True))
+    rhs = boundary + _exact_sum(_abel_terms(values, X, s, True))
     return abs(lhs_sum - rhs)
 
 

@@ -336,6 +336,16 @@ def test_fit_error_names_the_first_failing_seed(kind, tmp_path):
      "kind weighted-growth"),
     ({"kind": "iet-test", "level": 3, "weighted": True},
      "kind weighted-growth"),
+    # a sweep with no point wrote a header-only CSV and passed its check
+    ({"kind": "identity", "level": 1, "sigmas": []}, "at least one of each"),
+    ({"kind": "identity", "level": 1, "ts": []}, "at least one of each"),
+    ({"kind": "abel", "sigmas": []}, "at least one of each"),
+    ({"kind": "abel", "ts": []}, "at least one of each"),
+    ({"kind": "exp-form", "sigmas": []}, "at least one of each"),
+    ({"kind": "exp-form", "ts": []}, "at least one of each"),
+    ({"kind": "h-scan", "beta": "15/16", "sigmas": []},
+     "at least one of each"),
+    ({"kind": "h-scan", "beta": "15/16", "ts": []}, "at least one of each"),
 ])
 def test_validate_rejects_fits_and_sigmas_run_would_reject(changes, needle,
                                                             tmp_path):

@@ -1,10 +1,13 @@
+import ast
 import cmath
 import itertools
 import math
+import re
 import tracemalloc
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,9 +17,9 @@ from oracles import (TransformedOmega, exact_partials_fsum,
                      exp_form_tail_concatenated, plus_views_whole)
 from rmflab import (CoverageError, DomainError, DyadicFraction, H_eval,
                     IdentityEvaluator, IetSpec, OmegaAssignment,
-                    PreconditionError, WEIGHT_BETA_THRESHOLD, beta_for_level,
-                    euler_F, exp_form_F, identity_residual, prime_signs,
-                    primes_up_to, weight_factor, zeta_truncated)
+                    PreconditionError, WEIGHT_BETA_THRESHOLD, abel_consistency,
+                    beta_for_level, euler_F, exp_form_F, identity_residual,
+                    prime_signs, primes_up_to, weight_factor, zeta_truncated)
 from rmflab import dirichlet
 from rmflab.cli import ExperimentConfig, run
 from rmflab.dirichlet import weighted_euler_G
@@ -320,14 +323,31 @@ finite = st.floats(allow_nan=False, allow_infinity=False,
                    min_value=-1e300, max_value=1e300)
 
 
+def complex_block(re, im) -> np.ndarray:
+    """A complex128 array with the given real and imaginary parts, each
+    value kept bit for bit (-0.0 included)."""
+    block = np.empty(len(re), dtype=np.complex128)
+    block.real, block.imag = re, im
+    return block
+
+
+def fsum_first(values) -> float:
+    """The first of the fsum-remainder partials, 0.0 when there are none."""
+    return (exact_partials_fsum(np.asarray(values, dtype=np.float64))
+            or [0.0])[0]
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.lists(finite, max_size=40))
-def test_exact_partials_sum_exactly(values):
-    partials = dirichlet._exact_partials(np.array(values, dtype=np.float64))
-    assert sum(map(Fraction, partials), Fraction(0)) == \
-        sum(map(Fraction, values), Fraction(0))
-    assert (partials[0] if partials else 0.0) == math.fsum(values)
-    assert all(x != 0.0 for x in partials)
+@given(st.lists(finite, max_size=40), st.integers(1, 4))
+def test_exact_partials_sum_exactly(values, pieces):
+    # the exact sum rounded once, however the values are split into blocks;
+    # the imaginary parts are the values negated
+    array = np.array(values, dtype=np.float64)
+    exact = float(sum(map(Fraction, values), Fraction(0)))
+    blocks = np.array_split(complex_block(array, -array), pieces)
+    total = dirichlet._exact_sum(blocks)
+    assert total == complex(exact, -exact) == \
+        complex(math.fsum(values), -math.fsum(values))
 
 
 subnormal = st.floats(min_value=-2.0**-1022, max_value=2.0**-1022)
@@ -345,7 +365,8 @@ def test_extracted_partials_match_fsum_over_every_value(values, cancelled):
     assert extracted.shape[1] == 1
     assert sum(map(Fraction, extracted[:, 0].tolist()), Fraction(0)) == \
         sum(map(Fraction, values), Fraction(0))
-    assert dirichlet._exact_partials(array) == exact_partials_fsum(array)
+    total = dirichlet._exact_sum([complex_block(array, array[::-1])])
+    assert total.real == total.imag == math.fsum(array) == fsum_first(array)
 
 
 @settings(max_examples=20, deadline=None)
@@ -365,7 +386,10 @@ def test_extracted_partials_across_blocks(count, pool, seed):
         exact = sum((Fraction(x) * int(signs[row][picks[row] == i].sum())
                      for i, x in enumerate(pool)), Fraction(0))
         assert sum(map(Fraction, column.tolist()), Fraction(0)) == exact
-    assert dirichlet._exact_partials(rows[0]) == exact_partials_fsum(rows[0])
+    # the real and imaginary parts are the two rows
+    total = dirichlet._exact_sum([complex_block(*rows)])
+    assert total == complex(math.fsum(rows[0]), math.fsum(rows[1])) == \
+        complex(fsum_first(rows[0]), fsum_first(rows[1]))
 
 
 def test_extracted_partials_pass_on_a_block_whose_sigma_would_overflow():
@@ -379,17 +403,104 @@ def test_extracted_partials_pass_on_a_block_whose_sigma_would_overflow():
         extracted = dirichlet._extracted(array[None])[:, 0].tolist()
         assert sum(map(Fraction, extracted), Fraction(0)) == \
             sum(map(Fraction, values), Fraction(0))
-        assert dirichlet._exact_partials(array) == exact_partials_fsum(array)
+        total = dirichlet._exact_sum([complex_block(array, -array)])
+        assert total == complex(math.fsum(values), -math.fsum(values)) == \
+            complex(fsum_first(array), -fsum_first(array))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_exact_partials_refuse_non_finite_values(bad):
-    # a NaN keeps the fsum remainder loop from ever reaching 0
+    # a NaN would make the sum NaN; in the real or the imaginary part, at
+    # the first value, inside the first extraction block or in the second
     for at in (0, 5, 2**14 + 3):
         values = np.ones(2**14 + 10)
         values[at] = bad
-        with pytest.raises(DomainError):
-            dirichlet._exact_partials(values)
+        ones = np.ones_like(values)
+        for block in (complex_block(values, ones),
+                      complex_block(ones, values)):
+            with pytest.raises(DomainError):
+                dirichlet._exact_sum([np.ones(3, dtype=np.complex128), block])
+
+
+# a prime limit whose primes cross the extraction block: 17,984 primes
+PRODUCT_PRIMES = OmegaAssignment(master_seed=29, prime_limit=2 * 10**5)
+
+
+def fsum_terms(terms: np.ndarray) -> complex:
+    return complex(math.fsum(terms.real), math.fsum(terms.imag))
+
+
+@pytest.mark.parametrize("count", [2**14 - 1, 2**14, 2**14 + 1, None],
+                         ids=["2**14-1", "2**14", "2**14+1", "P=10**5"])
+def test_products_are_fsum_over_their_term_vectors(count):
+    # the primes up to the count-th, or up to P = 10**5 (9,592); each
+    # product's log is bitwise the fsum over its full term vector, built
+    # here with the same element operations
+    a = PRODUCT_PRIMES
+    P = 10**5 if count is None else int(a.primes[count - 1])
+    primes = a.primes[a.primes <= P]
+    logs = np.log(primes.astype(np.float64))
+    for beta, floor in ((B34, 0.0), (B78, 0.5)):
+        signs = prime_signs(beta, a, primes).astype(np.float64)
+        for s in (complex(floor + 1e-3, 0), complex(floor + 1e-3, 1000),
+                  complex(floor + 0.05, -1000), complex(1.5, 14.1)):
+            powers = np.exp(-s * logs)
+            assert euler_F(beta, a, P, s).log_value == \
+                fsum_terms(np.log(1.0 + signs * powers)), (beta, s)
+            if floor:  # near sigma = 0, zeta_P(s) overflows a float
+                zeta = zeta_truncated(P, s, primes).log_value
+                minus = np.full(len(primes), -1.0) * powers
+                assert zeta == -fsum_terms(np.log(1.0 + minus)), s
+                g = weighted_euler_G(beta, a, P, s).log_value
+                w = weight_factor(beta)
+                assert g == fsum_terms(np.log(1.0 + w * signs * powers)), s
+                prime_sum, _ = exp_form_F(beta, a, P, s)
+                assert prime_sum == fsum_terms(signs * powers), s
+
+
+def abel_at(s):
+    return abel_consistency(np.array([0, 1, -1, -1, 0, -1], dtype=np.int8),
+                            5, s)
+
+
+@pytest.mark.parametrize("evaluate", [
+    lambda s: euler_F(B34, PRODUCT_PRIMES, 10**3, s),
+    lambda s: zeta_truncated(10**3, s),
+    lambda s: weighted_euler_G(B78, PRODUCT_PRIMES, 10**3, s),
+    lambda s: H_eval(B78, PRODUCT_PRIMES, 10**3, s),
+    lambda s: exp_form_F(B34, PRODUCT_PRIMES, 10**3, s),
+    abel_at,
+], ids=["euler_F", "zeta_truncated", "weighted_euler_G", "H_eval",
+        "exp_form_F", "abel_consistency"])
+@pytest.mark.parametrize("s", [complex(math.nan, 0), complex(math.inf, 0),
+                               complex(2, math.nan), complex(2, math.inf)],
+                         ids=["nan_re", "inf_re", "nan_im", "inf_im"])
+def test_products_and_abel_reject_a_non_finite_point(evaluate, s):
+    # they returned NaN, or for exp_form_F a 0j tail
+    with pytest.raises(DomainError, match=re.escape(f"s={s}")):
+        evaluate(s)
+
+
+def test_math_fsum_is_called_only_by_the_exact_sum():
+    """One exact-sum path: ``math.fsum`` appears in the package only inside
+    ``dirichlet._exact_sum``.  Found on the syntax trees, so comments and
+    docstrings do not count."""
+    def fsum_nodes(tree):
+        return {node for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr == "fsum"
+                or isinstance(node, ast.Name) and node.id == "fsum"
+                or isinstance(node, ast.alias) and node.name == "fsum"}
+
+    found, allowed = set(), set()
+    for path in sorted(Path(dirichlet.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        found |= {(path.stem, node.lineno) for node in fsum_nodes(tree)}
+        if path.stem == "dirichlet":
+            helper, = (node for node in tree.body
+                       if isinstance(node, ast.FunctionDef)
+                       and node.name == "_exact_sum")
+            allowed = {(path.stem, node.lineno) for node in fsum_nodes(helper)}
+    assert allowed and found == allowed, sorted(found - allowed)
 
 
 def test_local_factor_ratio_oracle():
