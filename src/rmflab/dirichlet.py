@@ -74,13 +74,23 @@ def _prime_powers(primes: np.ndarray, s: complex) -> np.ndarray:
 
 
 def _log_product(primes: np.ndarray, coeffs: np.ndarray,
-                 s: complex) -> EulerEvaluation:
+                 s: complex) -> complex:
     """sum of log(1 + c_p * p**-s) over the given primes, principal branch
     per factor, summed exactly and rounded once (``_exact_sum``).  Callers
     pass the primes <= P and check s."""
     cs = np.asarray(coeffs, dtype=np.float64)
-    log_value = _exact_sum([np.log(1.0 + cs * _prime_powers(primes, s))])
-    return EulerEvaluation(log_value=log_value, value=cmath.exp(log_value))
+    return _exact_sum([np.log(1.0 + cs * _prime_powers(primes, s))])
+
+
+def _evaluation(log_value: complex, s: complex, P: int) -> EulerEvaluation:
+    """A product from its log; ``DomainError``, naming s and P, where its
+    value overflows a float (a log above about 709)."""
+    try:
+        value = cmath.exp(log_value)
+    except OverflowError:
+        raise DomainError(f"the product at s={s}, P={P} overflows a float: "
+                          f"its log is {log_value}") from None
+    return EulerEvaluation(log_value=log_value, value=value)
 
 
 def _primes_to(assignment, P: int) -> np.ndarray:
@@ -98,7 +108,7 @@ def euler_F(beta: DyadicFraction, assignment, P: int,
     s = _point(s, 0)
     primes = _primes_to(assignment, P)
     signs = prime_signs(beta, assignment, primes)
-    return _log_product(primes, signs, s)
+    return _evaluation(_log_product(primes, signs, s), s, P)
 
 
 def zeta_truncated(P: int, s: complex, primes: np.ndarray | None = None
@@ -110,9 +120,12 @@ def zeta_truncated(P: int, s: complex, primes: np.ndarray | None = None
     if primes is None:
         from .sieve import primes_up_to
         primes = primes_up_to(P)
-    inner = _log_product(primes, np.full(len(primes), -1.0), s)
-    return EulerEvaluation(log_value=-inner.log_value,
-                           value=cmath.exp(-inner.log_value))
+    return _evaluation(_log_zeta(primes, s), s, P)
+
+
+def _log_zeta(primes: np.ndarray, s: complex) -> complex:
+    """log zeta_P(s) over the primes <= P, at a checked s."""
+    return -_log_product(primes, np.full(len(primes), -1.0), s)
 
 
 def _log_factor_tables(primes: np.ndarray, s: complex
@@ -345,20 +358,27 @@ def weight_factor(beta: DyadicFraction) -> float:
     return 1.0 / (2.0 * b - 1.0)
 
 
+def _log_G(beta: DyadicFraction, assignment, P: int,
+           s: complex) -> tuple[complex, np.ndarray]:
+    """log G at a checked s, and the primes <= P it runs over."""
+    w = weight_factor(beta)
+    primes = _primes_to(assignment, P)
+    signs = prime_signs(beta, assignment, primes).astype(np.float64)
+    return _log_product(primes, w * signs, s), primes
+
+
 def weighted_euler_G(beta: DyadicFraction, assignment, P: int,
                      s: complex) -> EulerEvaluation:
     """Truncated product of (1 + g(p) * p**-s) with g(p) = f(p)/(2*beta-1)."""
     s = _point(s, 0.5)
-    w = weight_factor(beta)
-    primes = _primes_to(assignment, P)
-    signs = prime_signs(beta, assignment, primes).astype(np.float64)
-    return _log_product(primes, w * signs, s)
+    return _evaluation(_log_G(beta, assignment, P, s)[0], s, P)
 
 
 def H_eval(beta: DyadicFraction, assignment, P: int, s: complex
            ) -> EulerEvaluation:
-    """H = G * zeta on the shared truncated prime set, combined in log space."""
-    g = weighted_euler_G(beta, assignment, P, s)
-    z = zeta_truncated(P, complex(s), _primes_to(assignment, P))
-    log_value = g.log_value + z.log_value
-    return EulerEvaluation(log_value=log_value, value=cmath.exp(log_value))
+    """H = G * zeta on the shared truncated prime set: the two logs added
+    and exponentiated once, so H has a value wherever its own log allows,
+    even where zeta_P(s) alone overflows a float."""
+    s = _point(s, 0.5)
+    log_g, primes = _log_G(beta, assignment, P, s)
+    return _evaluation(log_g + _log_zeta(primes, s), s, P)

@@ -15,11 +15,14 @@ the largest prime factor, and P+(m) < q, as Deleglise and Rivat
 
 with Pi_k(y) the sum of f_k(p) over the primes p <= y.  The nodes m take
 only primes below sqrt(X), and one tree of (checkpoint, node) pairs per
-limit serves every seed; no table of length X is made.  At X = 10**7 it
-has 15,512 nodes and 85,331 pairs; a 4-seed pass from a cold tree peaks
-at 10.8 MiB traced, the tree's build (a test holds it below 24 MiB).  At
-10**8, 8 seeds take 1.6-1.7 s and 173-176 MiB ``VmHWM`` from a cold
-start, the prime sieve alone 125 MiB (2-core x86-64, numpy 2.4).
+limit serves every seed.  pi(x // m) comes from a segmented sieve that
+keeps no table, and Pi_k from one byte per prime, reused by every lane, so
+no table of length X, or of the primes above sqrt(X), is made.  At
+X = 10**7 the tree has 15,512 nodes and 85,331 pairs; a 4-seed pass with
+no table cached peaks at 10.0 MiB traced, the tree's build (tests hold it
+below 12 MiB, and below 24 MiB with the tree alone cold).  At 10**8,
+8 seeds take 0.45-0.60 s and 91 MiB ``VmHWM`` from a cold start (2-core
+x86-64, numpy 2.4).
 
 Checkpoints live on a geometric grid with ratio 10**(1/8), so every power
 of ten is itself a checkpoint and log-log fits see evenly spaced abscissae.
@@ -29,14 +32,15 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from .dyadic import DyadicFraction
 from .errors import DomainError, FitError, PreconditionError, RangeError
-from .sampler import LANES, _lane_masks
-from .sieve import MAX_KIND, primes_up_to
+from .sampler import LANES, _hash_blocks, _lane_masks
+from .sieve import MAX_KIND, _prime_pi, primes_up_to
 from .dirichlet import _exact_sum, _point, weight_factor
 
 GRID_STEPS_PER_DECADE = 8
@@ -283,6 +287,7 @@ class _Tree:
 
     limit: int
     grid: np.ndarray
+    count: int  # pi(limit)
     levels: list[int]  # the nodes with d(m) = d are levels[d]:levels[d + 1]
     parents: np.ndarray  # node -> the node m // P+(m)
     tops: np.ndarray  # node -> the index of P+(m) among the primes
@@ -293,6 +298,15 @@ class _Tree:
     lower: np.ndarray  # pair -> pi(P+(m)), as an index into ranks
 
 
+def _isqrt(v: np.ndarray) -> np.ndarray:
+    """math.isqrt of each int64 in v, for 0 <= v < 2**52: the float root is
+    then within 1 of it, and one step each way corrects it."""
+    r = np.sqrt(v.astype(np.float64)).astype(np.int64)
+    r -= r * r > v
+    r += (r + 1) * (r + 1) <= v
+    return r
+
+
 def _tree(limit: int, grid: np.ndarray) -> _Tree:
     """The recursion's tree at checkpoints ``grid``, ascending (repeats
     allowed) within [0, limit].
@@ -301,17 +315,19 @@ def _tree(limit: int, grid: np.ndarray) -> _Tree:
     with P+(1) read as 1, breadth first: the children of m are the m p with
     P+(m) < p and m p p < limit.  Checkpoint x pairs with the nodes with
     m P+(m) < x, the m for which some n = m q <= x with a prime q > P+(m)
-    may exist.
+    may exist.  The nodes take only the primes <= isqrt(limit); pi(x // m)
+    and pi(limit) are counted by ``sieve._prime_pi``, with no table of the
+    larger primes.
     """
     if np.any(np.diff(grid, prepend=0) < 0) or np.any(grid > limit):
         raise RangeError(f"grid must ascend within [0, {limit}]")
-    primes = primes_up_to(limit)
+    primes = primes_up_to(math.isqrt(limit))
     m, top = np.ones(1, dtype=np.int64), np.full(1, -1)
     ms, tops, parents, levels = [m], [top], [np.zeros(1, np.int64)], [0, 1]
     while True:
         # the child primes of m: from index top + 1 to the primes' count up
         # to isqrt((limit - 1) // m), exclusive
-        roots = [math.isqrt((limit - 1) // v) for v in m.tolist()]
+        roots = _isqrt((limit - 1) // m)
         count = np.maximum(
             np.searchsorted(primes, roots, side="right") - top - 1, 0)
         if not count.any():
@@ -333,13 +349,24 @@ def _tree(limit: int, grid: np.ndarray) -> _Tree:
     cols = order[np.arange(len(rows)) -
                  np.repeat(np.cumsum(cuts) - cuts, cuts)]
     d = np.repeat(np.arange(len(levels) - 1), np.diff(levels))
-    upper = np.searchsorted(primes, grid[rows] // m[cols], side="right")
-    ranks, at = np.unique(np.concatenate([[0], upper, top[cols] + 1]),
-                          return_inverse=True)
-    return _Tree(limit=limit, grid=grid, levels=levels,
+    # the distinct x // m, and each pair's index among them, by one sort:
+    # np.unique would import numpy.ma
+    quotients = grid[rows] // m[cols]
+    order = np.argsort(quotients)
+    ordered = quotients[order]
+    first = np.diff(ordered, prepend=-1) != 0
+    quotient_at = np.empty(len(rows), dtype=np.intp)
+    quotient_at[order] = np.cumsum(first) - 1
+    pis = _prime_pi(limit, np.append(ordered[first], limit))
+    # the ranks read: 0, pi(x // m) and pi(P+(m)) = top + 1
+    ranks = np.concatenate([[0], pis[:-1], top + 1])
+    ranks.sort()
+    ranks = ranks[np.diff(ranks, prepend=-1) != 0]
+    upper = np.searchsorted(ranks, pis[:-1])[quotient_at]
+    return _Tree(limit=limit, grid=grid, count=int(pis[-1]), levels=levels,
                  parents=np.concatenate(parents), tops=top, cols=cols,
                  bins=rows * (MAX_KIND + 1) + d[cols] + 1, ranks=ranks,
-                 upper=at[1: len(rows) + 1], lower=at[len(rows) + 1:])
+                 upper=upper, lower=np.searchsorted(ranks, top + 1)[cols])
 
 
 @functools.lru_cache(maxsize=1)
@@ -356,25 +383,29 @@ def _checkpoint_counts(tree: _Tree, beta: DyadicFraction,
     for d <= MAX_KIND, by the recursion of the module docstring.
 
     Bit k of a node's word is the parity of seed k's minus primes of m, the
-    xor of their complemented masks (``sampler._lane_masks``) carried down
-    the tree, so f_k(m) = (-1)**(bit k).  Pi_k(y) = 2 plus_k(y) - pi(y) is
-    counted only at the tree's ranks, one lane at a time.  Each lane's
-    totals are one bincount, exact in float64: every partial sum is an
-    integer of size at most limit < 2**53.
+    xor of their complemented masks (``sampler._lane_masks`` over the primes
+    <= isqrt(limit)) carried down the tree, so f_k(m) = (-1)**(bit k).
+    Pi_k(y) = 2 plus_k(y) - pi(y) is counted only at the tree's ranks, one
+    lane at a time: the lane's hash of ranks 0 .. pi(limit) - 1
+    (``sampler._hash_blocks``) goes straight into one reused byte per prime.
+    Each lane's totals are one bincount, exact in float64: every partial
+    sum is an integer of size at most limit < 2**53.
     """
-    primes, masks = _lane_masks(beta, seeds, tree.limit)
+    _, masks = _lane_masks(beta, seeds, math.isqrt(tree.limit))
     words = np.zeros(len(tree.parents), dtype=np.uint8)
     for lo, hi in zip(tree.levels[1:-1], tree.levels[2:]):
         words[lo:hi] = words[tree.parents[lo:hi]] ^ ~masks[tree.tops[lo:hi]]
     signs = 1 - 2 * (words[:, None] >> np.arange(len(seeds)) & 1)  # f_k(m)
     rows, kinds = len(tree.grid), MAX_KIND + 1
     totals = np.empty((len(seeds), rows, kinds), dtype=np.int64)
-    bits = np.zeros(len(primes) + 1, dtype=np.uint8)  # a 0 past the last
-    for k in range(len(seeds)):
-        np.right_shift(masks, k, out=bits[:-1])
-        bits &= 1
+    plus = np.zeros(tree.count + 1, dtype=bool)  # a 0 past the last prime
+    for k, seed in enumerate(seeds):
+        if not beta.is_one:  # at beta = 1 no prime is plus
+            threshold = np.uint64(beta.numerator)  # omega >= beta: +1
+            for lo, z in _hash_blocks(operator.index(seed), tree.count):
+                np.greater_equal(z, threshold, out=plus[lo: lo + len(z)])
         # plus_k at ranks[j]: the plus primes among the first ranks[j]
-        runs = np.add.reduceat(bits, tree.ranks, dtype=np.int64)
+        runs = np.add.reduceat(plus, tree.ranks, dtype=np.int32)
         prime_sums = 2 * (np.cumsum(runs) - runs) - tree.ranks  # Pi_k
         weights = signs[tree.cols, k] * (prime_sums[tree.upper] -
                                          prime_sums[tree.lower])

@@ -15,10 +15,11 @@ uint8 mask per prime, straight from the blocks of the hash: for 8 seeds
 it peaks at 2.6 MiB traced at 10**7 and 7.6 MiB at 10**8, the masks and
 one hash block.  ``_lane_flips`` walks those masks into one flip word per
 integer, from which, with the table of ``sieve.squarefree_kinds``, the
-``abel`` sweep reads its series.  The checkpoint sums
-(``growth.coupled_sums``) walk nothing: they xor the masks of each node's
-primes down the largest-prime-factor tree, and count the masks' bits up
-to a few prime ranks.
+``abel`` sweep reads its series; it alone takes the masks of every prime.
+The checkpoint sums (``growth.coupled_sums``) walk nothing: they xor the
+masks of each node's primes, those <= sqrt(X), down the
+largest-prime-factor tree, and hash each lane's signs of the larger
+primes straight into a byte per prime to count them at a few ranks.
 """
 
 from __future__ import annotations

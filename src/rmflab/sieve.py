@@ -3,15 +3,17 @@
 Everything here is deterministic and exact.  Tables are plain numpy arrays,
 read-only once built, and safe for concurrent reads.
 
-Memory budget at the supported maximum X = 10**8.  The prime table takes 8
-bytes per prime, about 46 MB, and its odd-only sieve 1 byte per odd integer
-while it runs: a cold ``primes_up_to(10**8)`` peaks at 125 MiB ``VmHWM``.
-The checkpoint sums (``growth.coupled_sums``) read no other table here: an
-8-seed pass peaks at 173-176 MiB ``VmHWM`` at 10**8, 56 MiB at 10**7.  The
-kinds table, 1 byte per integer, serves the ``abel`` sweep alone: one cold
-pass peaks at 174 MiB ``VmHWM`` at 10**8 and 16 MiB traced at 10**7
-(2-core x86-64, numpy 2.4).  The last limit's prime table and kinds table
-stay cached and read-only for the process.  The sieve walks only the
+Memory budget at the supported maximum X = 10**8.  The primes come from a
+segmented odd-only sieve of 1 MiB blocks (``_odd_blocks``), so a table of
+them takes 8 bytes per prime, about 46 MB, plus 4 bytes per prime while it
+is joined: a cold ``primes_up_to(10**8)`` peaks at 100 MiB ``VmHWM``.  The
+checkpoint sums (``growth.coupled_sums``) make no table above sqrt(X): they
+count pi(y) in the same blocks (``_prime_pi``), and an 8-seed pass peaks at
+91 MiB ``VmHWM`` at 10**8, 42 MiB at 10**7.  The full prime table and the
+kinds table, 1 byte per integer, serve the sweeps alone: a cold kinds pass
+peaks at 171 MiB ``VmHWM`` at 10**8 and 16 MiB traced at 10**7 (2-core
+x86-64, numpy 2.4).  The last two limits' prime tables and the last kinds
+table stay cached and read-only for the process.  The sieve walks only the
 primes <= sqrt(X), in cache-sized blocks (see ``_walker``).
 """
 
@@ -30,12 +32,13 @@ MAX_KIND = 8
 
 
 def primes_up_to(limit: int) -> np.ndarray:
-    """All primes <= limit, ascending, as int64: Eratosthenes over the odd
-    numbers.
+    """All primes <= limit, ascending, as int64, from the blocks of
+    ``_odd_blocks``.
 
-    The last limit's table stays cached for the process (8 bytes per prime,
-    about 46 MB at 10**8); every caller at that limit shares it, so it is
-    read-only.
+    The last two limits' tables stay cached for the process (8 bytes per
+    prime, about 46 MB at 10**8), so a campaign's primes <= sqrt(X) do not
+    evict a sweep's full table; every caller at a cached limit shares it, so
+    it is read-only.
     """
     if limit > MAX_LIMIT:
         raise ConfigurationError(
@@ -43,22 +46,94 @@ def primes_up_to(limit: int) -> np.ndarray:
     return _prime_table(limit)
 
 
-@functools.lru_cache(maxsize=1)
+@functools.lru_cache(maxsize=2)
 def _prime_table(limit: int) -> np.ndarray:
-    if limit < 2:
-        primes = np.empty(0, dtype=np.int64)
-    else:
-        # slot i stands for the odd number 2i + 1; slot 0 (for 1) holds 2
-        odd_prime = np.ones((limit + 1) // 2, dtype=bool)
-        for p in range(3, math.isqrt(limit) + 1, 2):
-            if odd_prime[p // 2]:
-                odd_prime[p * p // 2:: p] = False
-        primes = np.flatnonzero(odd_prime).astype(np.int64, copy=False)
-        primes *= 2
-        primes += 1
-        primes[0] = 2
+    primes = _sieved(limit)
     primes.flags.writeable = False
     return primes
+
+
+def _sieved(limit: int) -> np.ndarray:
+    """The primes <= limit as int64, from ``_odd_blocks``, uncached."""
+    pieces = [np.empty(0, dtype=np.int32)]  # limit < 2**31
+    for lo, block in _odd_blocks(limit):
+        odd = np.flatnonzero(block).astype(np.int32)
+        odd += lo
+        odd *= 2
+        odd += 1
+        pieces.append(odd)
+    primes = np.concatenate(pieces, dtype=np.int64)
+    if len(primes):
+        primes[0] = 2  # slot 0, for 1
+    return primes
+
+
+_SIEVE_BLOCK = 2**20  # odd slots per block: 1 MiB of bool, within a 2 MiB L2
+
+
+def _odd_blocks(limit: int):
+    """The segmented odd-only sieve of Eratosthenes (Bays and Hudson, BIT 17,
+    1977) up to limit: yields (lo, block) with block[j] True when the odd
+    number 2 (lo + j) + 1 <= limit is prime, _SIEVE_BLOCK slots at a time,
+    held in one array that the next block reuses.  Slot 0, for 1, is True
+    and stands for 2; nothing is yielded for limit < 2.
+
+    The odd primes p <= isqrt(limit), sieved the same way, cross out each
+    block from the slot of p*p on, and each p's next multiple is carried
+    from block to block.
+    """
+    slots = (limit + 1) // 2 if limit >= 2 else 0
+    base = _sieved(math.isqrt(limit))[1:] if limit >= 9 else \
+        np.empty(0, dtype=np.int64)
+    steps = base.tolist()
+    squares = base * base // 2  # the slot of p*p
+    nxt = squares.copy()  # the slot of each p's next odd multiple
+    buffer = np.empty(min(_SIEVE_BLOCK, slots), dtype=bool)
+    for lo in range(0, slots, _SIEVE_BLOCK):
+        hi = min(lo + _SIEVE_BLOCK, slots)
+        block = buffer[: hi - lo]
+        block[...] = True
+        # the p with p*p below hi; a start past the block slices nothing
+        cut = int(np.searchsorted(squares, hi))
+        for p, at in zip(steps[:cut], (nxt[:cut] - lo).tolist()):
+            block[at::p] = False
+        # on to each p's first multiple at or past hi
+        gap = np.maximum(hi - nxt[:cut], 0)
+        nxt[:cut] += -(-gap // base[:cut]) * base[:cut]
+        yield lo, block
+
+
+def _prime_pi(limit: int, ys: np.ndarray) -> np.ndarray:
+    """pi(y) as int64 for each y of ``ys``, ascending within [0, limit],
+    counted in the blocks of ``_odd_blocks(limit)``: no prime table is made.
+
+    For y >= 2, pi(y) is the number of True slots below (y + 1) // 2 (slot 0
+    stands for 2).  Each block sums the runs between the distinct slot
+    counts that end in it with one np.add.reduceat.
+    """
+    if limit > MAX_LIMIT:
+        raise ConfigurationError(
+            f"prime limit {limit} above supported maximum {MAX_LIMIT}")
+    ys = np.asarray(ys, dtype=np.int64)
+    ends = np.where(ys < 2, 0, (ys + 1) // 2)
+    first = np.diff(ends, prepend=-1) != 0  # np.unique would import numpy.ma
+    distinct = ends[first]
+    counts = np.zeros(len(distinct), dtype=np.int64)
+    total = 0  # the primes below the block
+    at = int(np.searchsorted(distinct, 0, side="right"))  # pi(y < 2) = 0
+    for lo, block in _odd_blocks(limit):
+        stop = int(np.searchsorted(distinct, lo + len(block), side="right"))
+        if at < stop:
+            cuts = distinct[at:stop] - lo
+            runs = np.add.reduceat(block[: cuts[-1]],
+                                   np.concatenate([[0], cuts[:-1]]),
+                                   dtype=np.int32)
+            counts[at:stop] = total + np.cumsum(runs, dtype=np.int64)
+            total = int(counts[stop - 1])
+            block = block[cuts[-1]:]
+        total += int(np.count_nonzero(block))
+        at = stop
+    return counts[np.cumsum(first) - 1]
 
 
 _WHEEL_MAX = 13  # the wheel's period is at most 2*3*5*7*11*13 = 30030

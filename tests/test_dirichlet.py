@@ -56,6 +56,14 @@ def test_zeta_truncated_basel():
     assert abs(z.value - math.pi**2 / 6) < 1e-6
 
 
+def test_zeta_truncated_raises_domain_error_where_it_overflows():
+    # log zeta_P(0.001) at P = 10**5 is about 43,900, past a float's exp: a
+    # bare OverflowError used to escape, which the CLI reads as exit code 1
+    with pytest.raises(DomainError,
+                       match=re.escape("s=(0.001+0j), P=100000")):
+        zeta_truncated(10**5, 0.001)
+
+
 def test_zeta_reciprocal_of_mobius_product(assignment_1e5):
     z = zeta_truncated(10**5, 2)
     f1 = euler_F(ONE, assignment_1e5, 10**5, 2)

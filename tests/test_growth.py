@@ -20,8 +20,8 @@ from rmflab import (CampaignConfig, DomainError, DyadicFraction, FitError,
 from rmflab.dirichlet import weight_factor
 from rmflab.dyadic import HALF, ONE
 from rmflab.growth import (SumGrid, _checkpoint_counts, _checkpoint_tree,
-                           _median, _quantile, _seed_result, _sums_from_counts,
-                           _tree, coupled_sums)
+                           _isqrt, _median, _quantile, _seed_result,
+                           _sums_from_counts, _tree, coupled_sums)
 from rmflab.sampler import LANES, _lane_flips
 from rmflab.sieve import (MAX_KIND, _prime_table, primes_up_to,
                           squarefree_kinds)
@@ -181,9 +181,9 @@ def test_sum_layer_peak_memory_at_1e7():
 
 def test_lane_pass_peak_memory_at_1e7():
     # 4 seeds from a cold tree, plain at beta 1/2 (nearly every prime is
-    # plus in some lane) or weighted at 7/8: 10.8 MiB traced, the tree's
-    # build.  The per-seed path peaked at 25.4 MiB per seed, and the flip
-    # words of the primes <= isqrt(X) at 10.8 MiB
+    # plus in some lane) or weighted at 7/8: 10.0 MiB traced, the tree's
+    # build with its prime counts.  The per-seed path peaked at 25.4 MiB per
+    # seed, and the flip words of the primes <= isqrt(X) at 10.8 MiB
     limit = 10**7
     for beta, weighted in ((HALF, False), (B78, True)):
         primes_up_to(limit)  # the cached table may outlive the primes'
@@ -195,6 +195,23 @@ def test_lane_pass_peak_memory_at_1e7():
         finally:
             tracemalloc.stop()
         assert peak < 24 * 2**20, (float(beta), peak / 2**20)
+
+
+def test_lane_pass_peak_memory_at_1e7_from_cold_primes():
+    # as above with no prime table cached either: 10.0 MiB traced.  The
+    # prime table up to X, which the campaigns no longer make, took it to
+    # 16.0 MiB
+    limit = 10**7
+    for beta, weighted in ((HALF, False), (B78, True)):
+        _prime_table.cache_clear()
+        _checkpoint_tree.cache_clear()
+        tracemalloc.start()
+        try:
+            coupled_sums(beta, limit, weighted, (1, 2, 3, 4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20, (float(beta), peak / 2**20)
 
 
 def test_sieve_peak_memory_at_1e7():
@@ -490,9 +507,10 @@ def test_lane_counts_where_a_cofactor_quotient_is_a_large_prime(limit):
 
 @pytest.mark.parametrize("limit", [10, 26, 1000, 10**5])
 def test_lane_pass_walks_no_prime_above_isqrt_limit(monkeypatch, limit):
-    # coupled_sums walks no prime at all, and sieves no kinds table: the
-    # recursion reads no table of length limit, and the walks and the kinds
-    # sieve belong to the abel sweep alone
+    # coupled_sums walks no prime at all, sieves no kinds table and makes
+    # no prime table above isqrt(limit): the recursion reads no table of
+    # length limit or pi(limit), and the walks, the kinds sieve and the
+    # full prime table belong to the sweeps alone
     import rmflab.sampler as sampler
     import rmflab.sieve as sieve
 
@@ -502,9 +520,32 @@ def test_lane_pass_walks_no_prime_above_isqrt_limit(monkeypatch, limit):
     for module, name in ((sieve, "squarefree_kinds"), (sieve, "_walk"),
                          (sieve, "_walker"), (sampler, "_walk")):
         monkeypatch.setattr(module, name, refuse)
+
+    def at_most_isqrt(table):
+        def guarded(bound):
+            assert bound <= math.isqrt(limit), (table.__name__, bound)
+            return table(bound)
+        return guarded
+
+    for module, name in ((sieve, "primes_up_to"), (sampler, "primes_up_to"),
+                         (growth, "primes_up_to"), (sieve, "_prime_table"),
+                         (sieve, "_sieved")):
+        monkeypatch.setattr(module, name,
+                            at_most_isqrt(getattr(module, name)))
     _checkpoint_tree.cache_clear()
     for weighted, beta in ((False, HALF), (True, B78)):
         assert len(coupled_sums(beta, limit, weighted, LANE_SEEDS[:9])) == 9
+
+
+def test_isqrt_matches_math_isqrt():
+    # squares and their neighbours, where a float root may round across an
+    # integer, up to 2**52
+    rng = np.random.default_rng(0)
+    roots = np.concatenate([np.arange(3000), 2**26 - np.arange(1, 3000),
+                            rng.integers(0, 2**26, 10**4)])
+    v = (roots * roots)[:, None] + np.arange(-2, 3)
+    v = v[(v >= 0) & (v < 2**52)]
+    assert _isqrt(v).tolist() == [math.isqrt(x) for x in v.tolist()]
 
 
 def test_lane_counts_follow_the_seeds():

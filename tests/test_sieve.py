@@ -5,8 +5,8 @@ import pytest
 
 from oracles import (ISQRT_EDGE_LIMITS, build_spf, distinct_prime_counts,
                      factor_summary, mobius_sieve, multiples_walk)
-from rmflab import (ConfigurationError, OmegaAssignment, RangeError,
-                    primes_up_to)
+from rmflab import (ConfigurationError, DyadicFraction, OmegaAssignment,
+                    RangeError, primes_up_to)
 from rmflab import cli, growth, sieve
 from rmflab.sieve import squarefree_kinds
 
@@ -153,14 +153,70 @@ def test_prime_table_is_shared_at_one_limit(monkeypatch):
     assert np.shares_memory(seen[0], a)
 
 
-def test_prime_table_follows_the_limit(spf_1e5):
-    # one cached table: each new limit must replace it, never reuse it.  The
-    # odd-only sieve's edges: 2 in slot 0, each odd p crossing out from p*p
-    every = spf_1e5.primes()
-    for limit in (10**4, 100, 10**4, 1, *range(41), *ISQRT_EDGE_LIMITS):
+def test_campaign_keeps_a_sweeps_prime_table_cached():
+    # a campaign looks up the primes <= isqrt(limit) only, beside a sweep's
+    # full table at the same limit, which must stay cached
+    full = primes_up_to(10**5)
+    growth._checkpoint_tree.cache_clear()
+    growth.coupled_sums(DyadicFraction.from_fraction(3, 2), 10**5, False,
+                        (1, 2))
+    assert primes_up_to(10**5) is full
+
+
+# the segmented sieve's block edges: k blocks of _SIEVE_BLOCK odd slots end
+# at k * 2**21.  At k = 6, 3547**2 lies 852 slots before the edge, so
+# 3547's next multiple is carried across it
+SIEVE_EDGE_LIMITS = [
+    *(k * 2 * sieve._SIEVE_BLOCK + e for k in (1, 2, 6) for e in range(-1, 4)),
+    *(3547**2 + e for e in (-1, 0, 1))]
+
+
+@pytest.fixture(scope="module")
+def primes_to_sieve_edges():
+    return build_spf(max(SIEVE_EDGE_LIMITS)).primes()
+
+
+def test_prime_table_follows_the_limit(primes_to_sieve_edges):
+    # each new limit must get its own table, never a cached one of another
+    # limit.  The odd-only sieve's edges: 2 in slot 0, each odd p crossing
+    # out from p*p, and the blocks' edges
+    every = primes_to_sieve_edges
+    for limit in (10**4, 100, 10**4, 1, *range(41), *ISQRT_EDGE_LIMITS,
+                  *SIEVE_EDGE_LIMITS):
         primes = primes_up_to(limit)
         assert primes.tolist() == every[every <= limit].tolist(), limit
         assert primes.dtype == np.int64 and not primes.flags.writeable
+
+
+@pytest.mark.parametrize("limit", [0, 1, 2, 3, 9, 100, *ISQRT_EDGE_LIMITS,
+                                   *SIEVE_EDGE_LIMITS])
+def test_prime_counts_match_the_table(limit, primes_to_sieve_edges):
+    # repeats, y < 2, y = limit and the ys next to the blocks' edges
+    primes = primes_to_sieve_edges[primes_to_sieve_edges <= limit]
+    edges = [k * 2 * sieve._SIEVE_BLOCK + e for k in (1, 2, 6)
+             for e in range(-2, 3)]
+    ys = np.sort(np.concatenate([
+        [0, 0, 1, 1, 2, 2, 3, limit, limit], edges,
+        np.random.default_rng(limit).integers(0, limit + 1, 300)]))
+    ys = ys[ys <= limit]
+    got = sieve._prime_pi(limit, ys)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, np.searchsorted(primes, ys, side="right"))
+    assert len(sieve._prime_pi(limit, ys[:0])) == 0
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 16, 45])
+def test_segmented_sieve_at_every_block_edge(monkeypatch, block, spf_1e5):
+    # blocks of a few slots put each p*p, and each carried multiple, on
+    # every side of an edge; a p above the block skips whole blocks
+    monkeypatch.setattr(sieve, "_SIEVE_BLOCK", block)
+    every = spf_1e5.primes()
+    for limit in (*range(60), 288, 289, 290, 361, 3001):
+        want = every[every <= limit]
+        assert np.array_equal(sieve._sieved(limit), want), limit
+        ys = np.arange(limit + 1)
+        assert np.array_equal(sieve._prime_pi(limit, ys),
+                              np.searchsorted(want, ys, side="right")), limit
 
 
 # the wheel's edges (its largest prime, one period of 2*3*5*7*11*13), and
@@ -189,6 +245,12 @@ def test_walk_matches_the_unblocked_walk(limit, drop):
 def test_prime_table_rejects_limits_above_max():
     with pytest.raises(ConfigurationError, match=str(sieve.MAX_LIMIT)):
         primes_up_to(sieve.MAX_LIMIT + 1)
+    # the campaigns count the primes up to the limit without a table
+    with pytest.raises(ConfigurationError, match=str(sieve.MAX_LIMIT)):
+        sieve._prime_pi(sieve.MAX_LIMIT + 1, [2])
+    with pytest.raises(ConfigurationError, match=str(sieve.MAX_LIMIT)):
+        growth.coupled_sums(DyadicFraction.from_fraction(3, 2),
+                            sieve.MAX_LIMIT + 1, False, (1,))
 
 
 def test_mobius_first_ten():
