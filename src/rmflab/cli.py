@@ -37,7 +37,7 @@ from .growth import (MIN_FIT_POINTS, CampaignConfig, abel_consistency,
                      selberg_delange_ratio)
 from .iet import IetSpec, apply_T_power_numerators
 from .sampler import OmegaAssignment, _lane_flips, is_integer, is_seed
-from .sieve import MAX_LIMIT, squarefree_kinds
+from .sieve import _COUNT_LIMIT, MAX_LIMIT, squarefree_kinds
 
 KINDS = ("identity", "iet-test", "growth", "weighted-growth", "exp-form",
          "abel", "h-scan", "campaign")
@@ -177,12 +177,14 @@ def validate(config: ExperimentConfig) -> list[str]:
     min_limit = 10 if config.kind in _FIT_KINDS else 2  # checkpoints from 10
     if config.limit < min_limit:
         v.append(f"limit={config.limit}: must be >= {min_limit}")
-    if config.kind in _FIT_KINDS + ("abel",) and config.limit > MAX_LIMIT:
+    # the sums count primes without a table; abel sieves a table of X
+    max_limit = _COUNT_LIMIT if config.kind in _FIT_KINDS else MAX_LIMIT
+    if config.kind in _FIT_KINDS + ("abel",) and config.limit > max_limit:
         v.append(f"limit={config.limit}: the sieve supports at most "
-                 f"{MAX_LIMIT}")
+                 f"{max_limit}")
     if config.window is not None and len(config.window) != 2:
         v.append(f"window={config.window}: expected [x_min, x_max]")
-    elif config.kind in _FIT_KINDS and 10 <= config.limit <= MAX_LIMIT:
+    elif config.kind in _FIT_KINDS and 10 <= config.limit <= max_limit:
         lo, hi = _fit_window(config)
         grid = checkpoint_grid(config.limit)
         inside = int(np.count_nonzero((grid >= lo) & (grid <= hi)))

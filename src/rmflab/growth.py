@@ -1,8 +1,8 @@
 """Partial-sum experiments: growth exponents, ratio statistics, ensembles.
 
 Partial sums of the sign series are exact 64-bit integers.  Weighted sums
-carry float weights (2*beta-1)**-d(n), at most (2*beta-1)**-8 ~ 9.99 at
-beta = 7/8 for X <= 10**8.  Both come from one kernel of exact signed counts
+carry float weights (2*beta-1)**-d(n), at most (2*beta-1)**-9 ~ 13.3 at
+beta = 7/8 for X <= 10**9.  Both come from one kernel of exact signed counts
 per (checkpoint segment, d(n)): plain sums add them up, weighted sums round
 them once.
 
@@ -16,13 +16,16 @@ the largest prime factor, and P+(m) < q, as Deleglise and Rivat
 with Pi_k(y) the sum of f_k(p) over the primes p <= y.  The nodes m take
 only primes below sqrt(X), and one tree of (checkpoint, node) pairs per
 limit serves every seed.  pi(x // m) comes from a segmented sieve that
-keeps no table, and Pi_k from one byte per prime, reused by every lane, so
-no table of length X, or of the primes above sqrt(X), is made.  At
-X = 10**7 the tree has 15,512 nodes and 85,331 pairs; a 4-seed pass with
-no table cached peaks at 10.0 MiB traced, the tree's build (tests hold it
-below 12 MiB, and below 24 MiB with the tree alone cold).  At 10**8,
-8 seeds take 0.45-0.60 s and 91 MiB ``VmHWM`` from a cold start (2-core
-x86-64, numpy 2.4).
+keeps no table, and Pi_k from one reused chunk of 2**16 bytes per lane,
+counted at the tree's ranks inside it: nothing of length X or pi(X) is
+made, and only the tree and its pair buffers grow with X.  At X = 10**7
+the tree has 15,512 nodes and 85,331 pairs; a 4-seed pass with no table
+cached peaks at 5.5 MiB traced, the tree's build, and at 2.6 MiB with the
+tree cached (tests hold them below 8 and 4 MiB, and below 24 MiB with the
+tree alone cold).  From a cold start, 8 seeds take 0.34-0.50 s and 58 MiB
+``VmHWM`` at 10**8; at 10**9 (426,054 nodes, 2,267,326 pairs) the tree
+takes 1.7-2.1 s and keeps 76 MiB, and 8 seeds take 1.5-1.6 s more, at
+168 MiB ``VmHWM`` (2-core x86-64, numpy 2.4).
 
 Checkpoints live on a geometric grid with ratio 10**(1/8), so every power
 of ten is itself a checkpoint and log-log fits see evenly spaced abscissae.
@@ -38,9 +41,10 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .dyadic import DyadicFraction
-from .errors import DomainError, FitError, PreconditionError, RangeError
+from .errors import (ConfigurationError, DomainError, FitError,
+                     PreconditionError, RangeError)
 from .sampler import LANES, _hash_blocks, _lane_masks
-from .sieve import MAX_KIND, _prime_pi, primes_up_to
+from .sieve import _COUNT_LIMIT, MAX_KIND, _prime_pi, primes_up_to
 from .dirichlet import _exact_sum, _point, weight_factor
 
 GRID_STEPS_PER_DECADE = 8
@@ -315,9 +319,10 @@ def _tree(limit: int, grid: np.ndarray) -> _Tree:
     with P+(1) read as 1, breadth first: the children of m are the m p with
     P+(m) < p and m p p < limit.  Checkpoint x pairs with the nodes with
     m P+(m) < x, the m for which some n = m q <= x with a prime q > P+(m)
-    may exist.  The nodes take only the primes <= isqrt(limit); pi(x // m)
-    and pi(limit) are counted by ``sieve._prime_pi``, with no table of the
-    larger primes.
+    may exist.  The pairs run in the order of x // m.  The nodes take only
+    the primes <= isqrt(limit); pi(x // m) and pi(limit) are counted by
+    ``sieve._prime_pi``, with no table of the larger primes.  Each
+    pair-length temporary is freed once used (each is 18 MB at 10**9).
     """
     if np.any(np.diff(grid, prepend=0) < 0) or np.any(grid > limit):
         raise RangeError(f"grid must ascend within [0, {limit}]")
@@ -345,28 +350,42 @@ def _tree(limit: int, grid: np.ndarray) -> _Tree:
     keys[1:] *= primes[top[1:]]  # m P+(m)
     order = np.argsort(keys)
     cuts = np.searchsorted(keys[order], grid, side="left")
+    del keys
+    at = np.arange(cuts.sum())  # each pair's place among its row's nodes
+    at -= np.repeat(np.cumsum(cuts) - cuts, cuts)
+    cols = order[at]
+    del order, at
     rows = np.repeat(np.arange(len(grid)), cuts)
-    cols = order[np.arange(len(rows)) -
-                 np.repeat(np.cumsum(cuts) - cuts, cuts)]
-    d = np.repeat(np.arange(len(levels) - 1), np.diff(levels))
-    # the distinct x // m, and each pair's index among them, by one sort:
-    # np.unique would import numpy.ma
-    quotients = grid[rows] // m[cols]
+    quotients = grid[rows]
+    quotients //= m[cols]
+    kind = np.repeat(np.arange(1, len(levels)), np.diff(levels))  # d(m) + 1
+    bins = rows * (MAX_KIND + 1)
+    del rows
+    bins += kind[cols]
+    # the pairs in the order of their x // m, and each one's index among
+    # the distinct x // m, by one sort: np.unique would import numpy.ma
     order = np.argsort(quotients)
-    ordered = quotients[order]
-    first = np.diff(ordered, prepend=-1) != 0
-    quotient_at = np.empty(len(rows), dtype=np.intp)
-    quotient_at[order] = np.cumsum(first) - 1
-    pis = _prime_pi(limit, np.append(ordered[first], limit))
+    quotients = quotients[order]
+    cols = cols[order]
+    bins = bins[order]
+    del order
+    first = np.ones(len(quotients), dtype=bool)
+    np.not_equal(quotients[1:], quotients[:-1], out=first[1:])
+    pis = _prime_pi(limit, np.append(quotients[first], limit))
+    del quotients
     # the ranks read: 0, pi(x // m) and pi(P+(m)) = top + 1
     ranks = np.concatenate([[0], pis[:-1], top + 1])
     ranks.sort()
     ranks = ranks[np.diff(ranks, prepend=-1) != 0]
+    quotient_at = np.cumsum(first)
+    del first
+    quotient_at -= 1
     upper = np.searchsorted(ranks, pis[:-1])[quotient_at]
+    del quotient_at
     return _Tree(limit=limit, grid=grid, count=int(pis[-1]), levels=levels,
                  parents=np.concatenate(parents), tops=top, cols=cols,
-                 bins=rows * (MAX_KIND + 1) + d[cols] + 1, ranks=ranks,
-                 upper=upper, lower=np.searchsorted(ranks, top + 1)[cols])
+                 bins=bins, ranks=ranks, upper=upper,
+                 lower=np.searchsorted(ranks, top + 1)[cols])
 
 
 @functools.lru_cache(maxsize=1)
@@ -374,6 +393,11 @@ def _checkpoint_tree(limit: int) -> _Tree:
     """The tree at ``checkpoint_grid(limit)``; the last limit's stays cached,
     so every lane group and run at that limit shares it."""
     return _tree(limit, checkpoint_grid(limit))
+
+
+# Ranks per chunk of one lane's plus bytes, a multiple of
+# sampler._HASH_BLOCK, so no hash block crosses a chunk's edge
+_CHUNK = 2**16
 
 
 def _checkpoint_counts(tree: _Tree, beta: DyadicFraction,
@@ -387,29 +411,62 @@ def _checkpoint_counts(tree: _Tree, beta: DyadicFraction,
     <= isqrt(limit)) carried down the tree, so f_k(m) = (-1)**(bit k).
     Pi_k(y) = 2 plus_k(y) - pi(y) is counted only at the tree's ranks, one
     lane at a time: the lane's hash of ranks 0 .. pi(limit) - 1
-    (``sampler._hash_blocks``) goes straight into one reused byte per prime.
-    Each lane's totals are one bincount, exact in float64: every partial
-    sum is an integer of size at most limit < 2**53.
+    (``sampler._hash_blocks``) goes into one reused chunk of _CHUNK bytes,
+    and each full chunk adds its plus primes between the tree's ranks inside
+    it by one np.add.reduceat, so nothing of pi(limit) bytes is made.  Each
+    lane's pair terms are formed in two reused float64 buffers and summed by
+    one bincount, exact in float64: every value is an integer of size at
+    most limit < 2**53.
     """
     _, masks = _lane_masks(beta, seeds, math.isqrt(tree.limit))
     words = np.zeros(len(tree.parents), dtype=np.uint8)
     for lo, hi in zip(tree.levels[1:-1], tree.levels[2:]):
         words[lo:hi] = words[tree.parents[lo:hi]] ^ ~masks[tree.tops[lo:hi]]
-    signs = 1 - 2 * (words[:, None] >> np.arange(len(seeds)) & 1)  # f_k(m)
+    pair_words = words[tree.cols]
+    ranks, count = tree.ranks, tree.count
+    # the ranks inside chunk c are ranks[stops[c - 1]:stops[c]], at offsets
+    # ranks % _CHUNK in it; the ranks equal to count lie past every chunk
+    stops = np.searchsorted(ranks, np.minimum(
+        np.arange(_CHUNK, count + _CHUNK, _CHUNK), count)).tolist()
+    offsets = ranks % _CHUNK
+    plus = np.empty(min(_CHUNK, count), dtype=bool)
+    # gaps[j]: the plus primes of ranks[j - 1] .. ranks[j] - 1, from rank 0
+    # at j = 0; gaps[-1] takes those past the last rank
+    gaps = np.empty(len(ranks) + 1, dtype=np.int64)
+    terms, signs = np.empty(len(tree.cols)), np.empty(len(tree.cols))
+    bits = np.empty_like(pair_words)
     rows, kinds = len(tree.grid), MAX_KIND + 1
     totals = np.empty((len(seeds), rows, kinds), dtype=np.int64)
-    plus = np.zeros(tree.count + 1, dtype=bool)  # a 0 past the last prime
     for k, seed in enumerate(seeds):
+        gaps[...] = 0
         if not beta.is_one:  # at beta = 1 no prime is plus
             threshold = np.uint64(beta.numerator)  # omega >= beta: +1
-            for lo, z in _hash_blocks(operator.index(seed), tree.count):
-                np.greater_equal(z, threshold, out=plus[lo: lo + len(z)])
-        # plus_k at ranks[j]: the plus primes among the first ranks[j]
-        runs = np.add.reduceat(plus, tree.ranks, dtype=np.int32)
-        prime_sums = 2 * (np.cumsum(runs) - runs) - tree.ranks  # Pi_k
-        weights = signs[tree.cols, k] * (prime_sums[tree.upper] -
-                                         prime_sums[tree.lower])
-        totals[k] = np.bincount(tree.bins, weights,
+            at = 0  # the first rank at or past the chunk's start
+            for lo, z in _hash_blocks(operator.index(seed), count):
+                end = lo % _CHUNK + len(z)
+                np.greater_equal(z, threshold, out=plus[end - len(z): end])
+                if end < len(plus) and lo + len(z) < count:
+                    continue  # the chunk is not full yet
+                stop = stops[lo // _CHUNK]
+                head = offsets[at] if at < stop else end
+                gaps[at] += np.count_nonzero(plus[:head])
+                if at < stop:
+                    gaps[at + 1: stop + 1] += np.add.reduceat(
+                        plus[:end], offsets[at:stop], dtype=np.int32)
+                at = stop
+        # Pi_k at each rank, as float64
+        prime_sums = (2 * np.cumsum(gaps[:-1]) - ranks).astype(np.float64)
+        # mode "clip" writes straight into out ("raise" would buffer it);
+        # every index is in range
+        np.take(prime_sums, tree.upper, out=terms, mode="clip")
+        np.take(prime_sums, tree.lower, out=signs, mode="clip")
+        terms -= signs
+        np.right_shift(pair_words, k, out=bits)
+        bits &= 1
+        np.multiply(bits, -2.0, out=signs)
+        signs += 1.0  # f_k(m)
+        terms *= signs
+        totals[k] = np.bincount(tree.bins, terms,
                                 minlength=rows * kinds).reshape(rows, kinds)
     totals[:, tree.grid >= 1, 0] += 1  # n = 1
     return np.diff(totals, axis=1, prepend=0)
@@ -423,6 +480,9 @@ def coupled_sums(beta: DyadicFraction, limit: int, weighted: bool,
 
     Weighted sums weigh f_beta(n) by (2*beta-1)**-d(n).
     """
+    if limit > _COUNT_LIMIT:  # refused before the tree is built
+        raise ConfigurationError(
+            f"limit {limit} above supported maximum {_COUNT_LIMIT}")
     w = weight_factor(beta) if weighted else None  # the weighted threshold
     tree = _checkpoint_tree(limit)
     sums = []

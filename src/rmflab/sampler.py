@@ -12,14 +12,15 @@ the closed-interval convention only at grid endpoints (a measure-zero set).
 
 ``_lane_masks`` signs every prime for up to LANES seeds at once, as one
 uint8 mask per prime, straight from the blocks of the hash: for 8 seeds
-it peaks at 2.6 MiB traced at 10**7 and 7.6 MiB at 10**8, the masks and
+it peaks at 1.6 MiB traced at 10**7 and 6.5 MiB at 10**8, the masks and
 one hash block.  ``_lane_flips`` walks those masks into one flip word per
 integer, from which, with the table of ``sieve.squarefree_kinds``, the
 ``abel`` sweep reads its series; it alone takes the masks of every prime.
 The checkpoint sums (``growth.coupled_sums``) walk nothing: they xor the
 masks of each node's primes, those <= sqrt(X), down the
 largest-prime-factor tree, and hash each lane's signs of the larger
-primes straight into a byte per prime to count them at a few ranks.
+primes into one reused chunk of bytes, counted at the tree's ranks inside
+each chunk.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 LANES = 8  # seeds per flip word: bit k of a uint8 belongs to seeds[k]
 
 
-# Ranks hashed per block: 512 KiB of uint64 per scratch array, within L2
-_HASH_BLOCK = 2**16
+# Ranks hashed per block: 256 KiB of uint64 per scratch array, within L2
+_HASH_BLOCK = 2**15
 
 
 def _hash_blocks(seed: int, count: int):

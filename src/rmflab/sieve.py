@@ -3,18 +3,20 @@
 Everything here is deterministic and exact.  Tables are plain numpy arrays,
 read-only once built, and safe for concurrent reads.
 
-Memory budget at the supported maximum X = 10**8.  The primes come from a
-segmented odd-only sieve of 1 MiB blocks (``_odd_blocks``), so a table of
-them takes 8 bytes per prime, about 46 MB, plus 4 bytes per prime while it
-is joined: a cold ``primes_up_to(10**8)`` peaks at 100 MiB ``VmHWM``.  The
-checkpoint sums (``growth.coupled_sums``) make no table above sqrt(X): they
-count pi(y) in the same blocks (``_prime_pi``), and an 8-seed pass peaks at
-91 MiB ``VmHWM`` at 10**8, 42 MiB at 10**7.  The full prime table and the
-kinds table, 1 byte per integer, serve the sweeps alone: a cold kinds pass
-peaks at 171 MiB ``VmHWM`` at 10**8 and 16 MiB traced at 10**7 (2-core
-x86-64, numpy 2.4).  The last two limits' prime tables and the last kinds
-table stay cached and read-only for the process.  The sieve walks only the
-primes <= sqrt(X), in cache-sized blocks (see ``_walker``).
+Memory budget.  The tables serve X <= MAX_LIMIT = 10**8.  The primes come
+from a segmented odd-only sieve of 1 MiB blocks (``_odd_blocks``), so a
+table of them takes 8 bytes per prime, about 46 MB, plus 4 bytes per prime
+while it is joined: a cold ``primes_up_to(10**8)`` peaks at 100 MiB
+``VmHWM``.  The checkpoint sums (``growth.coupled_sums``) make no table
+above sqrt(X), and so reach X = _COUNT_LIMIT = 10**9: they count pi(y) in
+the same blocks (``_prime_pi``, 2.5 MiB traced at any X), and an 8-seed
+pass peaks at 36 MiB ``VmHWM`` at 10**7, 58 MiB at 10**8 and 168 MiB at
+10**9.  The full prime table and the kinds table, 1 byte per integer,
+serve the sweeps alone: a cold kinds pass peaks at 171 MiB ``VmHWM`` at
+10**8 and 16 MiB traced at 10**7 (2-core x86-64, numpy 2.4).  The last two
+limits' prime tables and the last kinds table stay cached and read-only
+for the process.  The sieve walks only the primes <= sqrt(X), in
+cache-sized blocks (see ``_walker``).
 """
 
 from __future__ import annotations
@@ -26,9 +28,10 @@ import numpy as np
 
 from .errors import ConfigurationError
 
-MAX_LIMIT = 10**8
-# d(n) <= MAX_KIND for n <= MAX_LIMIT: 2*3*5*...*23 = 223,092,870 > 10**8
-MAX_KIND = 8
+MAX_LIMIT = 10**8  # the prime table, the kinds table and the sweeps
+_COUNT_LIMIT = 10**9  # the table-free prime counts and checkpoint sums
+# d(n) <= MAX_KIND for n <= _COUNT_LIMIT: 2*3*5*...*29 = 6,469,693,230 > 10**9
+MAX_KIND = 9
 
 
 def primes_up_to(limit: int) -> np.ndarray:
@@ -69,6 +72,7 @@ def _sieved(limit: int) -> np.ndarray:
 
 
 _SIEVE_BLOCK = 2**20  # odd slots per block: 1 MiB of bool, within a 2 MiB L2
+_PI_BLOCK = 2**18  # slots per np.add.reduceat: a 1 MiB int32 cast, in L2
 
 
 def _odd_blocks(limit: int):
@@ -108,30 +112,34 @@ def _prime_pi(limit: int, ys: np.ndarray) -> np.ndarray:
     counted in the blocks of ``_odd_blocks(limit)``: no prime table is made.
 
     For y >= 2, pi(y) is the number of True slots below (y + 1) // 2 (slot 0
-    stands for 2).  Each block sums the runs between the distinct slot
-    counts that end in it with one np.add.reduceat.
+    stands for 2).  Each _PI_BLOCK slots of a block sum the runs between the
+    distinct slot counts that end in them with one np.add.reduceat, whose
+    int32 cast of those slots then stays in cache.
     """
-    if limit > MAX_LIMIT:
+    if limit > _COUNT_LIMIT:
         raise ConfigurationError(
-            f"prime limit {limit} above supported maximum {MAX_LIMIT}")
+            f"prime limit {limit} above supported maximum {_COUNT_LIMIT}")
     ys = np.asarray(ys, dtype=np.int64)
     ends = np.where(ys < 2, 0, (ys + 1) // 2)
     first = np.diff(ends, prepend=-1) != 0  # np.unique would import numpy.ma
     distinct = ends[first]
     counts = np.zeros(len(distinct), dtype=np.int64)
-    total = 0  # the primes below the block
+    total = 0  # the primes below the part
     at = int(np.searchsorted(distinct, 0, side="right"))  # pi(y < 2) = 0
-    for lo, block in _odd_blocks(limit):
-        stop = int(np.searchsorted(distinct, lo + len(block), side="right"))
+    parts = ((lo + start, block[start: start + _PI_BLOCK])
+             for lo, block in _odd_blocks(limit)
+             for start in range(0, len(block), _PI_BLOCK))
+    for lo, part in parts:
+        stop = int(np.searchsorted(distinct, lo + len(part), side="right"))
         if at < stop:
             cuts = distinct[at:stop] - lo
-            runs = np.add.reduceat(block[: cuts[-1]],
+            runs = np.add.reduceat(part[: cuts[-1]],
                                    np.concatenate([[0], cuts[:-1]]),
                                    dtype=np.int32)
             counts[at:stop] = total + np.cumsum(runs, dtype=np.int64)
             total = int(counts[stop - 1])
-            block = block[cuts[-1]:]
-        total += int(np.count_nonzero(block))
+            part = part[cuts[-1]:]
+        total += int(np.count_nonzero(part))
         at = stop
     return counts[np.cumsum(first) - 1]
 

@@ -18,7 +18,7 @@ from rmflab.cli import _RUNNERS, ExperimentConfig, main, parse_beta, run, \
     validate
 from rmflab.growth import (SumGrid, coupled_sums, default_window,
                            fit_growth_exponent)
-from rmflab.sieve import MAX_LIMIT
+from rmflab.sieve import _COUNT_LIMIT, MAX_LIMIT
 
 
 def read_csv(path):
@@ -203,7 +203,7 @@ def pipeline_rejects(config: ExperimentConfig) -> bool:
 @given(kind=st.sampled_from(BETA_KINDS), weighted=st.booleans(),
        bits=st.integers(0, 6), data=st.data(),
        limit=st.one_of(st.integers(2, 60), st.integers(1000, 3000),
-                       st.just(MAX_LIMIT + 1)),
+                       st.sampled_from([MAX_LIMIT + 1, _COUNT_LIMIT + 1])),
        window=st.one_of(st.none(), st.lists(st.integers(-100, 3500),
                                             min_size=2, max_size=2)),
        sigmas=st.lists(st.sampled_from([-1.0, 0.0, 0.25, 0.5, 0.75, 1.0,
@@ -233,13 +233,21 @@ def test_validate_rejects_what_run_rejects(kind, weighted, bits, data, limit,
                 run(cfg)
 
 
-def test_validate_names_beta_below_half_and_sieve_limit():
+def test_validate_names_beta_below_half_and_sieve_limit(tmp_path):
     for kind in ("growth", "abel", "campaign", "exp-form"):
         cfg = ExperimentConfig(kind=kind, beta="1/4", seeds=[1])
         assert any("beta >= 1/2" in v for v in validate(cfg)), kind
+    # the sums count primes to _COUNT_LIMIT; abel sieves a table of X
+    for kind, limit in (("growth", _COUNT_LIMIT), ("campaign", _COUNT_LIMIT),
+                        ("abel", MAX_LIMIT)):
+        cfg = ExperimentConfig(kind=kind, beta="3/4", limit=limit + 1,
+                               seeds=[1])
+        assert any(str(limit) in v for v in validate(cfg)), kind
+    # ... and run past the tables' limit
     cfg = ExperimentConfig(kind="growth", beta="3/4", limit=MAX_LIMIT + 1,
-                           seeds=[1])
-    assert any(str(MAX_LIMIT) in v for v in validate(cfg))
+                           seeds=[1], outdir=str(tmp_path / "r"))
+    assert validate(cfg) == []
+    assert run(cfg)["pass"]
     # the identity experiment never sieves, so its limit is not checked
     cfg = ExperimentConfig(kind="identity", level=1, limit=MAX_LIMIT + 1,
                            seeds=[1])

@@ -181,7 +181,7 @@ def test_sum_layer_peak_memory_at_1e7():
 
 def test_lane_pass_peak_memory_at_1e7():
     # 4 seeds from a cold tree, plain at beta 1/2 (nearly every prime is
-    # plus in some lane) or weighted at 7/8: 10.0 MiB traced, the tree's
+    # plus in some lane) or weighted at 7/8: 5.5 MiB traced, the tree's
     # build with its prime counts.  The per-seed path peaked at 25.4 MiB per
     # seed, and the flip words of the primes <= isqrt(X) at 10.8 MiB
     limit = 10**7
@@ -198,9 +198,10 @@ def test_lane_pass_peak_memory_at_1e7():
 
 
 def test_lane_pass_peak_memory_at_1e7_from_cold_primes():
-    # as above with no prime table cached either: 10.0 MiB traced.  The
-    # prime table up to X, which the campaigns no longer make, took it to
-    # 16.0 MiB
+    # as above with no prime table cached either: 5.5 MiB traced, the
+    # tree's build.  Its pair-length temporaries all alive at once took it
+    # to 10.0 MiB, and the prime table up to X, which the campaigns no
+    # longer make, to 16.0 MiB
     limit = 10**7
     for beta, weighted in ((HALF, False), (B78, True)):
         _prime_table.cache_clear()
@@ -211,7 +212,23 @@ def test_lane_pass_peak_memory_at_1e7_from_cold_primes():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 12 * 2**20, (float(beta), peak / 2**20)
+        assert peak < 8 * 2**20, (float(beta), peak / 2**20)
+
+
+def test_lane_pass_peak_memory_at_1e7_with_the_tree_warm():
+    # 4 seeds on a cached tree: 2.6 MiB traced, the lane group's pair
+    # buffers and hash blocks.  A byte per prime, with its int32 copy for
+    # np.add.reduceat, took it to 4.9 MiB
+    limit = 10**7
+    _checkpoint_tree(limit)
+    for beta, weighted in ((HALF, False), (B78, True)):
+        tracemalloc.start()
+        try:
+            coupled_sums(beta, limit, weighted, (1, 2, 3, 4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, (float(beta), peak / 2**20)
 
 
 def test_sieve_peak_memory_at_1e7():
@@ -503,6 +520,45 @@ def test_lane_counts_where_a_cofactor_quotient_is_a_large_prime(limit):
         for n in (1, 8, 9):
             assert_lanes_match_oracles(beta, limit, weighted,
                                        LANE_SEEDS[:n])
+
+
+@pytest.mark.parametrize("chunk, block", [(1, 1), (2, 1), (4, 2), (6, 3),
+                                          (8, 8), (12, 4)])
+def test_lane_counts_at_chunk_edges(monkeypatch, chunk, block):
+    # chunks of a few ranks put tree ranks on their edges, and
+    # pi(1000) = 168 is a multiple of every chunk here.  A grid that ends at
+    # the limit reads rank pi(limit), past every chunk; one that stops short
+    # of it may not
+    import rmflab.sampler as sampler
+    import rmflab.sieve as sieve
+
+    monkeypatch.setattr(growth, "_CHUNK", chunk)
+    monkeypatch.setattr(sampler, "_HASH_BLOCK", block)
+    monkeypatch.setattr(sieve, "_PI_BLOCK", 5)
+    on_edges = at_count = 0
+    for limit in (1000, 1009):
+        for grid in (checkpoint_grid(limit), checkpoint_grid(limit)[:-1]):
+            tree = _tree(limit, grid)
+            on_edges += np.count_nonzero(tree.ranks[1:] % chunk == 0)
+            at_count += tree.ranks[-1] == tree.count
+            for beta in (HALF, B34):
+                got = _checkpoint_counts(tree, beta, LANE_SEEDS[:3])
+                for k, seed in enumerate(LANE_SEEDS[:3]):
+                    want = per_seed_counts(beta, limit, seed, grid)
+                    assert np.array_equal(got[k], want), (limit, seed)
+    assert _tree(1000, checkpoint_grid(1000)).count % chunk == 0
+    assert on_edges and at_count == 2
+
+
+def test_mobius_lane_gives_published_mertens_values():
+    # the beta = 1 lane is the Mertens function M(x); M(10**k) for
+    # k = 1..8 are the published values (OEIS A084237)
+    sums = coupled_sums(ONE, 10**8, False, (1,))[0]
+    powers = 10 ** np.arange(1, 9)
+    at = np.searchsorted(sums.checkpoints, powers)
+    assert np.array_equal(sums.checkpoints[at], powers)
+    assert sums.sums[at].tolist() == \
+        [-1, 1, 2, -23, -48, 212, 1037, 1928]
 
 
 @pytest.mark.parametrize("limit", [10, 26, 1000, 10**5])

@@ -177,11 +177,11 @@ def test_series_is_the_product_of_prime_signs(limit, beta, assignment_1e5,
     assert lane.tolist() == s.values.tolist()
 
 
-@pytest.mark.parametrize("count", [_HASH_BLOCK - 1, _HASH_BLOCK,
-                                   _HASH_BLOCK + 1])
+@pytest.mark.parametrize("count", [2 * _HASH_BLOCK - 1, 2 * _HASH_BLOCK,
+                                   2 * _HASH_BLOCK + 1])
 def test_lane_masks_match_per_seed_signs(count):
-    # the masks come straight from the hash blocks; a last block of one
-    # prime, a full one, and one short by a prime
+    # the masks come straight from the hash blocks; a second block short
+    # by a prime, a full one, and a third block of one prime
     limit = int(primes_up_to(10**6)[count - 1])
     seeds = (3, 0, 2**64 - 1, 4, 5, 6, 7, 8)
     for beta in (HALF, DyadicFraction.from_fraction(3, 2),

@@ -208,15 +208,20 @@ def test_prime_counts_match_the_table(limit, primes_to_sieve_edges):
 @pytest.mark.parametrize("block", [1, 2, 3, 16, 45])
 def test_segmented_sieve_at_every_block_edge(monkeypatch, block, spf_1e5):
     # blocks of a few slots put each p*p, and each carried multiple, on
-    # every side of an edge; a p above the block skips whole blocks
+    # every side of an edge; a p above the block skips whole blocks.  The
+    # prime counts' parts of a block, from one slot to the whole block, put
+    # every y's cut on every side of a part's edge
     monkeypatch.setattr(sieve, "_SIEVE_BLOCK", block)
     every = spf_1e5.primes()
     for limit in (*range(60), 288, 289, 290, 361, 3001):
         want = every[every <= limit]
         assert np.array_equal(sieve._sieved(limit), want), limit
         ys = np.arange(limit + 1)
-        assert np.array_equal(sieve._prime_pi(limit, ys),
-                              np.searchsorted(want, ys, side="right")), limit
+        for part in {1, 2, 7, block}:
+            monkeypatch.setattr(sieve, "_PI_BLOCK", part)
+            assert np.array_equal(
+                sieve._prime_pi(limit, ys),
+                np.searchsorted(want, ys, side="right")), (limit, part)
 
 
 # the wheel's edges (its largest prime, one period of 2*3*5*7*11*13), and
@@ -245,12 +250,14 @@ def test_walk_matches_the_unblocked_walk(limit, drop):
 def test_prime_table_rejects_limits_above_max():
     with pytest.raises(ConfigurationError, match=str(sieve.MAX_LIMIT)):
         primes_up_to(sieve.MAX_LIMIT + 1)
+    with pytest.raises(ConfigurationError, match=str(sieve.MAX_LIMIT)):
+        squarefree_kinds(sieve.MAX_LIMIT + 1)
     # the campaigns count the primes up to the limit without a table
-    with pytest.raises(ConfigurationError, match=str(sieve.MAX_LIMIT)):
-        sieve._prime_pi(sieve.MAX_LIMIT + 1, [2])
-    with pytest.raises(ConfigurationError, match=str(sieve.MAX_LIMIT)):
+    with pytest.raises(ConfigurationError, match=str(sieve._COUNT_LIMIT)):
+        sieve._prime_pi(sieve._COUNT_LIMIT + 1, [2])
+    with pytest.raises(ConfigurationError, match=str(sieve._COUNT_LIMIT)):
         growth.coupled_sums(DyadicFraction.from_fraction(3, 2),
-                            sieve.MAX_LIMIT + 1, False, (1,))
+                            sieve._COUNT_LIMIT + 1, False, (1,))
 
 
 def test_mobius_first_ten():
@@ -281,9 +288,11 @@ def test_sieve_matches_factorization_at_isqrt_edges(limit, factors_1e5):
 
 def test_max_kind_bounds_the_prime_factors_up_to_max_limit():
     # the product of the first MAX_KIND primes is the least n with
-    # d(n) = MAX_KIND; one more prime takes it past MAX_LIMIT
+    # d(n) = MAX_KIND; one more prime takes it past the largest limit of
+    # the checkpoint sums, which the tables' limit does not pass
     first = primes_up_to(100)[: sieve.MAX_KIND + 1].tolist()
-    assert math.prod(first[:-1]) <= sieve.MAX_LIMIT < math.prod(first)
+    assert math.prod(first[:-1]) <= sieve._COUNT_LIMIT < math.prod(first)
+    assert sieve.MAX_LIMIT <= sieve._COUNT_LIMIT
 
 
 def test_log_byte_holds_up_to_max_limit():
