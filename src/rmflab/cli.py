@@ -178,9 +178,10 @@ def validate(config: ExperimentConfig) -> list[str]:
     if config.limit < min_limit:
         v.append(f"limit={config.limit}: must be >= {min_limit}")
     # the sums count primes without a table; abel sieves a table of X
-    max_limit = _COUNT_LIMIT if config.kind in _FIT_KINDS else MAX_LIMIT
+    max_limit, what = (_COUNT_LIMIT, "prime count") \
+        if config.kind in _FIT_KINDS else (MAX_LIMIT, "sieve")
     if config.kind in _FIT_KINDS + ("abel",) and config.limit > max_limit:
-        v.append(f"limit={config.limit}: the sieve supports at most "
+        v.append(f"limit={config.limit}: the {what} supports at most "
                  f"{max_limit}")
     if config.window is not None and len(config.window) != 2:
         v.append(f"window={config.window}: expected [x_min, x_max]")

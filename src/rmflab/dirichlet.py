@@ -332,11 +332,13 @@ def exp_form_F(beta: DyadicFraction, assignment, P: int,
     """
     s = _point(s, 0.5)  # the tail series needs Re(s) > 1/2
     primes = _primes_to(assignment, P)
-    signs = prime_signs(beta, assignment, primes).astype(np.float64)
-    z = signs * _prime_powers(primes, s)
+    z = _prime_powers(primes, s)
+    z *= prime_signs(beta, assignment, primes)  # no sign array is kept
 
     def orders():
-        # one order's terms at a time: no order outlives its step
+        # one order's terms at a time: no order outlives its step.  An
+        # in-place zm *= z takes another complex loop in numpy 2.4, which
+        # moves a last bit (z = 2**-(0.55+7j), order 3)
         zm = z * z
         m = 2
         # initial: with no primes (P < 2) the tail is the empty sum

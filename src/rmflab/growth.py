@@ -15,17 +15,18 @@ the largest prime factor, and P+(m) < q, as Deleglise and Rivat
 
 with Pi_k(y) the sum of f_k(p) over the primes p <= y.  The nodes m take
 only primes below sqrt(X), and one tree of (checkpoint, node) pairs per
-limit serves every seed.  pi(x // m) comes from a segmented sieve that
-keeps no table, and Pi_k from one reused chunk of 2**16 bytes per lane,
-counted at the tree's ranks inside it: nothing of length X or pi(X) is
-made, and only the tree and its pair buffers grow with X.  At X = 10**7
-the tree has 15,512 nodes and 85,331 pairs; a 4-seed pass with no table
-cached peaks at 5.5 MiB traced, the tree's build, and at 2.6 MiB with the
-tree cached (tests hold them below 8 and 4 MiB, and below 24 MiB with the
-tree alone cold).  From a cold start, 8 seeds take 0.34-0.50 s and 58 MiB
-``VmHWM`` at 10**8; at 10**9 (426,054 nodes, 2,267,326 pairs) the tree
-takes 1.7-2.1 s and keeps 76 MiB, and 8 seeds take 1.5-1.6 s more, at
-168 MiB ``VmHWM`` (2-core x86-64, numpy 2.4).
+limit serves every seed.  pi(x // m) comes from Legendre's recurrence over
+the grid's quotients (``sieve._prime_counts``), which sieves nothing above
+sqrt(X), and Pi_k from one reused chunk of 2**16 bytes per lane, counted at
+the tree's ranks inside it: nothing of length X or pi(X) is made, and only
+the tree and its pair buffers grow with X.  At X = 10**7 the tree has
+15,512 nodes and 85,331 pairs; a 4-seed pass with no table cached peaks at
+5.5 MiB traced, the tree's build, and at 2.6 MiB with the tree cached
+(tests hold them below 8 and 4 MiB, and below 24 MiB with the tree alone
+cold).  A cold tree takes about 0.05 s at 10**8; at 10**9 (426,054 nodes,
+2,267,326 pairs) it takes 0.30-0.37 s and keeps 76 MiB, and a whole
+8-seed campaign run takes 1.7-2.2 s at 153 MiB ``VmHWM`` (2-core x86-64,
+numpy 2.4).
 
 Checkpoints live on a geometric grid with ratio 10**(1/8), so every power
 of ten is itself a checkpoint and log-log fits see evenly spaced abscissae.
@@ -44,7 +45,7 @@ from .dyadic import DyadicFraction
 from .errors import (ConfigurationError, DomainError, FitError,
                      PreconditionError, RangeError)
 from .sampler import LANES, _hash_blocks, _lane_masks
-from .sieve import _COUNT_LIMIT, MAX_KIND, _prime_pi, primes_up_to
+from .sieve import _COUNT_LIMIT, MAX_KIND, _prime_counts, primes_up_to
 from .dirichlet import _exact_sum, _point, weight_factor
 
 GRID_STEPS_PER_DECADE = 8
@@ -320,12 +321,14 @@ def _tree(limit: int, grid: np.ndarray) -> _Tree:
     P+(m) < p and m p p < limit.  Checkpoint x pairs with the nodes with
     m P+(m) < x, the m for which some n = m q <= x with a prime q > P+(m)
     may exist.  The pairs run in the order of x // m.  The nodes take only
-    the primes <= isqrt(limit); pi(x // m) and pi(limit) are counted by
-    ``sieve._prime_pi``, with no table of the larger primes.  Each
-    pair-length temporary is freed once used (each is 18 MB at 10**9).
+    the primes <= isqrt(limit); pi(x // m) and pi(limit) are read from
+    ``sieve._prime_counts`` at the grid, counted before any pair array is
+    made, with no table of the larger primes.  Each pair-length temporary
+    is freed once used (each is 18 MB at 10**9).
     """
     if np.any(np.diff(grid, prepend=0) < 0) or np.any(grid > limit):
         raise RangeError(f"grid must ascend within [0, {limit}]")
+    values, counts = _prime_counts(limit, grid)
     primes = primes_up_to(math.isqrt(limit))
     m, top = np.ones(1, dtype=np.int64), np.full(1, -1)
     ms, tops, parents, levels = [m], [top], [np.zeros(1, np.int64)], [0, 1]
@@ -371,8 +374,8 @@ def _tree(limit: int, grid: np.ndarray) -> _Tree:
     del order
     first = np.ones(len(quotients), dtype=bool)
     np.not_equal(quotients[1:], quotients[:-1], out=first[1:])
-    pis = _prime_pi(limit, np.append(quotients[first], limit))
-    del quotients
+    pis = counts[np.searchsorted(values, np.append(quotients[first], limit))]
+    del quotients, values, counts
     # the ranks read: 0, pi(x // m) and pi(P+(m)) = top + 1
     ranks = np.concatenate([[0], pis[:-1], top + 1])
     ranks.sort()

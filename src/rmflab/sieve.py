@@ -8,12 +8,15 @@ from a segmented odd-only sieve of 1 MiB blocks (``_odd_blocks``), so a
 table of them takes 8 bytes per prime, about 46 MB, plus 4 bytes per prime
 while it is joined: a cold ``primes_up_to(10**8)`` peaks at 100 MiB
 ``VmHWM``.  The checkpoint sums (``growth.coupled_sums``) make no table
-above sqrt(X), and so reach X = _COUNT_LIMIT = 10**9: they count pi(y) in
-the same blocks (``_prime_pi``, 2.5 MiB traced at any X), and an 8-seed
-pass peaks at 36 MiB ``VmHWM`` at 10**7, 58 MiB at 10**8 and 168 MiB at
-10**9.  The full prime table and the kinds table, 1 byte per integer,
-serve the sweeps alone: a cold kinds pass peaks at 171 MiB ``VmHWM`` at
-10**8 and 16 MiB traced at 10**7 (2-core x86-64, numpy 2.4).  The last two
+above sqrt(X), and so reach X = _COUNT_LIMIT = 10**9: they need pi(y) only
+at the quotients y = x // m, which Legendre's recurrence over those
+quotients gives in about X**(3/4) steps with no sieve above sqrt(X)
+(``_prime_counts``: 1.4 MiB traced at 10**7, 8.6 MiB at 10**9), and an
+8-seed pass peaks at 36 MiB ``VmHWM`` at 10**7 and 55 MiB at 10**8, and
+a whole 8-seed campaign run at 153 MiB at 10**9.  The full prime table
+and the kinds table, 1 byte per integer, serve the sweeps alone: a cold
+kinds pass peaks at 171 MiB ``VmHWM`` at 10**8 and 16 MiB traced at 10**7
+(2-core x86-64, numpy 2.4).  The last two
 limits' prime tables and the last kinds table stay cached and read-only
 for the process.  The sieve walks only the primes <= sqrt(X), in
 cache-sized blocks (see ``_walker``).
@@ -72,7 +75,6 @@ def _sieved(limit: int) -> np.ndarray:
 
 
 _SIEVE_BLOCK = 2**20  # odd slots per block: 1 MiB of bool, within a 2 MiB L2
-_PI_BLOCK = 2**18  # slots per np.add.reduceat: a 1 MiB int32 cast, in L2
 
 
 def _odd_blocks(limit: int):
@@ -107,41 +109,93 @@ def _odd_blocks(limit: int):
         yield lo, block
 
 
-def _prime_pi(limit: int, ys: np.ndarray) -> np.ndarray:
-    """pi(y) as int64 for each y of ``ys``, ascending within [0, limit],
-    counted in the blocks of ``_odd_blocks(limit)``: no prime table is made.
+_PAIR_BLOCK = 2**14  # (v, p) pairs per gather above cbrt(limit): 128 KiB
 
-    For y >= 2, pi(y) is the number of True slots below (y + 1) // 2 (slot 0
-    stands for 2).  Each _PI_BLOCK slots of a block sum the runs between the
-    distinct slot counts that end in them with one np.add.reduceat, whose
-    int32 cast of those slots then stays in cache.
+
+def _prime_counts(limit: int,
+                  grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(values, counts): the quotient set V = {x // m : x in grid or
+    x = limit, m >= 1} ascending, and pi(v) as int64 at each v, with no
+    table above isqrt(limit).
+
+    Legendre's recurrence, the combinatorial core of Lagarias, Miller and
+    Odlyzko (Math. Comp. 44, 1985): S(v) = v - 1 counts 2..v, and each
+    prime p in order strikes the integers up to v with least prime factor p,
+    S(v) -= S(v // p) - S(p - 1) at every v >= p*p, S(p - 1) being p's rank.
+    Once p*p > v, S(v) = pi(v).  V is closed under v -> v // p.  Each
+    v <= isqrt(limit) is its own index; a larger v = x // m, with
+    m <= x // (isqrt(limit) + 1), has slot m of x's segment, which points at
+    its place among the distinct larger values, so v // p = x // (m p) is
+    found with no search.  The primes p <= cbrt(limit) update V one prime
+    at a time, from the top down so each reads S before its own update.  A
+    larger p reads only final values (v // p < limit / p < p*p), so all its
+    corrections are one gather and sum, _PAIR_BLOCK pairs at a time.
     """
     if limit > _COUNT_LIMIT:
         raise ConfigurationError(
             f"prime limit {limit} above supported maximum {_COUNT_LIMIT}")
-    ys = np.asarray(ys, dtype=np.int64)
-    ends = np.where(ys < 2, 0, (ys + 1) // 2)
-    first = np.diff(ends, prepend=-1) != 0  # np.unique would import numpy.ma
-    distinct = ends[first]
-    counts = np.zeros(len(distinct), dtype=np.int64)
-    total = 0  # the primes below the part
-    at = int(np.searchsorted(distinct, 0, side="right"))  # pi(y < 2) = 0
-    parts = ((lo + start, block[start: start + _PI_BLOCK])
-             for lo, block in _odd_blocks(limit)
-             for start in range(0, len(block), _PI_BLOCK))
-    for lo, part in parts:
-        stop = int(np.searchsorted(distinct, lo + len(part), side="right"))
-        if at < stop:
-            cuts = distinct[at:stop] - lo
-            runs = np.add.reduceat(part[: cuts[-1]],
-                                   np.concatenate([[0], cuts[:-1]]),
-                                   dtype=np.int32)
-            counts[at:stop] = total + np.cumsum(runs, dtype=np.int64)
-            total = int(counts[stop - 1])
-            part = part[cuts[-1]:]
-        total += int(np.count_nonzero(part))
+    root = math.isqrt(limit)
+    primes = primes_up_to(root)
+    xs = np.append(np.asarray(grid, dtype=np.int64), limit)
+    # the larger quotients: slot offsets[i] + m - 1 holds xs[i] // m
+    lengths = xs // (root + 1)
+    offsets = np.cumsum(lengths) - lengths
+    segment = np.repeat(np.arange(len(xs)), lengths)
+    m = np.arange(len(segment)) - offsets[segment] + 1
+    large = xs[segment] // m
+    order = np.argsort(large)
+    large = large[order]
+    first = np.ones(len(large), dtype=bool)
+    np.not_equal(large[1:], large[:-1], out=first[1:])
+    n = root + 1  # the index of the least larger value
+    slots = np.empty(len(large), dtype=np.intp)
+    slots[order] = np.cumsum(first) - 1 + n
+    order = order[first]
+    large = large[first]
+    del first
+    # each distinct larger value's x // m, by one of its (x, m): the slot of
+    # (x, m p) is bases + m p
+    ms = m[order]
+    bases = offsets[segment[order]] - 1
+    del segment, m, order
+    values = np.concatenate([np.arange(n), large])
+    counts = values - 1
+    counts[0] = 0
+    small = int(np.searchsorted(primes ** 3, limit, side="right"))
+    squares = primes * primes
+    # from values[a] = p*p on, v // p <= root up to values[b] = (root + 1) p
+    lows = np.searchsorted(values, squares[:small]).tolist()
+    tops = np.searchsorted(values, n * primes[:small]).tolist()
+    for k, (p, a, b) in enumerate(zip(primes[:small].tolist(), lows, tops)):
+        slot = ms[b - n:] * p
+        slot += bases[b - n:]
+        counts[b:] -= counts[slots[slot]] - k
+        counts[a:b] -= counts[values[a:b] // p] - k
+    # the primes above cbrt(limit): each v pairs with those up to isqrt(v)
+    reads = np.searchsorted(squares, large, side="right") - small
+    lo = int(np.searchsorted(reads, 1))
+    reads, large, ms, bases = reads[lo:], large[lo:], ms[lo:], bases[lo:]
+    ends = np.cumsum(reads)
+    at = 0
+    while at < len(reads):
+        # whole runs of pairs: at most _PAIR_BLOCK, unless one run is longer
+        done = int(ends[at - 1]) if at else 0
+        stop = max(int(np.searchsorted(ends, done + _PAIR_BLOCK,
+                                       side="right")), at + 1)
+        run = reads[at:stop]
+        starts = np.cumsum(run) - run
+        pair = np.repeat(np.arange(at, stop), run)
+        rank = np.arange(len(pair)) - np.repeat(starts, run) + small
+        p = primes[rank]
+        quotient = large[pair] // p
+        slot = ms[pair] * p  # past its segment where quotient <= root
+        slot += bases[pair]
+        terms = counts[np.where(quotient > root,
+                                slots.take(slot, mode="clip"), quotient)]
+        terms -= rank
+        counts[n + lo + at: n + lo + stop] -= np.add.reduceat(terms, starts)
         at = stop
-    return counts[np.cumsum(first) - 1]
+    return values, counts
 
 
 _WHEEL_MAX = 13  # the wheel's period is at most 2*3*5*7*11*13 = 30030

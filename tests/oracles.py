@@ -2,7 +2,9 @@
 check the sieve by an independent route; ``_multiples`` is the unblocked
 walk over the prime multiples, the reference for ``sieve._walk``, and
 ``mobius_sieve`` and ``distinct_prime_counts`` build mu(n) and d(n) apart
-from ``sieve.squarefree_kinds`` by that walk;
+from ``sieve.squarefree_kinds`` by that walk; ``prime_pi`` counts pi(y)
+in the blocks of the segmented sieve, the reference for the quotient
+recurrence ``sieve._prime_counts``;
 ``splitmix64`` is the whole-array hash, the reference for the blocked
 ``OmegaAssignment.numerators``; ``build_sign_series`` realizes one seed's
 f_beta by its own walk over the plus-signed primes, the reference for the
@@ -33,13 +35,53 @@ from rmflab.dirichlet import _TAIL_CUTOFF
 from rmflab.errors import ConfigurationError, CoverageError, RangeError
 from rmflab.iet import IetSpec, apply_T_power_numerators
 from rmflab.sampler import LANES, signs_from_numerators
-from rmflab.sieve import MAX_KIND, MAX_LIMIT
+from rmflab.sieve import _COUNT_LIMIT, MAX_KIND, MAX_LIMIT, _odd_blocks
 
 
 # p*p - 1, p*p and p*p + 1 move isqrt(limit), and with it whether a prime
 # is sieved as a stride or among the cofactor batches of the larger primes
 ISQRT_EDGE_LIMITS = [p * p + e for p in (2, 3, 5, 7, 11, 97, 313)
                      for e in (-1, 0, 1)] + [10**5]
+
+
+PI_BLOCK = 2**18  # slots per np.add.reduceat: a 1 MiB int32 cast, in L2
+
+
+def prime_pi(limit: int, ys: np.ndarray) -> np.ndarray:
+    """pi(y) as int64 for each y of ``ys``, ascending within [0, limit],
+    counted in the blocks of ``_odd_blocks(limit)``: no prime table is made.
+
+    For y >= 2, pi(y) is the number of True slots below (y + 1) // 2 (slot 0
+    stands for 2).  Each PI_BLOCK slots of a block sum the runs between the
+    distinct slot counts that end in them with one np.add.reduceat, whose
+    int32 cast of those slots then stays in cache.
+    """
+    if limit > _COUNT_LIMIT:
+        raise ConfigurationError(
+            f"prime limit {limit} above supported maximum {_COUNT_LIMIT}")
+    ys = np.asarray(ys, dtype=np.int64)
+    ends = np.where(ys < 2, 0, (ys + 1) // 2)
+    first = np.diff(ends, prepend=-1) != 0  # np.unique would import numpy.ma
+    distinct = ends[first]
+    counts = np.zeros(len(distinct), dtype=np.int64)
+    total = 0  # the primes below the part
+    at = int(np.searchsorted(distinct, 0, side="right"))  # pi(y < 2) = 0
+    parts = ((lo + start, block[start: start + PI_BLOCK])
+             for lo, block in _odd_blocks(limit)
+             for start in range(0, len(block), PI_BLOCK))
+    for lo, part in parts:
+        stop = int(np.searchsorted(distinct, lo + len(part), side="right"))
+        if at < stop:
+            cuts = distinct[at:stop] - lo
+            runs = np.add.reduceat(part[: cuts[-1]],
+                                   np.concatenate([[0], cuts[:-1]]),
+                                   dtype=np.int32)
+            counts[at:stop] = total + np.cumsum(runs, dtype=np.int64)
+            total = int(counts[stop - 1])
+            part = part[cuts[-1]:]
+        total += int(np.count_nonzero(part))
+        at = stop
+    return counts[np.cumsum(first) - 1]
 
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)

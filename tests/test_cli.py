@@ -238,11 +238,13 @@ def test_validate_names_beta_below_half_and_sieve_limit(tmp_path):
         cfg = ExperimentConfig(kind=kind, beta="1/4", seeds=[1])
         assert any("beta >= 1/2" in v for v in validate(cfg)), kind
     # the sums count primes to _COUNT_LIMIT; abel sieves a table of X
-    for kind, limit in (("growth", _COUNT_LIMIT), ("campaign", _COUNT_LIMIT),
-                        ("abel", MAX_LIMIT)):
+    for kind, limit, what in (("growth", _COUNT_LIMIT, "prime count"),
+                              ("campaign", _COUNT_LIMIT, "prime count"),
+                              ("abel", MAX_LIMIT, "sieve")):
         cfg = ExperimentConfig(kind=kind, beta="3/4", limit=limit + 1,
                                seeds=[1])
-        assert any(str(limit) in v for v in validate(cfg)), kind
+        assert any(f"the {what} supports at most {limit}" in v
+                   for v in validate(cfg)), kind
     # ... and run past the tables' limit
     cfg = ExperimentConfig(kind="growth", beta="3/4", limit=MAX_LIMIT + 1,
                            seeds=[1], outdir=str(tmp_path / "r"))

@@ -579,6 +579,20 @@ def test_exp_form_peak_memory_at_1e5(assignment_1e5):
     assert peak < 4 * 2**20, peak / 2**20
 
 
+def test_exp_form_peak_memory_at_1e6(assignment_1e6):
+    # 78,498 primes: z, one order's power and its terms, 1.2 MiB each, and
+    # the extraction's scratch trace 4.4 MiB; the float signs kept beside
+    # z took it to 5.0 MiB
+    assignment_1e6.primes
+    tracemalloc.start()
+    try:
+        exp_form_F(B34, assignment_1e6, 10**6, 0.55)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.6 * 2**20, peak / 2**20
+
+
 def test_exp_form_and_euler_F_agree_on_no_primes():
     # P < 2: both are the empty product
     a = OmegaAssignment(master_seed=1, prime_limit=10**3)

@@ -530,11 +530,9 @@ def test_lane_counts_at_chunk_edges(monkeypatch, chunk, block):
     # the limit reads rank pi(limit), past every chunk; one that stops short
     # of it may not
     import rmflab.sampler as sampler
-    import rmflab.sieve as sieve
 
     monkeypatch.setattr(growth, "_CHUNK", chunk)
     monkeypatch.setattr(sampler, "_HASH_BLOCK", block)
-    monkeypatch.setattr(sieve, "_PI_BLOCK", 5)
     on_edges = at_count = 0
     for limit in (1000, 1009):
         for grid in (checkpoint_grid(limit), checkpoint_grid(limit)[:-1]):

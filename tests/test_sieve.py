@@ -1,10 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
 from oracles import (ISQRT_EDGE_LIMITS, build_spf, distinct_prime_counts,
-                     factor_summary, mobius_sieve, multiples_walk)
+                     factor_summary, mobius_sieve, multiples_walk, prime_pi)
 from rmflab import (ConfigurationError, DyadicFraction, OmegaAssignment,
                     RangeError, primes_up_to)
 from rmflab import cli, growth, sieve
@@ -191,7 +194,8 @@ def test_prime_table_follows_the_limit(primes_to_sieve_edges):
 @pytest.mark.parametrize("limit", [0, 1, 2, 3, 9, 100, *ISQRT_EDGE_LIMITS,
                                    *SIEVE_EDGE_LIMITS])
 def test_prime_counts_match_the_table(limit, primes_to_sieve_edges):
-    # repeats, y < 2, y = limit and the ys next to the blocks' edges
+    # repeats, y < 2, y = limit and the ys next to the blocks' edges, by
+    # the sieve's oracle and by the quotient recurrence with the ys as grid
     primes = primes_to_sieve_edges[primes_to_sieve_edges <= limit]
     edges = [k * 2 * sieve._SIEVE_BLOCK + e for k in (1, 2, 6)
              for e in range(-2, 3)]
@@ -199,18 +203,23 @@ def test_prime_counts_match_the_table(limit, primes_to_sieve_edges):
         [0, 0, 1, 1, 2, 2, 3, limit, limit], edges,
         np.random.default_rng(limit).integers(0, limit + 1, 300)]))
     ys = ys[ys <= limit]
-    got = sieve._prime_pi(limit, ys)
+    got = prime_pi(limit, ys)
     assert got.dtype == np.int64
     assert np.array_equal(got, np.searchsorted(primes, ys, side="right"))
-    assert len(sieve._prime_pi(limit, ys[:0])) == 0
+    assert len(prime_pi(limit, ys[:0])) == 0
+    values, counts = sieve._prime_counts(limit, ys)
+    assert counts.dtype == np.int64
+    assert np.all(np.isin(ys, values))
+    assert np.array_equal(counts, np.searchsorted(primes, values,
+                                                  side="right"))
 
 
 @pytest.mark.parametrize("block", [1, 2, 3, 16, 45])
 def test_segmented_sieve_at_every_block_edge(monkeypatch, block, spf_1e5):
     # blocks of a few slots put each p*p, and each carried multiple, on
     # every side of an edge; a p above the block skips whole blocks.  The
-    # prime counts' parts of a block, from one slot to the whole block, put
-    # every y's cut on every side of a part's edge
+    # oracle's prime counts in parts of a block, from one slot to the whole
+    # block, put every y's cut on every side of a part's edge
     monkeypatch.setattr(sieve, "_SIEVE_BLOCK", block)
     every = spf_1e5.primes()
     for limit in (*range(60), 288, 289, 290, 361, 3001):
@@ -218,10 +227,82 @@ def test_segmented_sieve_at_every_block_edge(monkeypatch, block, spf_1e5):
         assert np.array_equal(sieve._sieved(limit), want), limit
         ys = np.arange(limit + 1)
         for part in {1, 2, 7, block}:
-            monkeypatch.setattr(sieve, "_PI_BLOCK", part)
+            monkeypatch.setattr(oracles, "PI_BLOCK", part)
             assert np.array_equal(
-                sieve._prime_pi(limit, ys),
+                prime_pi(limit, ys),
                 np.searchsorted(want, ys, side="right")), (limit, part)
+
+
+def assert_quotient_counts(limit, grid):
+    """_prime_counts(limit, grid) holds every x // m, x in grid or
+    x = limit, ascending and distinct, each with pi as the oracle counts."""
+    values, counts = sieve._prime_counts(limit, np.asarray(grid, np.int64))
+    root = math.isqrt(limit)
+    assert np.array_equal(values[: root + 1], np.arange(root + 1))
+    assert np.all(np.diff(values) > 0) and values[-1] == max(limit, root)
+    # the x // m <= isqrt(x) are among 0..root; the others have m <= isqrt(x)
+    quotients = np.concatenate([np.zeros(1, np.int64)] + [
+        x // np.arange(1, math.isqrt(x) + 2) for x in [*grid, limit] if x])
+    assert np.all(np.isin(quotients, values))
+    assert np.array_equal(counts, prime_pi(limit, values)), limit
+
+
+# p**3 - 1, p**3 and p**3 + 1 move the last prime the recurrence takes one
+# at a time, and p*p - 1 .. p*p + 1 isqrt(limit)
+PHASE_EDGE_LIMITS = sorted({p**3 + e for p in (2, 3, 5, 7, 11, 13, 47, 97)
+                            for e in (-1, 0, 1)} | set(ISQRT_EDGE_LIMITS))
+
+
+@pytest.mark.parametrize("limit", PHASE_EDGE_LIMITS)
+def test_quotient_counts_at_phase_edges(limit):
+    grid = growth.checkpoint_grid(limit) if limit >= 10 else [limit]
+    assert_quotient_counts(limit, grid)
+    assert_quotient_counts(limit, [])
+
+
+@settings(max_examples=60, deadline=None)
+@given(limit=st.integers(0, 2 * 10**5), data=st.data())
+def test_quotient_counts_on_drawn_grids(limit, data):
+    # repeats, 0, 1 and limit itself among the checkpoints
+    xs = data.draw(st.lists(st.integers(0, limit), max_size=12), label="xs")
+    extra = data.draw(st.lists(st.sampled_from([0, 1, limit]), max_size=4),
+                      label="extra")
+    grid = sorted(xs + xs[:3] + extra)
+    assert_quotient_counts(limit, grid)
+
+
+@pytest.mark.parametrize("block", [1, 2, 7, 100])
+def test_quotient_counts_at_every_pair_block_edge(monkeypatch, block):
+    # pair blocks of a few pairs cut between every run, and one run longer
+    # than the block makes a block of its own
+    monkeypatch.setattr(sieve, "_PAIR_BLOCK", block)
+    for limit in (1000, 1331, 10**4, 10**5 + 3):
+        assert_quotient_counts(limit, growth.checkpoint_grid(limit))
+
+
+def test_quotient_counts_give_published_prime_counts():
+    # pi(10**k) for k = 1..9 (OEIS A006880), from one grid and one limit each
+    want = [4, 25, 168, 1229, 9592, 78498, 664579, 5761455, 50847534]
+    powers = 10 ** np.arange(1, 10)
+    values, counts = sieve._prime_counts(10**9, powers)
+    assert counts[np.searchsorted(values, powers)].tolist() == want
+    for k in range(1, 9):
+        values, counts = sieve._prime_counts(10**k, [])
+        assert values[-1] == 10**k and counts[-1] == want[k - 1], k
+
+
+def test_quotient_counts_peak_memory_at_1e7():
+    # the segmented sieve's count traced 2.5 MiB here, its 1 MiB block and
+    # its reductions' casts
+    grid = growth.checkpoint_grid(10**7)
+    primes_up_to(math.isqrt(10**7))
+    tracemalloc.start()
+    try:
+        sieve._prime_counts(10**7, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 2**20, peak / 2**20
 
 
 # the wheel's edges (its largest prime, one period of 2*3*5*7*11*13), and
@@ -254,7 +335,7 @@ def test_prime_table_rejects_limits_above_max():
         squarefree_kinds(sieve.MAX_LIMIT + 1)
     # the campaigns count the primes up to the limit without a table
     with pytest.raises(ConfigurationError, match=str(sieve._COUNT_LIMIT)):
-        sieve._prime_pi(sieve._COUNT_LIMIT + 1, [2])
+        sieve._prime_counts(sieve._COUNT_LIMIT + 1, [2])
     with pytest.raises(ConfigurationError, match=str(sieve._COUNT_LIMIT)):
         growth.coupled_sums(DyadicFraction.from_fraction(3, 2),
                             sieve._COUNT_LIMIT + 1, False, (1,))
