@@ -16,14 +16,16 @@ prime, so its residual is pure floating-point noise.
 
 The identity residual evaluates 2**n + 2 products whose factors are all
 1 - p**-s or 1 + p**-s.  ``IdentityEvaluator`` does the work that does not
-depend on s once per (level, seed, P): it hashes omega, builds the 2**n
-T**k views block by block of 4,096 numerators, so that each block's views
-are made while it sits in cache, and keeps each product's plus-signed
-primes (about 1 in 2**(n+1) of them).  Per point it computes both log
-tables and extracts the minus table once into a few floats.  A product's
-log is then the exact sum of those floats and the plus-minus differences at
-its plus-signed primes, rounded once: the same float as the exact sum of the
-product's full term vector, so the residual is bit for bit what the
+depend on s once per (level, seed, P): it hashes omega and, block by block
+of 4,096 primes, compares the numerators with 1/2 and applies T**k for
+every k while the block sits in cache, keeping each block's plus-signed
+indices product by product.  Per point it walks the same blocks: p**-s,
+log(1 - p**-s) at every prime, log(1 + p**-s) only at primes plus-signed in
+some product (about half), and one segmented extraction of the minus terms
+and of every product's terms at its plus-signed primes.  A product's log is
+the exact sum of the minus terms and of log(1 + p**-s) - log(1 - p**-s) at
+its plus-signed primes, rounded once: the same float as the exact sum of
+the product's full term vector, so the residual is bit for bit what the
 product-by-product evaluation gives.  Each product's signs are
 still derived from its own T**k view of the hashed omega, so the check
 stays independent of the exchange map it tests.
@@ -42,7 +44,7 @@ import numpy as np
 from .dyadic import HALF, DyadicFraction, beta_for_level
 from .errors import CoverageError, DomainError, PreconditionError
 from .iet import IetSpec, apply_T_power_numerators
-from .sampler import prime_signs, signs_from_numerators
+from .sampler import prime_signs
 
 #: Weighted products need beta above this (so |g(p)| < sqrt(2)).
 WEIGHT_BETA_THRESHOLD = 0.5 + 0.5 / math.sqrt(2.0)
@@ -73,13 +75,13 @@ def _prime_powers(primes: np.ndarray, s: complex) -> np.ndarray:
     return np.exp(-s * logs)
 
 
-def _log_product(primes: np.ndarray, coeffs: np.ndarray,
-                 s: complex) -> complex:
-    """sum of log(1 + c_p * p**-s) over the given primes, principal branch
-    per factor, summed exactly and rounded once (``_exact_sum``).  Callers
-    pass the primes <= P and check s."""
+def _log_product(powers: np.ndarray, coeffs: np.ndarray) -> complex:
+    """sum of log(1 + c_p * p**-s) over the primes of a p**-s table
+    (``_prime_powers``), principal branch per factor, summed exactly and
+    rounded once (``_exact_sum``).  Callers pass the primes <= P and check
+    s."""
     cs = np.asarray(coeffs, dtype=np.float64)
-    return _exact_sum([np.log(1.0 + cs * _prime_powers(primes, s))])
+    return _exact_sum([np.log(1.0 + cs * powers)])
 
 
 def _evaluation(log_value: complex, s: complex, P: int) -> EulerEvaluation:
@@ -108,7 +110,7 @@ def euler_F(beta: DyadicFraction, assignment, P: int,
     s = _point(s, 0)
     primes = _primes_to(assignment, P)
     signs = prime_signs(beta, assignment, primes)
-    return _evaluation(_log_product(primes, signs, s), s, P)
+    return _evaluation(_log_product(_prime_powers(primes, s), signs), s, P)
 
 
 def zeta_truncated(P: int, s: complex, primes: np.ndarray | None = None
@@ -120,71 +122,65 @@ def zeta_truncated(P: int, s: complex, primes: np.ndarray | None = None
     if primes is None:
         from .sieve import primes_up_to
         primes = primes_up_to(P)
-    return _evaluation(_log_zeta(primes, s), s, P)
+    return _evaluation(_log_zeta(_prime_powers(primes, s)), s, P)
 
 
-def _log_zeta(primes: np.ndarray, s: complex) -> complex:
-    """log zeta_P(s) over the primes <= P, at a checked s."""
-    return -_log_product(primes, np.full(len(primes), -1.0), s)
+def _log_zeta(powers: np.ndarray) -> complex:
+    """log zeta_P(s) from the p**-s table of the primes <= P."""
+    return -_log_product(powers, np.full(len(powers), -1.0))
 
 
-def _log_factor_tables(primes: np.ndarray, s: complex
-                       ) -> tuple[np.ndarray, np.ndarray]:
-    """log(1 - p**-s) and log(1 + p**-s) per prime, complex128.
-
-    Built as 1.0 + c * p**-s with c = -1.0 and c = +1.0, the element
-    operations ``_log_product`` applies, so each term is bitwise the term a
-    product with that sign at p would use.  Both are built in place and the
-    + table reuses the p**-s buffer, so at most two complex tables are alive.
-    """
-    powers = _prime_powers(primes, s)
-    log_minus = np.multiply(-1.0, powers)
-    log_plus = np.multiply(1.0, powers, out=powers)
-    for table in (log_minus, log_plus):
-        np.add(1.0, table, out=table)
-        np.log(table, out=table)
-    return log_minus, log_plus
-
-
-#: Values per block of an exact extraction, and the M of its splitting
-#: constants sigma = 2**(M + e): 2**M >= block + 2 keeps every sum of one
-#: block's extracted parts exact.
+#: Values per segment of an exact extraction, and the M of its splitting
+#: constants sigma = 2**(M + e): 2**M >= segment + 2 keeps every sum of one
+#: segment's extracted parts exact.
 _EXTRACT_BLOCK = 2**14
 _EXTRACT_BITS = (_EXTRACT_BLOCK + 1).bit_length()
 
 
-def _extracted(rows: np.ndarray) -> np.ndarray:
-    """A few floats per row whose exact sum is the exact sum of the row.
+def _extracted(rows: np.ndarray,
+               starts: np.ndarray | None = None) -> np.ndarray:
+    """A few floats per segment of each row whose exact sum is the exact
+    sum of that segment.
 
-    ``rows`` is float64 of shape (r, n); column j of the (k, r) result sums
-    exactly to row j.  ExtractVector (Rump, Ogita and Oishi, SIAM J. Sci.
-    Comput. 31, 2008), per block of _EXTRACT_BLOCK values: with
-    max |x| < 2**e and sigma = 2**(M + e), q = (sigma + x) - sigma keeps x's
-    bits above eps * sigma and x - q the rest, both exactly, and the block's
-    q sum without error in any order.  Each round moves 53 - M - 1 bits of
-    every value into one float per row, until nothing is left.  A block
-    whose sigma would overflow is passed on as it is.
+    ``rows`` is float64 of shape (r, n), cut along n into segments that
+    begin at ``starts``: ascending from 0, none empty and none longer than
+    _EXTRACT_BLOCK (by default, blocks of _EXTRACT_BLOCK).  Entry [:, j, g]
+    of the (k, r, len(starts)) result sums exactly to segment g of row j.
+    ExtractVector (Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31, 2008):
+    with max |x| < 2**e over a row and sigma = 2**(M + e),
+    q = (sigma + x) - sigma keeps x's bits above eps * sigma and x - q the
+    rest, both exactly, and each segment's q sum without error in any order
+    (``np.add.reduceat``).  Each round moves 53 - M - 1 bits of every value
+    into one float per segment, until nothing is left.  Where sigma would
+    overflow, every value left is passed on as it is, each in a round of
+    its own segment.
     """
-    found = []
-    for lo in range(0, rows.shape[1], _EXTRACT_BLOCK):
-        rest = rows[:, lo:lo + _EXTRACT_BLOCK].copy()
-        scratch = np.empty_like(rest)
-        while True:
-            top = np.max(np.abs(rest, out=scratch), axis=1)
-            if not np.isfinite(top).all():  # NaN would never leave
-                raise DomainError("exact sum of a non-finite value")
-            if not top.any():
-                break
-            exponents = np.frexp(top)[1] + _EXTRACT_BITS
-            if exponents.max() > 1023:
-                found.append(rest.T)
-                break
-            sigma = np.ldexp(1.0, exponents)[:, None]
-            q = np.add(rest, sigma, out=scratch)
-            q -= sigma
-            rest -= q
-            found.append(q.sum(axis=1)[None])
-    return np.concatenate(found) if found else np.zeros((0, len(rows)))
+    if starts is None:
+        starts = np.arange(0, rows.shape[1], _EXTRACT_BLOCK)
+    rest = np.array(rows, dtype=np.float64, order="C")
+    scratch = np.empty_like(rest)
+    found = [np.zeros((0, len(rest), len(starts)))]
+    while True:
+        top = np.max(np.abs(rest, out=scratch), axis=1, initial=0.0)
+        if not np.isfinite(top).all():  # NaN would never leave
+            raise DomainError("exact sum of a non-finite value")
+        if not top.any():
+            break
+        exponents = np.frexp(top)[1] + _EXTRACT_BITS
+        if exponents.max() > 1023:
+            lengths = np.diff(starts, append=rest.shape[1])
+            segment = np.repeat(np.arange(len(starts)), lengths)
+            passed = np.zeros((lengths.max(), len(rest), len(starts)))
+            passed[np.arange(len(segment)) - starts[segment], :, segment] = \
+                rest.T
+            found.append(passed)
+            break
+        sigma = np.ldexp(1.0, exponents)[:, None]
+        q = np.add(rest, sigma, out=scratch)
+        q -= sigma
+        rest -= q
+        found.append(np.add.reduceat(q, starts, axis=1)[None])
+    return np.concatenate(found)
 
 
 def _exact_sum(blocks: Iterable[np.ndarray],
@@ -192,18 +188,20 @@ def _exact_sum(blocks: Iterable[np.ndarray],
     """The sums of the real and of the imaginary parts of the values in
     ``blocks`` (complex128 arrays), each exact and then rounded once.
 
-    ``_extracted`` turns each block into a few floats per part with the same
-    exact sum, and one fsum per part rounds the exact sum of them all: the
-    float fsum over every value gives, however the values are split into
-    blocks.  A stream of blocks is taken one at a time, never concatenated.
-    ``extracted`` is a (k, 2) array of floats already extracted from real
-    and imaginary parts, whose exact sums join these.  A NaN or infinity
-    raises ``DomainError``.
+    ``_extracted`` turns each _EXTRACT_BLOCK values of a block into a few
+    floats per part with the same exact sum, and one fsum per part rounds
+    the exact sum of them all: the float fsum over every value gives,
+    however the values are split into blocks.  A stream of blocks is taken
+    one at a time, never concatenated.  ``extracted`` is a (k, 2) array of
+    floats already extracted from real and imaginary parts, whose exact sums
+    join these.  A NaN or infinity raises ``DomainError``.
     """
     found = [extracted]
     for block in blocks:
-        found.append(_extracted(block.view(np.float64).reshape(-1, 2).T))
-        del block  # freed before the next block is made
+        parts = block.view(np.float64).reshape(-1, 2).T
+        found.extend(_extracted(parts[:, lo:lo + _EXTRACT_BLOCK])[:, :, 0]
+                     for lo in range(0, parts.shape[1], _EXTRACT_BLOCK))
+        del block, parts  # freed before the next block is made
     re, im = np.concatenate(found).T.tolist()
     return complex(math.fsum(re), math.fsum(im))
 
@@ -212,18 +210,28 @@ def _exact_sum(blocks: Iterable[np.ndarray],
 #: evaluates 2**n + 2 Euler products, so its cost doubles with each level.
 MAX_IDENTITY_LEVEL = 16
 
-#: Numerators per block of the view build: every k's view of one block is
-#: made while the block's 32 KiB of numerators sit in L2.
+#: Primes per block of the view build and of each point's stream: every
+#: k's view of one block is made while the block's 32 KiB of numerators sit
+#: in L2, and a point's terms for the block (about 3 * 2**12) stay there
+#: too.  No extraction segment exceeds a block, and indices within a block
+#: fit 16 bits.
 _VIEW_BLOCK = 2**12
 
 
 class IdentityEvaluator:
     """``identity_residual`` of one (level, omega, P) at any number of s.
 
-    The constructor hashes omega and, block by block of _VIEW_BLOCK
-    numerators, applies T**k to every numerator for k = 1..2**n, keeping
-    only each product's plus-signed prime indices.  One stable regroup by k
-    at the end puts each view's indices together, in prime order.
+    The constructor hashes omega and, block by block of _VIEW_BLOCK primes,
+    compares the numerators with 1/2 (product 0, F_{1/2}) and applies T**k
+    to every numerator for k = 1..2**n (product k, the view T**k omega),
+    keeping only each product's plus-signed indices within the block.  Per
+    block it keeps, as ``_blocks``:
+    - ``union``: the indices plus-signed in some product, ascending;
+    - ``plus``: every product's plus-signed indices, in product order;
+    - ``owners``: the products with a plus-signed index in the block;
+    - ``starts``: where each owner's indices begin in ``plus``.
+    ``residual`` walks the same blocks, so no array of length pi(P) is made
+    per point.
     """
 
     def __init__(self, level: int, assignment, P: int):
@@ -233,33 +241,27 @@ class IdentityEvaluator:
                 f"{2**level + 2:,} Euler products; levels above "
                 f"{MAX_IDENTITY_LEVEL} are not evaluated")
         spec = IetSpec(level)
+        self._intervals = spec.intervals
         self._primes = _primes_to(assignment, P)
         nums = assignment.numerators(self._primes)
-        self._plus_half = np.flatnonzero(
-            signs_from_numerators(HALF, nums) == 1)
         # the sign is +1 where omega >= beta, as in signs_from_numerators
+        half = np.uint64(HALF.numerator)
         beta = np.uint64(beta_for_level(level).numerator)
-        views = np.arange(spec.intervals)  # view k is labelled k - 1
-        found, labels = [], []  # per block: plus indices, and their views
-        # one empty block when there are no primes (P < 2)
-        for lo in range(0, max(len(nums), 1), _VIEW_BLOCK):
+        self._blocks = []
+        for lo in range(0, len(nums), _VIEW_BLOCK):
             block = nums[lo:lo + _VIEW_BLOCK]
-            plus = [np.flatnonzero(
+            plus = [np.flatnonzero(block >= half)]
+            plus.extend(np.flatnonzero(
                 apply_T_power_numerators(spec, block, k) >= beta)
-                for k in range(1, spec.intervals + 1)]
-            found.append(np.concatenate(plus) + lo)
-            labels.append(np.repeat(views, [len(p) for p in plus]))
-        del nums, block
-        self._plus_views = np.concatenate(found)
-        del found
-        labels = np.concatenate(labels)
-        # regrouped in place: a new array above the freed ones would keep
-        # about 1 MiB of them resident (VmRSS, level 6, P = 10**6)
-        self._plus_views[:] = self._plus_views[
-            np.argsort(labels, kind="stable")]
-        self._view_bounds = np.zeros(spec.intervals + 1, dtype=np.intp)
-        np.cumsum(np.bincount(labels, minlength=spec.intervals),
-                  out=self._view_bounds[1:])
+                for k in range(1, spec.intervals + 1))
+            counts = np.array([len(p) for p in plus])
+            owners = np.flatnonzero(counts)
+            starts = (np.cumsum(counts) - counts)[owners]
+            plus = np.concatenate(plus).astype(np.uint16)
+            union = np.zeros(len(block), dtype=bool)
+            union[plus] = True
+            self._blocks.append((np.flatnonzero(union).astype(np.uint16),
+                                 plus, owners, starts))
 
     def residual(self, s: complex, strict_domain: bool = True) -> float:
         """|L - R| at s; see ``identity_residual``."""
@@ -268,27 +270,50 @@ class IdentityEvaluator:
             raise PreconditionError(
                 f"identity stated for Re(s) > 1, got Re(s)={s.real}")
         _point(s, 0)
-        log_minus, log_plus = _log_factor_tables(self._primes, s)
-        # the minus table as a few floats of the same exact sum, per part
-        base = _extracted(log_minus.view(np.float64).reshape(-1, 2).T)
-        log_zeta = -_exact_sum([], base)
-
-        def product_log(plus: np.ndarray) -> complex:
-            if not len(plus):  # most products at high levels: no gather
-                return -log_zeta
-            # log(1 + p**-s) and -log(1 - p**-s) at the plus-signed primes,
-            # gathered one extraction block at a time
-            half = _EXTRACT_BLOCK // 2
-            blocks = np.split(plus, range(half, len(plus), half))
-            return _exact_sum((np.concatenate([log_plus[at], -log_minus[at]])
-                               for at in blocks), base)
-
-        left = -(len(self._view_bounds) - 2) * log_zeta  # 2**n - 1
-        parts = [-product_log(self._plus_half)]
-        bounds = self._view_bounds.tolist()
-        parts.extend(product_log(self._plus_views[a:b])
-                     for a, b in itertools.pairwise(bounds))
-        right_total = _exact_sum([np.array(parts)])
+        # per block: the minus terms' floats, and each owner's floats with
+        # the owner repeated beside them
+        zeta, floats = [np.empty((0, 2))], [np.empty((0, 2))]
+        ids = [np.empty(0, dtype=np.intp)]
+        for lo, (union, plus, owners, starts) in zip(
+                range(0, len(self._primes), _VIEW_BLOCK), self._blocks):
+            powers = _prime_powers(self._primes[lo:lo + _VIEW_BLOCK], s)
+            n, c = len(powers), len(plus)
+            # [log(1 - p**-s) per prime | log(1 + p**-s) and log(1 - p**-s)
+            # at each product's plus-signed primes], the element operations
+            # of _log_product with c = -1.0 and c = +1.0
+            terms = np.empty(n + 2 * c, dtype=np.complex128)
+            log_minus = np.multiply(-1.0, powers, out=terms[:n])
+            np.add(1.0, log_minus, out=log_minus)
+            np.log(log_minus, out=log_minus)
+            log_plus = np.multiply(1.0, powers[union])
+            np.add(1.0, log_plus, out=log_plus)
+            powers[union] = np.log(log_plus, out=log_plus)
+            terms[n:n + c] = powers[plus]
+            terms[n + c:] = log_minus[plus]
+            del powers, log_plus
+            found = _extracted(terms.view(np.float64).reshape(-1, 2).T,
+                               np.concatenate(([0], n + starts,
+                                               n + c + starts)))
+            m = len(owners)
+            zeta.append(found[:, :, 0])
+            # a product's log is the minus terms' sum, plus its plus terms,
+            # less the minus terms at its plus-signed primes
+            mine = np.concatenate([found[:, :, 1:m + 1],
+                                   -found[:, :, m + 1:]])
+            floats.append(mine.transpose(2, 0, 1).reshape(-1, 2))
+            ids.append(np.repeat(owners, len(mine)))
+        zeta = np.concatenate(zeta)
+        log_zeta = -_exact_sum([], zeta)
+        ids = np.concatenate(ids)
+        floats = np.concatenate(floats)[np.argsort(ids, kind="stable")]
+        ends = np.cumsum(np.bincount(ids, minlength=self._intervals + 1))
+        # a product with no plus-signed prime (most, at high levels) is
+        # the minus terms' sum
+        logs = [_exact_sum([], np.concatenate([zeta, floats[a:b]]))
+                if b > a else -log_zeta
+                for a, b in itertools.pairwise([0, *ends.tolist()])]
+        left = -(self._intervals - 1) * log_zeta  # 2**n - 1
+        right_total = _exact_sum([np.array([-logs[0], *logs[1:]])])
         return abs(left - right_total)
 
 
@@ -303,13 +328,15 @@ def identity_residual(level: int, assignment, P: int, s: complex,
     The T**k views do not depend on s: ``IdentityEvaluator`` builds them
     once per (level, seed, P), and a caller with many points calls its
     ``residual``.  Every factor of the 2**n + 2 products is 1 - p**-s or
-    1 + p**-s, so per point the two log tables are shared.  The
-    log(1 - p**-s) table is extracted once into a few floats of the same
-    exact sum; a product's log is then ``_exact_sum`` over those floats and
-    log(1 + p**-s) - log(1 - p**-s) at its plus-signed primes only,
-    gathered in blocks of half an extraction block.  The exact sum is
-    rounded once, so this is the same float as the fsum over the product's
-    full term vector, and L (from the same floats) is unchanged too.
+    1 + p**-s, so a point computes each log once per prime, block by block
+    of _VIEW_BLOCK primes, and log(1 + p**-s) only where some product is
+    plus-signed.  Each block's log(1 - p**-s) terms, and every product's
+    log(1 + p**-s) and log(1 - p**-s) terms at its plus-signed primes, go
+    through one segmented extraction into a few floats per segment of the
+    same exact sum.  A product's log is ``_exact_sum`` over the minus terms'
+    floats and its own, the second set subtracted: rounded once, the same
+    float as the fsum over the product's full term vector, and L (from the
+    minus terms' floats) is unchanged too.
 
     The sides stay independent: omega is hashed once, but every view's
     signs come from applying T**k to all numerators, block by block, and
@@ -362,11 +389,13 @@ def weight_factor(beta: DyadicFraction) -> float:
 
 def _log_G(beta: DyadicFraction, assignment, P: int,
            s: complex) -> tuple[complex, np.ndarray]:
-    """log G at a checked s, and the primes <= P it runs over."""
+    """log G at a checked s, and the p**-s table of the primes <= P it
+    runs over."""
     w = weight_factor(beta)
     primes = _primes_to(assignment, P)
     signs = prime_signs(beta, assignment, primes).astype(np.float64)
-    return _log_product(primes, w * signs, s), primes
+    powers = _prime_powers(primes, s)
+    return _log_product(powers, w * signs), powers
 
 
 def weighted_euler_G(beta: DyadicFraction, assignment, P: int,
@@ -380,7 +409,8 @@ def H_eval(beta: DyadicFraction, assignment, P: int, s: complex
            ) -> EulerEvaluation:
     """H = G * zeta on the shared truncated prime set: the two logs added
     and exponentiated once, so H has a value wherever its own log allows,
-    even where zeta_P(s) alone overflows a float."""
+    even where zeta_P(s) alone overflows a float.  Both logs read one
+    p**-s table."""
     s = _point(s, 0.5)
-    log_g, primes = _log_G(beta, assignment, P, s)
-    return _evaluation(log_g + _log_zeta(primes, s), s, P)
+    log_g, powers = _log_G(beta, assignment, P, s)
+    return _evaluation(log_g + _log_zeta(powers), s, P)

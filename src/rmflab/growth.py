@@ -324,10 +324,9 @@ def _tree(limit: int, grid: np.ndarray) -> _Tree:
     the primes <= isqrt(limit); pi(x // m) and pi(limit) are read from
     ``sieve._prime_counts`` at the grid, counted before any pair array is
     made, with no table of the larger primes.  Each pair-length temporary
-    is freed once used (each is 18 MB at 10**9).
+    is freed once used (each is 18 MB at 10**9).  A grid out of order or
+    range raises ``RangeError`` (from ``_prime_counts``).
     """
-    if np.any(np.diff(grid, prepend=0) < 0) or np.any(grid > limit):
-        raise RangeError(f"grid must ascend within [0, {limit}]")
     values, counts = _prime_counts(limit, grid)
     primes = primes_up_to(math.isqrt(limit))
     m, top = np.ones(1, dtype=np.int64), np.full(1, -1)

@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, RangeError
 
 MAX_LIMIT = 10**8  # the prime table, the kinds table and the sweeps
 _COUNT_LIMIT = 10**9  # the table-free prime counts and checkpoint sums
@@ -130,13 +130,18 @@ def _prime_counts(limit: int,
     at a time, from the top down so each reads S before its own update.  A
     larger p reads only final values (v // p < limit / p < p*p), so all its
     corrections are one gather and sum, _PAIR_BLOCK pairs at a time.
+    ``grid`` must ascend (repeats allowed) within [0, limit], else
+    ``RangeError``.
     """
     if limit > _COUNT_LIMIT:
         raise ConfigurationError(
             f"prime limit {limit} above supported maximum {_COUNT_LIMIT}")
+    grid = np.asarray(grid, dtype=np.int64)
+    if np.any(np.diff(grid, prepend=0) < 0) or np.any(grid > limit):
+        raise RangeError(f"grid must ascend within [0, {limit}]")
     root = math.isqrt(limit)
     primes = primes_up_to(root)
-    xs = np.append(np.asarray(grid, dtype=np.int64), limit)
+    xs = np.append(grid, limit)
     # the larger quotients: slot offsets[i] + m - 1 holds xs[i] // m
     lengths = xs // (root + 1)
     offsets = np.cumsum(lengths) - lengths

@@ -473,12 +473,15 @@ def test_iet_test_catches_a_map_applying_T_twice(level, tmp_path,
 
 def test_campaign_does_not_import_numpy_ma(tmp_path):
     # importing numpy.ma (on the first np.median, np.quantile or np.unique
-    # call) costs every campaign process ~15 ms
+    # call) costs every campaign or identity process ~15 ms
     src = str(Path(cli.__file__).parents[1])
     probe = (f"import sys; sys.path.insert(0, {src!r}); "
              "from rmflab.cli import ExperimentConfig, run; "
              "run(ExperimentConfig(kind='campaign', beta='3/4', limit=10**4, "
-             f"seeds=[1, 2], outdir={str(tmp_path)!r})); "
+             f"seeds=[1, 2], outdir={str(tmp_path / 'c')!r})); "
+             "run(ExperimentConfig(kind='identity', level=3, "
+             "prime_limit=10**4, seeds=[1, 2], sigmas=[1.5], ts=[0.0, 2.0], "
+             f"outdir={str(tmp_path / 'i')!r})); "
              "print('numpy.ma' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", probe], check=True,
                          capture_output=True, text=True, timeout=120)

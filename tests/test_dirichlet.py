@@ -214,9 +214,10 @@ def test_identity_evaluator_rejects_a_point_before_any_work(monkeypatch):
                                                      prime_limit=10**3), 10**3)
 
     def no_tables(primes, s):
-        raise AssertionError(f"log tables built for s={s}")
+        raise AssertionError(f"p**-s table built for s={s}")
 
-    monkeypatch.setattr(dirichlet, "_log_factor_tables", no_tables)
+    # every block of a point starts from its p**-s table
+    monkeypatch.setattr(dirichlet, "_prime_powers", no_tables)
     for s, strict, error in ((0.9, True, PreconditionError),
                              (complex(1, 5), True, PreconditionError),
                              (complex(-0.5, 1), False, DomainError),
@@ -315,16 +316,73 @@ def test_identity_residual_on_no_primes():
             identity_residual_oracle(level, a, 1, 1.5)
 
 
+def blocked_plus_views(evaluator) -> dict[int, list[np.ndarray]]:
+    """Each product's plus-signed prime indices, block by block, read from
+    the evaluator's blocks (product 0 is F_{1/2}, product k the view
+    T**k omega); a product with none is left out.  Checks each block's
+    layout on the way."""
+    views = {}
+    for b, (union, plus, owners, starts) in enumerate(evaluator._blocks):
+        assert np.all(np.diff(starts) > 0) and np.all(np.diff(owners) > 0)
+        # the union holds every index plus-signed in some product, once
+        assert np.array_equal(union, np.unique(plus))
+        for owner, a, z in zip(owners, starts, [*starts[1:], len(plus)]):
+            views.setdefault(int(owner), []).append(
+                plus[a:z].astype(np.intp) + b * dirichlet._VIEW_BLOCK)
+    return views
+
+
 def test_identity_views_match_the_whole_array_build():
     a = OmegaAssignment(master_seed=3, prime_limit=10**5)
+    nums = a.numerators(a.primes)
     for level in range(1, 9):
         evaluator = IdentityEvaluator(level, a, 10**5)  # three blocks
-        bounds = evaluator._view_bounds
-        views = plus_views_whole(level, a, 10**5)
-        assert len(bounds) == len(views) + 1
+        assert len(evaluator._blocks) == 3
+        found = blocked_plus_views(evaluator)
+        views = [np.flatnonzero(signs_from_numerators(HALF, nums) == 1),
+                 *plus_views_whole(level, a, 10**5)]
+        assert set(found) <= set(range(len(views)))
         for k, view in enumerate(views):
-            assert np.array_equal(
-                evaluator._plus_views[bounds[k]:bounds[k + 1]], view)
+            got = found.get(k, [])
+            assert np.array_equal(np.concatenate(got) if got else
+                                  np.empty(0, np.intp), view), (level, k)
+
+
+@pytest.mark.parametrize("level, prime_limit, count", [
+    (6, 10**5, 2 * 2**12 + 5), (4, 2 * 10**5, 4 * 2**12 + 1),
+    (12, 10**3, 168)])
+def test_identity_residual_streams_partial_and_sparse_blocks(
+        level, prime_limit, count):
+    # the blocks end in a partial one; in some block some product has no
+    # plus-signed prime, and at level 12 over 168 primes most of the 4,097
+    # products have none at all
+    assert dirichlet._VIEW_BLOCK == 2**12
+    for seed in (1, 7, 42):
+        a = OmegaAssignment(master_seed=seed, prime_limit=prime_limit)
+        P = int(a.primes[count - 1])
+        evaluator = IdentityEvaluator(level, a, P)
+        blocks = evaluator._blocks
+        assert len(blocks) == -(-count // 2**12)
+        assert min(len(owners) for _, _, owners, _ in blocks) < 2**level + 1
+        points = ORACLE_POINTS if level < 12 else ORACLE_POINTS[:1]
+        for s in points:
+            assert evaluator.residual(s, strict_domain=False) == \
+                identity_residual_oracle(level, a, P, s), (seed, s)
+
+
+def test_identity_point_peak_memory_at_1e6(assignment_1e6):
+    # a point streams the view blocks: one block's p**-s, terms and
+    # extraction at a time, 0.8 MiB traced; the two pi(P)-long log tables
+    # and their gathers traced 3.15 MiB
+    evaluator = IdentityEvaluator(6, assignment_1e6, 10**6)
+    evaluator.residual(1.5)
+    tracemalloc.start()
+    try:
+        evaluator.residual(complex(1.1, 10))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak / 2**20
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False,
@@ -371,8 +429,8 @@ def test_extracted_partials_match_fsum_over_every_value(values, cancelled):
     np.random.default_rng(len(values)).shuffle(array)
     extracted = dirichlet._extracted(array[None])
     assert extracted.shape[1] == 1
-    assert sum(map(Fraction, extracted[:, 0].tolist()), Fraction(0)) == \
-        sum(map(Fraction, values), Fraction(0))
+    assert sum(map(Fraction, extracted[:, 0].ravel().tolist()),
+               Fraction(0)) == sum(map(Fraction, values), Fraction(0))
     total = dirichlet._exact_sum([complex_block(array, array[::-1])])
     assert total.real == total.imag == math.fsum(array) == fsum_first(array)
 
@@ -389,8 +447,9 @@ def test_extracted_partials_across_blocks(count, pool, seed):
     picks = rng.integers(len(pool), size=(2, count))
     signs = rng.choice([-1, 1], picks.shape)
     rows = np.array(pool)[picks] * signs
-    extracted = dirichlet._extracted(rows)
-    for row, column in enumerate(extracted.T):
+    extracted = dirichlet._extracted(rows)  # a segment per block
+    assert extracted.shape[2] == -(-count // 2**14)
+    for row, column in enumerate(extracted.transpose(1, 0, 2).reshape(2, -1)):
         exact = sum((Fraction(x) * int(signs[row][picks[row] == i].sum())
                      for i, x in enumerate(pool)), Fraction(0))
         assert sum(map(Fraction, column.tolist()), Fraction(0)) == exact
@@ -398,6 +457,25 @@ def test_extracted_partials_across_blocks(count, pool, seed):
     total = dirichlet._exact_sum([complex_block(*rows)])
     assert total == complex(math.fsum(rows[0]), math.fsum(rows[1])) == \
         complex(fsum_first(rows[0]), fsum_first(rows[1]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(finite, subnormal), min_size=1, max_size=60),
+       st.data())
+def test_extracted_partials_per_segment(values, data):
+    # segments of any length from 1, the rows extracted together; each
+    # segment's floats sum exactly to the segment
+    cuts = sorted(data.draw(st.sets(st.integers(1, len(values) - 1)),
+                            label="cuts") if len(values) > 1 else [])
+    bounds = [0, *cuts, len(values)]
+    rows = [values, [-x for x in values[::-1]]]
+    extracted = dirichlet._extracted(np.array(rows), np.array(bounds[:-1]))
+    assert extracted.shape[1:] == (2, len(bounds) - 1)
+    for j, row in enumerate(rows):
+        for g, (a, z) in enumerate(itertools.pairwise(bounds)):
+            assert sum(map(Fraction, extracted[:, j, g].tolist()),
+                       Fraction(0)) == sum(map(Fraction, row[a:z]),
+                                           Fraction(0)), (j, g)
 
 
 def test_extracted_partials_pass_on_a_block_whose_sigma_would_overflow():
@@ -408,9 +486,17 @@ def test_extracted_partials_pass_on_a_block_whose_sigma_would_overflow():
                    [2.0**1008, 3.0, -2.0**1008, 2.0**-1074],
                    [below, 3.0, -below, 2.0**-1074]):
         array = np.array(values)
-        extracted = dirichlet._extracted(array[None])[:, 0].tolist()
+        extracted = dirichlet._extracted(array[None])[:, 0, 0].tolist()
         assert sum(map(Fraction, extracted), Fraction(0)) == \
             sum(map(Fraction, values), Fraction(0))
+        # cut into segments, each value left goes on in its own segment
+        rows, cuts = [values * 2, [0.5] * 8], [0, 3, 4, 8]
+        segments = dirichlet._extracted(np.array(rows), np.array(cuts[:-1]))
+        for j, row in enumerate(rows):
+            for g, (a, z) in enumerate(itertools.pairwise(cuts)):
+                assert sum(map(Fraction, segments[:, j, g].tolist()),
+                           Fraction(0)) == sum(map(Fraction, row[a:z]),
+                                               Fraction(0)), (values, j, g)
         total = dirichlet._exact_sum([complex_block(array, -array)])
         assert total == complex(math.fsum(values), -math.fsum(values)) == \
             complex(fsum_first(array), -fsum_first(array))

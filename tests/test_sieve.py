@@ -265,10 +265,18 @@ def test_quotient_counts_at_phase_edges(limit):
 def test_quotient_counts_on_drawn_grids(limit, data):
     # repeats, 0, 1 and limit itself among the checkpoints
     xs = data.draw(st.lists(st.integers(0, limit), max_size=12), label="xs")
-    extra = data.draw(st.lists(st.sampled_from([0, 1, limit]), max_size=4),
-                      label="extra")
+    extra = data.draw(st.lists(st.sampled_from([0, min(1, limit), limit]),
+                               max_size=4), label="extra")
     grid = sorted(xs + xs[:3] + extra)
     assert_quotient_counts(limit, grid)
+
+
+@pytest.mark.parametrize("limit, grid", [(0, [1]), (10, [3, 11]),
+                                         (10**4, [5, 2]), (10**4, [-1, 7])])
+def test_quotient_counts_reject_grids_out_of_order_or_range(limit, grid):
+    # a checkpoint above the limit would put a quotient above it too
+    with pytest.raises(RangeError, match=f"within \\[0, {limit}\\]"):
+        sieve._prime_counts(limit, np.array(grid))
 
 
 @pytest.mark.parametrize("block", [1, 2, 7, 100])
