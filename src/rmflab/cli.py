@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import json
 import math
 import numbers
@@ -23,6 +22,16 @@ import time
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+
+# sha256 from the built-in module, as random.py takes sha512: hashlib
+# would load OpenSSL's libcrypto to hash a few KB of outputs
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256
 
 import numpy as np
 
@@ -255,7 +264,7 @@ def _finish_run(outdir: Path, config: ExperimentConfig,
         "artifact_version": __version__,
         "config": asdict(config),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "outputs": {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        "outputs": {p.name: sha256(p.read_bytes()).hexdigest()
                     for p in files},
     }
     _write_json(outdir / "manifest.json", manifest)

@@ -16,19 +16,24 @@ prime, so its residual is pure floating-point noise.
 
 The identity residual evaluates 2**n + 2 products whose factors are all
 1 - p**-s or 1 + p**-s.  ``IdentityEvaluator`` does the work that does not
-depend on s once per (level, seed, P): it hashes omega and, block by block
-of 4,096 primes, compares the numerators with 1/2 and applies T**k for
-every k while the block sits in cache, keeping each block's plus-signed
-indices product by product.  Per point it walks the same blocks: p**-s,
-log(1 - p**-s) at every prime, log(1 + p**-s) only at primes plus-signed in
-some product (about half), and one segmented extraction of the minus terms
-and of every product's terms at its plus-signed primes.  A product's log is
-the exact sum of the minus terms and of log(1 + p**-s) - log(1 - p**-s) at
-its plus-signed primes, rounded once: the same float as the exact sum of
-the product's full term vector, so the residual is bit for bit what the
-product-by-product evaluation gives.  Each product's signs are
-still derived from its own T**k view of the hashed omega, so the check
-stays independent of the exchange map it tests.
+depend on s once per (level, seed, P): it hashes omega a hash block at a
+time and, block by block of 4,096 primes, compares the numerators with 1/2
+and applies T**k to the numerators in [1/2, 1) for every k, a column of
+powers per broadcast pass, while the block sits in cache, keeping each
+block's plus-signed indices product by product.  T fixes [0, 1/2), which
+``iet-test`` and ``tests/test_iet.py`` check, and beta > 1/2, so no other
+numerator is plus-signed in any view.  Per point it walks the same blocks:
+p**-s, log(1 - p**-s) at every prime, log(1 + p**-s) only at primes
+plus-signed in some product (about half), and one segmented extraction of
+the minus terms and of every product's terms at its plus-signed primes,
+folded into a few floats per product every _FOLD_BLOCKS blocks.  A
+product's log is the exact sum of the minus terms and of
+log(1 + p**-s) - log(1 - p**-s) at its plus-signed primes, rounded once:
+the same float as the exact sum of the product's full term vector, so the
+residual is bit for bit what the product-by-product evaluation gives.
+Each product's signs are still derived from its own T**k view of the
+hashed omega, so the check stays independent of the exchange map it
+tests.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import HALF, DyadicFraction, beta_for_level
+from .dyadic import HALF, DyadicFraction
 from .errors import CoverageError, DomainError, PreconditionError
 from .iet import IetSpec, apply_T_power_numerators
 from .sampler import prime_signs
@@ -210,28 +215,88 @@ def _exact_sum(blocks: Iterable[np.ndarray],
 #: evaluates 2**n + 2 Euler products, so its cost doubles with each level.
 MAX_IDENTITY_LEVEL = 16
 
-#: Primes per block of the view build and of each point's stream: every
-#: k's view of one block is made while the block's 32 KiB of numerators sit
-#: in L2, and a point's terms for the block (about 3 * 2**12) stay there
-#: too.  No extraction segment exceeds a block, and indices within a block
-#: fit 16 bits.
+#: Primes per block of the view build and of each point's stream: a
+#: block's numerators >= 1/2 are mapped while they sit in L2, and a point's
+#: terms for the block (about 3 * 2**12) stay there too.  No extraction
+#: segment exceeds a block, and indices within a block fit 16 bits.  A hash
+#: block (``sampler._HASH_BLOCK``) holds a whole number of view blocks.
 _VIEW_BLOCK = 2**12
+
+#: Numerators mapped per broadcast pass of the view build: each
+#: ``apply_T_power_numerators`` call maps a block's numerators >= 1/2
+#: against a column of about _VIEW_PASS / (their count) powers k.
+_VIEW_PASS = 2**15
+
+#: Blocks a point walks between folds of the floats it keeps: each fold
+#: cuts them to a few per product (``_folded``).  An extraction round takes
+#: 53 - _EXTRACT_BITS - 1 = 37 bits, so a block adds at most 2 * 57 floats
+#: per product and a fold's segments stay within _EXTRACT_BLOCK.
+_FOLD_BLOCKS = 64
+
+
+def _plus_views(spec: IetSpec, block: np.ndarray) -> tuple[np.ndarray, ...]:
+    """One view block's (union, plus, owners, starts), as
+    ``IdentityEvaluator`` keeps them, from its uint64 numerators.
+
+    T fixes [0, 1/2) and beta > 1/2, so only the numerators >= 1/2 (product
+    0's plus-signed indices, and so the union) can be plus-signed in a view
+    T**k omega.  Those are mapped for every k = 1..2**n, a column of powers
+    at a time; the flat indices of the comparison with beta list each
+    view's indices in product order, ascending within each product.
+    """
+    upper = np.flatnonzero(block >= np.uint64(HALF.numerator))
+    nums = block[upper]
+    beta = np.uint64(spec.beta.numerator)
+    plus, products = [upper], [np.empty(0, dtype=np.intp)]
+    per_pass = max(1, _VIEW_PASS // max(len(upper), 1))
+    for k in range(1, spec.intervals + 1, per_pass):
+        powers = np.arange(k, min(k + per_pass, spec.intervals + 1))
+        # the sign is +1 where omega >= beta, as in signs_from_numerators;
+        # no view outlives its comparison
+        plus_signed = apply_T_power_numerators(spec, nums,
+                                               powers[:, None]) >= beta
+        rows, cols = np.divmod(np.flatnonzero(plus_signed), len(nums))
+        plus.append(upper[cols])
+        products.append(rows + k)
+    counts = np.bincount(np.concatenate(products),
+                         minlength=spec.intervals + 1)
+    counts[0] = len(upper)
+    owners = np.flatnonzero(counts)
+    starts = (np.cumsum(counts) - counts)[owners]
+    return (upper.astype(np.uint16), np.concatenate(plus).astype(np.uint16),
+            owners, starts)
+
+
+def _folded(floats: list[np.ndarray],
+            ids: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """(r, 2) float arrays and their rows' ids, cut to a few floats per id
+    of the same exact sums (``_extracted``): the floats sorted by id, and
+    their ids.  Each id's rows must number at most _EXTRACT_BLOCK."""
+    ids = np.concatenate(ids)
+    counts = np.bincount(ids)
+    keys = np.flatnonzero(counts)
+    rows = np.concatenate(floats)[np.argsort(ids, kind="stable")]
+    found = _extracted(rows.T, (np.cumsum(counts) - counts)[keys])
+    return (found.transpose(2, 0, 1).reshape(-1, 2),
+            np.repeat(keys, len(found)))
 
 
 class IdentityEvaluator:
     """``identity_residual`` of one (level, omega, P) at any number of s.
 
-    The constructor hashes omega and, block by block of _VIEW_BLOCK primes,
-    compares the numerators with 1/2 (product 0, F_{1/2}) and applies T**k
-    to every numerator for k = 1..2**n (product k, the view T**k omega),
-    keeping only each product's plus-signed indices within the block.  Per
-    block it keeps, as ``_blocks``:
+    The constructor hashes omega a hash block at a time
+    (``numerator_blocks``) and cuts each into blocks of _VIEW_BLOCK primes.
+    In each it compares the numerators with 1/2 (product 0, F_{1/2}) and
+    applies T**k to the numerators in [1/2, 1) for k = 1..2**n (product k,
+    the view T**k omega), a few broadcast passes per block; T fixing
+    [0, 1/2) is checked by ``iet-test`` and ``tests/test_iet.py``.  Per
+    block it keeps, as ``_blocks``, only the products' plus-signed indices:
     - ``union``: the indices plus-signed in some product, ascending;
     - ``plus``: every product's plus-signed indices, in product order;
     - ``owners``: the products with a plus-signed index in the block;
     - ``starts``: where each owner's indices begin in ``plus``.
     ``residual`` walks the same blocks, so no array of length pi(P) is made
-    per point.
+    by the constructor or per point.
     """
 
     def __init__(self, level: int, assignment, P: int):
@@ -243,25 +308,10 @@ class IdentityEvaluator:
         spec = IetSpec(level)
         self._intervals = spec.intervals
         self._primes = _primes_to(assignment, P)
-        nums = assignment.numerators(self._primes)
-        # the sign is +1 where omega >= beta, as in signs_from_numerators
-        half = np.uint64(HALF.numerator)
-        beta = np.uint64(beta_for_level(level).numerator)
-        self._blocks = []
-        for lo in range(0, len(nums), _VIEW_BLOCK):
-            block = nums[lo:lo + _VIEW_BLOCK]
-            plus = [np.flatnonzero(block >= half)]
-            plus.extend(np.flatnonzero(
-                apply_T_power_numerators(spec, block, k) >= beta)
-                for k in range(1, spec.intervals + 1))
-            counts = np.array([len(p) for p in plus])
-            owners = np.flatnonzero(counts)
-            starts = (np.cumsum(counts) - counts)[owners]
-            plus = np.concatenate(plus).astype(np.uint16)
-            union = np.zeros(len(block), dtype=bool)
-            union[plus] = True
-            self._blocks.append((np.flatnonzero(union).astype(np.uint16),
-                                 plus, owners, starts))
+        self._blocks = [
+            _plus_views(spec, nums[lo:lo + _VIEW_BLOCK])
+            for _, nums in assignment.numerator_blocks(len(self._primes))
+            for lo in range(0, len(nums), _VIEW_BLOCK)]
 
     def residual(self, s: complex, strict_domain: bool = True) -> float:
         """|L - R| at s; see ``identity_residual``."""
@@ -270,12 +320,11 @@ class IdentityEvaluator:
             raise PreconditionError(
                 f"identity stated for Re(s) > 1, got Re(s)={s.real}")
         _point(s, 0)
-        # per block: the minus terms' floats, and each owner's floats with
-        # the owner repeated beside them
-        zeta, floats = [np.empty((0, 2))], [np.empty((0, 2))]
-        ids = [np.empty(0, dtype=np.intp)]
-        for lo, (union, plus, owners, starts) in zip(
-                range(0, len(self._primes), _VIEW_BLOCK), self._blocks):
+        # per block: the minus terms' floats (id 0), and each owner's floats
+        # (id owner + 1), folded every _FOLD_BLOCKS blocks
+        floats, ids = [np.empty((0, 2))], [np.empty(0, dtype=np.intp)]
+        for b, (lo, (union, plus, owners, starts)) in enumerate(zip(
+                range(0, len(self._primes), _VIEW_BLOCK), self._blocks)):
             powers = _prime_powers(self._primes[lo:lo + _VIEW_BLOCK], s)
             n, c = len(powers), len(plus)
             # [log(1 - p**-s) per prime | log(1 + p**-s) and log(1 - p**-s)
@@ -295,23 +344,27 @@ class IdentityEvaluator:
                                np.concatenate(([0], n + starts,
                                                n + c + starts)))
             m = len(owners)
-            zeta.append(found[:, :, 0])
+            floats.append(found[:, :, 0].copy())  # no view keeps found alive
+            ids.append(np.zeros(len(found), dtype=np.intp))
             # a product's log is the minus terms' sum, plus its plus terms,
             # less the minus terms at its plus-signed primes
             mine = np.concatenate([found[:, :, 1:m + 1],
                                    -found[:, :, m + 1:]])
             floats.append(mine.transpose(2, 0, 1).reshape(-1, 2))
-            ids.append(np.repeat(owners, len(mine)))
-        zeta = np.concatenate(zeta)
-        log_zeta = -_exact_sum([], zeta)
+            ids.append(np.repeat(owners + 1, len(mine)))
+            if (b + 1) % _FOLD_BLOCKS == 0:
+                folded, folded_ids = _folded(floats, ids)
+                floats, ids = [folded], [folded_ids]
         ids = np.concatenate(ids)
         floats = np.concatenate(floats)[np.argsort(ids, kind="stable")]
-        ends = np.cumsum(np.bincount(ids, minlength=self._intervals + 1))
+        ends = np.cumsum(np.bincount(ids, minlength=self._intervals + 2))
+        zeta = floats[:ends[0]]
+        log_zeta = -_exact_sum([], zeta)
         # a product with no plus-signed prime (most, at high levels) is
         # the minus terms' sum
         logs = [_exact_sum([], np.concatenate([zeta, floats[a:b]]))
                 if b > a else -log_zeta
-                for a, b in itertools.pairwise([0, *ends.tolist()])]
+                for a, b in itertools.pairwise(ends.tolist())]
         left = -(self._intervals - 1) * log_zeta  # 2**n - 1
         right_total = _exact_sum([np.array([-logs[0], *logs[1:]])])
         return abs(left - right_total)
@@ -333,15 +386,19 @@ def identity_residual(level: int, assignment, P: int, s: complex,
     plus-signed.  Each block's log(1 - p**-s) terms, and every product's
     log(1 + p**-s) and log(1 - p**-s) terms at its plus-signed primes, go
     through one segmented extraction into a few floats per segment of the
-    same exact sum.  A product's log is ``_exact_sum`` over the minus terms'
-    floats and its own, the second set subtracted: rounded once, the same
-    float as the fsum over the product's full term vector, and L (from the
-    minus terms' floats) is unchanged too.
+    same exact sum; every _FOLD_BLOCKS blocks the floats kept so far are
+    extracted again into a few per product.  A product's log is
+    ``_exact_sum`` over the minus terms' floats and its own, the second set
+    subtracted: rounded once, the same float as the fsum over the product's
+    full term vector, and L (from the minus terms' floats) is unchanged
+    too.
 
     The sides stay independent: omega is hashed once, but every view's
-    signs come from applying T**k to all numerators, block by block, and
-    comparing them with beta, never from the interval index the identity is
-    built on.  A wrong exchange map therefore leaves a residual far above
+    signs come from applying T**k to the numerators in [1/2, 1), block by
+    block, and comparing them with beta, never from the interval index the
+    identity is built on.  The numerators below 1/2 are not mapped: T fixes
+    them (checked by ``iet-test`` and ``tests/test_iet.py``) and they are
+    below beta.  A wrong exchange map therefore leaves a residual far above
     rounding noise.
     Levels above ``MAX_IDENTITY_LEVEL`` raise ``DomainError``.
     """

@@ -10,6 +10,7 @@ identity bit for bit.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,21 +87,38 @@ def apply_T_power(spec: IetSpec, x: DyadicFraction, k: int) -> DyadicFraction:
 
 
 def apply_T_power_numerators(spec: IetSpec, nums: np.ndarray,
-                             k: int) -> np.ndarray:
+                             k) -> np.ndarray:
     """Vectorized apply_T_power on an array of uint64 numerators.
+
+    ``k`` is a non-negative integer or an integer array that broadcasts
+    against ``nums``: a (g, 1) column of powers maps a row of numerators
+    to a (g, len(nums)) array, row i being T**k[i] of every numerator.  A
+    negative power raises ``DomainError``.
 
     On [1/2, 1), x - 1/2 = j * step + offset with j < 2**n and
     2**n * step = 2**63, so rotating the interval index j by -k modulo 2**n
-    is subtracting k * step modulo 2**63; the offset bits never move.  The
-    low 63 bits of x - k * step are that difference whatever bit 63 of x
-    is, so 1/2 is put back with an or.
+    is subtracting k * step modulo 2**63; the offset bits never move.  Bit
+    63 of x (``upper``) is 1 exactly on [1/2, 1): the shift is taken
+    ``upper`` times, the low 63 bits of the difference kept, and bit 63 put
+    back, so [0, 1/2) is left as it is, without a select.
     """
-    if k < 0:
-        raise DomainError("power must be non-negative")
+    if np.ndim(k) == 0:
+        k = operator.index(k)
+        if k < 0:
+            raise DomainError("power must be non-negative")
+        shift = np.uint64((k % spec.intervals) * spec.step_numerator)
+    else:
+        k = np.asarray(k)
+        if not np.issubdtype(k.dtype, np.integer):
+            raise DomainError(f"powers of dtype {k.dtype} are not integers")
+        if (k < 0).any():
+            raise DomainError("power must be non-negative")
+        shift = k.astype(np.uint64) % np.uint64(spec.intervals)
+        shift *= np.uint64(spec.step_numerator)
     nums = np.asarray(nums, dtype=np.uint64)
-    half = np.uint64(_HALF_NUM)
-    # wraps below 1/2; those entries are not used
-    rotated = nums - np.uint64((k % spec.intervals) * spec.step_numerator)
-    rotated &= np.uint64(_HALF_NUM - 1)
-    rotated |= half
-    return np.where(nums >= half, rotated, nums)
+    upper = nums >> np.uint64(SCALE_BITS - 1)
+    out = np.asarray(upper * shift)  # a 0-d array for one numerator
+    np.subtract(nums, out, out=out)  # in place: a new array costs more
+    out &= np.uint64(_HALF_NUM - 1)
+    out |= upper << np.uint64(SCALE_BITS - 1)
+    return out

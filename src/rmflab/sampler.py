@@ -126,11 +126,17 @@ class OmegaAssignment:
 
     def numerators(self, primes: np.ndarray | None = None) -> np.ndarray:
         """uint64 numerators of omega_p for a prefix of ``.primes`` (default:
-        all of them), filled from ``_hash_blocks``."""
+        all of them), filled from ``numerator_blocks``."""
         out = np.empty(len(_prefix(primes, self._primes)), dtype=np.uint64)
-        for lo, z in _hash_blocks(self.master_seed, len(out)):
+        for lo, z in self.numerator_blocks(len(out)):
             out[lo: lo + len(z)] = z
         return out
+
+    def numerator_blocks(self, count: int):
+        """The numerators of the first ``count`` primes, _HASH_BLOCK at a
+        time: yields (lo, z) as ``_hash_blocks`` does, z reused by the next
+        block, so no array of ``count`` numerators is made."""
+        return _hash_blocks(self.master_seed, count)
 
 
 def prime_signs(beta: DyadicFraction, assignment: OmegaAssignment,

@@ -265,8 +265,8 @@ def build_sign_series(beta: DyadicFraction, assignment: OmegaAssignment,
 @dataclass(frozen=True)
 class TransformedOmega:
     """The view (T^k omega)_p of an omega assignment, with its
-    ``prime_limit``, ``primes`` and ``numerators``, so samplers and Euler
-    products accept either."""
+    ``prime_limit``, ``primes``, ``numerators`` and ``numerator_blocks``, so
+    samplers and Euler products accept either."""
 
     base: object  # OmegaAssignment or another TransformedOmega
     spec: IetSpec
@@ -283,6 +283,10 @@ class TransformedOmega:
     def numerators(self, primes: np.ndarray | None = None) -> np.ndarray:
         return apply_T_power_numerators(
             self.spec, self.base.numerators(primes), self.power)
+
+    def numerator_blocks(self, count: int):
+        for lo, nums in self.base.numerator_blocks(count):
+            yield lo, apply_T_power_numerators(self.spec, nums, self.power)
 
 
 def plus_views_whole(level: int, assignment, P: int) -> list[np.ndarray]:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import re
@@ -496,3 +497,28 @@ def test_cli_import_leaves_out_fractions_and_decimal():
     out = subprocess.run([sys.executable, "-c", probe], check=True,
                          capture_output=True, text=True, timeout=120)
     assert out.stdout == "False False\n"
+
+
+def test_manifest_digests_leave_out_openssl(tmp_path):
+    # hashlib loads OpenSSL's libcrypto (3.6 MiB VmHWM, ~6 ms) to hash a
+    # few KB of outputs; the built-in sha256 module gives the same digests
+    src = str(Path(cli.__file__).parents[1])
+    probe = (f"import sys; sys.path.insert(0, {src!r}); "
+             "import importlib.util, json; "
+             "from rmflab.cli import ExperimentConfig, run; "
+             "m = run(ExperimentConfig(kind='identity', level=2, "
+             "prime_limit=10**3, seeds=[1], sigmas=[1.5], ts=[0.0], "
+             f"outdir={str(tmp_path / 'i')!r})); "
+             "built_in = any(importlib.util.find_spec(name) "
+             "for name in ('_sha2', '_sha256')); "
+             "print(json.dumps([built_in, '_hashlib' in sys.modules, "
+             "m['outputs']]))")
+    out = subprocess.run([sys.executable, "-c", probe], check=True,
+                         capture_output=True, text=True, timeout=120)
+    built_in, openssl, outputs = json.loads(out.stdout)
+    if built_in:
+        assert not openssl
+    assert len(outputs) >= 3
+    assert outputs == {
+        name: hashlib.sha256((tmp_path / "i" / name).read_bytes()).hexdigest()
+        for name in outputs}

@@ -45,6 +45,9 @@ class FixedOmega:
         count = len(self.primes) if primes is None else len(primes)
         return np.full(count, self.num, dtype=np.uint64)
 
+    def numerator_blocks(self, count):
+        yield 0, self.numerators(self.primes[:count])
+
 
 def test_zeta_truncated_single_prime():
     z = zeta_truncated(2, 2)
@@ -246,13 +249,18 @@ def test_identity_run_builds_the_views_once_per_seed(monkeypatch, tmp_path):
     level, seeds, prime_limit = 3, [1, 2], 50_000  # 5,133 primes
     count = len(primes_up_to(prime_limit))
     assert count > dirichlet._VIEW_BLOCK  # the views are built in blocks
-    seed_of = {int(num): seed for seed in seeds for num in OmegaAssignment(
-        master_seed=seed, prime_limit=prime_limit).numerators()}
+    nums = {seed: OmegaAssignment(master_seed=seed,
+                                  prime_limit=prime_limit).numerators()
+            for seed in seeds}
+    seed_of = {int(num): seed for seed in seeds for num in nums[seed]}
     mapped = Counter()  # numerators mapped per (seed, k)
     exchange = dirichlet.apply_T_power_numerators
 
     def counted(spec, nums, k):
-        mapped[seed_of[int(nums[0])], k] += len(nums)
+        # only numerators in [1/2, 1) are mapped, a column of powers at once
+        assert nums.min() >= 2**63 and k.shape == (len(k), 1)
+        for power in k.ravel().tolist():
+            mapped[seed_of[int(nums[0])], power] += len(nums)
         return exchange(spec, nums, k)
 
     monkeypatch.setattr(dirichlet, "apply_T_power_numerators", counted)
@@ -260,8 +268,9 @@ def test_identity_run_builds_the_views_once_per_seed(monkeypatch, tmp_path):
         kind="identity", level=level, prime_limit=prime_limit, seeds=seeds,
         sigmas=[1.5, 2.0], ts=[0.0, -5.0], outdir=str(tmp_path / "r")))
     assert manifest["pass"]
-    assert mapped == {(seed, k): count for seed in seeds
-                      for k in range(1, 2**level + 1)}
+    # every numerator >= 1/2 once per k and seed, whatever the points
+    assert mapped == {(seed, k): int(np.count_nonzero(nums[seed] >= 2**63))
+                      for seed in seeds for k in range(1, 2**level + 1)}
 
 
 def test_identity_residual_detects_a_wrong_exchange_map(monkeypatch):
@@ -270,7 +279,7 @@ def test_identity_residual_detects_a_wrong_exchange_map(monkeypatch):
     exchange = dirichlet.apply_T_power_numerators
 
     def repeats_previous_power(spec, nums, k):
-        return exchange(spec, nums, k - 1 if k == 5 else k)
+        return exchange(spec, nums, np.where(k == 5, 4, k))
 
     monkeypatch.setattr(dirichlet, "apply_T_power_numerators",
                         repeats_previous_power)
@@ -283,8 +292,8 @@ def test_identity_residual_detects_a_wrong_exchange_map(monkeypatch):
         fives = itertools.count()  # counts the blocks mapped at k = 5
 
         def wrong_in_one_block(spec, nums, k):
-            if k == 5 and next(fives) == wrong_block:
-                k = 4
+            if (k == 5).any() and next(fives) == wrong_block:
+                k = np.where(k == 5, 4, k)
             return exchange(spec, nums, k)
 
         monkeypatch.setattr(dirichlet, "apply_T_power_numerators",
@@ -332,20 +341,32 @@ def blocked_plus_views(evaluator) -> dict[int, list[np.ndarray]]:
     return views
 
 
+# (levels, seed, prime count): three blocks, the last partial; a full block
+# and a partial one of 5 primes; 168 primes in one partial block, where at
+# level 13 and above nearly every product has no plus-signed prime; P < 2;
+# and two hash blocks, the second cut into a full view block and a partial
+VIEW_CASES = [(range(1, 9), 3, 9_592), (range(9, 13), 5, 2**12 + 5),
+              (range(13, 17), 7, 168), ((1, 12), 9, 0),
+              ((2,), 11, 2**15 + 2**12 + 3)]
+
+
 def test_identity_views_match_the_whole_array_build():
-    a = OmegaAssignment(master_seed=3, prime_limit=10**5)
-    nums = a.numerators(a.primes)
-    for level in range(1, 9):
-        evaluator = IdentityEvaluator(level, a, 10**5)  # three blocks
-        assert len(evaluator._blocks) == 3
-        found = blocked_plus_views(evaluator)
-        views = [np.flatnonzero(signs_from_numerators(HALF, nums) == 1),
-                 *plus_views_whole(level, a, 10**5)]
-        assert set(found) <= set(range(len(views)))
-        for k, view in enumerate(views):
-            got = found.get(k, [])
-            assert np.array_equal(np.concatenate(got) if got else
-                                  np.empty(0, np.intp), view), (level, k)
+    for levels, seed, count in VIEW_CASES:
+        a = OmegaAssignment(master_seed=seed, prime_limit=10**6)
+        P = int(a.primes[count - 1]) if count else 1
+        nums = a.numerators(a.primes[:count])
+        for level in levels:
+            evaluator = IdentityEvaluator(level, a, P)
+            assert len(evaluator._blocks) == \
+                -(-count // dirichlet._VIEW_BLOCK)
+            found = blocked_plus_views(evaluator)
+            views = [np.flatnonzero(signs_from_numerators(HALF, nums) == 1),
+                     *plus_views_whole(level, a, P)]
+            assert set(found) <= set(range(len(views)))
+            for k, view in enumerate(views):
+                got = found.get(k, [])
+                assert np.array_equal(np.concatenate(got) if got else
+                                      np.empty(0, np.intp), view), (level, k)
 
 
 @pytest.mark.parametrize("level, prime_limit, count", [
@@ -368,6 +389,30 @@ def test_identity_residual_streams_partial_and_sparse_blocks(
         for s in points:
             assert evaluator.residual(s, strict_domain=False) == \
                 identity_residual_oracle(level, a, P, s), (seed, s)
+
+
+@pytest.mark.parametrize("fold", [1, 2])
+def test_identity_residual_folds_its_floats_every_few_blocks(fold,
+                                                             monkeypatch):
+    # a point folds the floats it keeps into a few per product every
+    # _FOLD_BLOCKS blocks; the exact sums, and so every residual, do not
+    # change
+    a = OmegaAssignment(master_seed=7, prime_limit=10**5)  # three blocks
+    monkeypatch.setattr(dirichlet, "_FOLD_BLOCKS", fold)
+    folds = itertools.count()
+    folded = dirichlet._folded
+
+    def counted(floats, ids):
+        next(folds)
+        return folded(floats, ids)
+
+    monkeypatch.setattr(dirichlet, "_folded", counted)
+    for level in (1, 4, 6):
+        evaluator = IdentityEvaluator(level, a, 10**5)
+        for s in ORACLE_POINTS:
+            assert evaluator.residual(s, strict_domain=False) == \
+                identity_residual_oracle(level, a, 10**5, s), (level, s)
+    assert next(folds) == 3 * len(ORACLE_POINTS) * (3 // fold)
 
 
 def test_identity_point_peak_memory_at_1e6(assignment_1e6):

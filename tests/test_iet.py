@@ -1,11 +1,14 @@
 import math
 
 import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import ks_2samp
 
 from oracles import TransformedOmega
-from rmflab import (DyadicFraction, IetSpec, OmegaAssignment, apply_T,
-                    apply_T_power, apply_T_power_numerators, interval_index)
+from rmflab import (DomainError, DyadicFraction, IetSpec, OmegaAssignment,
+                    apply_T, apply_T_power, apply_T_power_numerators,
+                    interval_index)
 from rmflab.dyadic import SCALE
 
 
@@ -81,6 +84,62 @@ def test_vectorized_power_matches_scalar_closed_form(rng):
                     for x in nums]
             assert got.dtype == np.uint64
             assert got.tolist() == want, (n, k)
+
+
+def edge_numerators(spec: IetSpec) -> list[int]:
+    """0, both sides of 1/2, the top of the grid, and both sides of the
+    inner endpoints a_1, a_2 and a_{2**n - 1}."""
+    inner = {1, min(2, spec.intervals - 1), spec.intervals - 1}
+    return sorted({0, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1} | {
+        spec.endpoint(j).numerator + d for j in inner for d in (-1, 0, 1)})
+
+
+@settings(max_examples=100, deadline=None)
+@given(level=st.integers(1, 62), data=st.data())
+def test_power_columns_match_the_scalar_map_row_by_row(level, data):
+    spec = IetSpec(level)
+    n = spec.intervals
+    ks = [0, 1, n - 1, n, n + 1, 2 * n + 3, 3 * n] + data.draw(
+        st.lists(st.integers(0, 3 * n), max_size=6))
+    nums = edge_numerators(spec) + data.draw(
+        st.lists(st.integers(0, 2**64 - 1), max_size=10))
+    # int64 columns where they fit; above 2**63 - 1 only uint64 holds k
+    dtype = np.int64 if max(ks) < 2**63 else np.uint64
+    got = apply_T_power_numerators(spec, np.array(nums, dtype=np.uint64),
+                                   np.array(ks, dtype=dtype)[:, None])
+    assert got.dtype == np.uint64 and got.shape == (len(ks), len(nums))
+    for row, k in zip(got.tolist(), ks):
+        assert row == [apply_T_power(spec, DyadicFraction(x), k).numerator
+                       for x in nums], (level, k)
+
+
+@pytest.mark.parametrize("powers", [-1, [3, -1], [[0], [-2]]])
+def test_negative_powers_are_refused(powers):
+    nums = np.array([0, 2**63, 2**64 - 1], dtype=np.uint64)
+    with pytest.raises(DomainError):
+        apply_T_power_numerators(IetSpec(4), nums, powers)
+
+
+def test_numerators_below_half_are_fixed_for_every_power(rng):
+    for level in (1, 5, 16, 62):
+        spec = IetSpec(level)
+        nums = np.concatenate([
+            rng.integers(0, 2**63, size=200, dtype=np.uint64),
+            np.array([0, 1, 2**62, 2**63 - 1], dtype=np.uint64)])
+        ks = np.array([0, 1, 2, spec.intervals - 1, spec.intervals,
+                       spec.intervals + 1, 3 * spec.intervals])[:, None]
+        got = apply_T_power_numerators(spec, nums, ks.astype(np.uint64))
+        assert np.array_equal(got, np.broadcast_to(nums, got.shape))
+
+
+def test_one_numerator_maps_to_a_0d_array():
+    spec = IetSpec(3)
+    for x in (5, 2**63 + 5, 2**64 - 1):
+        for k in (1, np.array(6)):
+            got = apply_T_power_numerators(spec, x, k)
+            assert got.shape == () and got.dtype == np.uint64
+            assert int(got) == apply_T_power(
+                spec, DyadicFraction(x), int(k)).numerator
 
 
 def test_injectivity_and_inverse(rng):
