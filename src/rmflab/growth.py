@@ -11,21 +11,26 @@ seeds at a time.  It splits each squarefree n > 1 as m q with q = P+(n),
 the largest prime factor, and P+(m) < q, as Deleglise and Rivat
 (Experiment. Math. 5, 1996) split the Mertens function.  Seed k's sum is
 
-    S_k(x) = 1 + sum_{m P+(m) < x} f_k(m) (Pi_k(x // m) - Pi_k(P+(m))),
+    S_k(x) = 1 + sum_{m P+(m) < x} f_k(m) Pi_k(x // m)
+               - sum_{m P+(m) < x} f_k(m) Pi_k(P+(m)),
 
 with Pi_k(y) the sum of f_k(p) over the primes p <= y.  The nodes m take
 only primes below sqrt(X), and one tree of (checkpoint, node) pairs per
 limit serves every seed.  pi(x // m) comes from Legendre's recurrence over
 the grid's quotients (``sieve._prime_counts``), which sieves nothing above
-sqrt(X), and Pi_k from one reused chunk of 2**16 bytes per lane, counted at
-the tree's ranks inside it: nothing of length X or pi(X) is made, and only
-the tree and its pair buffers grow with X.  At X = 10**7 the tree has
-15,512 nodes and 85,331 pairs; a 4-seed pass with no table cached peaks at
-5.5 MiB traced, the tree's build, and at 2.6 MiB with the tree cached
-(tests hold them below 8 and 4 MiB, and below 24 MiB with the tree alone
-cold).  A cold tree takes about 0.05 s at 10**8; at 10**9 (426,054 nodes,
-2,267,326 pairs) it takes 0.30-0.37 s and keeps 76 MiB, and a whole
-8-seed campaign run takes 1.7-2.2 s at 153 MiB ``VmHWM`` (2-core x86-64,
+sqrt(X) and whose slot table places each x // m, so no pair is sorted: the
+tree's ranks are every pi(v) over those quotients.  Pi_k comes from one
+reused chunk of 2**15 plus flags per lane, counted at the ranks inside it;
+the first sum from reused blocks of 2**14 pair terms, and the second once
+per node, at the first checkpoint above m P+(m), carried down the rows by
+a cumulative sum.  Nothing of length X or pi(X) is made, and only the tree
+grows with X.  At X = 10**7 the tree has 15,512 nodes, 85,331 pairs and
+3,393 ranks; a 4-seed pass with no table cached peaks at 3.8 MiB traced,
+the tree's build, and at 1.4 MiB with the tree cached (tests hold them
+below 8 and 4 MiB, and below 24 MiB with the tree alone cold).  A cold
+tree takes about 0.03 s at 10**8; at 10**9 (426,054 nodes, 2,267,326
+pairs, 30,476 ranks) it takes 0.14-0.25 s and keeps 65 MiB, and a whole
+8-seed campaign run takes 1.5-2.5 s at 119 MiB ``VmHWM`` (2-core x86-64,
 numpy 2.4).
 
 Checkpoints live on a geometric grid with ratio 10**(1/8), so every power
@@ -44,7 +49,7 @@ import numpy as np
 from .dyadic import DyadicFraction
 from .errors import (ConfigurationError, DomainError, FitError,
                      PreconditionError, RangeError)
-from .sampler import LANES, _hash_blocks, _lane_masks
+from .sampler import LANES, _lane_masks, _plus_blocks
 from .sieve import _COUNT_LIMIT, MAX_KIND, _prime_counts, primes_up_to
 from .dirichlet import _exact_sum, _point, weight_factor
 
@@ -296,11 +301,13 @@ class _Tree:
     levels: list[int]  # the nodes with d(m) = d are levels[d]:levels[d + 1]
     parents: np.ndarray  # node -> the node m // P+(m)
     tops: np.ndarray  # node -> the index of P+(m) among the primes
+    lower: np.ndarray  # node -> pi(P+(m)), as an index into ranks
+    firsts: np.ndarray  # node -> i * (MAX_KIND + 1) + d(m) + 1, i the first
+    #                     row with grid[i] > m P+(m) (len(grid) if none)
     cols: np.ndarray  # pair -> its node m
     bins: np.ndarray  # pair -> i * (MAX_KIND + 1) + d(m) + 1, at grid[i]
-    ranks: np.ndarray  # the prime ranks the pairs read: ascending, from 0
+    ranks: np.ndarray  # the prime ranks read: ascending, distinct, from 0
     upper: np.ndarray  # pair -> pi(x // m), as an index into ranks
-    lower: np.ndarray  # pair -> pi(P+(m)), as an index into ranks
 
 
 def _isqrt(v: np.ndarray) -> np.ndarray:
@@ -320,15 +327,18 @@ def _tree(limit: int, grid: np.ndarray) -> _Tree:
     with P+(1) read as 1, breadth first: the children of m are the m p with
     P+(m) < p and m p p < limit.  Checkpoint x pairs with the nodes with
     m P+(m) < x, the m for which some n = m q <= x with a prime q > P+(m)
-    may exist.  The pairs run in the order of x // m.  The nodes take only
-    the primes <= isqrt(limit); pi(x // m) and pi(limit) are read from
-    ``sieve._prime_counts`` at the grid, counted before any pair array is
-    made, with no table of the larger primes.  Each pair-length temporary
-    is freed once used (each is 18 MB at 10**9).  A grid out of order or
-    range raises ``RangeError`` (from ``_prime_counts``).
+    may exist: the pairs run row by row, each row's nodes in the order of
+    m P+(m).  The nodes take only the primes <= isqrt(limit).  The ranks
+    are every pi(v) over the quotients of ``sieve._prime_counts``, and a
+    pair's x // m is found in its slot table, so no pair is sorted or
+    searched.  The ranks start 0, 1, ..., pi(isqrt(limit)), so
+    pi(P+(m)) = tops + 1 is its own index.  No pair-length temporary is
+    made.  A grid out of order or range raises ``RangeError`` (from
+    ``_prime_counts``).
     """
-    values, counts = _prime_counts(limit, grid)
-    primes = primes_up_to(math.isqrt(limit))
+    values, counts, slots = _prime_counts(limit, grid)
+    root = math.isqrt(limit)
+    primes = primes_up_to(root)
     m, top = np.ones(1, dtype=np.int64), np.full(1, -1)
     ms, tops, parents, levels = [m], [top], [np.zeros(1, np.int64)], [0, 1]
     while True:
@@ -348,46 +358,59 @@ def _tree(limit: int, grid: np.ndarray) -> _Tree:
         parents.append(at + levels[-2])
         levels.append(levels[-1] + len(at))
     m, top = np.concatenate(ms), np.concatenate(tops)
+    parents = np.concatenate(parents)
+    del ms, tops
+    kinds = MAX_KIND + 1
     keys = m.copy()
     keys[1:] *= primes[top[1:]]  # m P+(m)
     order = np.argsort(keys)
-    cuts = np.searchsorted(keys[order], grid, side="left")
+    cuts = np.searchsorted(keys[order], grid, side="left").tolist()
+    firsts = np.searchsorted(grid, keys, side="right")
     del keys
-    at = np.arange(cuts.sum())  # each pair's place among its row's nodes
-    at -= np.repeat(np.cumsum(cuts) - cuts, cuts)
-    cols = order[at]
-    del order, at
-    rows = np.repeat(np.arange(len(grid)), cuts)
-    quotients = grid[rows]
-    quotients //= m[cols]
-    kind = np.repeat(np.arange(1, len(levels)), np.diff(levels))  # d(m) + 1
-    bins = rows * (MAX_KIND + 1)
-    del rows
-    bins += kind[cols]
-    # the pairs in the order of their x // m, and each one's index among
-    # the distinct x // m, by one sort: np.unique would import numpy.ma
-    order = np.argsort(quotients)
-    quotients = quotients[order]
-    cols = cols[order]
-    bins = bins[order]
-    del order
-    first = np.ones(len(quotients), dtype=bool)
-    np.not_equal(quotients[1:], quotients[:-1], out=first[1:])
-    pis = counts[np.searchsorted(values, np.append(quotients[first], limit))]
-    del quotients, values, counts
-    # the ranks read: 0, pi(x // m) and pi(P+(m)) = top + 1
-    ranks = np.concatenate([[0], pis[:-1], top + 1])
-    ranks.sort()
-    ranks = ranks[np.diff(ranks, prepend=-1) != 0]
-    quotient_at = np.cumsum(first)
-    del first
-    quotient_at -= 1
-    upper = np.searchsorted(ranks, pis[:-1])[quotient_at]
-    del quotient_at
-    return _Tree(limit=limit, grid=grid, count=int(pis[-1]), levels=levels,
-                 parents=np.concatenate(parents), tops=top, cols=cols,
-                 bins=bins, ranks=ranks, upper=upper,
-                 lower=np.searchsorted(ranks, top + 1)[cols])
+    firsts *= kinds
+    kind = np.repeat(np.arange(1, len(levels), dtype=np.uint8),
+                     np.diff(levels))  # d(m) + 1
+    firsts += kind
+    # the nodes in the order of m P+(m): m exact as float64, m < 2**53
+    divisors, kind = m[order].astype(np.float64), kind[order]
+    del m
+    # the distinct pi(v), and each v's index among them
+    first = np.ones(len(counts), dtype=bool)
+    np.not_equal(counts[1:], counts[:-1], out=first[1:])
+    ranks = counts[first]
+    rank_at = np.cumsum(first)
+    rank_at -= 1
+    del values, first
+    # row i pairs with the nodes order[:cuts[i]]; an x // m > root lies in
+    # slot starts[i] + m of the slot table.  x // m is the float quotient
+    # truncated: exact, as m (x // m + 1) <= 2 x < 2**53.  Each row's
+    # quotients and slots go through buffers of one length, made once
+    lengths = grid // (root + 1)
+    starts = (np.cumsum(lengths) - lengths - 1).tolist()
+    pairs = sum(cuts)
+    cols = np.empty(pairs, dtype=np.intp)
+    bins = np.empty(pairs, dtype=np.intp)
+    upper = np.empty(pairs, dtype=np.intp)
+    ratios = np.empty(len(divisors))
+    quotients = np.empty(len(divisors), dtype=np.intp)
+    slot = np.empty(len(divisors), dtype=np.intp)
+    at = 0
+    for i, (x, cut, start) in enumerate(zip(grid.tolist(), cuts, starts)):
+        row = slice(at, at + cut)
+        cols[row] = order[:cut]
+        np.add(kind[:cut], i * kinds, out=bins[row], dtype=np.intp)
+        m, r, q, t = divisors[:cut], ratios[:cut], quotients[:cut], slot[:cut]
+        np.divide(x, m, out=r)
+        np.copyto(q, r, casting="unsafe")
+        np.add(m, start, out=r)  # past the row's slots where q <= root
+        np.copyto(t, r, casting="unsafe")
+        np.copyto(q, slots.take(t, mode="clip"), where=q > root)
+        np.take(rank_at, q, out=upper[row], mode="clip")
+        at += cut
+    return _Tree(limit=limit, grid=grid, count=int(counts[-1]),
+                 levels=levels, parents=parents, tops=top, lower=top + 1,
+                 firsts=firsts, cols=cols, bins=bins, ranks=ranks,
+                 upper=upper)
 
 
 @functools.lru_cache(maxsize=1)
@@ -397,9 +420,12 @@ def _checkpoint_tree(limit: int) -> _Tree:
     return _tree(limit, checkpoint_grid(limit))
 
 
-# Ranks per chunk of one lane's plus bytes, a multiple of
-# sampler._HASH_BLOCK, so no hash block crosses a chunk's edge
-_CHUNK = 2**16
+# Ranks per chunk of one lane's plus flags, a multiple of
+# sampler._HASH_BLOCK, so no hash block crosses a chunk's edge; below
+# 2**16, so np.add.reduceat counts a chunk's flags exactly in uint16
+_CHUNK = 2**15
+# Pairs per block of one lane's pair terms: two float64 buffers of 128 KiB
+_PAIR_BLOCK = 2**14
 
 
 def _checkpoint_counts(tree: _Tree, beta: DyadicFraction,
@@ -412,13 +438,16 @@ def _checkpoint_counts(tree: _Tree, beta: DyadicFraction,
     xor of their complemented masks (``sampler._lane_masks`` over the primes
     <= isqrt(limit)) carried down the tree, so f_k(m) = (-1)**(bit k).
     Pi_k(y) = 2 plus_k(y) - pi(y) is counted only at the tree's ranks, one
-    lane at a time: the lane's hash of ranks 0 .. pi(limit) - 1
-    (``sampler._hash_blocks``) goes into one reused chunk of _CHUNK bytes,
+    lane at a time: the lane's plus flags of ranks 0 .. pi(limit) - 1
+    (``sampler._plus_blocks``) go into one reused chunk of _CHUNK bytes,
     and each full chunk adds its plus primes between the tree's ranks inside
-    it by one np.add.reduceat, so nothing of pi(limit) bytes is made.  Each
-    lane's pair terms are formed in two reused float64 buffers and summed by
-    one bincount, exact in float64: every value is an integer of size at
-    most limit < 2**53.
+    it by one np.add.reduceat, so nothing of pi(limit) bytes is made.  The
+    terms f_k(m) Pi_k(x // m) are formed _PAIR_BLOCK pairs at a time in two
+    reused float64 buffers and summed by bincount; the terms
+    f_k(m) Pi_k(P+(m)) are summed once per node at its first row, and a
+    cumulative sum down the rows carries them to every later one.  Both are
+    exact in float64: every value is an integer of size at most
+    limit < 2**53.
     """
     _, masks = _lane_masks(beta, seeds, math.isqrt(tree.limit))
     words = np.zeros(len(tree.parents), dtype=np.uint8)
@@ -426,50 +455,63 @@ def _checkpoint_counts(tree: _Tree, beta: DyadicFraction,
         words[lo:hi] = words[tree.parents[lo:hi]] ^ ~masks[tree.tops[lo:hi]]
     pair_words = words[tree.cols]
     ranks, count = tree.ranks, tree.count
-    # the ranks inside chunk c are ranks[stops[c - 1]:stops[c]], at offsets
-    # ranks % _CHUNK in it; the ranks equal to count lie past every chunk
+    # gaps[j]: the plus primes of ranks[j - 1] .. ranks[j] - 1, from rank 0
+    # at j = 0; gaps[-1] takes those past the last rank.  The ranks inside
+    # chunk c are ranks[at:stop], at offsets ranks % _CHUNK in it, and its
+    # flags from each cut on add to gaps[first:stop + 1]: the cuts are its
+    # start, unless a rank is there, and those offsets.  The ranks equal to
+    # count lie past every chunk
     stops = np.searchsorted(ranks, np.minimum(
         np.arange(_CHUNK, count + _CHUNK, _CHUNK), count)).tolist()
     offsets = ranks % _CHUNK
+    chunks, at = [], 0
+    for stop in stops:
+        head = at == stop or offsets[at] > 0
+        cuts = np.concatenate([[0], offsets[at:stop]]) if head else \
+            offsets[at:stop]
+        chunks.append((at if head else at + 1, stop + 1, cuts))
+        at = stop
     plus = np.empty(min(_CHUNK, count), dtype=bool)
-    # gaps[j]: the plus primes of ranks[j - 1] .. ranks[j] - 1, from rank 0
-    # at j = 0; gaps[-1] takes those past the last rank
     gaps = np.empty(len(ranks) + 1, dtype=np.int64)
-    terms, signs = np.empty(len(tree.cols)), np.empty(len(tree.cols))
-    bits = np.empty_like(pair_words)
+    pairs = len(tree.cols)
+    terms = np.empty(min(_PAIR_BLOCK, pairs))
+    signs = np.empty_like(terms)
     rows, kinds = len(tree.grid), MAX_KIND + 1
     totals = np.empty((len(seeds), rows, kinds), dtype=np.int64)
+    # word_signs[k, w] = (-1)**(bit k of w): lane k's f(m) from the word w
+    word_signs = 1.0 - 2.0 * (
+        np.arange(256) >> np.arange(len(seeds))[:, None] & 1)
     for k, seed in enumerate(seeds):
         gaps[...] = 0
         if not beta.is_one:  # at beta = 1 no prime is plus
-            threshold = np.uint64(beta.numerator)  # omega >= beta: +1
-            at = 0  # the first rank at or past the chunk's start
-            for lo, z in _hash_blocks(operator.index(seed), count):
-                end = lo % _CHUNK + len(z)
-                np.greater_equal(z, threshold, out=plus[end - len(z): end])
-                if end < len(plus) and lo + len(z) < count:
+            for lo, flags in _plus_blocks(beta, operator.index(seed), count):
+                end = lo % _CHUNK + len(flags)
+                plus[end - len(flags): end] = flags
+                if end < len(plus) and lo + len(flags) < count:
                     continue  # the chunk is not full yet
-                stop = stops[lo // _CHUNK]
-                head = offsets[at] if at < stop else end
-                gaps[at] += np.count_nonzero(plus[:head])
-                if at < stop:
-                    gaps[at + 1: stop + 1] += np.add.reduceat(
-                        plus[:end], offsets[at:stop], dtype=np.int32)
-                at = stop
+                first, stop, cuts = chunks[lo // _CHUNK]
+                gaps[first:stop] += np.add.reduceat(plus[:end], cuts,
+                                                    dtype=np.uint16)
         # Pi_k at each rank, as float64
         prime_sums = (2 * np.cumsum(gaps[:-1]) - ranks).astype(np.float64)
-        # mode "clip" writes straight into out ("raise" would buffer it);
-        # every index is in range
-        np.take(prime_sums, tree.upper, out=terms, mode="clip")
-        np.take(prime_sums, tree.lower, out=signs, mode="clip")
-        terms -= signs
-        np.right_shift(pair_words, k, out=bits)
-        bits &= 1
-        np.multiply(bits, -2.0, out=signs)
-        signs += 1.0  # f_k(m)
-        terms *= signs
-        totals[k] = np.bincount(tree.bins, terms,
-                                minlength=rows * kinds).reshape(rows, kinds)
+        sign = word_signs[k]
+        upper_sums = np.zeros(rows * kinds)
+        for lo in range(0, pairs, _PAIR_BLOCK):
+            hi = min(lo + _PAIR_BLOCK, pairs)
+            t, f = terms[: hi - lo], signs[: hi - lo]
+            # mode "clip" writes straight into out ("raise" would buffer
+            # it); every index is in range
+            np.take(prime_sums, tree.upper[lo:hi], out=t, mode="clip")
+            np.take(sign, pair_words[lo:hi], out=f, mode="clip")
+            t *= f
+            upper_sums += np.bincount(tree.bins[lo:hi], t,
+                                      minlength=rows * kinds)
+        lower_sums = np.bincount(
+            tree.firsts, sign[words] * prime_sums[tree.lower],
+            minlength=(rows + 1) * kinds)[: rows * kinds]
+        totals[k] = upper_sums.reshape(rows, kinds)
+        totals[k] -= np.cumsum(lower_sums.reshape(rows, kinds),
+                               axis=0).astype(np.int64)
     totals[:, tree.grid >= 1, 0] += 1  # n = 1
     return np.diff(totals, axis=1, prepend=0)
 

@@ -12,7 +12,7 @@ the closed-interval convention only at grid endpoints (a measure-zero set).
 
 ``_lane_masks`` signs every prime for up to LANES seeds at once, as one
 uint8 mask per prime, straight from the blocks of the hash: for 8 seeds
-it peaks at 1.6 MiB traced at 10**7 and 6.5 MiB at 10**8, the masks and
+it peaks at 1.4 MiB traced at 10**7 and 6.3 MiB at 10**8, the masks and
 one hash block.  ``_lane_flips`` walks those masks into one flip word per
 integer, from which, with the table of ``sieve.squarefree_kinds``, the
 ``abel`` sweep reads its series; it alone takes the masks of every prime.
@@ -21,6 +21,13 @@ masks of each node's primes, those <= sqrt(X), down the
 largest-prime-factor tree, and hash each lane's signs of the larger
 primes into one reused chunk of bytes, counted at the tree's ranks inside
 each chunk.
+
+Both take their signs from ``_plus_blocks``.  SplitMix64's last step,
+z ^= z >> 31, leaves bits 63..33 as they are, so a beta with at most 31
+bits after the point (1/2, 3/4, 7/8, ...) is compared before it: eight
+numpy passes per rank (the add, two shift-xor pairs, two multiplies and
+the compare) instead of ten.  Any other beta takes the full hash.  The
+identity reads full numerators (``numerator_blocks``, ``_hash_blocks``).
 """
 
 from __future__ import annotations
@@ -45,14 +52,16 @@ LANES = 8  # seeds per flip word: bit k of a uint8 belongs to seeds[k]
 _HASH_BLOCK = 2**15
 
 
-def _hash_blocks(seed: int, count: int):
-    """The omega numerators of ranks 0 .. count - 1 for ``seed``, _HASH_BLOCK
-    ranks at a time: yields (lo, z) with z the uint64 numerators of ranks
-    lo, lo + 1, ..., held in one scratch array that the next block reuses.
+def _mixed_blocks(seed: int, count: int):
+    """SplitMix64 (Steele, Lea and Flood, OOPSLA 2014) of ranks
+    0 .. count - 1 for ``seed`` up to its last xorshift, _HASH_BLOCK ranks
+    at a time: yields (lo, z, tmp) with z the ranks lo, lo + 1, ... before
+    z ^= z >> 31, and tmp a scratch array of the same length, both reused
+    by the next block.
 
     Each rank has its own counter position, so streams never overlap within
-    one seed: the SplitMix64 output at seed + golden * (rank + 1), mod 2**64,
-    computed in place with one more scratch array for the shifts.
+    one seed: the input is seed + golden * (rank + 1), mod 2**64, computed
+    in place with the one scratch array for the shifts.
     """
     offsets = np.arange(min(_HASH_BLOCK, count), dtype=np.uint64)
     offsets *= _GOLDEN  # golden * j for the j-th rank of a block
@@ -69,9 +78,44 @@ def _hash_blocks(seed: int, count: int):
         np.right_shift(z, np.uint64(27), out=tmp)
         z ^= tmp
         z *= _MIX2
+        yield lo, z, tmp
+
+
+def _hash_blocks(seed: int, count: int):
+    """The omega numerators of ranks 0 .. count - 1 for ``seed``, _HASH_BLOCK
+    ranks at a time: yields (lo, z) with z the uint64 numerators of ranks
+    lo, lo + 1, ..., held in one scratch array that the next block reuses
+    (``_mixed_blocks`` and its last xorshift)."""
+    for lo, z, tmp in _mixed_blocks(seed, count):
         np.right_shift(z, np.uint64(31), out=tmp)
         z ^= tmp
         yield lo, z
+
+
+# The bits z ^= z >> 31 can change, 32..0: against a threshold with none of
+# them set, z compares the same before that step as after it
+_LAST_XORSHIFT_BITS = 2**33 - 1
+
+
+def _plus_blocks(beta: DyadicFraction, seed: int, count: int):
+    """The plus flags omega >= beta of ranks 0 .. count - 1 for ``seed``,
+    beta < 1, _HASH_BLOCK ranks at a time: yields (lo, plus) with plus a
+    bool array that the next block reuses.
+
+    A beta with at most 31 bits after the point (1/2, 3/4, 7/8, ...) is
+    compared before the hash's last xorshift, which cannot change the
+    outcome (see _LAST_XORSHIFT_BITS); any other beta takes the full hash.
+    """
+    threshold = np.uint64(beta.numerator)
+    finish = beta.numerator & _LAST_XORSHIFT_BITS != 0
+    flags = np.empty(min(_HASH_BLOCK, count), dtype=bool)
+    for lo, z, tmp in _mixed_blocks(seed, count):
+        if finish:
+            np.right_shift(z, np.uint64(31), out=tmp)
+            z ^= tmp
+        plus = flags[: len(z)]
+        np.greater_equal(z, threshold, out=plus)
+        yield lo, plus
 
 
 def _prefix(primes: np.ndarray | None, covered: np.ndarray) -> np.ndarray:
@@ -168,7 +212,7 @@ def _lane_masks(beta: DyadicFraction, seeds,
     masks for at most LANES seeds: bit k of a prime's mask is set when seed
     ``seeds[k]`` signs it +1 (every mask is 0 at beta = 1).
 
-    Each seed is hashed once, block by block (``_hash_blocks``), straight
+    Each seed is hashed once, block by block (``_plus_blocks``), straight
     into the masks, with no per-seed array of numerators or signs.  On
     squarefree n, the xor of the masks of the primes dividing n has bit k
     set exactly when seed k's f_beta(n) is -mu(n).
@@ -184,11 +228,10 @@ def _lane_masks(beta: DyadicFraction, seeds,
     masks = np.zeros(len(primes), dtype=np.uint8)
     if beta.is_one:
         return primes, masks
-    threshold = np.uint64(beta.numerator)
     for k, seed in enumerate(seeds):
-        for lo, z in _hash_blocks(operator.index(seed), len(primes)):
-            plus = (z >= threshold).view(np.uint8)  # omega >= beta: +1
-            masks[lo: lo + len(z)] |= plus << np.uint8(k)
+        for lo, plus in _plus_blocks(beta, operator.index(seed),
+                                     len(primes)):
+            masks[lo: lo + len(plus)] |= plus.view(np.uint8) << np.uint8(k)
     return primes, masks
 
 

@@ -12,8 +12,8 @@ above sqrt(X), and so reach X = _COUNT_LIMIT = 10**9: they need pi(y) only
 at the quotients y = x // m, which Legendre's recurrence over those
 quotients gives in about X**(3/4) steps with no sieve above sqrt(X)
 (``_prime_counts``: 1.4 MiB traced at 10**7, 8.6 MiB at 10**9), and an
-8-seed pass peaks at 36 MiB ``VmHWM`` at 10**7 and 55 MiB at 10**8, and
-a whole 8-seed campaign run at 153 MiB at 10**9.  The full prime table
+8-seed pass peaks at 35 MiB ``VmHWM`` at 10**7 and 49 MiB at 10**8, and
+a whole 8-seed campaign run at 119 MiB at 10**9.  The full prime table
 and the kinds table, 1 byte per integer, serve the sweeps alone: a cold
 kinds pass peaks at 171 MiB ``VmHWM`` at 10**8 and 16 MiB traced at 10**7
 (2-core x86-64, numpy 2.4).  The last two
@@ -112,11 +112,11 @@ def _odd_blocks(limit: int):
 _PAIR_BLOCK = 2**14  # (v, p) pairs per gather above cbrt(limit): 128 KiB
 
 
-def _prime_counts(limit: int,
-                  grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(values, counts): the quotient set V = {x // m : x in grid or
-    x = limit, m >= 1} ascending, and pi(v) as int64 at each v, with no
-    table above isqrt(limit).
+def _prime_counts(limit: int, grid: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(values, counts, slots): the quotient set V = {x // m : x in grid or
+    x = limit, m >= 1} ascending, pi(v) as int64 at each v, and the index
+    in V of each x // m, with no table above isqrt(limit).
 
     Legendre's recurrence, the combinatorial core of Lagarias, Miller and
     Odlyzko (Math. Comp. 44, 1985): S(v) = v - 1 counts 2..v, and each
@@ -130,6 +130,10 @@ def _prime_counts(limit: int,
     at a time, from the top down so each reads S before its own update.  A
     larger p reads only final values (v // p < limit / p < p*p), so all its
     corrections are one gather and sum, _PAIR_BLOCK pairs at a time.
+    The slots come back as they are: with lengths = x // (isqrt(limit) + 1)
+    over the grid and limit, x = xs[i] and offsets the exclusive cumulative
+    sum of the lengths, slots[offsets[i] + m - 1] is the index of x // m
+    for every m <= lengths[i], and a smaller x // m is its own index.
     ``grid`` must ascend (repeats allowed) within [0, limit], else
     ``RangeError``.
     """
@@ -200,7 +204,7 @@ def _prime_counts(limit: int,
         terms -= rank
         counts[n + lo + at: n + lo + stop] -= np.add.reduceat(terms, starts)
         at = stop
-    return values, counts
+    return values, counts, slots
 
 
 _WHEEL_MAX = 13  # the wheel's period is at most 2*3*5*7*11*13 = 30030

@@ -105,6 +105,18 @@ def seeded_numerators(seed: int, count: int) -> np.ndarray:
         return splitmix64(np.uint64(seed) + _GOLDEN * ranks)
 
 
+def straddled_threshold(seed: int, count: int, low: int) -> DyadicFraction:
+    """A threshold beta >= low / 2**64 equal to one of the first ``count``
+    omega numerators of ``seed``, whose value before the hash's last
+    xorshift z ^= z >> 31 lies below it: a compare that skipped that step
+    would sign its prime -1, not +1."""
+    for z in seeded_numerators(seed, count).tolist():
+        before = z ^ (z >> 31) ^ (z >> 62)  # the xorshift undone
+        if z >= low and before < z:
+            return DyadicFraction(z)
+    raise AssertionError(f"no straddled threshold in {count} ranks")
+
+
 def _multiples(primes: np.ndarray, limit: int) -> Iterator:
     """Pairs (index set, positions): the index sets together select every
     multiple n <= limit of each of the ascending ``primes`` exactly once, and

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import (ISQRT_EDGE_LIMITS, abel_residual_unblocked,
                      build_sign_series, distinct_prime_counts, factor_summary,
                      fsum_weighted_sums, mobius_sieve, per_seed_counts,
-                     segment_counts)
+                     segment_counts, straddled_threshold)
 import rmflab.growth as growth
 from rmflab import (CampaignConfig, DomainError, DyadicFraction, FitError,
                     OmegaAssignment, PreconditionError, RangeError,
@@ -164,8 +164,9 @@ def test_sums_reject_grids_out_of_order_or_range(grid):
 
 
 def test_sum_layer_peak_memory_at_1e7():
-    # one lane's counts and sums, with the tree built beforehand; a
-    # full-length int64 prefix or float64 weighted array would be 76 MiB
+    # one lane's counts and sums, with the tree built beforehand: 1.3 MiB
+    # traced (2.6 MiB with pair-length float64 buffers); a full-length
+    # int64 prefix or float64 weighted array would be 76 MiB
     limit = 10**7
     tree = _checkpoint_tree(limit)
     for w in (None, weight_factor(B78)):
@@ -181,9 +182,10 @@ def test_sum_layer_peak_memory_at_1e7():
 
 def test_lane_pass_peak_memory_at_1e7():
     # 4 seeds from a cold tree, plain at beta 1/2 (nearly every prime is
-    # plus in some lane) or weighted at 7/8: 5.5 MiB traced, the tree's
-    # build with its prime counts.  The per-seed path peaked at 25.4 MiB per
-    # seed, and the flip words of the primes <= isqrt(X) at 10.8 MiB
+    # plus in some lane) or weighted at 7/8: 3.8 MiB traced, the tree's
+    # build with its prime counts (5.5 MiB while the tree sorted its pairs
+    # by x // m).  The per-seed path peaked at 25.4 MiB per seed, and the
+    # flip words of the primes <= isqrt(X) at 10.8 MiB
     limit = 10**7
     for beta, weighted in ((HALF, False), (B78, True)):
         primes_up_to(limit)  # the cached table may outlive the primes'
@@ -198,10 +200,11 @@ def test_lane_pass_peak_memory_at_1e7():
 
 
 def test_lane_pass_peak_memory_at_1e7_from_cold_primes():
-    # as above with no prime table cached either: 5.5 MiB traced, the
-    # tree's build.  Its pair-length temporaries all alive at once took it
-    # to 10.0 MiB, and the prime table up to X, which the campaigns no
-    # longer make, to 16.0 MiB
+    # as above with no prime table cached either: 3.8 MiB traced, the
+    # tree's build, which makes no pair-length temporary.  Its pair-length
+    # temporaries took it to 5.5 MiB, and to 10.0 MiB all alive at once,
+    # and the prime table up to X, which the campaigns no longer make, to
+    # 16.0 MiB
     limit = 10**7
     for beta, weighted in ((HALF, False), (B78, True)):
         _prime_table.cache_clear()
@@ -216,9 +219,10 @@ def test_lane_pass_peak_memory_at_1e7_from_cold_primes():
 
 
 def test_lane_pass_peak_memory_at_1e7_with_the_tree_warm():
-    # 4 seeds on a cached tree: 2.6 MiB traced, the lane group's pair
-    # buffers and hash blocks.  A byte per prime, with its int32 copy for
-    # np.add.reduceat, took it to 4.9 MiB
+    # 4 seeds on a cached tree: 1.4 MiB traced, the lane group's hash
+    # blocks, chunk and pair blocks.  Two pair-length float64 buffers took
+    # it to 2.6 MiB, and a byte per prime, with its int32 copy for
+    # np.add.reduceat, to 4.9 MiB
     limit = 10**7
     _checkpoint_tree(limit)
     for beta, weighted in ((HALF, False), (B78, True)):
@@ -441,9 +445,18 @@ def assert_lanes_match_oracles(beta, limit, weighted, seeds,
             _sums_from_counts(lane_want, grid, w).sums.tobytes()
 
 
-@pytest.mark.parametrize("beta, weighted", [(HALF, False), (B34, False),
-                                            (ONE, False), (B78, True),
-                                            (B1516, True)])
+# Thresholds with more than 31 bits after the point, which take the hash's
+# last xorshift: an odd 64-bit numerator, 1 - 2**-40, and one of seed 0's
+# numerators among the primes <= 1000 that a compare before that step
+# would sign -1, above the weighted sums' least beta 1/2 + 1/(2 sqrt 2)
+STRADDLED = straddled_threshold(LANE_SEEDS[0], 168, 7 * 2**61)
+
+
+@pytest.mark.parametrize("beta, weighted", [
+    (HALF, False), (B34, False), (ONE, False), (B78, True), (B1516, True),
+    (DyadicFraction(0xD1B54A32D192ED03), False),
+    (DyadicFraction.from_fraction(2**40 - 1, 40), True),
+    (STRADDLED, False), (STRADDLED, True)])
 @pytest.mark.parametrize("limit", [x for x in ISQRT_EDGE_LIMITS if x >= 10]
                          + [11, 12, 97, 1000])
 def test_lane_counts_match_per_seed_oracle(limit, beta, weighted):
@@ -500,9 +513,15 @@ def test_tree_pairs_each_checkpoint_with_the_nodes_below_it(limit,
     x_over_m = grid[rows] // m[tree.cols]
     assert np.array_equal(tree.ranks[tree.upper],
                           np.searchsorted(primes, x_over_m, side="right"))
-    tops = np.array([top(v) for v in m[tree.cols].tolist()])
+    # per node: pi(P+(m)) among the ranks, and the first row, the first
+    # checkpoint above m P+(m), from which on the node pairs
+    tops = np.array([top(v) for v in m.tolist()])
     assert np.array_equal(tree.ranks[tree.lower],
                           np.searchsorted(primes, tops, side="right"))
+    first_rows, node_kinds = np.divmod(tree.firsts, MAX_KIND + 1)
+    assert np.array_equal(node_kinds, d + 1)
+    assert first_rows.tolist() == [
+        int(np.count_nonzero(grid <= v * top(v))) for v in m.tolist()]
 
 
 @pytest.mark.parametrize("limit", [1009, 10007, 99991])
@@ -526,9 +545,9 @@ def test_lane_counts_where_a_cofactor_quotient_is_a_large_prime(limit):
                                           (8, 8), (12, 4)])
 def test_lane_counts_at_chunk_edges(monkeypatch, chunk, block):
     # chunks of a few ranks put tree ranks on their edges, and
-    # pi(1000) = 168 is a multiple of every chunk here.  A grid that ends at
-    # the limit reads rank pi(limit), past every chunk; one that stops short
-    # of it may not
+    # pi(1000) = 168 is a multiple of every chunk here.  Every tree's ranks
+    # end at pi(limit), past every chunk: they are every pi(v) over the
+    # quotients, the limit among them, whether or not the grid ends there
     import rmflab.sampler as sampler
 
     monkeypatch.setattr(growth, "_CHUNK", chunk)
@@ -545,7 +564,7 @@ def test_lane_counts_at_chunk_edges(monkeypatch, chunk, block):
                     want = per_seed_counts(beta, limit, seed, grid)
                     assert np.array_equal(got[k], want), (limit, seed)
     assert _tree(1000, checkpoint_grid(1000)).count % chunk == 0
-    assert on_edges and at_count == 2
+    assert on_edges and at_count == 4
 
 
 def test_mobius_lane_gives_published_mertens_values():
@@ -557,6 +576,23 @@ def test_mobius_lane_gives_published_mertens_values():
     assert np.array_equal(sums.checkpoints[at], powers)
     assert sums.sums[at].tolist() == \
         [-1, 1, 2, -23, -48, 212, 1037, 1928]
+
+
+def test_lane_sums_at_1e8_keep_their_recorded_values():
+    # S(x) for seed 1 at the powers of ten up to 10**8, recorded with the
+    # full hash compared on every beta, the tree's pairs sorted by x // m
+    # and pair-length lower terms: plain at 3/4 and 1/2, weighted at 7/8
+    powers = 10 ** np.arange(1, 9)
+    plain34, = coupled_sums(B34, 10**8, False, (1,))
+    plain12, = coupled_sums(HALF, 10**8, False, (1,))
+    weighted78, = coupled_sums(B78, 10**8, True, (1,))
+    at = np.searchsorted(plain34.checkpoints, powers)
+    assert plain34.sums[at].tolist() == \
+        [-1, -5, -30, -133, -580, -3632, -34255, -290682]
+    assert plain12.sums[at].tolist() == \
+        [5, 5, 26, -223, -824, -2592, 6035, 16556]
+    assert weighted78.sums[-1] == float.fromhex("-0x1.57506482f1ee4p+11")
+    assert weighted78.sums[at[3]] == 64.35802469135791
 
 
 @pytest.mark.parametrize("limit", [10, 26, 1000, 10**5])

@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (ISQRT_EDGE_LIMITS, build_sign_series, mobius_sieve,
-                     seeded_numerators)
+                     seeded_numerators, straddled_threshold)
 from rmflab import (CoverageError, DomainError, DyadicFraction,
                     OmegaAssignment, PreconditionError, prime_signs,
                     primes_up_to)
 from rmflab.dyadic import HALF, ONE
 from rmflab.growth import _checkpoint_counts, _tree
 from rmflab.sampler import (_HASH_BLOCK, LANES, _lane_flips, _lane_masks,
-                            signs_from_numerators)
+                            _plus_blocks, signs_from_numerators)
 
 
 def test_omega_deterministic():
@@ -175,6 +175,67 @@ def test_series_is_the_product_of_prime_signs(limit, beta, assignment_1e5,
     words = _lane_flips(beta, (7, assignment_1e5.master_seed), limit)
     lane = mobius * (1 - 2 * (words >> 1 & 1).astype(np.int8))
     assert lane.tolist() == s.values.tolist()
+
+
+# thresholds with at most 31 bits after the point, compared before the
+# hash's last xorshift, and with more, which take the full hash
+SHORT_BETAS = [HALF, DyadicFraction.from_fraction(3, 2),
+               DyadicFraction.from_fraction(7, 3),
+               DyadicFraction.from_fraction(2**31 - 1, 31)]
+LONG_BETAS = [DyadicFraction(0xD1B54A32D192ED03),
+              DyadicFraction.from_fraction(2**40 - 1, 40),
+              DyadicFraction(2**63 + 1)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1),
+       count=st.integers(0, 3 * _HASH_BLOCK + 5), data=st.data())
+def test_plus_blocks_match_signs_on_full_numerators(seed, count, data):
+    # the blocks run over ranks 0 .. count - 1 in order, and their flags are
+    # the +1 signs of the whole-array hash, whichever way they were compared.
+    # A drawn rank's own numerator as the threshold puts that rank on its
+    # edge, where a compare before the last xorshift errs half the time
+    nums = seeded_numerators(seed, count)
+    betas = SHORT_BETAS + LONG_BETAS
+    if count:
+        edge = int(nums[data.draw(st.integers(0, count - 1), label="rank")])
+        betas += [DyadicFraction(edge), DyadicFraction(edge + 1)]
+    beta = data.draw(st.sampled_from(betas), label="beta")
+    got = [(lo, plus.copy()) for lo, plus in _plus_blocks(beta, seed, count)]
+    assert [lo for lo, _ in got] == list(range(0, count, _HASH_BLOCK))
+    flags = np.concatenate([np.zeros(0, bool)] + [p for _, p in got])
+    want = signs_from_numerators(beta, nums) == 1
+    assert flags.dtype == bool and np.array_equal(flags, want)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+def test_plus_blocks_sign_a_straddled_rank_plus(seed):
+    # a threshold equal to a rank's numerator, with the value before the
+    # last xorshift below it: the full hash signs that rank +1
+    beta = straddled_threshold(seed, 1000, 2**63)
+    flags = next(_plus_blocks(beta, seed, 1000))[1]
+    nums = seeded_numerators(seed, 1000)
+    assert flags[np.flatnonzero(nums == beta.numerator)].all()
+    assert np.array_equal(flags, nums >= np.uint64(beta.numerator))
+
+
+def test_plus_blocks_skip_the_last_xorshift_only_below_32_bits(
+        monkeypatch):
+    # a threshold of at most 31 bits compares before the last xorshift, and
+    # the hash's last right shift by 31 never runs; any other takes it
+    shifts = []
+    right_shift = np.right_shift
+
+    def counting(z, by, **kw):
+        shifts.append(int(by))
+        return right_shift(z, by, **kw)
+
+    import rmflab.sampler as sampler
+    monkeypatch.setattr(sampler.np, "right_shift", counting)
+    for beta in SHORT_BETAS + LONG_BETAS:
+        shifts.clear()
+        list(_plus_blocks(beta, 5, 2 * _HASH_BLOCK))
+        assert (31 in shifts) == (beta in LONG_BETAS), float(beta)
 
 
 @pytest.mark.parametrize("count", [2 * _HASH_BLOCK - 1, 2 * _HASH_BLOCK,

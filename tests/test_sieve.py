@@ -207,7 +207,7 @@ def test_prime_counts_match_the_table(limit, primes_to_sieve_edges):
     assert got.dtype == np.int64
     assert np.array_equal(got, np.searchsorted(primes, ys, side="right"))
     assert len(prime_pi(limit, ys[:0])) == 0
-    values, counts = sieve._prime_counts(limit, ys)
+    values, counts, _ = sieve._prime_counts(limit, ys)
     assert counts.dtype == np.int64
     assert np.all(np.isin(ys, values))
     assert np.array_equal(counts, np.searchsorted(primes, values,
@@ -235,8 +235,10 @@ def test_segmented_sieve_at_every_block_edge(monkeypatch, block, spf_1e5):
 
 def assert_quotient_counts(limit, grid):
     """_prime_counts(limit, grid) holds every x // m, x in grid or
-    x = limit, ascending and distinct, each with pi as the oracle counts."""
-    values, counts = sieve._prime_counts(limit, np.asarray(grid, np.int64))
+    x = limit, ascending and distinct, each with pi as the oracle counts,
+    and the slot of each x // m above isqrt(limit) holds its index."""
+    values, counts, slots = sieve._prime_counts(limit,
+                                                np.asarray(grid, np.int64))
     root = math.isqrt(limit)
     assert np.array_equal(values[: root + 1], np.arange(root + 1))
     assert np.all(np.diff(values) > 0) and values[-1] == max(limit, root)
@@ -245,6 +247,10 @@ def assert_quotient_counts(limit, grid):
         x // np.arange(1, math.isqrt(x) + 2) for x in [*grid, limit] if x])
     assert np.all(np.isin(quotients, values))
     assert np.array_equal(counts, prime_pi(limit, values)), limit
+    # x's slots follow the slots of the checkpoints before it, m = 1 first
+    want = np.concatenate([np.zeros(0, np.int64)] + [
+        x // np.arange(1, x // (root + 1) + 1) for x in [*grid, limit]])
+    assert np.array_equal(values[slots], want), limit
 
 
 # p**3 - 1, p**3 and p**3 + 1 move the last prime the recurrence takes one
@@ -292,10 +298,10 @@ def test_quotient_counts_give_published_prime_counts():
     # pi(10**k) for k = 1..9 (OEIS A006880), from one grid and one limit each
     want = [4, 25, 168, 1229, 9592, 78498, 664579, 5761455, 50847534]
     powers = 10 ** np.arange(1, 10)
-    values, counts = sieve._prime_counts(10**9, powers)
+    values, counts, _ = sieve._prime_counts(10**9, powers)
     assert counts[np.searchsorted(values, powers)].tolist() == want
     for k in range(1, 9):
-        values, counts = sieve._prime_counts(10**k, [])
+        values, counts, _ = sieve._prime_counts(10**k, [])
         assert values[-1] == 10**k and counts[-1] == want[k - 1], k
 
 
