@@ -1,10 +1,10 @@
 """Partial-sum experiments: growth exponents, ratio statistics, ensembles.
 
 Partial sums of the sign series are exact 64-bit integers.  Weighted sums
-carry float weights (2*beta-1)**-d(n), at most (2*beta-1)**-9 ~ 13.3 at
-beta = 7/8 for X <= 10**9.  Both come from one kernel of exact signed counts
-per (checkpoint segment, d(n)): plain sums add them up, weighted sums round
-them once.
+carry float weights (2*beta-1)**-d(n), at most (2*beta-1)**-10 ~ 17.8 at
+beta = 7/8 for X <= 10**11.  Both come from one kernel of exact signed
+counts per (checkpoint segment, d(n)): plain sums add them up, weighted
+sums round them once.
 
 ``coupled_sums`` is the one way from seeds to checkpoint sums, LANES (8)
 seeds at a time.  It splits each squarefree n > 1 as m q with q = P+(n),
@@ -16,22 +16,28 @@ the largest prime factor, and P+(m) < q, as Deleglise and Rivat
 
 with Pi_k(y) the sum of f_k(p) over the primes p <= y.  The nodes m take
 only primes below sqrt(X), and one tree of (checkpoint, node) pairs per
-limit serves every seed.  pi(x // m) comes from Legendre's recurrence over
-the grid's quotients (``sieve._prime_counts``), which sieves nothing above
-sqrt(X) and whose slot table places each x // m, so no pair is sorted: the
+limit serves every seed.  With the nodes in the order of m P+(m), each
+checkpoint's are a prefix of that order, so the tree keeps one int32 per
+pair.  pi(x // m) comes from Legendre's recurrence over the grid's
+quotients (``sieve._prime_counts``), which sieves nothing above sqrt(X)
+and whose slot table places each x // m, so no pair is sorted: the
 tree's ranks are every pi(v) over those quotients.  Pi_k comes from one
 reused chunk of 2**15 plus flags per lane, counted at the ranks inside it;
-the first sum from reused blocks of 2**14 pair terms, and the second once
-per node, at the first checkpoint above m P+(m), carried down the rows by
-a cumulative sum.  Nothing of length X or pi(X) is made, and only the tree
-grows with X.  At X = 10**7 the tree has 15,512 nodes, 85,331 pairs and
-3,393 ranks; a 4-seed pass with no table cached peaks at 3.8 MiB traced,
-the tree's build, and at 1.4 MiB with the tree cached (tests hold them
-below 8 and 4 MiB, and below 24 MiB with the tree alone cold).  A cold
-tree takes about 0.03 s at 10**8; at 10**9 (426,054 nodes, 2,267,326
-pairs, 30,476 ranks) it takes 0.14-0.25 s and keeps 65 MiB, and a whole
-8-seed campaign run takes 1.5-2.5 s at 119 MiB ``VmHWM`` (2-core x86-64,
-numpy 2.4).
+the first sum from reused blocks of 2**14 terms over all the lanes, and
+the second once per node, at the first checkpoint above m P+(m), carried
+down the rows by a cumulative sum.  Nothing of length X or pi(X) is made,
+and only the tree grows with X.  At X = 10**7 the tree has 15,512 nodes,
+85,331 pairs and 3,393 ranks; a 4-seed pass with no table cached peaks at
+1.9 MiB traced, the tree's build, and at 1.1 MiB with the tree cached
+(tests hold them below 8 and 4 MiB, and below 24 MiB with the tree alone
+cold).  A cold tree takes about 0.03 s at 10**8.  At 10**9 (426,054
+nodes, 2,267,326 pairs, 30,476 ranks) it takes 0.14-0.21 s and keeps
+22 MiB, and a whole 8-seed campaign run takes 1.7-2.0 s at 65 MiB
+``VmHWM``.  At 10**10 (2,308,224 nodes, 12,139,683 pairs, 90,994 ranks)
+the tree takes 0.7-0.8 s and keeps 120 MiB, and an 8-seed run takes
+13-15 s at 204 MiB.  At 10**11 (12,739,537 nodes, 66,327,065 pairs,
+273,687 ranks) the tree takes 5.8-6.3 s and keeps 656 MiB, and a one-seed
+run takes 23 s at 836 MiB (2-core x86-64, numpy 2.4).
 
 Checkpoints live on a geometric grid with ratio 10**(1/8), so every power
 of ten is itself a checkpoint and log-log fits see evenly spaced abscissae.
@@ -39,7 +45,9 @@ of ten is itself a checkpoint and log-log fits see evenly spaced abscissae.
 
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass, asdict
@@ -290,24 +298,35 @@ class CampaignReport:
         return asdict(self)
 
 
+# Values per block of the tree's quotients, and of the lane pass's terms
+# over all its lanes: 128 KiB of float64
+_PAIR_BLOCK = 2**14
+
+
 @dataclass(frozen=True)
 class _Tree:
     """The nodes and (checkpoint, node) pairs of the largest-prime-factor
-    recursion at one limit and grid (``_tree``); no seed or beta enters."""
+    recursion at one limit and grid (``_tree``); no seed or beta enters.
+
+    Row i's pairs are the prefix order[:cuts[i]] of one node order, so the
+    only array per pair is ``upper``: about 4 bytes a pair and 33 a node.
+    """
 
     limit: int
     grid: np.ndarray
     count: int  # pi(limit)
     levels: list[int]  # the nodes with d(m) = d are levels[d]:levels[d + 1]
     parents: np.ndarray  # node -> the node m // P+(m)
-    tops: np.ndarray  # node -> the index of P+(m) among the primes
-    lower: np.ndarray  # node -> pi(P+(m)), as an index into ranks
+    tops: np.ndarray  # node -> the index of P+(m) among the primes, so
+    #                   pi(P+(m)) = tops + 1, as an index into ranks
     firsts: np.ndarray  # node -> i * (MAX_KIND + 1) + d(m) + 1, i the first
     #                     row with grid[i] > m P+(m) (len(grid) if none)
-    cols: np.ndarray  # pair -> its node m
-    bins: np.ndarray  # pair -> i * (MAX_KIND + 1) + d(m) + 1, at grid[i]
+    order: np.ndarray  # the nodes in the order of m P+(m)
+    kind: np.ndarray  # d(m) + 1 of each ordered node, as uint8
+    cuts: list[int]  # row i pairs with the ordered nodes order[:cuts[i]]
     ranks: np.ndarray  # the prime ranks read: ascending, distinct, from 0
-    upper: np.ndarray  # pair -> pi(x // m), as an index into ranks
+    upper: np.ndarray  # int32: pi(x // m) of row i and ordered node j, as
+    #                    an index into ranks, at sum(cuts[:i]) + j
 
 
 def _isqrt(v: np.ndarray) -> np.ndarray:
@@ -327,14 +346,16 @@ def _tree(limit: int, grid: np.ndarray) -> _Tree:
     with P+(1) read as 1, breadth first: the children of m are the m p with
     P+(m) < p and m p p < limit.  Checkpoint x pairs with the nodes with
     m P+(m) < x, the m for which some n = m q <= x with a prime q > P+(m)
-    may exist: the pairs run row by row, each row's nodes in the order of
-    m P+(m).  The nodes take only the primes <= isqrt(limit).  The ranks
-    are every pi(v) over the quotients of ``sieve._prime_counts``, and a
-    pair's x // m is found in its slot table, so no pair is sorted or
-    searched.  The ranks start 0, 1, ..., pi(isqrt(limit)), so
+    may exist: with the nodes in the order of m P+(m), each row's are a
+    prefix of that order, so only each pair's rank index is kept, row by
+    row.  The nodes take only the primes <= isqrt(limit).  The ranks are
+    every pi(v) over the quotients of ``sieve._prime_counts``, and a pair's
+    x // m is found in its slot table, so no pair is sorted or searched.
+    Their indices fit int32: there are fewer than 2**31 quotients up to
+    _COUNT_LIMIT.  The ranks start 0, 1, ..., pi(isqrt(limit)), so
     pi(P+(m)) = tops + 1 is its own index.  No pair-length temporary is
-    made.  A grid out of order or range raises ``RangeError`` (from
-    ``_prime_counts``).
+    made: the quotients go through buffers of _PAIR_BLOCK nodes.  A grid
+    out of order or range raises ``RangeError`` (from ``_prime_counts``).
     """
     values, counts, slots = _prime_counts(limit, grid)
     root = math.isqrt(limit)
@@ -378,38 +399,36 @@ def _tree(limit: int, grid: np.ndarray) -> _Tree:
     first = np.ones(len(counts), dtype=bool)
     np.not_equal(counts[1:], counts[:-1], out=first[1:])
     ranks = counts[first]
-    rank_at = np.cumsum(first)
+    rank_at = np.cumsum(first, dtype=np.int32)
     rank_at -= 1
     del values, first
     # row i pairs with the nodes order[:cuts[i]]; an x // m > root lies in
     # slot starts[i] + m of the slot table.  x // m is the float quotient
-    # truncated: exact, as m (x // m + 1) <= 2 x < 2**53.  Each row's
-    # quotients and slots go through buffers of one length, made once
+    # truncated: exact, as m (x // m + 1) <= 2 x < 2**53.  The quotients
+    # and slots go through buffers of _PAIR_BLOCK nodes, made once
     lengths = grid // (root + 1)
     starts = (np.cumsum(lengths) - lengths - 1).tolist()
-    pairs = sum(cuts)
-    cols = np.empty(pairs, dtype=np.intp)
-    bins = np.empty(pairs, dtype=np.intp)
-    upper = np.empty(pairs, dtype=np.intp)
-    ratios = np.empty(len(divisors))
-    quotients = np.empty(len(divisors), dtype=np.intp)
-    slot = np.empty(len(divisors), dtype=np.intp)
+    upper = np.empty(sum(cuts), dtype=np.int32)
+    width = min(_PAIR_BLOCK, len(divisors))
+    ratios = np.empty(width)
+    quotients = np.empty(width, dtype=np.intp)
+    slot = np.empty(width, dtype=np.intp)
     at = 0
-    for i, (x, cut, start) in enumerate(zip(grid.tolist(), cuts, starts)):
-        row = slice(at, at + cut)
-        cols[row] = order[:cut]
-        np.add(kind[:cut], i * kinds, out=bins[row], dtype=np.intp)
-        m, r, q, t = divisors[:cut], ratios[:cut], quotients[:cut], slot[:cut]
-        np.divide(x, m, out=r)
-        np.copyto(q, r, casting="unsafe")
-        np.add(m, start, out=r)  # past the row's slots where q <= root
-        np.copyto(t, r, casting="unsafe")
-        np.copyto(q, slots.take(t, mode="clip"), where=q > root)
-        np.take(rank_at, q, out=upper[row], mode="clip")
+    for x, cut, start in zip(grid.tolist(), cuts, starts):
+        for lo in range(0, cut, _PAIR_BLOCK):
+            hi = min(lo + _PAIR_BLOCK, cut)
+            m, r = divisors[lo:hi], ratios[: hi - lo]
+            q, t = quotients[: hi - lo], slot[: hi - lo]
+            np.divide(x, m, out=r)
+            np.copyto(q, r, casting="unsafe")
+            np.add(m, start, out=r)  # past the row's slots where q <= root
+            np.copyto(t, r, casting="unsafe")
+            np.copyto(q, slots.take(t, mode="clip"), where=q > root)
+            np.take(rank_at, q, out=upper[at + lo: at + hi], mode="clip")
         at += cut
     return _Tree(limit=limit, grid=grid, count=int(counts[-1]),
-                 levels=levels, parents=parents, tops=top, lower=top + 1,
-                 firsts=firsts, cols=cols, bins=bins, ranks=ranks,
+                 levels=levels, parents=parents, tops=top, firsts=firsts,
+                 order=order, kind=kind, cuts=cuts, ranks=ranks,
                  upper=upper)
 
 
@@ -424,10 +443,6 @@ def _checkpoint_tree(limit: int) -> _Tree:
 # sampler._HASH_BLOCK, so no hash block crosses a chunk's edge; below
 # 2**16, so np.add.reduceat counts a chunk's flags exactly in uint16
 _CHUNK = 2**15
-# Pairs per block of one lane's pair terms: two float64 buffers of 128 KiB
-_PAIR_BLOCK = 2**14
-
-
 def _checkpoint_counts(tree: _Tree, beta: DyadicFraction,
                        seeds) -> np.ndarray:
     """C[lane, i, d] for at most LANES seeds: the exact sum of the lane's
@@ -442,18 +457,19 @@ def _checkpoint_counts(tree: _Tree, beta: DyadicFraction,
     (``sampler._plus_blocks``) go into one reused chunk of _CHUNK bytes,
     and each full chunk adds its plus primes between the tree's ranks inside
     it by one np.add.reduceat, so nothing of pi(limit) bytes is made.  The
-    terms f_k(m) Pi_k(x // m) are formed _PAIR_BLOCK pairs at a time in two
-    reused float64 buffers and summed by bincount; the terms
-    f_k(m) Pi_k(P+(m)) are summed once per node at its first row, and a
-    cumulative sum down the rows carries them to every later one.  Both are
-    exact in float64: every value is an integer of size at most
-    limit < 2**53.
+    terms f_k(m) Pi_k(x // m) are formed for all lanes at once, one block
+    of ordered nodes and one row at a time (row i reads the prefix
+    order[:cuts[i]]), in a reused float64 buffer of _PAIR_BLOCK values, and
+    summed by one bincount keyed by d(m) + 1 and the lane.  The terms
+    f_k(m) Pi_k(P+(m)) are summed once per node at its first row, a block
+    of nodes at a time, and a cumulative sum down the rows carries them to
+    every later one.  Both are exact in float64: every partial sum is an
+    integer of size at most sum_{m <= x} x / m < x (1 + log x) < 2**53.
     """
     _, masks = _lane_masks(beta, seeds, math.isqrt(tree.limit))
     words = np.zeros(len(tree.parents), dtype=np.uint8)
     for lo, hi in zip(tree.levels[1:-1], tree.levels[2:]):
         words[lo:hi] = words[tree.parents[lo:hi]] ^ ~masks[tree.tops[lo:hi]]
-    pair_words = words[tree.cols]
     ranks, count = tree.ranks, tree.count
     # gaps[j]: the plus primes of ranks[j - 1] .. ranks[j] - 1, from rank 0
     # at j = 0; gaps[-1] takes those past the last rank.  The ranks inside
@@ -473,14 +489,9 @@ def _checkpoint_counts(tree: _Tree, beta: DyadicFraction,
         at = stop
     plus = np.empty(min(_CHUNK, count), dtype=bool)
     gaps = np.empty(len(ranks) + 1, dtype=np.int64)
-    pairs = len(tree.cols)
-    terms = np.empty(min(_PAIR_BLOCK, pairs))
-    signs = np.empty_like(terms)
-    rows, kinds = len(tree.grid), MAX_KIND + 1
-    totals = np.empty((len(seeds), rows, kinds), dtype=np.int64)
-    # word_signs[k, w] = (-1)**(bit k of w): lane k's f(m) from the word w
-    word_signs = 1.0 - 2.0 * (
-        np.arange(256) >> np.arange(len(seeds))[:, None] & 1)
+    lanes = len(seeds)
+    # prime_sums[j, k]: Pi_k at ranks[j], exact in float64
+    prime_sums = np.empty((len(ranks), lanes))
     for k, seed in enumerate(seeds):
         gaps[...] = 0
         if not beta.is_one:  # at beta = 1 no prime is plus
@@ -492,26 +503,52 @@ def _checkpoint_counts(tree: _Tree, beta: DyadicFraction,
                 first, stop, cuts = chunks[lo // _CHUNK]
                 gaps[first:stop] += np.add.reduceat(plus[:end], cuts,
                                                     dtype=np.uint16)
-        # Pi_k at each rank, as float64
-        prime_sums = (2 * np.cumsum(gaps[:-1]) - ranks).astype(np.float64)
-        sign = word_signs[k]
-        upper_sums = np.zeros(rows * kinds)
-        for lo in range(0, pairs, _PAIR_BLOCK):
-            hi = min(lo + _PAIR_BLOCK, pairs)
-            t, f = terms[: hi - lo], signs[: hi - lo]
+        prime_sums[:, k] = 2 * np.cumsum(gaps[:-1]) - ranks
+    rows, kinds = len(tree.grid), MAX_KIND + 1
+    # word_signs[w, k] = (-1)**(bit k of w): lane k's f(m) from the word w
+    word_signs = 1.0 - 2.0 * (
+        np.arange(256)[:, None] >> np.arange(lanes) & 1)
+    lane = kinds * np.arange(lanes)  # lane k's bins start at kinds k
+    # the pair terms f_k(m) Pi_k(x // m): a block of ordered nodes at a time,
+    # their signs and bins d(m) + 1 + kinds k made once for every row that
+    # pairs with the block, each row's terms for all lanes at once
+    nodes, row_cuts = len(tree.order), tree.cuts
+    width = min(max(_PAIR_BLOCK // lanes, 1), nodes)
+    terms = np.empty((width, lanes))
+    upper_sums = np.zeros((rows, lanes * kinds))
+    starts = list(itertools.accumulate(row_cuts, initial=0))
+    for lo in range(0, nodes, width):
+        hi = min(lo + width, nodes)
+        at = bisect.bisect_right(row_cuts, lo)  # the rows with cuts > lo
+        if at == rows:
+            break
+        sign = word_signs[words[tree.order[lo:hi]]]
+        keys = tree.kind[lo:hi, None] + lane
+        for i in range(at, rows):
+            n = min(row_cuts[i], hi) - lo
+            t = terms[:n]
             # mode "clip" writes straight into out ("raise" would buffer
             # it); every index is in range
-            np.take(prime_sums, tree.upper[lo:hi], out=t, mode="clip")
-            np.take(sign, pair_words[lo:hi], out=f, mode="clip")
-            t *= f
-            upper_sums += np.bincount(tree.bins[lo:hi], t,
-                                      minlength=rows * kinds)
-        lower_sums = np.bincount(
-            tree.firsts, sign[words] * prime_sums[tree.lower],
-            minlength=(rows + 1) * kinds)[: rows * kinds]
-        totals[k] = upper_sums.reshape(rows, kinds)
-        totals[k] -= np.cumsum(lower_sums.reshape(rows, kinds),
-                               axis=0).astype(np.int64)
+            pairs = tree.upper[starts[i] + lo: starts[i] + lo + n]
+            prime_sums.take(pairs, axis=0, out=t, mode="clip")
+            t *= sign[:n]
+            upper_sums[i] += np.bincount(keys[:n].ravel(), t.ravel(),
+                                         minlength=lanes * kinds)
+    # the terms f_k(m) Pi_k(P+(m)) at each node's first row, a block of
+    # nodes at a time; pi(P+(m)) is rank tops + 1 (the root's -1 reads 0)
+    lower_sums = np.zeros(lanes * (rows + 1) * kinds)
+    for lo in range(0, len(words), width):
+        hi = min(lo + width, len(words))
+        t = terms[: hi - lo]
+        prime_sums.take(tree.tops[lo:hi] + 1, axis=0, out=t, mode="clip")
+        t *= word_signs[words[lo:hi]]
+        keys = tree.firsts[lo:hi, None] + (rows + 1) * lane
+        lower_sums += np.bincount(keys.ravel(), t.ravel(),
+                                  minlength=lanes * (rows + 1) * kinds)
+    lower_sums = lower_sums.reshape(lanes, rows + 1, kinds)[:, :rows]
+    totals = upper_sums.reshape(rows, lanes, kinds).transpose(1, 0, 2) - \
+        np.cumsum(lower_sums, axis=1)
+    totals = totals.astype(np.int64)
     totals[:, tree.grid >= 1, 0] += 1  # n = 1
     return np.diff(totals, axis=1, prepend=0)
 

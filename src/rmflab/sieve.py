@@ -8,12 +8,14 @@ from a segmented odd-only sieve of 1 MiB blocks (``_odd_blocks``), so a
 table of them takes 8 bytes per prime, about 46 MB, plus 4 bytes per prime
 while it is joined: a cold ``primes_up_to(10**8)`` peaks at 100 MiB
 ``VmHWM``.  The checkpoint sums (``growth.coupled_sums``) make no table
-above sqrt(X), and so reach X = _COUNT_LIMIT = 10**9: they need pi(y) only
-at the quotients y = x // m, which Legendre's recurrence over those
+above sqrt(X), and so reach X = _COUNT_LIMIT = 10**11: they need pi(y)
+only at the quotients y = x // m, which Legendre's recurrence over those
 quotients gives in about X**(3/4) steps with no sieve above sqrt(X)
-(``_prime_counts``: 1.4 MiB traced at 10**7, 8.6 MiB at 10**9), and an
-8-seed pass peaks at 35 MiB ``VmHWM`` at 10**7 and 49 MiB at 10**8, and
-a whole 8-seed campaign run at 119 MiB at 10**9.  The full prime table
+(``_prime_counts``: 1.4 MiB traced at 10**7, 8.6 MiB at 10**9, 27 MiB at
+10**10 and 86 MiB at 10**11).  An 8-seed pass peaks at 33 MiB ``VmHWM``
+at 10**7 and 38 MiB at 10**8, a whole 8-seed campaign run at 65 MiB at
+10**9 and 204 MiB at 10**10, and a one-seed run at 836 MiB at 10**11,
+most of it the checkpoint tree (``growth._tree``).  The full prime table
 and the kinds table, 1 byte per integer, serve the sweeps alone: a cold
 kinds pass peaks at 171 MiB ``VmHWM`` at 10**8 and 16 MiB traced at 10**7
 (2-core x86-64, numpy 2.4).  The last two
@@ -32,9 +34,10 @@ import numpy as np
 from .errors import ConfigurationError, RangeError
 
 MAX_LIMIT = 10**8  # the prime table, the kinds table and the sweeps
-_COUNT_LIMIT = 10**9  # the table-free prime counts and checkpoint sums
-# d(n) <= MAX_KIND for n <= _COUNT_LIMIT: 2*3*5*...*29 = 6,469,693,230 > 10**9
-MAX_KIND = 9
+_COUNT_LIMIT = 10**11  # the table-free prime counts and checkpoint sums
+# d(n) <= MAX_KIND for n <= _COUNT_LIMIT: the first 11 primes multiply to
+# 2*3*5*...*31 = 200,560,490,130 > 10**11
+MAX_KIND = 10
 
 
 def primes_up_to(limit: int) -> np.ndarray:

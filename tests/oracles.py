@@ -432,7 +432,7 @@ def segment_counts(kinds: np.ndarray, grid: np.ndarray, flips: np.ndarray,
     limit = len(kinds) - 1
     if np.any(np.diff(grid, prepend=0) < 0) or np.any(grid > limit):
         raise RangeError(f"grid must ascend within [0, {limit}]")
-    # d(n) <= MAX_KIND = 9 keeps every code below 11 << 8, within int16
+    # d(n) <= MAX_KIND = 10 keeps every code below 12 << 8, within int16
     rows, patterns = MAX_KIND + 2, 1 << lanes
     net = np.zeros((len(grid), rows * patterns), dtype=np.int64)
     block = np.empty(min(SEGMENT_BLOCK, limit), dtype=np.int16)

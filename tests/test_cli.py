@@ -238,14 +238,21 @@ def test_validate_names_beta_below_half_and_sieve_limit(tmp_path):
     for kind in ("growth", "abel", "campaign", "exp-form"):
         cfg = ExperimentConfig(kind=kind, beta="1/4", seeds=[1])
         assert any("beta >= 1/2" in v for v in validate(cfg)), kind
-    # the sums count primes to _COUNT_LIMIT; abel sieves a table of X
+    # the sums count primes to _COUNT_LIMIT; abel sieves a table of X.  Each
+    # is accepted at its own limit (a run at 10**11 would take minutes) and
+    # refused past it, abel past the sums' limit too
     for kind, limit, what in (("growth", _COUNT_LIMIT, "prime count"),
+                              ("weighted-growth", _COUNT_LIMIT,
+                               "prime count"),
                               ("campaign", _COUNT_LIMIT, "prime count"),
                               ("abel", MAX_LIMIT, "sieve")):
-        cfg = ExperimentConfig(kind=kind, beta="3/4", limit=limit + 1,
-                               seeds=[1])
-        assert any(f"the {what} supports at most {limit}" in v
-                   for v in validate(cfg)), kind
+        cfg = ExperimentConfig(kind=kind, beta="7/8", limit=limit, seeds=[1])
+        assert validate(cfg) == [], kind
+        for past in (limit + 1, _COUNT_LIMIT + 1):
+            cfg = ExperimentConfig(kind=kind, beta="7/8", limit=past,
+                                   seeds=[1])
+            assert f"limit={past}: the {what} supports at most {limit}" in \
+                validate(cfg), kind
     # ... and run past the tables' limit
     cfg = ExperimentConfig(kind="growth", beta="3/4", limit=MAX_LIMIT + 1,
                            seeds=[1], outdir=str(tmp_path / "r"))
@@ -308,7 +315,8 @@ def test_fit_error_names_the_first_failing_seed(kind, tmp_path):
     ({"kind": "identity", "level": 1, "sigmas": [math.nan]}, "sigmas=[nan]"),
     ({"kind": "exp-form", "ts": [math.inf]}, "ts=[inf]"),
     ({"kind": "abel", "ts": [math.nan]}, "ts=[nan]"),
-    # truncations at P would ask the prime sieve for a 10**11-byte table
+    # truncations at P would ask the prime sieve for a 10**11-byte table,
+    # past MAX_LIMIT at the sums' own limit _COUNT_LIMIT = 10**11
     ({"kind": "identity", "level": 1, "prime_limit": 10**11},
      f"prime_limit={10**11}"),
     ({"kind": "h-scan", "beta": "15/16", "prime_limit": 10**11},
@@ -357,6 +365,25 @@ def test_fit_error_names_the_first_failing_seed(kind, tmp_path):
     ({"kind": "h-scan", "beta": "15/16", "sigmas": []},
      "at least one of each"),
     ({"kind": "h-scan", "beta": "15/16", "ts": []}, "at least one of each"),
+    # the truncations at P just past MAX_LIMIT; the sums, which count primes
+    # up to _COUNT_LIMIT, just past it; abel, which sieves up to MAX_LIMIT,
+    # past that and at _COUNT_LIMIT
+    ({"kind": "identity", "level": 1, "prime_limit": MAX_LIMIT + 1},
+     f"prime_limit={MAX_LIMIT + 1}"),
+    ({"kind": "h-scan", "beta": "15/16", "prime_limit": MAX_LIMIT + 1},
+     f"prime_limit={MAX_LIMIT + 1}"),
+    ({"kind": "exp-form", "prime_limit": MAX_LIMIT + 1},
+     f"prime_limit={MAX_LIMIT + 1}"),
+    ({"kind": "growth", "limit": _COUNT_LIMIT + 1},
+     f"the prime count supports at most {_COUNT_LIMIT}"),
+    ({"kind": "weighted-growth", "beta": "7/8", "limit": _COUNT_LIMIT + 1},
+     f"the prime count supports at most {_COUNT_LIMIT}"),
+    ({"kind": "campaign", "limit": _COUNT_LIMIT + 1},
+     f"the prime count supports at most {_COUNT_LIMIT}"),
+    ({"kind": "abel", "limit": MAX_LIMIT + 1},
+     f"the sieve supports at most {MAX_LIMIT}"),
+    ({"kind": "abel", "limit": _COUNT_LIMIT},
+     f"the sieve supports at most {MAX_LIMIT}"),
 ])
 def test_validate_rejects_fits_and_sigmas_run_would_reject(changes, needle,
                                                             tmp_path):

@@ -23,8 +23,8 @@ from rmflab.growth import (SumGrid, _checkpoint_counts, _checkpoint_tree,
                            _isqrt, _median, _quantile, _seed_result,
                            _sums_from_counts, _tree, coupled_sums)
 from rmflab.sampler import LANES, _lane_flips
-from rmflab.sieve import (MAX_KIND, _prime_table, primes_up_to,
-                          squarefree_kinds)
+from rmflab.sieve import (_COUNT_LIMIT, MAX_KIND, _prime_table,
+                          primes_up_to, squarefree_kinds)
 
 B34 = DyadicFraction.from_fraction(3, 2)
 B78 = DyadicFraction.from_fraction(7, 3)
@@ -164,9 +164,10 @@ def test_sums_reject_grids_out_of_order_or_range(grid):
 
 
 def test_sum_layer_peak_memory_at_1e7():
-    # one lane's counts and sums, with the tree built beforehand: 1.3 MiB
-    # traced (2.6 MiB with pair-length float64 buffers); a full-length
-    # int64 prefix or float64 weighted array would be 76 MiB
+    # one lane's counts and sums, with the tree built beforehand: 1.0 MiB
+    # traced (1.3 MiB with a byte per pair for the node words, 2.6 MiB with
+    # pair-length float64 buffers); a full-length int64 prefix or float64
+    # weighted array would be 76 MiB
     limit = 10**7
     tree = _checkpoint_tree(limit)
     for w in (None, weight_factor(B78)):
@@ -182,10 +183,11 @@ def test_sum_layer_peak_memory_at_1e7():
 
 def test_lane_pass_peak_memory_at_1e7():
     # 4 seeds from a cold tree, plain at beta 1/2 (nearly every prime is
-    # plus in some lane) or weighted at 7/8: 3.8 MiB traced, the tree's
-    # build with its prime counts (5.5 MiB while the tree sorted its pairs
-    # by x // m).  The per-seed path peaked at 25.4 MiB per seed, and the
-    # flip words of the primes <= isqrt(X) at 10.8 MiB
+    # plus in some lane) or weighted at 7/8: 1.9 MiB traced, the tree's
+    # build with its prime counts (3.8 MiB with three arrays per pair,
+    # 5.5 MiB while the tree sorted its pairs by x // m).  The per-seed
+    # path peaked at 25.4 MiB per seed, and the flip words of the primes
+    # <= isqrt(X) at 10.8 MiB
     limit = 10**7
     for beta, weighted in ((HALF, False), (B78, True)):
         primes_up_to(limit)  # the cached table may outlive the primes'
@@ -200,11 +202,11 @@ def test_lane_pass_peak_memory_at_1e7():
 
 
 def test_lane_pass_peak_memory_at_1e7_from_cold_primes():
-    # as above with no prime table cached either: 3.8 MiB traced, the
-    # tree's build, which makes no pair-length temporary.  Its pair-length
-    # temporaries took it to 5.5 MiB, and to 10.0 MiB all alive at once,
-    # and the prime table up to X, which the campaigns no longer make, to
-    # 16.0 MiB
+    # as above with no prime table cached either: 1.9 MiB traced, the
+    # tree's build, which makes no pair-length temporary.  Three arrays per
+    # pair took it to 3.8 MiB, its pair-length temporaries to 5.5 MiB, and
+    # to 10.0 MiB all alive at once, and the prime table up to X, which the
+    # campaigns no longer make, to 16.0 MiB
     limit = 10**7
     for beta, weighted in ((HALF, False), (B78, True)):
         _prime_table.cache_clear()
@@ -219,10 +221,11 @@ def test_lane_pass_peak_memory_at_1e7_from_cold_primes():
 
 
 def test_lane_pass_peak_memory_at_1e7_with_the_tree_warm():
-    # 4 seeds on a cached tree: 1.4 MiB traced, the lane group's hash
-    # blocks, chunk and pair blocks.  Two pair-length float64 buffers took
-    # it to 2.6 MiB, and a byte per prime, with its int32 copy for
-    # np.add.reduceat, to 4.9 MiB
+    # 4 seeds on a cached tree: 1.1 MiB traced, the lane group's hash
+    # blocks, chunk and term blocks (1.4 MiB with a byte per pair for the
+    # node words).  Two pair-length float64 buffers took it to 2.6 MiB, and
+    # a byte per prime, with its int32 copy for np.add.reduceat, to
+    # 4.9 MiB
     limit = 10**7
     _checkpoint_tree(limit)
     for beta, weighted in ((HALF, False), (B78, True)):
@@ -503,25 +506,60 @@ def test_tree_pairs_each_checkpoint_with_the_nodes_below_it(limit,
     assert sorted(m.tolist()) == sorted(keys)
     d = np.repeat(np.arange(len(tree.levels) - 1), np.diff(tree.levels))
     assert d.tolist() == [factors_1e5[v].d for v in m.tolist()]
-    rows, kinds = np.divmod(tree.bins, MAX_KIND + 1)
-    assert np.array_equal(kinds, d[tree.cols] + 1)
-    pairs = sorted(zip(rows.tolist(), m[tree.cols].tolist()))
-    assert pairs == sorted((i, v) for i, x in enumerate(grid.tolist())
-                           for v, key in keys.items() if key < x)
+    # row i pairs with the prefix order[:cuts[i]], the nodes with
+    # m P+(m) < grid[i], stored at sum(cuts[:i]) on in upper
+    assert len(tree.cuts) == len(grid) and sum(tree.cuts) == len(tree.upper)
+    assert sorted(tree.order.tolist()) == list(range(len(m)))
+    ordered = [keys[v] for v in m[tree.order].tolist()]
+    assert ordered == sorted(ordered)
+    assert np.array_equal(tree.kind, d[tree.order] + 1)
+    assert tree.kind.dtype == np.uint8
     primes = primes_up_to(limit)
     assert tree.ranks[0] == 0 and np.all(np.diff(tree.ranks) > 0)
-    x_over_m = grid[rows] // m[tree.cols]
-    assert np.array_equal(tree.ranks[tree.upper],
-                          np.searchsorted(primes, x_over_m, side="right"))
+    assert len(tree.ranks) - 1 <= np.iinfo(tree.upper.dtype).max
+    at = 0
+    for x, cut in zip(grid.tolist(), tree.cuts):
+        row = m[tree.order[:cut]]
+        assert sorted(row.tolist()) == sorted(v for v, key in keys.items()
+                                              if key < x)
+        ranks = tree.ranks[tree.upper[at: at + cut]]
+        assert np.array_equal(ranks, np.searchsorted(primes, x // row,
+                                                     side="right"))
+        at += cut
     # per node: pi(P+(m)) among the ranks, and the first row, the first
     # checkpoint above m P+(m), from which on the node pairs
     tops = np.array([top(v) for v in m.tolist()])
-    assert np.array_equal(tree.ranks[tree.lower],
+    assert np.array_equal(tree.ranks[tree.tops + 1],
                           np.searchsorted(primes, tops, side="right"))
     first_rows, node_kinds = np.divmod(tree.firsts, MAX_KIND + 1)
     assert np.array_equal(node_kinds, d + 1)
     assert first_rows.tolist() == [
         int(np.count_nonzero(grid <= v * top(v))) for v in m.tolist()]
+
+
+def test_tree_keeps_no_pair_array_but_upper_at_1e8():
+    # beside upper's 4 bytes a pair, parents, tops, firsts and order take 8
+    # bytes a node and kind 1; the ranks and the grid, far fewer than the
+    # nodes, fit in 3 more.  Each row's own node and bin arrays took 16
+    # bytes a pair more, and an intp upper 4
+    tree = _checkpoint_tree(10**8)
+    pairs, nodes = len(tree.upper), len(tree.order)
+    assert (pairs, nodes) == (433_601, 80_349)
+    held = sum(v.nbytes for v in vars(tree).values()
+               if isinstance(v, np.ndarray))
+    assert held <= pairs * tree.upper.itemsize + 36 * nodes, held
+    assert len(tree.ranks) - 1 <= np.iinfo(tree.upper.dtype).max
+
+
+def test_rank_indices_fit_the_pair_dtype_up_to_the_count_limit():
+    # the ranks index distinct pi(v) over the quotient set: the v <= root,
+    # and x // m for m <= x // (root + 1) per checkpoint and the limit
+    limit = _COUNT_LIMIT
+    root = math.isqrt(limit)
+    quotients = root + 1 + sum(x // (root + 1) for x in
+                               checkpoint_grid(limit).tolist() + [limit])
+    dtype = _tree(10, checkpoint_grid(10)).upper.dtype
+    assert quotients - 1 <= np.iinfo(dtype).max
 
 
 @pytest.mark.parametrize("limit", [1009, 10007, 99991])
@@ -565,6 +603,26 @@ def test_lane_counts_at_chunk_edges(monkeypatch, chunk, block):
                     assert np.array_equal(got[k], want), (limit, seed)
     assert _tree(1000, checkpoint_grid(1000)).count % chunk == 0
     assert on_edges and at_count == 4
+
+
+@pytest.mark.parametrize("block", [1, 2, 5, 16, 100])
+def test_lane_counts_at_node_block_edges(monkeypatch, block):
+    # blocks of a few nodes cut the rows of the tree's quotients and of the
+    # lane pass's terms everywhere, at widths block // lanes (at least 1);
+    # the shorter grid leaves nodes that pair with no row
+    monkeypatch.setattr(growth, "_PAIR_BLOCK", block)
+    unpaired = 0
+    for limit in (1000, 1009):
+        for grid in (checkpoint_grid(limit), checkpoint_grid(limit)[:-3]):
+            tree = _tree(limit, grid)
+            unpaired += len(tree.order) - tree.cuts[-1]
+            for beta in (HALF, ONE):
+                for n in (1, 3, 8):
+                    got = _checkpoint_counts(tree, beta, LANE_SEEDS[:n])
+                    for k, seed in enumerate(LANE_SEEDS[:n]):
+                        want = per_seed_counts(beta, limit, seed, grid)
+                        assert np.array_equal(got[k], want), (limit, seed)
+    assert unpaired > 0
 
 
 def test_mobius_lane_gives_published_mertens_values():

@@ -295,10 +295,12 @@ def test_quotient_counts_at_every_pair_block_edge(monkeypatch, block):
 
 
 def test_quotient_counts_give_published_prime_counts():
-    # pi(10**k) for k = 1..9 (OEIS A006880), from one grid and one limit each
-    want = [4, 25, 168, 1229, 9592, 78498, 664579, 5761455, 50847534]
-    powers = 10 ** np.arange(1, 10)
-    values, counts, _ = sieve._prime_counts(10**9, powers)
+    # pi(10**k) for k = 1..10 (OEIS A006880), from one grid and one limit
+    # each
+    want = [4, 25, 168, 1229, 9592, 78498, 664579, 5761455, 50847534,
+            455052511]
+    powers = 10 ** np.arange(1, 11)
+    values, counts, _ = sieve._prime_counts(10**10, powers)
     assert counts[np.searchsorted(values, powers)].tolist() == want
     for k in range(1, 9):
         values, counts, _ = sieve._prime_counts(10**k, [])
@@ -384,10 +386,13 @@ def test_sieve_matches_factorization_at_isqrt_edges(limit, factors_1e5):
 def test_max_kind_bounds_the_prime_factors_up_to_max_limit():
     # the product of the first MAX_KIND primes is the least n with
     # d(n) = MAX_KIND; one more prime takes it past the largest limit of
-    # the checkpoint sums, which the tables' limit does not pass
+    # the checkpoint sums, which the tables' limit does not pass:
+    # 2*3*...*29 = 6,469,693,230 <= 10**11 < 2*3*...*31 = 200,560,490,130
     first = primes_up_to(100)[: sieve.MAX_KIND + 1].tolist()
     assert math.prod(first[:-1]) <= sieve._COUNT_LIMIT < math.prod(first)
-    assert sieve.MAX_LIMIT <= sieve._COUNT_LIMIT
+    assert (sieve.MAX_KIND, sieve._COUNT_LIMIT) == (10, 10**11)
+    assert math.prod(first) == 200_560_490_130
+    assert sieve.MAX_LIMIT == 10**8 <= sieve._COUNT_LIMIT
 
 
 def test_log_byte_holds_up_to_max_limit():
