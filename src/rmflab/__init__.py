@@ -12,7 +12,7 @@ from .dyadic import HALF, DyadicFraction, beta_for_level
 from .errors import (ConfigurationError, CoverageError, DomainError, FitError,
                      LabError, PreconditionError, RangeError)
 from .sieve import primes_up_to
-from .sampler import OmegaAssignment, prime_signs
+from .sampler import OmegaAssignment
 from .iet import (IetSpec, apply_T, apply_T_power, apply_T_power_numerators,
                   interval_index)
 from .dirichlet import (WEIGHT_BETA_THRESHOLD, H_eval, IdentityEvaluator,

@@ -180,9 +180,11 @@ def validate(config: ExperimentConfig) -> list[str]:
                  "< beta < 1")
     if config.prime_limit < 2:
         v.append(f"prime_limit={config.prime_limit}: must be >= 2")
-    if sweep and sweep.size == "P" and config.prime_limit > MAX_LIMIT:
-        v.append(f"prime_limit={config.prime_limit}: the prime sieve "
-                 f"supports at most {MAX_LIMIT}")
+    # the products stream the primes; the identity keeps bytes per prime
+    max_p = MAX_LIMIT if config.kind == "identity" else _COUNT_LIMIT
+    if sweep and sweep.size == "P" and config.prime_limit > max_p:
+        v.append(f"prime_limit={config.prime_limit}: kind {config.kind} "
+                 f"supports at most {max_p}")
     min_limit = 10 if config.kind in _FIT_KINDS else 2  # checkpoints from 10
     if config.limit < min_limit:
         v.append(f"limit={config.limit}: must be >= {min_limit}")

@@ -1,7 +1,11 @@
 """Complex evaluation of truncated Euler products and the coupled identities.
 
 Every product over primes p <= P is computed in log space as a sum of
-per-prime principal logarithms.  That sum, ``exp_form_F``'s series and
+per-prime principal logarithms.  The primes come as a stream from the
+segmented sieve (``sieve._prime_blocks``), a block at a time, each block's
+omega hashed from its first rank, so no table of pi(P) primes is made and
+the products reach P = _COUNT_LIMIT; ``H_eval`` takes G's and zeta's terms
+from one pass.  That sum, ``exp_form_F``'s series and
 ``growth.abel_consistency``'s terms all go through ``_exact_sum``: the exact
 sum of the real and of the imaginary parts, each rounded once, by
 error-free extraction (Rump, Ogita and Oishi, 2008) and one fsum per part
@@ -15,25 +19,9 @@ links 1/zeta**(2**n - 1) to the family of sign products is exact prime by
 prime, so its residual is pure floating-point noise.
 
 The identity residual evaluates 2**n + 2 products whose factors are all
-1 - p**-s or 1 + p**-s.  ``IdentityEvaluator`` does the work that does not
-depend on s once per (level, seed, P): it hashes omega a hash block at a
-time and, block by block of 4,096 primes, compares the numerators with 1/2
-and applies T**k to the numerators in [1/2, 1) for every k, a column of
-powers per broadcast pass, while the block sits in cache, keeping each
-block's plus-signed indices product by product.  T fixes [0, 1/2), which
-``iet-test`` and ``tests/test_iet.py`` check, and beta > 1/2, so no other
-numerator is plus-signed in any view.  Per point it walks the same blocks:
-p**-s, log(1 - p**-s) at every prime, log(1 + p**-s) only at primes
-plus-signed in some product (about half), and one segmented extraction of
-the minus terms and of every product's terms at its plus-signed primes,
-folded into a few floats per product every _FOLD_BLOCKS blocks.  A
-product's log is the exact sum of the minus terms and of
-log(1 + p**-s) - log(1 - p**-s) at its plus-signed primes, rounded once:
-the same float as the exact sum of the product's full term vector, so the
-residual is bit for bit what the product-by-product evaluation gives.
-Each product's signs are still derived from its own T**k view of the
-hashed omega, so the check stays independent of the exchange map it
-tests.
+1 - p**-s or 1 + p**-s: ``IdentityEvaluator`` builds the T**k views once
+per (level, seed, P) and each point walks them block by block (see
+``identity_residual``).
 """
 
 from __future__ import annotations
@@ -47,9 +35,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dyadic import HALF, DyadicFraction
-from .errors import CoverageError, DomainError, PreconditionError
+from .errors import (ConfigurationError, CoverageError, DomainError,
+                     PreconditionError)
 from .iet import IetSpec, apply_T_power_numerators
-from .sampler import prime_signs
+from .sampler import signs_from_numerators
+from .sieve import MAX_LIMIT, _prime_blocks
 
 #: Weighted products need beta above this (so |g(p)| < sqrt(2)).
 WEIGHT_BETA_THRESHOLD = 0.5 + 0.5 / math.sqrt(2.0)
@@ -74,19 +64,9 @@ def _point(s: complex, floor: float) -> complex:
     return s
 
 
-def _prime_powers(primes: np.ndarray, s: complex) -> np.ndarray:
-    """p**-s for each prime, complex128."""
-    logs = np.log(primes.astype(np.float64))
+def _powers(logs: np.ndarray, s: complex) -> np.ndarray:
+    """p**-s for each prime from its float64 log p, complex128."""
     return np.exp(-s * logs)
-
-
-def _log_product(powers: np.ndarray, coeffs: np.ndarray) -> complex:
-    """sum of log(1 + c_p * p**-s) over the primes of a p**-s table
-    (``_prime_powers``), principal branch per factor, summed exactly and
-    rounded once (``_exact_sum``).  Callers pass the primes <= P and check
-    s."""
-    cs = np.asarray(coeffs, dtype=np.float64)
-    return _exact_sum([np.log(1.0 + cs * powers)])
 
 
 def _evaluation(log_value: complex, s: complex, P: int) -> EulerEvaluation:
@@ -100,39 +80,46 @@ def _evaluation(log_value: complex, s: complex, P: int) -> EulerEvaluation:
     return EulerEvaluation(log_value=log_value, value=value)
 
 
-def _primes_to(assignment, P: int) -> np.ndarray:
-    """The assignment's primes <= P; it must cover them all."""
+def _covered(assignment, P: int) -> None:
+    """``CoverageError`` unless the assignment covers the primes <= P."""
     if assignment.prime_limit < P:
         raise CoverageError(
             f"assignment covers primes <= {assignment.prime_limit} < P={P}")
-    primes = assignment.primes
-    return primes[: np.searchsorted(primes, P, side="right")]
+
+
+def _sign_blocks(beta: DyadicFraction, assignment, P: int):
+    """(log p, f_beta(p)) for the primes p <= P, streamed from the sieve
+    (``sieve._prime_blocks``) a hash block at a time: log p as float64, in
+    place of the block's primes, and the signs as int8, hashed from each
+    block's first rank (none at beta = 1, where every sign is -1).  Before
+    the first block: coverage of P, then beta >= 1/2, are checked."""
+    _covered(assignment, P)
+    if not HALF <= beta:
+        raise PreconditionError(f"beta={float(beta)} below 1/2")
+    for rank, primes in _prime_blocks(P):
+        logs = np.log(primes, out=primes)
+        if beta.is_one:
+            yield logs, np.full(len(logs), -1, dtype=np.int8)
+            continue
+        for lo, nums in assignment.numerator_blocks(len(primes), rank):
+            yield logs[lo:lo + len(nums)], signs_from_numerators(beta, nums)
 
 
 def euler_F(beta: DyadicFraction, assignment, P: int,
             s: complex) -> EulerEvaluation:
     """Truncated product of (1 + f_beta(p) * p**-s) over p <= P."""
     s = _point(s, 0)
-    primes = _primes_to(assignment, P)
-    signs = prime_signs(beta, assignment, primes)
-    return _evaluation(_log_product(_prime_powers(primes, s), signs), s, P)
+    return _evaluation(_exact_sum(
+        np.log(1.0 + signs.astype(np.float64) * _powers(logs, s))
+        for logs, signs in _sign_blocks(beta, assignment, P)), s, P)
 
 
-def zeta_truncated(P: int, s: complex, primes: np.ndarray | None = None
-                   ) -> EulerEvaluation:
-    """Truncated zeta: product of (1 - p**-s)**-1 over p <= P.
-
-    ``primes``, when given, must be the primes <= P."""
+def zeta_truncated(P: int, s: complex) -> EulerEvaluation:
+    """Truncated zeta: product of (1 - p**-s)**-1 over p <= P."""
     s = _point(s, 0)
-    if primes is None:
-        from .sieve import primes_up_to
-        primes = primes_up_to(P)
-    return _evaluation(_log_zeta(_prime_powers(primes, s)), s, P)
-
-
-def _log_zeta(powers: np.ndarray) -> complex:
-    """log zeta_P(s) from the p**-s table of the primes <= P."""
-    return -_log_product(powers, np.full(len(powers), -1.0))
+    return _evaluation(-_exact_sum(
+        np.log(1.0 + -1.0 * _powers(np.log(primes, out=primes), s))
+        for _, primes in _prime_blocks(P)), s, P)
 
 
 #: Values per segment of an exact extraction, and the M of its splitting
@@ -188,27 +175,43 @@ def _extracted(rows: np.ndarray,
     return np.concatenate(found)
 
 
+def _floats(block: np.ndarray) -> np.ndarray:
+    """(k, 2) floats whose columns sum exactly to the real and to the
+    imaginary parts of the complex128 ``block``, extracted _EXTRACT_BLOCK
+    values at a time (``_extracted``)."""
+    parts = block.view(np.float64).reshape(-1, 2).T
+    return np.concatenate(
+        [np.empty((0, 2))] +
+        [_extracted(parts[:, lo:lo + _EXTRACT_BLOCK])[:, :, 0]
+         for lo in range(0, parts.shape[1], _EXTRACT_BLOCK)])
+
+
 def _exact_sum(blocks: Iterable[np.ndarray],
                extracted: np.ndarray = np.empty((0, 2))) -> complex:
     """The sums of the real and of the imaginary parts of the values in
     ``blocks`` (complex128 arrays), each exact and then rounded once.
 
-    ``_extracted`` turns each _EXTRACT_BLOCK values of a block into a few
-    floats per part with the same exact sum, and one fsum per part rounds
-    the exact sum of them all: the float fsum over every value gives,
-    however the values are split into blocks.  A stream of blocks is taken
-    one at a time, never concatenated.  ``extracted`` is a (k, 2) array of
-    floats already extracted from real and imaginary parts, whose exact sums
-    join these.  A NaN or infinity raises ``DomainError``.
+    ``_floats`` turns each block into a few floats per part with the same
+    exact sum, and one fsum per part rounds the exact sum of them all: the
+    float fsum over every value gives, however the values are split into
+    blocks.  A stream of blocks is taken one at a time, never concatenated.
+    ``extracted`` is a (k, 2) array of floats already extracted from real
+    and imaginary parts, whose exact sums join these.  A NaN or infinity
+    raises ``DomainError``.
     """
-    found = [extracted]
-    for block in blocks:
-        parts = block.view(np.float64).reshape(-1, 2).T
-        found.extend(_extracted(parts[:, lo:lo + _EXTRACT_BLOCK])[:, :, 0]
-                     for lo in range(0, parts.shape[1], _EXTRACT_BLOCK))
-        del block, parts  # freed before the next block is made
-    re, im = np.concatenate(found).T.tolist()
+    # each block is freed once its floats are made, before the next
+    re, im = np.concatenate([extracted, *map(_floats, blocks)]).T.tolist()
     return complex(math.fsum(re), math.fsum(im))
+
+
+def _exact_sums(blocks: Iterable[tuple[int, np.ndarray]],
+                count: int) -> list[complex]:
+    """``count`` exact sums from one stream: ``blocks`` yields (j, block),
+    and block joins sum j (``_exact_sum``)."""
+    found = [[np.empty((0, 2))] for _ in range(count)]
+    for j, block in blocks:
+        found[j].append(_floats(block))
+    return [_exact_sum([], np.concatenate(f)) for f in found]
 
 
 #: The highest level ``IdentityEvaluator`` accepts.  A level-n residual
@@ -284,19 +287,23 @@ def _folded(floats: list[np.ndarray],
 class IdentityEvaluator:
     """``identity_residual`` of one (level, omega, P) at any number of s.
 
-    The constructor hashes omega a hash block at a time
-    (``numerator_blocks``) and cuts each into blocks of _VIEW_BLOCK primes.
-    In each it compares the numerators with 1/2 (product 0, F_{1/2}) and
-    applies T**k to the numerators in [1/2, 1) for k = 1..2**n (product k,
-    the view T**k omega), a few broadcast passes per block; T fixing
-    [0, 1/2) is checked by ``iet-test`` and ``tests/test_iet.py``.  Per
-    block it keeps, as ``_blocks``, only the products' plus-signed indices:
+    The constructor streams the primes <= P from the segmented sieve
+    (``sieve._prime_blocks``), hashes each sieve block from its first rank
+    a hash block at a time (``numerator_blocks``), and cuts each hash block
+    into view blocks of at most _VIEW_BLOCK primes.  In each it compares
+    the numerators with 1/2 (product 0, F_{1/2}) and applies T**k to the
+    numerators in [1/2, 1) for k = 1..2**n (product k, the view T**k
+    omega), a few broadcast passes per block; T fixing [0, 1/2) is checked
+    by ``iet-test`` and ``tests/test_iet.py``.  Per
+    block it keeps the primes' float64 log p, as ``_logs``, which every
+    point reuses, and, as ``_blocks``, the products' plus-signed indices:
     - ``union``: the indices plus-signed in some product, ascending;
     - ``plus``: every product's plus-signed indices, in product order;
     - ``owners``: the products with a plus-signed index in the block;
     - ``starts``: where each owner's indices begin in ``plus``.
     ``residual`` walks the same blocks, so no array of length pi(P) is made
-    by the constructor or per point.
+    per point, and none but the kept blocks by the constructor.  P is
+    capped at MAX_LIMIT: the kept bytes grow with pi(P).
     """
 
     def __init__(self, level: int, assignment, P: int):
@@ -305,13 +312,24 @@ class IdentityEvaluator:
                 f"level {level}: the identity evaluates 2**{level} + 2 = "
                 f"{2**level + 2:,} Euler products; levels above "
                 f"{MAX_IDENTITY_LEVEL} are not evaluated")
+        if P > MAX_LIMIT:
+            raise ConfigurationError(
+                f"P={P}: the identity keeps log p and plus-signed indices "
+                f"for every prime; P above {MAX_LIMIT} is not evaluated")
+        _covered(assignment, P)
         spec = IetSpec(level)
         self._intervals = spec.intervals
-        self._primes = _primes_to(assignment, P)
-        self._blocks = [
-            _plus_views(spec, nums[lo:lo + _VIEW_BLOCK])
-            for _, nums in assignment.numerator_blocks(len(self._primes))
-            for lo in range(0, len(nums), _VIEW_BLOCK)]
+        # the stream ends, freeing the sieve's buffer, before any hashing,
+        # and a view block is hashed at a time: the scratch stays small
+        streamed = [(rank, np.log(primes, out=primes))
+                    for rank, primes in _prime_blocks(P)]
+        self._logs, self._blocks = [], []
+        for rank, logs in streamed:
+            for at in range(0, len(logs), _VIEW_BLOCK):
+                view = logs[at:at + _VIEW_BLOCK]
+                [(_, nums)] = assignment.numerator_blocks(len(view), rank + at)
+                self._logs.append(view)
+                self._blocks.append(_plus_views(spec, nums))
 
     def residual(self, s: complex, strict_domain: bool = True) -> float:
         """|L - R| at s; see ``identity_residual``."""
@@ -323,13 +341,13 @@ class IdentityEvaluator:
         # per block: the minus terms' floats (id 0), and each owner's floats
         # (id owner + 1), folded every _FOLD_BLOCKS blocks
         floats, ids = [np.empty((0, 2))], [np.empty(0, dtype=np.intp)]
-        for b, (lo, (union, plus, owners, starts)) in enumerate(zip(
-                range(0, len(self._primes), _VIEW_BLOCK), self._blocks)):
-            powers = _prime_powers(self._primes[lo:lo + _VIEW_BLOCK], s)
+        for b, (logs, (union, plus, owners, starts)) in enumerate(zip(
+                self._logs, self._blocks)):
+            powers = _powers(logs, s)
             n, c = len(powers), len(plus)
             # [log(1 - p**-s) per prime | log(1 + p**-s) and log(1 - p**-s)
             # at each product's plus-signed primes], the element operations
-            # of _log_product with c = -1.0 and c = +1.0
+            # of log(1 + c * p**-s) with c = -1.0 and c = +1.0
             terms = np.empty(n + 2 * c, dtype=np.complex128)
             log_minus = np.multiply(-1.0, powers, out=terms[:n])
             np.add(1.0, log_minus, out=log_minus)
@@ -382,16 +400,16 @@ def identity_residual(level: int, assignment, P: int, s: complex,
     once per (level, seed, P), and a caller with many points calls its
     ``residual``.  Every factor of the 2**n + 2 products is 1 - p**-s or
     1 + p**-s, so a point computes each log once per prime, block by block
-    of _VIEW_BLOCK primes, and log(1 + p**-s) only where some product is
-    plus-signed.  Each block's log(1 - p**-s) terms, and every product's
-    log(1 + p**-s) and log(1 - p**-s) terms at its plus-signed primes, go
-    through one segmented extraction into a few floats per segment of the
-    same exact sum; every _FOLD_BLOCKS blocks the floats kept so far are
-    extracted again into a few per product.  A product's log is
-    ``_exact_sum`` over the minus terms' floats and its own, the second set
-    subtracted: rounded once, the same float as the fsum over the product's
-    full term vector, and L (from the minus terms' floats) is unchanged
-    too.
+    of _VIEW_BLOCK primes from their kept log p, and log(1 + p**-s) only
+    where some product is plus-signed.  Each block's log(1 - p**-s) terms,
+    and every product's log(1 + p**-s) and log(1 - p**-s) terms at its
+    plus-signed primes, go through one segmented extraction into a few
+    floats per segment of the same exact sum; every _FOLD_BLOCKS blocks the
+    floats kept so far are extracted again into a few per product.  A
+    product's log is ``_exact_sum`` over the minus terms' floats and its
+    own, the second set subtracted: rounded once, the same float as the
+    fsum over the product's full term vector, and L (from the minus terms'
+    floats) is unchanged too.
 
     The sides stay independent: omega is hashed once, but every view's
     signs come from applying T**k to the numerators in [1/2, 1), block by
@@ -400,7 +418,8 @@ def identity_residual(level: int, assignment, P: int, s: complex,
     them (checked by ``iet-test`` and ``tests/test_iet.py``) and they are
     below beta.  A wrong exchange map therefore leaves a residual far above
     rounding noise.
-    Levels above ``MAX_IDENTITY_LEVEL`` raise ``DomainError``.
+    Levels above ``MAX_IDENTITY_LEVEL`` raise ``DomainError``, and P above
+    ``sieve.MAX_LIMIT`` ``ConfigurationError``.
     """
     return IdentityEvaluator(level, assignment, P).residual(s, strict_domain)
 
@@ -412,26 +431,32 @@ def exp_form_F(beta: DyadicFraction, assignment, P: int,
     Returns (prime_sum, A_tail) with
     prime_sum = sum f(p) * p**-s and
     A_tail = sum_p sum_{m>=2} (-1)**(m+1) f(p)**m / (m * p**(m s)),
-    the m-series stopped once its largest term drops below 1e-18.
+    the m-series stopped once its largest term drops below 1e-18.  The
+    first block holds p = 2, whose term is the largest of every order, so
+    it fixes where the series stops, and every later block runs to that
+    same order.
     """
     s = _point(s, 0.5)  # the tail series needs Re(s) > 1/2
-    primes = _primes_to(assignment, P)
-    z = _prime_powers(primes, s)
-    z *= prime_signs(beta, assignment, primes)  # no sign array is kept
 
-    def orders():
-        # one order's terms at a time: no order outlives its step.  An
-        # in-place zm *= z takes another complex loop in numpy 2.4, which
-        # moves a last bit (z = 2**-(0.55+7j), order 3)
-        zm = z * z
-        m = 2
-        # initial: with no primes (P < 2) the tail is the empty sum
-        while np.max(np.abs(zm), initial=0.0) / m >= _TAIL_CUTOFF:
-            yield (-1.0 if m % 2 == 0 else 1.0) / m * zm
-            zm = zm * z
-            m += 1
+    def terms():
+        last = None  # the first order left out, fixed by the first block
+        for logs, signs in _sign_blocks(beta, assignment, P):
+            z = _powers(logs, s)
+            z *= signs  # no float sign array is made
+            yield 0, z
+            # one order's terms at a time: no order outlives its step.  An
+            # in-place zm *= z takes another complex loop in numpy 2.4,
+            # which moves a last bit (z = 2**-(0.55+7j), order 3)
+            zm = z * z
+            m = 2
+            while (m < last) if last else \
+                    (np.max(np.abs(zm)) / m >= _TAIL_CUTOFF):
+                yield 1, (-1.0 if m % 2 == 0 else 1.0) / m * zm
+                zm = zm * z
+                m += 1
+            last = m
 
-    return _exact_sum([z]), _exact_sum(orders())
+    return tuple(_exact_sums(terms(), 2))
 
 
 def weight_factor(beta: DyadicFraction) -> float:
@@ -444,30 +469,21 @@ def weight_factor(beta: DyadicFraction) -> float:
     return 1.0 / (2.0 * b - 1.0)
 
 
-def _log_G(beta: DyadicFraction, assignment, P: int,
-           s: complex) -> tuple[complex, np.ndarray]:
-    """log G at a checked s, and the p**-s table of the primes <= P it
-    runs over."""
-    w = weight_factor(beta)
-    primes = _primes_to(assignment, P)
-    signs = prime_signs(beta, assignment, primes).astype(np.float64)
-    powers = _prime_powers(primes, s)
-    return _log_product(powers, w * signs), powers
-
-
-def weighted_euler_G(beta: DyadicFraction, assignment, P: int,
-                     s: complex) -> EulerEvaluation:
-    """Truncated product of (1 + g(p) * p**-s) with g(p) = f(p)/(2*beta-1)."""
-    s = _point(s, 0.5)
-    return _evaluation(_log_G(beta, assignment, P, s)[0], s, P)
-
-
 def H_eval(beta: DyadicFraction, assignment, P: int, s: complex
            ) -> EulerEvaluation:
-    """H = G * zeta on the shared truncated prime set: the two logs added
-    and exponentiated once, so H has a value wherever its own log allows,
-    even where zeta_P(s) alone overflows a float.  Both logs read one
-    p**-s table."""
+    """H = G * zeta on the shared truncated prime set, where G is the
+    product of (1 + g(p) * p**-s) with g(p) = f(p)/(2*beta-1): the two logs
+    added and exponentiated once, so H has a value wherever its own log
+    allows, even where zeta_P(s) alone overflows a float.  Both logs' terms
+    come from one pass over the primes, one p**-s block for the two."""
     s = _point(s, 0.5)
-    log_g, powers = _log_G(beta, assignment, P, s)
-    return _evaluation(log_g + _log_zeta(powers), s, P)
+    w = weight_factor(beta)
+
+    def terms():
+        for logs, signs in _sign_blocks(beta, assignment, P):
+            powers = _powers(logs, s)
+            yield 0, np.log(1.0 + w * signs.astype(np.float64) * powers)
+            yield 1, np.log(1.0 + -1.0 * powers)  # c = -1.0, as in F_1
+
+    log_g, log_zeta_inverse = _exact_sums(terms(), 2)
+    return _evaluation(log_g - log_zeta_inverse, s, P)

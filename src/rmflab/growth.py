@@ -21,23 +21,23 @@ checkpoint's are a prefix of that order, so the tree keeps one int32 per
 pair.  pi(x // m) comes from Legendre's recurrence over the grid's
 quotients (``sieve._prime_counts``), which sieves nothing above sqrt(X)
 and whose slot table places each x // m, so no pair is sorted: the
-tree's ranks are every pi(v) over those quotients.  Pi_k comes from one
-reused chunk of 2**15 plus flags per lane, counted at the ranks inside it;
-the first sum from reused blocks of 2**14 terms over all the lanes, and
-the second once per node, at the first checkpoint above m P+(m), carried
-down the rows by a cumulative sum.  Nothing of length X or pi(X) is made,
-and only the tree grows with X.  At X = 10**7 the tree has 15,512 nodes,
-85,331 pairs and 3,393 ranks; a 4-seed pass with no table cached peaks at
-1.9 MiB traced, the tree's build, and at 1.1 MiB with the tree cached
+tree's ranks are every pi(v) over those quotients.  Pi_k comes from each
+lane's plus flags, one hash block of 2**15 ranks at a time, counted at the
+ranks inside it; the first sum from reused blocks of 2**14 terms over all
+the lanes, and the second once per node, at the first checkpoint above
+m P+(m), carried down the rows by a cumulative sum.  Nothing of length X
+or pi(X) is made, and only the tree grows with X.  At X = 10**7 the tree
+has 15,512 nodes, 85,331 pairs and 3,393 ranks; a 4-seed pass peaks at
+1.6 MiB traced, the tree's build, and at 1.0 MiB with the tree cached
 (tests hold them below 8 and 4 MiB, and below 24 MiB with the tree alone
 cold).  A cold tree takes about 0.03 s at 10**8.  At 10**9 (426,054
 nodes, 2,267,326 pairs, 30,476 ranks) it takes 0.14-0.21 s and keeps
-22 MiB, and a whole 8-seed campaign run takes 1.7-2.0 s at 65 MiB
-``VmHWM``.  At 10**10 (2,308,224 nodes, 12,139,683 pairs, 90,994 ranks)
-the tree takes 0.7-0.8 s and keeps 120 MiB, and an 8-seed run takes
-13-15 s at 204 MiB.  At 10**11 (12,739,537 nodes, 66,327,065 pairs,
-273,687 ranks) the tree takes 5.8-6.3 s and keeps 656 MiB, and a one-seed
-run takes 23 s at 836 MiB (2-core x86-64, numpy 2.4).
+16 MiB, and a whole 8-seed campaign run takes 1.8 s at 58 MiB ``VmHWM``.
+At 10**10 (2,308,224 nodes, 12,139,683 pairs) the tree takes 1.0 s and
+keeps 84 MiB, and an 8-seed run takes 14 s at 169 MiB.  At 10**11
+(12,739,537 nodes, 66,327,065 pairs) the tree takes 4.7 s and keeps
+462 MiB, and a one-seed run takes 22 s at 661 MiB (2-core x86-64,
+numpy 2.4).
 
 Checkpoints live on a geometric grid with ratio 10**(1/8), so every power
 of ten is itself a checkpoint and log-log fits see evenly spaced abscissae.
@@ -57,7 +57,7 @@ import numpy as np
 from .dyadic import DyadicFraction
 from .errors import (ConfigurationError, DomainError, FitError,
                      PreconditionError, RangeError)
-from .sampler import LANES, _lane_masks, _plus_blocks
+from .sampler import _HASH_BLOCK, LANES, _lane_masks, _plus_blocks
 from .sieve import _COUNT_LIMIT, MAX_KIND, _prime_counts, primes_up_to
 from .dirichlet import _exact_sum, _point, weight_factor
 
@@ -309,7 +309,8 @@ class _Tree:
     recursion at one limit and grid (``_tree``); no seed or beta enters.
 
     Row i's pairs are the prefix order[:cuts[i]] of one node order, so the
-    only array per pair is ``upper``: about 4 bytes a pair and 33 a node.
+    only array per pair is ``upper``: about 4 bytes a pair and 17 a node,
+    every index array int32.
     """
 
     limit: int
@@ -361,7 +362,7 @@ def _tree(limit: int, grid: np.ndarray) -> _Tree:
     root = math.isqrt(limit)
     primes = primes_up_to(root)
     m, top = np.ones(1, dtype=np.int64), np.full(1, -1)
-    ms, tops, parents, levels = [m], [top], [np.zeros(1, np.int64)], [0, 1]
+    ms, tops, parents, levels = [m], [top], [np.zeros(1, np.int32)], [0, 1]
     while True:
         # the child primes of m: from index top + 1 to the primes' count up
         # to isqrt((limit - 1) // m), exclusive
@@ -375,26 +376,33 @@ def _tree(limit: int, grid: np.ndarray) -> _Tree:
             np.repeat(np.cumsum(count) - count, count)
         m = m[at] * primes[top]
         ms.append(m)
-        tops.append(top)
-        parents.append(at + levels[-2])
+        tops.append(top.astype(np.int32))
+        parents.append((at + levels[-2]).astype(np.int32))
         levels.append(levels[-1] + len(at))
-    m, top = np.concatenate(ms), np.concatenate(tops)
+    # each list is joined and freed before the next, and all before the
+    # node-length temporaries
     parents = np.concatenate(parents)
-    del ms, tops
+    top = np.concatenate(tops, dtype=np.int32)
+    del tops
+    m = np.concatenate(ms)
+    del ms
     kinds = MAX_KIND + 1
     keys = m.copy()
     keys[1:] *= primes[top[1:]]  # m P+(m)
-    order = np.argsort(keys)
-    cuts = np.searchsorted(keys[order], grid, side="left").tolist()
-    firsts = np.searchsorted(grid, keys, side="right")
+    order = np.argsort(keys).astype(np.int32)
+    firsts = np.searchsorted(grid, keys, side="right").astype(np.int32)
     del keys
+    # row i pairs with the nodes with m P+(m) < grid[i]: firsts <= i
+    cuts = np.cumsum(np.bincount(firsts, minlength=len(grid)))[:len(grid)]
+    cuts = cuts.tolist()
     firsts *= kinds
     kind = np.repeat(np.arange(1, len(levels), dtype=np.uint8),
                      np.diff(levels))  # d(m) + 1
     firsts += kind
     # the nodes in the order of m P+(m): m exact as float64, m < 2**53
-    divisors, kind = m[order].astype(np.float64), kind[order]
+    divisors = m.astype(np.float64)
     del m
+    divisors, kind = divisors[order], kind[order]
     # the distinct pi(v), and each v's index among them
     first = np.ones(len(counts), dtype=bool)
     np.not_equal(counts[1:], counts[:-1], out=first[1:])
@@ -439,10 +447,12 @@ def _checkpoint_tree(limit: int) -> _Tree:
     return _tree(limit, checkpoint_grid(limit))
 
 
-# Ranks per chunk of one lane's plus flags, a multiple of
-# sampler._HASH_BLOCK, so no hash block crosses a chunk's edge; below
-# 2**16, so np.add.reduceat counts a chunk's flags exactly in uint16
-_CHUNK = 2**15
+# Ranks per chunk of one lane's plus flags: one hash block, so each block
+# of sampler._plus_blocks is a whole chunk; below 2**16, so np.add.reduceat
+# counts a chunk's flags exactly in uint16
+_CHUNK = _HASH_BLOCK
+
+
 def _checkpoint_counts(tree: _Tree, beta: DyadicFraction,
                        seeds) -> np.ndarray:
     """C[lane, i, d] for at most LANES seeds: the exact sum of the lane's
@@ -450,15 +460,15 @@ def _checkpoint_counts(tree: _Tree, beta: DyadicFraction,
     for d <= MAX_KIND, by the recursion of the module docstring.
 
     Bit k of a node's word is the parity of seed k's minus primes of m, the
-    xor of their complemented masks (``sampler._lane_masks`` over the primes
-    <= isqrt(limit)) carried down the tree, so f_k(m) = (-1)**(bit k).
+    xor of their complemented masks (``sampler._lane_masks`` over the
+    nodes' primes) carried down the tree, so f_k(m) = (-1)**(bit k).
     Pi_k(y) = 2 plus_k(y) - pi(y) is counted only at the tree's ranks, one
-    lane at a time: the lane's plus flags of ranks 0 .. pi(limit) - 1
-    (``sampler._plus_blocks``) go into one reused chunk of _CHUNK bytes,
-    and each full chunk adds its plus primes between the tree's ranks inside
-    it by one np.add.reduceat, so nothing of pi(limit) bytes is made.  The
-    terms f_k(m) Pi_k(x // m) are formed for all lanes at once, one block
-    of ordered nodes and one row at a time (row i reads the prefix
+    lane at a time: the lane's plus flags of ranks 0 .. pi(limit) - 1 come
+    a hash block, one whole chunk, at a time (``sampler._plus_blocks``),
+    and each adds its plus primes between the tree's ranks inside it by
+    one np.add.reduceat, so nothing of pi(limit) bytes is made.  The terms
+    f_k(m) Pi_k(x // m) are formed for all lanes at once, one block of
+    ordered nodes and one row at a time (row i reads the prefix
     order[:cuts[i]]), in a reused float64 buffer of _PAIR_BLOCK values, and
     summed by one bincount keyed by d(m) + 1 and the lane.  The terms
     f_k(m) Pi_k(P+(m)) are summed once per node at its first row, a block
@@ -466,7 +476,7 @@ def _checkpoint_counts(tree: _Tree, beta: DyadicFraction,
     every later one.  Both are exact in float64: every partial sum is an
     integer of size at most sum_{m <= x} x / m < x (1 + log x) < 2**53.
     """
-    _, masks = _lane_masks(beta, seeds, math.isqrt(tree.limit))
+    masks = _lane_masks(beta, seeds, int(tree.tops.max()) + 1)
     words = np.zeros(len(tree.parents), dtype=np.uint8)
     for lo, hi in zip(tree.levels[1:-1], tree.levels[2:]):
         words[lo:hi] = words[tree.parents[lo:hi]] ^ ~masks[tree.tops[lo:hi]]
@@ -487,7 +497,6 @@ def _checkpoint_counts(tree: _Tree, beta: DyadicFraction,
             offsets[at:stop]
         chunks.append((at if head else at + 1, stop + 1, cuts))
         at = stop
-    plus = np.empty(min(_CHUNK, count), dtype=bool)
     gaps = np.empty(len(ranks) + 1, dtype=np.int64)
     lanes = len(seeds)
     # prime_sums[j, k]: Pi_k at ranks[j], exact in float64
@@ -496,12 +505,8 @@ def _checkpoint_counts(tree: _Tree, beta: DyadicFraction,
         gaps[...] = 0
         if not beta.is_one:  # at beta = 1 no prime is plus
             for lo, flags in _plus_blocks(beta, operator.index(seed), count):
-                end = lo % _CHUNK + len(flags)
-                plus[end - len(flags): end] = flags
-                if end < len(plus) and lo + len(flags) < count:
-                    continue  # the chunk is not full yet
                 first, stop, cuts = chunks[lo // _CHUNK]
-                gaps[first:stop] += np.add.reduceat(plus[:end], cuts,
+                gaps[first:stop] += np.add.reduceat(flags, cuts,
                                                     dtype=np.uint16)
         prime_sums[:, k] = 2 * np.cumsum(gaps[:-1]) - ranks
     rows, kinds = len(tree.grid), MAX_KIND + 1

@@ -10,36 +10,37 @@ The sign convention is right-open: -1 on [0, beta), +1 on [beta, 1).  On the
 2**64-point dyadic grid this makes P(-1) = beta exact, and it differs from
 the closed-interval convention only at grid endpoints (a measure-zero set).
 
-``_lane_masks`` signs every prime for up to LANES seeds at once, as one
-uint8 mask per prime, straight from the blocks of the hash: for 8 seeds
-it peaks at 1.4 MiB traced at 10**7 and 6.3 MiB at 10**8, the masks and
-one hash block.  ``_lane_flips`` walks those masks into one flip word per
-integer, from which, with the table of ``sieve.squarefree_kinds``, the
-``abel`` sweep reads its series; it alone takes the masks of every prime.
+``_lane_masks`` signs the primes of the first ranks for up to LANES seeds
+at once, as one uint8 mask per prime, straight from the blocks of the
+hash: for 8 seeds and the primes <= 10**7 it peaks at 1.4 MiB traced, and
+at 6.3 MiB for those <= 10**8, the masks and one hash block.
+``_lane_flips`` walks those masks into one flip word per integer, from
+which, with the table of ``sieve.squarefree_kinds``, the ``abel`` sweep
+reads its series; it alone takes the masks of every prime.
 The checkpoint sums (``growth.coupled_sums``) walk nothing: they xor the
 masks of each node's primes, those <= sqrt(X), down the
-largest-prime-factor tree, and hash each lane's signs of the larger
-primes into one reused chunk of bytes, counted at the tree's ranks inside
-each chunk.
+largest-prime-factor tree, and count each lane's plus signs of the larger
+primes at the tree's ranks, one hash block at a time.
 
 Both take their signs from ``_plus_blocks``.  SplitMix64's last step,
 z ^= z >> 31, leaves bits 63..33 as they are, so a beta with at most 31
 bits after the point (1/2, 3/4, 7/8, ...) is compared before it: eight
 numpy passes per rank (the add, two shift-xor pairs, two multiplies and
 the compare) instead of ten.  Any other beta takes the full hash.  The
-identity reads full numerators (``numerator_blocks``, ``_hash_blocks``).
+Euler products and the identity read full numerators of each block of
+the prime stream, hashed from its first rank (``numerator_blocks``).
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dyadic import HALF, DyadicFraction
-from .errors import DomainError, PreconditionError
-from .sieve import _walk, primes_up_to
+from .errors import ConfigurationError, DomainError, PreconditionError
+from .sieve import _COUNT_LIMIT, _walk, primes_up_to
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -52,12 +53,12 @@ LANES = 8  # seeds per flip word: bit k of a uint8 belongs to seeds[k]
 _HASH_BLOCK = 2**15
 
 
-def _mixed_blocks(seed: int, count: int):
+def _mixed_blocks(seed: int, count: int, start: int = 0):
     """SplitMix64 (Steele, Lea and Flood, OOPSLA 2014) of ranks
-    0 .. count - 1 for ``seed`` up to its last xorshift, _HASH_BLOCK ranks
-    at a time: yields (lo, z, tmp) with z the ranks lo, lo + 1, ... before
-    z ^= z >> 31, and tmp a scratch array of the same length, both reused
-    by the next block.
+    start .. start + count - 1 for ``seed`` up to its last xorshift,
+    _HASH_BLOCK ranks at a time: yields (lo, z, tmp) with z the ranks
+    start + lo, start + lo + 1, ... before z ^= z >> 31, and tmp a scratch
+    array of the same length, both reused by the next block.
 
     Each rank has its own counter position, so streams never overlap within
     one seed: the input is seed + golden * (rank + 1), mod 2**64, computed
@@ -70,8 +71,8 @@ def _mixed_blocks(seed: int, count: int):
     for lo in range(0, count, _HASH_BLOCK):
         z = scratch[: min(_HASH_BLOCK, count - lo)]
         tmp = shifted[: len(z)]
-        start = (seed + int(_GOLDEN) * (lo + 1)) % 2**64
-        np.add(offsets[: len(z)], np.uint64(start), out=z)
+        first = (seed + int(_GOLDEN) * (start + lo + 1)) % 2**64
+        np.add(offsets[: len(z)], np.uint64(first), out=z)
         np.right_shift(z, np.uint64(30), out=tmp)
         z ^= tmp
         z *= _MIX1
@@ -81,12 +82,13 @@ def _mixed_blocks(seed: int, count: int):
         yield lo, z, tmp
 
 
-def _hash_blocks(seed: int, count: int):
-    """The omega numerators of ranks 0 .. count - 1 for ``seed``, _HASH_BLOCK
-    ranks at a time: yields (lo, z) with z the uint64 numerators of ranks
-    lo, lo + 1, ..., held in one scratch array that the next block reuses
-    (``_mixed_blocks`` and its last xorshift)."""
-    for lo, z, tmp in _mixed_blocks(seed, count):
+def _hash_blocks(seed: int, count: int, start: int = 0):
+    """The omega numerators of ranks start .. start + count - 1 for
+    ``seed``, _HASH_BLOCK ranks at a time: yields (lo, z) with z the uint64
+    numerators of ranks start + lo, start + lo + 1, ..., held in one scratch
+    array that the next block reuses (``_mixed_blocks`` and its last
+    xorshift)."""
+    for lo, z, tmp in _mixed_blocks(seed, count, start):
         np.right_shift(z, np.uint64(31), out=tmp)
         z ^= tmp
         yield lo, z
@@ -118,17 +120,6 @@ def _plus_blocks(beta: DyadicFraction, seed: int, count: int):
         yield lo, plus
 
 
-def _prefix(primes: np.ndarray | None, covered: np.ndarray) -> np.ndarray:
-    """``primes``, checked to be a prefix of ``covered`` (default: all of
-    ``covered``)."""
-    if primes is None:
-        return covered
-    if not np.array_equal(primes, covered[: len(primes)]):
-        raise DomainError(f"not a prefix of the covered primes: "
-                          f"{np.asarray(primes)[:5].tolist()}")
-    return primes
-
-
 def is_integer(value) -> bool:
     """True for a Python or numpy integer, not a bool or a float."""
     if isinstance(value, bool):
@@ -147,11 +138,12 @@ def is_seed(seed) -> bool:
 
 @dataclass(frozen=True)
 class OmegaAssignment:
-    """Deterministic map prime -> uniform dyadic coordinate, fixed by a seed."""
+    """Deterministic map prime -> uniform dyadic coordinate, fixed by a
+    seed, with no table: the prime of rank r gets the numerator of rank r.
+    """
 
     master_seed: int
     prime_limit: int
-    _primes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # the hash reads the seed as a uint64: a float start loses precision
@@ -162,37 +154,22 @@ class OmegaAssignment:
                               "integer in [0, 2**64)")
         object.__setattr__(self, "master_seed",
                            operator.index(self.master_seed))
-        object.__setattr__(self, "_primes", primes_up_to(self.prime_limit))
+        if self.prime_limit > _COUNT_LIMIT:
+            raise ConfigurationError(
+                f"prime limit {self.prime_limit} above supported maximum "
+                f"{_COUNT_LIMIT}")
 
-    @property
-    def primes(self) -> np.ndarray:
-        return self._primes
+    def numerators(self, count: int) -> np.ndarray:
+        """uint64 numerators of omega_p for the first ``count`` primes."""
+        return np.concatenate([np.empty(0, dtype=np.uint64)] + [
+            z.copy() for _, z in self.numerator_blocks(count)])
 
-    def numerators(self, primes: np.ndarray | None = None) -> np.ndarray:
-        """uint64 numerators of omega_p for a prefix of ``.primes`` (default:
-        all of them), filled from ``numerator_blocks``."""
-        out = np.empty(len(_prefix(primes, self._primes)), dtype=np.uint64)
-        for lo, z in self.numerator_blocks(len(out)):
-            out[lo: lo + len(z)] = z
-        return out
-
-    def numerator_blocks(self, count: int):
-        """The numerators of the first ``count`` primes, _HASH_BLOCK at a
-        time: yields (lo, z) as ``_hash_blocks`` does, z reused by the next
-        block, so no array of ``count`` numerators is made."""
-        return _hash_blocks(self.master_seed, count)
-
-
-def prime_signs(beta: DyadicFraction, assignment: OmegaAssignment,
-                primes: np.ndarray | None = None) -> np.ndarray:
-    """Vector of signs at the given primes, int8; at beta = 1 every sign is
-    -1, so nothing is hashed."""
-    if not HALF <= beta:
-        raise PreconditionError(f"beta={float(beta)} below 1/2")
-    if beta.is_one:
-        return np.full(len(_prefix(primes, assignment.primes)), -1,
-                       dtype=np.int8)
-    return signs_from_numerators(beta, assignment.numerators(primes))
+    def numerator_blocks(self, count: int, start: int = 0):
+        """The numerators of the primes of ranks start .. start + count - 1,
+        _HASH_BLOCK at a time: yields (lo, z) as ``_hash_blocks`` does, z
+        reused by the next block, so no array of ``count`` numerators is
+        made."""
+        return _hash_blocks(self.master_seed, count, start)
 
 
 def signs_from_numerators(beta: DyadicFraction,
@@ -206,11 +183,10 @@ def signs_from_numerators(beta: DyadicFraction,
     return signs
 
 
-def _lane_masks(beta: DyadicFraction, seeds,
-                limit: int) -> tuple[np.ndarray, np.ndarray]:
-    """The primes <= limit (the shared read-only table) and their uint8
-    masks for at most LANES seeds: bit k of a prime's mask is set when seed
-    ``seeds[k]`` signs it +1 (every mask is 0 at beta = 1).
+def _lane_masks(beta: DyadicFraction, seeds, count: int) -> np.ndarray:
+    """The uint8 masks of the primes of ranks 0 .. count - 1 for at most
+    LANES seeds: bit k of a prime's mask is set when seed ``seeds[k]``
+    signs it +1 (every mask is 0 at beta = 1).
 
     Each seed is hashed once, block by block (``_plus_blocks``), straight
     into the masks, with no per-seed array of numerators or signs.  On
@@ -224,15 +200,13 @@ def _lane_masks(beta: DyadicFraction, seeds,
     if not all(map(is_seed, seeds)):
         raise DomainError(f"seeds={list(seeds)!r}: every seed must be an "
                           "integer in [0, 2**64)")
-    primes = primes_up_to(limit)
-    masks = np.zeros(len(primes), dtype=np.uint8)
+    masks = np.zeros(count, dtype=np.uint8)
     if beta.is_one:
-        return primes, masks
+        return masks
     for k, seed in enumerate(seeds):
-        for lo, plus in _plus_blocks(beta, operator.index(seed),
-                                     len(primes)):
+        for lo, plus in _plus_blocks(beta, operator.index(seed), count):
             masks[lo: lo + len(plus)] |= plus.view(np.uint8) << np.uint8(k)
-    return primes, masks
+    return masks
 
 
 def _lane_flips(beta: DyadicFraction, seeds, limit: int) -> np.ndarray:
@@ -245,6 +219,7 @@ def _lane_flips(beta: DyadicFraction, seeds, limit: int) -> np.ndarray:
     One walk over every prime <= limit that is plus in some lane (see
     ``_lane_masks``), the large primes included.
     """
-    primes, masks = _lane_masks(beta, seeds, limit)
+    primes = primes_up_to(limit)
+    masks = _lane_masks(beta, seeds, len(primes))
     keep = masks != 0
     return _walk(primes[keep], masks[keep], limit, np.bitwise_xor)

@@ -1,27 +1,26 @@
-"""Integer-arithmetic substrate: primes, and one table of squarefree kinds.
+"""Integer-arithmetic substrate: primes, prime counts, and one table of
+squarefree kinds.
 
 Everything here is deterministic and exact.  Tables are plain numpy arrays,
 read-only once built, and safe for concurrent reads.
 
-Memory budget.  The tables serve X <= MAX_LIMIT = 10**8.  The primes come
-from a segmented odd-only sieve of 1 MiB blocks (``_odd_blocks``), so a
-table of them takes 8 bytes per prime, about 46 MB, plus 4 bytes per prime
-while it is joined: a cold ``primes_up_to(10**8)`` peaks at 100 MiB
-``VmHWM``.  The checkpoint sums (``growth.coupled_sums``) make no table
-above sqrt(X), and so reach X = _COUNT_LIMIT = 10**11: they need pi(y)
-only at the quotients y = x // m, which Legendre's recurrence over those
-quotients gives in about X**(3/4) steps with no sieve above sqrt(X)
-(``_prime_counts``: 1.4 MiB traced at 10**7, 8.6 MiB at 10**9, 27 MiB at
-10**10 and 86 MiB at 10**11).  An 8-seed pass peaks at 33 MiB ``VmHWM``
-at 10**7 and 38 MiB at 10**8, a whole 8-seed campaign run at 65 MiB at
-10**9 and 204 MiB at 10**10, and a one-seed run at 836 MiB at 10**11,
-most of it the checkpoint tree (``growth._tree``).  The full prime table
-and the kinds table, 1 byte per integer, serve the sweeps alone: a cold
-kinds pass peaks at 171 MiB ``VmHWM`` at 10**8 and 16 MiB traced at 10**7
-(2-core x86-64, numpy 2.4).  The last two
-limits' prime tables and the last kinds table stay cached and read-only
-for the process.  The sieve walks only the primes <= sqrt(X), in
-cache-sized blocks (see ``_walker``).
+Memory budget.  The primes come from a segmented odd-only sieve of 1 MiB
+blocks (``_odd_blocks``).  The Euler products read them as a stream
+(``_prime_blocks``), one block and its first rank at a time, so they keep
+no table and reach P = _COUNT_LIMIT = 10**11: an ``h-scan`` point peaks at
+38 MiB ``VmHWM`` at 10**8 and 39 MiB at 10**9.  A table of primes
+(``primes_up_to``, 8 bytes per prime, not cached) is made only up to
+sqrt(X), and up to X <= MAX_LIMIT = 10**8 for the ``abel`` sweep alone
+(95 MiB ``VmHWM`` cold at 10**8).  The checkpoint sums need pi(y) only at
+the quotients y = x // m, which Legendre's recurrence gives in about
+X**(3/4) steps with no sieve above sqrt(X) (``_prime_counts``: 1.4 MiB
+traced at 10**7, 8.6 MiB at 10**9, 27 MiB at 10**10 and 86 MiB at
+10**11); the rest of their memory is the checkpoint tree's
+(``growth._tree``).  The kinds table, 1 byte per integer, serves ``abel``
+too: a cold kinds pass peaks at 126 MiB ``VmHWM`` at 10**8 and 16 MiB
+traced at 10**7 (2-core x86-64, numpy 2.4), and the last limit's stays
+cached.  The sieve walks only the primes <= sqrt(X), in cache-sized blocks
+(see ``_walker``).
 """
 
 from __future__ import annotations
@@ -33,48 +32,46 @@ import numpy as np
 
 from .errors import ConfigurationError, RangeError
 
-MAX_LIMIT = 10**8  # the prime table, the kinds table and the sweeps
-_COUNT_LIMIT = 10**11  # the table-free prime counts and checkpoint sums
+MAX_LIMIT = 10**8  # the prime table, the kinds table, abel and identity
+_COUNT_LIMIT = 10**11  # the prime stream and counts, sums and products
 # d(n) <= MAX_KIND for n <= _COUNT_LIMIT: the first 11 primes multiply to
 # 2*3*5*...*31 = 200,560,490,130 > 10**11
 MAX_KIND = 10
 
 
 def primes_up_to(limit: int) -> np.ndarray:
-    """All primes <= limit, ascending, as int64, from the blocks of
-    ``_odd_blocks``.
-
-    The last two limits' tables stay cached for the process (8 bytes per
-    prime, about 46 MB at 10**8), so a campaign's primes <= sqrt(X) do not
-    evict a sweep's full table; every caller at a cached limit shares it, so
-    it is read-only.
-    """
+    """All primes <= limit, ascending, as a read-only int64 table joined
+    from the blocks of ``_prime_blocks``: 8 bytes per prime, and 4 more
+    while its int32 blocks are joined."""
     if limit > MAX_LIMIT:
         raise ConfigurationError(
             f"prime limit {limit} above supported maximum {MAX_LIMIT}")
-    return _prime_table(limit)
-
-
-@functools.lru_cache(maxsize=2)
-def _prime_table(limit: int) -> np.ndarray:
-    primes = _sieved(limit)
+    primes = np.concatenate(
+        [np.empty(0, dtype=np.int32)] +  # limit < 2**31
+        [block.astype(np.int32) for _, block in _prime_blocks(limit)],
+        dtype=np.int64)
     primes.flags.writeable = False
     return primes
 
 
-def _sieved(limit: int) -> np.ndarray:
-    """The primes <= limit as int64, from ``_odd_blocks``, uncached."""
-    pieces = [np.empty(0, dtype=np.int32)]  # limit < 2**31
+def _prime_blocks(limit: int):
+    """The primes <= limit, one block of ``_odd_blocks`` at a time: yields
+    (rank, primes), the block's primes as float64 (exact below 2**53), which
+    the caller may overwrite (say with log p), and rank the index of the
+    first among all primes.  Above _COUNT_LIMIT, ``ConfigurationError``
+    before any sieving."""
+    if limit > _COUNT_LIMIT:
+        raise ConfigurationError(
+            f"prime limit {limit} above supported maximum {_COUNT_LIMIT}")
+    rank = 0
     for lo, block in _odd_blocks(limit):
-        odd = np.flatnonzero(block).astype(np.int32)
-        odd += lo
-        odd *= 2
-        odd += 1
-        pieces.append(odd)
-    primes = np.concatenate(pieces, dtype=np.int64)
-    if len(primes):
-        primes[0] = 2  # slot 0, for 1
-    return primes
+        primes = np.flatnonzero(block).astype(np.float64)
+        primes *= 2
+        primes += 2 * lo + 1
+        if lo == 0 and len(primes):
+            primes[0] = 2  # slot 0, for 1
+        yield rank, primes
+        rank += len(primes)
 
 
 _SIEVE_BLOCK = 2**20  # odd slots per block: 1 MiB of bool, within a 2 MiB L2
@@ -92,7 +89,7 @@ def _odd_blocks(limit: int):
     from block to block.
     """
     slots = (limit + 1) // 2 if limit >= 2 else 0
-    base = _sieved(math.isqrt(limit))[1:] if limit >= 9 else \
+    base = primes_up_to(math.isqrt(limit))[1:] if limit >= 9 else \
         np.empty(0, dtype=np.int64)
     steps = base.tolist()
     squares = base * base // 2  # the slot of p*p
@@ -311,9 +308,7 @@ def squarefree_kinds(limit: int) -> np.ndarray:
     if not 1 <= limit <= MAX_LIMIT:
         raise ConfigurationError(
             f"sieve limit {limit} outside supported range [1, {MAX_LIMIT}]")
-    primes = primes_up_to(limit)
-    top = math.isqrt(limit) if limit >= 9 else limit
-    small = primes[: int(np.searchsorted(primes, top, side="right"))]
+    small = primes_up_to(math.isqrt(limit) if limit >= 9 else limit)
     codes = 0xFF00 | np.array([(p**8).bit_length() - 1  # floor(8 log2 p)
                                for p in small.tolist()], dtype=np.uint16)
     fill = _walker(small, codes, np.add)

@@ -6,11 +6,16 @@ from ``sieve.squarefree_kinds`` by that walk; ``prime_pi`` counts pi(y)
 in the blocks of the segmented sieve, the reference for the quotient
 recurrence ``sieve._prime_counts``;
 ``splitmix64`` is the whole-array hash, the reference for the blocked
-``OmegaAssignment.numerators``; ``build_sign_series`` realizes one seed's
-f_beta by its own walk over the plus-signed primes, the reference for the
-package's lane words; ``TransformedOmega`` feeds the product-by-product
-identity oracle and ``plus_views_whole`` is the whole-array reference for
-the identity's blocked view build; ``exact_partials_fsum`` is the fsum over
+``OmegaAssignment.numerators``, and ``prime_signs`` signs the whole
+prime table from it; ``build_sign_series`` realizes one seed's f_beta by
+its own walk over the plus-signed primes, the reference for the package's
+lane words; ``euler_F_table``, ``zeta_table``, ``weighted_euler_G``,
+``H_table`` and ``exp_form_table`` evaluate the Euler products over the
+whole prime table with one fsum per part, the references for the
+products that stream the primes; ``TransformedOmega`` feeds
+``identity_residual_oracle``, the residual product by product, and
+``plus_views_whole`` is the whole-array reference for the identity's
+blocked view build; ``exact_partials_fsum`` is the fsum over
 every value, the reference for the extracted exact partials;
 ``abel_residual_unblocked`` is the full-length reference
 for the blocked Abel check, and ``exp_form_tail_concatenated`` the
@@ -21,6 +26,7 @@ integer-by-integer reference for the recursion's exact counts.  None of it
 is part of the package.
 """
 
+import cmath
 import functools
 import itertools
 import math
@@ -30,9 +36,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from rmflab import (DyadicFraction, OmegaAssignment, beta_for_level,
-                    prime_signs, primes_up_to)
-from rmflab.dirichlet import _TAIL_CUTOFF
-from rmflab.errors import ConfigurationError, CoverageError, RangeError
+                    primes_up_to, weight_factor)
+from rmflab.dirichlet import _TAIL_CUTOFF, EulerEvaluation, _point
+from rmflab.dyadic import HALF
+from rmflab.errors import (ConfigurationError, CoverageError,
+                           PreconditionError, RangeError)
 from rmflab.iet import IetSpec, apply_T_power_numerators
 from rmflab.sampler import LANES, signs_from_numerators
 from rmflab.sieve import _COUNT_LIMIT, MAX_KIND, MAX_LIMIT, _odd_blocks
@@ -265,39 +273,48 @@ def build_sign_series(beta: DyadicFraction, assignment: OmegaAssignment,
             f"assignment covers primes <= {assignment.prime_limit} < {limit}")
     if len(mobius) < limit + 1:
         raise CoverageError(f"mobius table shorter than limit {limit}")
-    primes = assignment.primes
-    primes = primes[primes <= limit]
-    signs = prime_signs(beta, assignment, primes)
+    primes = primes_up_to(limit)
+    signs = prime_signs(beta, assignment, len(primes))
     values = mobius[: limit + 1].astype(np.int8, copy=True)
     for sel, _ in _multiples(primes[signs == 1], limit):
         values[sel] *= np.int8(-1)
     return SignSeries(beta=beta, limit=limit, values=values)
 
 
+def prime_signs(beta: DyadicFraction, assignment,
+                count: int | None = None) -> np.ndarray:
+    """f_beta(p) as int8 at the first ``count`` primes (default: every prime
+    <= the assignment's prime_limit), from its whole-array numerators; at
+    beta = 1 every sign is -1 and nothing is hashed."""
+    if not HALF <= beta:
+        raise PreconditionError(f"beta={float(beta)} below 1/2")
+    if count is None:
+        count = len(primes_up_to(assignment.prime_limit))
+    if beta.is_one:
+        return np.full(count, -1, dtype=np.int8)
+    return signs_from_numerators(beta, assignment.numerators(count))
+
+
 @dataclass(frozen=True)
 class TransformedOmega:
     """The view (T^k omega)_p of an omega assignment, with its
-    ``prime_limit``, ``primes``, ``numerators`` and ``numerator_blocks``, so
-    samplers and Euler products accept either."""
+    ``prime_limit``, ``numerators`` and ``numerator_blocks``, so samplers
+    and Euler products accept either."""
 
     base: object  # OmegaAssignment or another TransformedOmega
     spec: IetSpec
     power: int
 
     @property
-    def primes(self) -> np.ndarray:
-        return self.base.primes
-
-    @property
     def prime_limit(self) -> int:
         return self.base.prime_limit
 
-    def numerators(self, primes: np.ndarray | None = None) -> np.ndarray:
+    def numerators(self, count: int) -> np.ndarray:
         return apply_T_power_numerators(
-            self.spec, self.base.numerators(primes), self.power)
+            self.spec, self.base.numerators(count), self.power)
 
-    def numerator_blocks(self, count: int):
-        for lo, nums in self.base.numerator_blocks(count):
+    def numerator_blocks(self, count: int, start: int = 0):
+        for lo, nums in self.base.numerator_blocks(count, start):
             yield lo, apply_T_power_numerators(self.spec, nums, self.power)
 
 
@@ -307,11 +324,85 @@ def plus_views_whole(level: int, assignment, P: int) -> list[np.ndarray]:
     of the primes <= P."""
     spec = IetSpec(level)
     beta = beta_for_level(level)
-    primes = assignment.primes
-    nums = assignment.numerators(primes[primes <= P])
+    nums = assignment.numerators(len(primes_up_to(P)))
     return [np.flatnonzero(signs_from_numerators(
         beta, apply_T_power_numerators(spec, nums, k)) == 1)
         for k in range(1, spec.intervals + 1)]
+
+
+# The Euler products from the whole table of the primes <= P: every term
+# vector at once, summed by one fsum per part.  The references for the
+# products that stream the primes (``dirichlet``).
+
+def fsum_terms(terms: np.ndarray) -> complex:
+    return complex(math.fsum(terms.real.tolist()),
+                   math.fsum(terms.imag.tolist()))
+
+
+def _table_terms(beta, assignment, P: int, s: complex):
+    """(p**-s, f_beta(p) as float64) over the whole table of primes <= P."""
+    if assignment.prime_limit < P:
+        raise CoverageError(
+            f"assignment covers primes <= {assignment.prime_limit} < P={P}")
+    primes = primes_up_to(P)
+    powers = np.exp(-s * np.log(primes.astype(np.float64)))
+    return powers, prime_signs(beta, assignment,
+                               len(primes)).astype(np.float64)
+
+
+def euler_F_table(beta, assignment, P: int, s: complex) -> complex:
+    """log F_beta(s) over p <= P."""
+    s = _point(s, 0)
+    powers, signs = _table_terms(beta, assignment, P, s)
+    return fsum_terms(np.log(1.0 + signs * powers))
+
+
+def zeta_table(P: int, s: complex) -> complex:
+    """log zeta_P(s)."""
+    powers = np.exp(-complex(s) * np.log(primes_up_to(P).astype(np.float64)))
+    return -fsum_terms(np.log(1.0 + np.full(len(powers), -1.0) * powers))
+
+
+def weighted_euler_G(beta, assignment, P: int,
+                     s: complex) -> EulerEvaluation:
+    """Truncated product of (1 + g(p) * p**-s) with g(p) = f(p)/(2*beta-1):
+    the G of ``dirichlet.H_eval``, which no experiment evaluates alone."""
+    s = _point(s, 0.5)
+    w = weight_factor(beta)
+    powers, signs = _table_terms(beta, assignment, P, s)
+    log_value = fsum_terms(np.log(1.0 + w * signs * powers))
+    return EulerEvaluation(log_value=log_value, value=cmath.exp(log_value))
+
+
+def H_table(beta, assignment, P: int, s: complex) -> complex:
+    """log H = log G + log zeta_P, G's and zeta's logs added once."""
+    return weighted_euler_G(beta, assignment, P, s).log_value + \
+        zeta_table(P, s)
+
+
+def exp_form_table(beta, assignment, P: int,
+                   s: complex) -> tuple[complex, complex]:
+    """The prime sum and the m >= 2 tail of ``dirichlet.exp_form_F``."""
+    s = _point(s, 0.5)
+    powers, signs = _table_terms(beta, assignment, P, s)
+    return (fsum_terms(signs * powers),
+            exp_form_tail_concatenated(beta, assignment, P, s))
+
+
+def identity_residual_oracle(level: int, assignment, P: int,
+                             s: complex) -> float:
+    """The residual product by product: 2**n + 2 products over the table."""
+    s = complex(s)
+    spec = IetSpec(level)
+    beta = beta_for_level(level)
+    left = -(spec.intervals - 1) * zeta_table(P, s)
+    parts = [-euler_F_table(HALF, assignment, P, s)]
+    for k in range(1, spec.intervals + 1):
+        view = TransformedOmega(assignment, spec, k)
+        parts.append(euler_F_table(beta, view, P, s))
+    right_total = complex(math.fsum(z.real for z in parts),
+                          math.fsum(z.imag for z in parts))
+    return abs(left - right_total)
 
 
 def exact_partials_fsum(values: np.ndarray) -> list[float]:
@@ -352,8 +443,8 @@ def exp_form_tail_concatenated(beta, assignment, P: int,
     sigma = 0.55) and one fsum per part, the reference for its
     order-by-order sum."""
     s = complex(s)
-    primes = assignment.primes[assignment.primes <= P]
-    signs = prime_signs(beta, assignment, primes).astype(np.float64)
+    primes = primes_up_to(P)
+    signs = prime_signs(beta, assignment, len(primes)).astype(np.float64)
     z = signs * np.exp(-s * np.log(primes.astype(np.float64)))
     tail_terms = []
     zm = z * z

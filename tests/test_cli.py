@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rmflab.cli as cli
+import rmflab.dirichlet as dirichlet
 from rmflab import (ConfigurationError, DomainError, FitError, LabError,
                     PreconditionError)
 from rmflab.cli import _RUNNERS, ExperimentConfig, main, parse_beta, run, \
@@ -269,6 +270,41 @@ def test_validate_names_beta_below_half_and_sieve_limit(tmp_path):
         assert validate(cfg) == [], kind
 
 
+class Streamed(Exception):
+    """Raised in place of the first block of primes: a run got that far."""
+
+
+@pytest.mark.parametrize("kind, fields, cap", [
+    ("exp-form", {"beta": "3/4"}, _COUNT_LIMIT),
+    ("h-scan", {"beta": "15/16"}, _COUNT_LIMIT),
+    ("identity", {"level": 1}, MAX_LIMIT)])
+def test_validate_and_run_agree_at_the_P_caps(kind, fields, cap, monkeypatch,
+                                              tmp_path):
+    # at its cap a sweep is accepted and its run reaches the prime stream,
+    # which stops it before a block is sieved; one past it, validate() and
+    # the runner both refuse it, before the stream
+    limits = []
+
+    def stream(limit):
+        limits.append(limit)
+        raise Streamed
+
+    monkeypatch.setattr(dirichlet, "_prime_blocks", stream)
+    cfg = ExperimentConfig(kind=kind, prime_limit=cap, seeds=[1],
+                           outdir=str(tmp_path / "r"), **fields)
+    assert validate(cfg) == []
+    with pytest.raises(Streamed):
+        run(cfg)
+    assert limits == [cap]
+    cfg.prime_limit = cap + 1
+    assert validate(cfg) == [
+        f"prime_limit={cap + 1}: kind {kind} supports at most {cap}"]
+    assert pipeline_rejects(cfg)
+    with pytest.raises(LabError):
+        run(cfg)
+    assert limits == [cap]
+
+
 def test_zero_sums_fit_error_is_data_dependent(tmp_path):
     # seed 1 at beta 3/4 has S(18) = S(24) = S(32) = 0; the window holds the
     # five checkpoints 10, 13, 18, 24 and 32, so two nonzero sums are left
@@ -315,13 +351,14 @@ def test_fit_error_names_the_first_failing_seed(kind, tmp_path):
     ({"kind": "identity", "level": 1, "sigmas": [math.nan]}, "sigmas=[nan]"),
     ({"kind": "exp-form", "ts": [math.inf]}, "ts=[inf]"),
     ({"kind": "abel", "ts": [math.nan]}, "ts=[nan]"),
-    # truncations at P would ask the prime sieve for a 10**11-byte table,
-    # past MAX_LIMIT at the sums' own limit _COUNT_LIMIT = 10**11
+    # the identity keeps bytes per prime, so it stops at MAX_LIMIT; the
+    # products that stream the primes stop at _COUNT_LIMIT = 10**11
     ({"kind": "identity", "level": 1, "prime_limit": 10**11},
      f"prime_limit={10**11}"),
-    ({"kind": "h-scan", "beta": "15/16", "prime_limit": 10**11},
-     f"prime_limit={10**11}"),
-    ({"kind": "exp-form", "prime_limit": 10**11}, f"prime_limit={10**11}"),
+    ({"kind": "h-scan", "beta": "15/16", "prime_limit": _COUNT_LIMIT + 1},
+     f"prime_limit={_COUNT_LIMIT + 1}"),
+    ({"kind": "exp-form", "prime_limit": _COUNT_LIMIT + 1},
+     f"prime_limit={_COUNT_LIMIT + 1}"),
     # a float start loses precision (1.5 and 2.0 hashed like seed 2), and
     # True hashed like seed 1
     ({"kind": "campaign", "seeds": [1, 1.5]}, "seeds=[1, 1.5]"),
@@ -365,15 +402,16 @@ def test_fit_error_names_the_first_failing_seed(kind, tmp_path):
     ({"kind": "h-scan", "beta": "15/16", "sigmas": []},
      "at least one of each"),
     ({"kind": "h-scan", "beta": "15/16", "ts": []}, "at least one of each"),
-    # the truncations at P just past MAX_LIMIT; the sums, which count primes
-    # up to _COUNT_LIMIT, just past it; abel, which sieves up to MAX_LIMIT,
-    # past that and at _COUNT_LIMIT
+    # the identity just past MAX_LIMIT and the streamed products far past
+    # _COUNT_LIMIT; the sums, which count primes up to _COUNT_LIMIT, just
+    # past it; abel, which sieves up to MAX_LIMIT, past that and at
+    # _COUNT_LIMIT
     ({"kind": "identity", "level": 1, "prime_limit": MAX_LIMIT + 1},
      f"prime_limit={MAX_LIMIT + 1}"),
-    ({"kind": "h-scan", "beta": "15/16", "prime_limit": MAX_LIMIT + 1},
-     f"prime_limit={MAX_LIMIT + 1}"),
-    ({"kind": "exp-form", "prime_limit": MAX_LIMIT + 1},
-     f"prime_limit={MAX_LIMIT + 1}"),
+    ({"kind": "h-scan", "beta": "15/16", "prime_limit": 10 * _COUNT_LIMIT},
+     f"prime_limit={10 * _COUNT_LIMIT}"),
+    ({"kind": "exp-form", "prime_limit": 10 * _COUNT_LIMIT},
+     f"prime_limit={10 * _COUNT_LIMIT}"),
     ({"kind": "growth", "limit": _COUNT_LIMIT + 1},
      f"the prime count supports at most {_COUNT_LIMIT}"),
     ({"kind": "weighted-growth", "beta": "7/8", "limit": _COUNT_LIMIT + 1},

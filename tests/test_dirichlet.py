@@ -13,16 +13,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (TransformedOmega, exact_partials_fsum,
-                     exp_form_tail_concatenated, plus_views_whole)
+from oracles import (H_table, TransformedOmega, euler_F_table,
+                     exact_partials_fsum, exp_form_table,
+                     exp_form_tail_concatenated, fsum_terms,
+                     identity_residual_oracle, plus_views_whole, prime_signs,
+                     weighted_euler_G, zeta_table)
 from rmflab import (CoverageError, DomainError, DyadicFraction, H_eval,
                     IdentityEvaluator, IetSpec, OmegaAssignment,
                     PreconditionError, WEIGHT_BETA_THRESHOLD, abel_consistency,
-                    beta_for_level, euler_F, exp_form_F, identity_residual,
-                    prime_signs, primes_up_to, weight_factor, zeta_truncated)
-from rmflab import dirichlet
+                    euler_F, exp_form_F, identity_residual, primes_up_to,
+                    weight_factor, zeta_truncated)
+from rmflab import dirichlet, sampler, sieve
 from rmflab.cli import ExperimentConfig, run
-from rmflab.dirichlet import weighted_euler_G
 from rmflab.dyadic import HALF, ONE
 from rmflab.sampler import signs_from_numerators
 
@@ -37,16 +39,11 @@ class FixedOmega:
     prime_limit: int
     num: int
 
-    @property
-    def primes(self):
-        return primes_up_to(self.prime_limit)
-
-    def numerators(self, primes=None):
-        count = len(self.primes) if primes is None else len(primes)
+    def numerators(self, count):
         return np.full(count, self.num, dtype=np.uint64)
 
-    def numerator_blocks(self, count):
-        yield 0, self.numerators(self.primes[:count])
+    def numerator_blocks(self, count, start=0):
+        yield 0, self.numerators(count)
 
 
 def test_zeta_truncated_single_prime():
@@ -141,7 +138,6 @@ def test_identity_residual_domain():
 PRODUCTS_TO_P = {
     "euler_F": lambda a, P: euler_F(B78, a, P, 2),
     "exp_form_F": lambda a, P: exp_form_F(B78, a, P, 2),
-    "weighted_euler_G": lambda a, P: weighted_euler_G(B78, a, P, 2),
     "H_eval": lambda a, P: H_eval(B78, a, P, 2),
     "identity_residual": lambda a, P: identity_residual(1, a, P, 2),
 }
@@ -157,23 +153,6 @@ def test_products_reject_P_beyond_the_assignment(name):
         for P in (10**3 + 1, 10**4):
             with pytest.raises(CoverageError):
                 product(omega, P)
-
-
-def identity_residual_oracle(level, assignment, P, s):
-    """The residual product by product: 2**n + 2 full Euler products."""
-    s = complex(s)
-    spec = IetSpec(level)
-    beta = beta_for_level(level)
-    primes = assignment.primes
-    primes = primes[primes <= P]
-    left = -(spec.intervals - 1) * zeta_truncated(P, s, primes).log_value
-    parts = [-euler_F(HALF, assignment, P, s).log_value]
-    for k in range(1, spec.intervals + 1):
-        view = TransformedOmega(assignment, spec, k)
-        parts.append(euler_F(beta, view, P, s).log_value)
-    right_total = complex(math.fsum(z.real for z in parts),
-                          math.fsum(z.imag for z in parts))
-    return abs(left - right_total)
 
 
 ORACLE_POINTS = (1.5, complex(1.1, 10), complex(2, -3.7), 3.0,
@@ -216,11 +195,11 @@ def test_identity_evaluator_rejects_a_point_before_any_work(monkeypatch):
     evaluator = IdentityEvaluator(2, OmegaAssignment(master_seed=3,
                                                      prime_limit=10**3), 10**3)
 
-    def no_tables(primes, s):
+    def no_tables(logs, s):
         raise AssertionError(f"p**-s table built for s={s}")
 
     # every block of a point starts from its p**-s table
-    monkeypatch.setattr(dirichlet, "_prime_powers", no_tables)
+    monkeypatch.setattr(dirichlet, "_powers", no_tables)
     for s, strict, error in ((0.9, True, PreconditionError),
                              (complex(1, 5), True, PreconditionError),
                              (complex(-0.5, 1), False, DomainError),
@@ -234,7 +213,10 @@ def test_identity_evaluator_rejects_a_point_before_any_work(monkeypatch):
 class UnhashedOmega(FixedOmega):
     """Test double whose omega must never be hashed."""
 
-    def numerators(self, primes=None):
+    def numerators(self, count):
+        raise AssertionError("omega hashed")
+
+    def numerator_blocks(self, count, start=0):
         raise AssertionError("omega hashed")
 
 
@@ -250,7 +232,7 @@ def test_identity_run_builds_the_views_once_per_seed(monkeypatch, tmp_path):
     count = len(primes_up_to(prime_limit))
     assert count > dirichlet._VIEW_BLOCK  # the views are built in blocks
     nums = {seed: OmegaAssignment(master_seed=seed,
-                                  prime_limit=prime_limit).numerators()
+                                  prime_limit=prime_limit).numerators(count)
             for seed in seeds}
     seed_of = {int(num): seed for seed in seeds for num in nums[seed]}
     mapped = Counter()  # numerators mapped per (seed, k)
@@ -308,7 +290,7 @@ def test_identity_residual_detects_a_wrong_exchange_map(monkeypatch):
 def test_identity_residual_matches_the_oracle_at_the_view_block_edge(count):
     assert dirichlet._VIEW_BLOCK == 2**12
     a = OmegaAssignment(master_seed=11, prime_limit=10**5)
-    P = int(a.primes[count - 1])
+    P = int(primes_up_to(10**5)[count - 1])
     for level in (1, 4, 6):
         evaluator = IdentityEvaluator(level, a, P)
         for s in (1.5, complex(1.1, 10), complex(0.8, -2)):
@@ -353,8 +335,8 @@ VIEW_CASES = [(range(1, 9), 3, 9_592), (range(9, 13), 5, 2**12 + 5),
 def test_identity_views_match_the_whole_array_build():
     for levels, seed, count in VIEW_CASES:
         a = OmegaAssignment(master_seed=seed, prime_limit=10**6)
-        P = int(a.primes[count - 1]) if count else 1
-        nums = a.numerators(a.primes[:count])
+        P = int(primes_up_to(10**6)[count - 1]) if count else 1
+        nums = a.numerators(count)
         for level in levels:
             evaluator = IdentityEvaluator(level, a, P)
             assert len(evaluator._blocks) == \
@@ -380,7 +362,7 @@ def test_identity_residual_streams_partial_and_sparse_blocks(
     assert dirichlet._VIEW_BLOCK == 2**12
     for seed in (1, 7, 42):
         a = OmegaAssignment(master_seed=seed, prime_limit=prime_limit)
-        P = int(a.primes[count - 1])
+        P = int(primes_up_to(prime_limit)[count - 1])
         evaluator = IdentityEvaluator(level, a, P)
         blocks = evaluator._blocks
         assert len(blocks) == -(-count // 2**12)
@@ -416,9 +398,9 @@ def test_identity_residual_folds_its_floats_every_few_blocks(fold,
 
 
 def test_identity_point_peak_memory_at_1e6(assignment_1e6):
-    # a point streams the view blocks: one block's p**-s, terms and
-    # extraction at a time, 0.8 MiB traced; the two pi(P)-long log tables
-    # and their gathers traced 3.15 MiB
+    # a point streams the view blocks: one block's p**-s from its kept
+    # log p, its terms and extractions at a time, 0.64 MiB traced; the two
+    # pi(P)-long log tables and their gathers traced 3.15 MiB
     evaluator = IdentityEvaluator(6, assignment_1e6, 10**6)
     evaluator.residual(1.5)
     tracemalloc.start()
@@ -428,6 +410,22 @@ def test_identity_point_peak_memory_at_1e6(assignment_1e6):
     finally:
         tracemalloc.stop()
     assert peak < 2**20, peak / 2**20
+
+
+def test_h_scan_point_peak_memory_at_1e7():
+    # one point streams the 664,579 primes: a sieve block of 2**20 bytes
+    # with its primes (1.2 MiB as int64, then as float64 and log p), then
+    # per hash block the numerators, p**-s and both logs' terms: 5.0 MiB
+    # traced.  The whole-table evaluation traced 40.6 MiB, its 5.1 MiB
+    # prime table already built
+    a = OmegaAssignment(master_seed=5, prime_limit=10**7)
+    tracemalloc.start()
+    try:
+        H_eval(B78, a, 10**7, complex(0.6, 14.134725))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20, peak / 2**20
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False,
@@ -565,10 +563,6 @@ def test_exact_partials_refuse_non_finite_values(bad):
 PRODUCT_PRIMES = OmegaAssignment(master_seed=29, prime_limit=2 * 10**5)
 
 
-def fsum_terms(terms: np.ndarray) -> complex:
-    return complex(math.fsum(terms.real), math.fsum(terms.imag))
-
-
 @pytest.mark.parametrize("count", [2**14 - 1, 2**14, 2**14 + 1, None],
                          ids=["2**14-1", "2**14", "2**14+1", "P=10**5"])
 def test_products_are_fsum_over_their_term_vectors(count):
@@ -576,25 +570,62 @@ def test_products_are_fsum_over_their_term_vectors(count):
     # product's log is bitwise the fsum over its full term vector, built
     # here with the same element operations
     a = PRODUCT_PRIMES
-    P = 10**5 if count is None else int(a.primes[count - 1])
-    primes = a.primes[a.primes <= P]
+    P = 10**5 if count is None else \
+        int(primes_up_to(a.prime_limit)[count - 1])
+    primes = primes_up_to(P)
     logs = np.log(primes.astype(np.float64))
     for beta, floor in ((B34, 0.0), (B78, 0.5)):
-        signs = prime_signs(beta, a, primes).astype(np.float64)
+        signs = prime_signs(beta, a, len(primes)).astype(np.float64)
         for s in (complex(floor + 1e-3, 0), complex(floor + 1e-3, 1000),
                   complex(floor + 0.05, -1000), complex(1.5, 14.1)):
             powers = np.exp(-s * logs)
             assert euler_F(beta, a, P, s).log_value == \
                 fsum_terms(np.log(1.0 + signs * powers)), (beta, s)
             if floor:  # near sigma = 0, zeta_P(s) overflows a float
-                zeta = zeta_truncated(P, s, primes).log_value
+                zeta = zeta_truncated(P, s).log_value
                 minus = np.full(len(primes), -1.0) * powers
                 assert zeta == -fsum_terms(np.log(1.0 + minus)), s
-                g = weighted_euler_G(beta, a, P, s).log_value
+                # H's G part is its own fsum, added to zeta's once
                 w = weight_factor(beta)
-                assert g == fsum_terms(np.log(1.0 + w * signs * powers)), s
+                g = fsum_terms(np.log(1.0 + w * signs * powers))
+                assert H_eval(beta, a, P, s).log_value == g + zeta, s
                 prime_sum, _ = exp_form_F(beta, a, P, s)
                 assert prime_sum == fsum_terms(signs * powers), s
+
+
+# P on either side of each stream's block edges: a view block of 4,096
+# primes, a hash block of 2**15 ranks, and the segmented sieve's first block
+# of 2**20 odd slots, the odd numbers below 2**21
+EDGE_PRIMES = primes_up_to(2**21 + 200)
+BELOW_2_21 = int(np.searchsorted(EDGE_PRIMES, 2**21))
+STREAM_LIMITS = [2, 3, 10**6,
+                 *(int(EDGE_PRIMES[i]) for i in (2**12 - 1, 2**12,
+                                                 2**15 - 1, 2**15,
+                                                 BELOW_2_21 - 1, BELOW_2_21))]
+
+
+@pytest.mark.parametrize("P", STREAM_LIMITS)
+def test_streamed_products_match_the_table_oracles_bitwise(P):
+    # every product streams the primes from the sieve, a block at a time,
+    # and hashes each block from its first rank; the oracles take the whole
+    # table and one fsum per part
+    assert dirichlet._VIEW_BLOCK == 2**12 and sieve._SIEVE_BLOCK == 2**20
+    assert sampler._HASH_BLOCK == 2**15
+    a = OmegaAssignment(master_seed=31, prime_limit=P)
+    for s in (complex(0.6, 14.134725), complex(1.5, -3)):
+        for beta in (B34, ONE):
+            assert euler_F(beta, a, P, s).log_value == \
+                euler_F_table(beta, a, P, s), (beta, s)
+        assert zeta_truncated(P, s).log_value == zeta_table(P, s), s
+        assert H_eval(B78, a, P, s).log_value == H_table(B78, a, P, s), s
+    # sigma = 3 keeps the oracle's concatenated tail orders few
+    for beta, s in ((B34, complex(3, 2)), (B78, complex(0.6, 14.134725))):
+        if s.real > 1 or P <= 10**4:
+            assert exp_form_F(beta, a, P, s) == \
+                exp_form_table(beta, a, P, s), (beta, s)
+    evaluator = IdentityEvaluator(2, a, P)
+    for s in (complex(1.1, 10), 2.0):
+        assert evaluator.residual(s) == identity_residual_oracle(2, a, P, s)
 
 
 def abel_at(s):
@@ -605,12 +636,11 @@ def abel_at(s):
 @pytest.mark.parametrize("evaluate", [
     lambda s: euler_F(B34, PRODUCT_PRIMES, 10**3, s),
     lambda s: zeta_truncated(10**3, s),
-    lambda s: weighted_euler_G(B78, PRODUCT_PRIMES, 10**3, s),
     lambda s: H_eval(B78, PRODUCT_PRIMES, 10**3, s),
     lambda s: exp_form_F(B34, PRODUCT_PRIMES, 10**3, s),
     abel_at,
-], ids=["euler_F", "zeta_truncated", "weighted_euler_G", "H_eval",
-        "exp_form_F", "abel_consistency"])
+], ids=["euler_F", "zeta_truncated", "H_eval", "exp_form_F",
+        "abel_consistency"])
 @pytest.mark.parametrize("s", [complex(math.nan, 0), complex(math.inf, 0),
                                complex(2, math.nan), complex(2, math.inf)],
                          ids=["nan_re", "inf_re", "nan_im", "inf_im"])
@@ -697,10 +727,10 @@ def test_exp_form_tail_matches_the_concatenated_oracle(P, s, assignment_1e5):
 
 
 def test_exp_form_peak_memory_at_1e5(assignment_1e5):
-    # at sigma = 0.55 the tail runs to order m ~ 100; holding every order's
-    # terms for one concatenation peaked at 28.2 MiB traced (230.6 MiB at
-    # P = 10**6), about 3 KB per prime
-    assignment_1e5.primes
+    # at sigma = 0.55 the tail runs to order m ~ 100: 1.1 MiB traced, a
+    # sieve block and one hash block's terms at a time.  Holding every
+    # order's terms for one concatenation peaked at 28.2 MiB traced
+    # (230.6 MiB at P = 10**6), about 3 KB per prime
     tracemalloc.start()
     try:
         exp_form_F(B34, assignment_1e5, 10**5, 0.55)
@@ -711,10 +741,11 @@ def test_exp_form_peak_memory_at_1e5(assignment_1e5):
 
 
 def test_exp_form_peak_memory_at_1e6(assignment_1e6):
-    # 78,498 primes: z, one order's power and its terms, 1.2 MiB each, and
-    # the extraction's scratch trace 4.4 MiB; the float signs kept beside
-    # z took it to 5.0 MiB
-    assignment_1e6.primes
+    # 78,498 primes, streamed: the sieve block with its primes, then per
+    # hash block of 2**15 z, one order's power and its terms, 3.9 MiB
+    # traced.  The whole-table z, one order's power and its terms, 1.2 MiB
+    # each, and the extraction's scratch traced 4.4 MiB, and with the float
+    # signs kept beside z 5.0 MiB
     tracemalloc.start()
     try:
         exp_form_F(B34, assignment_1e6, 10**6, 0.55)
@@ -742,10 +773,10 @@ def test_exp_form_domain():
 def test_prime_sum_ensemble_mean_at_s1():
     # E f(p) = 1 - 2 beta: ensemble mean of sum f(p)/p tracks -(1/2) sum 1/p
     P = 10**5
-    a0 = OmegaAssignment(master_seed=0, prime_limit=P)
-    target = -0.5 * float(np.sum(1.0 / a0.primes))
+    primes = primes_up_to(P)
+    target = -0.5 * float(np.sum(1.0 / primes))
     vals = np.array([math.fsum(prime_signs(
-        B34, OmegaAssignment(master_seed=s, prime_limit=P)) / a0.primes)
+        B34, OmegaAssignment(master_seed=s, prime_limit=P)) / primes)
         for s in range(100)])
     se = vals.std(ddof=1) / math.sqrt(len(vals))
     assert abs(vals.mean() - target) <= 4 * se
@@ -777,10 +808,11 @@ def test_weighted_G_mean_minus_one(assignment_1e6):
 
 
 def test_weighted_G_domain_errors(assignment_1e5):
+    # G is evaluated only inside H, which checks its domain
     with pytest.raises(PreconditionError):
-        weighted_euler_G(B34, assignment_1e5, 10**3, 0.8)
+        H_eval(B34, assignment_1e5, 10**3, 0.8)
     with pytest.raises(DomainError):
-        weighted_euler_G(B78, assignment_1e5, 10**3, 0.4)
+        H_eval(B78, assignment_1e5, 10**3, 0.4)
 
 
 def test_H_is_G_times_zeta(assignment_1e5):

@@ -23,8 +23,8 @@ from rmflab.growth import (SumGrid, _checkpoint_counts, _checkpoint_tree,
                            _isqrt, _median, _quantile, _seed_result,
                            _sums_from_counts, _tree, coupled_sums)
 from rmflab.sampler import LANES, _lane_flips
-from rmflab.sieve import (_COUNT_LIMIT, MAX_KIND, _prime_table,
-                          primes_up_to, squarefree_kinds)
+from rmflab.sieve import (_COUNT_LIMIT, MAX_KIND, primes_up_to,
+                          squarefree_kinds)
 
 B34 = DyadicFraction.from_fraction(3, 2)
 B78 = DyadicFraction.from_fraction(7, 3)
@@ -183,14 +183,13 @@ def test_sum_layer_peak_memory_at_1e7():
 
 def test_lane_pass_peak_memory_at_1e7():
     # 4 seeds from a cold tree, plain at beta 1/2 (nearly every prime is
-    # plus in some lane) or weighted at 7/8: 1.9 MiB traced, the tree's
-    # build with its prime counts (3.8 MiB with three arrays per pair,
-    # 5.5 MiB while the tree sorted its pairs by x // m).  The per-seed
-    # path peaked at 25.4 MiB per seed, and the flip words of the primes
-    # <= isqrt(X) at 10.8 MiB
+    # plus in some lane) or weighted at 7/8: 1.6 MiB traced, the tree's
+    # build with its prime counts (1.9 MiB with intp node arrays, 3.8 MiB
+    # with three arrays per pair, 5.5 MiB while the tree sorted its pairs
+    # by x // m).  The per-seed path peaked at 25.4 MiB per seed, and the
+    # flip words of the primes <= isqrt(X) at 10.8 MiB
     limit = 10**7
     for beta, weighted in ((HALF, False), (B78, True)):
-        primes_up_to(limit)  # the cached table may outlive the primes'
         _checkpoint_tree.cache_clear()
         tracemalloc.start()
         try:
@@ -202,14 +201,14 @@ def test_lane_pass_peak_memory_at_1e7():
 
 
 def test_lane_pass_peak_memory_at_1e7_from_cold_primes():
-    # as above with no prime table cached either: 1.9 MiB traced, the
-    # tree's build, which makes no pair-length temporary.  Three arrays per
-    # pair took it to 3.8 MiB, its pair-length temporaries to 5.5 MiB, and
-    # to 10.0 MiB all alive at once, and the prime table up to X, which the
-    # campaigns no longer make, to 16.0 MiB
+    # as above, and no prime table is cached any more either: 1.6 MiB
+    # traced, the tree's build, which makes no pair-length temporary.  The
+    # intp node arrays took it to 1.9 MiB, three arrays per pair to
+    # 3.8 MiB, its pair-length temporaries to 5.5 MiB, and to 10.0 MiB all
+    # alive at once, and the prime table up to X, which the campaigns no
+    # longer make, to 16.0 MiB
     limit = 10**7
     for beta, weighted in ((HALF, False), (B78, True)):
-        _prime_table.cache_clear()
         _checkpoint_tree.cache_clear()
         tracemalloc.start()
         try:
@@ -221,11 +220,11 @@ def test_lane_pass_peak_memory_at_1e7_from_cold_primes():
 
 
 def test_lane_pass_peak_memory_at_1e7_with_the_tree_warm():
-    # 4 seeds on a cached tree: 1.1 MiB traced, the lane group's hash
-    # blocks, chunk and term blocks (1.4 MiB with a byte per pair for the
-    # node words).  Two pair-length float64 buffers took it to 2.6 MiB, and
-    # a byte per prime, with its int32 copy for np.add.reduceat, to
-    # 4.9 MiB
+    # 4 seeds on a cached tree: 1.0 MiB traced, the lane group's hash
+    # blocks and term blocks (1.1 MiB with a reused chunk copy of the hash
+    # blocks, 1.4 MiB with a byte per pair for the node words).  Two
+    # pair-length float64 buffers took it to 2.6 MiB, and a byte per
+    # prime, with its int32 copy for np.add.reduceat, to 4.9 MiB
     limit = 10**7
     _checkpoint_tree(limit)
     for beta, weighted in ((HALF, False), (B78, True)):
@@ -243,7 +242,6 @@ def test_sieve_peak_memory_at_1e7():
     # per odd integer and the primes 8 bytes each; the product-accumulator
     # sieve peaked at 105 MiB.  A cold pass: an earlier test may have left
     # the primes <= 10**7 and the table cached
-    _prime_table.cache_clear()
     squarefree_kinds.cache_clear()
     tracemalloc.start()
     try:
@@ -538,16 +536,17 @@ def test_tree_pairs_each_checkpoint_with_the_nodes_below_it(limit,
 
 
 def test_tree_keeps_no_pair_array_but_upper_at_1e8():
-    # beside upper's 4 bytes a pair, parents, tops, firsts and order take 8
-    # bytes a node and kind 1; the ranks and the grid, far fewer than the
-    # nodes, fit in 3 more.  Each row's own node and bin arrays took 16
-    # bytes a pair more, and an intp upper 4
+    # beside upper's 4 bytes a pair, parents, tops, firsts and order take 4
+    # bytes a node each and kind 1; the ranks and the grid, far fewer than
+    # the nodes, fit in 3 more.  As intp the four took 16 bytes a node
+    # more; each row's own node and bin arrays took 16 bytes a pair more,
+    # and an intp upper 4
     tree = _checkpoint_tree(10**8)
     pairs, nodes = len(tree.upper), len(tree.order)
     assert (pairs, nodes) == (433_601, 80_349)
     held = sum(v.nbytes for v in vars(tree).values()
                if isinstance(v, np.ndarray))
-    assert held <= pairs * tree.upper.itemsize + 36 * nodes, held
+    assert held <= pairs * tree.upper.itemsize + 20 * nodes, held
     assert len(tree.ranks) - 1 <= np.iinfo(tree.upper.dtype).max
 
 
@@ -588,8 +587,12 @@ def test_lane_counts_at_chunk_edges(monkeypatch, chunk, block):
     # quotients, the limit among them, whether or not the grid ends there
     import rmflab.sampler as sampler
 
+    # each hash block is one whole chunk; the pair blocks of a few nodes
+    # cut the rows too
+    assert growth._CHUNK == sampler._HASH_BLOCK
     monkeypatch.setattr(growth, "_CHUNK", chunk)
-    monkeypatch.setattr(sampler, "_HASH_BLOCK", block)
+    monkeypatch.setattr(sampler, "_HASH_BLOCK", chunk)
+    monkeypatch.setattr(growth, "_PAIR_BLOCK", block)
     on_edges = at_count = 0
     for limit in (1000, 1009):
         for grid in (checkpoint_grid(limit), checkpoint_grid(limit)[:-1]):
@@ -676,8 +679,8 @@ def test_lane_pass_walks_no_prime_above_isqrt_limit(monkeypatch, limit):
         return guarded
 
     for module, name in ((sieve, "primes_up_to"), (sampler, "primes_up_to"),
-                         (growth, "primes_up_to"), (sieve, "_prime_table"),
-                         (sieve, "_sieved")):
+                         (growth, "primes_up_to"), (sieve, "_prime_blocks"),
+                         (sieve, "_odd_blocks")):
         monkeypatch.setattr(module, name,
                             at_most_isqrt(getattr(module, name)))
     _checkpoint_tree.cache_clear()

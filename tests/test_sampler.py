@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (ISQRT_EDGE_LIMITS, build_sign_series, mobius_sieve,
-                     seeded_numerators, straddled_threshold)
+                     prime_signs, seeded_numerators, straddled_threshold)
 from rmflab import (CoverageError, DomainError, DyadicFraction,
-                    OmegaAssignment, PreconditionError, prime_signs,
-                    primes_up_to)
+                    OmegaAssignment, PreconditionError, euler_F, primes_up_to,
+                    zeta_truncated)
 from rmflab.dyadic import HALF, ONE
 from rmflab.growth import _checkpoint_counts, _tree
 from rmflab.sampler import (_HASH_BLOCK, LANES, _lane_flips, _lane_masks,
@@ -19,10 +19,9 @@ from rmflab.sampler import (_HASH_BLOCK, LANES, _lane_flips, _lane_masks,
 def test_omega_deterministic():
     a1 = OmegaAssignment(master_seed=7, prime_limit=10**4)
     a2 = OmegaAssignment(master_seed=7, prime_limit=10**4)
-    some = a1.primes[:100]
-    assert np.array_equal(a1.numerators(some), a2.numerators(some))
-    assert np.array_equal(a1.numerators(some), a1.numerators()[:100])
-    assert np.array_equal(a1.numerators(), a2.numerators())
+    assert np.array_equal(a1.numerators(100), a2.numerators(100))
+    assert np.array_equal(a1.numerators(100), a1.numerators(1229)[:100])
+    assert np.array_equal(a1.numerators(1229), a2.numerators(1229))
 
 
 @pytest.mark.parametrize("seed", [1.5, 2.0, 1000.5, True, False, "3", None,
@@ -39,45 +38,47 @@ def test_omega_rejects_seeds_that_are_not_uint64_integers(seed):
 def test_omega_takes_numpy_integer_seeds_as_ints(seed):
     a = OmegaAssignment(master_seed=seed, prime_limit=10**4)
     assert type(a.master_seed) is int and a.master_seed == int(seed)
-    assert np.array_equal(a.numerators(),
-                          seeded_numerators(int(seed), len(a.primes)))
+    assert np.array_equal(a.numerators(1229),
+                          seeded_numerators(int(seed), 1229))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
 def test_numerators_match_the_whole_array_hash(seed):
     # lengths around one hash block, and all 78,498 primes <= 10**6
     a = OmegaAssignment(master_seed=seed, prime_limit=10**6)
-    want = seeded_numerators(seed, len(a.primes))
-    assert len(want) == 78498
-    for n in (0, 1, 2**16 - 1, 2**16, 2**16 + 1):
-        got = a.numerators(a.primes[:n])
+    want = seeded_numerators(seed, 78498)
+    for n in (0, 1, 2**16 - 1, 2**16, 2**16 + 1, 78498):
+        got = a.numerators(n)
         assert got.dtype == np.uint64 and np.array_equal(got, want[:n]), n
-    assert np.array_equal(a.numerators(), want)
+
+
+@pytest.mark.parametrize("start", [0, 1, 2**15 - 1, 2**15, 10**6 + 7])
+def test_numerator_blocks_start_at_any_rank(start):
+    # the products hash each sieve block from its first rank: the blocks
+    # of ranks start .. start + count - 1 are the whole-array hash's
+    a = OmegaAssignment(master_seed=2**64 - 3, prime_limit=10**8)
+    want = seeded_numerators(a.master_seed, start + 2**15 + 5)[start:]
+    for count in (0, 1, 2**15, 2**15 + 5):
+        blocks = [(lo, z.copy()) for lo, z in a.numerator_blocks(count, start)]
+        assert [lo for lo, _ in blocks] == list(range(0, count, 2**15))
+        got = np.concatenate([np.empty(0, np.uint64)] +
+                             [z for _, z in blocks])
+        assert np.array_equal(got, want[:count]), count
 
 
 def test_signs_at_beta_one_skip_the_hash(monkeypatch, assignment_1e5):
-    def no_hash(self, primes=None):
+    def no_hash(self, count, start=0):
         raise AssertionError("hashed at beta = 1")
 
-    monkeypatch.setattr(OmegaAssignment, "numerators", no_hash)
-    primes = assignment_1e5.primes
-    for some in (None, primes[:0], primes[:10]):
-        signs = prime_signs(ONE, assignment_1e5, some)
-        want = len(primes) if some is None else len(some)
-        assert signs.dtype == np.int8 and signs.tolist() == [-1] * want
-    with pytest.raises(DomainError):
-        prime_signs(ONE, assignment_1e5, np.array([2, 5]))
-
-
-def test_omega_rejects_non_primes(assignment_1e5):
-    # only a prefix of the covered primes is hashed, by rank
-    for bad in ([4], [2, 3, 4], [10**5 + 7], [3], [2, 5]):
-        with pytest.raises(DomainError):
-            assignment_1e5.numerators(np.array(bad))
+    monkeypatch.setattr(OmegaAssignment, "numerator_blocks", no_hash)
+    # the streamed signs are -1 at every prime, so F_1 = 1 / zeta_P exactly
+    for P in (1, 2, 29, 10**5):
+        assert euler_F(ONE, assignment_1e5, P, 2).log_value == \
+            -zeta_truncated(P, 2).log_value
 
 
 def test_omega_empirical_mean(assignment_1e5):
-    nums = assignment_1e5.numerators()
+    nums = assignment_1e5.numerators(9592)
     mean = float(np.mean(nums / 2.0**64))
     n_primes = len(nums)
     tol = 4 * (1 / math.sqrt(12)) / math.sqrt(n_primes)
@@ -87,7 +88,7 @@ def test_omega_empirical_mean(assignment_1e5):
 def test_distinct_seeds_differ_almost_everywhere():
     a = OmegaAssignment(master_seed=1, prime_limit=10**4)
     b = OmegaAssignment(master_seed=2, prime_limit=10**4)
-    frac_diff = np.mean(a.numerators() != b.numerators())
+    frac_diff = np.mean(a.numerators(1229) != b.numerators(1229))
     assert frac_diff > 0.99
 
 
@@ -100,12 +101,11 @@ def test_sign_at_prime_cases(assignment_1e5):
     ends = np.array([0, 2**63, 2**64 - 1], dtype=np.uint64)
     assert signs_from_numerators(ONE, ends).tolist() == [-1, -1, -1]
     with pytest.raises(PreconditionError):
-        prime_signs(DyadicFraction.from_fraction(1, 3), assignment_1e5)
+        euler_F(DyadicFraction.from_fraction(1, 3), assignment_1e5, 10**3, 2)
 
 
 def test_prime_sign_frequency(assignment_1e6):
-    primes = assignment_1e6.primes
-    n = len(primes)
+    n = len(primes_up_to(10**6))
     for k, m in ((1, 1), (3, 2), (7, 3), (15, 4)):
         beta = DyadicFraction.from_fraction(k, m)
         signs = prime_signs(beta, assignment_1e6)
@@ -156,7 +156,7 @@ def sign_products(assignment_1e5, factors_1e5):
     @functools.cache
     def products(beta_numerator):
         signs = prime_signs(DyadicFraction(beta_numerator), assignment_1e5)
-        sign = dict(zip(assignment_1e5.primes.tolist(), signs.tolist()))
+        sign = dict(zip(primes_up_to(10**5).tolist(), signs.tolist()))
         return [0] + [math.prod(sign[p] for p in f.distinct_primes)
                       if f.is_squarefree else 0 for f in factors_1e5[1:]]
     return products
@@ -248,8 +248,8 @@ def test_lane_masks_match_per_seed_signs(count):
     for beta in (HALF, DyadicFraction.from_fraction(3, 2),
                  DyadicFraction.from_fraction(7, 3), ONE):
         for n in (1, 3, 8):
-            primes, masks = _lane_masks(beta, seeds[:n], limit)
-            assert len(primes) == count and masks.dtype == np.uint8
+            masks = _lane_masks(beta, seeds[:n], count)
+            assert len(masks) == count and masks.dtype == np.uint8
             want = np.zeros(count, dtype=np.uint8)
             for k, seed in enumerate(seeds[:n]):
                 signs = prime_signs(beta, OmegaAssignment(
@@ -301,7 +301,7 @@ def test_series_multiplicative_on_coprime_pairs(a, b):
 
 def test_coupling_monotone(assignment_1e5):
     # the signs at beta1 < beta2 differ exactly where beta1 <= omega < beta2
-    nums = assignment_1e5.numerators()
+    nums = assignment_1e5.numerators(9592)
     b12 = HALF
     b34 = DyadicFraction.from_fraction(3, 2)
     b78 = DyadicFraction.from_fraction(7, 3)

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from oracles import (ISQRT_EDGE_LIMITS, build_spf, distinct_prime_counts,
                      factor_summary, mobius_sieve, multiples_walk, prime_pi)
-from rmflab import (ConfigurationError, DyadicFraction, OmegaAssignment,
-                    RangeError, primes_up_to)
+from rmflab import (ConfigurationError, DyadicFraction, RangeError,
+                    primes_up_to)
 from rmflab import cli, growth, sieve
 from rmflab.sieve import squarefree_kinds
 
@@ -99,8 +99,6 @@ def test_factor_summary_invariants(spf_1e5):
 def test_prime_table_is_read_only():
     with pytest.raises(ValueError):
         primes_up_to(100)[0] = 4
-    with pytest.raises(ValueError):
-        OmegaAssignment(master_seed=1, prime_limit=10**4).primes[-1] = 4
 
 
 def test_sieve_tables_are_read_only():
@@ -147,25 +145,6 @@ def test_plain_and_weighted_runs_at_one_limit_build_one_tree(monkeypatch,
     assert trees == [10**4] and walks == []
 
 
-def test_prime_table_is_shared_at_one_limit(monkeypatch):
-    seen = record_sieve_walks(monkeypatch)
-    squarefree_kinds(10**4)
-    a = OmegaAssignment(master_seed=1, prime_limit=10**4).primes
-    b = OmegaAssignment(master_seed=2, prime_limit=10**4).primes
-    assert np.shares_memory(a, b)
-    assert np.shares_memory(seen[0], a)
-
-
-def test_campaign_keeps_a_sweeps_prime_table_cached():
-    # a campaign looks up the primes <= isqrt(limit) only, beside a sweep's
-    # full table at the same limit, which must stay cached
-    full = primes_up_to(10**5)
-    growth._checkpoint_tree.cache_clear()
-    growth.coupled_sums(DyadicFraction.from_fraction(3, 2), 10**5, False,
-                        (1, 2))
-    assert primes_up_to(10**5) is full
-
-
 # the segmented sieve's block edges: k blocks of _SIEVE_BLOCK odd slots end
 # at k * 2**21.  At k = 6, 3547**2 lies 852 slots before the edge, so
 # 3547's next multiple is carried across it
@@ -189,6 +168,31 @@ def test_prime_table_follows_the_limit(primes_to_sieve_edges):
         primes = primes_up_to(limit)
         assert primes.tolist() == every[every <= limit].tolist(), limit
         assert primes.dtype == np.int64 and not primes.flags.writeable
+
+
+def assert_prime_blocks(limit, want):
+    """sieve._prime_blocks(limit) streams ``want``, the primes <= limit,
+    one sieve block at a time, each with the rank of its first prime."""
+    blocks = list(sieve._prime_blocks(limit))
+    slots = (limit + 1) // 2 if limit >= 2 else 0  # the odd numbers, 1 on
+    assert len(blocks) == -(-slots // sieve._SIEVE_BLOCK)
+    ranks = [rank for rank, _ in blocks]
+    lengths = [len(primes) for _, primes in blocks]
+    assert ranks == np.cumsum([0] + lengths)[:-1].tolist()
+    got = np.concatenate([np.empty(0)] + [p for _, p in blocks])
+    assert got.dtype == np.float64 and np.array_equal(got, want), limit
+
+
+def test_prime_blocks_stream_the_table_with_their_ranks(
+        primes_to_sieve_edges):
+    # the products' stream: a block per 2**20 odd slots, none kept
+    every = primes_to_sieve_edges
+    for limit in (0, 1, 2, 3, 100, *ISQRT_EDGE_LIMITS, *SIEVE_EDGE_LIMITS):
+        assert_prime_blocks(limit, every[every <= limit])
+    # refused before any block is sieved
+    blocks = sieve._prime_blocks(sieve._COUNT_LIMIT + 1)
+    with pytest.raises(ConfigurationError, match=str(sieve._COUNT_LIMIT)):
+        next(blocks)
 
 
 @pytest.mark.parametrize("limit", [0, 1, 2, 3, 9, 100, *ISQRT_EDGE_LIMITS,
@@ -224,7 +228,8 @@ def test_segmented_sieve_at_every_block_edge(monkeypatch, block, spf_1e5):
     every = spf_1e5.primes()
     for limit in (*range(60), 288, 289, 290, 361, 3001):
         want = every[every <= limit]
-        assert np.array_equal(sieve._sieved(limit), want), limit
+        assert np.array_equal(primes_up_to(limit), want), limit
+        assert_prime_blocks(limit, want)
         ys = np.arange(limit + 1)
         for part in {1, 2, 7, block}:
             monkeypatch.setattr(oracles, "PI_BLOCK", part)
