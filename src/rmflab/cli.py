@@ -39,14 +39,15 @@ from . import __version__
 from .dyadic import HALF, SCALE_BITS, DyadicFraction, beta_for_level
 from .dirichlet import (MAX_IDENTITY_LEVEL, WEIGHT_BETA_THRESHOLD, H_eval,
                         IdentityEvaluator, euler_F, exp_form_F)
-from .errors import DomainError, LabError, PreconditionError
+from .errors import (ConfigurationError, DomainError, LabError,
+                     PreconditionError)
 from .growth import (MIN_FIT_POINTS, CampaignConfig, abel_consistency,
                      checkpoint_grid, coupled_sums, default_window,
                      fit_growth_exponent, monte_carlo_campaign,
                      selberg_delange_ratio)
 from .iet import IetSpec, apply_T_power_numerators
-from .sampler import OmegaAssignment, _lane_flips, is_integer, is_seed
-from .sieve import _COUNT_LIMIT, MAX_LIMIT, squarefree_kinds
+from .sampler import OmegaAssignment, _sign_series, is_integer, is_seed
+from .sieve import _COUNT_LIMIT, MAX_LIMIT
 
 KINDS = ("identity", "iet-test", "growth", "weighted-growth", "exp-form",
          "abel", "h-scan", "campaign")
@@ -379,11 +380,7 @@ def _exp_form_at(config, beta, assignment):
 
 
 def _abel_at(config, beta, assignment):
-    # one seed's f_beta: (-1)**(d(n) + lane 0's bit) on squarefree n, else 0
-    kinds = squarefree_kinds(config.limit)
-    words = _lane_flips(beta, [assignment.master_seed], config.limit)
-    odd = (kinds ^ words.view(np.int8)) & np.int8(1)
-    values = np.where(kinds < 0, np.int8(0), np.int8(1) - 2 * odd)
+    values = _sign_series(beta, assignment.master_seed, config.limit)
     return lambda s: [abel_consistency(values, config.limit, s)]
 
 
@@ -509,10 +506,24 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
                     help="campaign only: use the weighted partial sums")
 
 
+def _config_file(path: str) -> dict:
+    """The fields a JSON config file gives, kind among them if it names one:
+    anything but an object of ``ExperimentConfig``'s fields is refused."""
+    base = json.loads(Path(path).read_text())
+    if not isinstance(base, dict):
+        raise ConfigurationError(f"config file {path}: expected a JSON "
+                                 f"object of fields, got {base!r}")
+    unknown = sorted(set(base) - {f.name for f in fields(ExperimentConfig)})
+    if unknown:
+        raise ConfigurationError(f"config file {path}: unknown field "
+                                 f"{', '.join(map(repr, unknown))}")
+    return base
+
+
 def _config_from_args(kind: str, args: argparse.Namespace) -> ExperimentConfig:
     base: dict = {}
     if args.config:
-        base = json.loads(Path(args.config).read_text())
+        base = _config_file(args.config)
         base.pop("kind", None)
     cfg = ExperimentConfig(kind=kind, **base)
     for f in fields(ExperimentConfig)[1:]:  # every field but kind
@@ -544,7 +555,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "validate":
             kind = args.kind_to_check
             if kind is None and args.config:
-                kind = json.loads(Path(args.config).read_text()).get("kind")
+                kind = _config_file(args.config).get("kind")
             if kind is None:
                 print("validate: no kind given (argument or config file)",
                       file=sys.stderr)

@@ -12,15 +12,12 @@ the closed-interval convention only at grid endpoints (a measure-zero set).
 
 ``_lane_masks`` signs the primes of the first ranks for up to LANES seeds
 at once, as one uint8 mask per prime, straight from the blocks of the
-hash: for 8 seeds and the primes <= 10**7 it peaks at 1.4 MiB traced, and
-at 6.3 MiB for those <= 10**8, the masks and one hash block.
-``_lane_flips`` walks those masks into one flip word per integer, from
-which, with the table of ``sieve.squarefree_kinds``, the ``abel`` sweep
-reads its series; it alone takes the masks of every prime.
-The checkpoint sums (``growth.coupled_sums``) walk nothing: they xor the
-masks of each node's primes, those <= sqrt(X), down the
-largest-prime-factor tree, and count each lane's plus signs of the larger
-primes at the tree's ranks, one hash block at a time.
+hash.  The checkpoint sums (``growth.coupled_sums``) xor the masks of the
+primes <= sqrt(X) (for 8 seeds 0.7 MiB traced at X = 10**11, with the hash
+blocks) down the largest-prime-factor tree, and count each lane's plus
+signs of the larger primes at the tree's ranks, one hash block at a time.
+The ``abel`` sweep reads one seed's series (``_sign_series``): one parity
+walk over its minus-signed primes, zeroed off the squarefree integers.
 
 Both take their signs from ``_plus_blocks``.  SplitMix64's last step,
 z ^= z >> 31, leaves bits 63..33 as they are, so a beta with at most 31
@@ -33,6 +30,7 @@ the prime stream, hashed from its first rank (``numerator_blocks``).
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -46,7 +44,7 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
-LANES = 8  # seeds per flip word: bit k of a uint8 belongs to seeds[k]
+LANES = 8  # seeds per uint8 mask: bit k belongs to seeds[k]
 
 
 # Ranks hashed per block: 256 KiB of uint64 per scratch array, within L2
@@ -209,17 +207,27 @@ def _lane_masks(beta: DyadicFraction, seeds, count: int) -> np.ndarray:
     return masks
 
 
-def _lane_flips(beta: DyadicFraction, seeds, limit: int) -> np.ndarray:
-    """uint8 words for n <= limit whose bit k is the parity of the
-    plus-signed primes of seed ``seeds[k]`` that divide n, for at most
-    LANES seeds: on squarefree n that seed's f_beta(n) is mu(n) times
-    (-1)**bit k, so the words and the table of ``sieve.squarefree_kinds``
-    hold all lanes' series.
+def _sign_series(beta: DyadicFraction, seed: int, limit: int) -> np.ndarray:
+    """f_beta(n) for 0 <= n <= limit as int8, for ``seed``: (-1)**(the
+    number of its minus-signed primes) on squarefree n, and 0 elsewhere.
 
-    One walk over every prime <= limit that is plus in some lane (see
-    ``_lane_masks``), the large primes included.
+    One parity walk (``sieve._walk``) over the primes that ``_plus_blocks``
+    flags minus (every prime at beta = 1, with nothing hashed), mapped in
+    place to +-1; then 0 on the multiples of each p*p, p <= isqrt(limit),
+    and at n = 0.
     """
+    if not HALF <= beta:
+        raise PreconditionError(f"beta={float(beta)} below 1/2")
     primes = primes_up_to(limit)
-    masks = _lane_masks(beta, seeds, len(primes))
-    keep = masks != 0
-    return _walk(primes[keep], masks[keep], limit, np.bitwise_xor)
+    if not beta.is_one:
+        minus = np.empty(len(primes), dtype=bool)
+        for lo, plus in _plus_blocks(beta, seed, len(primes)):
+            np.logical_not(plus, out=minus[lo: lo + len(plus)])
+        primes = primes[minus]
+    series = _walk(primes, limit)
+    series *= np.int8(-2)  # parity 0 or 1 -> 1 or -1
+    series += np.int8(1)
+    for p in primes_up_to(math.isqrt(limit)).tolist():
+        series[p * p:: p * p] = 0
+    series[0] = 0
+    return series

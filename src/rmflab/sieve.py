@@ -1,8 +1,8 @@
-"""Integer-arithmetic substrate: primes, prime counts, and one table of
-squarefree kinds.
+"""Integer-arithmetic substrate: primes, prime counts, and the parity walk
+over prime multiples.
 
 Everything here is deterministic and exact.  Tables are plain numpy arrays,
-read-only once built, and safe for concurrent reads.
+and none is cached.
 
 Memory budget.  The primes come from a segmented odd-only sieve of 1 MiB
 blocks (``_odd_blocks``).  The Euler products read them as a stream
@@ -16,23 +16,21 @@ the quotients y = x // m, which Legendre's recurrence gives in about
 X**(3/4) steps with no sieve above sqrt(X) (``_prime_counts``: 1.4 MiB
 traced at 10**7, 8.6 MiB at 10**9, 27 MiB at 10**10 and 86 MiB at
 10**11); the rest of their memory is the checkpoint tree's
-(``growth._tree``).  The kinds table, 1 byte per integer, serves ``abel``
-too: a cold kinds pass peaks at 126 MiB ``VmHWM`` at 10**8 and 16 MiB
-traced at 10**7 (2-core x86-64, numpy 2.4), and the last limit's stays
-cached.  The sieve walks only the primes <= sqrt(X), in cache-sized blocks
-(see ``_walker``).
+(``growth._tree``).  The parity walk (``_walk``), 1 byte per integer,
+serves ``abel`` alone: a one-point run peaks at 195 MiB ``VmHWM`` at 10**8
+and beta = 3/4 (2-core x86-64, numpy 2.4), and one seed's series traces
+17 MiB at 10**7.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
 
 from .errors import ConfigurationError, RangeError
 
-MAX_LIMIT = 10**8  # the prime table, the kinds table, abel and identity
+MAX_LIMIT = 10**8  # the prime table, abel and identity
 _COUNT_LIMIT = 10**11  # the prime stream and counts, sums and products
 # d(n) <= MAX_KIND for n <= _COUNT_LIMIT: the first 11 primes multiply to
 # 2*3*5*...*31 = 200,560,490,130 > 10**11
@@ -208,32 +206,29 @@ def _prime_counts(limit: int, grid: np.ndarray
 
 
 _WHEEL_MAX = 13  # the wheel's period is at most 2*3*5*7*11*13 = 30030
-_WALK_BLOCK = 2**20  # 1 MiB of int8 or uint8 words, within a 2 MiB L2
-_KINDS_BLOCK = _WALK_BLOCK // 2  # 1 MiB of the sieve's uint16 codes
+_WALK_BLOCK = 2**20  # 1 MiB of int8 parities, within a 2 MiB L2
+_ONE = np.int8(1)  # a Python int would be converted again at every xor
 
 
-def _walker(primes: np.ndarray, values: np.ndarray, op: np.ufunc):
-    """The walk over the multiples of ``primes``, one block at a time: a
-    function fill(block, lo) that sets block[j] to the ``op``-reduction of
-    values[i] over the ascending ``primes[i]`` that divide lo + j, starting
-    from 0 (at lo + j = 0 every prime divides).
+def _walker(primes: np.ndarray):
+    """The parity walk over the multiples of ``primes``, one block at a
+    time: a function fill(block, lo) that sets the int8 block[j] to the
+    parity of the number of the ascending ``primes`` that divide lo + j (at
+    lo + j = 0 every prime divides).
 
-    ``op`` is an associative, commutative ufunc with identity 0 in the
-    dtype of ``values`` (np.add, np.bitwise_xor).  The primes <= _WHEEL_MAX
-    are written once into a pattern of period their product, which each
-    block copies from its offset and tiles by doubling; each other prime is
-    one strided slice per block.  A block of at most 1 MiB stays in cache
-    while every prime passes over it.
+    The primes <= _WHEEL_MAX are written once into a pattern of period their
+    product, which each block copies from its offset and tiles by doubling;
+    each other prime flips one strided slice per block.  A block of at most
+    1 MiB stays in cache while every prime passes over it.
     """
     wheel = int(np.searchsorted(primes, _WHEEL_MAX, side="right"))
     small = primes[:wheel].tolist()
-    pattern = np.zeros(math.prod(small), dtype=values.dtype)
-    for p, v in zip(small, values[:wheel].tolist()):
-        op(pattern[::p], v, out=pattern[::p])
+    pattern = np.zeros(math.prod(small), dtype=np.int8)
+    for p in small:
+        pattern[::p] ^= _ONE
     period = len(pattern)
     mid = primes[wheel:]
-    # numpy scalars: a Python int would be converted again at every call
-    steps, mid_values = mid.tolist(), list(values[wheel:])
+    steps = mid.tolist()
 
     def fill(block: np.ndarray, lo: int) -> None:
         # block[j] = pattern[(lo + j) % period]: one period, then doubling
@@ -246,27 +241,24 @@ def _walker(primes: np.ndarray, values: np.ndarray, op: np.ufunc):
             step = min(filled, len(block) - filled)
             block[filled: filled + step] = block[:step]
             filled += step
-        for p, start, v in zip(steps, (-lo % mid).tolist(), mid_values):
-            multiples = block[start::p]
-            op(multiples, v, out=multiples)
+        for p, start in zip(steps, (-lo % mid).tolist()):
+            block[start::p] ^= _ONE
     return fill
 
 
-def _walk(primes: np.ndarray, values: np.ndarray, limit: int,
-          op: np.ufunc) -> np.ndarray:
-    """t[n] for 0 <= n <= limit, the ``op``-reduction of values[i] over the
-    ascending ``primes[i]`` that divide n, starting from 0 (t[0] = 0).
+def _walk(primes: np.ndarray, limit: int) -> np.ndarray:
+    """t[n] for 0 <= n <= limit as int8, the parity of the number of the
+    ascending ``primes`` that divide n (t[0] = 0).
 
     The primes <= isqrt(limit) go through ``_walker``, _WALK_BLOCK integers
     at a time.  A larger prime q divides only m*q with
     m <= limit // q <= isqrt(limit), so all of them go at once, as one index
     array m * q per cofactor m (for m = 1 the slice of the primes itself,
-    no copy); only ``sampler._lane_flips`` (the ``abel`` sweep) hands the
-    walk such primes.
+    no copy).
     """
-    t = np.empty(limit + 1, dtype=values.dtype)
+    t = np.empty(limit + 1, dtype=np.int8)
     split = int(np.searchsorted(primes, math.isqrt(limit), side="right"))
-    fill = _walker(primes[:split], values[:split], op)
+    fill = _walker(primes[:split])
     for lo in range(0, limit + 1, _WALK_BLOCK):
         fill(t[lo: lo + _WALK_BLOCK], lo)
     large = primes[split:]
@@ -275,67 +267,6 @@ def _walk(primes: np.ndarray, values: np.ndarray, limit: int,
         cuts = np.searchsorted(large, limit // cofactors, side="right")
         for m, cut in zip(cofactors.tolist(), cuts.tolist()):
             at = large[:cut] if m == 1 else m * large[:cut]
-            t[at] = op(t[at], values[split: split + cut])
+            t[at] ^= _ONE
     t[0] = 0
     return t
-
-
-@functools.lru_cache(maxsize=1)
-def squarefree_kinds(limit: int) -> np.ndarray:
-    """k(n) for 0 <= n <= limit as int8: the distinct-prime count d(n) on
-    squarefree n, and -1 elsewhere (at n = 0 too).  On squarefree n,
-    mu(n) = (-1)**k(n).
-
-    A squarefree n <= limit has at most one prime factor q > isqrt(limit),
-    so d(n) = s(n) + [n has such a q], where s(n) counts the primes
-    p <= isqrt(limit) that divide n; the walk (``_walker``) takes only those
-    primes, or every prime when limit < 9.  Each adds the uint16 code
-    0xFF00 | floor(8 log2 p), so a block's code for n is l(n) - 256 s(n):
-    l(n), the sum of the floors, is at most 8 log2 n < 256
-    (8 log2 MAX_LIMIT < 213).  Each floor errs by less than 1 and
-    s(n) <= MAX_KIND, so on 2**e <= n < 2**(e+1):
-      - without a q, l(n) > 8 log2 n - 8 >= 8e - 8;
-      - with one, q >= 5 (limit >= 9) and l(n) <= 8 log2(n / q) < 8e - 10.
-    Then 8e + 248 - code = 256 (s(n) + 1) + (8e - 8 - l(n)) has the high
-    byte s(n) + 1 exactly when n has such a q, and s(n) (a borrow) when
-    not: one subtraction and one shift per range decode a block in place.
-    Then -1 goes on the multiples of each p*p in the block, while it is in
-    cache: every non-squarefree n <= limit has such a factor.
-
-    The last limit's table stays cached for the process, so every run at
-    that limit sieves once and shares it: it is read-only.
-    """
-    if not 1 <= limit <= MAX_LIMIT:
-        raise ConfigurationError(
-            f"sieve limit {limit} outside supported range [1, {MAX_LIMIT}]")
-    small = primes_up_to(math.isqrt(limit) if limit >= 9 else limit)
-    codes = 0xFF00 | np.array([(p**8).bit_length() - 1  # floor(8 log2 p)
-                               for p in small.tolist()], dtype=np.uint16)
-    fill = _walker(small, codes, np.add)
-    squares = small * small
-    # a square above the block size has at most one multiple in a block
-    cut = int(np.searchsorted(squares, _KINDS_BLOCK, side="right"))
-    strided, single = squares[:cut].tolist(), squares[cut:]
-    kinds = np.empty(limit + 1, dtype=np.int8)
-    buffer = np.empty(min(_KINDS_BLOCK, limit + 1), dtype=np.uint16)
-    for lo in range(0, limit + 1, _KINDS_BLOCK):
-        hi = min(lo + _KINDS_BLOCK, limit + 1)
-        block = buffer[: hi - lo]
-        fill(block, lo)
-        n = max(lo, 1)
-        while n < hi:  # one range [2**e, 2**(e+1)) at a time
-            e = n.bit_length() - 1
-            end = min(hi, 2 << e)
-            code = block[n - lo: end - lo]
-            np.subtract(8 * e + 248, code, out=code)
-            code >>= 8
-            n = end
-        out = kinds[lo:hi]
-        out[...] = block
-        for s in strided:
-            out[-lo % s:: s] = -1
-        at = -lo % single
-        out[at[at < len(out)]] = -1
-    kinds[0] = -1
-    kinds.flags.writeable = False
-    return kinds

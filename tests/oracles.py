@@ -1,15 +1,14 @@
 """Test-only oracles: a smallest-prime-factor table and trial factorization
 check the sieve by an independent route; ``_multiples`` is the unblocked
 walk over the prime multiples, the reference for ``sieve._walk``, and
-``mobius_sieve`` and ``distinct_prime_counts`` build mu(n) and d(n) apart
-from ``sieve.squarefree_kinds`` by that walk; ``prime_pi`` counts pi(y)
-in the blocks of the segmented sieve, the reference for the quotient
-recurrence ``sieve._prime_counts``;
+``mobius_sieve`` and ``distinct_prime_counts`` build mu(n) and d(n) by that
+walk; ``prime_pi`` counts pi(y) in the blocks of the segmented sieve, the
+reference for the quotient recurrence ``sieve._prime_counts``;
 ``splitmix64`` is the whole-array hash, the reference for the blocked
 ``OmegaAssignment.numerators``, and ``prime_signs`` signs the whole
 prime table from it; ``build_sign_series`` realizes one seed's f_beta by
-its own walk over the plus-signed primes, the reference for the package's
-lane words; ``euler_F_table``, ``zeta_table``, ``weighted_euler_G``,
+flipping the Mobius table on the multiples of the plus-signed primes, the
+reference for ``sampler._sign_series``; ``euler_F_table``, ``zeta_table``, ``weighted_euler_G``,
 ``H_table`` and ``exp_form_table`` evaluate the Euler products over the
 whole prime table with one fsum per part, the references for the
 products that stream the primes; ``TransformedOmega`` feeds
@@ -22,8 +21,10 @@ for the blocked Abel check, and ``exp_form_tail_concatenated`` the
 all-orders-at-once reference for the exp-form tail; ``fsum_weighted_sums``
 is the term by term reference for the weighted checkpoint sums, and
 ``per_seed_counts`` the per-seed and ``segment_counts`` the
-integer-by-integer reference for the recursion's exact counts.  None of it
-is part of the package.
+integer-by-integer reference for the recursion's exact counts, which it
+reads for up to 8 seeds at once from the int8 d(n) on squarefree n of
+``kinds_table`` and the uint8 flip words of ``lane_flips``.  None of it is
+part of the package.
 """
 
 import cmath
@@ -42,7 +43,7 @@ from rmflab.dyadic import HALF
 from rmflab.errors import (ConfigurationError, CoverageError,
                            PreconditionError, RangeError)
 from rmflab.iet import IetSpec, apply_T_power_numerators
-from rmflab.sampler import LANES, signs_from_numerators
+from rmflab.sampler import LANES, _lane_masks, signs_from_numerators
 from rmflab.sieve import _COUNT_LIMIT, MAX_KIND, MAX_LIMIT, _odd_blocks
 
 
@@ -181,6 +182,27 @@ def mobius_sieve(limit: int) -> np.ndarray:
     mu[0] = 0
     mu.flags.writeable = False
     return mu
+
+
+@functools.lru_cache(maxsize=None)
+def kinds_table(limit: int) -> np.ndarray:
+    """d(n) on squarefree n <= limit and -1 elsewhere (at n = 0 too), as
+    int8: the ``kinds`` input of ``segment_counts``."""
+    kinds = np.where(mobius_sieve(limit) != 0, distinct_prime_counts(limit),
+                     np.int8(-1))
+    kinds.flags.writeable = False
+    return kinds
+
+
+def lane_flips(beta: DyadicFraction, seeds, limit: int) -> np.ndarray:
+    """uint8 words for n <= limit whose bit k is the parity of the number of
+    seed ``seeds[k]``'s plus-signed primes that divide n, for at most LANES
+    seeds: the ``flips`` input of ``segment_counts``, by the unblocked walk
+    over the masks of ``sampler._lane_masks``."""
+    primes = primes_up_to(limit)
+    masks = _lane_masks(beta, seeds, len(primes))
+    keep = masks != 0
+    return multiples_walk(primes[keep], masks[keep], limit, np.bitwise_xor)
 
 
 @dataclass(frozen=True)
@@ -507,9 +529,9 @@ def segment_counts(kinds: np.ndarray, grid: np.ndarray, flips: np.ndarray,
                    lanes: int) -> np.ndarray:
     """C[lane, i, d], the exact sum of the lane's f(n) over
     grid[i-1] < n <= grid[i] with d(n) = d, for d <= MAX_KIND (grid[-1]
-    read as 0), from a table ``kinds`` like ``sieve.squarefree_kinds``'s
-    and the flip words of ``sampler._lane_flips``: the reference, integer
-    by integer, for the recursion's counts (``growth._checkpoint_counts``).
+    read as 0), from the tables of ``kinds_table`` and ``lane_flips``: the
+    reference, integer by integer, for the recursion's counts
+    (``growth._checkpoint_counts``).
 
     Lane k's f(n) is (-1)**(d(n) + bit k of flips[n]) on squarefree n, and
     0 elsewhere.  Each block of at most SEGMENT_BLOCK integers in a segment

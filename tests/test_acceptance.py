@@ -19,8 +19,7 @@ from rmflab import (CampaignConfig, DyadicFraction, IdentityEvaluator,
                     fit_growth_exponent, monte_carlo_campaign, euler_F,
                     exp_form_F, primes_up_to, weight_factor)
 from rmflab.dyadic import HALF, ONE
-from rmflab.sampler import _lane_flips
-from rmflab.sieve import squarefree_kinds
+from rmflab.sampler import _sign_series
 
 B34 = DyadicFraction.from_fraction(3, 2)
 B78 = DyadicFraction.from_fraction(7, 3)
@@ -31,15 +30,6 @@ LIMIT = 10**7
 
 def report(criterion: str, ok: bool, detail: str) -> None:
     print(f"[{criterion}] {'PASS' if ok else 'FAIL'}: {detail}")
-
-
-def lane_series(beta: DyadicFraction, seed: int, limit: int) -> np.ndarray:
-    """One seed's f_beta(n), n <= limit, as the abel sweep realizes it:
-    (-1)**(d(n) + lane 0's bit) on squarefree n, and 0 elsewhere."""
-    kinds = squarefree_kinds(limit)
-    words = _lane_flips(beta, [seed], limit)
-    odd = (kinds ^ words.view(np.int8)) & np.int8(1)
-    return np.where(kinds < 0, np.int8(0), np.int8(1) - 2 * odd)
 
 
 @pytest.fixture(scope="module")
@@ -118,7 +108,7 @@ def test_criterion_03_measure_preservation():
 
 def test_criterion_04_mobius_degeneration():
     mu = mobius_sieve(10**6)
-    series = lane_series(ONE, 42, 10**6)
+    series = _sign_series(ONE, 42, 10**6)
     ok = bool(np.array_equal(series[1:], mu[1:]))
     report("criterion 04 Mobius degeneration", ok,
            "beta=1 series equals mu exactly up to 10^6")
@@ -144,7 +134,7 @@ def test_criterion_05_prime_sign_statistics():
 def test_criterion_06_abel_consistency():
     worst = 0.0
     for beta in (HALF, B34):
-        series = lane_series(beta, 42, 10**5)
+        series = _sign_series(beta, 42, 10**5)
         for s in (1.5, 2.0, 1.2 + 5j):
             worst = max(worst, abel_consistency(series, 10**5, s))
     ok = worst < 1e-10

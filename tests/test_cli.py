@@ -500,6 +500,26 @@ def test_json_fields_of_the_wrong_type_are_usage_errors(payload, needle,
     assert not (tmp_path / "r").exists()
 
 
+# a file that is not an object of config fields once exited 1, the code of
+# a failed check, with a TypeError or AttributeError traceback
+@pytest.mark.parametrize("payload, needle", [
+    ({"kind": "abel", "beta": "3/4", "limt": 1000}, "unknown field 'limt'"),
+    ({"limt": 1000}, "unknown field 'limt'"),
+    ([1, 2], "expected a JSON object of fields, got [1, 2]"),
+])
+@pytest.mark.parametrize("command", [["abel"], ["validate"],
+                                     ["validate", "abel"]])
+def test_a_malformed_config_file_is_a_usage_error(payload, needle, command,
+                                                  tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(payload))
+    out = tmp_path / "r"
+    assert main([*command, "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: config file {path}: {needle}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("limit", [500, 1000, 5000])
 def test_growth_and_campaign_record_one_default_window(limit, tmp_path):
     windows = []

@@ -11,7 +11,9 @@ capped limit.
 ``EXTRA_CASES`` cover paths no shipped config reaches: the default fit
 window of growth, weighted growth and both kinds of campaign at limits
 above 1000, an explicit weighted-growth window, the four seed x sigma x t
-sweeps over several seeds, sigmas and negative t, and the iet-test index
+sweeps over several seeds, sigmas and negative t, ``abel`` at beta = 1
+(every prime minus, nothing hashed) and at a beta of 40 bits after the
+point (the full hash of ``sampler._plus_blocks``), and the iet-test index
 dynamics over every interval and over a random sample of them.
 
 Re-record after a deliberate output change with
@@ -58,6 +60,12 @@ EXTRA_CASES = {
     "extra_abel_sweep": {
         "kind": "abel", "beta": "3/4", "limit": 20000, "seeds": [2, 8],
         "sigmas": [0.25, 1.1], "ts": [-6, 0, 14]},
+    "extra_abel_beta_one": {
+        "kind": "abel", "beta": "1", "limit": 30031, "seeds": [5],
+        "sigmas": [0.5, 1.2], "ts": [0, 9]},
+    "extra_abel_full_hash": {
+        "kind": "abel", "beta": "824633720831/1099511627776",
+        "limit": 40000, "seeds": [6, 42], "sigmas": [0.75], "ts": [-3, 0]},
     "extra_h_scan_sweep": {
         "kind": "h-scan", "beta": "15/16", "prime_limit": 5000,
         "seeds": [3, 10], "sigmas": [0.55, 1.4], "ts": [-40, 0, 7]},

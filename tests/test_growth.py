@@ -10,8 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (ISQRT_EDGE_LIMITS, abel_residual_unblocked,
                      build_sign_series, distinct_prime_counts, factor_summary,
-                     fsum_weighted_sums, mobius_sieve, per_seed_counts,
-                     segment_counts, straddled_threshold)
+                     fsum_weighted_sums, kinds_table, lane_flips,
+                     mobius_sieve, per_seed_counts, segment_counts,
+                     straddled_threshold)
 import rmflab.growth as growth
 from rmflab import (CampaignConfig, DomainError, DyadicFraction, FitError,
                     OmegaAssignment, PreconditionError, RangeError,
@@ -22,9 +23,8 @@ from rmflab.dyadic import HALF, ONE
 from rmflab.growth import (SumGrid, _checkpoint_counts, _checkpoint_tree,
                            _isqrt, _median, _quantile, _seed_result,
                            _sums_from_counts, _tree, coupled_sums)
-from rmflab.sampler import LANES, _lane_flips
-from rmflab.sieve import (_COUNT_LIMIT, MAX_KIND, primes_up_to,
-                          squarefree_kinds)
+from rmflab.sampler import LANES
+from rmflab.sieve import _COUNT_LIMIT, MAX_KIND, primes_up_to
 
 B34 = DyadicFraction.from_fraction(3, 2)
 B78 = DyadicFraction.from_fraction(7, 3)
@@ -42,14 +42,6 @@ def test_checkpoint_grid_hits_powers_of_ten():
         assert x in grid
     ratios = grid[1:] / grid[:-1].astype(float)
     assert ratios.max() < 1.5  # ~ 10**(1/8) = 1.3335
-
-
-@functools.lru_cache(maxsize=None)
-def kinds_table(limit):
-    """d(n) on squarefree n <= limit, -1 elsewhere, built apart from
-    ``squarefree_kinds``."""
-    return np.where(mobius_sieve(limit) != 0, distinct_prime_counts(limit),
-                    np.int8(-1))
 
 
 def one_lane_sums(beta, seed, limit, grid, weighted=False):
@@ -237,21 +229,6 @@ def test_lane_pass_peak_memory_at_1e7_with_the_tree_warm():
         assert peak < 4 * 2**20, (float(beta), peak / 2**20)
 
 
-def test_sieve_peak_memory_at_1e7():
-    # the table takes 1 byte per integer, the odd-only prime sieve 1 byte
-    # per odd integer and the primes 8 bytes each; the product-accumulator
-    # sieve peaked at 105 MiB.  A cold pass: an earlier test may have left
-    # the primes <= 10**7 and the table cached
-    squarefree_kinds.cache_clear()
-    tracemalloc.start()
-    try:
-        squarefree_kinds(10**7)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 48 * 2**20, peak / 2**20
-
-
 def test_fit_exact_power_law():
     xs = grid_from(10**3, 10**7).astype(float)
     fit = fit_growth_exponent(SumGrid(xs.astype(np.int64), xs**0.5),
@@ -430,9 +407,9 @@ def assert_lanes_match_oracles(beta, limit, weighted, seeds,
     got, sums = coupled_counts(beta, limit, weighted, seeds)
     assert len(got) == len(sums) == len(seeds)
     grid = checkpoint_grid(limit)
-    kinds = kinds_table(limit) if per_seed else squarefree_kinds(limit)
+    kinds = kinds_table(limit)
     want = np.concatenate([
-        segment_counts(kinds, grid, _lane_flips(beta, chunk, limit),
+        segment_counts(kinds, grid, lane_flips(beta, chunk, limit),
                        len(chunk))
         for chunk in (seeds[at: at + LANES]
                       for at in range(0, len(seeds), LANES))])
@@ -658,17 +635,17 @@ def test_lane_sums_at_1e8_keep_their_recorded_values():
 
 @pytest.mark.parametrize("limit", [10, 26, 1000, 10**5])
 def test_lane_pass_walks_no_prime_above_isqrt_limit(monkeypatch, limit):
-    # coupled_sums walks no prime at all, sieves no kinds table and makes
+    # coupled_sums walks no prime at all, builds no sign series and makes
     # no prime table above isqrt(limit): the recursion reads no table of
-    # length limit or pi(limit), and the walks, the kinds sieve and the
-    # full prime table belong to the sweeps alone
+    # length limit or pi(limit), and the walks, the series and the full
+    # prime table belong to the abel sweep alone
     import rmflab.sampler as sampler
     import rmflab.sieve as sieve
 
     def refuse(*args):
         raise AssertionError("a table of length limit")
 
-    for module, name in ((sieve, "squarefree_kinds"), (sieve, "_walk"),
+    for module, name in ((sampler, "_sign_series"), (sieve, "_walk"),
                          (sieve, "_walker"), (sampler, "_walk")):
         monkeypatch.setattr(module, name, refuse)
 

@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,8 +13,9 @@ from rmflab import (CoverageError, DomainError, DyadicFraction,
                     zeta_truncated)
 from rmflab.dyadic import HALF, ONE
 from rmflab.growth import _checkpoint_counts, _tree
-from rmflab.sampler import (_HASH_BLOCK, LANES, _lane_flips, _lane_masks,
-                            _plus_blocks, signs_from_numerators)
+from rmflab.sampler import (_HASH_BLOCK, LANES, _lane_masks, _plus_blocks,
+                            _sign_series, signs_from_numerators)
+from rmflab.sieve import _WALK_BLOCK
 
 
 def test_omega_deterministic():
@@ -171,10 +173,50 @@ def test_series_is_the_product_of_prime_signs(limit, beta, assignment_1e5,
                       dtype=np.int8)
     s = build_sign_series(beta, assignment_1e5, limit, mobius)
     assert s.values.tolist() == sign_products(beta.numerator)[: limit + 1]
-    # the same seed as lane 1 of a flip word: bit 1 negates the Mobius table
-    words = _lane_flips(beta, (7, assignment_1e5.master_seed), limit)
-    lane = mobius * (1 - 2 * (words >> 1 & 1).astype(np.int8))
-    assert lane.tolist() == s.values.tolist()
+    series = _sign_series(beta, assignment_1e5.master_seed, limit)
+    assert series.tolist() == s.values.tolist()
+
+
+# the edges of the walk and of the squares: every small limit (the least
+# prime above isqrt(limit) is 2, 3, 5, 7, ...), 2**k - 1 .. 2**k + 1, the
+# walk's blocks and the wheel's period
+SERIES_LIMITS = sorted({*range(1, 301),
+                        *(2**k + e for k in range(1, 22) for e in (-1, 0, 1)),
+                        _WALK_BLOCK - 1, _WALK_BLOCK, _WALK_BLOCK + 1,
+                        2 * _WALK_BLOCK + 7, 30029, 30030, 30031,
+                        *ISQRT_EDGE_LIMITS})
+
+
+@pytest.mark.parametrize("seed", [1, 42])
+@pytest.mark.parametrize("beta", [
+    HALF, DyadicFraction.from_fraction(3, 2),
+    DyadicFraction.from_fraction(7, 3), ONE,
+    DyadicFraction.from_fraction(2**40 - 1, 40)], ids=float)
+def test_sign_series_matches_the_oracle_at_the_edges(beta, seed):
+    # f_beta(n) does not depend on the limit, so every limit's series is a
+    # prefix of the oracle's at the largest one
+    top = max(SERIES_LIMITS)
+    want = build_sign_series(
+        beta, OmegaAssignment(master_seed=seed, prime_limit=top), top,
+        mobius_sieve(top)).values
+    for limit in SERIES_LIMITS:
+        got = _sign_series(beta, seed, limit)
+        assert got.dtype == np.int8 and len(got) == limit + 1
+        assert np.array_equal(got, want[: limit + 1]), limit
+
+
+def test_sign_series_peak_memory_at_1e7():
+    # the series takes 1 byte per integer, the primes 8 bytes each and the
+    # minus-signed ones 8 bytes again: 17.0 MiB traced at 3/4 and 19.4 MiB
+    # at 1, where the walk's cofactor batches are longest
+    for beta in (DyadicFraction.from_fraction(3, 2), ONE):
+        tracemalloc.start()
+        try:
+            _sign_series(beta, 1, 10**7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20, (float(beta), peak / 2**20)
 
 
 # thresholds with at most 31 bits after the point, compared before the
@@ -265,9 +307,10 @@ def test_lane_masks_reject_seeds_that_are_not_uint64_integers(seed):
 
 
 def test_flip_words_hold_at_most_eight_seeds():
-    assert _lane_flips(HALF, tuple(range(LANES)), 100).dtype == np.uint8
+    # one bit per seed in a prime's uint8 mask
+    assert _lane_masks(HALF, tuple(range(LANES)), 100).dtype == np.uint8
     with pytest.raises(PreconditionError, match="9 seeds"):
-        _lane_flips(HALF, tuple(range(LANES + 1)), 100)
+        _lane_masks(HALF, tuple(range(LANES + 1)), 100)
 
 
 def test_series_prefix_property(mu_1e6, assignment_1e5):

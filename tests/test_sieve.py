@@ -7,11 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from oracles import (ISQRT_EDGE_LIMITS, build_spf, distinct_prime_counts,
-                     factor_summary, mobius_sieve, multiples_walk, prime_pi)
+                     factor_summary, kinds_table, mobius_sieve,
+                     multiples_walk, prime_pi)
 from rmflab import (ConfigurationError, DyadicFraction, RangeError,
                     primes_up_to)
 from rmflab import cli, growth, sieve
-from rmflab.sieve import squarefree_kinds
+from rmflab.dyadic import ONE
+from rmflab.sampler import _sign_series
 
 
 def eratosthenes_oracle(limit):
@@ -101,31 +103,23 @@ def test_prime_table_is_read_only():
         primes_up_to(100)[0] = 4
 
 
-def test_sieve_tables_are_read_only():
-    # every later run at the same limit reads the cached table
-    with pytest.raises(ValueError):
-        squarefree_kinds(100)[6] = 0
-
-
 def record_sieve_walks(monkeypatch):
-    """The primes of each walk the sieve starts, from now on: the walks
-    whose values are the sieve's uint16 codes (the lane words' are uint8)."""
+    """The primes of each blocked walk (``sieve._walker``) started from now
+    on."""
     walks = []
     walker = sieve._walker
 
-    def recording_walker(primes, values, op):
-        if values.dtype == np.uint16:
-            walks.append(primes)
-        return walker(primes, values, op)
+    def recording_walker(primes):
+        walks.append(primes)
+        return walker(primes)
 
     monkeypatch.setattr(sieve, "_walker", recording_walker)
-    squarefree_kinds.cache_clear()
     return walks
 
 
 def test_plain_and_weighted_runs_at_one_limit_build_one_tree(monkeypatch,
                                                              tmp_path):
-    # the tree depends on the limit alone, and the sums read no kinds table
+    # the tree depends on the limit alone, and the sums walk no prime
     walks = record_sieve_walks(monkeypatch)
     trees = []
     build = growth._tree
@@ -337,23 +331,24 @@ WALK_LIMITS = [1, 2, 13, 14, 30029, 30030, 30031, sieve._WALK_BLOCK - 1,
 @pytest.mark.parametrize("drop", [(), (2,), (3, 7), (2, 5, 11, 13),
                                   (2, 3, 5, 7, 11, 13)])
 def test_walk_matches_the_unblocked_walk(limit, drop):
-    # primes as the lane pass keeps them: some of 2..13 may be dropped
+    # primes as a seed's minus signs keep them: some of 2..13 may be
+    # dropped, and a random half of the rest
     primes = primes_up_to(limit)
     primes = primes[~np.isin(primes, drop)]
-    rng = np.random.default_rng(limit)
-    masks = rng.integers(1, 256, size=len(primes)).astype(np.uint8)
-    ones = np.ones(len(primes), dtype=np.int8)
-    for values, op in ((ones, np.add), (masks, np.bitwise_xor)):
-        got = sieve._walk(primes, values, limit, op)
-        assert got.dtype == values.dtype
-        assert np.array_equal(got, multiples_walk(primes, values, limit, op))
+    for keep in (np.ones(len(primes), dtype=bool),
+                 np.random.default_rng(limit).random(len(primes)) < 0.5):
+        ones = np.ones(np.count_nonzero(keep), dtype=np.int8)
+        got = sieve._walk(primes[keep], limit)
+        assert got.dtype == np.int8
+        assert np.array_equal(got, multiples_walk(primes[keep], ones, limit,
+                                                  np.bitwise_xor))
 
 
 def test_prime_table_rejects_limits_above_max():
     with pytest.raises(ConfigurationError, match=str(sieve.MAX_LIMIT)):
         primes_up_to(sieve.MAX_LIMIT + 1)
     with pytest.raises(ConfigurationError, match=str(sieve.MAX_LIMIT)):
-        squarefree_kinds(sieve.MAX_LIMIT + 1)
+        _sign_series(ONE, 1, sieve.MAX_LIMIT + 1)
     # the campaigns count the primes up to the limit without a table
     with pytest.raises(ConfigurationError, match=str(sieve._COUNT_LIMIT)):
         sieve._prime_counts(sieve._COUNT_LIMIT + 1, [2])
@@ -380,12 +375,13 @@ def test_mobius_agrees_with_factor_summary(factors_1e5):
 def test_sieve_matches_factorization_at_isqrt_edges(limit, factors_1e5):
     # the last limit is 10**5: every n <= 10**5 is checked
     facts = factors_1e5[1: limit + 1]
-    kinds = squarefree_kinds(limit)
-    assert kinds.dtype == np.int8 and not kinds.flags.writeable
-    assert kinds.tolist() == \
+    assert kinds_table(limit).tolist() == \
         [-1] + [f.d if f.is_squarefree else -1 for f in facts]
     assert mobius_sieve(limit).tolist() == [0] + [f.mobius for f in facts]
     assert distinct_prime_counts(limit).tolist() == [0] + [f.d for f in facts]
+    # every prime is minus at beta = 1, where f is mu
+    assert _sign_series(ONE, 1, limit).tolist() == \
+        [0] + [f.mobius for f in facts]
 
 
 def test_max_kind_bounds_the_prime_factors_up_to_max_limit():
@@ -400,61 +396,22 @@ def test_max_kind_bounds_the_prime_factors_up_to_max_limit():
     assert sieve.MAX_LIMIT == 10**8 <= sieve._COUNT_LIMIT
 
 
-def test_log_byte_holds_up_to_max_limit():
-    # the sieve's low byte sums floor(8 log2 p) over the primes p of n, at
-    # most 8 log2 n <= 8 log2 MAX_LIMIT, which must stay below 256:
-    # 8 log2 X < 256 iff X**8 < 2**256
-    assert sieve.MAX_LIMIT ** 8 < 2**256
-    # ... and the integer codes are the exact floors
-    for p in (2, 3, 7, math.isqrt(sieve.MAX_LIMIT)):
-        code = (p**8).bit_length() - 1
-        assert 2**code <= p**8 < 2**(code + 1)
-        assert code == math.floor(8 * math.log2(p))
-
-
 @pytest.mark.parametrize("limit", [1, 2, 4, 8, 9, 10, 26, 1000, 10**5])
 def test_sieve_walks_no_prime_above_isqrt_limit(monkeypatch, limit):
-    # a squarefree n has at most one prime factor above isqrt(limit), which
-    # the log byte finds: the sieve walks only the primes up to isqrt(limit)
-    # (below 9, where the smallest such prime may be 2 or 3, every prime)
+    # the blocked walk takes only the primes up to isqrt(limit): a larger
+    # prime divides at most isqrt(limit) integers, which go by cofactor
     walks = record_sieve_walks(monkeypatch)
-    squarefree_kinds(limit)
-    top = math.isqrt(limit) if limit >= 9 else limit
+    _sign_series(ONE, 1, limit)
+    top = math.isqrt(limit)
     assert [w.tolist() for w in walks] == \
         [[p for p in primes_up_to(limit).tolist() if p <= top]]
 
 
-# the threshold's edges: every small limit (the least prime above
-# isqrt(limit) is 2, 3, 5, 7, ...), the dyadic ranges' edges, the sieve's
-# blocks and the wheel's period
-KINDS_LIMITS = sorted({*range(1, 301),
-                       *(2**k + e for k in range(1, 22) for e in (-1, 0, 1)),
-                       sieve._KINDS_BLOCK - 1, sieve._KINDS_BLOCK,
-                       sieve._KINDS_BLOCK + 1, 2 * sieve._KINDS_BLOCK + 7,
-                       30029, 30030, 30031, *ISQRT_EDGE_LIMITS})
-
-
-@pytest.fixture(scope="module")
-def kinds_oracle():
-    """d(n) on squarefree n, else -1, for n <= max(KINDS_LIMITS), from the
-    unblocked oracles."""
-    top = max(KINDS_LIMITS)
-    want = np.where(mobius_sieve(top) != 0, distinct_prime_counts(top), -1)
-    want[0] = -1
-    return want
-
-
-def test_sieve_matches_the_oracles_at_the_thresholds_edges(kinds_oracle):
-    for limit in KINDS_LIMITS:
-        kinds = squarefree_kinds(limit)
-        assert np.array_equal(kinds, kinds_oracle[: limit + 1]), limit
-
-
 def test_sieve_matches_trial_division_at_1e7():
+    # f is mu at beta = 1; 9,699,690 = 2*3*5*...*19 has the most distinct
+    # prime factors of any n <= 10**7
     limit = 10**7
-    kinds = squarefree_kinds(limit)
-    # 2*3*5*...*19 is the only n <= 10**7 with d(n) = 8
-    assert np.flatnonzero(kinds == 8).tolist() == [9_699_690]
+    mu = _sign_series(ONE, 1, limit)
     q_min = next(q for q in range(math.isqrt(limit) + 1, limit)
                  if kind_by_trial_division(q) == 1)
     ns = [9_699_690, *(2**k + e for k in range(1, 24) for e in (-1, 1))]
@@ -465,8 +422,7 @@ def test_sieve_matches_trial_division_at_1e7():
                    if kind_by_trial_division(q) == 1)
         ns += [m * q_min, m * top]
     assert max(ns) <= limit
-    assert [int(kinds[n]) for n in ns] == \
-        [kind_by_trial_division(n) for n in ns]
+    assert [int(mu[n]) for n in ns] == [mu_by_trial_division(n) for n in ns]
 
 
 def test_squarefree_density_1e6(mu_1e6):
@@ -493,4 +449,3 @@ def test_distinct_prime_counts():
     assert om[1] == 0 and om[2] == 1 and om[30] == 3 and om[510510] == 7
     # primorial bound: 8 primes already exceed 10**6
     assert int(om.max()) == 7 <= 9
-    assert int(squarefree_kinds(10**6).max()) == 7
