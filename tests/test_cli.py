@@ -23,9 +23,22 @@ from rmflab.growth import (SumGrid, coupled_sums, default_window,
 from rmflab.sieve import _COUNT_LIMIT, MAX_LIMIT
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
 def read_csv(path):
     with open(path) as fh:
         return list(csv.DictReader(fh))
+
+
+def run_probe(code: str) -> str:
+    """Standard output of ``code`` run in a fresh interpreter that imports
+    rmflab from ``src/``, so that ``sys.modules`` holds only what it loads."""
+    src = str(Path(cli.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r}); "
+         + code], check=True, capture_output=True, text=True, timeout=120)
+    return out.stdout
 
 
 def test_parse_beta():
@@ -433,8 +446,9 @@ def test_validate_rejects_fits_and_sigmas_run_would_reject(changes, needle,
         with pytest.raises(TypeError):
             _RUNNERS[cfg.kind](cfg, tmp_path)
     elif cfg.kind == "iet-test":
-        # the KS bound divides by points; numpy rejects the size and the seed
-        with pytest.raises((ZeroDivisionError, ValueError)):
+        # numpy finds no KS gap in an empty sample and rejects a negative
+        # size and seed
+        with pytest.raises(ValueError):
             _RUNNERS[cfg.kind](cfg, tmp_path)
     else:
         assert pipeline_rejects(cfg)
@@ -461,6 +475,18 @@ def test_weighted_flag_on_an_unweighted_kind_is_a_usage_error(kind, extra,
     assert not (tmp_path / "r").exists()
     assert main(["validate", kind, *extra, "--seeds", "1",
                  "--weighted"]) == 2
+
+
+def test_iet_test_points_cap_is_refused_by_validate():
+    # run() at 10**12 points would ask numpy for about 8 TB; a config at the
+    # cap is only validated, never run
+    assert cli.MAX_IET_POINTS == 10**7
+    at_cap = ExperimentConfig(kind="iet-test", level=3, points=10**7)
+    assert validate(at_cap) == []
+    for points in (10**7 + 1, 10**12):
+        over = ExperimentConfig(kind="iet-test", level=3, points=points)
+        assert validate(over) == [f"points={points}: must be in "
+                                  "[1, 10000000]"]
 
 
 def test_identity_level_cap_leaves_iet_test_at_62():
@@ -560,50 +586,81 @@ def test_iet_test_catches_a_map_applying_T_twice(level, tmp_path,
 def test_campaign_does_not_import_numpy_ma(tmp_path):
     # importing numpy.ma (on the first np.median, np.quantile or np.unique
     # call) costs every campaign or identity process ~15 ms
-    src = str(Path(cli.__file__).parents[1])
-    probe = (f"import sys; sys.path.insert(0, {src!r}); "
-             "from rmflab.cli import ExperimentConfig, run; "
-             "run(ExperimentConfig(kind='campaign', beta='3/4', limit=10**4, "
-             f"seeds=[1, 2], outdir={str(tmp_path / 'c')!r})); "
-             "run(ExperimentConfig(kind='identity', level=3, "
-             "prime_limit=10**4, seeds=[1, 2], sigmas=[1.5], ts=[0.0, 2.0], "
-             f"outdir={str(tmp_path / 'i')!r})); "
-             "print('numpy.ma' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", probe], check=True,
-                         capture_output=True, text=True, timeout=120)
-    assert out.stdout == "False\n"
+    out = run_probe(
+        "from rmflab.cli import ExperimentConfig, run; "
+        "run(ExperimentConfig(kind='campaign', beta='3/4', limit=10**4, "
+        f"seeds=[1, 2], outdir={str(tmp_path / 'c')!r})); "
+        "run(ExperimentConfig(kind='identity', level=3, "
+        "prime_limit=10**4, seeds=[1, 2], sigmas=[1.5], ts=[0.0, 2.0], "
+        f"outdir={str(tmp_path / 'i')!r})); "
+        "print('numpy.ma' in sys.modules)")
+    assert out == "False\n"
 
 
 def test_cli_import_leaves_out_fractions_and_decimal():
     # fractions imports decimal; together they cost every process 2-3 ms
-    src = str(Path(cli.__file__).parents[1])
-    probe = (f"import sys; sys.path.insert(0, {src!r}); import rmflab.cli; "
-             "print('fractions' in sys.modules, 'decimal' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", probe], check=True,
-                         capture_output=True, text=True, timeout=120)
-    assert out.stdout == "False False\n"
+    out = run_probe("import rmflab.cli; print('fractions' in sys.modules, "
+                    "'decimal' in sys.modules)")
+    assert out == "False False\n"
+
+
+def test_cli_and_iet_test_leave_out_scipy(tmp_path):
+    # scipy.stats, once the source of the KS statistic, cost every iet-test
+    # run 0.7-1.0 s and about 70 MiB of VmHWM
+    config = str(ROOT / "configs" / "acc02_03_iet_n8.json")
+    out = run_probe(
+        "import rmflab.cli; imported = 'scipy' in sys.modules; "
+        f"code = rmflab.cli.main(['iet-test', '--config', {config!r}, "
+        f"'--out', {str(tmp_path / 'r')!r}]); "
+        "print(imported, code, 'scipy' in sys.modules)")
+    assert out.splitlines()[-1] == "False 0 False"
 
 
 def test_manifest_digests_leave_out_openssl(tmp_path):
     # hashlib loads OpenSSL's libcrypto (3.6 MiB VmHWM, ~6 ms) to hash a
     # few KB of outputs; the built-in sha256 module gives the same digests
-    src = str(Path(cli.__file__).parents[1])
-    probe = (f"import sys; sys.path.insert(0, {src!r}); "
-             "import importlib.util, json; "
-             "from rmflab.cli import ExperimentConfig, run; "
-             "m = run(ExperimentConfig(kind='identity', level=2, "
-             "prime_limit=10**3, seeds=[1], sigmas=[1.5], ts=[0.0], "
-             f"outdir={str(tmp_path / 'i')!r})); "
-             "built_in = any(importlib.util.find_spec(name) "
-             "for name in ('_sha2', '_sha256')); "
-             "print(json.dumps([built_in, '_hashlib' in sys.modules, "
-             "m['outputs']]))")
-    out = subprocess.run([sys.executable, "-c", probe], check=True,
-                         capture_output=True, text=True, timeout=120)
-    built_in, openssl, outputs = json.loads(out.stdout)
+    out = run_probe(
+        "import importlib.util, json; "
+        "from rmflab.cli import ExperimentConfig, run; "
+        "m = run(ExperimentConfig(kind='identity', level=2, "
+        "prime_limit=10**3, seeds=[1], sigmas=[1.5], ts=[0.0], "
+        f"outdir={str(tmp_path / 'i')!r})); "
+        "built_in = any(importlib.util.find_spec(name) "
+        "for name in ('_sha2', '_sha256')); "
+        "print(json.dumps([built_in, '_hashlib' in sys.modules, "
+        "m['outputs']]))")
+    built_in, openssl, outputs = json.loads(out)
     if built_in:
         assert not openssl
     assert len(outputs) >= 3
     assert outputs == {
         name: hashlib.sha256((tmp_path / "i" / name).read_bytes()).hexdigest()
         for name in outputs}
+
+
+# one small run per kind, against the file and columns the schema documents
+SCHEMA_RUNS = {
+    "identity": {"level": 1, "prime_limit": 1000},
+    "iet-test": {"level": 2, "points": 100},
+    "growth": {"beta": "3/4", "limit": 1000},
+    "weighted-growth": {"beta": "7/8", "limit": 1000},
+    "exp-form": {"beta": "3/4", "prime_limit": 1000},
+    "abel": {"beta": "3/4", "limit": 1000},
+    "h-scan": {"beta": "15/16", "prime_limit": 1000},
+    "campaign": {"beta": "3/4", "limit": 1000},
+}
+
+
+def test_schema_documents_every_kind():
+    schema = json.loads((ROOT / "schemas" / "csv_columns.json").read_text())
+    assert sorted(schema) == sorted(cli.KINDS) == sorted(SCHEMA_RUNS)
+
+
+@pytest.mark.parametrize("kind", cli.KINDS)
+def test_csv_file_and_header_match_the_schema(kind, tmp_path):
+    doc = json.loads((ROOT / "schemas" / "csv_columns.json").read_text())[kind]
+    run(ExperimentConfig(kind=kind, seeds=[1], outdir=str(tmp_path),
+                         **SCHEMA_RUNS[kind]))
+    assert [p.name for p in tmp_path.glob("*.csv")] == [doc["file"]]
+    with (tmp_path / doc["file"]).open(newline="") as fh:
+        assert next(csv.reader(fh)) == list(doc["columns"])

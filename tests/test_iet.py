@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.stats import ks_2samp
 
 from oracles import TransformedOmega
 from rmflab import (DomainError, DyadicFraction, IetSpec, OmegaAssignment,
                     apply_T, apply_T_power, apply_T_power_numerators,
                     interval_index, primes_up_to)
+from rmflab.cli import _ks_statistic
 from rmflab.dyadic import SCALE
 
 
@@ -191,6 +192,33 @@ def test_measure_preservation_ks(rng):
         stat = ks_2samp(xs, ys).statistic
         crit = math.sqrt(-math.log(1e-3 / 2) / 2) * math.sqrt(2 / 10**5)
         assert stat < crit
+
+
+# scipy switches from its exact path (the gap rounded to k/n) to its
+# asymptotic one (the float CDFs' difference) above 10,000 points a sample;
+# where its exact p-value fails it warns and keeps the rounded gap
+@pytest.mark.filterwarnings("ignore:ks_2samp. Exact calculation")
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 20_001), seed=st.integers(0, 2**32 - 1),
+       grain=st.sampled_from([0, 2, 64, 10**4]),
+       shift=st.floats(-0.05, 0.05), same=st.booleans())
+@example(n=10_000, seed=1, grain=0, shift=0.0, same=False)
+@example(n=10_001, seed=1, grain=0, shift=0.0, same=False)
+@example(n=10_000, seed=2, grain=64, shift=0.01, same=False)
+@example(n=10_001, seed=2, grain=64, shift=0.01, same=False)
+@example(n=10_001, seed=3, grain=0, shift=0.0, same=True)
+@example(n=1, seed=4, grain=0, shift=0.0, same=False)
+def test_ks_statistic_is_scipys_bit_for_bit(n, seed, grain, shift, same):
+    rng = np.random.default_rng(seed)
+    a = rng.random(n)
+    b = a[::-1].copy() if same else rng.random(n) + shift
+    if grain:  # ties within and across the two samples
+        a, b = np.floor(a * grain) / grain, np.floor(b * grain) / grain
+    stat = _ks_statistic(a, b)
+    assert type(stat) is float
+    assert stat.hex() == float(ks_2samp(a, b).statistic).hex()
+    if same:
+        assert stat == 0.0
 
 
 def test_transformed_omega_periodicity_and_componentwise():
