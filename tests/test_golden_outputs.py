@@ -10,7 +10,9 @@ capped limit.
 
 ``EXTRA_CASES`` cover paths no shipped config reaches: the default fit
 window of growth, weighted growth and both kinds of campaign at limits
-above 1000, an explicit weighted-growth window, the four seed x sigma x t
+above 1000, an explicit weighted-growth window, growth and a weighted
+campaign over two lane groups (9 seeds) at betas of 40 bits after the
+point (the full hash through the lane pass), the four seed x sigma x t
 sweeps over several seeds, sigmas and negative t, ``abel`` at beta = 1
 (every prime minus, nothing hashed) and at a beta of 40 bits after the
 point (the full hash of ``sampler._plus_blocks``), and the iet-test index
@@ -51,6 +53,13 @@ EXTRA_CASES = {
     "extra_campaign_weighted_default_window": {
         "kind": "campaign", "beta": "15/16", "limit": 50000,
         "seeds": [1, 2], "weighted": True},
+    "extra_growth_two_lane_groups_full_hash": {
+        "kind": "growth", "beta": "824633720831/1099511627776",
+        "limit": 30000, "seeds": [1, 2, 3, 4, 5, 6, 7, 8, 9]},
+    "extra_campaign_weighted_full_hash": {
+        "kind": "campaign", "beta": "1030792151039/1099511627776",
+        "limit": 50000, "seeds": [1, 2, 3, 4, 5, 6, 7, 8, 9],
+        "weighted": True},
     "extra_identity_sweep": {
         "kind": "identity", "level": 3, "prime_limit": 5000, "seeds": [7, 11],
         "sigmas": [1.05, 2.5], "ts": [-12.5, 0, 3]},
