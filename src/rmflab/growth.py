@@ -23,16 +23,19 @@ quotients (``sieve._prime_counts``), which sieves nothing above sqrt(X)
 and whose slot table places each x // m, so no pair is sorted: the
 tree's ranks are every pi(v) over those quotients.  Pi_k comes from each
 lane's plus flags, one hash block of 2**15 ranks at a time, counted at the
-ranks inside it; the first sum from reused blocks of 2**14 terms over all
-the lanes, and the second once per node, at the first checkpoint above
-m P+(m), carried down the rows by a cumulative sum.  Nothing of length X
-or pi(X) is made, and only the tree grows with X.  At X = 10**7 the tree
-has 15,512 nodes, 85,331 pairs and 3,393 ranks; a 4-seed pass peaks at
-1.6 MiB traced, the tree's build, and at 1.0 MiB with the tree cached
-(tests hold them below 8 and 4 MiB, and below 24 MiB with the tree alone
-cold).  A cold tree takes about 0.03 s at 10**8.  At 10**9 (426,054
-nodes, 2,267,326 pairs, 30,476 ranks) it takes 0.14-0.21 s and keeps
-16 MiB, and a whole 8-seed campaign run takes 1.8 s at 58 MiB ``VmHWM``.
+ranks inside it, and the same flags of the primes below sqrt(X) make the
+nodes' uint8 lane words, so each seed is hashed once (``sampler`` hashes
+and signs; this module makes the words); the first sum from reused blocks
+of 2**14 terms over all the lanes, and the second once per node, at the
+first checkpoint above m P+(m), carried down the rows by a cumulative sum.
+Nothing of length X or pi(X) is made, and only the tree grows with X.  At
+X = 10**7 the tree has 15,512 nodes, 85,331 pairs and 3,393 ranks; a
+4-seed pass peaks at 1.6 MiB traced, the tree's build, and at 1.0 MiB with
+the tree cached (tests hold them below 8 and 4 MiB, and below 24 MiB with
+the tree alone cold).  A cold tree takes about 0.03 s at 10**8.  At 10**9
+(426,054 nodes, 2,267,326 pairs, 30,476 ranks) it takes 0.14-0.21 s and
+keeps 16 MiB, and a whole 8-seed campaign run takes 1.8 s at 58 MiB
+``VmHWM``.
 At 10**10 (2,308,224 nodes, 12,139,683 pairs) the tree takes 1.0 s and
 keeps 84 MiB, and an 8-seed run takes 14 s at 169 MiB.  At 10**11
 (12,739,537 nodes, 66,327,065 pairs) the tree takes 4.7 s and keeps
@@ -54,10 +57,10 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .dyadic import DyadicFraction
+from . import sampler
+from .dyadic import HALF, DyadicFraction
 from .errors import (ConfigurationError, DomainError, FitError,
                      PreconditionError, RangeError)
-from .sampler import _HASH_BLOCK, LANES, _lane_masks, _plus_blocks
 from .sieve import _COUNT_LIMIT, MAX_KIND, _prime_counts, primes_up_to
 from .dirichlet import _exact_sum, _point, weight_factor
 
@@ -447,10 +450,7 @@ def _checkpoint_tree(limit: int) -> _Tree:
     return _tree(limit, checkpoint_grid(limit))
 
 
-# Ranks per chunk of one lane's plus flags: one hash block, so each block
-# of sampler._plus_blocks is a whole chunk; below 2**16, so np.add.reduceat
-# counts a chunk's flags exactly in uint16
-_CHUNK = _HASH_BLOCK
+LANES = 8  # seeds per uint8 word: bit k belongs to seeds[k]
 
 
 def _checkpoint_counts(tree: _Tree, beta: DyadicFraction,
@@ -459,14 +459,16 @@ def _checkpoint_counts(tree: _Tree, beta: DyadicFraction,
     f(n) over grid[i-1] < n <= grid[i] with d(n) = d (grid[-1] read as 0),
     for d <= MAX_KIND, by the recursion of the module docstring.
 
-    Bit k of a node's word is the parity of seed k's minus primes of m, the
-    xor of their complemented masks (``sampler._lane_masks`` over the
-    nodes' primes) carried down the tree, so f_k(m) = (-1)**(bit k).
-    Pi_k(y) = 2 plus_k(y) - pi(y) is counted only at the tree's ranks, one
-    lane at a time: the lane's plus flags of ranks 0 .. pi(limit) - 1 come
-    a hash block, one whole chunk, at a time (``sampler._plus_blocks``),
-    and each adds its plus primes between the tree's ranks inside it by
-    one np.add.reduceat, so nothing of pi(limit) bytes is made.  The terms
+    Each lane hashes its seed once: its plus flags of ranks
+    0 .. pi(limit) - 1 come a hash block at a time
+    (``sampler._plus_blocks``, blocks of ``sampler._HASH_BLOCK`` ranks read
+    when called).  Those of the nodes' primes, the ranks up to the largest
+    P+(m), set bit k of their uint8 masks, and bit k of a node's word is
+    the parity of seed k's minus primes of m, the xor of their complemented
+    masks carried down the tree, so f_k(m) = (-1)**(bit k).
+    Pi_k(y) = 2 plus_k(y) - pi(y) is counted only at the tree's ranks: each
+    block adds its plus primes between the tree's ranks inside it by one
+    np.add.reduceat, so nothing of pi(limit) bytes is made.  The terms
     f_k(m) Pi_k(x // m) are formed for all lanes at once, one block of
     ordered nodes and one row at a time (row i reads the prefix
     order[:cuts[i]]), in a reused float64 buffer of _PAIR_BLOCK values, and
@@ -476,39 +478,44 @@ def _checkpoint_counts(tree: _Tree, beta: DyadicFraction,
     every later one.  Both are exact in float64: every partial sum is an
     integer of size at most sum_{m <= x} x / m < x (1 + log x) < 2**53.
     """
-    masks = _lane_masks(beta, seeds, int(tree.tops.max()) + 1)
-    words = np.zeros(len(tree.parents), dtype=np.uint8)
-    for lo, hi in zip(tree.levels[1:-1], tree.levels[2:]):
-        words[lo:hi] = words[tree.parents[lo:hi]] ^ ~masks[tree.tops[lo:hi]]
-    ranks, count = tree.ranks, tree.count
+    ranks, count, block = tree.ranks, tree.count, sampler._HASH_BLOCK
+    nodes = int(tree.tops.max()) + 1  # the ranks of the nodes' primes
     # gaps[j]: the plus primes of ranks[j - 1] .. ranks[j] - 1, from rank 0
     # at j = 0; gaps[-1] takes those past the last rank.  The ranks inside
-    # chunk c are ranks[at:stop], at offsets ranks % _CHUNK in it, and its
-    # flags from each cut on add to gaps[first:stop + 1]: the cuts are its
-    # start, unless a rank is there, and those offsets.  The ranks equal to
-    # count lie past every chunk
+    # hash block c are ranks[at:stop], at offsets ranks % block in it, and
+    # its flags from each cut on add to gaps[first:stop + 1]: the cuts are
+    # its start, unless a rank is there, and those offsets.  The ranks equal
+    # to count lie past every block
     stops = np.searchsorted(ranks, np.minimum(
-        np.arange(_CHUNK, count + _CHUNK, _CHUNK), count)).tolist()
-    offsets = ranks % _CHUNK
-    chunks, at = [], 0
+        np.arange(block, count + block, block), count)).tolist()
+    offsets = ranks % block
+    per_block, at = [], 0
     for stop in stops:
         head = at == stop or offsets[at] > 0
         cuts = np.concatenate([[0], offsets[at:stop]]) if head else \
             offsets[at:stop]
-        chunks.append((at if head else at + 1, stop + 1, cuts))
+        per_block.append((at if head else at + 1, stop + 1, cuts))
         at = stop
     gaps = np.empty(len(ranks) + 1, dtype=np.int64)
     lanes = len(seeds)
+    masks = np.zeros(nodes, dtype=np.uint8)  # bit k: seed k signs it +1
     # prime_sums[j, k]: Pi_k at ranks[j], exact in float64
     prime_sums = np.empty((len(ranks), lanes))
     for k, seed in enumerate(seeds):
         gaps[...] = 0
         if not beta.is_one:  # at beta = 1 no prime is plus
-            for lo, flags in _plus_blocks(beta, operator.index(seed), count):
-                first, stop, cuts = chunks[lo // _CHUNK]
+            seed = operator.index(seed)
+            for lo, flags in sampler._plus_blocks(beta, seed, count):
+                if lo < nodes:
+                    plus = flags[: nodes - lo].view(np.uint8)
+                    masks[lo: lo + len(plus)] |= plus << np.uint8(k)
+                first, stop, cuts = per_block[lo // block]
                 gaps[first:stop] += np.add.reduceat(flags, cuts,
                                                     dtype=np.uint16)
         prime_sums[:, k] = 2 * np.cumsum(gaps[:-1]) - ranks
+    words = np.zeros(len(tree.parents), dtype=np.uint8)
+    for lo, hi in zip(tree.levels[1:-1], tree.levels[2:]):
+        words[lo:hi] = words[tree.parents[lo:hi]] ^ ~masks[tree.tops[lo:hi]]
     rows, kinds = len(tree.grid), MAX_KIND + 1
     # word_signs[w, k] = (-1)**(bit k of w): lane k's f(m) from the word w
     word_signs = 1.0 - 2.0 * (
@@ -564,11 +571,18 @@ def coupled_sums(beta: DyadicFraction, limit: int, weighted: bool,
     share the limit's tree (``_checkpoint_tree``), and each lane group of
     LANES seeds its hash pass and its counts (``_checkpoint_counts``).
 
-    Weighted sums weigh f_beta(n) by (2*beta-1)**-d(n).
+    Weighted sums weigh f_beta(n) by (2*beta-1)**-d(n).  Each seed must be
+    an integer in [0, 2**64): the hash reads it as a uint64.
     """
-    if limit > _COUNT_LIMIT:  # refused before the tree is built
+    # refused before the tree is built
+    if limit > _COUNT_LIMIT:
         raise ConfigurationError(
             f"limit {limit} above supported maximum {_COUNT_LIMIT}")
+    if not HALF <= beta:
+        raise PreconditionError(f"beta={float(beta)} below 1/2")
+    if not all(map(sampler.is_seed, seeds)):
+        raise DomainError(f"seeds={list(seeds)!r}: every seed must be an "
+                          "integer in [0, 2**64)")
     w = weight_factor(beta) if weighted else None  # the weighted threshold
     tree = _checkpoint_tree(limit)
     sums = []

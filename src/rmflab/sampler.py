@@ -10,14 +10,12 @@ The sign convention is right-open: -1 on [0, beta), +1 on [beta, 1).  On the
 2**64-point dyadic grid this makes P(-1) = beta exact, and it differs from
 the closed-interval convention only at grid endpoints (a measure-zero set).
 
-``_lane_masks`` signs the primes of the first ranks for up to LANES seeds
-at once, as one uint8 mask per prime, straight from the blocks of the
-hash.  The checkpoint sums (``growth.coupled_sums``) xor the masks of the
-primes <= sqrt(X) (for 8 seeds 0.7 MiB traced at X = 10**11, with the hash
-blocks) down the largest-prime-factor tree, and count each lane's plus
-signs of the larger primes at the tree's ranks, one hash block at a time.
-The ``abel`` sweep reads one seed's series (``_sign_series``): one parity
-walk over its minus-signed primes, zeroed off the squarefree integers.
+This module hashes and signs; it makes no lane words.  The checkpoint
+sums (``growth._checkpoint_counts``) read each seed's plus flags one hash
+block at a time, and make their uint8 lane words from those of the primes
+<= sqrt(X).  The ``abel`` sweep reads one seed's series (``_sign_series``):
+one parity walk over its minus-signed primes, zeroed off the squarefree
+integers.
 
 Both take their signs from ``_plus_blocks``.  SplitMix64's last step,
 z ^= z >> 31, leaves bits 63..33 as they are, so a beta with at most 31
@@ -44,10 +42,8 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
-LANES = 8  # seeds per uint8 mask: bit k belongs to seeds[k]
-
-
-# Ranks hashed per block: 256 KiB of uint64 per scratch array, within L2
+# Ranks hashed per block: 256 KiB of uint64 per scratch array, within L2;
+# below 2**16, so np.add.reduceat counts a block's flags exactly in uint16
 _HASH_BLOCK = 2**15
 
 
@@ -78,18 +74,6 @@ def _mixed_blocks(seed: int, count: int, start: int = 0):
         z ^= tmp
         z *= _MIX2
         yield lo, z, tmp
-
-
-def _hash_blocks(seed: int, count: int, start: int = 0):
-    """The omega numerators of ranks start .. start + count - 1 for
-    ``seed``, _HASH_BLOCK ranks at a time: yields (lo, z) with z the uint64
-    numerators of ranks start + lo, start + lo + 1, ..., held in one scratch
-    array that the next block reuses (``_mixed_blocks`` and its last
-    xorshift)."""
-    for lo, z, tmp in _mixed_blocks(seed, count, start):
-        np.right_shift(z, np.uint64(31), out=tmp)
-        z ^= tmp
-        yield lo, z
 
 
 # The bits z ^= z >> 31 can change, 32..0: against a threshold with none of
@@ -164,10 +148,14 @@ class OmegaAssignment:
 
     def numerator_blocks(self, count: int, start: int = 0):
         """The numerators of the primes of ranks start .. start + count - 1,
-        _HASH_BLOCK at a time: yields (lo, z) as ``_hash_blocks`` does, z
-        reused by the next block, so no array of ``count`` numerators is
-        made."""
-        return _hash_blocks(self.master_seed, count, start)
+        _HASH_BLOCK at a time: yields (lo, z) with z the uint64 numerators
+        of ranks start + lo, start + lo + 1, ... (``_mixed_blocks`` and its
+        last xorshift), held in one scratch array that the next block
+        reuses, so no array of ``count`` numerators is made."""
+        for lo, z, tmp in _mixed_blocks(self.master_seed, count, start):
+            np.right_shift(z, np.uint64(31), out=tmp)
+            z ^= tmp
+            yield lo, z
 
 
 def signs_from_numerators(beta: DyadicFraction,
@@ -179,32 +167,6 @@ def signs_from_numerators(beta: DyadicFraction,
     signs <<= 1
     signs -= 1
     return signs
-
-
-def _lane_masks(beta: DyadicFraction, seeds, count: int) -> np.ndarray:
-    """The uint8 masks of the primes of ranks 0 .. count - 1 for at most
-    LANES seeds: bit k of a prime's mask is set when seed ``seeds[k]``
-    signs it +1 (every mask is 0 at beta = 1).
-
-    Each seed is hashed once, block by block (``_plus_blocks``), straight
-    into the masks, with no per-seed array of numerators or signs.  On
-    squarefree n, the xor of the masks of the primes dividing n has bit k
-    set exactly when seed k's f_beta(n) is -mu(n).
-    """
-    if len(seeds) > LANES:
-        raise PreconditionError(f"{len(seeds)} seeds exceed {LANES} lanes")
-    if not HALF <= beta:
-        raise PreconditionError(f"beta={float(beta)} below 1/2")
-    if not all(map(is_seed, seeds)):
-        raise DomainError(f"seeds={list(seeds)!r}: every seed must be an "
-                          "integer in [0, 2**64)")
-    masks = np.zeros(count, dtype=np.uint8)
-    if beta.is_one:
-        return masks
-    for k, seed in enumerate(seeds):
-        for lo, plus in _plus_blocks(beta, operator.index(seed), count):
-            masks[lo: lo + len(plus)] |= plus.view(np.uint8) << np.uint8(k)
-    return masks
 
 
 def _sign_series(beta: DyadicFraction, seed: int, limit: int) -> np.ndarray:

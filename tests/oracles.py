@@ -23,7 +23,8 @@ is the term by term reference for the weighted checkpoint sums, and
 ``per_seed_counts`` the per-seed and ``segment_counts`` the
 integer-by-integer reference for the recursion's exact counts, which it
 reads for up to 8 seeds at once from the int8 d(n) on squarefree n of
-``kinds_table`` and the uint8 flip words of ``lane_flips``.  None of it is
+``kinds_table`` and the uint8 flip words of ``lane_flips``, whose masks
+come from whole-array numerators, not from the lane pass.  None of it is
 part of the package.
 """
 
@@ -42,8 +43,9 @@ from rmflab.dirichlet import _TAIL_CUTOFF, EulerEvaluation, _point
 from rmflab.dyadic import HALF
 from rmflab.errors import (ConfigurationError, CoverageError,
                            PreconditionError, RangeError)
+from rmflab.growth import LANES
 from rmflab.iet import IetSpec, apply_T_power_numerators
-from rmflab.sampler import LANES, _lane_masks, signs_from_numerators
+from rmflab.sampler import signs_from_numerators
 from rmflab.sieve import _COUNT_LIMIT, MAX_KIND, MAX_LIMIT, _odd_blocks
 
 
@@ -198,9 +200,15 @@ def lane_flips(beta: DyadicFraction, seeds, limit: int) -> np.ndarray:
     """uint8 words for n <= limit whose bit k is the parity of the number of
     seed ``seeds[k]``'s plus-signed primes that divide n, for at most LANES
     seeds: the ``flips`` input of ``segment_counts``, by the unblocked walk
-    over the masks of ``sampler._lane_masks``."""
+    over uint8 masks built from each seed's whole-array numerators, apart
+    from the package's lane code."""
     primes = primes_up_to(limit)
-    masks = _lane_masks(beta, seeds, len(primes))
+    masks = np.zeros(len(primes), dtype=np.uint8)
+    for k, seed in enumerate(seeds):
+        nums = OmegaAssignment(master_seed=seed,
+                               prime_limit=limit).numerators(len(primes))
+        masks |= (signs_from_numerators(beta, nums) == 1).view(np.uint8) \
+            << np.uint8(k)
     keep = masks != 0
     return multiples_walk(primes[keep], masks[keep], limit, np.bitwise_xor)
 

@@ -272,15 +272,24 @@ def test_validate_names_beta_below_half_and_sieve_limit(tmp_path):
                            seeds=[1], outdir=str(tmp_path / "r"))
     assert validate(cfg) == []
     assert run(cfg)["pass"]
-    # the identity experiment never sieves, so its limit is not checked
-    cfg = ExperimentConfig(kind="identity", level=1, limit=MAX_LIMIT + 1,
-                           seeds=[1])
-    assert validate(cfg) == []
+    # kinds truncated at P never sieve to X, so their limit is not checked
+    for kind, fields in (("identity", {"level": 1}),
+                         ("exp-form", {"beta": "3/4"}),
+                         ("h-scan", {"beta": "15/16"})):
+        for limit in (MAX_LIMIT + 1, 1):
+            cfg = ExperimentConfig(kind=kind, limit=limit, prime_limit=1000,
+                                   seeds=[1], outdir=str(tmp_path / kind),
+                                   **fields)
+            assert validate(cfg) == [], (kind, limit)
+            assert run(cfg)["pass"], (kind, limit)
     # kinds truncated at X ignore prime_limit, so it is not checked there
     for kind in ("growth", "abel", "campaign"):
-        cfg = ExperimentConfig(kind=kind, beta="3/4", seeds=[1],
-                               prime_limit=MAX_LIMIT + 1)
-        assert validate(cfg) == [], kind
+        for prime_limit in (MAX_LIMIT + 1, 1, 0, -5):
+            cfg = ExperimentConfig(kind=kind, beta="3/4", seeds=[1],
+                                   limit=1000, prime_limit=prime_limit,
+                                   outdir=str(tmp_path / kind))
+            assert validate(cfg) == [], (kind, prime_limit)
+            assert run(cfg)["pass"], (kind, prime_limit)
 
 
 class Streamed(Exception):

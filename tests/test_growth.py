@@ -20,10 +20,10 @@ from rmflab import (CampaignConfig, DomainError, DyadicFraction, FitError,
                     monte_carlo_campaign, selberg_delange_ratio)
 from rmflab.dirichlet import weight_factor
 from rmflab.dyadic import HALF, ONE
-from rmflab.growth import (SumGrid, _checkpoint_counts, _checkpoint_tree,
-                           _isqrt, _median, _quantile, _seed_result,
-                           _sums_from_counts, _tree, coupled_sums)
-from rmflab.sampler import LANES
+from rmflab.growth import (LANES, SumGrid, _checkpoint_counts,
+                           _checkpoint_tree, _isqrt, _median, _quantile,
+                           _seed_result, _sums_from_counts, _tree,
+                           coupled_sums)
 from rmflab.sieve import _COUNT_LIMIT, MAX_KIND, primes_up_to
 
 B34 = DyadicFraction.from_fraction(3, 2)
@@ -558,22 +558,22 @@ def test_lane_counts_where_a_cofactor_quotient_is_a_large_prime(limit):
 @pytest.mark.parametrize("chunk, block", [(1, 1), (2, 1), (4, 2), (6, 3),
                                           (8, 8), (12, 4)])
 def test_lane_counts_at_chunk_edges(monkeypatch, chunk, block):
-    # chunks of a few ranks put tree ranks on their edges, and
-    # pi(1000) = 168 is a multiple of every chunk here.  Every tree's ranks
-    # end at pi(limit), past every chunk: they are every pi(v) over the
-    # quotients, the limit among them, whether or not the grid ends there
+    # hash blocks of a few ranks put tree ranks on their edges, and
+    # pi(1000) = 168 is a multiple of every block here.  Every tree's ranks
+    # end at pi(limit), past every block: they are every pi(v) over the
+    # quotients, the limit among them, whether or not the grid ends there.
+    # The 11 node primes (those <= 31) span several blocks for every block
+    # size but 12, and end on a block's edge at size 1; the pair blocks of
+    # a few nodes cut the rows too
     import rmflab.sampler as sampler
 
-    # each hash block is one whole chunk; the pair blocks of a few nodes
-    # cut the rows too
-    assert growth._CHUNK == sampler._HASH_BLOCK
-    monkeypatch.setattr(growth, "_CHUNK", chunk)
     monkeypatch.setattr(sampler, "_HASH_BLOCK", chunk)
     monkeypatch.setattr(growth, "_PAIR_BLOCK", block)
     on_edges = at_count = 0
     for limit in (1000, 1009):
         for grid in (checkpoint_grid(limit), checkpoint_grid(limit)[:-1]):
             tree = _tree(limit, grid)
+            assert int(tree.tops.max()) + 1 == 11
             on_edges += np.count_nonzero(tree.ranks[1:] % chunk == 0)
             at_count += tree.ranks[-1] == tree.count
             for beta in (HALF, B34):
@@ -583,6 +583,45 @@ def test_lane_counts_at_chunk_edges(monkeypatch, chunk, block):
                     assert np.array_equal(got[k], want), (limit, seed)
     assert _tree(1000, checkpoint_grid(1000)).count % chunk == 0
     assert on_edges and at_count == 4
+
+
+def test_lane_pass_hashes_each_seed_once(monkeypatch):
+    # one hash stream per seed gives both its node words and its Pi_k; at
+    # beta = 1 no prime is plus and nothing is hashed
+    import rmflab.sampler as sampler
+
+    started = []
+    mixed_blocks = sampler._mixed_blocks
+
+    def counting(seed, *args):
+        started.append(seed)
+        return mixed_blocks(seed, *args)
+
+    monkeypatch.setattr(sampler, "_mixed_blocks", counting)
+    tree = _tree(10**4, checkpoint_grid(10**4))
+    _checkpoint_counts(tree, B34, LANE_SEEDS[:3])
+    assert started == list(LANE_SEEDS[:3])
+    started.clear()
+    _checkpoint_counts(tree, ONE, LANE_SEEDS[:3])
+    assert started == []
+
+
+@pytest.mark.parametrize("seeds", [[1, 1.5], [1, True], [-1], [2**64]],
+                         ids=["1.5", "True", "-1", "2**64"])
+def test_coupled_sums_reject_seeds_that_are_not_uint64_integers(
+        monkeypatch, seeds):
+    # refused before the tree is built, at beta = 1 (nothing hashed) too;
+    # a beta below 1/2 is refused first
+    def refuse(limit):
+        raise AssertionError("the tree was built")
+
+    monkeypatch.setattr(growth, "_checkpoint_tree", refuse)
+    for beta in (HALF, ONE):
+        with pytest.raises(DomainError, match="seeds"):
+            coupled_sums(beta, 1000, False, seeds)
+    quarter = DyadicFraction.from_fraction(1, 2)
+    with pytest.raises(PreconditionError, match="below 1/2"):
+        coupled_sums(quarter, 1000, False, seeds)
 
 
 @pytest.mark.parametrize("block", [1, 2, 5, 16, 100])

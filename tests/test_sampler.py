@@ -13,8 +13,8 @@ from rmflab import (CoverageError, DomainError, DyadicFraction,
                     zeta_truncated)
 from rmflab.dyadic import HALF, ONE
 from rmflab.growth import _checkpoint_counts, _tree
-from rmflab.sampler import (_HASH_BLOCK, LANES, _lane_masks, _plus_blocks,
-                            _sign_series, signs_from_numerators)
+from rmflab.sampler import (_HASH_BLOCK, _plus_blocks, _sign_series,
+                            signs_from_numerators)
 from rmflab.sieve import _WALK_BLOCK
 
 
@@ -278,39 +278,6 @@ def test_plus_blocks_skip_the_last_xorshift_only_below_32_bits(
         shifts.clear()
         list(_plus_blocks(beta, 5, 2 * _HASH_BLOCK))
         assert (31 in shifts) == (beta in LONG_BETAS), float(beta)
-
-
-@pytest.mark.parametrize("count", [2 * _HASH_BLOCK - 1, 2 * _HASH_BLOCK,
-                                   2 * _HASH_BLOCK + 1])
-def test_lane_masks_match_per_seed_signs(count):
-    # the masks come straight from the hash blocks; a second block short
-    # by a prime, a full one, and a third block of one prime
-    limit = int(primes_up_to(10**6)[count - 1])
-    seeds = (3, 0, 2**64 - 1, 4, 5, 6, 7, 8)
-    for beta in (HALF, DyadicFraction.from_fraction(3, 2),
-                 DyadicFraction.from_fraction(7, 3), ONE):
-        for n in (1, 3, 8):
-            masks = _lane_masks(beta, seeds[:n], count)
-            assert len(masks) == count and masks.dtype == np.uint8
-            want = np.zeros(count, dtype=np.uint8)
-            for k, seed in enumerate(seeds[:n]):
-                signs = prime_signs(beta, OmegaAssignment(
-                    master_seed=seed, prime_limit=limit))
-                want |= (signs == 1).astype(np.uint8) << np.uint8(k)
-            assert np.array_equal(masks, want), (float(beta), n)
-
-
-@pytest.mark.parametrize("seed", [1.5, True])
-def test_lane_masks_reject_seeds_that_are_not_uint64_integers(seed):
-    with pytest.raises(DomainError, match="seeds"):
-        _lane_masks(HALF, [1, seed], 100)
-
-
-def test_flip_words_hold_at_most_eight_seeds():
-    # one bit per seed in a prime's uint8 mask
-    assert _lane_masks(HALF, tuple(range(LANES)), 100).dtype == np.uint8
-    with pytest.raises(PreconditionError, match="9 seeds"):
-        _lane_masks(HALF, tuple(range(LANES + 1)), 100)
 
 
 def test_series_prefix_property(mu_1e6, assignment_1e5):
