@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 a checked residual exceeded its tolerance,
 
 from __future__ import annotations
 
-import argparse
 import csv
 import json
 import math
@@ -48,12 +47,6 @@ from .growth import (MIN_FIT_POINTS, CampaignConfig, abel_consistency,
 from .iet import IetSpec, apply_T_power_numerators
 from .sampler import OmegaAssignment, _sign_series, is_integer, is_seed
 from .sieve import _COUNT_LIMIT, MAX_LIMIT
-
-KINDS = ("identity", "iet-test", "growth", "weighted-growth", "exp-form",
-         "abel", "h-scan", "campaign")
-_FIT_KINDS = ("growth", "weighted-growth", "campaign")  # fit growth exponents
-# kinds whose outputs no weight enters: weighted: true is refused there
-_UNWEIGHTED_KINDS = ("growth", "abel", "exp-form", "identity", "iet-test")
 
 # iet-test holds about 135 bytes a point (+129 MiB VmHWM at 10**6 points)
 MAX_IET_POINTS = 10**7
@@ -106,8 +99,9 @@ class ExperimentConfig:
 
 def validate(config: ExperimentConfig) -> list[str]:
     """Constraint check; empty list means run() would accept the config."""
-    if config.kind not in KINDS:
+    if config.kind not in KINDS:  # compared, not hashed: [1] is refused too
         return [f"kind={config.kind!r}: must be one of {KINDS}"]
+    kind = _KINDS[config.kind]
     # a JSON config can give any field any type; a wrong one would reach
     # numpy, a shift or a comparison as a TypeError ("false" would even pass
     # as a true weighted); the checks below compare them, so these come first
@@ -138,25 +132,21 @@ def validate(config: ExperimentConfig) -> list[str]:
         return v
     if not config.seeds:
         v.append("seeds=[]: at least one seed is required")
-    if config.weighted and config.kind in _UNWEIGHTED_KINDS:
+    if config.weighted and kind.weight == "never":
         v.append(_weighted_refusal(config.kind))
-    if config.kind in ("identity", "iet-test") and config.level is None:
+    if kind.level and config.level is None:
         v.append(f"level=None: kind {config.kind} requires a level n")
     if config.level is not None and not 1 <= config.level <= 62:
         v.append(f"level={config.level}: must be in [1, 62]")
-    elif config.kind == "identity" and config.level is not None and \
-            config.level > MAX_IDENTITY_LEVEL:
+    elif config.level is not None and config.level > (kind.level or 62):
+        # only the identity caps its level below 62
         v.append(f"level={config.level}: the identity evaluates "
                  f"2**{config.level} + 2 = {2**config.level + 2:,} Euler "
-                 f"products; levels above {MAX_IDENTITY_LEVEL} are not "
-                 "evaluated")
+                 f"products; levels above {kind.level} are not evaluated")
     if not all(map(is_seed, config.seeds)):
         v.append(f"seeds={config.seeds}: every seed must be an integer in "
                  "[0, 2**64)")
-    if config.kind == "iet-test" and not 1 <= config.points <= MAX_IET_POINTS:
-        v.append(f"points={config.points}: must be in [1, {MAX_IET_POINTS}]")
-    needs_beta = config.kind not in ("identity", "iet-test")
-    if needs_beta and config.beta is None and config.level is None:
+    if kind.reads_beta and config.beta is None and config.level is None:
         v.append(f"beta=None: kind {config.kind} requires beta (or level)")
     b = None  # the beta run() uses, from beta or else from a valid level
     if config.beta is not None or \
@@ -167,42 +157,33 @@ def validate(config: ExperimentConfig) -> list[str]:
             v.append(f"beta={config.beta!r}: {exc}")
         else:
             b = float(beta)
-            if needs_beta and beta < HALF:
+            if kind.reads_beta and beta < HALF:
                 v.append(f"beta={config.beta}: sign thresholds require "
                          "beta >= 1/2")
-    sweep = _SWEEPS.get(config.kind)
-    for sigma in config.sigmas if sweep else ():
-        if sigma <= sweep.sigma_floor:
-            v.append(f"sigma={sigma}: {sweep.floor_reason}")
-    if sweep and (why := _points_refusal(config)):
-        v.append(why)
-    weighted = config.kind in ("weighted-growth", "h-scan") or \
-        (config.kind == "campaign" and config.weighted)
+    if kind.at:
+        v += [f"sigma={sigma}: {kind.why}"
+              for sigma in config.sigmas if sigma <= kind.floor]
+        if why := _points_refusal(config):
+            v.append(why)
+    weighted = kind.weight == "always" or \
+        kind.weight == "optional" and config.weighted
     if weighted and b is not None and not WEIGHT_BETA_THRESHOLD < b < 1:
         v.append(f"beta={beta.as_fraction_string()}: weighted sums require "
                  f"1/2 + 1/(2*sqrt(2)) ~ {WEIGHT_BETA_THRESHOLD:.6f} "
                  "< beta < 1")
-    # each size is checked only on the kinds that read it
-    # the products stream the primes; the identity keeps bytes per prime
-    max_p = MAX_LIMIT if config.kind == "identity" else _COUNT_LIMIT
-    if sweep and sweep.size == "P":
-        if config.prime_limit < 2:
-            v.append(f"prime_limit={config.prime_limit}: must be >= 2")
-        elif config.prime_limit > max_p:
-            v.append(f"prime_limit={config.prime_limit}: kind {config.kind} "
-                     f"supports at most {max_p}")
-    min_limit = 10 if config.kind in _FIT_KINDS else 2  # checkpoints from 10
-    if config.kind in _FIT_KINDS + ("abel",) and config.limit < min_limit:
-        v.append(f"limit={config.limit}: must be >= {min_limit}")
-    # the sums count primes without a table; abel sieves a table of X
-    max_limit, what = (_COUNT_LIMIT, "prime count") \
-        if config.kind in _FIT_KINDS else (MAX_LIMIT, "sieve")
-    if config.kind in _FIT_KINDS + ("abel",) and config.limit > max_limit:
-        v.append(f"limit={config.limit}: the {what} supports at most "
-                 f"{max_limit}")
+    # each kind checks only the size it reads
+    lo, hi = kind.bounds
+    size = getattr(config, kind.size)
+    if kind.size == "points" and not lo <= size <= hi:
+        v.append(f"points={size}: must be in [{lo}, {hi}]")
+    elif size < lo:
+        v.append(f"{kind.size}={size}: must be >= {lo}")
+    elif size > hi:
+        v.append(f"{kind.size}={size}: {kind.cap or 'kind ' + config.kind} "
+                 f"supports at most {hi}")
     if config.window is not None and len(config.window) != 2:
         v.append(f"window={config.window}: expected [x_min, x_max]")
-    elif config.kind in _FIT_KINDS and 10 <= config.limit <= max_limit:
+    elif kind.fit and lo <= config.limit <= hi:
         lo, hi = _fit_window(config)
         grid = checkpoint_grid(config.limit)
         inside = int(np.count_nonzero((grid >= lo) & (grid <= hi)))
@@ -229,7 +210,7 @@ def _weighted_refusal(kind: str) -> str:
 def _refuse_weighted(config: ExperimentConfig) -> None:
     """Raise for weighted: true on a kind whose outputs it would not
     change, as validate() reports it."""
-    if config.weighted and config.kind in _UNWEIGHTED_KINDS:
+    if config.weighted and _KINDS[config.kind].weight == "never":
         raise PreconditionError(_weighted_refusal(config.kind))
 
 
@@ -242,10 +223,10 @@ def _is_real(value) -> bool:
 # output helpers
 # ---------------------------------------------------------------------------
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with path.open("w", newline="") as fh:
+def _write_csv(outdir: Path, kind: str, rows: list[list]) -> None:
+    with (outdir / _KINDS[kind].csv).open("w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(header)
+        w.writerow(_KINDS[kind].columns)
         for row in rows:
             w.writerow([f"{x:.17g}" if isinstance(x, float) else x
                         for x in row])
@@ -349,8 +330,8 @@ def _run_iet_test(config: ExperimentConfig, outdir: Path) -> tuple[dict, bool]:
             ["index_dynamics", int(dynamics)],
             ["ks_statistic", stat],
             ["ks_critical_1e-3", float(crit)]]
-    _write_csv(outdir / "iet.csv", ["check", "value"], rows)
-    return {"experiment": "iet-test", **_level_fields(config.level),
+    _write_csv(outdir, config.kind, rows)
+    return {"experiment": config.kind, **_level_fields(config.level),
             "periodicity": "pass (bitwise)" if periodic else "FAIL",
             "index_dynamics": dynamics,
             "ks_statistic": stat, "ks_critical": crit,
@@ -361,7 +342,7 @@ def _run_growth(config: ExperimentConfig, outdir: Path) -> tuple[dict, bool]:
     """growth and weighted-growth: checkpoint sums and one fit per seed."""
     _refuse_weighted(config)
     beta = config.beta_value()
-    weighted = config.kind == "weighted-growth"
+    weighted = _KINDS[config.kind].weight == "always"
     window = _fit_window(config)
     rows, fits = [], {}
     for seed, sums in zip(config.seeds, coupled_sums(
@@ -375,15 +356,11 @@ def _run_growth(config: ExperimentConfig, outdir: Path) -> tuple[dict, bool]:
         fits[str(seed)] = {"alpha": fit.alpha, "stderr": fit.stderr,
                            "points_used": fit.points_used,
                            "points_dropped": fit.points_dropped}
-    _write_csv(outdir / f"{config.kind.replace('-', '_')}.csv",
-               ["seed", "x", "S", "ratio"], rows)
+    _write_csv(outdir, config.kind, rows)
     return {"experiment": config.kind, "beta": beta.as_fraction_string(),
             "limit": config.limit, "window": list(window), "fits": fits,
             "pass": True}, True
 
-
-# Per-seed evaluators of the seed x sigma x t sweeps: each takes the config,
-# beta and one seed's omega and returns a map from s to the row's values.
 
 def _identity_at(config, beta, assignment):
     residual = IdentityEvaluator(config.level, assignment,
@@ -412,56 +389,25 @@ def _h_scan_at(config, beta, assignment):
     return at
 
 
-@dataclass(frozen=True)
-class _Sweep:
-    """One seed x sigma x t experiment; a checked one ends its rows with a
-    residual held to the tolerance, an unchecked one is only recorded."""
-
-    csv: str
-    size: str  # the truncation column: "P" (prime_limit) or "X" (limit)
-    columns: tuple[str, ...]
-    at: Callable
-    sigma_floor: float  # validate() rejects sigma <= sigma_floor
-    floor_reason: str
-    checked: bool = True
-
-
-_SWEEPS = {
-    "identity": _Sweep("identity.csv", "P", ("residual",), _identity_at, 1,
-                       "the zeta identity is stated for Re(s) > 1"),
-    "exp-form": _Sweep("exp_form.csv", "P",
-                       ("prime_sum_re", "prime_sum_im", "A_tail_re",
-                        "A_tail_im", "residual"), _exp_form_at, 0.5,
-                       "tail series requires Re(s) > 1/2"),
-    "abel": _Sweep("abel.csv", "X", ("residual",), _abel_at, 0,
-                   "Abel summation requires Re(s) > 0"),
-    # growth in t is a qualitative observation
-    "h-scan": _Sweep("h_scan.csv", "P", ("log_H_abs", "H_re", "H_im"),
-                     _h_scan_at, 0.5, "tail series requires Re(s) > 1/2",
-                     checked=False),
-}
-
-
 def _run_sweep(config: ExperimentConfig, outdir: Path) -> tuple[dict, bool]:
     _refuse_weighted(config)
-    sweep = _SWEEPS[config.kind]
-    size = config.prime_limit if sweep.size == "P" else config.limit
+    kind = _KINDS[config.kind]
+    size = getattr(config, kind.size)
     beta = config.beta_value()
     if why := _points_refusal(config):
         raise DomainError(why)
     rows = []
     for seed in config.seeds:
-        at = sweep.at(config, beta,
-                      OmegaAssignment(master_seed=seed, prime_limit=size))
+        at = kind.at(config, beta,
+                     OmegaAssignment(master_seed=seed, prime_limit=size))
         for sigma in config.sigmas:
             for t in config.ts:
                 rows.append([sigma, t, size, seed, *at(complex(sigma, t))])
-    _write_csv(outdir / sweep.csv,
-               ["sigma", "t", sweep.size, "seed", *sweep.columns], rows)
+    _write_csv(outdir, config.kind, rows)
     summary = {"experiment": config.kind,
-               **(_level_fields(config.level) if config.kind == "identity"
+               **(_level_fields(config.level) if kind.level
                   else {"beta": beta.as_fraction_string()})}
-    if not sweep.checked:
+    if not kind.checked:
         return {**summary, "rows": len(rows), "pass": True}, True
     worst = max([0.0] + [row[-1] for row in rows])
     ok = worst < config.tolerance
@@ -480,16 +426,69 @@ def _run_campaign(config: ExperimentConfig, outdir: Path) -> tuple[dict, bool]:
              "" if r.terminal_ratio is None else r.terminal_ratio,
              "" if r.ratio_decade is None else r.ratio_decade]
             for r in report.per_seed]
-    _write_csv(outdir / "campaign.csv",
-               ["seed", "alpha", "stderr", "points_used", "points_dropped",
-                "terminal_ratio", "ratio_decade"], rows)
-    return {**report.to_dict(), "experiment": "campaign",
+    _write_csv(outdir, config.kind, rows)
+    return {**report.to_dict(), "experiment": config.kind,
             "beta": beta.as_fraction_string(), "pass": True}, True
 
 
-_RUNNERS = {**dict.fromkeys(_SWEEPS, _run_sweep), "iet-test": _run_iet_test,
-            "growth": _run_growth, "weighted-growth": _run_growth,
-            "campaign": _run_campaign}
+@dataclass(frozen=True)
+class _Kind:
+    """One experiment kind: the fields validate() checks, and its outputs."""
+
+    size: str  # the size field it reads: prime_limit, limit or points
+    bounds: tuple[int, int]
+    cap: str  # what caps the size in validate()'s message; "": the kind
+    csv: str
+    columns: tuple[str, ...]  # the CSV header
+    runner: Callable
+    level: int = 0  # the highest level, on a kind that requires a level
+    reads_beta: bool = True  # beta (or the level's beta) must be >= 1/2
+    weight: str = "never"  # or "always", or "optional": config.weighted
+    fit: bool = False  # fits growth exponents in the window
+    # a seed x sigma x t sweep's: (config, beta, one seed's omega) to a map
+    # from s to the row's values; sigma <= floor is refused, as why says
+    at: Callable | None = None
+    floor: float = 0.0
+    why: str = ""
+    checked: bool = True  # its rows end in a residual held to the tolerance
+
+
+# the sums count primes without a table, abel sieves a table of X; the
+# products stream the primes, the identity keeps bytes per prime
+_SUMS = ("limit", (10, _COUNT_LIMIT), "the prime count")  # checkpoints from 10
+_STREAMED = ("prime_limit", (2, _COUNT_LIMIT), "")
+_FIT_COLUMNS = ("seed", "x", "S", "ratio")
+_TAIL = "tail series requires Re(s) > 1/2"
+
+_KINDS = {
+    "identity": _Kind("prime_limit", (2, MAX_LIMIT), "", "identity.csv",
+                      ("sigma", "t", "P", "seed", "residual"), _run_sweep,
+                      level=MAX_IDENTITY_LEVEL, reads_beta=False,
+                      at=_identity_at, floor=1,
+                      why="the zeta identity is stated for Re(s) > 1"),
+    "iet-test": _Kind("points", (1, MAX_IET_POINTS), "", "iet.csv",
+                      ("check", "value"), _run_iet_test, level=62,
+                      reads_beta=False),
+    "growth": _Kind(*_SUMS, "growth.csv", _FIT_COLUMNS, _run_growth, fit=True),
+    "weighted-growth": _Kind(*_SUMS, "weighted_growth.csv", _FIT_COLUMNS,
+                             _run_growth, weight="always", fit=True),
+    "exp-form": _Kind(*_STREAMED, "exp_form.csv",
+                      ("sigma", "t", "P", "seed", "prime_sum_re",
+                       "prime_sum_im", "A_tail_re", "A_tail_im", "residual"),
+                      _run_sweep, at=_exp_form_at, floor=0.5, why=_TAIL),
+    "abel": _Kind("limit", (2, MAX_LIMIT), "the sieve", "abel.csv",
+                  ("sigma", "t", "X", "seed", "residual"), _run_sweep,
+                  at=_abel_at, why="Abel summation requires Re(s) > 0"),
+    "h-scan": _Kind(*_STREAMED, "h_scan.csv",
+                    ("sigma", "t", "P", "seed", "log_H_abs", "H_re", "H_im"),
+                    _run_sweep, weight="always", at=_h_scan_at, floor=0.5,
+                    why=_TAIL, checked=False),  # growth in t: observed
+    "campaign": _Kind(*_SUMS, "campaign.csv",
+                      ("seed", "alpha", "stderr", "points_used",
+                       "points_dropped", "terminal_ratio", "ratio_decade"),
+                      _run_campaign, weight="optional", fit=True),
+}
+KINDS = tuple(_KINDS)
 
 
 def run(config: ExperimentConfig) -> dict:
@@ -500,7 +499,7 @@ def run(config: ExperimentConfig) -> dict:
     outdir = Path(config.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     _write_json(outdir / "config.json", asdict(config))
-    summary, ok = _RUNNERS[config.kind](config, outdir)
+    summary, ok = _KINDS[config.kind].runner(config, outdir)
     manifest = _finish_run(outdir, config, summary)
     manifest["pass"] = ok
     return manifest
@@ -555,6 +554,7 @@ def _config_from_args(kind: str, args: argparse.Namespace) -> ExperimentConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
+    import argparse  # here, so run() and validate() alone never load it
     parser = argparse.ArgumentParser(
         prog="rmflab",
         description="Experiments on coupled random multiplicative signs, "

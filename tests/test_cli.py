@@ -1,3 +1,4 @@
+import ast
 import csv
 import hashlib
 import json
@@ -16,7 +17,7 @@ import rmflab.cli as cli
 import rmflab.dirichlet as dirichlet
 from rmflab import (ConfigurationError, DomainError, FitError, LabError,
                     PreconditionError)
-from rmflab.cli import _RUNNERS, ExperimentConfig, main, parse_beta, run, \
+from rmflab.cli import _KINDS, ExperimentConfig, main, parse_beta, run, \
     validate
 from rmflab.growth import (SumGrid, coupled_sums, default_window,
                            fit_growth_exponent)
@@ -170,11 +171,6 @@ def test_shipped_configs_validate():
         assert validate(cfg) == [], cfg_file.name
 
 
-BETA_KINDS = ("growth", "weighted-growth", "exp-form", "abel", "h-scan",
-              "campaign")
-FIT_KINDS = ("growth", "weighted-growth", "campaign")
-
-
 def fails_only_on_zero_sums(config: ExperimentConfig) -> bool:
     """The first seed's fit fails, but would pass if the checkpoint sums that
     are exactly zero (which the fit drops) were nonzero.
@@ -182,8 +178,8 @@ def fails_only_on_zero_sums(config: ExperimentConfig) -> bool:
     Such a FitError depends on the sampled signs, not on the config, so
     validate() cannot foresee it.
     """
-    weighted = config.kind == "weighted-growth" or \
-        (config.kind == "campaign" and config.weighted)
+    weight = _KINDS[config.kind].weight
+    weighted = weight == "always" or weight == "optional" and config.weighted
     sums = coupled_sums(config.beta_value(), config.limit, weighted,
                         [config.seeds[0]])[0]
     window = config.window or default_window(config.limit)
@@ -206,7 +202,7 @@ def pipeline_rejects(config: ExperimentConfig) -> bool:
     or a FitError other than one caused only by zero sums."""
     with tempfile.TemporaryDirectory() as tmp:
         try:
-            _RUNNERS[config.kind](config, Path(tmp))
+            _KINDS[config.kind].runner(config, Path(tmp))
         except (PreconditionError, ConfigurationError, DomainError):
             return True
         except FitError:
@@ -214,24 +210,36 @@ def pipeline_rejects(config: ExperimentConfig) -> bool:
     return False
 
 
-@settings(max_examples=80, deadline=None)
-@given(kind=st.sampled_from(BETA_KINDS), weighted=st.booleans(),
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(cli.KINDS), weighted=st.booleans(),
        bits=st.integers(0, 6), data=st.data(),
        limit=st.one_of(st.integers(2, 60), st.integers(1000, 3000),
                        st.sampled_from([MAX_LIMIT + 1, _COUNT_LIMIT + 1])),
        window=st.one_of(st.none(), st.lists(st.integers(-100, 3500),
                                             min_size=2, max_size=2)),
-       sigmas=st.lists(st.sampled_from([-1.0, 0.0, 0.25, 0.5, 0.75, 1.0,
-                                        1.5, math.nan, math.inf]),
-                       min_size=1, max_size=3))
+       # [1.5] clears every sweep's floor; a drawn list seldom clears the
+       # identity's
+       sigmas=st.one_of(st.just([1.5]), st.lists(st.sampled_from(
+           [-1.0, 0.0, 0.25, 0.5, 0.75, 1.0, 1.5, math.nan, math.inf]),
+           min_size=1, max_size=3)))
 def test_validate_rejects_what_run_rejects(kind, weighted, bits, data, limit,
                                            window, sigmas):
     k = data.draw(st.integers(0, 2**bits), label="k")
+    sizes = {"prime_limit": 1000}
+    if _KINDS[kind].level:
+        # levels on both sides of the identity's cap and of 62, and the
+        # identity's prime_limit past MAX_LIMIT
+        sizes = {"level": data.draw(st.one_of(
+                     st.integers(0, 3), st.integers(15, 18),
+                     st.integers(60, 64)), label="level"),
+                 "prime_limit": data.draw(st.sampled_from(
+                     [1000, MAX_LIMIT + 1]), label="prime_limit"),
+                 "points": data.draw(st.integers(1, 200), label="points")}
     cfg = ExperimentConfig(kind=kind, beta=f"{k}/{2**bits}", limit=limit,
-                           prime_limit=1000, seeds=[1], weighted=weighted,
-                           window=window, sigmas=sigmas)
+                           seeds=[1], weighted=weighted, window=window,
+                           sigmas=sigmas, **sizes)
     accepted = validate(cfg) == []
-    if accepted and kind in FIT_KINDS and fails_only_on_zero_sums(cfg):
+    if accepted and _KINDS[kind].fit and fails_only_on_zero_sums(cfg):
         # data-dependent: validate() accepts, run() raises FitError
         with tempfile.TemporaryDirectory() as tmp:
             cfg.outdir = tmp
@@ -453,12 +461,12 @@ def test_validate_rejects_fits_and_sigmas_run_would_reject(changes, needle,
     assert any(needle in v for v in validate(cfg)), validate(cfg)
     if validate(cfg)[0].endswith(": must be an integer"):
         with pytest.raises(TypeError):
-            _RUNNERS[cfg.kind](cfg, tmp_path)
+            _KINDS[cfg.kind].runner(cfg, tmp_path)
     elif cfg.kind == "iet-test":
         # numpy finds no KS gap in an empty sample and rejects a negative
         # size and seed
         with pytest.raises(ValueError):
-            _RUNNERS[cfg.kind](cfg, tmp_path)
+            _KINDS[cfg.kind].runner(cfg, tmp_path)
     else:
         assert pipeline_rejects(cfg)
     with pytest.raises(LabError):
@@ -555,6 +563,18 @@ def test_a_malformed_config_file_is_a_usage_error(payload, needle, command,
     assert not out.exists()
 
 
+# the kind table is a dict: a kind that cannot be hashed must still be an
+# unknown kind, not a TypeError
+@pytest.mark.parametrize("kind", [[1], {"a": 1}])
+def test_an_unhashable_kind_in_a_config_file_is_unknown(kind, tmp_path,
+                                                        capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"kind": kind, "seeds": [1]}))
+    assert main(["validate", "--config", str(path)]) == 2
+    assert capsys.readouterr().out == \
+        f"violation: kind={kind!r}: must be one of {cli.KINDS}\n"
+
+
 @pytest.mark.parametrize("limit", [500, 1000, 5000])
 def test_growth_and_campaign_record_one_default_window(limit, tmp_path):
     windows = []
@@ -613,6 +633,31 @@ def test_cli_import_leaves_out_fractions_and_decimal():
     assert out == "False False\n"
 
 
+def test_cli_run_leaves_out_argparse(tmp_path):
+    # only main() parses arguments; argparse and the gettext it imports
+    # cost every process that calls run() about 2 ms
+    out = run_probe(
+        "from rmflab.cli import ExperimentConfig, run; "
+        "run(ExperimentConfig(kind='identity', level=2, prime_limit=10**3, "
+        f"outdir={str(tmp_path / 'i')!r})); "
+        "print('argparse' in sys.modules, 'gettext' in sys.modules)")
+    assert out == "False False\n"
+
+
+def test_cli_names_no_kind_outside_the_kind_table():
+    # validate(), the runners and main() read a kind's entry, so that a new
+    # kind is one more entry, not one more branch
+    tree = ast.parse(Path(cli.__file__).read_text())
+    [table] = [node.value for node in ast.walk(tree)
+               if isinstance(node, ast.Assign) and
+               [ast.unparse(t) for t in node.targets] == ["_KINDS"]]
+    assert [key.value for key in table.keys] == list(cli.KINDS)
+    named = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and node.value in cli.KINDS]
+    assert len(named) == len(cli.KINDS)
+    assert all(node in table.keys for node in named)
+
+
 def test_cli_and_iet_test_leave_out_scipy(tmp_path):
     # scipy.stats, once the source of the KS statistic, cost every iet-test
     # run 0.7-1.0 s and about 70 MiB of VmHWM
@@ -668,6 +713,8 @@ def test_schema_documents_every_kind():
 @pytest.mark.parametrize("kind", cli.KINDS)
 def test_csv_file_and_header_match_the_schema(kind, tmp_path):
     doc = json.loads((ROOT / "schemas" / "csv_columns.json").read_text())[kind]
+    assert (_KINDS[kind].csv, _KINDS[kind].columns) == \
+        (doc["file"], tuple(doc["columns"]))
     run(ExperimentConfig(kind=kind, seeds=[1], outdir=str(tmp_path),
                          **SCHEMA_RUNS[kind]))
     assert [p.name for p in tmp_path.glob("*.csv")] == [doc["file"]]
