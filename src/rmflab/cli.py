@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 a checked residual exceeded its tolerance,
 
 from __future__ import annotations
 
+import argparse
 import csv
 import json
 import math
@@ -132,21 +133,18 @@ def validate(config: ExperimentConfig) -> list[str]:
         return v
     if not config.seeds:
         v.append("seeds=[]: at least one seed is required")
-    if config.weighted and kind.weight == "never":
-        v.append(_weighted_refusal(config.kind))
-    if kind.level and config.level is None:
-        v.append(f"level=None: kind {config.kind} requires a level n")
+    v += _unread_refusals(config)
     if config.level is not None and not 1 <= config.level <= 62:
         v.append(f"level={config.level}: must be in [1, 62]")
-    elif config.level is not None and config.level > (kind.level or 62):
-        # only the identity caps its level below 62
+    elif config.level is not None and 0 < kind.level < config.level:
+        # only the identity caps its level below 62, so this is its message
         v.append(f"level={config.level}: the identity evaluates "
                  f"2**{config.level} + 2 = {2**config.level + 2:,} Euler "
                  f"products; levels above {kind.level} are not evaluated")
     if not all(map(is_seed, config.seeds)):
         v.append(f"seeds={config.seeds}: every seed must be an integer in "
                  "[0, 2**64)")
-    if kind.reads_beta and config.beta is None and config.level is None:
+    if not kind.level and config.beta is None and config.level is None:
         v.append(f"beta=None: kind {config.kind} requires beta (or level)")
     b = None  # the beta run() uses, from beta or else from a valid level
     if config.beta is not None or \
@@ -157,7 +155,7 @@ def validate(config: ExperimentConfig) -> list[str]:
             v.append(f"beta={config.beta!r}: {exc}")
         else:
             b = float(beta)
-            if kind.reads_beta and beta < HALF:
+            if not kind.level and beta < HALF:
                 v.append(f"beta={config.beta}: sign thresholds require "
                          "beta >= 1/2")
     if kind.at:
@@ -183,7 +181,8 @@ def validate(config: ExperimentConfig) -> list[str]:
                  f"supports at most {hi}")
     if config.window is not None and len(config.window) != 2:
         v.append(f"window={config.window}: expected [x_min, x_max]")
-    elif kind.fit and lo <= config.limit <= hi:
+    elif kind.runner in (_run_growth, _run_campaign) and \
+            lo <= config.limit <= hi:  # the kinds that fit a window
         lo, hi = _fit_window(config)
         grid = checkpoint_grid(config.limit)
         inside = int(np.count_nonzero((grid >= lo) & (grid <= hi)))
@@ -199,19 +198,23 @@ def _points_refusal(config: ExperimentConfig) -> str | None:
             all(map(math.isfinite, config.sigmas + config.ts))):
         return (f"sigmas={config.sigmas}, ts={config.ts}: a sweep needs at "
                 "least one of each, all finite")
-    return None
 
 
-def _weighted_refusal(kind: str) -> str:
-    return (f"weighted=True: kind {kind} has no weighted form; the weighted "
-            "sums are kind weighted-growth (or campaign with weighted)")
+def _unread_refusals(config: ExperimentConfig) -> list[str]:
+    """weighted: true on a kind whose outputs it would not change, and no
+    level on a kind that requires one; the runners raise them as well."""
+    kind, name = _KINDS[config.kind], config.kind
+    return [why for bad, why in (
+        (config.weighted and kind.weight == "never",
+         f"weighted=True: kind {name} has no weighted form; the weighted "
+         "sums are kind weighted-growth (or campaign with weighted)"),
+        (kind.level and config.level is None,
+         f"level=None: kind {name} requires a level n")) if bad]
 
 
-def _refuse_weighted(config: ExperimentConfig) -> None:
-    """Raise for weighted: true on a kind whose outputs it would not
-    change, as validate() reports it."""
-    if config.weighted and _KINDS[config.kind].weight == "never":
-        raise PreconditionError(_weighted_refusal(config.kind))
+def _refuse_unread(config: ExperimentConfig) -> None:
+    if why := _unread_refusals(config):
+        raise PreconditionError("; ".join(why))
 
 
 def _is_real(value) -> bool:
@@ -226,7 +229,7 @@ def _is_real(value) -> bool:
 def _write_csv(outdir: Path, kind: str, rows: list[list]) -> None:
     with (outdir / _KINDS[kind].csv).open("w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(_KINDS[kind].columns)
+        w.writerow(_KINDS[kind].header)
         for row in rows:
             w.writerow([f"{x:.17g}" if isinstance(x, float) else x
                         for x in row])
@@ -313,7 +316,7 @@ def _ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _run_iet_test(config: ExperimentConfig, outdir: Path) -> tuple[dict, bool]:
-    _refuse_weighted(config)
+    _refuse_unread(config)
     spec = IetSpec(config.level)
     rng = np.random.default_rng(config.seeds[0])
     nums = rng.integers(0, 2**SCALE_BITS, size=config.points,
@@ -340,7 +343,7 @@ def _run_iet_test(config: ExperimentConfig, outdir: Path) -> tuple[dict, bool]:
 
 def _run_growth(config: ExperimentConfig, outdir: Path) -> tuple[dict, bool]:
     """growth and weighted-growth: checkpoint sums and one fit per seed."""
-    _refuse_weighted(config)
+    _refuse_unread(config)
     beta = config.beta_value()
     weighted = _KINDS[config.kind].weight == "always"
     window = _fit_window(config)
@@ -390,7 +393,7 @@ def _h_scan_at(config, beta, assignment):
 
 
 def _run_sweep(config: ExperimentConfig, outdir: Path) -> tuple[dict, bool]:
-    _refuse_weighted(config)
+    _refuse_unread(config)
     kind = _KINDS[config.kind]
     size = getattr(config, kind.size)
     beta = config.beta_value()
@@ -418,9 +421,8 @@ def _run_sweep(config: ExperimentConfig, outdir: Path) -> tuple[dict, bool]:
 def _run_campaign(config: ExperimentConfig, outdir: Path) -> tuple[dict, bool]:
     beta = config.beta_value()
     ccfg = CampaignConfig(beta_numerator=beta.numerator, limit=config.limit,
-                          seeds=tuple(config.seeds),
-                          window=_fit_window(config),
-                          weighted=config.weighted)
+                          seeds=tuple(config.seeds), weighted=config.weighted,
+                          window=_fit_window(config))
     report = monte_carlo_campaign(ccfg)
     rows = [[r.seed, r.alpha, r.stderr, r.points_used, r.points_dropped,
              "" if r.terminal_ratio is None else r.terminal_ratio,
@@ -439,18 +441,22 @@ class _Kind:
     bounds: tuple[int, int]
     cap: str  # what caps the size in validate()'s message; "": the kind
     csv: str
-    columns: tuple[str, ...]  # the CSV header
+    columns: tuple[str, ...]  # the CSV header, after a sweep's prefix
     runner: Callable
-    level: int = 0  # the highest level, on a kind that requires a level
-    reads_beta: bool = True  # beta (or the level's beta) must be >= 1/2
+    level: int = 0  # the cap of a kind that needs a level; 0: it reads beta
     weight: str = "never"  # or "always", or "optional": config.weighted
-    fit: bool = False  # fits growth exponents in the window
     # a seed x sigma x t sweep's: (config, beta, one seed's omega) to a map
     # from s to the row's values; sigma <= floor is refused, as why says
     at: Callable | None = None
     floor: float = 0.0
     why: str = ""
     checked: bool = True  # its rows end in a residual held to the tolerance
+
+    @property
+    def header(self) -> tuple[str, ...]:
+        """A sweep's rows lead with sigma, t, its size (P or X) and seed."""
+        size = "X" if self.size == "limit" else "P"
+        return (("sigma", "t", size, "seed") if self.at else ()) + self.columns
 
 
 # the sums count primes without a table, abel sieves a table of X; the
@@ -462,31 +468,26 @@ _TAIL = "tail series requires Re(s) > 1/2"
 
 _KINDS = {
     "identity": _Kind("prime_limit", (2, MAX_LIMIT), "", "identity.csv",
-                      ("sigma", "t", "P", "seed", "residual"), _run_sweep,
-                      level=MAX_IDENTITY_LEVEL, reads_beta=False,
+                      ("residual",), _run_sweep, level=MAX_IDENTITY_LEVEL,
                       at=_identity_at, floor=1,
                       why="the zeta identity is stated for Re(s) > 1"),
     "iet-test": _Kind("points", (1, MAX_IET_POINTS), "", "iet.csv",
-                      ("check", "value"), _run_iet_test, level=62,
-                      reads_beta=False),
-    "growth": _Kind(*_SUMS, "growth.csv", _FIT_COLUMNS, _run_growth, fit=True),
+                      ("check", "value"), _run_iet_test, level=62),
+    "growth": _Kind(*_SUMS, "growth.csv", _FIT_COLUMNS, _run_growth),
     "weighted-growth": _Kind(*_SUMS, "weighted_growth.csv", _FIT_COLUMNS,
-                             _run_growth, weight="always", fit=True),
-    "exp-form": _Kind(*_STREAMED, "exp_form.csv",
-                      ("sigma", "t", "P", "seed", "prime_sum_re",
-                       "prime_sum_im", "A_tail_re", "A_tail_im", "residual"),
+                             _run_growth, weight="always"),
+    "exp-form": _Kind(*_STREAMED, "exp_form.csv", ("prime_sum_re",
+                      "prime_sum_im", "A_tail_re", "A_tail_im", "residual"),
                       _run_sweep, at=_exp_form_at, floor=0.5, why=_TAIL),
     "abel": _Kind("limit", (2, MAX_LIMIT), "the sieve", "abel.csv",
-                  ("sigma", "t", "X", "seed", "residual"), _run_sweep,
-                  at=_abel_at, why="Abel summation requires Re(s) > 0"),
-    "h-scan": _Kind(*_STREAMED, "h_scan.csv",
-                    ("sigma", "t", "P", "seed", "log_H_abs", "H_re", "H_im"),
+                  ("residual",), _run_sweep, at=_abel_at,
+                  why="Abel summation requires Re(s) > 0"),
+    "h-scan": _Kind(*_STREAMED, "h_scan.csv", ("log_H_abs", "H_re", "H_im"),
                     _run_sweep, weight="always", at=_h_scan_at, floor=0.5,
                     why=_TAIL, checked=False),  # growth in t: observed
-    "campaign": _Kind(*_SUMS, "campaign.csv",
-                      ("seed", "alpha", "stderr", "points_used",
-                       "points_dropped", "terminal_ratio", "ratio_decade"),
-                      _run_campaign, weight="optional", fit=True),
+    "campaign": _Kind(*_SUMS, "campaign.csv", ("seed", "alpha", "stderr",
+                      "points_used", "points_dropped", "terminal_ratio",
+                      "ratio_decade"), _run_campaign, weight="optional"),
 }
 KINDS = tuple(_KINDS)
 
@@ -554,7 +555,6 @@ def _config_from_args(kind: str, args: argparse.Namespace) -> ExperimentConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    import argparse  # here, so run() and validate() alone never load it
     parser = argparse.ArgumentParser(
         prog="rmflab",
         description="Experiments on coupled random multiplicative signs, "
