@@ -11,8 +11,7 @@ seeds at a time.  It splits each squarefree n > 1 as m q with q = P+(n),
 the largest prime factor, and P+(m) < q, as Deleglise and Rivat
 (Experiment. Math. 5, 1996) split the Mertens function.  Seed k's sum is
 
-    S_k(x) = 1 + sum_{m P+(m) < x} f_k(m) Pi_k(x // m)
-               - sum_{m P+(m) < x} f_k(m) Pi_k(P+(m)),
+    S_k(x) = 1 + sum_{m P+(m) < x} f_k(m) (Pi_k(x // m) - Pi_k(P+(m))),
 
 with Pi_k(y) the sum of f_k(p) over the primes p <= y.  The nodes m take
 only primes below sqrt(X), and one tree of (checkpoint, node) pairs per
@@ -25,21 +24,20 @@ tree's ranks are every pi(v) over those quotients.  Pi_k comes from each
 lane's plus flags, one hash block of 2**15 ranks at a time, counted at the
 ranks inside it, and the same flags of the primes below sqrt(X) make the
 nodes' uint8 lane words, so each seed is hashed once (``sampler`` hashes
-and signs; this module makes the words); the first sum from reused blocks
-of 2**14 terms over all the lanes, and the second once per node, at the
-first checkpoint above m P+(m), carried down the rows by a cumulative sum.
+and signs; this module makes the words); the sum from reused blocks of
+2**14 terms over all the lanes, one term per (checkpoint, node) pair.
 Nothing of length X or pi(X) is made, and only the tree grows with X.  At
 X = 10**7 the tree has 15,512 nodes, 85,331 pairs and 3,393 ranks; a
-4-seed pass peaks at 1.6 MiB traced, the tree's build, and at 1.0 MiB with
-the tree cached (tests hold them below 8 and 4 MiB, and below 24 MiB with
-the tree alone cold).  A cold tree takes about 0.03 s at 10**8.  At 10**9
-(426,054 nodes, 2,267,326 pairs, 30,476 ranks) it takes 0.14-0.21 s and
-keeps 16 MiB, and a whole 8-seed campaign run takes 1.8 s at 58 MiB
-``VmHWM``.
-At 10**10 (2,308,224 nodes, 12,139,683 pairs) the tree takes 1.0 s and
-keeps 84 MiB, and an 8-seed run takes 14 s at 169 MiB.  At 10**11
-(12,739,537 nodes, 66,327,065 pairs) the tree takes 4.7 s and keeps
-462 MiB, and a one-seed run takes 22 s at 661 MiB (2-core x86-64,
+4-seed pass peaks at 1.57 MiB traced, the tree's build, and at 1.01 MiB
+with the tree cached (tests hold them below 8 and 4 MiB, and below 24 MiB
+with the tree alone cold).  A cold tree takes about 0.03 s at 10**8.  At
+10**9 (426,054 nodes, 2,267,326 pairs, 30,476 ranks) it takes
+0.17-0.21 s and keeps 14 MiB, and a whole 8-seed campaign run takes
+1.2-1.8 s at 59 MiB ``VmHWM``.
+At 10**10 (2,308,224 nodes, 12,139,683 pairs) the tree takes 0.8-1.0 s
+and keeps 76 MiB, and an 8-seed run takes 11-14 s at 169 MiB.  At 10**11
+(12,739,537 nodes, 66,327,065 pairs) the tree takes 4.7-5.2 s and keeps
+413 MiB, and a one-seed run takes 18-22 s at 613 MiB (2-core x86-64,
 numpy 2.4).
 
 Checkpoints live on a geometric grid with ratio 10**(1/8), so every power
@@ -312,7 +310,7 @@ class _Tree:
     recursion at one limit and grid (``_tree``); no seed or beta enters.
 
     Row i's pairs are the prefix order[:cuts[i]] of one node order, so the
-    only array per pair is ``upper``: about 4 bytes a pair and 17 a node,
+    only array per pair is ``upper``: about 4 bytes a pair and 13 a node,
     every index array int32.
     """
 
@@ -323,8 +321,6 @@ class _Tree:
     parents: np.ndarray  # node -> the node m // P+(m)
     tops: np.ndarray  # node -> the index of P+(m) among the primes, so
     #                   pi(P+(m)) = tops + 1, as an index into ranks
-    firsts: np.ndarray  # node -> i * (MAX_KIND + 1) + d(m) + 1, i the first
-    #                     row with grid[i] > m P+(m) (len(grid) if none)
     order: np.ndarray  # the nodes in the order of m P+(m)
     kind: np.ndarray  # d(m) + 1 of each ordered node, as uint8
     cuts: list[int]  # row i pairs with the ordered nodes order[:cuts[i]]
@@ -389,19 +385,14 @@ def _tree(limit: int, grid: np.ndarray) -> _Tree:
     del tops
     m = np.concatenate(ms)
     del ms
-    kinds = MAX_KIND + 1
     keys = m.copy()
     keys[1:] *= primes[top[1:]]  # m P+(m)
     order = np.argsort(keys).astype(np.int32)
-    firsts = np.searchsorted(grid, keys, side="right").astype(np.int32)
+    # row i pairs with the nodes with m P+(m) < grid[i]
+    cuts = np.searchsorted(keys[order], grid).tolist()
     del keys
-    # row i pairs with the nodes with m P+(m) < grid[i]: firsts <= i
-    cuts = np.cumsum(np.bincount(firsts, minlength=len(grid)))[:len(grid)]
-    cuts = cuts.tolist()
-    firsts *= kinds
     kind = np.repeat(np.arange(1, len(levels), dtype=np.uint8),
                      np.diff(levels))  # d(m) + 1
-    firsts += kind
     # the nodes in the order of m P+(m): m exact as float64, m < 2**53
     divisors = m.astype(np.float64)
     del m
@@ -438,9 +429,8 @@ def _tree(limit: int, grid: np.ndarray) -> _Tree:
             np.take(rank_at, q, out=upper[at + lo: at + hi], mode="clip")
         at += cut
     return _Tree(limit=limit, grid=grid, count=int(counts[-1]),
-                 levels=levels, parents=parents, tops=top, firsts=firsts,
-                 order=order, kind=kind, cuts=cuts, ranks=ranks,
-                 upper=upper)
+                 levels=levels, parents=parents, tops=top, order=order,
+                 kind=kind, cuts=cuts, ranks=ranks, upper=upper)
 
 
 @functools.lru_cache(maxsize=1)
@@ -469,14 +459,13 @@ def _checkpoint_counts(tree: _Tree, beta: DyadicFraction,
     Pi_k(y) = 2 plus_k(y) - pi(y) is counted only at the tree's ranks: each
     block adds its plus primes between the tree's ranks inside it by one
     np.add.reduceat, so nothing of pi(limit) bytes is made.  The terms
-    f_k(m) Pi_k(x // m) are formed for all lanes at once, one block of
-    ordered nodes and one row at a time (row i reads the prefix
-    order[:cuts[i]]), in a reused float64 buffer of _PAIR_BLOCK values, and
-    summed by one bincount keyed by d(m) + 1 and the lane.  The terms
-    f_k(m) Pi_k(P+(m)) are summed once per node at its first row, a block
-    of nodes at a time, and a cumulative sum down the rows carries them to
-    every later one.  Both are exact in float64: every partial sum is an
-    integer of size at most sum_{m <= x} x / m < x (1 + log x) < 2**53.
+    f_k(m) (Pi_k(x // m) - Pi_k(P+(m))) are formed for all lanes at once,
+    one block of ordered nodes and one row at a time (row i reads the
+    prefix order[:cuts[i]]), in reused float64 buffers of _PAIR_BLOCK
+    values, the block's Pi_k(P+(m)) gathered once for all its rows, and
+    summed by one bincount keyed by d(m) + 1 and the lane.  They are exact
+    in float64: every term and partial sum is an integer of size at most
+    sum_{m <= x} x / m < x (1 + log x) < 2**53.
     """
     ranks, count, block = tree.ranks, tree.count, sampler._HASH_BLOCK
     nodes = int(tree.tops.max()) + 1  # the ranks of the nodes' primes
@@ -521,45 +510,38 @@ def _checkpoint_counts(tree: _Tree, beta: DyadicFraction,
     word_signs = 1.0 - 2.0 * (
         np.arange(256)[:, None] >> np.arange(lanes) & 1)
     lane = kinds * np.arange(lanes)  # lane k's bins start at kinds k
-    # the pair terms f_k(m) Pi_k(x // m): a block of ordered nodes at a time,
-    # their signs and bins d(m) + 1 + kinds k made once for every row that
-    # pairs with the block, each row's terms for all lanes at once
+    # the pair terms f_k(m) (Pi_k(x // m) - Pi_k(P+(m))): a block of ordered
+    # nodes at a time, their signs, Pi_k(P+(m)) and bins d(m) + 1 + kinds k
+    # made once for every row that pairs with the block, each row's terms
+    # for all lanes at once; pi(P+(m)) is rank tops + 1 (the root's -1
+    # reads 0)
     nodes, row_cuts = len(tree.order), tree.cuts
     width = min(max(_PAIR_BLOCK // lanes, 1), nodes)
-    terms = np.empty((width, lanes))
-    upper_sums = np.zeros((rows, lanes * kinds))
+    terms, lower = np.empty((width, lanes)), np.empty((width, lanes))
+    sums = np.zeros((rows, lanes * kinds))
     starts = list(itertools.accumulate(row_cuts, initial=0))
     for lo in range(0, nodes, width):
         hi = min(lo + width, nodes)
         at = bisect.bisect_right(row_cuts, lo)  # the rows with cuts > lo
         if at == rows:
             break
-        sign = word_signs[words[tree.order[lo:hi]]]
+        node = tree.order[lo:hi]
+        sign = word_signs[words[node]]
+        # mode "clip" writes straight into out ("raise" would buffer it);
+        # every index is in range
+        prime_sums.take(tree.tops[node] + 1, axis=0, out=lower[: hi - lo],
+                        mode="clip")
         keys = tree.kind[lo:hi, None] + lane
         for i in range(at, rows):
             n = min(row_cuts[i], hi) - lo
             t = terms[:n]
-            # mode "clip" writes straight into out ("raise" would buffer
-            # it); every index is in range
             pairs = tree.upper[starts[i] + lo: starts[i] + lo + n]
             prime_sums.take(pairs, axis=0, out=t, mode="clip")
+            t -= lower[:n]
             t *= sign[:n]
-            upper_sums[i] += np.bincount(keys[:n].ravel(), t.ravel(),
-                                         minlength=lanes * kinds)
-    # the terms f_k(m) Pi_k(P+(m)) at each node's first row, a block of
-    # nodes at a time; pi(P+(m)) is rank tops + 1 (the root's -1 reads 0)
-    lower_sums = np.zeros(lanes * (rows + 1) * kinds)
-    for lo in range(0, len(words), width):
-        hi = min(lo + width, len(words))
-        t = terms[: hi - lo]
-        prime_sums.take(tree.tops[lo:hi] + 1, axis=0, out=t, mode="clip")
-        t *= word_signs[words[lo:hi]]
-        keys = tree.firsts[lo:hi, None] + (rows + 1) * lane
-        lower_sums += np.bincount(keys.ravel(), t.ravel(),
-                                  minlength=lanes * (rows + 1) * kinds)
-    lower_sums = lower_sums.reshape(lanes, rows + 1, kinds)[:, :rows]
-    totals = upper_sums.reshape(rows, lanes, kinds).transpose(1, 0, 2) - \
-        np.cumsum(lower_sums, axis=1)
+            sums[i] += np.bincount(keys[:n].ravel(), t.ravel(),
+                                   minlength=lanes * kinds)
+    totals = sums.reshape(rows, lanes, kinds).transpose(1, 0, 2)
     totals = totals.astype(np.int64)
     totals[:, tree.grid >= 1, 0] += 1  # n = 1
     return np.diff(totals, axis=1, prepend=0)

@@ -19,8 +19,8 @@ from rmflab import (ConfigurationError, DomainError, FitError, LabError,
                     PreconditionError)
 from rmflab.cli import _KINDS, ExperimentConfig, main, parse_beta, run, \
     validate
-from rmflab.growth import (SumGrid, coupled_sums, default_window,
-                           fit_growth_exponent)
+from rmflab.growth import (MIN_FIT_POINTS, SumGrid, checkpoint_grid,
+                           coupled_sums, default_window, fit_growth_exponent)
 from rmflab.sieve import _COUNT_LIMIT, MAX_LIMIT
 
 
@@ -210,6 +210,44 @@ def pipeline_rejects(config: ExperimentConfig) -> bool:
     return False
 
 
+def fields_inside_the_table(data, kind: str) -> dict:
+    """Fields drawn inside ``kind``'s ``_KINDS`` entry, which validate()
+    accepts: a size inside its bounds (at most 3000), a level or a beta
+    from 1/2, above WEIGHT_BETA_THRESHOLD where the kind weighs, a window of
+    MIN_FIT_POINTS checkpoints or more where it fits, sigmas above its
+    floor."""
+    entry = _KINDS[kind]
+    fits = entry.runner in (cli._run_growth, cli._run_campaign)
+    lo, hi = entry.bounds
+    if fits:  # checkpoint_grid(32) is the first with MIN_FIT_POINTS values
+        lo = max(lo, 32)
+    size = data.draw(st.integers(lo, min(hi, 3000)), label=entry.size)
+    fields = {entry.size: size, "weighted": entry.weight == "optional" and
+              data.draw(st.booleans(), label="weighted")}
+    if entry.level:
+        fields |= {"beta": None,
+                   "level": data.draw(st.integers(1, 4), label="level")}
+    else:
+        # weighted: WEIGHT_BETA_THRESHOLD < beta < 1, else 1/2 <= beta <= 1
+        weighs = fields["weighted"] or entry.weight == "always"
+        bits = data.draw(st.integers(3 if weighs else 0, 6), label="bits")
+        k = math.floor(dirichlet.WEIGHT_BETA_THRESHOLD * 2**bits) + 1 \
+            if weighs else -(-2**bits // 2)
+        k = data.draw(st.integers(k, 2**bits - weighs), label="k")
+        fields["beta"] = f"{k}/{2**bits}"
+    if fits:
+        grid = checkpoint_grid(size).tolist()
+        i = data.draw(st.integers(0, len(grid) - MIN_FIT_POINTS), label="i")
+        j = data.draw(st.integers(i + MIN_FIT_POINTS - 1, len(grid) - 1),
+                      label="j")
+        fields["window"] = [grid[i], grid[j]]
+    if entry.at:
+        fields["sigmas"] = data.draw(st.lists(st.sampled_from(
+            [s for s in (0.25, 0.5, 0.75, 1.0, 1.5, 2.0) if s > entry.floor]),
+            min_size=1, max_size=3), label="sigmas")
+    return fields
+
+
 @settings(max_examples=150, deadline=None)
 @given(kind=st.sampled_from(cli.KINDS), weighted=st.booleans(),
        bits=st.integers(0, 6), data=st.data(),
@@ -225,19 +263,22 @@ def pipeline_rejects(config: ExperimentConfig) -> bool:
 def test_validate_rejects_what_run_rejects(kind, weighted, bits, data, limit,
                                            window, sigmas):
     k = data.draw(st.integers(0, 2**bits), label="k")
-    sizes = {"prime_limit": 1000}
+    fields = {"beta": f"{k}/{2**bits}", "limit": limit, "weighted": weighted,
+              "window": window, "sigmas": sigmas, "prime_limit": 1000}
     if _KINDS[kind].level:
         # no level, levels on both sides of the identity's cap and of 62,
         # and the identity's prime_limit past MAX_LIMIT
-        sizes = {"level": data.draw(st.one_of(
-                     st.none(), st.integers(0, 3), st.integers(15, 18),
-                     st.integers(60, 64)), label="level"),
-                 "prime_limit": data.draw(st.sampled_from(
-                     [1000, MAX_LIMIT + 1]), label="prime_limit"),
-                 "points": data.draw(st.integers(1, 200), label="points")}
-    cfg = ExperimentConfig(kind=kind, beta=f"{k}/{2**bits}", limit=limit,
-                           seeds=[1], weighted=weighted, window=window,
-                           sigmas=sigmas, **sizes)
+        fields |= {"level": data.draw(st.one_of(
+                       st.none(), st.integers(0, 3), st.integers(15, 18),
+                       st.integers(60, 64)), label="level"),
+                   "prime_limit": data.draw(st.sampled_from(
+                       [1000, MAX_LIMIT + 1]), label="prime_limit"),
+                   "points": data.draw(st.integers(1, 200), label="points")}
+    # the free draws above are mostly refused; half the examples draw the
+    # kind's own fields from its table entry instead, mostly accepted
+    if data.draw(st.booleans(), label="inside the table"):
+        fields |= fields_inside_the_table(data, kind)
+    cfg = ExperimentConfig(kind=kind, seeds=[1], **fields)
     accepted = validate(cfg) == []
     fits = _KINDS[kind].runner in (cli._run_growth, cli._run_campaign)
     if accepted and fits and fails_only_on_zero_sums(cfg):

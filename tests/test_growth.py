@@ -24,7 +24,7 @@ from rmflab.growth import (LANES, SumGrid, _checkpoint_counts,
                            _checkpoint_tree, _isqrt, _median, _quantile,
                            _seed_result, _sums_from_counts, _tree,
                            coupled_sums)
-from rmflab.sieve import _COUNT_LIMIT, MAX_KIND, primes_up_to
+from rmflab.sieve import _COUNT_LIMIT, primes_up_to
 
 B34 = DyadicFraction.from_fraction(3, 2)
 B78 = DyadicFraction.from_fraction(7, 3)
@@ -175,11 +175,12 @@ def test_sum_layer_peak_memory_at_1e7():
 
 def test_lane_pass_peak_memory_at_1e7():
     # 4 seeds from a cold tree, plain at beta 1/2 (nearly every prime is
-    # plus in some lane) or weighted at 7/8: 1.6 MiB traced, the tree's
-    # build with its prime counts (1.9 MiB with intp node arrays, 3.8 MiB
-    # with three arrays per pair, 5.5 MiB while the tree sorted its pairs
-    # by x // m).  The per-seed path peaked at 25.4 MiB per seed, and the
-    # flip words of the primes <= isqrt(X) at 10.8 MiB
+    # plus in some lane) or weighted at 7/8: 1.57 MiB traced, the tree's
+    # build with its prime counts (1.63 MiB with each node's first row,
+    # 1.9 MiB with intp node arrays, 3.8 MiB with three arrays per pair,
+    # 5.5 MiB while the tree sorted its pairs by x // m).  The per-seed
+    # path peaked at 25.4 MiB per seed, and the flip words of the primes
+    # <= isqrt(X) at 10.8 MiB
     limit = 10**7
     for beta, weighted in ((HALF, False), (B78, True)):
         _checkpoint_tree.cache_clear()
@@ -193,12 +194,12 @@ def test_lane_pass_peak_memory_at_1e7():
 
 
 def test_lane_pass_peak_memory_at_1e7_from_cold_primes():
-    # as above, and no prime table is cached any more either: 1.6 MiB
-    # traced, the tree's build, which makes no pair-length temporary.  The
-    # intp node arrays took it to 1.9 MiB, three arrays per pair to
-    # 3.8 MiB, its pair-length temporaries to 5.5 MiB, and to 10.0 MiB all
-    # alive at once, and the prime table up to X, which the campaigns no
-    # longer make, to 16.0 MiB
+    # as above, and no prime table is cached any more either: 1.57 MiB
+    # traced, the tree's build, which makes no pair-length temporary.  Each
+    # node's first row took it to 1.63 MiB, the intp node arrays to
+    # 1.9 MiB, three arrays per pair to 3.8 MiB, its pair-length
+    # temporaries to 5.5 MiB, and to 10.0 MiB all alive at once, and the
+    # prime table up to X, which the campaigns no longer make, to 16.0 MiB
     limit = 10**7
     for beta, weighted in ((HALF, False), (B78, True)):
         _checkpoint_tree.cache_clear()
@@ -501,29 +502,24 @@ def test_tree_pairs_each_checkpoint_with_the_nodes_below_it(limit,
         assert np.array_equal(ranks, np.searchsorted(primes, x // row,
                                                      side="right"))
         at += cut
-    # per node: pi(P+(m)) among the ranks, and the first row, the first
-    # checkpoint above m P+(m), from which on the node pairs
+    # per node: pi(P+(m)) among the ranks
     tops = np.array([top(v) for v in m.tolist()])
     assert np.array_equal(tree.ranks[tree.tops + 1],
                           np.searchsorted(primes, tops, side="right"))
-    first_rows, node_kinds = np.divmod(tree.firsts, MAX_KIND + 1)
-    assert np.array_equal(node_kinds, d + 1)
-    assert first_rows.tolist() == [
-        int(np.count_nonzero(grid <= v * top(v))) for v in m.tolist()]
 
 
 def test_tree_keeps_no_pair_array_but_upper_at_1e8():
-    # beside upper's 4 bytes a pair, parents, tops, firsts and order take 4
-    # bytes a node each and kind 1; the ranks and the grid, far fewer than
-    # the nodes, fit in 3 more.  As intp the four took 16 bytes a node
-    # more; each row's own node and bin arrays took 16 bytes a pair more,
-    # and an intp upper 4
+    # beside upper's 4 bytes a pair, parents, tops and order take 4 bytes a
+    # node each and kind 1; the ranks and the grid, far fewer than the
+    # nodes, fit in 3 more.  A per-node first row took 4 bytes a node more,
+    # and as intp the node arrays 4 more each; each row's own node and bin
+    # arrays took 16 bytes a pair more, and an intp upper 4
     tree = _checkpoint_tree(10**8)
     pairs, nodes = len(tree.upper), len(tree.order)
     assert (pairs, nodes) == (433_601, 80_349)
     held = sum(v.nbytes for v in vars(tree).values()
                if isinstance(v, np.ndarray))
-    assert held <= pairs * tree.upper.itemsize + 20 * nodes, held
+    assert held <= pairs * tree.upper.itemsize + 16 * nodes, held
     assert len(tree.ranks) - 1 <= np.iinfo(tree.upper.dtype).max
 
 
