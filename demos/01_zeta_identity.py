@@ -15,7 +15,7 @@ residual below is nothing but floating-point noise.
 from rmflab import (IdentityEvaluator, OmegaAssignment, beta_for_level,
                     identity_residual)
 
-assignment = OmegaAssignment(master_seed=2024, prime_limit=10**4)
+assignment = OmegaAssignment(master_seed=2024)
 
 print("level n | beta          | s        | residual")
 for level in (1, 2, 3, 4):

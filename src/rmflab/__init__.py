@@ -9,8 +9,8 @@ square-root-cancellation regimes of the partial sums.
 """
 
 from .dyadic import HALF, DyadicFraction, beta_for_level
-from .errors import (ConfigurationError, CoverageError, DomainError, FitError,
-                     LabError, PreconditionError, RangeError)
+from .errors import (ConfigurationError, DomainError, FitError, LabError,
+                     PreconditionError, RangeError)
 from .sieve import primes_up_to
 from .sampler import OmegaAssignment
 from .iet import (IetSpec, apply_T, apply_T_power, apply_T_power_numerators,

@@ -401,8 +401,7 @@ def _run_sweep(config: ExperimentConfig, outdir: Path) -> tuple[dict, bool]:
         raise DomainError(why)
     rows = []
     for seed in config.seeds:
-        at = kind.at(config, beta,
-                     OmegaAssignment(master_seed=seed, prime_limit=size))
+        at = kind.at(config, beta, OmegaAssignment(master_seed=seed))
         for sigma in config.sigmas:
             for t in config.ts:
                 rows.append([sigma, t, size, seed, *at(complex(sigma, t))])

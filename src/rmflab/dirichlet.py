@@ -35,8 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dyadic import HALF, DyadicFraction
-from .errors import (ConfigurationError, CoverageError, DomainError,
-                     PreconditionError)
+from .errors import ConfigurationError, DomainError, PreconditionError
 from .iet import IetSpec, apply_T_power_numerators
 from .sampler import signs_from_numerators
 from .sieve import MAX_LIMIT, _prime_blocks
@@ -80,20 +79,13 @@ def _evaluation(log_value: complex, s: complex, P: int) -> EulerEvaluation:
     return EulerEvaluation(log_value=log_value, value=value)
 
 
-def _covered(assignment, P: int) -> None:
-    """``CoverageError`` unless the assignment covers the primes <= P."""
-    if assignment.prime_limit < P:
-        raise CoverageError(
-            f"assignment covers primes <= {assignment.prime_limit} < P={P}")
-
-
 def _sign_blocks(beta: DyadicFraction, assignment, P: int):
     """(log p, f_beta(p)) for the primes p <= P, streamed from the sieve
     (``sieve._prime_blocks``) a hash block at a time: log p as float64, in
     place of the block's primes, and the signs as int8, hashed from each
     block's first rank (none at beta = 1, where every sign is -1).  Before
-    the first block: coverage of P, then beta >= 1/2, are checked."""
-    _covered(assignment, P)
+    the first block: beta >= 1/2, then P against the stream's cap, are
+    checked."""
     if not HALF <= beta:
         raise PreconditionError(f"beta={float(beta)} below 1/2")
     for rank, primes in _prime_blocks(P):
@@ -303,7 +295,8 @@ class IdentityEvaluator:
     - ``starts``: where each owner's indices begin in ``plus``.
     ``residual`` walks the same blocks, so no array of length pi(P) is made
     per point, and none but the kept blocks by the constructor.  P is
-    capped at MAX_LIMIT: the kept bytes grow with pi(P).
+    capped at MAX_LIMIT, checked before anything is sieved or hashed: the
+    kept bytes grow with pi(P).
     """
 
     def __init__(self, level: int, assignment, P: int):
@@ -316,7 +309,6 @@ class IdentityEvaluator:
             raise ConfigurationError(
                 f"P={P}: the identity keeps log p and plus-signed indices "
                 f"for every prime; P above {MAX_LIMIT} is not evaluated")
-        _covered(assignment, P)
         spec = IetSpec(level)
         self._intervals = spec.intervals
         # the stream ends, freeing the sieve's buffer, before any hashing,

@@ -17,10 +17,6 @@ class DomainError(LabError, ValueError):
     """An input is outside the mathematical domain of an operation."""
 
 
-class CoverageError(LabError, ValueError):
-    """A prime assignment does not cover the requested integer range."""
-
-
 class PreconditionError(LabError, ValueError):
     """A stated precondition of an operation is violated."""
 

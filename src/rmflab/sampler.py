@@ -35,8 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dyadic import HALF, DyadicFraction
-from .errors import ConfigurationError, DomainError, PreconditionError
-from .sieve import _COUNT_LIMIT, _walk, primes_up_to
+from .errors import DomainError, PreconditionError
+from .sieve import _walk, primes_up_to
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -122,10 +122,11 @@ def is_seed(seed) -> bool:
 class OmegaAssignment:
     """Deterministic map prime -> uniform dyadic coordinate, fixed by a
     seed, with no table: the prime of rank r gets the numerator of rank r.
+    The hash is defined at every rank, so the seed is the whole assignment;
+    the caps on P are the prime stream's and the identity's.
     """
 
     master_seed: int
-    prime_limit: int
 
     def __post_init__(self):
         # the hash reads the seed as a uint64: a float start loses precision
@@ -136,10 +137,6 @@ class OmegaAssignment:
                               "integer in [0, 2**64)")
         object.__setattr__(self, "master_seed",
                            operator.index(self.master_seed))
-        if self.prime_limit > _COUNT_LIMIT:
-            raise ConfigurationError(
-                f"prime limit {self.prime_limit} above supported maximum "
-                f"{_COUNT_LIMIT}")
 
     def numerators(self, count: int) -> np.ndarray:
         """uint64 numerators of omega_p for the first ``count`` primes."""

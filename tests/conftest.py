@@ -22,13 +22,8 @@ def mu_1e6():
 
 
 @pytest.fixture(scope="session")
-def assignment_1e5():
-    return OmegaAssignment(master_seed=42, prime_limit=10**5)
-
-
-@pytest.fixture(scope="session")
-def assignment_1e6():
-    return OmegaAssignment(master_seed=42, prime_limit=10**6)
+def assignment_42():
+    return OmegaAssignment(master_seed=42)
 
 
 @pytest.fixture(scope="session")

@@ -41,8 +41,7 @@ from rmflab import (DyadicFraction, OmegaAssignment, beta_for_level,
                     primes_up_to, weight_factor)
 from rmflab.dirichlet import _TAIL_CUTOFF, EulerEvaluation, _point
 from rmflab.dyadic import HALF
-from rmflab.errors import (ConfigurationError, CoverageError,
-                           PreconditionError, RangeError)
+from rmflab.errors import ConfigurationError, PreconditionError, RangeError
 from rmflab.growth import LANES
 from rmflab.iet import IetSpec, apply_T_power_numerators
 from rmflab.sampler import signs_from_numerators
@@ -205,8 +204,7 @@ def lane_flips(beta: DyadicFraction, seeds, limit: int) -> np.ndarray:
     primes = primes_up_to(limit)
     masks = np.zeros(len(primes), dtype=np.uint8)
     for k, seed in enumerate(seeds):
-        nums = OmegaAssignment(master_seed=seed,
-                               prime_limit=limit).numerators(len(primes))
+        nums = OmegaAssignment(master_seed=seed).numerators(len(primes))
         masks |= (signs_from_numerators(beta, nums) == 1).view(np.uint8) \
             << np.uint8(k)
     keep = masks != 0
@@ -298,11 +296,8 @@ def build_sign_series(beta: DyadicFraction, assignment: OmegaAssignment,
     plus-signed prime realizes exactly that, since non-squarefree entries
     stay zero under sign flips.
     """
-    if assignment.prime_limit < limit:
-        raise CoverageError(
-            f"assignment covers primes <= {assignment.prime_limit} < {limit}")
     if len(mobius) < limit + 1:
-        raise CoverageError(f"mobius table shorter than limit {limit}")
+        raise RangeError(f"mobius table shorter than limit {limit}")
     primes = primes_up_to(limit)
     signs = prime_signs(beta, assignment, len(primes))
     values = mobius[: limit + 1].astype(np.int8, copy=True)
@@ -311,15 +306,12 @@ def build_sign_series(beta: DyadicFraction, assignment: OmegaAssignment,
     return SignSeries(beta=beta, limit=limit, values=values)
 
 
-def prime_signs(beta: DyadicFraction, assignment,
-                count: int | None = None) -> np.ndarray:
-    """f_beta(p) as int8 at the first ``count`` primes (default: every prime
-    <= the assignment's prime_limit), from its whole-array numerators; at
-    beta = 1 every sign is -1 and nothing is hashed."""
+def prime_signs(beta: DyadicFraction, assignment, count: int) -> np.ndarray:
+    """f_beta(p) as int8 at the first ``count`` primes, from the
+    assignment's whole-array numerators; at beta = 1 every sign is -1 and
+    nothing is hashed."""
     if not HALF <= beta:
         raise PreconditionError(f"beta={float(beta)} below 1/2")
-    if count is None:
-        count = len(primes_up_to(assignment.prime_limit))
     if beta.is_one:
         return np.full(count, -1, dtype=np.int8)
     return signs_from_numerators(beta, assignment.numerators(count))
@@ -328,16 +320,12 @@ def prime_signs(beta: DyadicFraction, assignment,
 @dataclass(frozen=True)
 class TransformedOmega:
     """The view (T^k omega)_p of an omega assignment, with its
-    ``prime_limit``, ``numerators`` and ``numerator_blocks``, so samplers
-    and Euler products accept either."""
+    ``numerators`` and ``numerator_blocks``, so samplers and Euler products
+    accept either."""
 
     base: object  # OmegaAssignment or another TransformedOmega
     spec: IetSpec
     power: int
-
-    @property
-    def prime_limit(self) -> int:
-        return self.base.prime_limit
 
     def numerators(self, count: int) -> np.ndarray:
         return apply_T_power_numerators(
@@ -371,9 +359,6 @@ def fsum_terms(terms: np.ndarray) -> complex:
 
 def _table_terms(beta, assignment, P: int, s: complex):
     """(p**-s, f_beta(p) as float64) over the whole table of primes <= P."""
-    if assignment.prime_limit < P:
-        raise CoverageError(
-            f"assignment covers primes <= {assignment.prime_limit} < P={P}")
     primes = primes_up_to(P)
     powers = np.exp(-s * np.log(primes.astype(np.float64)))
     return powers, prime_signs(beta, assignment,
@@ -512,7 +497,7 @@ def per_seed_counts(beta, limit: int, seed: int,
     grid[i] with d(n) = d, for d <= MAX_KIND, the per-seed way: its own sign
     series, then one bincount of f(n) + 1 + 3 d(n) per segment."""
     series = build_sign_series(
-        beta, OmegaAssignment(master_seed=seed, prime_limit=limit), limit,
+        beta, OmegaAssignment(master_seed=seed), limit,
         mobius_sieve(limit))
     code = series.values + np.int8(1)
     code += 3 * distinct_prime_counts(limit)

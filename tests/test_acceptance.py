@@ -56,7 +56,7 @@ def campaign_weighted78():
 def test_criterion_01_zeta_identity():
     worst = 0.0
     for seed in range(1, 11):
-        assignment = OmegaAssignment(master_seed=seed, prime_limit=10**4)
+        assignment = OmegaAssignment(master_seed=seed)
         for level in (1, 2, 3):
             evaluator = IdentityEvaluator(level, assignment, 10**4)
             for sigma in (1.1, 1.5, 2.0, 3.0):
@@ -116,14 +116,14 @@ def test_criterion_04_mobius_degeneration():
 
 
 def test_criterion_05_prime_sign_statistics():
-    assignment = OmegaAssignment(master_seed=42, prime_limit=10**6)
+    assignment = OmegaAssignment(master_seed=42)
     n = len(primes_up_to(10**6))
     ok = True
     details = []
     for k, m in ((1, 1), (3, 2), (7, 3)):
         beta = DyadicFraction.from_fraction(k, m)
         b = float(beta)
-        mean = prime_signs(beta, assignment).astype(float).mean()
+        mean = prime_signs(beta, assignment, n).astype(float).mean()
         tol = 4 * math.sqrt(4 * b * (1 - b) / n)
         ok &= abs(mean - (1 - 2 * b)) <= tol
         details.append(f"beta={k}/{m}: {mean:+.4f} vs {1 - 2 * b:+.4f}")
@@ -208,7 +208,7 @@ def running_max_alphas(beta: DyadicFraction, seeds, limit: int,
     grid = checkpoint_grid(limit)
     alphas = []
     for seed in seeds:
-        assignment = OmegaAssignment(master_seed=seed, prime_limit=limit)
+        assignment = OmegaAssignment(master_seed=seed)
         series = build_sign_series(beta, assignment, limit, mobius)
         # float cumsum: its rounding is far below the scale of the sums
         path = series.values * weights
@@ -232,14 +232,13 @@ def test_criterion_10b_weighted_band():
 
 def test_criterion_11_divergence_ingredient():
     grid = (10**3, 10**4, 10**5, 10**6)
-    base = OmegaAssignment(master_seed=0, prime_limit=10**6)
     primes = primes_up_to(10**6)
     inv_p = 1.0 / primes
     cuts = np.searchsorted(primes, grid, side="right")
     per_seed = np.empty((100, len(grid)))
     for i, seed in enumerate(range(1, 101)):
-        a = OmegaAssignment(master_seed=seed, prime_limit=10**6)
-        signed = prime_signs(B34, a).astype(float) * inv_p
+        a = OmegaAssignment(master_seed=seed)
+        signed = prime_signs(B34, a, len(primes)).astype(float) * inv_p
         for j, c in enumerate(cuts):
             per_seed[i, j] = math.fsum(signed[:c])
     means = per_seed.mean(axis=0)
@@ -257,7 +256,7 @@ def test_criterion_11_divergence_ingredient():
 def test_criterion_12_exp_form_consistency():
     worst = 0.0
     for seed in range(1, 6):
-        assignment = OmegaAssignment(master_seed=seed, prime_limit=10**4)
+        assignment = OmegaAssignment(master_seed=seed)
         for beta in (B34, B78):
             for s in (1.2, 2.0):
                 ps, at = exp_form_F(beta, assignment, 10**4, s)

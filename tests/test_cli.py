@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import rmflab.cli as cli
 import rmflab.dirichlet as dirichlet
+import rmflab.sieve as sieve
 from rmflab import (ConfigurationError, DomainError, FitError, LabError,
                     PreconditionError)
 from rmflab.cli import _KINDS, ExperimentConfig, main, parse_beta, run, \
@@ -343,7 +344,7 @@ def test_validate_names_beta_below_half_and_sieve_limit(tmp_path):
 
 
 class Streamed(Exception):
-    """Raised in place of the first block of primes: a run got that far."""
+    """Raised in place of the first sieve block: a run got that far."""
 
 
 @pytest.mark.parametrize("kind, fields, cap", [
@@ -352,16 +353,17 @@ class Streamed(Exception):
     ("identity", {"level": 1}, MAX_LIMIT)])
 def test_validate_and_run_agree_at_the_P_caps(kind, fields, cap, monkeypatch,
                                               tmp_path):
-    # at its cap a sweep is accepted and its run reaches the prime stream,
-    # which stops it before a block is sieved; one past it, validate() and
-    # the runner both refuse it, before the stream
+    # at its cap a sweep is accepted and its run reaches the sieve, which
+    # stops it before a block is sieved; one past it, validate() and the
+    # runner both refuse it, the runner by the stream's or the identity's
+    # own cap, before any block is sieved
     limits = []
 
-    def stream(limit):
+    def sieved(limit):
         limits.append(limit)
         raise Streamed
 
-    monkeypatch.setattr(dirichlet, "_prime_blocks", stream)
+    monkeypatch.setattr(sieve, "_odd_blocks", sieved)
     cfg = ExperimentConfig(kind=kind, prime_limit=cap, seeds=[1],
                            outdir=str(tmp_path / "r"), **fields)
     assert validate(cfg) == []

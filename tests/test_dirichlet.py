@@ -13,15 +13,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (H_table, TransformedOmega, euler_F_table,
-                     exact_partials_fsum, exp_form_table,
-                     exp_form_tail_concatenated, fsum_terms,
+from oracles import (H_table, euler_F_table, exact_partials_fsum,
+                     exp_form_table, exp_form_tail_concatenated, fsum_terms,
                      identity_residual_oracle, plus_views_whole, prime_signs,
                      weighted_euler_G, zeta_table)
-from rmflab import (CoverageError, DomainError, DyadicFraction, H_eval,
-                    IdentityEvaluator, IetSpec, OmegaAssignment,
-                    PreconditionError, WEIGHT_BETA_THRESHOLD, abel_consistency,
-                    euler_F, exp_form_F, identity_residual, primes_up_to,
+from rmflab import (DomainError, DyadicFraction, H_eval, IdentityEvaluator,
+                    IetSpec, OmegaAssignment, PreconditionError,
+                    WEIGHT_BETA_THRESHOLD, abel_consistency, euler_F,
+                    exp_form_F, identity_residual, primes_up_to,
                     weight_factor, zeta_truncated)
 from rmflab import dirichlet, sampler, sieve
 from rmflab.cli import ExperimentConfig, run
@@ -36,7 +35,6 @@ B78 = DyadicFraction.from_fraction(7, 3)
 class FixedOmega:
     """Test double: every prime gets the same omega numerator."""
 
-    prime_limit: int
     num: int
 
     def numerators(self, count):
@@ -64,14 +62,14 @@ def test_zeta_truncated_raises_domain_error_where_it_overflows():
         zeta_truncated(10**5, 0.001)
 
 
-def test_zeta_reciprocal_of_mobius_product(assignment_1e5):
+def test_zeta_reciprocal_of_mobius_product(assignment_42):
     z = zeta_truncated(10**5, 2)
-    f1 = euler_F(ONE, assignment_1e5, 10**5, 2)
+    f1 = euler_F(ONE, assignment_42, 10**5, 2)
     assert abs(z.value * f1.value - 1) < 1e-12
 
 
-def test_euler_F_beta1_matches_direct_product(assignment_1e5):
-    ev = euler_F(ONE, assignment_1e5, 10**5, 2)
+def test_euler_F_beta1_matches_direct_product(assignment_42):
+    ev = euler_F(ONE, assignment_42, 10**5, 2)
     p = primes_up_to(10**5).astype(float)
     direct = np.prod(1 - p**-2.0)
     assert abs(ev.value - direct) < 1e-14
@@ -80,14 +78,14 @@ def test_euler_F_beta1_matches_direct_product(assignment_1e5):
 
 def test_euler_F_single_prime_plus_sign():
     # omega_2 at the top of the grid, beta = 1/2 -> sign +1 at p = 2
-    a = FixedOmega(prime_limit=2, num=2**64 - 1)
+    a = FixedOmega(num=2**64 - 1)
     ev = euler_F(HALF, a, 2, 2)
     assert abs(ev.value - 1.25) < 1e-15
 
 
 def test_euler_F_degenerate_all_minus():
     # omega = 0 everywhere gives sign -1 for every beta >= 1/2
-    a = FixedOmega(prime_limit=10**3, num=0)
+    a = FixedOmega(num=0)
     for beta in (HALF, B34, ONE):
         ev = euler_F(beta, a, 10**3, 1.5)
         z = zeta_truncated(10**3, 1.5)
@@ -95,64 +93,43 @@ def test_euler_F_degenerate_all_minus():
 
 
 def test_euler_domain_error():
-    a = FixedOmega(prime_limit=10**2, num=0)
+    a = FixedOmega(num=0)
     with pytest.raises(DomainError):
         euler_F(HALF, a, 10**2, complex(-0.2, 3))
 
 
-def test_log_exp_self_consistency(assignment_1e5):
+def test_log_exp_self_consistency(assignment_42):
     for s in (1.5, 2 + 10j, 0.8 + 3j):
-        ev = euler_F(B34, assignment_1e5, 10**4, s)
+        ev = euler_F(B34, assignment_42, 10**4, s)
         assert abs(ev.value - cmath.exp(ev.log_value)) < 1e-12
 
 
-def test_conjugate_symmetry(assignment_1e5):
+def test_conjugate_symmetry(assignment_42):
     s = 1.3 + 7j
-    ev = euler_F(B34, assignment_1e5, 10**4, s)
-    ev_conj = euler_F(B34, assignment_1e5, 10**4, s.conjugate())
+    ev = euler_F(B34, assignment_42, 10**4, s)
+    ev_conj = euler_F(B34, assignment_42, 10**4, s.conjugate())
     assert abs(ev_conj.value - ev.value.conjugate()) < 1e-12
 
 
-def test_identity_residual_examples(assignment_1e5):
+def test_identity_residual_examples(assignment_42):
     for seed in (1, 2, 42):
-        a = OmegaAssignment(master_seed=seed, prime_limit=10**4)
+        a = OmegaAssignment(master_seed=seed)
         assert identity_residual(1, a, 10**4, 1.5) < 1e-10
-    assert identity_residual(3, assignment_1e5, 10**4, 2 + 10j) < 1e-10
+    assert identity_residual(3, assignment_42, 10**4, 2 + 10j) < 1e-10
 
 
 def test_identity_residual_degenerate_fixed_region():
     # every omega below 1/2: T acts trivially, both sides telescope to zeta
-    a = FixedOmega(prime_limit=10**4, num=12345)
+    a = FixedOmega(num=12345)
     assert identity_residual(2, a, 10**4, 1.5) < 1e-12
 
 
 def test_identity_residual_domain():
-    a = FixedOmega(prime_limit=10**3, num=0)
+    a = FixedOmega(num=0)
     with pytest.raises(PreconditionError):
         identity_residual(1, a, 10**3, 0.9)
     # still computable outside the stated domain when asked to
     assert identity_residual(1, a, 10**3, 0.9, strict_domain=False) < 1e-10
-
-
-# every product over p <= P, as a function of (assignment, P)
-PRODUCTS_TO_P = {
-    "euler_F": lambda a, P: euler_F(B78, a, P, 2),
-    "exp_form_F": lambda a, P: exp_form_F(B78, a, P, 2),
-    "H_eval": lambda a, P: H_eval(B78, a, P, 2),
-    "identity_residual": lambda a, P: identity_residual(1, a, P, 2),
-}
-
-
-@pytest.mark.parametrize("name", PRODUCTS_TO_P)
-def test_products_reject_P_beyond_the_assignment(name):
-    # fewer primes than P asks for would silently truncate the product
-    product = PRODUCTS_TO_P[name]
-    a = OmegaAssignment(master_seed=1, prime_limit=10**3)
-    for omega in (a, TransformedOmega(a, IetSpec(1), 1)):
-        product(omega, 10**3)
-        for P in (10**3 + 1, 10**4):
-            with pytest.raises(CoverageError):
-                product(omega, P)
 
 
 ORACLE_POINTS = (1.5, complex(1.1, 10), complex(2, -3.7), 3.0,
@@ -163,7 +140,7 @@ def test_identity_residual_matches_product_oracle_bitwise():
     # one evaluator per (seed, level, P), called at every point
     checked = nonzero = 0
     for seed in (1, 7, 42):
-        a = OmegaAssignment(master_seed=seed, prime_limit=10**4)
+        a = OmegaAssignment(master_seed=seed)
         for level in range(1, 9):
             for P in (10**4, 3000) if level <= 6 else (3000,):
                 evaluator = IdentityEvaluator(level, a, P)
@@ -178,12 +155,12 @@ def test_identity_residual_matches_product_oracle_bitwise():
 
 
 def test_identity_residual_oracle_level8_and_fixed_omega():
-    a = OmegaAssignment(master_seed=5, prime_limit=10**4)
+    a = OmegaAssignment(master_seed=5)
     for s in (1.5, complex(2, -10)):
         assert identity_residual(8, a, 10**4, s) == \
             identity_residual_oracle(8, a, 10**4, s)
     for num in (0, 12345, 2**63 + 2**61 + 99, 2**64 - 1):
-        fixed = FixedOmega(prime_limit=10**3, num=num)
+        fixed = FixedOmega(num=num)
         for level in (1, 3, 6):
             evaluator = IdentityEvaluator(level, fixed, 10**3)
             for s in (1.5, complex(1.2, -4), complex(0.8, 0)):
@@ -192,8 +169,7 @@ def test_identity_residual_oracle_level8_and_fixed_omega():
 
 
 def test_identity_evaluator_rejects_a_point_before_any_work(monkeypatch):
-    evaluator = IdentityEvaluator(2, OmegaAssignment(master_seed=3,
-                                                     prime_limit=10**3), 10**3)
+    evaluator = IdentityEvaluator(2, OmegaAssignment(master_seed=3), 10**3)
 
     def no_tables(logs, s):
         raise AssertionError(f"p**-s table built for s={s}")
@@ -221,7 +197,7 @@ class UnhashedOmega(FixedOmega):
 
 
 def test_identity_evaluator_refuses_levels_above_the_cap():
-    a = UnhashedOmega(prime_limit=10**2, num=0)
+    a = UnhashedOmega(num=0)
     for level, count in ((17, "131,074"), (40, "1,099,511,627,778")):
         with pytest.raises(DomainError, match=f"= {count} Euler products"):
             IdentityEvaluator(level, a, 10**2)
@@ -231,8 +207,7 @@ def test_identity_run_builds_the_views_once_per_seed(monkeypatch, tmp_path):
     level, seeds, prime_limit = 3, [1, 2], 50_000  # 5,133 primes
     count = len(primes_up_to(prime_limit))
     assert count > dirichlet._VIEW_BLOCK  # the views are built in blocks
-    nums = {seed: OmegaAssignment(master_seed=seed,
-                                  prime_limit=prime_limit).numerators(count)
+    nums = {seed: OmegaAssignment(master_seed=seed).numerators(count)
             for seed in seeds}
     seed_of = {int(num): seed for seed in seeds for num in nums[seed]}
     mapped = Counter()  # numerators mapped per (seed, k)
@@ -256,7 +231,7 @@ def test_identity_run_builds_the_views_once_per_seed(monkeypatch, tmp_path):
 
 
 def test_identity_residual_detects_a_wrong_exchange_map(monkeypatch):
-    a = OmegaAssignment(master_seed=42, prime_limit=10**5)
+    a = OmegaAssignment(master_seed=42)
     assert identity_residual(3, a, 10**4, 1.5) < 1e-12
     exchange = dirichlet.apply_T_power_numerators
 
@@ -289,7 +264,7 @@ def test_identity_residual_detects_a_wrong_exchange_map(monkeypatch):
 @pytest.mark.parametrize("count", [2**12 - 1, 2**12, 2**12 + 1])
 def test_identity_residual_matches_the_oracle_at_the_view_block_edge(count):
     assert dirichlet._VIEW_BLOCK == 2**12
-    a = OmegaAssignment(master_seed=11, prime_limit=10**5)
+    a = OmegaAssignment(master_seed=11)
     P = int(primes_up_to(10**5)[count - 1])
     for level in (1, 4, 6):
         evaluator = IdentityEvaluator(level, a, P)
@@ -300,7 +275,7 @@ def test_identity_residual_matches_the_oracle_at_the_view_block_edge(count):
 
 def test_identity_residual_on_no_primes():
     # P < 2: every product is empty and so is the residual
-    a = OmegaAssignment(master_seed=1, prime_limit=10**2)
+    a = OmegaAssignment(master_seed=1)
     for level in (1, 3):
         evaluator = IdentityEvaluator(level, a, 1)
         assert evaluator.residual(1.5) == 0.0 == \
@@ -334,7 +309,7 @@ VIEW_CASES = [(range(1, 9), 3, 9_592), (range(9, 13), 5, 2**12 + 5),
 
 def test_identity_views_match_the_whole_array_build():
     for levels, seed, count in VIEW_CASES:
-        a = OmegaAssignment(master_seed=seed, prime_limit=10**6)
+        a = OmegaAssignment(master_seed=seed)
         P = int(primes_up_to(10**6)[count - 1]) if count else 1
         nums = a.numerators(count)
         for level in levels:
@@ -361,7 +336,7 @@ def test_identity_residual_streams_partial_and_sparse_blocks(
     # products have none at all
     assert dirichlet._VIEW_BLOCK == 2**12
     for seed in (1, 7, 42):
-        a = OmegaAssignment(master_seed=seed, prime_limit=prime_limit)
+        a = OmegaAssignment(master_seed=seed)
         P = int(primes_up_to(prime_limit)[count - 1])
         evaluator = IdentityEvaluator(level, a, P)
         blocks = evaluator._blocks
@@ -379,7 +354,7 @@ def test_identity_residual_folds_its_floats_every_few_blocks(fold,
     # a point folds the floats it keeps into a few per product every
     # _FOLD_BLOCKS blocks; the exact sums, and so every residual, do not
     # change
-    a = OmegaAssignment(master_seed=7, prime_limit=10**5)  # three blocks
+    a = OmegaAssignment(master_seed=7)  # three blocks
     monkeypatch.setattr(dirichlet, "_FOLD_BLOCKS", fold)
     folds = itertools.count()
     folded = dirichlet._folded
@@ -397,11 +372,11 @@ def test_identity_residual_folds_its_floats_every_few_blocks(fold,
     assert next(folds) == 3 * len(ORACLE_POINTS) * (3 // fold)
 
 
-def test_identity_point_peak_memory_at_1e6(assignment_1e6):
+def test_identity_point_peak_memory_at_1e6(assignment_42):
     # a point streams the view blocks: one block's p**-s from its kept
     # log p, its terms and extractions at a time, 0.64 MiB traced; the two
     # pi(P)-long log tables and their gathers traced 3.15 MiB
-    evaluator = IdentityEvaluator(6, assignment_1e6, 10**6)
+    evaluator = IdentityEvaluator(6, assignment_42, 10**6)
     evaluator.residual(1.5)
     tracemalloc.start()
     try:
@@ -418,7 +393,7 @@ def test_h_scan_point_peak_memory_at_1e7():
     # per hash block the numerators, p**-s and both logs' terms: 5.0 MiB
     # traced.  The whole-table evaluation traced 40.6 MiB, its 5.1 MiB
     # prime table already built
-    a = OmegaAssignment(master_seed=5, prime_limit=10**7)
+    a = OmegaAssignment(master_seed=5)
     tracemalloc.start()
     try:
         H_eval(B78, a, 10**7, complex(0.6, 14.134725))
@@ -559,8 +534,7 @@ def test_exact_partials_refuse_non_finite_values(bad):
                 dirichlet._exact_sum([np.ones(3, dtype=np.complex128), block])
 
 
-# a prime limit whose primes cross the extraction block: 17,984 primes
-PRODUCT_PRIMES = OmegaAssignment(master_seed=29, prime_limit=2 * 10**5)
+PRODUCT_PRIMES = OmegaAssignment(master_seed=29)
 
 
 @pytest.mark.parametrize("count", [2**14 - 1, 2**14, 2**14 + 1, None],
@@ -569,9 +543,10 @@ def test_products_are_fsum_over_their_term_vectors(count):
     # the primes up to the count-th, or up to P = 10**5 (9,592); each
     # product's log is bitwise the fsum over its full term vector, built
     # here with the same element operations
+    # 17,984 primes up to 2 * 10**5 cross the extraction block
     a = PRODUCT_PRIMES
     P = 10**5 if count is None else \
-        int(primes_up_to(a.prime_limit)[count - 1])
+        int(primes_up_to(2 * 10**5)[count - 1])
     primes = primes_up_to(P)
     logs = np.log(primes.astype(np.float64))
     for beta, floor in ((B34, 0.0), (B78, 0.5)):
@@ -611,7 +586,7 @@ def test_streamed_products_match_the_table_oracles_bitwise(P):
     # table and one fsum per part
     assert dirichlet._VIEW_BLOCK == 2**12 and sieve._SIEVE_BLOCK == 2**20
     assert sampler._HASH_BLOCK == 2**15
-    a = OmegaAssignment(master_seed=31, prime_limit=P)
+    a = OmegaAssignment(master_seed=31)
     for s in (complex(0.6, 14.134725), complex(1.5, -3)):
         for beta in (B34, ONE):
             assert euler_F(beta, a, P, s).log_value == \
@@ -693,16 +668,16 @@ def test_local_factor_ratio_oracle():
                 assert abs(ratio - want) < 1e-12
 
 
-def test_exp_form_consistency(assignment_1e5):
+def test_exp_form_consistency(assignment_42):
     for seed in range(1, 6):
-        a = OmegaAssignment(master_seed=seed, prime_limit=10**4)
+        a = OmegaAssignment(master_seed=seed)
         ps, at = exp_form_F(B34, a, 10**4, 1.2)
         ev = euler_F(B34, a, 10**4, 1.2)
         assert abs(cmath.exp(ps + at) - ev.value) < 1e-10
 
 
 def test_exp_form_tail_bound_sigma06():
-    a = OmegaAssignment(master_seed=3, prime_limit=10**6)
+    a = OmegaAssignment(master_seed=3)
     _, tail = exp_form_F(B34, a, 10**6, 0.6)
     p = primes_up_to(10**6).astype(float)
     z = p**-0.6
@@ -719,28 +694,28 @@ def test_exp_form_tail_bound_sigma06():
 @pytest.mark.parametrize("P, s", [(2, 0.55 + 7j), (1000, 0.55 + 1j),
                                   (10**4, 0.8 - 3j), (10**5, 0.55 + 0.5j),
                                   (10**5, 1.2 + 14.1j), (10**5, 2 - 30j)])
-def test_exp_form_tail_matches_the_concatenated_oracle(P, s, assignment_1e5):
+def test_exp_form_tail_matches_the_concatenated_oracle(P, s, assignment_42):
     # fsum rounds the exact sum once, however the terms reach it
     for beta in (B34, B78):
-        _, tail = exp_form_F(beta, assignment_1e5, P, s)
-        assert tail == exp_form_tail_concatenated(beta, assignment_1e5, P, s)
+        _, tail = exp_form_F(beta, assignment_42, P, s)
+        assert tail == exp_form_tail_concatenated(beta, assignment_42, P, s)
 
 
-def test_exp_form_peak_memory_at_1e5(assignment_1e5):
+def test_exp_form_peak_memory_at_1e5(assignment_42):
     # at sigma = 0.55 the tail runs to order m ~ 100: 1.1 MiB traced, a
     # sieve block and one hash block's terms at a time.  Holding every
     # order's terms for one concatenation peaked at 28.2 MiB traced
     # (230.6 MiB at P = 10**6), about 3 KB per prime
     tracemalloc.start()
     try:
-        exp_form_F(B34, assignment_1e5, 10**5, 0.55)
+        exp_form_F(B34, assignment_42, 10**5, 0.55)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20, peak / 2**20
 
 
-def test_exp_form_peak_memory_at_1e6(assignment_1e6):
+def test_exp_form_peak_memory_at_1e6(assignment_42):
     # 78,498 primes, streamed: the sieve block with its primes, then per
     # hash block of 2**15 z, one order's power and its terms, 3.9 MiB
     # traced.  The whole-table z, one order's power and its terms, 1.2 MiB
@@ -748,7 +723,7 @@ def test_exp_form_peak_memory_at_1e6(assignment_1e6):
     # signs kept beside z 5.0 MiB
     tracemalloc.start()
     try:
-        exp_form_F(B34, assignment_1e6, 10**6, 0.55)
+        exp_form_F(B34, assignment_42, 10**6, 0.55)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -757,7 +732,7 @@ def test_exp_form_peak_memory_at_1e6(assignment_1e6):
 
 def test_exp_form_and_euler_F_agree_on_no_primes():
     # P < 2: both are the empty product
-    a = OmegaAssignment(master_seed=1, prime_limit=10**3)
+    a = OmegaAssignment(master_seed=1)
     for s in (0.75, complex(2, 10)):
         assert exp_form_F(B34, a, 1, s) == (0j, 0j)
         ev = euler_F(B34, a, 1, s)
@@ -765,7 +740,7 @@ def test_exp_form_and_euler_F_agree_on_no_primes():
 
 
 def test_exp_form_domain():
-    a = FixedOmega(prime_limit=10**2, num=0)
+    a = FixedOmega(num=0)
     with pytest.raises(DomainError):
         exp_form_F(B34, a, 10**2, 0.4)
 
@@ -776,7 +751,7 @@ def test_prime_sum_ensemble_mean_at_s1():
     primes = primes_up_to(P)
     target = -0.5 * float(np.sum(1.0 / primes))
     vals = np.array([math.fsum(prime_signs(
-        B34, OmegaAssignment(master_seed=s, prime_limit=P)) / primes)
+        B34, OmegaAssignment(master_seed=s), len(primes)) / primes)
         for s in range(100)])
     se = vals.std(ddof=1) / math.sqrt(len(vals))
     assert abs(vals.mean() - target) <= 4 * se
@@ -791,7 +766,7 @@ def test_weight_factor_and_threshold():
 
 
 def test_weighted_G_degenerate_direct_product():
-    a = FixedOmega(prime_limit=10**3, num=0)  # all signs -1
+    a = FixedOmega(num=0)  # all signs -1
     g = weighted_euler_G(B78, a, 10**3, 0.8)
     p = primes_up_to(10**3).astype(float)
     direct = np.prod(1 - (4 / 3) * p**-0.8)
@@ -799,32 +774,32 @@ def test_weighted_G_degenerate_direct_product():
     assert direct != 0
 
 
-def test_weighted_G_mean_minus_one(assignment_1e6):
-    signs = prime_signs(B78, assignment_1e6).astype(float)
+def test_weighted_G_mean_minus_one(assignment_42):
+    signs = prime_signs(B78, assignment_42, 78498).astype(float)  # pi(10**6)
     g = signs * (4 / 3)
     n = len(g)
     se = g.std(ddof=1) / math.sqrt(n)
     assert abs(g.mean() - (-1)) <= 4 * se
 
 
-def test_weighted_G_domain_errors(assignment_1e5):
+def test_weighted_G_domain_errors(assignment_42):
     # G is evaluated only inside H, which checks its domain
     with pytest.raises(PreconditionError):
-        H_eval(B34, assignment_1e5, 10**3, 0.8)
+        H_eval(B34, assignment_42, 10**3, 0.8)
     with pytest.raises(DomainError):
-        H_eval(B78, assignment_1e5, 10**3, 0.4)
+        H_eval(B78, assignment_42, 10**3, 0.4)
 
 
-def test_H_is_G_times_zeta(assignment_1e5):
+def test_H_is_G_times_zeta(assignment_42):
     for s in (0.8, 0.75 + 10j, 2):
-        g = weighted_euler_G(B78, assignment_1e5, 10**3, s)
+        g = weighted_euler_G(B78, assignment_42, 10**3, s)
         z = zeta_truncated(10**3, s)
-        h = H_eval(B78, assignment_1e5, 10**3, s)
+        h = H_eval(B78, assignment_42, 10**3, s)
         assert abs(h.log_value - g.log_value - z.log_value) < 1e-12
 
 
 def test_H_degenerate_per_prime():
-    a = FixedOmega(prime_limit=100, num=0)
+    a = FixedOmega(num=0)
     s = 0.8
     h = H_eval(B78, a, 100, s)
     p = primes_up_to(100).astype(float)

@@ -53,34 +53,34 @@ def one_lane_sums(beta, seed, limit, grid, weighted=False):
     return _sums_from_counts(counts[0], grid, w)
 
 
-def test_partial_sums_mobius(mu_1e6, assignment_1e5):
+def test_partial_sums_mobius(mu_1e6, assignment_42):
     grid = np.array([1, 10, 100, 1000])
-    sums = one_lane_sums(ONE, assignment_1e5.master_seed, 10**5, grid)
+    sums = one_lane_sums(ONE, assignment_42.master_seed, 10**5, grid)
     # Mertens values, independent brute force over mu
     mert = [int(np.sum(mu_1e6[1: x + 1])) for x in grid]
     assert sums.sums.tolist() == mert
     assert sums.sums[1] == -1  # S(10)
 
 
-def test_partial_sums_start_at_one(assignment_1e5):
+def test_partial_sums_start_at_one(assignment_42):
     for beta in (HALF, B34, B78):
-        sums = one_lane_sums(beta, assignment_1e5.master_seed, 10**5, [1])
+        sums = one_lane_sums(beta, assignment_42.master_seed, 10**5, [1])
         assert sums.sums[0] == 1
 
 
-def test_partial_sums_segment_consistency(mu_1e6, assignment_1e5):
-    series = build_sign_series(B34, assignment_1e5, 10**5, mu_1e6)
+def test_partial_sums_segment_consistency(mu_1e6, assignment_42):
+    series = build_sign_series(B34, assignment_42, 10**5, mu_1e6)
     grid = np.array([10, 20, 50, 100])
-    sums = one_lane_sums(B34, assignment_1e5.master_seed, 10**5, grid)
+    sums = one_lane_sums(B34, assignment_42.master_seed, 10**5, grid)
     for i in range(1, len(grid)):
         seg = int(np.sum(series.values[grid[i - 1] + 1: grid[i] + 1]))
         assert sums.sums[i] - sums.sums[i - 1] == seg
 
 
-def test_weighted_sums_brute_force(mu_1e6, spf_1e5, assignment_1e5):
-    series = build_sign_series(B78, assignment_1e5, 10**5, mu_1e6)
+def test_weighted_sums_brute_force(mu_1e6, spf_1e5, assignment_42):
+    series = build_sign_series(B78, assignment_42, 10**5, mu_1e6)
     grid = np.array([10, 100])
-    sums = one_lane_sums(B78, assignment_1e5.master_seed, 10**5, grid,
+    sums = one_lane_sums(B78, assignment_42.master_seed, 10**5, grid,
                          weighted=True)
     for i, x in enumerate(grid):
         brute = math.fsum(
@@ -98,14 +98,14 @@ def test_weighted_sums_threshold():
         coupled_sums(B34, 10**4, True, [1])
 
 
-def test_unit_weight_reduces_to_plain_sums(assignment_1e5):
+def test_unit_weight_reduces_to_plain_sums(assignment_42):
     # with weight factor 1 every weight is 1, which must reproduce the exact
     # integer sums
     grid = checkpoint_grid(10**5)
     counts = _checkpoint_counts(_tree(10**5, grid), B78,
-                                [assignment_1e5.master_seed])[0]
+                                [assignment_42.master_seed])[0]
     wsums = _sums_from_counts(counts, grid, 1.0)
-    plain = one_lane_sums(B78, assignment_1e5.master_seed, 10**5, grid)
+    plain = one_lane_sums(B78, assignment_42.master_seed, 10**5, grid)
     assert np.array_equal(wsums.sums, plain.sums.astype(np.float64))
 
 
@@ -114,7 +114,7 @@ def series_1e5(seed, beta_numerator):
     """f_beta at X = 10**5 for one seed, with the d(n) table."""
     series = build_sign_series(
         DyadicFraction(beta_numerator),
-        OmegaAssignment(master_seed=seed, prime_limit=10**5), 10**5,
+        OmegaAssignment(master_seed=seed), 10**5,
         mobius_sieve(10**5))
     return series, distinct_prime_counts(10**5)
 
@@ -278,28 +278,28 @@ def test_selberg_delange_domain():
         selberg_delange_ratio(HALF, sg)
 
 
-def test_abel_consistency_residuals(mu_1e6, assignment_1e5):
-    series34 = build_sign_series(B34, assignment_1e5, 10**5, mu_1e6)
+def test_abel_consistency_residuals(mu_1e6, assignment_42):
+    series34 = build_sign_series(B34, assignment_42, 10**5, mu_1e6)
     assert abel_consistency(series34.values, 10**5, 1.5) < 1e-10
-    mobius = build_sign_series(ONE, assignment_1e5, 10**5, mu_1e6)
+    mobius = build_sign_series(ONE, assignment_42, 10**5, mu_1e6)
     assert abel_consistency(mobius.values, 10**4, 2) < 1e-10
 
 
-def test_abel_trivial_X1(mu_1e6, assignment_1e5):
-    series = build_sign_series(B34, assignment_1e5, 10**5, mu_1e6)
+def test_abel_trivial_X1(mu_1e6, assignment_42):
+    series = build_sign_series(B34, assignment_42, 10**5, mu_1e6)
     assert abel_consistency(series.values, 1, 1.5) == 0.0
 
 
 @pytest.mark.parametrize("X", [0, -3, 10**5 + 1])
-def test_abel_rejects_X_outside_the_series(X, mu_1e6, assignment_1e5):
-    series = build_sign_series(B34, assignment_1e5, 10**5, mu_1e6)
+def test_abel_rejects_X_outside_the_series(X, mu_1e6, assignment_42):
+    series = build_sign_series(B34, assignment_42, 10**5, mu_1e6)
     with pytest.raises(RangeError):
         abel_consistency(series.values, X, 1.5)
 
 
-def test_abel_brute_force_small(mu_1e6, assignment_1e5):
+def test_abel_brute_force_small(mu_1e6, assignment_42):
     # independent term-by-term evaluation of both sides at X = 100
-    series = build_sign_series(B34, assignment_1e5, 10**5, mu_1e6)
+    series = build_sign_series(B34, assignment_42, 10**5, mu_1e6)
     s = 1.5 + 2j
     X = 100
     lhs = sum(int(series.values[n]) * n ** -s for n in range(1, X + 1))
@@ -312,11 +312,11 @@ def test_abel_brute_force_small(mu_1e6, assignment_1e5):
 
 @pytest.mark.parametrize("block", [1, 7, growth._ABEL_BLOCK])
 def test_abel_blocks_give_the_unblocked_residual(monkeypatch, block, mu_1e6,
-                                                 assignment_1e5):
+                                                 assignment_42):
     # fsum is correctly rounded, so splitting the terms into blocks must
     # leave every residual bit for bit as the full-length evaluation's
     monkeypatch.setattr(growth, "_ABEL_BLOCK", block)
-    series = build_sign_series(B34, assignment_1e5, 10**5, mu_1e6)
+    series = build_sign_series(B34, assignment_42, 10**5, mu_1e6)
     limits = [1, 2, 7, 8, 15, 1000] if block < 100 else \
         [block - 1, block, block + 1, 10**5]
     for X in limits:

@@ -223,7 +223,7 @@ def test_ks_statistic_is_scipys_bit_for_bit(n, seed, grain, shift, same):
 
 def test_transformed_omega_periodicity_and_componentwise():
     spec = IetSpec(3)
-    a = OmegaAssignment(master_seed=11, prime_limit=10**4)
+    a = OmegaAssignment(master_seed=11)
     view = TransformedOmega(a, spec, spec.intervals)
     count = len(primes_up_to(10**4))
     assert np.array_equal(view.numerators(count), a.numerators(count))

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (ISQRT_EDGE_LIMITS, build_sign_series, mobius_sieve,
                      prime_signs, seeded_numerators, straddled_threshold)
-from rmflab import (CoverageError, DomainError, DyadicFraction,
-                    OmegaAssignment, PreconditionError, euler_F, primes_up_to,
+from rmflab import (DomainError, DyadicFraction, OmegaAssignment,
+                    PreconditionError, RangeError, euler_F, primes_up_to,
                     zeta_truncated)
 from rmflab.dyadic import HALF, ONE
 from rmflab.growth import _checkpoint_counts, _tree
@@ -19,8 +19,8 @@ from rmflab.sieve import _WALK_BLOCK
 
 
 def test_omega_deterministic():
-    a1 = OmegaAssignment(master_seed=7, prime_limit=10**4)
-    a2 = OmegaAssignment(master_seed=7, prime_limit=10**4)
+    a1 = OmegaAssignment(master_seed=7)
+    a2 = OmegaAssignment(master_seed=7)
     assert np.array_equal(a1.numerators(100), a2.numerators(100))
     assert np.array_equal(a1.numerators(100), a1.numerators(1229)[:100])
     assert np.array_equal(a1.numerators(1229), a2.numerators(1229))
@@ -32,13 +32,13 @@ def test_omega_rejects_seeds_that_are_not_uint64_integers(seed):
     # a float start loses precision: 1.5, 2.0 and 1000.5 hashed like seed 2,
     # and True like seed 1, so a manifest named seeds that were never used
     with pytest.raises(DomainError, match="master_seed"):
-        OmegaAssignment(master_seed=seed, prime_limit=100)
+        OmegaAssignment(master_seed=seed)
 
 
 @pytest.mark.parametrize("seed", [np.uint64(2**64 - 1), np.int64(5),
                                   np.uint8(7)])
 def test_omega_takes_numpy_integer_seeds_as_ints(seed):
-    a = OmegaAssignment(master_seed=seed, prime_limit=10**4)
+    a = OmegaAssignment(master_seed=seed)
     assert type(a.master_seed) is int and a.master_seed == int(seed)
     assert np.array_equal(a.numerators(1229),
                           seeded_numerators(int(seed), 1229))
@@ -47,7 +47,7 @@ def test_omega_takes_numpy_integer_seeds_as_ints(seed):
 @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
 def test_numerators_match_the_whole_array_hash(seed):
     # lengths around one hash block, and all 78,498 primes <= 10**6
-    a = OmegaAssignment(master_seed=seed, prime_limit=10**6)
+    a = OmegaAssignment(master_seed=seed)
     want = seeded_numerators(seed, 78498)
     for n in (0, 1, 2**16 - 1, 2**16, 2**16 + 1, 78498):
         got = a.numerators(n)
@@ -58,7 +58,7 @@ def test_numerators_match_the_whole_array_hash(seed):
 def test_numerator_blocks_start_at_any_rank(start):
     # the products hash each sieve block from its first rank: the blocks
     # of ranks start .. start + count - 1 are the whole-array hash's
-    a = OmegaAssignment(master_seed=2**64 - 3, prime_limit=10**8)
+    a = OmegaAssignment(master_seed=2**64 - 3)
     want = seeded_numerators(a.master_seed, start + 2**15 + 5)[start:]
     for count in (0, 1, 2**15, 2**15 + 5):
         blocks = [(lo, z.copy()) for lo, z in a.numerator_blocks(count, start)]
@@ -68,19 +68,19 @@ def test_numerator_blocks_start_at_any_rank(start):
         assert np.array_equal(got, want[:count]), count
 
 
-def test_signs_at_beta_one_skip_the_hash(monkeypatch, assignment_1e5):
+def test_signs_at_beta_one_skip_the_hash(monkeypatch, assignment_42):
     def no_hash(self, count, start=0):
         raise AssertionError("hashed at beta = 1")
 
     monkeypatch.setattr(OmegaAssignment, "numerator_blocks", no_hash)
     # the streamed signs are -1 at every prime, so F_1 = 1 / zeta_P exactly
     for P in (1, 2, 29, 10**5):
-        assert euler_F(ONE, assignment_1e5, P, 2).log_value == \
+        assert euler_F(ONE, assignment_42, P, 2).log_value == \
             -zeta_truncated(P, 2).log_value
 
 
-def test_omega_empirical_mean(assignment_1e5):
-    nums = assignment_1e5.numerators(9592)
+def test_omega_empirical_mean(assignment_42):
+    nums = assignment_42.numerators(9592)
     mean = float(np.mean(nums / 2.0**64))
     n_primes = len(nums)
     tol = 4 * (1 / math.sqrt(12)) / math.sqrt(n_primes)
@@ -88,13 +88,13 @@ def test_omega_empirical_mean(assignment_1e5):
 
 
 def test_distinct_seeds_differ_almost_everywhere():
-    a = OmegaAssignment(master_seed=1, prime_limit=10**4)
-    b = OmegaAssignment(master_seed=2, prime_limit=10**4)
+    a = OmegaAssignment(master_seed=1)
+    b = OmegaAssignment(master_seed=2)
     frac_diff = np.mean(a.numerators(1229) != b.numerators(1229))
     assert frac_diff > 0.99
 
 
-def test_sign_at_prime_cases(assignment_1e5):
+def test_sign_at_prime_cases(assignment_42):
     # right-open convention: -1 on [0, beta), +1 on [beta, 1)
     for beta in (HALF, DyadicFraction.from_fraction(3, 2)):
         b = beta.numerator
@@ -103,62 +103,64 @@ def test_sign_at_prime_cases(assignment_1e5):
     ends = np.array([0, 2**63, 2**64 - 1], dtype=np.uint64)
     assert signs_from_numerators(ONE, ends).tolist() == [-1, -1, -1]
     with pytest.raises(PreconditionError):
-        euler_F(DyadicFraction.from_fraction(1, 3), assignment_1e5, 10**3, 2)
+        euler_F(DyadicFraction.from_fraction(1, 3), assignment_42, 10**3, 2)
 
 
-def test_prime_sign_frequency(assignment_1e6):
+def test_prime_sign_frequency(assignment_42):
     n = len(primes_up_to(10**6))
     for k, m in ((1, 1), (3, 2), (7, 3), (15, 4)):
         beta = DyadicFraction.from_fraction(k, m)
-        signs = prime_signs(beta, assignment_1e6)
+        signs = prime_signs(beta, assignment_42, n)
         freq = np.mean(signs == -1)
         b = float(beta)
         tol = 4 * math.sqrt(b * (1 - b) / n)
         assert abs(freq - b) <= tol, (b, freq)
 
 
-def test_prime_sign_mean_beta34(assignment_1e6):
+def test_prime_sign_mean_beta34(assignment_42):
     beta = DyadicFraction.from_fraction(3, 2)
-    signs = prime_signs(beta, assignment_1e6).astype(float)
+    signs = prime_signs(beta, assignment_42, 78498).astype(float)  # pi(10**6)
     n = len(signs)
     tol = 4 * math.sqrt(4 * 0.75 * 0.25 / n)
     assert abs(signs.mean() - (1 - 2 * 0.75)) <= tol
 
 
-def test_beta_one_series_is_mobius(mu_1e6, assignment_1e6):
-    series = build_sign_series(ONE, assignment_1e6, 10**6, mu_1e6)
+def test_beta_one_series_is_mobius(mu_1e6, assignment_42):
+    series = build_sign_series(ONE, assignment_42, 10**6, mu_1e6)
     assert np.array_equal(series.values[1:], mu_1e6[1: 10**6 + 1])
     counts = _checkpoint_counts(_tree(10**6, np.array([10])), ONE,
-                                [assignment_1e6.master_seed])
+                                [assignment_42.master_seed])
     assert counts[0, 0].sum() == -1  # Mertens(10)
 
 
-def test_series_multiplicativity_at_30(mu_1e6, assignment_1e5):
+def test_series_multiplicativity_at_30(mu_1e6, assignment_42):
     beta = DyadicFraction.from_fraction(3, 2)
-    s = build_sign_series(beta, assignment_1e5, 10**5, mu_1e6)
+    s = build_sign_series(beta, assignment_42, 10**5, mu_1e6)
     v = s.values
     assert v[30] == v[2] * v[3] * v[5]
     assert v[12] == 0
     assert v[1] == 1
 
 
-def test_series_support_matches_squarefree(mu_1e6, assignment_1e5,
+def test_series_support_matches_squarefree(mu_1e6, assignment_42,
                                            factors_1e5):
     beta = DyadicFraction.from_fraction(7, 3)
-    s = build_sign_series(beta, assignment_1e5, 10**5, mu_1e6)
+    s = build_sign_series(beta, assignment_42, 10**5, mu_1e6)
     for n in range(1, 10**5 + 1):
         expected_zero = not factors_1e5[n].is_squarefree
         assert (s.values[n] == 0) == expected_zero
 
 
 @pytest.fixture(scope="module")
-def sign_products(assignment_1e5, factors_1e5):
+def sign_products(assignment_42, factors_1e5):
     """beta numerator -> f(n) for n <= 10**5: the product of the signs of the
     primes of each squarefree n, and 0 elsewhere (index 0 holds 0)."""
     @functools.cache
     def products(beta_numerator):
-        signs = prime_signs(DyadicFraction(beta_numerator), assignment_1e5)
-        sign = dict(zip(primes_up_to(10**5).tolist(), signs.tolist()))
+        primes = primes_up_to(10**5)
+        signs = prime_signs(DyadicFraction(beta_numerator), assignment_42,
+                            len(primes))
+        sign = dict(zip(primes.tolist(), signs.tolist()))
         return [0] + [math.prod(sign[p] for p in f.distinct_primes)
                       if f.is_squarefree else 0 for f in factors_1e5[1:]]
     return products
@@ -167,13 +169,13 @@ def sign_products(assignment_1e5, factors_1e5):
 @pytest.mark.parametrize("beta", [HALF, DyadicFraction.from_fraction(3, 2),
                                   DyadicFraction.from_fraction(7, 3)])
 @pytest.mark.parametrize("limit", ISQRT_EDGE_LIMITS)
-def test_series_is_the_product_of_prime_signs(limit, beta, assignment_1e5,
+def test_series_is_the_product_of_prime_signs(limit, beta, assignment_42,
                                               factors_1e5, sign_products):
     mobius = np.array([0] + [f.mobius for f in factors_1e5[1: limit + 1]],
                       dtype=np.int8)
-    s = build_sign_series(beta, assignment_1e5, limit, mobius)
+    s = build_sign_series(beta, assignment_42, limit, mobius)
     assert s.values.tolist() == sign_products(beta.numerator)[: limit + 1]
-    series = _sign_series(beta, assignment_1e5.master_seed, limit)
+    series = _sign_series(beta, assignment_42.master_seed, limit)
     assert series.tolist() == s.values.tolist()
 
 
@@ -197,7 +199,7 @@ def test_sign_series_matches_the_oracle_at_the_edges(beta, seed):
     # prefix of the oracle's at the largest one
     top = max(SERIES_LIMITS)
     want = build_sign_series(
-        beta, OmegaAssignment(master_seed=seed, prime_limit=top), top,
+        beta, OmegaAssignment(master_seed=seed), top,
         mobius_sieve(top)).values
     for limit in SERIES_LIMITS:
         got = _sign_series(beta, seed, limit)
@@ -280,21 +282,21 @@ def test_plus_blocks_skip_the_last_xorshift_only_below_32_bits(
         assert (31 in shifts) == (beta in LONG_BETAS), float(beta)
 
 
-def test_series_prefix_property(mu_1e6, assignment_1e5):
+def test_series_prefix_property(mu_1e6, assignment_42):
     # the recursion with one lane on a dense grid: every segment is one
     # integer
     beta = DyadicFraction.from_fraction(3, 2)
-    s = build_sign_series(beta, assignment_1e5, 10**5, mu_1e6)
+    s = build_sign_series(beta, assignment_42, 10**5, mu_1e6)
     grid = np.arange(1, 2001)
     counts = _checkpoint_counts(_tree(10**5, grid), beta,
-                                [assignment_1e5.master_seed])
+                                [assignment_42.master_seed])
     assert np.array_equal(counts[0].sum(axis=1), s.values[1:2001])
 
 
 def test_series_coverage_error(mu_1e6):
-    a = OmegaAssignment(master_seed=1, prime_limit=10**3)
-    with pytest.raises(CoverageError):
-        build_sign_series(HALF, a, 10**4, mu_1e6)
+    a = OmegaAssignment(master_seed=1)
+    with pytest.raises(RangeError, match="mobius table shorter"):
+        build_sign_series(HALF, a, 10**4, mu_1e6[: 10**4])
 
 
 @settings(max_examples=25, deadline=None)
@@ -303,31 +305,31 @@ def test_series_multiplicative_on_coprime_pairs(a, b):
     if math.gcd(a, b) != 1:
         return
     mu = mobius_sieve(10**5)
-    assignment = OmegaAssignment(master_seed=5, prime_limit=10**5)
+    assignment = OmegaAssignment(master_seed=5)
     s = build_sign_series(DyadicFraction.from_fraction(3, 2), assignment,
                           10**5, mu)
     assert s.values[a * b] == s.values[a] * s.values[b]
 
 
-def test_coupling_monotone(assignment_1e5):
+def test_coupling_monotone(assignment_42):
     # the signs at beta1 < beta2 differ exactly where beta1 <= omega < beta2
-    nums = assignment_1e5.numerators(9592)
+    nums = assignment_42.numerators(9592)
     b12 = HALF
     b34 = DyadicFraction.from_fraction(3, 2)
     b78 = DyadicFraction.from_fraction(7, 3)
     for lo, hi in ((b12, b34), (b34, b78), (b12, b78)):
-        differ = prime_signs(lo, assignment_1e5) != \
-            prime_signs(hi, assignment_1e5)
+        differ = prime_signs(lo, assignment_42, 9592) != \
+            prime_signs(hi, assignment_42, 9592)
         between = (nums >= np.uint64(lo.numerator)) & \
             (nums < np.uint64(hi.numerator))
         assert np.array_equal(differ, between)
         assert differ.any()
 
 
-def test_coupling_monotone_all_dyadic_level4_pairs(assignment_1e5):
+def test_coupling_monotone_all_dyadic_level4_pairs(assignment_42):
     # a -1 at beta1 forces a -1 at every beta2 >= beta1
     betas = [DyadicFraction.from_fraction(k, 4) for k in range(8, 17)]
-    signs = [prime_signs(b, assignment_1e5) for b in betas]
+    signs = [prime_signs(b, assignment_42, 9592) for b in betas]
     for i, s1 in enumerate(signs):
         for s2 in signs[i:]:
             assert np.all((s1 != -1) | (s2 == -1))

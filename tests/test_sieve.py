@@ -9,8 +9,9 @@ import oracles
 from oracles import (ISQRT_EDGE_LIMITS, build_spf, distinct_prime_counts,
                      factor_summary, kinds_table, mobius_sieve,
                      multiples_walk, prime_pi)
-from rmflab import (ConfigurationError, DyadicFraction, RangeError,
-                    primes_up_to)
+from rmflab import (ConfigurationError, DyadicFraction, H_eval,
+                    IdentityEvaluator, OmegaAssignment, RangeError, euler_F,
+                    exp_form_F, primes_up_to)
 from rmflab import cli, growth, sieve
 from rmflab.dyadic import ONE
 from rmflab.sampler import _sign_series
@@ -355,6 +356,18 @@ def test_prime_table_rejects_limits_above_max():
     with pytest.raises(ConfigurationError, match=str(sieve._COUNT_LIMIT)):
         growth.coupled_sums(DyadicFraction.from_fraction(3, 2),
                             sieve._COUNT_LIMIT + 1, False, (1,))
+    # the products stream the primes up to the stream's cap, and the
+    # identity keeps bytes per prime up to the table's; the assignment,
+    # hashed at every rank, sets no cap of its own
+    a = OmegaAssignment(master_seed=1)
+    for product, beta in ((euler_F, DyadicFraction.from_fraction(3, 2)),
+                          (exp_form_F, DyadicFraction.from_fraction(3, 2)),
+                          (H_eval, DyadicFraction.from_fraction(15, 4))):
+        with pytest.raises(ConfigurationError,
+                           match=str(sieve._COUNT_LIMIT)):
+            product(beta, a, sieve._COUNT_LIMIT + 1, 2)
+    with pytest.raises(ConfigurationError, match=str(sieve.MAX_LIMIT)):
+        IdentityEvaluator(1, a, sieve.MAX_LIMIT + 1)
 
 
 def test_mobius_first_ten():
