@@ -9,9 +9,13 @@ about 0.87-0.91 -- visibly far from 0.5 and from any power saving x**(1-d).
 Note the sign of the ratio R(x) = S(x) (log x)**(2 beta) / x: the
 Selberg-Delange constant carries a factor 1/Gamma(1 - 2 beta), which is
 negative for every beta in (1/2, 1), so R settles below zero.
+
+Each regime is one ``monte_carlo_campaign`` over seeds 1-10: it fits each
+seed's checkpoint sums as the lane kernel streams them and returns the
+fields ``rmflab campaign`` writes to summary.json, as a plain dict.
 """
 
-from rmflab import (CampaignConfig, DyadicFraction, monte_carlo_campaign)
+from rmflab import DyadicFraction, monte_carlo_campaign
 from rmflab.dyadic import HALF
 
 LIMIT = 10**6
@@ -19,14 +23,12 @@ SEEDS = tuple(range(1, 11))
 WINDOW = (10**4, 10**6)
 
 for label, beta in (("1/2", HALF), ("3/4", DyadicFraction.from_fraction(3, 2))):
-    cfg = CampaignConfig(beta_numerator=beta.numerator, limit=LIMIT,
-                         seeds=SEEDS, window=WINDOW)
-    rep = monte_carlo_campaign(cfg)
-    alphas = [f"{r.alpha:.2f}" for r in rep.per_seed]
+    rep = monte_carlo_campaign(beta, LIMIT, SEEDS, WINDOW)
+    alphas = [f"{r['alpha']:.2f}" for r in rep["per_seed"]]
     print(f"beta = {label}: fitted exponents {alphas}")
-    print(f"          median {rep.alpha_median:.3f}  "
-          f"(q10 {rep.alpha_q10:.3f}, q90 {rep.alpha_q90:.3f})")
-    if rep.frac_ratio_positive is not None:
-        ratios = [f"{r.terminal_ratio:+.3f}" for r in rep.per_seed]
+    print(f"          median {rep['alpha_median']:.3f}  "
+          f"(q10 {rep['alpha_q10']:.3f}, q90 {rep['alpha_q90']:.3f})")
+    if rep["frac_ratio_positive"] is not None:
+        ratios = [f"{r['terminal_ratio']:+.3f}" for r in rep["per_seed"]]
         print(f"          terminal ratios R(X): {ratios}")
     print()

@@ -18,8 +18,8 @@ from .iet import (IetSpec, apply_T, apply_T_power, apply_T_power_numerators,
 from .dirichlet import (WEIGHT_BETA_THRESHOLD, H_eval, IdentityEvaluator,
                         euler_F, exp_form_F, identity_residual, weight_factor,
                         zeta_truncated)
-from .growth import (CampaignConfig, SumGrid, abel_consistency,
-                     checkpoint_grid, fit_growth_exponent,
-                     monte_carlo_campaign, selberg_delange_ratio)
+from .growth import (SumGrid, abel_consistency, checkpoint_grid,
+                     fit_growth_exponent, monte_carlo_campaign,
+                     selberg_delange_ratio)
 
 __version__ = "0.1.0"

@@ -19,6 +19,7 @@ import math
 import numbers
 import sys
 import time
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -41,10 +42,9 @@ from .dirichlet import (MAX_IDENTITY_LEVEL, WEIGHT_BETA_THRESHOLD, H_eval,
                         IdentityEvaluator, euler_F, exp_form_F)
 from .errors import (ConfigurationError, DomainError, LabError,
                      PreconditionError)
-from .growth import (MIN_FIT_POINTS, CampaignConfig, abel_consistency,
+from .growth import (MIN_FIT_POINTS, _seed_fit, abel_consistency,
                      checkpoint_grid, coupled_sums, default_window,
-                     fit_growth_exponent, monte_carlo_campaign,
-                     selberg_delange_ratio)
+                     monte_carlo_campaign)
 from .iet import IetSpec, apply_T_power_numerators
 from .sampler import OmegaAssignment, _sign_series, is_integer, is_seed
 from .sieve import _COUNT_LIMIT, MAX_LIMIT
@@ -144,6 +144,9 @@ def validate(config: ExperimentConfig) -> list[str]:
     if not all(map(is_seed, config.seeds)):
         v.append(f"seeds={config.seeds}: every seed must be an integer in "
                  "[0, 2**64)")
+    elif repeats := [s for s, n in Counter(config.seeds).items() if n > 1]:
+        v.append(f"seeds={config.seeds}: seed {repeats[0]} repeats; every "
+                 "seed must be distinct")
     if not kind.level and config.beta is None and config.level is None:
         v.append(f"beta=None: kind {config.kind} requires beta (or level)")
     b = None  # the beta run() uses, from beta or else from a valid level
@@ -348,17 +351,13 @@ def _run_growth(config: ExperimentConfig, outdir: Path) -> tuple[dict, bool]:
     weighted = _KINDS[config.kind].weight == "always"
     window = _fit_window(config)
     rows, fits = [], {}
-    for seed, sums in zip(config.seeds, coupled_sums(
-            beta, config.limit, weighted, config.seeds)):
-        ratios = [""] * len(sums.checkpoints)
-        if not weighted and 0.5 < float(beta) < 1.0:
-            ratios = selberg_delange_ratio(beta, sums).ratios
-        for x, s, rr in zip(sums.checkpoints, sums.sums, ratios):
-            rows.append([seed, int(x), float(s), rr])
-        fit = fit_growth_exponent(sums, window)
-        fits[str(seed)] = {"alpha": fit.alpha, "stderr": fit.stderr,
-                           "points_used": fit.points_used,
-                           "points_dropped": fit.points_dropped}
+    for seed, sums in coupled_sums(beta, config.limit, weighted,
+                                   config.seeds):
+        fit, stat = _seed_fit(beta, sums, window, weighted)
+        ratios = [""] * len(sums.sums) if stat is None else stat.ratios
+        rows += [[seed, int(x), float(s), r]
+                 for x, s, r in zip(sums.checkpoints, sums.sums, ratios)]
+        fits[str(seed)] = asdict(fit)
     _write_csv(outdir, config.kind, rows)
     return {"experiment": config.kind, "beta": beta.as_fraction_string(),
             "limit": config.limit, "window": list(window), "fits": fits,
@@ -419,16 +418,13 @@ def _run_sweep(config: ExperimentConfig, outdir: Path) -> tuple[dict, bool]:
 
 def _run_campaign(config: ExperimentConfig, outdir: Path) -> tuple[dict, bool]:
     beta = config.beta_value()
-    ccfg = CampaignConfig(beta_numerator=beta.numerator, limit=config.limit,
-                          seeds=tuple(config.seeds), weighted=config.weighted,
-                          window=_fit_window(config))
-    report = monte_carlo_campaign(ccfg)
-    rows = [[r.seed, r.alpha, r.stderr, r.points_used, r.points_dropped,
-             "" if r.terminal_ratio is None else r.terminal_ratio,
-             "" if r.ratio_decade is None else r.ratio_decade]
-            for r in report.per_seed]
-    _write_csv(outdir, config.kind, rows)
-    return {**report.to_dict(), "experiment": config.kind,
+    report = monte_carlo_campaign(beta, config.limit, config.seeds,
+                                  _fit_window(config), config.weighted)
+    columns = _KINDS[config.kind].columns
+    _write_csv(outdir, config.kind, [
+        ["" if r[c] is None else r[c] for c in columns]
+        for r in report["per_seed"]])
+    return {**report, "experiment": config.kind,
             "beta": beta.as_fraction_string(), "pass": True}, True
 
 

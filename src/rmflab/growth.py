@@ -6,10 +6,12 @@ beta = 7/8 for X <= 10**11.  Both come from one kernel of exact signed
 counts per (checkpoint segment, d(n)): plain sums add them up, weighted
 sums round them once.
 
-``coupled_sums`` is the one way from seeds to checkpoint sums, LANES (8)
-seeds at a time.  It splits each squarefree n > 1 as m q with q = P+(n),
-the largest prime factor, and P+(m) < q, as Deleglise and Rivat
-(Experiment. Math. 5, 1996) split the Mertens function.  Seed k's sum is
+``coupled_sums`` is the one way from seeds to checkpoint sums: a stream
+of (seed, sums) pairs, made LANES (8) seeds at a time as it is read.  The
+kinds that fit seeds reduce it, and each fits a seed by ``_seed_fit``.
+It splits each squarefree n > 1 as m q with q = P+(n), the largest prime
+factor, and P+(m) < q, as Deleglise and Rivat (Experiment. Math. 5,
+1996) split the Mertens function.  Seed k's sum is
 
     S_k(x) = 1 + sum_{m P+(m) < x} f_k(m) (Pi_k(x // m) - Pi_k(P+(m))),
 
@@ -51,7 +53,8 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, asdict
+from collections.abc import Iterator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -112,7 +115,7 @@ class SelbergDelangeStat:
     Probabilistic Number Theory, II.5) gives
     R(x) -> lambda(omega) / Gamma(1 - 2*beta) < 0, with the Euler constant
     lambda(omega) = prod_p (1 + f(p)/p) (1 - 1/p)**(1 - 2*beta) > 0.
-    ``sign_stable`` and ``CampaignReport.frac_ratio_positive`` count the raw
+    ``sign_stable`` and a campaign's ``frac_ratio_positive`` count the raw
     sign R > 0, so they read False and 0.0 for 1/2 < beta < 1;
     Gamma(1 - 2*beta) * R estimates lambda(omega) and is positive.
     """
@@ -246,57 +249,6 @@ def abel_consistency(values: np.ndarray, X: int, s: complex) -> float:
     boundary = S_X * np.exp(-s * np.log(np.array([X], dtype=np.float64)))[0]
     rhs = boundary + _exact_sum(_abel_terms(values, X, s, True))
     return abs(lhs_sum - rhs)
-
-
-# ---------------------------------------------------------------------------
-# Monte Carlo campaigns over seed ensembles
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CampaignConfig:
-    """One ensemble experiment: a beta, a limit, a fit window, many seeds."""
-
-    beta_numerator: int  # DyadicFraction numerator (2**64 encodes beta = 1)
-    limit: int
-    seeds: tuple[int, ...]
-    window: tuple[float, float]
-    weighted: bool = False
-
-    def beta(self) -> DyadicFraction:
-        return DyadicFraction(self.beta_numerator)
-
-
-@dataclass(frozen=True)
-class SeedResult:
-    seed: int
-    alpha: float
-    stderr: float
-    points_used: int
-    points_dropped: int
-    terminal_ratio: float | None
-    ratio_decade: float | None  # R(x_max) / R(x_max / 10)
-    sign_stable: bool | None
-
-
-@dataclass(frozen=True)
-class CampaignReport:
-    """Per-seed results and ensemble quantiles of one campaign.
-
-    ``frac_ratio_positive`` is the share of seeds with raw R(X) > 0; it is
-    0.0 for 1/2 < beta < 1, where R tends to a negative constant (see
-    ``SelbergDelangeStat``).
-    """
-
-    config: CampaignConfig
-    per_seed: tuple[SeedResult, ...]
-    alpha_median: float
-    alpha_q10: float
-    alpha_q90: float
-    frac_ratio_positive: float | None
-    frac_ratio_decade_in_band: float | None
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 # Values per block of the tree's quotients, and of the lane pass's terms
@@ -548,15 +500,17 @@ def _checkpoint_counts(tree: _Tree, beta: DyadicFraction,
 
 
 def coupled_sums(beta: DyadicFraction, limit: int, weighted: bool,
-                 seeds) -> list[SumGrid]:
-    """Every seed's checkpoint sums of f_beta, in seed order; the seeds
-    share the limit's tree (``_checkpoint_tree``), and each lane group of
-    LANES seeds its hash pass and its counts (``_checkpoint_counts``).
+                 seeds) -> Iterator[tuple[int, SumGrid]]:
+    """Every seed's checkpoint sums of f_beta, as (seed, SumGrid) pairs in
+    seed order.  The checks and the limit's tree (``_checkpoint_tree``)
+    come at the call; each lane group of LANES seeds makes its hash pass
+    and its counts (``_checkpoint_counts``) when its first pair is drawn,
+    so a consumer holds one group's sums at a time.
 
     Weighted sums weigh f_beta(n) by (2*beta-1)**-d(n).  Each seed must be
-    an integer in [0, 2**64): the hash reads it as a uint64.
+    an integer in [0, 2**64), as the hash reads it as a uint64, and
+    appear once, as its pair stands for it.
     """
-    # refused before the tree is built
     if limit > _COUNT_LIMIT:
         raise ConfigurationError(
             f"limit {limit} above supported maximum {_COUNT_LIMIT}")
@@ -565,34 +519,32 @@ def coupled_sums(beta: DyadicFraction, limit: int, weighted: bool,
     if not all(map(sampler.is_seed, seeds)):
         raise DomainError(f"seeds={list(seeds)!r}: every seed must be an "
                           "integer in [0, 2**64)")
+    if len(set(seeds)) < len(seeds):
+        raise DomainError(f"seeds={list(seeds)!r}: every seed must be "
+                          "distinct")
     w = weight_factor(beta) if weighted else None  # the weighted threshold
     tree = _checkpoint_tree(limit)
-    sums = []
-    for at in range(0, len(seeds), LANES):
-        counts = _checkpoint_counts(tree, beta, seeds[at: at + LANES])
-        sums += [_sums_from_counts(c, tree.grid, w) for c in counts]
-    return sums
+    groups = (seeds[at: at + LANES] for at in range(0, len(seeds), LANES))
+    return ((seed, _sums_from_counts(counts, tree.grid, w))
+            for group in groups
+            for seed, counts in zip(group,
+                                    _checkpoint_counts(tree, beta, group)))
 
 
-def _seed_result(config: CampaignConfig, seed: int,
-                 sums: SumGrid) -> SeedResult:
-    """Fit one seed's sums and, for 1/2 < beta < 1 unweighted, its ratio."""
-    beta = config.beta()
-    fit = fit_growth_exponent(sums, config.window)
-    terminal = ratio_decade = sign_stable = None
-    if not config.weighted and 0.5 < float(beta) < 1.0:
-        stat = selberg_delange_ratio(beta, sums)
-        terminal = stat.terminal_ratio
-        sign_stable = stat.sign_stable
-        x_max = stat.checkpoints[-1]
-        prev = np.flatnonzero(stat.checkpoints <= x_max // 10)
-        if len(prev) and stat.ratios[prev[-1]] != 0.0:
-            ratio_decade = float(stat.ratios[-1] / stat.ratios[prev[-1]])
-    return SeedResult(seed=seed, alpha=fit.alpha, stderr=fit.stderr,
-                      points_used=fit.points_used,
-                      points_dropped=fit.points_dropped,
-                      terminal_ratio=terminal, ratio_decade=ratio_decade,
-                      sign_stable=sign_stable)
+# ---------------------------------------------------------------------------
+# Monte Carlo campaigns over seed ensembles
+# ---------------------------------------------------------------------------
+
+def _seed_fit(beta: DyadicFraction, sums: SumGrid,
+              window: tuple[float, float], weighted: bool
+              ) -> tuple[GrowthFit, SelbergDelangeStat | None]:
+    """One seed's growth fit, and its ratio statistic where that applies:
+    plain sums at 1/2 < beta < 1.  Every kind that fits a seed takes both
+    from here."""
+    fit = fit_growth_exponent(sums, window)
+    if weighted or not 0.5 < float(beta) < 1.0:
+        return fit, None
+    return fit, selberg_delange_ratio(beta, sums)
 
 
 def _quantile(xs: list[float], q: float) -> float:
@@ -610,29 +562,50 @@ def _median(xs: list[float]) -> float:
     return (xs[(len(xs) - 1) // 2] + xs[len(xs) // 2]) / 2
 
 
-def monte_carlo_campaign(config: CampaignConfig) -> CampaignReport:
-    """Run every seed and aggregate quantiles; deterministic in the seeds."""
-    if len(config.seeds) < 1:
+def monte_carlo_campaign(beta: DyadicFraction, limit: int, seeds,
+                         window: tuple[float, float],
+                         weighted: bool = False) -> dict:
+    """Fit every seed and take the ensemble's quantiles; deterministic in
+    the seeds.  Returns the fields of a campaign's summary.json: its
+    ``config``, ``per_seed`` (each seed's fit and, where ``_seed_fit``
+    gives a ratio, R(X) as terminal_ratio, R(X) / R(X // 10) as
+    ratio_decade, and sign_stable; else None), the alpha median and 10%
+    and 90% quantiles, and the shares of seeds with raw R(X) > 0
+    (``frac_ratio_positive``) and with ratio_decade in [0.5, 2].  R tends
+    to a negative constant for 1/2 < beta < 1 (see
+    ``SelbergDelangeStat``), so ``frac_ratio_positive`` is 0.0 there; both
+    shares are None where no seed has a ratio.
+    """
+    if len(seeds) < 1:
         raise PreconditionError("campaign needs at least one seed")
-    sums = coupled_sums(config.beta(), config.limit, config.weighted,
-                        config.seeds)
-    results = [_seed_result(config, seed, grid)
-               for seed, grid in zip(config.seeds, sums)]
-    alphas = sorted(r.alpha for r in results)
-    frac_pos = frac_band = None
-    terminals = [r.terminal_ratio for r in results
-                 if r.terminal_ratio is not None]
-    if terminals:
-        frac_pos = float(np.mean([t > 0 for t in terminals]))
-        decades = [r.ratio_decade for r in results
-                   if r.ratio_decade is not None]
-        frac_band = float(np.mean([0.5 <= d <= 2.0 for d in decades])) \
-            if decades else None
-    return CampaignReport(
-        config=config, per_seed=tuple(results),
-        alpha_median=_median(alphas),
-        alpha_q10=_quantile(alphas, 0.10),
-        alpha_q90=_quantile(alphas, 0.90),
-        frac_ratio_positive=frac_pos,
-        frac_ratio_decade_in_band=frac_band,
-    )
+    per_seed = []
+    for seed, sums in coupled_sums(beta, limit, weighted, seeds):
+        fit, stat = _seed_fit(beta, sums, window, weighted)
+        terminal = decade = stable = None
+        if stat is not None:
+            terminal, stable = stat.terminal_ratio, stat.sign_stable
+            xs = stat.checkpoints
+            prev = np.flatnonzero(xs <= xs[-1] // 10)
+            if len(prev) and stat.ratios[prev[-1]] != 0.0:
+                decade = float(stat.ratios[-1] / stat.ratios[prev[-1]])
+        per_seed.append({"seed": seed, **vars(fit),
+                         "terminal_ratio": terminal, "ratio_decade": decade,
+                         "sign_stable": stable})
+    alphas = sorted(r["alpha"] for r in per_seed)
+    terminals = [r["terminal_ratio"] for r in per_seed
+                 if r["terminal_ratio"] is not None]
+    decades = [r["ratio_decade"] for r in per_seed
+               if r["ratio_decade"] is not None]
+    return {
+        "config": {"beta_numerator": beta.numerator, "limit": limit,
+                   "seeds": list(seeds), "weighted": weighted,
+                   "window": list(window)},
+        "per_seed": per_seed,
+        "alpha_median": _median(alphas),
+        "alpha_q10": _quantile(alphas, 0.10),
+        "alpha_q90": _quantile(alphas, 0.90),
+        "frac_ratio_positive": float(np.mean([t > 0 for t in terminals]))
+        if terminals else None,
+        "frac_ratio_decade_in_band": float(np.mean(
+            [0.5 <= d <= 2.0 for d in decades])) if decades else None,
+    }

@@ -13,8 +13,8 @@ from scipy.stats import ks_2samp
 
 from oracles import (build_sign_series, distinct_prime_counts, mobius_sieve,
                      prime_signs)
-from rmflab import (CampaignConfig, DyadicFraction, IdentityEvaluator,
-                    IetSpec, OmegaAssignment, SumGrid, abel_consistency,
+from rmflab import (DyadicFraction, IdentityEvaluator, IetSpec,
+                    OmegaAssignment, SumGrid, abel_consistency,
                     apply_T_power_numerators, checkpoint_grid,
                     fit_growth_exponent, monte_carlo_campaign, euler_F,
                     exp_form_F, primes_up_to, weight_factor)
@@ -34,23 +34,17 @@ def report(criterion: str, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def campaign_beta34():
-    cfg = CampaignConfig(beta_numerator=B34.numerator, limit=LIMIT,
-                         seeds=SEEDS50, window=WINDOW)
-    return monte_carlo_campaign(cfg)
+    return monte_carlo_campaign(B34, LIMIT, SEEDS50, WINDOW)
 
 
 @pytest.fixture(scope="module")
 def campaign_beta12():
-    cfg = CampaignConfig(beta_numerator=HALF.numerator, limit=LIMIT,
-                         seeds=SEEDS50, window=WINDOW)
-    return monte_carlo_campaign(cfg)
+    return monte_carlo_campaign(HALF, LIMIT, SEEDS50, WINDOW)
 
 
 @pytest.fixture(scope="module")
 def campaign_weighted78():
-    cfg = CampaignConfig(beta_numerator=B78.numerator, limit=LIMIT,
-                         seeds=SEEDS50, window=WINDOW, weighted=True)
-    return monte_carlo_campaign(cfg)
+    return monte_carlo_campaign(B78, LIMIT, SEEDS50, WINDOW, weighted=True)
 
 
 def test_criterion_01_zeta_identity():
@@ -143,7 +137,7 @@ def test_criterion_06_abel_consistency():
 
 
 def test_criterion_07_no_power_saving(campaign_beta34):
-    alphas = np.array([r.alpha for r in campaign_beta34.per_seed])
+    alphas = np.array([r["alpha"] for r in campaign_beta34["per_seed"]])
     median = float(np.median(alphas))
     frac = float(np.mean(alphas >= 0.7))
     ok = median >= 0.8 and frac >= 0.9
@@ -153,7 +147,7 @@ def test_criterion_07_no_power_saving(campaign_beta34):
 
 
 def test_criterion_08_wintner_regime(campaign_beta12):
-    median = campaign_beta12.alpha_median
+    median = campaign_beta12["alpha_median"]
     ok = 0.4 <= median <= 0.6
     report("criterion 08 Wintner regime (beta=1/2)", ok,
            f"median alpha {median:.3f} in [0.4, 0.6]")
@@ -163,9 +157,9 @@ def test_criterion_08_wintner_regime(campaign_beta12):
 def test_criterion_09a_ratio_positivity(campaign_beta34):
     # R(x) -> lambda(omega) / Gamma(1 - 2*beta) with lambda(omega) > 0 (see
     # SelbergDelangeStat), so Gamma(1 - 2*beta) * R estimates lambda(omega).
-    gamma = math.gamma(1.0 - 2.0 * float(campaign_beta34.config.beta()))
-    lambdas = np.array([gamma * r.terminal_ratio
-                        for r in campaign_beta34.per_seed])
+    gamma = math.gamma(1.0 - 2.0 * float(B34))
+    lambdas = np.array([gamma * r["terminal_ratio"]
+                        for r in campaign_beta34["per_seed"]])
     frac = float(np.mean(lambdas > 0.0))
     ok = frac >= 0.9
     report("criterion 09a ratio positivity", ok,
@@ -176,7 +170,7 @@ def test_criterion_09a_ratio_positivity(campaign_beta34):
 
 
 def test_criterion_09b_ratio_decade_stability(campaign_beta34):
-    frac = campaign_beta34.frac_ratio_decade_in_band
+    frac = campaign_beta34["frac_ratio_decade_in_band"]
     ok = frac is not None and frac >= 0.8
     report("criterion 09b ratio decade stability", ok,
            f"frac R(1e7)/R(1e6) in [0.5, 2]: {frac:.2f} (>=0.8)")
@@ -184,7 +178,7 @@ def test_criterion_09b_ratio_decade_stability(campaign_beta34):
 
 
 def test_criterion_10a_weighted_median(campaign_weighted78):
-    median = campaign_weighted78.alpha_median
+    median = campaign_weighted78["alpha_median"]
     ok = 0.40 <= median <= 0.65
     report("criterion 10a weighted sums median (beta=7/8)", ok,
            f"median alpha {median:.3f} in [0.40, 0.65]")

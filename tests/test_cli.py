@@ -150,6 +150,23 @@ def test_growth_and_campaign_smoke(tmp_path):
     assert len(summary["per_seed"]) == 3
 
 
+@pytest.mark.parametrize("beta, weighted", [("3/4", False), ("7/8", True)])
+def test_growth_and_campaign_read_one_fit(beta, weighted, tmp_path):
+    # seeds 1-9 fill one lane group and start a second; each seed's fit in
+    # the growth summary is the one in campaign's per_seed
+    fields = {"beta": beta, "limit": 10**5, "seeds": list(range(1, 10))}
+    growth = "weighted-growth" if weighted else "growth"
+    for kind, extra in ((growth, {}), ("campaign", {"weighted": weighted})):
+        run(ExperimentConfig(kind=kind, **fields, **extra,
+                             outdir=str(tmp_path / kind)))
+    fits = json.loads((tmp_path / growth / "summary.json").read_text())
+    report = json.loads((tmp_path / "campaign" / "summary.json").read_text())
+    keys = ("alpha", "stderr", "points_used", "points_dropped")
+    assert [fits["fits"][str(r["seed"])] for r in report["per_seed"]] == \
+        [{k: r[k] for k in keys} for r in report["per_seed"]]
+    assert [r["seed"] for r in report["per_seed"]] == fields["seeds"]
+
+
 def test_exp_form_abel_hscan_smoke(tmp_path):
     assert main(["exp-form", "--beta", "3/4", "--prime-limit", "2000",
                  "--sigmas", "1.2", "2", "--ts", "0",
@@ -181,8 +198,8 @@ def fails_only_on_zero_sums(config: ExperimentConfig) -> bool:
     """
     weight = _KINDS[config.kind].weight
     weighted = weight == "always" or weight == "optional" and config.weighted
-    sums = coupled_sums(config.beta_value(), config.limit, weighted,
-                        [config.seeds[0]])[0]
+    (_, sums), = coupled_sums(config.beta_value(), config.limit, weighted,
+                              [config.seeds[0]])
     window = config.window or default_window(config.limit)
     try:
         fit_growth_exponent(sums, window)
@@ -496,6 +513,10 @@ def test_fit_error_names_the_first_failing_seed(kind, tmp_path):
      f"the sieve supports at most {MAX_LIMIT}"),
     ({"kind": "abel", "limit": _COUNT_LIMIT},
      f"the sieve supports at most {MAX_LIMIT}"),
+    # growth kept one fit per seed and campaign counted it twice
+    ({"kind": "growth", "seeds": [5, 5, 6]},
+     "seeds=[5, 5, 6]: seed 5 repeats; every seed must be distinct"),
+    ({"kind": "campaign", "seeds": [6, 5, 6, 5]}, "seed 6 repeats"),
 ])
 def test_validate_rejects_fits_and_sigmas_run_would_reject(changes, needle,
                                                             tmp_path):
@@ -723,6 +744,30 @@ def test_manifest_digests_leave_out_openssl(tmp_path):
     assert outputs == {
         name: hashlib.sha256((tmp_path / "i" / name).read_bytes()).hexdigest()
         for name in outputs}
+
+
+def test_benchmark_tracer_finds_what_it_patches(tmp_path):
+    # benchmarks/tracing.py looks every traced module up in sys.modules
+    # after ``import rmflab.cli`` (a lazy import of one ended every traced
+    # run in a KeyError) and patches OmegaAssignment's methods by name.  In
+    # a fresh process, so no patch outlives the test
+    out = run_probe(f"""
+sys.path.insert(0, {str(ROOT / 'benchmarks')!r})
+import json
+import rmflab.cli as cli
+from tracing import Tracer
+tracer = Tracer("probe")
+tracer.install()
+cli.run(cli.ExperimentConfig(kind="campaign", beta="3/4", limit=1000,
+                             seeds=[1, 2], outdir={str(tmp_path / 'c')!r}))
+cli.run(cli.ExperimentConfig(kind="identity", level=1, prime_limit=100,
+                             outdir={str(tmp_path / 'i')!r}))
+tracer.uninstall()
+print(json.dumps(sorted({{span[1] for span in tracer.spans}})))
+""")
+    spans = set(json.loads(out))
+    assert {"cli.run", "growth.monte_carlo_campaign",
+            "sampler.OmegaAssignment"} <= spans, spans
 
 
 # one small run per kind, against the file and columns the schema documents

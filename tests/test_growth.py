@@ -14,16 +14,15 @@ from oracles import (ISQRT_EDGE_LIMITS, abel_residual_unblocked,
                      mobius_sieve, per_seed_counts, segment_counts,
                      straddled_threshold)
 import rmflab.growth as growth
-from rmflab import (CampaignConfig, DomainError, DyadicFraction, FitError,
-                    OmegaAssignment, PreconditionError, RangeError,
+from rmflab import (ConfigurationError, DomainError, DyadicFraction,
+                    FitError, OmegaAssignment, PreconditionError, RangeError,
                     abel_consistency, checkpoint_grid, fit_growth_exponent,
                     monte_carlo_campaign, selberg_delange_ratio)
 from rmflab.dirichlet import weight_factor
 from rmflab.dyadic import HALF, ONE
 from rmflab.growth import (LANES, SumGrid, _checkpoint_counts,
                            _checkpoint_tree, _isqrt, _median, _quantile,
-                           _seed_result, _sums_from_counts, _tree,
-                           coupled_sums)
+                           _seed_fit, _sums_from_counts, _tree, coupled_sums)
 from rmflab.sieve import _COUNT_LIMIT, primes_up_to
 
 B34 = DyadicFraction.from_fraction(3, 2)
@@ -186,7 +185,7 @@ def test_lane_pass_peak_memory_at_1e7():
         _checkpoint_tree.cache_clear()
         tracemalloc.start()
         try:
-            coupled_sums(beta, limit, weighted, (1, 2, 3, 4))
+            list(coupled_sums(beta, limit, weighted, (1, 2, 3, 4)))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -205,7 +204,7 @@ def test_lane_pass_peak_memory_at_1e7_from_cold_primes():
         _checkpoint_tree.cache_clear()
         tracemalloc.start()
         try:
-            coupled_sums(beta, limit, weighted, (1, 2, 3, 4))
+            list(coupled_sums(beta, limit, weighted, (1, 2, 3, 4)))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -223,7 +222,7 @@ def test_lane_pass_peak_memory_at_1e7_with_the_tree_warm():
     for beta, weighted in ((HALF, False), (B78, True)):
         tracemalloc.start()
         try:
-            coupled_sums(beta, limit, weighted, (1, 2, 3, 4))
+            list(coupled_sums(beta, limit, weighted, (1, 2, 3, 4)))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -339,29 +338,29 @@ def test_abel_peak_memory_at_1e6(mu_1e6):
 
 
 def test_campaign_single_seed_matches_per_seed_oracle():
-    cfg = CampaignConfig(beta_numerator=B34.numerator, limit=10**5,
-                         seeds=(9,), window=(10**3, 10**5))
-    report = monte_carlo_campaign(cfg)
-    grid = checkpoint_grid(cfg.limit)
-    single = _seed_result(cfg, 9, _sums_from_counts(
-        per_seed_counts(B34, cfg.limit, 9, grid), grid))
-    assert report.per_seed == (single,)
-    assert report.alpha_median == single.alpha
+    window = (10**3, 10**5)
+    report = monte_carlo_campaign(B34, 10**5, (9,), window)
+    grid = checkpoint_grid(10**5)
+    fit, stat = _seed_fit(B34, _sums_from_counts(
+        per_seed_counts(B34, 10**5, 9, grid), grid), window, False)
+    decade = stat.ratios[-1] / stat.ratios[grid.tolist().index(10**4)]
+    assert report["per_seed"] == [{
+        "seed": 9, **dataclasses.asdict(fit),
+        "terminal_ratio": stat.terminal_ratio, "ratio_decade": decade,
+        "sign_stable": stat.sign_stable}]
+    assert report["alpha_median"] == fit.alpha
 
 
 def test_campaign_deterministic():
-    cfg = CampaignConfig(beta_numerator=HALF.numerator, limit=10**5,
-                         seeds=(1, 2, 3), window=(10**3, 10**5))
-    r1 = json.dumps(monte_carlo_campaign(cfg).to_dict(), sort_keys=True)
-    r2 = json.dumps(monte_carlo_campaign(cfg).to_dict(), sort_keys=True)
+    r1, r2 = (json.dumps(monte_carlo_campaign(HALF, 10**5, (1, 2, 3),
+                                              (10**3, 10**5)),
+                         sort_keys=True) for _ in range(2))
     assert r1 == r2
 
 
 def test_campaign_requires_seeds():
-    cfg = CampaignConfig(beta_numerator=HALF.numerator, limit=10**4,
-                         seeds=(), window=(10**2, 10**4))
     with pytest.raises(PreconditionError):
-        monte_carlo_campaign(cfg)
+        monte_carlo_campaign(HALF, 10**4, (), (10**2, 10**4))
 
 
 @settings(max_examples=300, deadline=None)
@@ -396,8 +395,9 @@ def coupled_counts(beta, limit, weighted, seeds):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(growth, "_checkpoint_counts", recording_kernel)
-        sums = coupled_sums(beta, limit, weighted, seeds)
-    return seen, sums
+        pairs = list(coupled_sums(beta, limit, weighted, seeds))
+    assert [seed for seed, _ in pairs] == list(seeds)
+    return seen, [sums for _, sums in pairs]
 
 
 def assert_lanes_match_oracles(beta, limit, weighted, seeds,
@@ -602,12 +602,14 @@ def test_lane_pass_hashes_each_seed_once(monkeypatch):
     assert started == []
 
 
-@pytest.mark.parametrize("seeds", [[1, 1.5], [1, True], [-1], [2**64]],
-                         ids=["1.5", "True", "-1", "2**64"])
+@pytest.mark.parametrize("seeds", [[1, 1.5], [1, True], [-1], [2**64],
+                                   [5, 5, 6]],
+                         ids=["1.5", "True", "-1", "2**64", "repeat"])
 def test_coupled_sums_reject_seeds_that_are_not_uint64_integers(
         monkeypatch, seeds):
-    # refused before the tree is built, at beta = 1 (nothing hashed) too;
-    # a beta below 1/2 is refused first
+    # refused at the call, before the tree is built, at beta = 1 (nothing
+    # hashed) too, and a repeated seed as well; a beta below 1/2 is
+    # refused first
     def refuse(limit):
         raise AssertionError("the tree was built")
 
@@ -618,6 +620,36 @@ def test_coupled_sums_reject_seeds_that_are_not_uint64_integers(
     quarter = DyadicFraction.from_fraction(1, 2)
     with pytest.raises(PreconditionError, match="below 1/2"):
         coupled_sums(quarter, 1000, False, seeds)
+
+
+def test_coupled_sums_is_lazy_per_lane_group_and_eager_in_its_checks(
+        monkeypatch):
+    # the tree comes at the call, and each lane group's counts when its
+    # first pair is drawn: 17 seeds are three groups
+    calls = []
+    kernel = growth._checkpoint_counts
+
+    def counting(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(growth, "_checkpoint_counts", counting)
+    _checkpoint_tree.cache_clear()
+    pairs = coupled_sums(B34, 10**4, False, LANE_SEEDS)
+    assert _checkpoint_tree.cache_info().currsize == 1 and calls == []
+    assert [len(calls) for _ in pairs] == [1] * 8 + [2] * 8 + [3]
+
+    # a limit past the prime count and a weighted beta below the threshold
+    # are refused at the call too, before the tree is built (the seeds and
+    # a beta below 1/2: the test above)
+    def refuse(limit):
+        raise AssertionError("the tree was built")
+
+    monkeypatch.setattr(growth, "_checkpoint_tree", refuse)
+    with pytest.raises(ConfigurationError):
+        coupled_sums(B34, _COUNT_LIMIT + 1, False, [1])
+    with pytest.raises(PreconditionError):
+        coupled_sums(B34, 10**4, True, [1])
 
 
 @pytest.mark.parametrize("block", [1, 2, 5, 16, 100])
@@ -643,7 +675,7 @@ def test_lane_counts_at_node_block_edges(monkeypatch, block):
 def test_mobius_lane_gives_published_mertens_values():
     # the beta = 1 lane is the Mertens function M(x); M(10**k) for
     # k = 1..8 are the published values (OEIS A084237)
-    sums = coupled_sums(ONE, 10**8, False, (1,))[0]
+    (_, sums), = coupled_sums(ONE, 10**8, False, (1,))
     powers = 10 ** np.arange(1, 9)
     at = np.searchsorted(sums.checkpoints, powers)
     assert np.array_equal(sums.checkpoints[at], powers)
@@ -656,9 +688,9 @@ def test_lane_sums_at_1e8_keep_their_recorded_values():
     # full hash compared on every beta, the tree's pairs sorted by x // m
     # and pair-length lower terms: plain at 3/4 and 1/2, weighted at 7/8
     powers = 10 ** np.arange(1, 9)
-    plain34, = coupled_sums(B34, 10**8, False, (1,))
-    plain12, = coupled_sums(HALF, 10**8, False, (1,))
-    weighted78, = coupled_sums(B78, 10**8, True, (1,))
+    (_, plain34), = coupled_sums(B34, 10**8, False, (1,))
+    (_, plain12), = coupled_sums(HALF, 10**8, False, (1,))
+    (_, weighted78), = coupled_sums(B78, 10**8, True, (1,))
     at = np.searchsorted(plain34.checkpoints, powers)
     assert plain34.sums[at].tolist() == \
         [-1, -5, -30, -133, -580, -3632, -34255, -290682]
@@ -697,7 +729,8 @@ def test_lane_pass_walks_no_prime_above_isqrt_limit(monkeypatch, limit):
                             at_most_isqrt(getattr(module, name)))
     _checkpoint_tree.cache_clear()
     for weighted, beta in ((False, HALF), (True, B78)):
-        assert len(coupled_sums(beta, limit, weighted, LANE_SEEDS[:9])) == 9
+        assert len(list(coupled_sums(beta, limit, weighted,
+                                     LANE_SEEDS[:9]))) == 9
 
 
 def test_isqrt_matches_math_isqrt():
@@ -716,16 +749,17 @@ def test_lane_counts_follow_the_seeds():
     forward, _ = coupled_counts(B34, 10**4, False, seeds)
     backward, _ = coupled_counts(B34, 10**4, False, seeds[::-1])
     assert all(np.array_equal(a, b) for a, b in zip(forward, backward[::-1]))
-    repeated, _ = coupled_counts(B34, 10**4, False, (5, 5, 9, 5))
+    # a repeated seed takes lanes of its own, and fills them alike;
+    # coupled_sums refuses it (a pair stands for its seed)
+    repeated = _checkpoint_counts(_checkpoint_tree(10**4), B34, (5, 5, 9, 5))
     assert np.array_equal(repeated[0], repeated[1])
     assert np.array_equal(repeated[0], repeated[3])
     assert not np.array_equal(repeated[0], repeated[2])
 
 
 def test_campaign_matches_one_seed_campaigns_across_lane_words():
-    cfg = CampaignConfig(beta_numerator=B34.numerator, limit=10**4,
-                         seeds=tuple(range(20, 31)), window=(10**2, 10**4))
-    report = monte_carlo_campaign(cfg)
-    assert report.per_seed == tuple(
-        monte_carlo_campaign(dataclasses.replace(cfg, seeds=(s,))).per_seed[0]
-        for s in cfg.seeds)
+    seeds, window = tuple(range(20, 31)), (10**2, 10**4)
+    report = monte_carlo_campaign(B34, 10**4, seeds, window)
+    assert report["per_seed"] == [
+        monte_carlo_campaign(B34, 10**4, (s,), window)["per_seed"][0]
+        for s in seeds]
