@@ -1,10 +1,13 @@
 """Command-line front end: configured experiments with reproducible outputs.
 
-Each run writes one directory: ``config.json`` (the effective config),
-experiment CSV/JSON outputs, and ``manifest.json`` listing every emitted
-file with its sha256.  Reruns with the same config produce byte-identical
-outputs (the manifest's timestamp is the only varying field, and it is not
-itself checksummed).
+Each kind's runner returns its CSV rows, its summary fields and whether its
+check passed; it writes nothing.  ``run()`` renders ``config.json`` (the
+effective config), the kind's CSV and ``summary.json`` to bytes, and only
+then writes them to the run's directory with ``manifest.json``, which lists
+exactly those three files with their sha256.  A refused or failed run
+writes nothing.  Reruns with the same config produce byte-identical outputs
+(the manifest's timestamp is the only varying field, and it is not itself
+checksummed).
 
 Exit codes: 0 success, 1 a checked residual exceeded its tolerance,
 2 usage or configuration error.
@@ -14,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import numbers
@@ -204,15 +208,19 @@ def _points_refusal(config: ExperimentConfig) -> str | None:
 
 
 def _unread_refusals(config: ExperimentConfig) -> list[str]:
-    """weighted: true on a kind whose outputs it would not change, and no
-    level on a kind that requires one; the runners raise them as well."""
+    """weighted: true on a kind whose outputs it would not change, no level
+    on a kind that requires one, and a beta beside a level, of which a kind
+    reads only one; the runners raise them as well."""
     kind, name = _KINDS[config.kind], config.kind
     return [why for bad, why in (
         (config.weighted and kind.weight == "never",
          f"weighted=True: kind {name} has no weighted form; the weighted "
          "sums are kind weighted-growth (or campaign with weighted)"),
         (kind.level and config.level is None,
-         f"level=None: kind {name} requires a level n")) if bad]
+         f"level=None: kind {name} requires a level n"),
+        (config.beta is not None and config.level is not None,
+         f"beta={config.beta!r}, level={config.level}: give beta or level, "
+         "not both")) if bad]
 
 
 def _refuse_unread(config: ExperimentConfig) -> None:
@@ -225,45 +233,15 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-# ---------------------------------------------------------------------------
-# output helpers
-# ---------------------------------------------------------------------------
-
-def _write_csv(outdir: Path, kind: str, rows: list[list]) -> None:
-    with (outdir / _KINDS[kind].csv).open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(_KINDS[kind].header)
-        for row in rows:
-            w.writerow([f"{x:.17g}" if isinstance(x, float) else x
-                        for x in row])
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True,
-                               default=_jsonable) + "\n")
+def _json(payload: dict) -> bytes:
+    return (json.dumps(payload, indent=2, sort_keys=True, default=_jsonable)
+            + "\n").encode()
 
 
 def _jsonable(obj):
     if isinstance(obj, (np.generic, np.ndarray)):
         return obj.tolist()  # numpy scalars become bool, int or float
     raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
-def _finish_run(outdir: Path, config: ExperimentConfig,
-                summary: dict) -> dict:
-    """Write summary.json and the manifest; return the manifest."""
-    _write_json(outdir / "summary.json", summary)
-    files = sorted(p for p in outdir.iterdir()
-                   if p.is_file() and p.name != "manifest.json")
-    manifest = {
-        "artifact_version": __version__,
-        "config": asdict(config),
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "outputs": {p.name: sha256(p.read_bytes()).hexdigest()
-                    for p in files},
-    }
-    _write_json(outdir / "manifest.json", manifest)
-    return manifest
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +296,7 @@ def _ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.abs(ca / n - cb / n).max())
 
 
-def _run_iet_test(config: ExperimentConfig, outdir: Path) -> tuple[dict, bool]:
+def _run_iet_test(config: ExperimentConfig) -> tuple[list, dict, bool]:
     _refuse_unread(config)
     spec = IetSpec(config.level)
     rng = np.random.default_rng(config.seeds[0])
@@ -336,15 +314,13 @@ def _run_iet_test(config: ExperimentConfig, outdir: Path) -> tuple[dict, bool]:
             ["index_dynamics", int(dynamics)],
             ["ks_statistic", stat],
             ["ks_critical_1e-3", float(crit)]]
-    _write_csv(outdir, config.kind, rows)
-    return {"experiment": config.kind, **_level_fields(config.level),
-            "periodicity": "pass (bitwise)" if periodic else "FAIL",
-            "index_dynamics": dynamics,
-            "ks_statistic": stat, "ks_critical": crit,
-            "pass": ok}, ok
+    return rows, {**_level_fields(config.level),
+                  "periodicity": "pass (bitwise)" if periodic else "FAIL",
+                  "index_dynamics": dynamics,
+                  "ks_statistic": stat, "ks_critical": crit}, ok
 
 
-def _run_growth(config: ExperimentConfig, outdir: Path) -> tuple[dict, bool]:
+def _run_growth(config: ExperimentConfig) -> tuple[list, dict, bool]:
     """growth and weighted-growth: checkpoint sums and one fit per seed."""
     _refuse_unread(config)
     beta = config.beta_value()
@@ -358,10 +334,8 @@ def _run_growth(config: ExperimentConfig, outdir: Path) -> tuple[dict, bool]:
         rows += [[seed, int(x), float(s), r]
                  for x, s, r in zip(sums.checkpoints, sums.sums, ratios)]
         fits[str(seed)] = asdict(fit)
-    _write_csv(outdir, config.kind, rows)
-    return {"experiment": config.kind, "beta": beta.as_fraction_string(),
-            "limit": config.limit, "window": list(window), "fits": fits,
-            "pass": True}, True
+    return rows, {"beta": beta.as_fraction_string(), "limit": config.limit,
+                  "window": list(window), "fits": fits}, True
 
 
 def _identity_at(config, beta, assignment):
@@ -391,7 +365,7 @@ def _h_scan_at(config, beta, assignment):
     return at
 
 
-def _run_sweep(config: ExperimentConfig, outdir: Path) -> tuple[dict, bool]:
+def _run_sweep(config: ExperimentConfig) -> tuple[list, dict, bool]:
     _refuse_unread(config)
     kind = _KINDS[config.kind]
     size = getattr(config, kind.size)
@@ -404,28 +378,25 @@ def _run_sweep(config: ExperimentConfig, outdir: Path) -> tuple[dict, bool]:
         for sigma in config.sigmas:
             for t in config.ts:
                 rows.append([sigma, t, size, seed, *at(complex(sigma, t))])
-    _write_csv(outdir, config.kind, rows)
-    summary = {"experiment": config.kind,
-               **(_level_fields(config.level) if kind.level
-                  else {"beta": beta.as_fraction_string()})}
+    summary = _level_fields(config.level) if kind.level \
+        else {"beta": beta.as_fraction_string()}
     if not kind.checked:
-        return {**summary, "rows": len(rows), "pass": True}, True
+        return rows, {**summary, "rows": len(rows)}, True
     worst = max([0.0] + [row[-1] for row in rows])
     ok = worst < config.tolerance
-    return {**summary, "max_residual": worst, "tolerance": config.tolerance,
-            "pass": ok}, ok
+    return rows, {**summary, "max_residual": worst,
+                  "tolerance": config.tolerance}, ok
 
 
-def _run_campaign(config: ExperimentConfig, outdir: Path) -> tuple[dict, bool]:
+def _run_campaign(config: ExperimentConfig) -> tuple[list, dict, bool]:
+    _refuse_unread(config)
     beta = config.beta_value()
     report = monte_carlo_campaign(beta, config.limit, config.seeds,
                                   _fit_window(config), config.weighted)
     columns = _KINDS[config.kind].columns
-    _write_csv(outdir, config.kind, [
-        ["" if r[c] is None else r[c] for c in columns]
-        for r in report["per_seed"]])
-    return {**report, "experiment": config.kind,
-            "beta": beta.as_fraction_string(), "pass": True}, True
+    rows = [["" if r[c] is None else r[c] for c in columns]
+            for r in report["per_seed"]]
+    return rows, {**report, "beta": beta.as_fraction_string()}, True
 
 
 @dataclass(frozen=True)
@@ -437,7 +408,7 @@ class _Kind:
     cap: str  # what caps the size in validate()'s message; "": the kind
     csv: str
     columns: tuple[str, ...]  # the CSV header, after a sweep's prefix
-    runner: Callable
+    runner: Callable  # config -> (rows, summary fields, pass); no writes
     level: int = 0  # the cap of a kind that needs a level; 0: it reads beta
     weight: str = "never"  # or "always", or "optional": config.weighted
     # a seed x sigma x t sweep's: (config, beta, one seed's omega) to a map
@@ -488,17 +459,37 @@ KINDS = tuple(_KINDS)
 
 
 def run(config: ExperimentConfig) -> dict:
-    """Validate, execute, persist. Returns the manifest."""
+    """Validate, execute, persist. Returns the manifest, with ``pass``.
+
+    Nothing is written before the runner returns: the three outputs are
+    rendered to bytes, the manifest hashes exactly those bytes, and then
+    the directory is made and the four files written.
+    """
     violations = validate(config)
     if violations:
         raise LabError("; ".join(violations))
+    kind = _KINDS[config.kind]
+    rows, summary, ok = kind.runner(config)
+    table = io.StringIO()
+    csv.writer(table).writerows([kind.header, *(
+        [f"{x:.17g}" if isinstance(x, float) else x for x in row]
+        for row in rows)])
+    outputs = {"config.json": _json(asdict(config)),
+               kind.csv: table.getvalue().encode(),
+               "summary.json": _json({**summary, "experiment": config.kind,
+                                      "pass": ok})}
+    manifest = {
+        "artifact_version": __version__,
+        "config": asdict(config),
+        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+        "outputs": {name: sha256(data).hexdigest()
+                    for name, data in outputs.items()},
+    }
     outdir = Path(config.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    _write_json(outdir / "config.json", asdict(config))
-    summary, ok = _KINDS[config.kind].runner(config, outdir)
-    manifest = _finish_run(outdir, config, summary)
-    manifest["pass"] = ok
-    return manifest
+    for name, data in {**outputs, "manifest.json": _json(manifest)}.items():
+        (outdir / name).write_bytes(data)
+    return {**manifest, "pass": ok}
 
 
 # ---------------------------------------------------------------------------

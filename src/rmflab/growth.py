@@ -63,7 +63,7 @@ from .dyadic import HALF, DyadicFraction
 from .errors import (ConfigurationError, DomainError, FitError,
                      PreconditionError, RangeError)
 from .sieve import _COUNT_LIMIT, MAX_KIND, _prime_counts, primes_up_to
-from .dirichlet import _exact_sum, _point, weight_factor
+from .dirichlet import _exact_sums, _point, weight_factor
 
 GRID_STEPS_PER_DECADE = 8
 MIN_FIT_POINTS = 5  # nonzero checkpoints a growth fit needs
@@ -208,47 +208,42 @@ def selberg_delange_ratio(beta: DyadicFraction,
 _ABEL_BLOCK = 2**16
 
 
-def _abel_terms(values: np.ndarray, X: int, s: complex, steps: bool):
-    """The terms of the Abel summation identity, _ABEL_BLOCK integers at a
-    time: f(n) n**-s for 1 <= n <= X, or with ``steps``
-    S(m) (m**-s - (m+1)**-s) for 1 <= m < X, where S is carried across the
-    blocks as int64."""
-    S = 0
-    for lo in range(1, X + 1, _ABEL_BLOCK):
-        hi = min(lo + _ABEL_BLOCK, X + 1)
-        # n**-s for the block's n and the one after it, up to X
-        n = np.arange(lo, min(hi + 1, X + 1), dtype=np.float64)
-        npow = np.exp(-s * np.log(n))
-        if steps:
-            partial = np.cumsum(values[lo:hi], dtype=np.int64)
-            partial += S
-            S = int(partial[-1])
-            yield (partial[: len(n) - 1].astype(np.float64)
-                   * (npow[:-1] - npow[1:]))
-        else:
-            yield values[lo:hi].astype(np.float64) * npow[: hi - lo]
-
-
 def abel_consistency(values: np.ndarray, X: int, s: complex) -> float:
     """Residual of the finite Abel summation identity at s, for the series
     f(n) = values[n] (int8, index 0 unused).
 
     Compares sum_{n<=X} f(n) n**-s against
     S(X) X**-s + sum_{m<X} S(m) (m**-s - (m+1)**-s); the identity is exact,
-    so the residual measures only floating-point noise.  Each side's terms
-    are made once, a block at a time, and ``dirichlet._exact_sum`` sums
-    their real and imaginary parts exactly and rounds each once, so the
-    memory stays within a few blocks at any X and the blocks do not change
-    the result.
+    so the residual measures only floating-point noise.  One pass makes
+    both sides' terms, _ABEL_BLOCK integers at a time, from one n**-s per
+    integer, and carries S across the blocks as int64, S(X) last;
+    ``dirichlet._exact_sums`` sums each side's real and imaginary parts
+    exactly and rounds each once, so the memory stays within a few blocks
+    at any X and the blocks do not change the result.
     """
     s = _point(s, 0)
     if not 1 <= X <= len(values) - 1:
         raise RangeError(f"X={X} outside [1, {len(values) - 1}]")
-    lhs_sum = _exact_sum(_abel_terms(values, X, s, False))
-    S_X = np.float64(values[1: X + 1].sum(dtype=np.int64))
-    boundary = S_X * np.exp(-s * np.log(np.array([X], dtype=np.float64)))[0]
-    rhs = boundary + _exact_sum(_abel_terms(values, X, s, True))
-    return abs(lhs_sum - rhs)
+    S = 0
+
+    def terms():
+        nonlocal S
+        for lo in range(1, X + 1, _ABEL_BLOCK):
+            hi = min(lo + _ABEL_BLOCK, X + 1)
+            # n**-s for the block's n and the one after it, up to X
+            n = np.arange(lo, min(hi + 1, X + 1), dtype=np.float64)
+            npow = np.exp(-s * np.log(n))
+            yield 0, values[lo:hi].astype(np.float64) * npow[: hi - lo]
+            partial = np.cumsum(values[lo:hi], dtype=np.int64)
+            partial += S
+            S = int(partial[-1])
+            yield 1, (partial[: len(n) - 1].astype(np.float64)
+                      * (npow[:-1] - npow[1:]))
+
+    lhs_sum, steps = _exact_sums(terms(), 2)
+    boundary = np.float64(S) * \
+        np.exp(-s * np.log(np.array([X], dtype=np.float64)))[0]
+    return abs(lhs_sum - (boundary + steps))
 
 
 # Values per block of the tree's quotients, and of the lane pass's terms

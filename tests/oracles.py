@@ -17,8 +17,10 @@ products that stream the primes; ``TransformedOmega`` feeds
 blocked view build; ``exact_partials_fsum`` is the fsum over
 every value, the reference for the extracted exact partials;
 ``abel_residual_unblocked`` is the full-length reference
-for the blocked Abel check, and ``exp_form_tail_concatenated`` the
-all-orders-at-once reference for the exp-form tail; ``fsum_weighted_sums``
+for the blocked Abel check and ``abel_residual_two_pass`` the blocked
+evaluation one side at a time, the reference for its one pass, and
+``exp_form_tail_concatenated`` the all-orders-at-once reference for the
+exp-form tail; ``fsum_weighted_sums``
 is the term by term reference for the weighted checkpoint sums, and
 ``per_seed_counts`` the per-seed and ``segment_counts`` the
 integer-by-integer reference for the recursion's exact counts, which it
@@ -39,10 +41,11 @@ import numpy as np
 
 from rmflab import (DyadicFraction, OmegaAssignment, beta_for_level,
                     primes_up_to, weight_factor)
-from rmflab.dirichlet import _TAIL_CUTOFF, EulerEvaluation, _point
+from rmflab.dirichlet import (_TAIL_CUTOFF, EulerEvaluation, _exact_sum,
+                              _point)
 from rmflab.dyadic import HALF
 from rmflab.errors import ConfigurationError, PreconditionError, RangeError
-from rmflab.growth import LANES
+from rmflab.growth import _ABEL_BLOCK, LANES
 from rmflab.iet import IetSpec, apply_T_power_numerators
 from rmflab.sampler import signs_from_numerators
 from rmflab.sieve import _COUNT_LIMIT, MAX_KIND, MAX_LIMIT, _odd_blocks
@@ -448,6 +451,38 @@ def abel_residual_unblocked(values: np.ndarray, X: int, s: complex) -> float:
     boundary = S[-1] * npow[-1]
     steps = S[:-1] * (npow[:-1] - np.exp(-s * np.log(n[1:])))
     rhs = boundary + complex(math.fsum(steps.real), math.fsum(steps.imag))
+    return abs(lhs_sum - rhs)
+
+
+def _abel_side(values: np.ndarray, X: int, s: complex, steps: bool):
+    """One side's terms of the Abel summation identity, _ABEL_BLOCK
+    integers at a time: f(n) n**-s for 1 <= n <= X, or with ``steps``
+    S(m) (m**-s - (m+1)**-s) for 1 <= m < X, where S is carried across the
+    blocks as int64."""
+    S = 0
+    for lo in range(1, X + 1, _ABEL_BLOCK):
+        hi = min(lo + _ABEL_BLOCK, X + 1)
+        n = np.arange(lo, min(hi + 1, X + 1), dtype=np.float64)
+        npow = np.exp(-s * np.log(n))
+        if steps:
+            partial = np.cumsum(values[lo:hi], dtype=np.int64)
+            partial += S
+            S = int(partial[-1])
+            yield (partial[: len(n) - 1].astype(np.float64)
+                   * (npow[:-1] - npow[1:]))
+        else:
+            yield values[lo:hi].astype(np.float64) * npow[: hi - lo]
+
+
+def abel_residual_two_pass(values: np.ndarray, X: int, s: complex) -> float:
+    """The Abel summation residual from one blocked pass per side, n**-s
+    made twice per integer, and a third pass for S(X): the reference for
+    ``growth.abel_consistency``'s one pass."""
+    s = _point(s, 0)
+    lhs_sum = _exact_sum(_abel_side(values, X, s, False))
+    S_X = np.float64(values[1: X + 1].sum(dtype=np.int64))
+    boundary = S_X * np.exp(-s * np.log(np.array([X], dtype=np.float64)))[0]
+    rhs = boundary + _exact_sum(_abel_side(values, X, s, True))
     return abs(lhs_sum - rhs)
 
 

@@ -131,6 +131,20 @@ def test_rerun_checksums_identical(tmp_path):
     assert first["outputs"] == second["outputs"]
 
 
+def test_a_manifest_lists_exactly_its_runs_outputs(tmp_path):
+    # the manifest once hashed every file in its directory, so an iet-test
+    # run after a growth run listed growth.csv
+    run(ExperimentConfig(kind="growth", beta="3/4", limit=1000,
+                         outdir=str(tmp_path)))
+    manifest = run(ExperimentConfig(kind="iet-test", level=2, points=100,
+                                    outdir=str(tmp_path)))
+    assert sorted(manifest["outputs"]) == \
+        ["config.json", "iet.csv", "summary.json"]
+    assert manifest["outputs"] == {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in manifest["outputs"]}
+
+
 def test_growth_and_campaign_smoke(tmp_path):
     code = main(["growth", "--beta", "3/4", "--limit", "20000",
                  "--seeds", "1", "2", "--window", "100", "20000",
@@ -218,13 +232,12 @@ def pipeline_rejects(config: ExperimentConfig) -> bool:
     """True iff the experiment, run without validate(), raises an error that
     the config decides: PreconditionError, ConfigurationError, DomainError,
     or a FitError other than one caused only by zero sums."""
-    with tempfile.TemporaryDirectory() as tmp:
-        try:
-            _KINDS[config.kind].runner(config, Path(tmp))
-        except (PreconditionError, ConfigurationError, DomainError):
-            return True
-        except FitError:
-            return not fails_only_on_zero_sums(config)
+    try:
+        _KINDS[config.kind].runner(config)
+    except (PreconditionError, ConfigurationError, DomainError):
+        return True
+    except FitError:
+        return not fails_only_on_zero_sums(config)
     return False
 
 
@@ -284,9 +297,12 @@ def test_validate_rejects_what_run_rejects(kind, weighted, bits, data, limit,
     fields = {"beta": f"{k}/{2**bits}", "limit": limit, "weighted": weighted,
               "window": window, "sigmas": sigmas, "prime_limit": 1000}
     if _KINDS[kind].level:
-        # no level, levels on both sides of the identity's cap and of 62,
-        # and the identity's prime_limit past MAX_LIMIT
-        fields |= {"level": data.draw(st.one_of(
+        # no beta or a beta it does not read, no level, levels on both sides
+        # of the identity's cap and of 62, and the identity's prime_limit
+        # past MAX_LIMIT
+        fields |= {"beta": data.draw(st.sampled_from([None, fields["beta"]]),
+                                     label="beta"),
+                   "level": data.draw(st.one_of(
                        st.none(), st.integers(0, 3), st.integers(15, 18),
                        st.integers(60, 64)), label="level"),
                    "prime_limit": data.draw(st.sampled_from(
@@ -406,6 +422,7 @@ def test_zero_sums_fit_error_is_data_dependent(tmp_path):
     assert fails_only_on_zero_sums(cfg)
     with pytest.raises(FitError, match="only 2 nonzero"):
         run(cfg)
+    assert not (tmp_path / "r").exists()  # it once left a lone config.json
 
 
 @pytest.mark.parametrize("kind", ["growth", "campaign"])
@@ -517,21 +534,29 @@ def test_fit_error_names_the_first_failing_seed(kind, tmp_path):
     ({"kind": "growth", "seeds": [5, 5, 6]},
      "seeds=[5, 5, 6]: seed 5 repeats; every seed must be distinct"),
     ({"kind": "campaign", "seeds": [6, 5, 6, 5]}, "seed 6 repeats"),
+    # the identity ran and reported the level's beta, 7/2^3; campaign
+    # silently read beta
+    ({"kind": "identity", "level": 2, "beta": "1/4"},
+     "beta='1/4', level=2: give beta or level, not both"),
+    ({"kind": "campaign", "level": 2, "beta": "3/4"},
+     "beta='3/4', level=2: give beta or level, not both"),
 ])
 def test_validate_rejects_fits_and_sigmas_run_would_reject(changes, needle,
                                                             tmp_path):
-    fields = {"kind": "growth", "beta": "3/4", "limit": 1000, "seeds": [1],
-              **changes, "outdir": str(tmp_path / "r")}
+    # a row that gives a level gives no beta, unless it gives both
+    fields = {"kind": "growth", "beta": None if "level" in changes else "3/4",
+              "limit": 1000, "seeds": [1], **changes,
+              "outdir": str(tmp_path / "r")}
     cfg = ExperimentConfig(**fields)
     assert any(needle in v for v in validate(cfg)), validate(cfg)
     if validate(cfg)[0].endswith(": must be an integer"):
         with pytest.raises(TypeError):
-            _KINDS[cfg.kind].runner(cfg, tmp_path)
+            _KINDS[cfg.kind].runner(cfg)
     elif cfg.kind == "iet-test":
         # numpy finds no KS gap in an empty sample and rejects a negative
         # size and seed
         with pytest.raises(ValueError):
-            _KINDS[cfg.kind].runner(cfg, tmp_path)
+            _KINDS[cfg.kind].runner(cfg)
     else:
         assert pipeline_rejects(cfg)
     with pytest.raises(LabError):
@@ -798,3 +823,16 @@ def test_csv_file_and_header_match_the_schema(kind, tmp_path):
     assert [p.name for p in tmp_path.glob("*.csv")] == [doc["file"]]
     with (tmp_path / doc["file"]).open(newline="") as fh:
         assert next(csv.reader(fh)) == list(doc["columns"])
+
+
+@pytest.mark.parametrize("kind", cli.KINDS)
+def test_runners_return_rows_and_write_nothing(kind, tmp_path, monkeypatch):
+    # run() alone writes: a runner returns its rows and summary fields, and
+    # run() adds experiment and pass
+    monkeypatch.chdir(tmp_path)
+    rows, summary, ok = _KINDS[kind].runner(
+        ExperimentConfig(kind=kind, seeds=[1], **SCHEMA_RUNS[kind]))
+    assert rows and {len(row) for row in rows} == {len(_KINDS[kind].header)}
+    assert not {"experiment", "pass"} & set(summary)
+    assert ok in (True, False)
+    assert list(tmp_path.iterdir()) == []

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (ISQRT_EDGE_LIMITS, abel_residual_unblocked,
-                     build_sign_series, distinct_prime_counts, factor_summary,
+from oracles import (ISQRT_EDGE_LIMITS, abel_residual_two_pass,
+                     abel_residual_unblocked, build_sign_series,
+                     distinct_prime_counts, factor_summary,
                      fsum_weighted_sums, kinds_table, lane_flips,
                      mobius_sieve, per_seed_counts, segment_counts,
                      straddled_threshold)
@@ -322,6 +323,17 @@ def test_abel_blocks_give_the_unblocked_residual(monkeypatch, block, mu_1e6,
         for s in (1.5, 2, 1.2 + 5j, 0.7 - 3j):
             got = abel_consistency(series.values, X, s)
             assert got == abel_residual_unblocked(series.values, X, s), (X, s)
+
+
+def test_abel_one_pass_gives_the_two_pass_residual(mu_1e6, assignment_42):
+    # the golden abel cases stay inside one block: here X = 1, 2, each side
+    # of the first block edge and past the second, against the evaluation
+    # that made each side's n**-s in a pass of its own
+    series = build_sign_series(B34, assignment_42, 2**17 + 1, mu_1e6)
+    for X in (1, 2, 2**16 - 1, 2**16, 2**16 + 1, 2**17 + 1):
+        for s in (1.5, 1.2 + 5j, 0.7 - 3j):
+            got = abel_consistency(series.values, X, s)
+            assert got == abel_residual_two_pass(series.values, X, s), (X, s)
 
 
 def test_abel_peak_memory_at_1e6(mu_1e6):
